@@ -98,18 +98,36 @@ class H2Verdict:
                 "reason": self.reason}
 
 
-def _t_integral(kernel, s: float, c: float, d: float, order: int = 16) -> float:
-    """Integral over t in [c, d] of G(t, s); the only kink is at t = s."""
-    if d <= c:
-        return 0.0
-    edges = build_edges(c, d, [s], default_max_len(kernel.potential))
+def _t_integrals(kernel, ss, cs, ds, order: int = 16) -> np.ndarray:
+    """Integral over t in [c, d] of G(t, s) for every (s, c, d), the three
+    broadcast together; 0 where d <= c.
+
+    Each integral has its own panels, split at its only kink t = s, and its
+    own sum; one kernel evaluation serves them all.
+    """
+    ss, cs, ds = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                       for x in (ss, cs, ds)))
+    max_len = default_max_len(kernel.potential)
     nodes, gw = gauss_nodes(order)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    ts = mid[:, None] + half[:, None] * nodes[None, :]
-    g = np.asarray(kernel(ts, np.full(ts.shape, s)), dtype=float)
-    return float(np.sum(g * (half[:, None] * gw[None, :])))
+    out = np.zeros(ss.shape)
+    live = np.nonzero(ds > cs)[0]
+    t_parts, cw_parts = [], []
+    for i in live:
+        edges = build_edges(cs[i], ds[i], [ss[i]], max_len)
+        lo, hi = edges[:-1], edges[1:]
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        t_parts.append((mid[:, None] + half[:, None] * nodes[None, :]).ravel())
+        cw_parts.append(half[:, None] * gw[None, :])
+    if not t_parts:
+        return out
+    sizes = [len(tp) for tp in t_parts]
+    g = np.asarray(kernel(np.concatenate(t_parts), np.repeat(ss[live], sizes)),
+                   dtype=float)
+    blocks = np.split(g, np.cumsum(sizes)[:-1])
+    for i, gb, cw in zip(live, blocks, cw_parts):
+        out[i] = np.sum(gb.reshape(cw.shape) * cw)
+    return out
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 48) -> float:
@@ -155,7 +173,7 @@ def compute_cone_constants(kernel, subinterval: Subinterval,
     if d <= c:
         raise NonpositiveEta(f"degenerate subinterval [{c}, {d}]")
     ss = np.linspace(c, d, grid)
-    eta = min(_t_integral(kernel, float(s), c, d) for s in ss)
+    eta = float(np.min(_t_integrals(kernel, ss, c, d)))
     if eta <= 0:
         raise NonpositiveEta(
             f"min over s in [{c}, {d}] of the t-integral is {eta:.3e}")
@@ -177,8 +195,11 @@ def _cell_integral_table(kernel, ss: np.ndarray, order: int = 16) -> np.ndarray:
         ts = mid + half * nodes
         g = np.asarray(kernel(ts[:, None], ss[None, ~inside]), dtype=float)
         M[k, ~inside] = (half * gw) @ g
-        for j in np.nonzero(inside)[0]:
-            M[k, j] = _t_integral(kernel, float(ss[j]), lo, hi)
+    # an s inside its cell kinks the integrand there: those entries get
+    # split panels, all in one batch
+    ks, js = np.nonzero((ss[None, :] > edges[:-1, None])
+                        & (ss[None, :] < edges[1:, None]))
+    M[ks, js] = _t_integrals(kernel, ss[js], edges[ks], edges[ks + 1], order)
     return M
 
 
@@ -220,7 +241,7 @@ def check_H3(kernel, subinterval: Subinterval, grid: int = 201) -> H3Verdict:
     T = kernel.T
     c, d = subinterval.c, subinterval.d
     ss = np.linspace(0.0, T, grid)
-    vals = np.array([_t_integral(kernel, float(s), c, d) for s in ss])
+    vals = _t_integrals(kernel, ss, c, d)
     inner = (ss >= c) & (ss <= d)
     min_all = float(np.min(vals))
     min_sub = float(np.min(vals[inner])) if np.any(inner) else math.nan

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IntegratorFailure
-from .potentials import Potential
+from .potentials import DEFAULT_GRID, Potential
 
 
 def rk4_step_matrices(q0: np.ndarray, qm: np.ndarray, q1: np.ndarray, h: float) -> np.ndarray:
@@ -107,7 +107,6 @@ class FundamentalSolutions:
     """
 
     def __init__(self, potential: Potential, lam: float = 0.0, grid_size: int | None = None):
-        from .potentials import DEFAULT_GRID
         if grid_size is None:
             grid_size = DEFAULT_GRID
         if grid_size < 9:
@@ -131,10 +130,6 @@ class FundamentalSolutions:
         self.dp2 = -q_nodes * self.u2
 
     @property
-    def monodromy(self) -> np.ndarray:
-        return np.array([[self.u1[-1], self.u2[-1]], [self.p1[-1], self.p2[-1]]])
-
-    @property
     def scale(self) -> float:
         return float(max(np.max(np.abs(self.u1)), np.max(np.abs(self.u2)),
                          np.max(np.abs(self.p1)), np.max(np.abs(self.p2)), 1.0))
@@ -152,14 +147,6 @@ class FundamentalSolutions:
         h11 = xi * xi * (xi - 1.0)
         return (h00 * y[i] + h10 * self.h * dy[i]
                 + h01 * y[i + 1] + h11 * self.h * dy[i + 1])
-
-    def eval_u1(self, x):
-        i, xi = self._locate(x)
-        return self._hermite(self.u1, self.p1, i, xi)
-
-    def eval_u2(self, x):
-        i, xi = self._locate(x)
-        return self._hermite(self.u2, self.p2, i, xi)
 
     def eval_pair(self, x):
         """(u1(x), u2(x)) with one shared cell lookup."""

@@ -28,6 +28,7 @@ from .quadrature import build_edges, default_max_len, gauss_nodes
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
                              # counts as absent and the ratio as +inf
+BOUNDARY_SLICES = 6          # interior slices behind each boundary limit
 
 CASE_2B_NOTE = ("rho*T/pi in (4k+2, 4k+3): the published ratio reads below "
                 "one at face value, but sin(rho*T/2) is negative on this "
@@ -45,11 +46,14 @@ class GammaResult:
     note: str | None = None
 
 
-def _slice_parts(kernel, t: float, weight, order: int,
+def _slice_parts(kernel, t: float, roots: np.ndarray, weight, order: int,
                  max_len: float) -> tuple[float, float]:
-    """(N, D) at one t: weighted integrals of the positive/negative parts."""
+    """(N, D) at one t: weighted integrals of the positive/negative parts.
+
+    roots are the interior zeros of G(t, .), as kernel.s_roots gives them.
+    """
     T = kernel.T
-    pts = np.append(kernel.s_roots(t), t)
+    pts = np.append(roots, t)
     bps = kernel.potential.breakpoints
     if 0 < len(bps) <= 64:
         pts = np.append(pts, bps)
@@ -86,15 +90,23 @@ def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> float:
     return p[0]
 
 
-def _boundary_limit(kernel, weight, order, max_len, at_right: bool) -> float:
-    """Limit of N/D approaching an endpoint where the kernel slice vanishes."""
-    T = kernel.T
-    hs = T * 1e-2 / 2.0 ** np.arange(6)
-    rs = []
-    for h in hs:
-        t = T - h if at_right else h
-        rs.append(_ratio(*_slice_parts(kernel, float(t), weight, order, max_len)))
-    rs = np.asarray(rs)
+def _boundary_nodes(T: float, at_right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(h, t) of the slices a boundary limit extrapolates from, t = T - h
+    at the right end and t = h at the left."""
+    hs = T * 1e-2 / 2.0 ** np.arange(BOUNDARY_SLICES)
+    return hs, (T - hs if at_right else hs)
+
+
+def _boundary_limit(kernel, weight, order, max_len, at_right: bool,
+                    roots: list) -> float:
+    """Limit of N/D approaching an endpoint where the kernel slice vanishes.
+
+    roots[k] holds the zeros of the slice at the k-th _boundary_nodes t.
+    """
+    hs, ts = _boundary_nodes(kernel.T, at_right)
+    rs = np.asarray([_ratio(*_slice_parts(kernel, float(t), r, weight, order,
+                                          max_len))
+                     for t, r in zip(ts, roots)])
     if not np.all(np.isfinite(rs)):
         return math.inf
     return _neville_to_zero(hs, rs)
@@ -104,8 +116,8 @@ def pointwise_ratio(kernel, t: float, weight=None,
                     s_quadrature_order: int = 16) -> float:
     """N(t)/D(t) at a single interior t, by the quadrature path."""
     max_len = default_max_len(kernel.potential)
-    return _ratio(*_slice_parts(kernel, float(t), weight, s_quadrature_order,
-                                max_len))
+    return _ratio(*_slice_parts(kernel, float(t), kernel.s_roots(t), weight,
+                                s_quadrature_order, max_len))
 
 
 def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
@@ -123,17 +135,26 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
     order = s_quadrature_order
     label = weight_label or ("One" if weight is None else "PrincipalEigenfunction")
 
-    vanish_left = bc in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED2)
-    vanish_right = bc in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED1)
+    vanish_left, vanish_right = bc.pinned_ends
 
     ts = np.linspace(0.0, T, t_grid_size)
+    pinned = [(i == 0 and vanish_left) or (i == t_grid_size - 1 and vanish_right)
+              for i in range(t_grid_size)]
+    # one batched scan finds the zeros of every slice, the boundary limits'
+    # included, in the order they are consumed below
+    slice_ts = []
+    for i, t in enumerate(ts):
+        slice_ts.extend(_boundary_nodes(T, i > 0)[1] if pinned[i] else [t])
+    roots = iter(kernel.s_roots_many(slice_ts))
     ratios = np.empty(t_grid_size)
     for i, t in enumerate(ts):
-        if (i == 0 and vanish_left) or (i == t_grid_size - 1 and vanish_right):
-            ratios[i] = _boundary_limit(kernel, weight, order, max_len,
-                                        at_right=i > 0)
+        if pinned[i]:
+            ratios[i] = _boundary_limit(
+                kernel, weight, order, max_len, at_right=i > 0,
+                roots=[next(roots) for _ in range(BOUNDARY_SLICES)])
             continue
-        pos, neg = _slice_parts(kernel, float(t), weight, order, max_len)
+        pos, neg = _slice_parts(kernel, float(t), next(roots), weight, order,
+                                max_len)
         if pos - neg <= 1e-13 * max(pos, 1e-300):
             raise NonpositiveWeightedIntegral(
                 f"weighted integral of the kernel is not positive at t = {t}")

@@ -27,6 +27,7 @@ from .errors import OutOfRange, ResonantPotential, UnsupportedBoundaryKind
 from .fundamental import FundamentalSolutions
 from .potentials import (BoundaryKind, ConstantPotential, Interval, Potential,
                          SampledPotential)
+from .quadrature import scan_kernel_roots_many
 
 RESONANCE_TOL = 1e-9
 
@@ -125,8 +126,11 @@ class _KernelBase:
 
     def s_roots(self, t: float) -> np.ndarray:
         """Interior zeros of G(t, .), sorted."""
-        from .quadrature import scan_kernel_roots
-        return scan_kernel_roots(self, float(t))
+        return self.s_roots_many([t])[0]
+
+    def s_roots_many(self, ts) -> list[np.ndarray]:
+        """s_roots at every t in ts, found in one batched scan."""
+        return scan_kernel_roots_many(self, ts)
 
     def parts(self):
         return KernelPart(self, +1), KernelPart(self, -1)
@@ -147,10 +151,18 @@ class KernelPart:
         return np.maximum(self.sign * self.kernel.grid_eval(ts, ss), 0.0)
 
 
-class PeriodicConstantKernel(_KernelBase):
-    """G for a = rho**2 under periodic conditions; depends only on |t - s|."""
+class _ClosedFormKernel(_KernelBase):
+    """Closed-form kernel: its s_roots are analytic, one slice at a time."""
 
     form = "closed"
+
+    def s_roots_many(self, ts) -> list[np.ndarray]:
+        return [self.s_roots(float(t)) for t in ts]
+
+
+class PeriodicConstantKernel(_ClosedFormKernel):
+    """G for a = rho**2 under periodic conditions; depends only on |t - s|."""
+
     bc = BoundaryKind.PERIODIC
 
     def __init__(self, rho: float, T: float = 1.0):
@@ -179,14 +191,10 @@ class PeriodicConstantKernel(_KernelBase):
         roots = roots[(roots > 0) & (roots < T)]
         return np.unique(roots)
 
-    def parts(self):
-        return KernelPart(self, +1), KernelPart(self, -1)
 
-
-class DirichletConstantKernel(_KernelBase):
+class DirichletConstantKernel(_ClosedFormKernel):
     """G for a = rho**2 with u(0) = u(T) = 0; symmetric in (t, s)."""
 
-    form = "closed"
     bc = BoundaryKind.DIRICHLET
 
     def __init__(self, rho: float, T: float = 1.0):
@@ -216,9 +224,6 @@ class DirichletConstantKernel(_KernelBase):
         roots = np.concatenate([left[left < t], right[right > t]])
         roots = roots[(roots > 0) & (roots < T)]
         return np.unique(roots)
-
-    def parts(self):
-        return KernelPart(self, +1), KernelPart(self, -1)
 
 
 class NumericKernel(_KernelBase):

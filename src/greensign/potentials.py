@@ -26,6 +26,12 @@ class BoundaryKind(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    @property
+    def pinned_ends(self) -> tuple[bool, bool]:
+        """Whether the condition fixes u(0) = 0, and whether it fixes u(T) = 0."""
+        return (self in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED2),
+                self in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED1))
+
 
 #: Kinds for which a Green's function is constructed and classified.
 KERNEL_KINDS = (

@@ -90,19 +90,26 @@ def _as_grid(kernel, grid) -> np.ndarray:
 
 class _NodeQuadrature:
     """Per-node panel quadrature against a fixed kernel, flattened so one
-    vectorized kernel evaluation and one reduceat serve all output nodes."""
+    vectorized kernel evaluation and one reduceat serve all output nodes.
+
+    roots, the zeros of every slice G(t, .), default to one batched
+    kernel.s_roots_many over ts; they depend neither on the order nor on
+    the panel cap, so a second quadrature on the same ts can reuse them.
+    """
 
     def __init__(self, kernel, ts: np.ndarray, order: int = 16,
-                 max_len: float | None = None):
+                 max_len: float | None = None, roots: list | None = None):
         pot = kernel.potential
         if max_len is None:
             max_len = default_max_len(pot)
+        if roots is None:
+            roots = kernel.s_roots_many(ts)
         brk = pot.breakpoints
         brk = brk if len(brk) <= MAX_BREAKPOINT_SPLITS else ()
         nodes, weights = gauss_nodes(order)
         xs_parts, cw_parts, counts = [], [], []
-        for t in ts:
-            pts = np.append(kernel.s_roots(float(t)), np.append(brk, t))
+        for t, r in zip(ts, roots):
+            pts = np.append(r, np.append(brk, t))
             edges = build_edges(0.0, kernel.T, pts, max_len)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
@@ -111,6 +118,7 @@ class _NodeQuadrature:
             cw_parts.append((half[:, None] * weights[None, :]).ravel())
             counts.append(len(xs))
         self.ts = ts
+        self.roots = roots
         self.xs = np.concatenate(xs_parts)
         self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
         trep = np.repeat(ts, counts)
@@ -127,16 +135,16 @@ class _NodeQuadrature:
 def _cubic_interp(ts: np.ndarray, us: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Local 4-point Lagrange interpolation of grid samples, O(h^4)."""
     j = np.searchsorted(ts, xs, side="right") - 1
-    j = np.clip(j, 1, len(ts) - 3)
-    idx = j[:, None] + np.arange(-1, 3)[None, :]
-    tn = ts[idx]
+    j = np.clip(j, 1, len(ts) - 3) - 1      # the first of the four nodes
     out = np.zeros_like(xs)
     for k in range(4):
         w = np.ones_like(xs)
+        tk = ts[j + k]
         for l in range(4):
             if l != k:
-                w *= (xs - tn[:, l]) / (tn[:, k] - tn[:, l])
-        out += w * us[idx[:, k]]
+                tl = ts[j + l]
+                w *= (xs - tl) / (tk - tl)
+        out += w * us[j + k]
     return out
 
 
@@ -249,8 +257,13 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
 
     fp_resid = None
     if converged:
+        # free the coarse tables before the finer, larger ones are built;
+        # the roots are all the finer quadrature needs from them
+        roots = quad.roots
+        del quad
         fine = _NodeQuadrature(kernel, ts, order + 8,
-                               default_max_len(kernel.potential) / 2)
+                               default_max_len(kernel.potential) / 2,
+                               roots=roots)
         ux = _cubic_interp(ts, us, fine.xs)
         fx = np.asarray(f(fine.xs, ux), dtype=float)
         fp_resid = float(np.max(np.abs(

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (BracketingFailure, NotPositive, UndeterminedSign,
                      UnsupportedBoundaryKind)
 from .fundamental import FundamentalSolutions, transfer_matrix
-from .potentials import BoundaryKind, ConstantPotential, Potential
+from .potentials import DEFAULT_GRID, BoundaryKind, ConstantPotential, Potential
 
 SIGN_DECISION_TOL = 1e-8
 BISECT_REL_WIDTH = 1e-13
@@ -62,7 +62,6 @@ def char_values(potential: Potential, bc: BoundaryKind, lams,
     Zero exactly at eigenvalues, positive below the smallest one.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    from .potentials import DEFAULT_GRID
     phi = transfer_matrix(potential, lams, grid_size or DEFAULT_GRID)
     u1T = phi[..., 0, 0]
     u2T = phi[..., 0, 1]
@@ -308,7 +307,11 @@ def classify_sign(potential: Potential, bc: BoundaryKind,
 
 
 class Eigenfunction:
-    """Principal eigenfunction, normalized to maximum value one."""
+    """Principal eigenfunction, normalized to maximum value one.
+
+    At an endpoint the boundary condition pins, values and calls give
+    exactly 0.0, not the integrator's rounding residue there.
+    """
 
     def __init__(self, fs: FundamentalSolutions, c1: float, c2: float,
                  lam: float, bc: BoundaryKind):
@@ -319,12 +322,17 @@ class Eigenfunction:
         peak = vals[np.argmax(np.abs(vals))]
         vals = vals / peak
         self._c = (c1 / peak, c2 / peak)
+        self._pinned = [i for i, pin in zip((0, -1), bc.pinned_ends) if pin]
+        vals[self._pinned] = 0.0
         self.ts = fs.ts
         self.values = vals
 
     def __call__(self, t):
+        t = np.asarray(t, dtype=float)
         u1, u2 = self._fs.eval_pair(t)
         out = self._c[0] * u1 + self._c[1] * u2
+        for i in self._pinned:
+            out = np.where(t == self.ts[i], 0.0, out)
         return out if np.ndim(out) else float(out)
 
 
@@ -348,11 +356,8 @@ def principal_eigenfunction(potential: Potential, bc: BoundaryKind,
         c1, c2 = 1.0, 0.0
     ef = Eigenfunction(fs, float(c1), float(c2), lam, bc)
 
-    inner = ef.values
-    if bc in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED2):
-        inner = inner[1:]
-    if bc in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED1):
-        inner = inner[:-1]
+    left, right = bc.pinned_ends
+    inner = ef.values[int(left):len(ef.values) - int(right)]
     if np.min(inner) <= 0:
         raise NotPositive(
             f"principal {bc} eigenfunction is not strictly positive away from "

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from greensign.cone import (ConeConstants, Subinterval, build_report,
-                            check_H2, check_H3, compute_cone_constants,
-                            cone_membership, find_subinterval,
-                            max_kernel_value)
+from greensign.cone import (ConeConstants, Subinterval, _t_integrals,
+                            build_report, check_H2, check_H3,
+                            compute_cone_constants, cone_membership,
+                            find_subinterval, max_kernel_value)
 from greensign.errors import EvaluationFailure, NonpositiveEta
 from greensign.gamma import GammaResult
-from greensign.greens import (DirichletConstantKernel, PeriodicConstantKernel,
-                              build_kernel)
+from greensign.greens import (DirichletConstantKernel, NumericKernel,
+                              PeriodicConstantKernel, build_kernel)
 from greensign.potentials import BoundaryKind, constant, sampled
+from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 
 RHO_P = 1.5 * math.pi
 RHO_D = math.sqrt(60.0)
@@ -26,6 +27,37 @@ def sin_weight(t):
 
 def parabola(t, x):
     return t * (1.0 - t) + 0.0 * x
+
+
+def t_integral_one_s(kernel, s, c, d, order=16):
+    """The per-s t-integral the batched one replaced, kept as its oracle."""
+    if d <= c:
+        return 0.0
+    edges = build_edges(c, d, [s], default_max_len(kernel.potential))
+    nodes, gw = gauss_nodes(order)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    ts = mid[:, None] + half[:, None] * nodes[None, :]
+    g = np.asarray(kernel(ts, np.full(ts.shape, s)), dtype=float)
+    return float(np.sum(g * (half[:, None] * gw[None, :])))
+
+
+class TestTIntegrals:
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_match_per_s_loop_bit_for_bit(self, numeric):
+        grid = np.linspace(0.0, 1.0, 2001)
+        wavy = sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid))
+        kernel = (NumericKernel(wavy, BoundaryKind.MIXED1) if numeric
+                  else DirichletConstantKernel(RHO_D))
+        ss = np.linspace(0.0, 1.0, 41)
+        cs = np.where(ss < 0.5, 0.1, 0.4)
+        ds = np.where(ss < 0.9, 0.8, 0.3)    # the last s get d <= c
+        got = _t_integrals(kernel, ss, cs, ds)
+        want = [t_integral_one_s(kernel, float(s), float(c), float(d))
+                for s, c, d in zip(ss, cs, ds)]
+        assert np.array_equal(got, want)
+        assert np.all(got[ss >= 0.9] == 0.0)
 
 
 class TestSubinterval:
@@ -239,6 +271,21 @@ class TestBuildReport:
         assert blob["h2"]["passed"] and blob["h3"]["passed"]
         assert blob["cone"]["eta"] > 0
         assert blob["notes"]
+
+    def test_eigenfunction_weight_exactly_zero_at_pinned_end(self):
+        # the computed principal Dirichlet eigenfunction of this potential
+        # ends at -1.2e-14, which check_H2 used to reject as a negative weight
+        grid = np.linspace(0.0, 1.0, 2001)
+        alpha = (2.428227617854758, 2.1830115087843254, -0.5103769257105883)
+        beta = (1.9511541042548322, 1.718929660680569, 0.8001779639214672)
+        a = np.full_like(grid, 46.415785357467406)
+        for k, (al, be) in enumerate(zip(alpha, beta), 1):
+            a += al * np.cos(2 * math.pi * k * grid) + be * np.sin(2 * math.pi * k * grid)
+        pot = sampled(grid, a)
+        f = lambda t, x: 1.0 + 0.5 * x / (1.0 + x)
+        rep = build_report(pot, BoundaryKind.DIRICHLET, f, gamma_t_grid=41)
+        assert rep.h2 is not None
+        assert rep.gamma_used.weight == "PrincipalEigenfunction"
 
     def test_failing_f_reported_not_raised(self):
         rep = build_report(constant(RHO_D), BoundaryKind.DIRICHLET,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               greens_dirichlet_constant,
                               greens_periodic_constant, is_resonant,
                               kernel_parts)
-from greensign.potentials import BoundaryKind, constant, sampled
-from greensign.quadrature import integrate, scan_kernel_roots
+from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
+from greensign.quadrature import (SCAN_BLOCK_POINTS, integrate,
+                                  scan_kernel_roots, scan_kernel_roots_many)
 
 RHO = 3 * math.pi / 2
 
@@ -20,6 +22,45 @@ RHO = 3 * math.pi / 2
 def wavy(n=2001, T=1.0):
     g = np.linspace(0.0, T, n)
     return sampled(g, 60 + 10 * np.sin(2 * np.pi * g / T), T=T)
+
+
+def random_trig(rng, mean, n=2001):
+    """mean + three random cos/sin modes of amplitude up to 2.5, sampled."""
+    g = np.linspace(0.0, 1.0, n)
+    a = np.full(n, mean)
+    for k in (1, 2, 3):
+        al, be = rng.uniform(-2.5, 2.5, 2)
+        a = a + al * np.cos(2 * np.pi * k * g) + be * np.sin(2 * np.pi * k * g)
+    return sampled(g, a)
+
+
+def scan_one_t(kernel, t, n_scan=512, tol=1e-12):
+    """The per-t root scan the batched one replaced, kept as its oracle."""
+    T = kernel.T
+    base = np.linspace(0.0, T, n_scan + 1)
+    extra = np.asarray([t] + list(kernel.potential.breakpoints), dtype=float)
+    ss = np.unique(np.concatenate([base, extra[(extra >= 0) & (extra <= T)]]))
+    g = np.asarray(kernel(np.full(ss.shape, t), ss), dtype=float)
+
+    roots = [ss[i] for i in range(1, len(ss) - 1) if g[i] == 0.0]
+
+    flips = np.nonzero(g[:-1] * g[1:] < 0.0)[0]
+    if flips.size:
+        lo = ss[flips].copy()
+        hi = ss[flips + 1].copy()
+        glo = g[flips].copy()
+        it = max(1, int(math.ceil(math.log2(max(T / n_scan / tol, 2.0)))))
+        for _ in range(it):
+            mid = 0.5 * (lo + hi)
+            gm = np.asarray(kernel(np.full(mid.shape, t), mid), dtype=float)
+            same = (gm > 0) == (glo > 0)
+            lo = np.where(same, mid, lo)
+            glo = np.where(same, gm, glo)
+            hi = np.where(same, hi, mid)
+        roots.extend((0.5 * (lo + hi)).tolist())
+
+    roots = np.array([r for r in roots if 0.0 < r < T], dtype=float)
+    return np.unique(roots)
 
 
 class TestPeriodicClosed:
@@ -234,3 +275,52 @@ class TestKernelSurface:
         grid = k.grid_eval(tt, ss)
         loop = np.array([[k(float(a), float(b)) for b in ss] for a in tt])
         assert_allclose(grid, loop, atol=1e-14)
+
+
+# the mean of each condition's potential sits between two resonances
+SCAN_MEANS = {BoundaryKind.PERIODIC: 62.0, BoundaryKind.NEUMANN: 63.0,
+              BoundaryKind.DIRICHLET: 64.0, BoundaryKind.MIXED1: 41.0,
+              BoundaryKind.MIXED2: 42.0}
+
+
+class TestBatchedRootScan:
+    @pytest.mark.parametrize("bc", KERNEL_KINDS)
+    def test_matches_per_t_scan_bit_for_bit(self, bc):
+        rng = np.random.default_rng(list(KERNEL_KINDS).index(bc))
+        k = NumericKernel(random_trig(rng, SCAN_MEANS[bc]), bc)
+        nodes = k.potential.grid
+        ts = np.concatenate([[0.0, 1.0], nodes[rng.choice(len(nodes), 30)],
+                             rng.uniform(0.0, 1.0, 30)])
+        block = SCAN_BLOCK_POINTS // (len(nodes) + 512)
+        assert len(ts) > 2 * block   # the t spread over at least three blocks
+        batched = k.s_roots_many(ts)
+        assert len(batched) == len(ts)
+        for t, got in zip(ts, batched):
+            assert np.array_equal(got, scan_one_t(k, float(t))), t
+
+    def test_single_t_paths_agree(self):
+        k = NumericKernel(wavy(), BoundaryKind.NEUMANN)
+        for t in (0.0, 0.37, 1.0):
+            many = k.s_roots_many([t])[0]
+            assert np.array_equal(k.s_roots(t), many)
+            assert np.array_equal(scan_kernel_roots(k, t), many)
+        assert scan_kernel_roots_many(k, []) == []
+
+    def test_closed_forms_loop_their_analytic_roots(self):
+        ts = np.linspace(0.0, 1.0, 9)
+        for k in (PeriodicConstantKernel(RHO, 1.0),
+                  DirichletConstantKernel(math.sqrt(60), 1.0)):
+            for got, t in zip(k.s_roots_many(ts), ts):
+                assert np.array_equal(got, k.s_roots(float(t)))
+
+    def test_memory_is_bounded_by_the_block(self):
+        k = NumericKernel(wavy(), BoundaryKind.PERIODIC)
+        ts = np.linspace(0.0, 1.0, 2001)
+        tracemalloc.start()
+        try:
+            roots = k.s_roots_many(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(roots) == len(ts)
+        assert peak < 16 * 2**20, peak

@@ -8,8 +8,8 @@ from greensign.errors import EvaluationFailure
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import BoundaryKind, constant, sampled
-from greensign.solver import (Positivity, solve_linear, solve_nonlinear,
-                              verify_solution)
+from greensign.solver import (Positivity, _cubic_interp, solve_linear,
+                              solve_nonlinear, verify_solution)
 
 RHO_D = math.sqrt(60.0)
 RHO_P = 1.5 * math.pi
@@ -32,6 +32,30 @@ def exact_clamped_linear_rhs(t):
 
 def const_sigma(value):
     return lambda s: np.full_like(np.asarray(s, dtype=float), value)
+
+
+def cubic_interp_2d(ts, us, xs):
+    """The interpolation before it dropped its (n, 4) index tables; oracle."""
+    j = np.searchsorted(ts, xs, side="right") - 1
+    j = np.clip(j, 1, len(ts) - 3)
+    idx = j[:, None] + np.arange(-1, 3)[None, :]
+    tn = ts[idx]
+    out = np.zeros_like(xs)
+    for k in range(4):
+        w = np.ones_like(xs)
+        for l in range(4):
+            if l != k:
+                w *= (xs - tn[:, l]) / (tn[:, k] - tn[:, l])
+        out += w * us[idx[:, k]]
+    return out
+
+
+def test_cubic_interp_matches_index_table_form():
+    rng = np.random.default_rng(5)
+    ts = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 40)]))
+    us = rng.normal(size=ts.shape)
+    xs = np.concatenate([ts, rng.uniform(0.0, 1.0, 500)])
+    assert np.array_equal(_cubic_interp(ts, us, xs), cubic_interp_2d(ts, us, xs))
 
 
 @pytest.fixture(scope="module")

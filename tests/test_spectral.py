@@ -153,6 +153,15 @@ class TestPrincipalEigenfunction:
         assert_allclose(np.max(ef.values), 1.0, rtol=1e-12)
         assert np.min(ef.values) > 0
 
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.MIXED1,
+                                    BoundaryKind.MIXED2])
+    def test_pinned_ends_are_exact_zeros(self, bc):
+        ef = principal_eigenfunction(wavy(), bc)
+        pinned = list(bc.pinned_ends)
+        assert [ef(0.0) == 0.0, ef(1.0) == 0.0] == pinned
+        assert list(ef(np.array([0.0, 1.0])) == 0.0) == pinned
+        assert list(ef.values[[0, -1]] == 0.0) == pinned
+
     def test_satisfies_equation(self):
         # second difference of the eigenfunction reproduces -(a + lam) u
         pot = wavy()
