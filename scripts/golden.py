@@ -10,7 +10,7 @@ the outputs:
     PYTHONPATH=src python scripts/golden.py > golden.txt
 
 The sampled potential is "wavy", a(t) = 60 + 10 sin(2 pi t) on 2001 nodes,
-written to a temporary CSV file.  The full list takes about a minute.
+written to a temporary CSV file.
 """
 import contextlib
 import hashlib
@@ -41,6 +41,12 @@ def calls(wavy: str) -> list:
                 ["solve", *src, "--rhs", "1"]]
     out.append(["check", "--bc", "dirichlet", "--rho", "sqrt(60)",
                 "--f", "t*(1-t)"])
+    # fixed-point solves: a contraction that converges, and a periodic f
+    # whose Picard map is not contractive, which ends converged=False
+    out.append(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
+                "--f", "t*(1-t) + 5*x"])
+    out.append(["solve", "--bc", "periodic", "--rho", "7.5",
+                "--f", "1 + 41*x"])
     return out
 
 

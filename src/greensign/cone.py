@@ -20,7 +20,7 @@ from .gamma import (GammaResult, gamma_dirichlet_closed, gamma_periodic_closed,
                     gamma_quadrature, gamma_star)
 from .greens import build_kernel
 from .potentials import BoundaryKind, ConstantPotential
-from .quadrature import build_edges, default_max_len, gauss_nodes
+from .quadrature import default_max_len, gauss_nodes, panel_plan
 from .spectral import principal_eigenfunction
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -107,26 +107,17 @@ def _t_integrals(kernel, ss, cs, ds, order: int = 16) -> np.ndarray:
     """
     ss, cs, ds = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                        for x in (ss, cs, ds)))
-    max_len = default_max_len(kernel.potential)
-    nodes, gw = gauss_nodes(order)
     out = np.zeros(ss.shape)
     live = np.nonzero(ds > cs)[0]
-    t_parts, cw_parts = [], []
-    for i in live:
-        edges = build_edges(cs[i], ds[i], [ss[i]], max_len)
-        lo, hi = edges[:-1], edges[1:]
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        t_parts.append((mid[:, None] + half[:, None] * nodes[None, :]).ravel())
-        cw_parts.append(half[:, None] * gw[None, :])
-    if not t_parts:
+    if not live.size:
         return out
-    sizes = [len(tp) for tp in t_parts]
-    g = np.asarray(kernel(np.concatenate(t_parts), np.repeat(ss[live], sizes)),
-                   dtype=float)
-    blocks = np.split(g, np.cumsum(sizes)[:-1])
-    for i, gb, cw in zip(live, blocks, cw_parts):
-        out[i] = np.sum(gb.reshape(cw.shape) * cw)
+    plan = panel_plan(cs[live], ds[live], np.arange(len(live)), ss[live],
+                      default_max_len(kernel.potential), order)
+    starts = plan.offsets * order
+    g = np.asarray(kernel(plan.xs.ravel(),
+                          np.repeat(ss[live], np.diff(starts))), dtype=float)
+    vals = g * plan.weights.ravel()
+    out[live] = [np.sum(vals[a:b]) for a, b in zip(starts[:-1], starts[1:])]
     return out
 
 

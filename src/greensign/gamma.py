@@ -23,12 +23,14 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      UnsupportedBoundaryKind)
 from .greens import RESONANCE_TOL, _constant_margin
 from .potentials import BoundaryKind, Potential
-from .quadrature import build_edges, default_max_len, gauss_nodes
+from .quadrature import default_max_len, panel_plan, slice_points
 
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
                              # counts as absent and the ratio as +inf
 BOUNDARY_SLICES = 6          # interior slices behind each boundary limit
+#: Gauss nodes per block of slices in _slice_parts; bounds its memory.
+SLICE_BLOCK_NODES = 1 << 17
 
 CASE_2B_NOTE = ("rho*T/pi in (4k+2, 4k+3): the published ratio reads below "
                 "one at face value, but sin(rho*T/2) is negative on this "
@@ -46,33 +48,66 @@ class GammaResult:
     note: str | None = None
 
 
-def _slice_parts(kernel, t: float, roots: np.ndarray, weight, order: int,
-                 max_len: float) -> tuple[float, float]:
-    """(N, D) at one t: weighted integrals of the positive/negative parts.
+def _slice_parts(kernel, ts, roots: list, weight, order: int,
+                 max_len: float) -> tuple[np.ndarray, np.ndarray]:
+    """(N, D) at every t in ts: weighted integrals of the positive and
+    negative parts of G(t, .), non-finite where the quadrature failed.
 
-    roots are the interior zeros of G(t, .), as kernel.s_roots gives them.
+    roots[i] are the interior zeros of G(ts[i], .), as kernel.s_roots_many
+    gives them.  The slices go in blocks of at most SLICE_BLOCK_NODES Gauss
+    nodes, with one kernel, weight and sign evaluation per block; a panel
+    counts as positive or negative by the sign of G at its midpoint.
     """
     T = kernel.T
-    pts = np.append(roots, t)
     bps = kernel.potential.breakpoints
-    if 0 < len(bps) <= 64:
-        pts = np.append(pts, bps)
-    edges = build_edges(0.0, T, pts, max_len)
-    nodes, gw = gauss_nodes(order)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xs = mid[:, None] + half[:, None] * nodes[None, :]
-    g = np.asarray(kernel(np.full(xs.shape, t), xs), dtype=float)
-    if weight is not None:
-        g = g * np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
-    panel = np.sum(g * (half[:, None] * gw[None, :]), axis=1)
-    sign = np.asarray(kernel(np.full(mid.shape, t), mid), dtype=float)
-    pos = float(np.sum(panel[sign >= 0]))
-    neg = float(-np.sum(panel[sign < 0]))
-    if not (math.isfinite(pos) and math.isfinite(neg)):
-        raise QuadratureFailure(f"non-finite panel integral at t = {t}")
+    shared = bps if 0 < len(bps) <= 64 else ()
+    # a slice has at most one panel per max_len plus one per break point
+    panels = (math.ceil(T / max_len) + len(shared) + 2
+              + max((len(r) for r in roots), default=0))
+    block = max(1, SLICE_BLOCK_NODES // (order * panels))
+    pos = np.empty(len(ts))
+    neg = np.empty(len(ts))
+    for a in range(0, len(ts), block):
+        bt = ts[a:a + block]
+        plan = panel_plan(np.zeros(len(bt)), np.full(len(bt), T),
+                          *slice_points(bt, roots[a:a + block], shared),
+                          max_len, order)
+        t_panel = np.repeat(bt, np.diff(plan.offsets))
+        xs = plan.xs
+        g = np.asarray(kernel(np.repeat(t_panel, order).reshape(xs.shape), xs),
+                       dtype=float)
+        if weight is not None:
+            g = g * np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
+        panel = np.sum(g * plan.weights, axis=1)
+        up = np.asarray(kernel(t_panel, plan.mid), dtype=float) >= 0
+        for i, (p0, p1) in enumerate(zip(plan.offsets[:-1], plan.offsets[1:])):
+            vals, sgn = panel[p0:p1], up[p0:p1]
+            pos[a + i] = np.sum(vals[sgn])
+            neg[a + i] = -np.sum(vals[~sgn])
     return pos, neg
+
+
+def _slice_ratios(kernel, ts, weight, order: int, max_len: float,
+                  need_positive) -> np.ndarray:
+    """N/D at every t in ts.
+
+    Raises at the first slice, in the order of ts, whose quadrature is not
+    finite or, where need_positive holds, whose weighted integral N - D is
+    not positive.
+    """
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
+                            order, max_len)
+    nonfinite = ~(np.isfinite(pos) & np.isfinite(neg))
+    nonpositive = need_positive & ~nonfinite & (
+        pos - neg <= 1e-13 * np.maximum(pos, 1e-300))
+    if np.any(nonfinite | nonpositive):
+        k = int(np.argmax(nonfinite | nonpositive))
+        if nonfinite[k]:
+            raise QuadratureFailure(f"non-finite panel integral at t = {ts[k]}")
+        raise NonpositiveWeightedIntegral(
+            f"weighted integral of the kernel is not positive at t = {ts[k]}")
+    return np.array([_ratio(float(p), float(n)) for p, n in zip(pos, neg)])
 
 
 def _ratio(pos: float, neg: float) -> float:
@@ -97,16 +132,9 @@ def _boundary_nodes(T: float, at_right: bool) -> tuple[np.ndarray, np.ndarray]:
     return hs, (T - hs if at_right else hs)
 
 
-def _boundary_limit(kernel, weight, order, max_len, at_right: bool,
-                    roots: list) -> float:
-    """Limit of N/D approaching an endpoint where the kernel slice vanishes.
-
-    roots[k] holds the zeros of the slice at the k-th _boundary_nodes t.
-    """
-    hs, ts = _boundary_nodes(kernel.T, at_right)
-    rs = np.asarray([_ratio(*_slice_parts(kernel, float(t), r, weight, order,
-                                          max_len))
-                     for t, r in zip(ts, roots)])
+def _boundary_limit(hs: np.ndarray, rs: np.ndarray) -> float:
+    """Limit of N/D approaching an endpoint where the kernel slice vanishes,
+    from the ratios rs of the slices at distances hs from it."""
     if not np.all(np.isfinite(rs)):
         return math.inf
     return _neville_to_zero(hs, rs)
@@ -116,8 +144,8 @@ def pointwise_ratio(kernel, t: float, weight=None,
                     s_quadrature_order: int = 16) -> float:
     """N(t)/D(t) at a single interior t, by the quadrature path."""
     max_len = default_max_len(kernel.potential)
-    return _ratio(*_slice_parts(kernel, float(t), kernel.s_roots(t), weight,
-                                s_quadrature_order, max_len))
+    return float(_slice_ratios(kernel, [t], weight, s_quadrature_order,
+                               max_len, need_positive=False)[0])
 
 
 def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
@@ -138,27 +166,19 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
     vanish_left, vanish_right = bc.pinned_ends
 
     ts = np.linspace(0.0, T, t_grid_size)
-    pinned = [(i == 0 and vanish_left) or (i == t_grid_size - 1 and vanish_right)
-              for i in range(t_grid_size)]
-    # one batched scan finds the zeros of every slice, the boundary limits'
-    # included, in the order they are consumed below
-    slice_ts = []
-    for i, t in enumerate(ts):
-        slice_ts.extend(_boundary_nodes(T, i > 0)[1] if pinned[i] else [t])
-    roots = iter(kernel.s_roots_many(slice_ts))
-    ratios = np.empty(t_grid_size)
-    for i, t in enumerate(ts):
-        if pinned[i]:
-            ratios[i] = _boundary_limit(
-                kernel, weight, order, max_len, at_right=i > 0,
-                roots=[next(roots) for _ in range(BOUNDARY_SLICES)])
-            continue
-        pos, neg = _slice_parts(kernel, float(t), next(roots), weight, order,
-                                max_len)
-        if pos - neg <= 1e-13 * max(pos, 1e-300):
-            raise NonpositiveWeightedIntegral(
-                f"weighted integral of the kernel is not positive at t = {t}")
-        ratios[i] = _ratio(pos, neg)
+    pinned = np.zeros(t_grid_size, dtype=bool)
+    pinned[0] |= vanish_left
+    pinned[-1] |= vanish_right
+    # every slice, the boundary limits' included, in the order of the t grid
+    slice_ts = np.concatenate([_boundary_nodes(T, i > 0)[1] if pin else [t]
+                               for i, (t, pin) in enumerate(zip(ts, pinned))])
+    size = np.where(pinned, BOUNDARY_SLICES, 1)
+    rs = _slice_ratios(kernel, slice_ts, weight, order, max_len,
+                       need_positive=np.repeat(~pinned, size))
+    hs = _boundary_nodes(T, False)[0]
+    ratios = np.array([_boundary_limit(hs, rs[k:k + BOUNDARY_SLICES]) if pin
+                       else rs[k]
+                       for k, pin in zip(np.cumsum(size) - size, pinned)])
 
     vmin = float(np.min(ratios))
     if math.isinf(vmin):

@@ -152,12 +152,28 @@ class KernelPart:
 
 
 class _ClosedFormKernel(_KernelBase):
-    """Closed-form kernel: its s_roots are analytic, one slice at a time."""
+    """Closed-form kernel: the zeros of its slices are analytic.
+
+    A subclass gives, for every t, candidate zeros and which of them are
+    zeros of G(t, .); s_roots_many keeps those inside (0, T), sorted and
+    without repeats, row by row.
+    """
 
     form = "closed"
 
+    def _root_candidates(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
     def s_roots_many(self, ts) -> list[np.ndarray]:
-        return [self.s_roots(float(t)) for t in ts]
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        cand, keep = self._root_candidates(ts)
+        r = np.where(keep & (cand > 0) & (cand < self.T), cand, np.inf)
+        r.sort(axis=1)
+        keep = np.isfinite(r)
+        keep[:, 1:] &= r[:, 1:] != r[:, :-1]
+        flat, counts = r[keep], keep.sum(axis=1)
+        ends = np.cumsum(counts)
+        return [flat[b - c:b] for b, c in zip(ends, counts)]
 
 
 class PeriodicConstantKernel(_ClosedFormKernel):
@@ -181,15 +197,19 @@ class PeriodicConstantKernel(_ClosedFormKernel):
     def grid_eval(self, ts, ss):
         return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
 
+    # each closed form defines s_roots on its own class, where the tracer in
+    # perfbench/ finds it
     def s_roots(self, t: float) -> np.ndarray:
+        return self.s_roots_many([t])[0]
+
+    def _root_candidates(self, ts):
         # zeros of cos(rho (u - T/2)) at u = T/2 + (2j+1) pi / (2 rho), u = |t - s|
         rho, T = self.rho, self.T
         jmax = int(rho * T / math.pi) + 2
         us = T / 2 + (2 * np.arange(-jmax, jmax + 1) + 1) * math.pi / (2 * rho)
         us = us[(us > 0) & (us < T)]
-        roots = np.concatenate([t - us, t + us])
-        roots = roots[(roots > 0) & (roots < T)]
-        return np.unique(roots)
+        cand = np.concatenate([ts[:, None] - us, ts[:, None] + us], axis=1)
+        return cand, np.ones(cand.shape, dtype=bool)
 
 
 class DirichletConstantKernel(_ClosedFormKernel):
@@ -217,13 +237,18 @@ class DirichletConstantKernel(_ClosedFormKernel):
         return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
 
     def s_roots(self, t: float) -> np.ndarray:
+        return self.s_roots_many([t])[0]
+
+    def _root_candidates(self, ts):
+        # zeros of sin(rho s) left of t and of sin(rho (T - s)) right of it
         rho, T = self.rho, self.T
         j = np.arange(1, int(rho * T / math.pi) + 1)
         left = j * math.pi / rho
         right = T - j * math.pi / rho
-        roots = np.concatenate([left[left < t], right[right > t]])
-        roots = roots[(roots > 0) & (roots < T)]
-        return np.unique(roots)
+        cand = np.concatenate([np.broadcast_to(left, (len(ts), len(j))),
+                               np.broadcast_to(right, (len(ts), len(j)))], axis=1)
+        keep = np.concatenate([left < ts[:, None], right > ts[:, None]], axis=1)
+        return cand, keep
 
 
 class NumericKernel(_KernelBase):

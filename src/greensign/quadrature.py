@@ -5,6 +5,10 @@ t = s, their positive/negative parts additionally kink at the interior zeros
 of G(t, .), and sampled potentials kink at their grid nodes.  Splitting panels
 at every such point keeps a modest fixed-order rule accurate.
 
+panel_plan lays out the panels of many rows (slices, or t-integrals) at
+once, as flat arrays: the same panels build_edges gives each row, without a
+Python loop per row.
+
 The zeros of the slices G(t, .) come from scan_kernel_roots_many, which
 scans the slices of many t together: a block of t at a time, at most
 SCAN_BLOCK_POINTS (t, s) samples, so its memory does not grow with the
@@ -14,6 +18,7 @@ alone would find; scan_kernel_roots is that scan at a single t.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +52,80 @@ def build_edges(a: float, b: float, points=(), max_len: float | None = None) -> 
         n = max(1, int(math.ceil((hi - lo) / max_len)))
         pieces.append(np.linspace(lo, hi, n + 1)[1:])
     return np.concatenate(pieces)
+
+
+class PanelPlan(NamedTuple):
+    """Gauss panels of many rows, row after row, in flat arrays."""
+
+    xs: np.ndarray        # (panels, order) Gauss nodes
+    weights: np.ndarray   # (panels, order) Gauss weights times half-widths
+    mid: np.ndarray       # (panels,) panel midpoints
+    offsets: np.ndarray   # (rows + 1,) row r owns panels offsets[r]:offsets[r + 1]
+
+
+def panel_plan(lo, hi, rows, points, max_len: float | None = None,
+               order: int = GAUSS_ORDER) -> PanelPlan:
+    """Panels of [lo[r], hi[r]] for every row r, broken at the points
+    points[i] of row rows[i] and capped at max_len.
+
+    Row r gets exactly the panels of build_edges(lo[r], hi[r], its points,
+    max_len): points within 1e-15 of the range of an end are dropped, the
+    rest sorted and freed of exact duplicates, and a piece between two
+    break points is cut into n equal panels with edges i*step + start and
+    the last edge set to its end, as np.linspace cuts it.
+    """
+    lo = np.asarray(lo, dtype=float).reshape(-1)
+    hi = np.asarray(hi, dtype=float).reshape(-1)
+    n = len(lo)
+    if not np.all(hi > lo):
+        i = int(np.argmin(hi > lo))
+        raise ValueError(f"empty integration range [{lo[i]}, {hi[i]}]")
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    points = np.asarray(points, dtype=float).reshape(-1)
+    eps = 1e-15 * (hi - lo)
+    inside = (points > (lo + eps)[rows]) & (points < (hi - eps)[rows])
+    row = np.concatenate([np.arange(n), rows[inside], np.arange(n)])
+    edge = np.concatenate([lo, points[inside], hi])
+    by = np.lexsort((edge, row))
+    row, edge = row[by], edge[by]
+    new = np.ones(len(edge), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (edge[1:] != edge[:-1])
+    row, edge = row[new], edge[new]
+    # pieces between consecutive break points of one row
+    piece = row[1:] == row[:-1]
+    p_row, p_lo, p_hi = row[:-1][piece], edge[:-1][piece], edge[1:][piece]
+    if max_len is None or max_len <= 0:
+        row, plo, phi = p_row, p_lo, p_hi
+    else:
+        cuts = np.maximum(1, np.ceil((p_hi - p_lo) / max_len)).astype(np.intp)
+        first = np.repeat(np.cumsum(cuts) - cuts, cuts)
+        i = np.arange(len(first)) - first
+        k = np.repeat(cuts, cuts)
+        start = np.repeat(p_lo, cuts)
+        step = np.repeat((p_hi - p_lo) / cuts, cuts)
+        row = np.repeat(p_row, cuts)
+        plo = np.where(i == 0, start, i * step + start)
+        phi = np.where(i + 1 == k, np.repeat(p_hi, cuts), (i + 1) * step + start)
+    nodes, gw = gauss_nodes(order)
+    mid = 0.5 * (plo + phi)
+    half = 0.5 * (phi - plo)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+    return PanelPlan(mid[:, None] + half[:, None] * nodes[None, :],
+                     half[:, None] * gw[None, :], mid, offsets)
+
+
+def slice_points(ts, roots, shared=()) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, points) breaking the slices G(t, .) for panel_plan: the
+    roots[r] of row r, its diagonal kink ts[r], and the shared points."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    shared = np.asarray(shared, dtype=float).reshape(-1)
+    n = len(ts)
+    counts = [len(r) for r in roots]
+    rows = np.concatenate([np.repeat(np.arange(n), counts), np.arange(n),
+                           np.repeat(np.arange(n), len(shared))])
+    points = np.concatenate([np.concatenate([np.zeros(0), *roots]), ts,
+                             np.tile(shared, n)])
+    return rows, points
 
 
 def composite_gauss(f, edges: np.ndarray, order: int = GAUSS_ORDER) -> float:

@@ -16,9 +16,10 @@ from enum import Enum
 
 import numpy as np
 
+from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import build_edges, default_max_len, gauss_nodes
+from .quadrature import default_max_len, panel_plan, slice_points
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
@@ -92,9 +93,9 @@ class _NodeQuadrature:
     """Per-node panel quadrature against a fixed kernel, flattened so one
     vectorized kernel evaluation and one reduceat serve all output nodes.
 
-    roots, the zeros of every slice G(t, .), default to one batched
-    kernel.s_roots_many over ts; they depend neither on the order nor on
-    the panel cap, so a second quadrature on the same ts can reuse them.
+    roots, the zeros of every slice G(t, .), default to _slice_roots over
+    ts; they depend neither on the order nor on the panel cap, so a second
+    quadrature on the same ts can reuse them.
     """
 
     def __init__(self, kernel, ts: np.ndarray, order: int = 16,
@@ -103,27 +104,20 @@ class _NodeQuadrature:
         if max_len is None:
             max_len = default_max_len(pot)
         if roots is None:
-            roots = kernel.s_roots_many(ts)
+            roots = _slice_roots(kernel, ts)
         brk = pot.breakpoints
         brk = brk if len(brk) <= MAX_BREAKPOINT_SPLITS else ()
-        nodes, weights = gauss_nodes(order)
-        xs_parts, cw_parts, counts = [], [], []
-        for t, r in zip(ts, roots):
-            pts = np.append(r, np.append(brk, t))
-            edges = build_edges(0.0, kernel.T, pts, max_len)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            xs_parts.append(xs)
-            cw_parts.append((half[:, None] * weights[None, :]).ravel())
-            counts.append(len(xs))
+        n = len(ts)
+        plan = panel_plan(np.zeros(n), np.full(n, kernel.T),
+                          *slice_points(ts, roots, brk), max_len, order)
+        starts = plan.offsets * order
         self.ts = ts
         self.roots = roots
-        self.xs = np.concatenate(xs_parts)
-        self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        trep = np.repeat(ts, counts)
+        self.xs = plan.xs.ravel()
+        self.offsets = starts[:-1]
+        trep = np.repeat(ts, np.diff(starts))
         g = np.asarray(kernel(trep, self.xs), dtype=float)
-        self.coeff = np.concatenate(cw_parts) * g
+        self.coeff = plan.weights.ravel() * g
 
     def apply(self, sigma_at_xs: np.ndarray) -> np.ndarray:
         vals = self.coeff * sigma_at_xs
@@ -132,20 +126,58 @@ class _NodeQuadrature:
         return np.add.reduceat(vals, self.offsets)
 
 
-def _cubic_interp(ts: np.ndarray, us: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Local 4-point Lagrange interpolation of grid samples, O(h^4)."""
+def _slice_roots(kernel, ts: np.ndarray) -> list[np.ndarray]:
+    """kernel.s_roots_many(ts), but none for a slice that the boundary
+    condition pins to zero (t = 0 or T): a scan of such a slice finds only
+    rounding noise, and every "root" would split its panels."""
+    left, right = kernel.bc.pinned_ends
+    pinned = (left & (ts == 0.0)) | (right & (ts == kernel.T))
+    live = iter(kernel.s_roots_many(ts[~pinned]))
+    return [np.zeros(0) if pin else next(live) for pin in pinned]
+
+
+def _lagrange_weights(ts: np.ndarray, xs: np.ndarray):
+    """(j, rows): the first node j of each x's 4-point Lagrange stencil on
+    ts, and an iterator over the four weight rows of the stencil."""
     j = np.searchsorted(ts, xs, side="right") - 1
-    j = np.clip(j, 1, len(ts) - 3) - 1      # the first of the four nodes
-    out = np.zeros_like(xs)
-    for k in range(4):
-        w = np.ones_like(xs)
-        tk = ts[j + k]
-        for l in range(4):
-            if l != k:
-                tl = ts[j + l]
-                w *= (xs - tl) / (tk - tl)
+    j = (np.clip(j, 1, len(ts) - 3) - 1).astype(np.int32)
+
+    def rows():
+        for k in range(4):
+            w = np.ones_like(xs)
+            tk = ts[j + k]
+            for l in range(4):
+                if l != k:
+                    tl = ts[j + l]
+                    w *= (xs - tl) / (tk - tl)
+            yield w
+    return j, rows()
+
+
+def _combine(j: np.ndarray, rows, us: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(j))
+    for k, w in enumerate(rows):
         out += w * us[j + k]
     return out
+
+
+def _cubic_interp(ts: np.ndarray, us: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Local 4-point Lagrange interpolation of grid samples, O(h^4)."""
+    return _combine(*_lagrange_weights(ts, xs), us)
+
+
+class _Stencil:
+    """_cubic_interp from ts to fixed points xs, its cells and weights
+    built once for the many us of a Picard iteration."""
+
+    def __init__(self, ts: np.ndarray, xs: np.ndarray):
+        self.j, rows = _lagrange_weights(ts, xs)
+        self.w = np.empty((4, len(xs)))
+        for k, w in enumerate(rows):
+            self.w[k] = w
+
+    def __call__(self, us: np.ndarray) -> np.ndarray:
+        return _combine(self.j, self.w, us)
 
 
 def _classify_positivity(us: np.ndarray) -> Positivity:
@@ -233,19 +265,19 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     ts = _as_grid(kernel, grid)
     quad = _NodeQuadrature(kernel, ts, order)
+    stencil = _Stencil(ts, quad.xs)
 
-    def image(us: np.ndarray, q: _NodeQuadrature) -> np.ndarray:
-        ux = _cubic_interp(ts, us, q.xs)
-        fx = np.asarray(f(q.xs, ux), dtype=float)
+    def image(us: np.ndarray) -> np.ndarray:
+        fx = np.asarray(f(quad.xs, stencil(us)), dtype=float)
         if np.any(~np.isfinite(fx)):
             raise EvaluationFailure("f returned a non-finite value")
-        return q.apply(np.broadcast_to(fx, q.xs.shape))
+        return quad.apply(np.broadcast_to(fx, quad.xs.shape))
 
-    us = image(np.zeros_like(ts), quad)
+    us = image(np.zeros_like(ts))
     iterations = 0
     converged = False
     for _ in range(max_iter):
-        nxt = (1.0 - damping) * us + damping * image(us, quad)
+        nxt = (1.0 - damping) * us + damping * image(us)
         step = float(np.max(np.abs(nxt - us)))
         us = nxt
         iterations += 1
@@ -260,7 +292,7 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
         # free the coarse tables before the finer, larger ones are built;
         # the roots are all the finer quadrature needs from them
         roots = quad.roots
-        del quad
+        del quad, stencil
         fine = _NodeQuadrature(kernel, ts, order + 8,
                                default_max_len(kernel.potential) / 2,
                                roots=roots)
@@ -295,7 +327,6 @@ def verify_solution(profile: SolutionProfile, potential, rhs,
     rhs_vals = _rhs_values(rhs, ts, us)
     cone_ok = None
     if cone is not None:
-        from .cone import cone_membership
         cone_ok = cone_membership(ts, us, cone)
     return VerificationRecord(
         residual_norm=_second_difference_residual(ts, us, potential, rhs_vals),

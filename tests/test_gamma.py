@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from greensign import gamma as gamma_module
 from greensign.errors import (InvalidWeight, NonpositiveWeightedIntegral,
-                              OutOfRange, ResonantPotential,
+                              OutOfRange, QuadratureFailure, ResonantPotential,
                               UnsupportedBoundaryKind)
-from greensign.gamma import (GammaResult, _neville_to_zero,
+from greensign.gamma import (GammaResult, _boundary_nodes,
+                             _neville_to_zero, _ratio, _slice_parts,
                              gamma_dirichlet_closed, gamma_dirichlet_t_closed,
                              gamma_periodic_closed, gamma_quadrature,
                              gamma_star, pointwise_ratio)
 from greensign.greens import NumericKernel, build_kernel
 from greensign.potentials import BoundaryKind, constant, sampled
+from greensign.quadrature import build_edges, default_max_len, gauss_nodes
+from greensign.spectral import principal_eigenfunction
 
 SIN_WEIGHT = lambda s: np.sin(np.pi * np.asarray(s))
 
@@ -213,3 +217,116 @@ class TestGammaStar:
         k = periodic_kernel(3 * math.pi / 2)
         with pytest.raises(InvalidWeight):
             gamma_star(k, signed)
+
+
+def slice_parts_one_t(kernel, t, roots, weight, order, max_len):
+    """The per-t slice quadrature the batched one replaced, kept as its
+    oracle: (N, D) at one t."""
+    pts = np.append(roots, t)
+    bps = kernel.potential.breakpoints
+    if 0 < len(bps) <= 64:
+        pts = np.append(pts, bps)
+    edges = build_edges(0.0, kernel.T, pts, max_len)
+    nodes, gw = gauss_nodes(order)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    xs = mid[:, None] + half[:, None] * nodes[None, :]
+    g = np.asarray(kernel(np.full(xs.shape, t), xs), dtype=float)
+    if weight is not None:
+        g = g * np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
+    panel = np.sum(g * (half[:, None] * gw[None, :]), axis=1)
+    sign = np.asarray(kernel(np.full(mid.shape, t), mid), dtype=float)
+    return float(np.sum(panel[sign >= 0])), float(-np.sum(panel[sign < 0]))
+
+
+def gamma_by_slice_loop(kernel, weight, t_grid_size, order=16):
+    """(value, argmin) of the gamma_quadrature loop over slice_parts_one_t."""
+    T = kernel.T
+    max_len = default_max_len(kernel.potential)
+    left, right = kernel.bc.pinned_ends
+    ts = np.linspace(0.0, T, t_grid_size)
+    ratios = []
+    for i, t in enumerate(ts):
+        if (i == 0 and left) or (i == t_grid_size - 1 and right):
+            hs, bts = _boundary_nodes(T, i > 0)
+            rs = [_ratio(*slice_parts_one_t(kernel, float(u), kernel.s_roots(u),
+                                            weight, order, max_len))
+                  for u in bts]
+            ratios.append(_neville_to_zero(hs, rs)
+                          if np.all(np.isfinite(rs)) else math.inf)
+        else:
+            ratios.append(_ratio(*slice_parts_one_t(
+                kernel, float(t), kernel.s_roots(t), weight, order, max_len)))
+    ratios = np.array(ratios)
+    vmin = float(np.min(ratios))
+    if math.isinf(vmin):
+        return math.inf, 0.0
+    i = int(np.argmax(ratios <= vmin * (1.0 + 1e-12)))
+    return float(ratios[i]), float(ts[i])
+
+
+def coarse_wavy(n):
+    g = np.linspace(0.0, 1.0, n)
+    return sampled(g, 60 + 10 * np.sin(2 * np.pi * g))
+
+
+# (potential, condition, weight): closed and numeric kernels, pinned ends,
+# shared break points (a 41-node potential), no weight and two weights
+FLAT_CASES = {
+    "periodic-closed": (constant(4.5 * math.pi, 1.0), BoundaryKind.PERIODIC,
+                        None),
+    "dirichlet-closed": (constant(10.8, 1.0), BoundaryKind.DIRICHLET,
+                         SIN_WEIGHT),
+    "dirichlet-wavy": (coarse_wavy(2001), BoundaryKind.DIRICHLET, "eigen"),
+    "mixed1-coarse": (coarse_wavy(41), BoundaryKind.MIXED1, "eigen"),
+    "neumann-coarse": (coarse_wavy(41), BoundaryKind.NEUMANN, "potential"),
+}
+
+
+def flat_case(name):
+    pot, bc, weight = FLAT_CASES[name]
+    if weight == "eigen":
+        weight = principal_eigenfunction(pot, bc)
+    elif weight == "potential":
+        weight = pot
+    return build_kernel(pot, bc), weight
+
+
+class TestFlattenedSlices:
+    @pytest.mark.parametrize("name", sorted(FLAT_CASES))
+    def test_slice_parts_match_per_t_loop_bit_for_bit(self, name, monkeypatch):
+        kernel, weight = flat_case(name)
+        # small blocks, so that the slices spread over many of them
+        monkeypatch.setattr(gamma_module, "SLICE_BLOCK_NODES", 4000)
+        rng = np.random.default_rng(2)
+        ts = np.concatenate([_boundary_nodes(1.0, False)[1],
+                             rng.uniform(0.0, 1.0, 40),
+                             _boundary_nodes(1.0, True)[1]])
+        max_len = default_max_len(kernel.potential)
+        pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
+                                16, max_len)
+        for t, p, n in zip(ts, pos, neg):
+            want = slice_parts_one_t(kernel, float(t), kernel.s_roots(t),
+                                     weight, 16, max_len)
+            assert (p, n) == want, t
+
+    @pytest.mark.parametrize("name", sorted(FLAT_CASES))
+    def test_gamma_matches_per_t_loop(self, name):
+        kernel, weight = flat_case(name)
+        got = gamma_quadrature(kernel, weight, t_grid_size=61)
+        assert (got.value, got.argmin_t) == gamma_by_slice_loop(kernel, weight, 61)
+
+    def test_pointwise_ratio_matches_per_t_loop(self):
+        kernel, weight = flat_case("dirichlet-wavy")
+        max_len = default_max_len(kernel.potential)
+        for t in (0.013, 0.5, 0.91):
+            want = _ratio(*slice_parts_one_t(kernel, t, kernel.s_roots(t),
+                                             weight, 16, max_len))
+            assert pointwise_ratio(kernel, t, weight) == want
+
+    def test_non_finite_weight_raises(self):
+        kernel, _ = flat_case("periodic-closed")
+        bad = lambda s: np.where(np.asarray(s) > 0.7, np.nan, 1.0)
+        with pytest.raises(QuadratureFailure):
+            gamma_quadrature(kernel, bad, t_grid_size=11)

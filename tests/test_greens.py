@@ -324,3 +324,45 @@ class TestBatchedRootScan:
             tracemalloc.stop()
         assert len(roots) == len(ts)
         assert peak < 16 * 2**20, peak
+
+
+def periodic_roots_one_t(k, t):
+    """The per-t analytic roots the vectorized ones replaced, kept as
+    their oracle (periodic constant kernel)."""
+    rho, T = k.rho, k.T
+    jmax = int(rho * T / math.pi) + 2
+    us = T / 2 + (2 * np.arange(-jmax, jmax + 1) + 1) * math.pi / (2 * rho)
+    us = us[(us > 0) & (us < T)]
+    roots = np.concatenate([t - us, t + us])
+    roots = roots[(roots > 0) & (roots < T)]
+    return np.unique(roots)
+
+
+def dirichlet_roots_one_t(k, t):
+    """As periodic_roots_one_t, for the Dirichlet constant kernel."""
+    rho, T = k.rho, k.T
+    j = np.arange(1, int(rho * T / math.pi) + 1)
+    left = j * math.pi / rho
+    right = T - j * math.pi / rho
+    roots = np.concatenate([left[left < t], right[right > t]])
+    roots = roots[(roots > 0) & (roots < T)]
+    return np.unique(roots)
+
+
+class TestClosedFormRoots:
+    @pytest.mark.parametrize("rho, T", [(RHO, 1.0), (4.5 * math.pi, 1.0),
+                                        (21.4, 1.0), (7.0, 2.5), (0.5, 1.0)])
+    def test_vectorized_match_per_t_formula(self, rho, T):
+        rng = np.random.default_rng(4)
+        kernels = [(PeriodicConstantKernel(rho, T), periodic_roots_one_t)]
+        if abs(math.sin(rho * T)) > 1e-6:
+            kernels.append((DirichletConstantKernel(rho, T), dirichlet_roots_one_t))
+        for k, one_t in kernels:
+            ts = np.concatenate([[0.0, T], np.linspace(0.0, T, 101),
+                                 rng.uniform(0.0, T, 50),
+                                 one_t(k, 0.3 * T), one_t(k, 0.8 * T)])
+            got = k.s_roots_many(ts)
+            assert len(got) == len(ts)
+            for t, r in zip(ts, got):
+                assert np.array_equal(r, one_t(k, float(t))), t
+            assert k.s_roots_many([]) == []

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from greensign.errors import EvaluationFailure
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
-from greensign.potentials import BoundaryKind, constant, sampled
-from greensign.solver import (Positivity, _cubic_interp, solve_linear,
+from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
+from greensign.solver import (Positivity, _cubic_interp, _NodeQuadrature,
+                              _slice_roots, _Stencil, solve_linear,
                               solve_nonlinear, verify_solution)
 
 RHO_D = math.sqrt(60.0)
@@ -56,6 +57,11 @@ def test_cubic_interp_matches_index_table_form():
     us = rng.normal(size=ts.shape)
     xs = np.concatenate([ts, rng.uniform(0.0, 1.0, 500)])
     assert np.array_equal(_cubic_interp(ts, us, xs), cubic_interp_2d(ts, us, xs))
+    # the stencil a Picard iteration builds once gives the same bits
+    stencil = _Stencil(ts, xs)
+    assert stencil.j.dtype == np.int32
+    for vs in (us, rng.normal(size=ts.shape), np.zeros_like(ts)):
+        assert np.array_equal(stencil(vs), _cubic_interp(ts, vs, xs))
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +249,46 @@ class TestVerification:
         assert "u" not in d
         full = p.to_dict(include_values=True)
         assert len(full["u"]) == 501 and len(full["t"]) == 501
+
+
+# the mean of each condition's potential sits between two resonances
+PINNED_MEANS = {BoundaryKind.PERIODIC: 62.0, BoundaryKind.NEUMANN: 63.0,
+                BoundaryKind.DIRICHLET: 64.0, BoundaryKind.MIXED1: 41.0,
+                BoundaryKind.MIXED2: 42.0}
+
+
+class TestPinnedEndSlices:
+    @pytest.mark.parametrize("bc", KERNEL_KINDS)
+    def test_pinned_rows_have_no_roots_others_unchanged(self, bc):
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(grid, PINNED_MEANS[bc] + 10.0 * np.sin(2 * math.pi * grid))
+        k = NumericKernel(pot, bc)
+        ts = np.linspace(0.0, 1.0, 11)
+        got = _slice_roots(k, ts)
+        scanned = k.s_roots_many(ts)
+        left, right = bc.pinned_ends
+        for i, (r, s) in enumerate(zip(got, scanned)):
+            if (i == 0 and left) or (i == len(ts) - 1 and right):
+                assert r.shape == (0,)
+            else:
+                assert np.array_equal(r, s)
+
+    def test_dirichlet_end_slices_get_ordinary_panels(self):
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid))
+        k = NumericKernel(pot, BoundaryKind.DIRICHLET)
+        quad = _NodeQuadrature(k, np.linspace(0.0, 1.0, 101))
+        sizes = np.diff(np.append(quad.offsets, len(quad.xs)))
+        assert sizes[0] <= np.max(sizes[1:-1])
+        assert sizes[-1] <= np.max(sizes[1:-1])
+        p = solve_linear(k, const_sigma(1.0), 101)
+        assert p.values[0] == 0.0
+        assert abs(p.values[-1]) < 1e-15
+
+    def test_closed_form_pinned_rows(self):
+        k = DirichletConstantKernel(RHO_D)
+        ts = np.linspace(0.0, 1.0, 5)
+        got = _slice_roots(k, ts)
+        assert got[0].shape == (0,) and got[-1].shape == (0,)
+        for r, s in zip(got[1:-1], k.s_roots_many(ts[1:-1])):
+            assert np.array_equal(r, s)
