@@ -35,6 +35,10 @@ def write_wavy(path: pathlib.Path) -> None:
 
 def calls(wavy: str) -> list:
     out = [["figure", str(n)] for n in range(1, 6)]
+    # eigenvalue search: the spectra the periodic sign verdict compares
+    for bc in ("periodic", "antiperiodic"):
+        out.append(["eigen", "--bc", bc, "--samples", wavy, "--count", "6"])
+    out.append(["classify", "--bc", "periodic", "--samples", wavy])
     for bc in ("periodic", "dirichlet"):
         src = ["--bc", bc, "--samples", wavy]
         out += [["gamma", *src], ["check", *src, "--f", WAVY_F],

@@ -9,10 +9,13 @@ q(t_i), q(t_i + h/2), q(t_i + h):
     M21 = -h (q0 + 4 qm + q1) / 6 + h^3 qm (q0 + q1) / 12
     M22 = 1 - h^2 (2 qm + q1) / 6 + h^4 q1 qm / 24
 
-Using these expressions directly lets one integration pass vectorize over both
-the grid steps and a whole batch of spectral shifts q = a + lambda, which the
-eigenvalue search relies on.  Transfer matrices are then assembled by a
-pairwise product tree; fundamental solutions at the nodes come from the
+With q = a + lam each entry is a polynomial in the spectral shift lam:
+quadratic in M11, M21 and M22, linear in M12.  Their per-step coefficients
+depend only on the potential and the grid, so they are tabulated once per
+(potential, grid size) and cached on the potential; a call at any batch of
+shifts then only evaluates the polynomials.  Transfer matrices are assembled
+by a pairwise product tree that works on the four entries as separate
+(batch, steps) arrays; fundamental solutions at the nodes come from the
 cumulative product.
 """
 from __future__ import annotations
@@ -22,80 +25,103 @@ import numpy as np
 from .errors import IntegratorFailure
 from .potentials import DEFAULT_GRID, Potential
 
+#: step entries per array in one block of shifts of transfer_matrix: a block
+#: bounds the product tree's working set (about 2 MB), which the allocator
+#: then reuses from block to block instead of mapping fresh pages each time
+TRANSFER_BLOCK_ENTRIES = 1 << 16
 
-def rk4_step_matrices(q0: np.ndarray, qm: np.ndarray, q1: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 matrices for each grid cell.
 
-    q0, qm, q1 are q at the left node, midpoint and right node of every step,
-    broadcastable to a common shape (..., n).  Returns (..., n, 2, 2).
+class _StepTable:
+    """Coefficients of the RK4 step entries as polynomials in lam.
+
+    Entry e (M11, M12, M21, M22) of step i is
+    (c2[e] * lam + c1[e, i]) * lam + c0[e, i]; the lam**2 coefficients are
+    the same for every step (zero for M12), and so is M12's lam coefficient.
     """
-    q0, qm, q1 = np.broadcast_arrays(q0, qm, q1)
-    out = np.empty(q0.shape + (2, 2))
-    h2, h3, h4 = h * h, h**3, h**4
-    out[..., 0, 0] = 1.0 - h2 * (q0 + 2.0 * qm) / 6.0 + h4 * qm * q0 / 24.0
-    out[..., 0, 1] = h - h3 * qm / 6.0
-    out[..., 1, 0] = -h * (q0 + 4.0 * qm + q1) / 6.0 + h3 * qm * (q0 + q1) / 12.0
-    out[..., 1, 1] = 1.0 - h2 * (2.0 * qm + q1) / 6.0 + h4 * q1 * qm / 24.0
-    return out
+
+    def __init__(self, potential: Potential, grid_size: int):
+        T = potential.interval.T
+        n = grid_size - 1
+        self.ts = np.linspace(0.0, T, grid_size)
+        h = self.ts[1] - self.ts[0]
+        self.h = float(h)
+        self.a = potential(self.ts)
+        # shared by every FundamentalSolutions of the potential
+        self.ts.flags.writeable = self.a.flags.writeable = False
+        a0, a1 = self.a[:-1], self.a[1:]
+        am = potential(self.ts[:-1] + 0.5 * (T / n))
+        h2, h3, h4 = h * h, h**3, h**4
+        self.c0 = np.stack([1.0 - h2 * (a0 + 2.0 * am) / 6.0 + h4 * am * a0 / 24.0,
+                            h - h3 * am / 6.0,
+                            -h * (a0 + 4.0 * am + a1) / 6.0 + h3 * am * (a0 + a1) / 12.0,
+                            1.0 - h2 * (2.0 * am + a1) / 6.0 + h4 * a1 * am / 24.0])
+        self.c1 = np.stack([-h2 / 2.0 + h4 * (a0 + am) / 24.0,
+                            np.full(n, -h3 / 6.0),
+                            -h + h3 * (a0 + 2.0 * am + a1) / 12.0,
+                            -h2 / 2.0 + h4 * (am + a1) / 24.0])
+        self.c2 = np.array([h4 / 24.0, 0.0, h3 / 6.0, h4 / 24.0])
+
+    def entries(self, lam: np.ndarray, out: np.ndarray) -> None:
+        """Write M11, M12, M21, M22 at each shift of the 1-d batch lam into
+        out, of shape (4, len(lam), steps)."""
+        lam = lam[:, None]
+        np.add(self.c2[:, None, None] * lam, self.c1[:, None, :], out=out)
+        out *= lam
+        out += self.c0[:, None, :]
 
 
-def product_tree(mats: np.ndarray) -> np.ndarray:
-    """Ordered product M_{n-1} @ ... @ M_0 along axis -3 by pairwise reduction."""
-    n = mats.shape[-3]
-    # pad with identities on the late side so n becomes a power of two
-    target = 1 << (n - 1).bit_length()
-    if target != n:
-        pad_shape = mats.shape[:-3] + (target - n, 2, 2)
-        eye = np.broadcast_to(np.eye(2), pad_shape)
-        mats = np.concatenate([mats, eye], axis=-3)
-    while mats.shape[-3] > 1:
-        mats = np.matmul(mats[..., 1::2, :, :], mats[..., 0::2, :, :])
-    return mats[..., 0, :, :]
+def _step_table(potential: Potential, grid_size: int) -> _StepTable:
+    """The step table of (potential, grid_size), built once per potential."""
+    table = potential.cache.get(("rk4", grid_size))
+    if table is None:
+        table = potential.cache[("rk4", grid_size)] = _StepTable(potential, grid_size)
+    return table
 
 
-def cumulative_products(mats: np.ndarray) -> np.ndarray:
-    """Phi_i = M_{i-1} @ ... @ M_0 for i = 0..n, Phi_0 = I.  mats is (n, 2, 2)."""
-    n = mats.shape[0]
-    out = np.empty((n + 1, 2, 2))
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    out[0] = ((a, b), (c, d))
-    for i in range(n):
-        m = mats[i]
-        m11, m12 = m[0, 0], m[0, 1]
-        m21, m22 = m[1, 0], m[1, 1]
-        a, b, c, d = (m11 * a + m12 * c, m11 * b + m12 * d,
-                      m21 * a + m22 * c, m21 * b + m22 * d)
-        out[i + 1, 0, 0] = a
-        out[i + 1, 0, 1] = b
-        out[i + 1, 1, 0] = c
-        out[i + 1, 1, 1] = d
-    return out
+def _product(table: _StepTable, lams: np.ndarray, width: int) -> np.ndarray:
+    """Ordered product of all steps at each shift, shape (2, 2, len(lams)).
 
-
-def _q_samples(potential: Potential, lam, grid_size: int):
-    """q = a + lambda at the nodes and midpoints of the uniform grid."""
-    T = potential.interval.T
-    n = grid_size - 1
-    ts = np.linspace(0.0, T, grid_size)
-    mids = ts[:-1] + 0.5 * (T / n)
-    a_nodes = potential(ts)
-    a_mids = potential(mids)
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 0:
-        return ts, a_nodes[:-1] + lam, a_mids + lam, a_nodes[1:] + lam
-    # batch of shifts: leading lambda axis
-    return (ts, a_nodes[None, :-1] + lam[:, None], a_mids[None, :] + lam[:, None],
-            a_nodes[None, 1:] + lam[:, None])
+    Steps are padded with identities on the late side to width, a power of
+    two, and reduced pairwise.
+    """
+    n = len(table.ts) - 1
+    # m[i, j] holds entry (i, j) of every step at every shift
+    m = np.empty((2, 2, len(lams), width))
+    m[..., n:] = np.eye(2)[:, :, None, None]
+    table.entries(lams, m.reshape(4, len(lams), width)[..., :n])
+    while m.shape[-1] > 1:
+        # each later step (odd index) left-multiplies the earlier one:
+        # (R L)[i, j] = R[i, 0] L[0, j] + R[i, 1] L[1, j]
+        left, right = m[..., 0::2], m[..., 1::2]
+        m = right[:, :1] * left[:1]
+        m += right[:, 1:] * left[1:]
+    return m[..., 0]
 
 
 def transfer_matrix(potential: Potential, lam, grid_size: int) -> np.ndarray:
     """Phi(T) for u'' + (a + lam) u = 0.  lam may be a scalar or a 1-d batch."""
-    ts, q0, qm, q1 = _q_samples(potential, lam, grid_size)
-    h = ts[1] - ts[0]
-    phi = product_tree(rk4_step_matrices(q0, qm, q1, h))
+    table = _step_table(potential, grid_size)
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    width = 1 << (grid_size - 2).bit_length()
+    blocks = max(1, -(-len(lams) * width // TRANSFER_BLOCK_ENTRIES))
+    phi = np.concatenate([_product(table, part, width)
+                          for part in np.array_split(lams, blocks)], axis=-1)
+    phi = np.moveaxis(phi, -1, 0)
     if not np.all(np.isfinite(phi)):
         raise IntegratorFailure("fundamental system overflowed; potential scale too large")
-    return phi
+    return phi if np.ndim(lam) else phi[0]
+
+
+def cumulative_products(m11, m12, m21, m22) -> np.ndarray:
+    """Phi_i = M_{i-1} @ ... @ M_0 for i = 0..n, Phi_0 = I, from the step
+    entries as sequences of floats.  Returns (4, n + 1): the entries
+    Phi11, Phi12, Phi21, Phi22 at every node."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    out = [(a, b, c, d)]
+    for e, f, g, k in zip(m11, m12, m21, m22):
+        a, b, c, d = e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d
+        out.append((a, b, c, d))
+    return np.ascontiguousarray(np.array(out).T)
 
 
 class FundamentalSolutions:
@@ -111,21 +137,19 @@ class FundamentalSolutions:
             grid_size = DEFAULT_GRID
         if grid_size < 9:
             raise ValueError("grid_size must be at least 9")
-        ts, q0, qm, q1 = _q_samples(potential, float(lam), grid_size)
-        h = ts[1] - ts[0]
-        phis = cumulative_products(rk4_step_matrices(q0, qm, q1, h))
+        table = _step_table(potential, grid_size)
+        steps = np.empty((4, 1, grid_size - 1))
+        table.entries(np.array([float(lam)]), steps)
+        phis = cumulative_products(*steps[:, 0].tolist())
         if not np.all(np.isfinite(phis)):
             raise IntegratorFailure("fundamental system overflowed; potential scale too large")
         self.potential = potential
         self.lam = float(lam)
-        self.ts = ts
-        self.h = float(h)
-        self.u1 = phis[:, 0, 0].copy()
-        self.u2 = phis[:, 0, 1].copy()
-        self.p1 = phis[:, 1, 0].copy()
-        self.p2 = phis[:, 1, 1].copy()
+        self.ts = table.ts
+        self.h = table.h
+        self.u1, self.u2, self.p1, self.p2 = phis
         # slope of (u1', u2') comes from the ODE itself: u'' = -q u
-        q_nodes = potential(ts) + self.lam
+        q_nodes = table.a + self.lam
         self.dp1 = -q_nodes * self.u1
         self.dp2 = -q_nodes * self.u2
 

@@ -63,6 +63,9 @@ class ConstantPotential:
 
     rho: float
     interval: Interval = field(default_factory=Interval)
+    #: tables derived from the potential alone, kept by the modules that
+    #: build them (the RK4 step coefficients of ``fundamental``)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho > 0):
@@ -97,6 +100,8 @@ class SampledPotential:
     grid: np.ndarray
     values: np.ndarray
     interval: Interval = field(default_factory=Interval)
+    #: as on ConstantPotential
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)

@@ -140,15 +140,15 @@ def _lagrange_weights(ts: np.ndarray, xs: np.ndarray):
     """(j, rows): the first node j of each x's 4-point Lagrange stencil on
     ts, and an iterator over the four weight rows of the stencil."""
     j = np.searchsorted(ts, xs, side="right") - 1
-    j = (np.clip(j, 1, len(ts) - 3) - 1).astype(np.int32)
+    j = np.clip(j, 1, len(ts) - 3) - 1
 
     def rows():
         for k in range(4):
             w = np.ones_like(xs)
-            tk = ts[j + k]
+            tk = ts[k:][j]
             for l in range(4):
                 if l != k:
-                    tl = ts[j + l]
+                    tl = ts[l:][j]
                     w *= (xs - tl) / (tk - tl)
             yield w
     return j, rows()
@@ -157,7 +157,7 @@ def _lagrange_weights(ts: np.ndarray, xs: np.ndarray):
 def _combine(j: np.ndarray, rows, us: np.ndarray) -> np.ndarray:
     out = np.zeros(len(j))
     for k, w in enumerate(rows):
-        out += w * us[j + k]
+        out += w * us[k:][j]
     return out
 
 
@@ -210,8 +210,8 @@ def _bc_error(ts: np.ndarray, us: np.ndarray, bc: BoundaryKind) -> float:
     if bc is BoundaryKind.NEUMANN:
         return max(abs(d0), abs(dT))
     if bc is BoundaryKind.MIXED1:
-        return max(abs(u0), abs(dT))
-    return max(abs(d0), abs(uT))
+        return max(abs(d0), abs(uT))
+    return max(abs(u0), abs(dT))
 
 
 def _second_difference_residual(ts: np.ndarray, us: np.ndarray, potential,

@@ -59,7 +59,7 @@ def test_cubic_interp_matches_index_table_form():
     assert np.array_equal(_cubic_interp(ts, us, xs), cubic_interp_2d(ts, us, xs))
     # the stencil a Picard iteration builds once gives the same bits
     stencil = _Stencil(ts, xs)
-    assert stencil.j.dtype == np.int32
+    assert stencil.j.dtype == np.intp
     for vs in (us, rng.normal(size=ts.shape), np.zeros_like(ts)):
         assert np.array_equal(stencil(vs), _cubic_interp(ts, vs, xs))
 
@@ -239,6 +239,16 @@ class TestVerification:
             solve_linear(k, const_sigma(1.0), np.array([0.0, 0.5, 0.5, 0.7, 1.0]))
         with pytest.raises(ValueError):
             solve_linear(k, const_sigma(1.0), np.linspace(0.0, 2.0, 11))
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.MIXED1, BoundaryKind.MIXED2])
+    def test_mixed_bc_error_reads_the_pinned_ends(self, bc):
+        # mixed1 is u'(0) = u(T) = 0 and mixed2 is u(0) = u'(T) = 0; the
+        # free ends carry values of order 0.02 and slopes of order 0.04
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(grid, 41.0 + 10.0 * np.sin(2 * math.pi * grid))
+        p = solve_linear(build_kernel(pot, bc), const_sigma(1.0), 201)
+        assert p.bc_error <= 1e-6
+        assert verify_solution(p, pot, const_sigma(1.0)).bc_error == p.bc_error
 
     def test_profile_report_dict(self):
         p = solve_linear(DirichletConstantKernel(RHO_D), lambda s: s, 501)

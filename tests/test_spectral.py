@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from greensign import spectral
 from greensign.errors import UndeterminedSign, UnsupportedBoundaryKind
 from greensign.potentials import BoundaryKind, constant, sampled
-from greensign.spectral import (smallest_eigenvalues,
+from greensign.spectral import (BISECT_REL_WIDTH, EigenResult,
+                                smallest_eigenvalues,
                                 SignClass, char_values, classify_sign,
                                 principal_eigenfunction, smallest_eigenvalue)
 
@@ -216,3 +218,83 @@ class TestSmallestEigenvalues:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             smallest_eigenvalues(constant(1.0), BoundaryKind.DIRICHLET, 0)
+
+
+def bisect(potential, bc, lo, hi, grid_size):
+    """The scalar bisection the eigenvalue search used before; oracle."""
+    char_values = spectral.char_values
+    flo = float(char_values(potential, bc, lo, grid_size)[0])
+    iterations = 0
+    while hi - lo > BISECT_REL_WIDTH * max(1.0, abs(lo)):
+        mid = 0.5 * (lo + hi)
+        fmid = float(char_values(potential, bc, mid, grid_size)[0])
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+        iterations += 1
+        if iterations > 200:
+            break
+    return EigenResult(0.5 * (lo + hi), bc, "shooting", iterations, (lo, hi))
+
+
+def trig_potential(seed, n=2001):
+    rng = np.random.default_rng(seed)
+    g = np.linspace(0.0, 1.0, n)
+    a = np.full_like(g, rng.uniform(0.0, 100.0))
+    for k in range(1, 5):
+        a += (rng.uniform(-4, 4) * np.cos(2 * math.pi * k * g)
+              + rng.uniform(-4, 4) * np.sin(2 * math.pi * k * g))
+    return sampled(g, a)
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_bisection_in_fewer_steps(self, seed, monkeypatch):
+        pot = trig_potential(seed)
+        calls = []
+        refine = spectral._refine
+
+        def recording(*args):
+            calls.append((args, refine(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(spectral, "_refine", recording)
+        for bc in BoundaryKind:
+            smallest_eigenvalues(pot, bc, 6)
+        assert len(calls) >= 30
+        for (p, bc, lo0, hi0, flo, fhi, grid), got in calls:
+            assert (flo > 0) != (fhi > 0)
+            want = bisect(p, bc, lo0, hi0, grid)
+            assert abs(got.value - want.value) <= 1e-10 * max(1.0, abs(want.value))
+            lo, hi = got.bracket
+            assert lo0 <= lo <= got.value <= hi <= hi0
+            assert hi - lo <= BISECT_REL_WIDTH * max(1.0, abs(lo))
+            assert got.iterations <= want.iterations
+
+    def _fake(self, monkeypatch, f):
+        monkeypatch.setattr(spectral, "char_values",
+                            lambda pot, bc, lams, grid=None: np.atleast_1d(f(lams)))
+
+    def test_exact_zero_ends_the_search(self, monkeypatch):
+        self._fake(monkeypatch, lambda lam: 0.5 - np.asarray(lam))
+        # the regula falsi point of the bracket is the root itself
+        got = spectral._refine(None, BoundaryKind.DIRICHLET, 0.0, 1.0, 0.5, -0.5, None)
+        assert (got.value, got.bracket, got.iterations) == (0.5, (0.5, 0.5), 1)
+        got = spectral._refine(None, BoundaryKind.DIRICHLET, -1.0, 0.5, 1.5, 0.0, None)
+        assert (got.value, got.bracket, got.iterations) == (0.5, (0.5, 0.5), 0)
+
+    @pytest.mark.parametrize("f", [
+        lambda lam: np.cbrt(0.3 - np.asarray(lam)) ** 9,          # flat root
+        lambda lam: np.where(np.asarray(lam) < 0.3, 1.0, -1e-9),  # jump
+        lambda lam: np.arctan(1e6 * (0.3 - np.asarray(lam))),     # steep
+    ])
+    def test_worst_case_is_bisection(self, f, monkeypatch):
+        self._fake(monkeypatch, f)
+        want = bisect(None, BoundaryKind.DIRICHLET, 0.0, 0.5, None)
+        got = spectral._refine(None, BoundaryKind.DIRICHLET, 0.0, 0.5,
+                               float(f(0.0)), float(f(0.5)), None)
+        assert got.iterations <= want.iterations + 1
+        lo, hi = got.bracket
+        assert lo <= 0.3 <= hi
+        assert hi - lo <= BISECT_REL_WIDTH
