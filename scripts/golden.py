@@ -9,8 +9,10 @@ the outputs:
 
     PYTHONPATH=src python scripts/golden.py > golden.txt
 
-The sampled potential is "wavy", a(t) = 60 + 10 sin(2 pi t) on 2001 nodes,
-written to a temporary CSV file.
+The sampled potentials are "wavy", a(t) = 60 + 10 sin(2 pi t), and
+"repro-a", a(t) = 30 + 0.01 cos(2 pi t) + 5 cos(6 pi t), whose first
+antiperiodic gap is narrow; each is written on 2001 nodes to a temporary
+CSV file.
 """
 import contextlib
 import hashlib
@@ -26,14 +28,19 @@ from greensign.cli import main as cli_main
 WAVY_F = "1 + x/(1+x)"
 
 
-def write_wavy(path: pathlib.Path) -> None:
+POTENTIALS = {
+    "wavy": lambda t: 60 + 10 * np.sin(2 * np.pi * t),
+    "repro-a": lambda t: 30 + 0.01 * np.cos(2 * np.pi * t) + 5 * np.cos(6 * np.pi * t),
+}
+
+
+def write_samples(path: pathlib.Path, a) -> None:
     ts = np.linspace(0.0, 1.0, 2001)
-    a = 60 + 10 * np.sin(2 * np.pi * ts)
-    rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, a)]
+    rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(ts, a(ts))]
     path.write_text("t,a\n" + "\n".join(rows) + "\n")
 
 
-def calls(wavy: str) -> list:
+def calls(wavy: str, repro_a: str) -> list:
     out = [["figure", str(n)] for n in range(1, 6)]
     # eigenvalue search: the spectra the periodic sign verdict compares
     for bc in ("periodic", "antiperiodic"):
@@ -51,6 +58,10 @@ def calls(wavy: str) -> list:
                 "--f", "t*(1-t) + 5*x"])
     out.append(["solve", "--bc", "periodic", "--rho", "7.5",
                 "--f", "1 + 41*x"])
+    # a narrow antiperiodic gap, which decides the periodic sign class
+    for bc in ("periodic", "antiperiodic"):
+        out.append(["eigen", "--bc", bc, "--samples", repro_a, "--count", "6"])
+    out.append(["classify", "--bc", "periodic", "--samples", repro_a])
     return out
 
 
@@ -70,11 +81,13 @@ def run(argv: list, workdir: pathlib.Path) -> tuple:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
-        wavy = workdir / "wavy.csv"
-        write_wavy(wavy)
-        for argv in calls(str(wavy)):
+        files = {}
+        for name, a in POTENTIALS.items():
+            files[str(workdir / f"{name}.csv")] = name
+            write_samples(workdir / f"{name}.csv", a)
+        for argv in calls(*files):
             code, data = run(argv, workdir)
-            label = " ".join("wavy" if a == str(wavy) else a for a in argv)
+            label = " ".join(files.get(a, a) for a in argv)
             print(f"{hashlib.sha256(data).hexdigest()}  exit={code}  {label}",
                   flush=True)
     return 0

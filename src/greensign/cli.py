@@ -86,21 +86,37 @@ def _default_grid() -> int:
     return DEFAULT_GRID
 
 
+def _csv_fields(line: str) -> list:
+    return next(csv.reader([line]), [])
+
+
+def _is_sample_row(fields: list) -> bool:
+    try:
+        float(fields[0]), float(fields[1])
+    except (ValueError, IndexError):
+        return False
+    return True
+
+
 def _load_samples(path: str):
-    rows = []
+    """Rows t,a of a CSV file.  Rows before the first data row are a header;
+    blank rows are skipped."""
     with open(path, newline="") as fh:
-        for line in csv.reader(fh):
-            if not line:
-                continue
-            try:
-                rows.append((float(line[0]), float(line[1])))
-            except (ValueError, IndexError):
-                if rows:
-                    raise GreensignError(f"bad sample row {line!r} in {path}")
-                continue  # header
-    if len(rows) < 2:
+        lines = fh.read().splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if _is_sample_row(_csv_fields(line))), len(lines))
+    data = np.empty((0, 2))
+    try:
+        if start < len(lines):
+            data = np.loadtxt(lines[start:], delimiter=",", usecols=(0, 1),
+                              ndmin=2, comments=None, quotechar='"')
+    except ValueError as exc:
+        for fields in map(_csv_fields, lines[start:]):
+            if fields and not _is_sample_row(fields):
+                raise GreensignError(f"bad sample row {fields!r} in {path}") from None
+        raise GreensignError(f"bad sample rows in {path}: {exc}") from None
+    if len(data) < 2:
         raise GreensignError(f"need at least two sample rows in {path}")
-    data = np.asarray(rows, dtype=float)
     return sampled(data[:, 0], data[:, 1])
 
 

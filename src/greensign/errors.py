@@ -22,7 +22,7 @@ class IntegratorFailure(GreensignError):
 
 
 class BracketingFailure(GreensignError):
-    """No sign change of the characteristic function inside the search window."""
+    """Characteristic-function signs contradict the eigenvalue count of a bracket."""
 
 
 class UndeterminedSign(GreensignError):

@@ -83,6 +83,10 @@ class ConstantPotential:
         return self.rho**2
 
     @property
+    def min_value(self) -> float:
+        return self.rho**2
+
+    @property
     def breakpoints(self) -> np.ndarray:
         return np.array([])
 
@@ -127,6 +131,10 @@ class SampledPotential:
     @property
     def max_value(self) -> float:
         return float(np.max(self.values))
+
+    @property
+    def min_value(self) -> float:
+        return float(np.min(self.values))
 
     @property
     def breakpoints(self) -> np.ndarray:

@@ -1,14 +1,22 @@
 """Smallest eigenvalues of -(u'' + a u) per boundary kind, and the kernel-sign
 classification they determine.
 
-Throughout, lam is an eigenvalue of the problem u'' + (a(t) + lam) u = 0 with
-the stated boundary condition.  For a = rho**2 the first eigenvalues are
-closed-form; otherwise the characteristic function of the boundary condition
-(built from the monodromy matrix) is scanned upward from below the spectrum in
-batches of shifts, and each sign change it brackets is refined by the ITP
-method, a safeguarded regula falsi.  Every characteristic function used here
-is positive for lam < -max(a) because the equation is disconjugate there, so
-the first sign change brackets the smallest eigenvalue.
+lam is an eigenvalue of u'' + (a(t) + lam) u = 0 under the boundary
+condition: closed-form for a = rho**2, otherwise bracketed from its index
+(no scan over lam) and refined by the ITP method on the characteristic
+function, built from the monodromy matrix Phi(T).  Separated conditions:
+by min-max comparison with the constants min a and max a (Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993), eigenvalue i lies in a window
+about mu_i, the i-th eigenvalue of -u''; a group of overlapping windows
+j..k holds k - j + 1 simple eigenvalues, with the sign (-1)**i between
+eigenvalues i - 1 and i.  Periodic and antiperiodic conditions: the n-th
+Dirichlet and Neumann eigenvalues lie in the closure of the n-th gap of
+Hill's equation, |trace Phi(T)| >= 2 (Magnus & Winkler, Hill's Equation,
+1966), so with L_n, R_n the smaller and larger of the two, [R_m, L_{m+1}]
+holds exactly one periodic (lam_m) and one antiperiodic (lam'_{m+1})
+eigenvalue.  For an even potential each Dirichlet eigenvalue is a band
+edge, so it alone does not separate a pair.  Signs that contradict the
+count a bracket must hold raise BracketingFailure.
 """
 from __future__ import annotations
 
@@ -25,7 +33,12 @@ from .potentials import DEFAULT_GRID, BoundaryKind, ConstantPotential, Potential
 
 SIGN_DECISION_TOL = 1e-8
 BISECT_REL_WIDTH = 1e-13
-SCAN_BATCH = 64
+#: doublings of a window's padding, or of a window group's samples, before failing
+MAX_DOUBLINGS = 10
+#: a characteristic value this small at a Hill bracket end marks a root there
+EDGE_TOL = 1e-9
+
+_PAIRED = (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC)
 
 
 class SignClass(Enum):
@@ -46,16 +59,6 @@ class EigenResult:
     bracket: tuple[float, float] | None = None
 
 
-def _closed_eigenvalue(rho: float, T: float, bc: BoundaryKind) -> float:
-    if bc is BoundaryKind.PERIODIC or bc is BoundaryKind.NEUMANN:
-        return -rho * rho
-    if bc is BoundaryKind.ANTIPERIODIC or bc is BoundaryKind.DIRICHLET:
-        return (math.pi / T) ** 2 - rho * rho
-    if bc is BoundaryKind.MIXED1 or bc is BoundaryKind.MIXED2:
-        return (math.pi / (2 * T)) ** 2 - rho * rho
-    raise UnsupportedBoundaryKind(str(bc))
-
-
 def char_values(potential: Potential, bc: BoundaryKind, lams,
                 grid_size: int | None = None) -> np.ndarray:
     """Characteristic function of the boundary condition at each lam.
@@ -68,10 +71,14 @@ def char_values(potential: Potential, bc: BoundaryKind, lams,
     u2T = phi[..., 0, 1]
     p1T = phi[..., 1, 0]
     p2T = phi[..., 1, 1]
-    if bc is BoundaryKind.PERIODIC:
-        return u1T + p2T - 2.0
-    if bc is BoundaryKind.ANTIPERIODIC:
-        return u1T + p2T + 2.0
+    if bc in _PAIRED:
+        # RK4's det Phi(T) falls below one by about T h**5 (lam + a)**3 / 72,
+        # which would pull |trace| below 2 and shrink narrow gaps; the trace
+        # of Phi(T) / sqrt(det Phi(T)) keeps Hill's theory exact.  Where
+        # rounding swamps the determinant of large entries, it is left out.
+        det = u1T * p2T - u2T * p1T
+        trace = (u1T + p2T) / np.sqrt(np.where(np.abs(det - 1.0) < 0.5, det, 1.0))
+        return trace - 2.0 if bc is BoundaryKind.PERIODIC else trace + 2.0
     if bc is BoundaryKind.DIRICHLET:
         return u2T
     if bc is BoundaryKind.NEUMANN:
@@ -86,65 +93,7 @@ def char_values(potential: Potential, bc: BoundaryKind, lams,
 def smallest_eigenvalue(potential: Potential, bc: BoundaryKind,
                         grid_size: int | None = None) -> EigenResult:
     """First eigenvalue of u'' + (a + lam) u = 0 under the boundary condition."""
-    if isinstance(potential, ConstantPotential):
-        value = _closed_eigenvalue(potential.rho, potential.interval.T, bc)
-        return EigenResult(value, bc, "closed")
-
-    T = potential.interval.T
-    sup = potential.sup_norm
-    step = min(0.5, (math.pi / T) ** 2)
-    start = -sup - 1.0
-    # the first Dirichlet eigenvalue bounds every other kind's from above
-    stop = (math.pi / T) ** 2 + sup + 2 * step
-
-    lo = hi = None
-    lam0 = start
-    scanned: list[np.ndarray] = []
-    while lam0 < stop:
-        lams = lam0 + step * np.arange(SCAN_BATCH + 1)
-        vals = char_values(potential, bc, lams, grid_size)
-        scanned.append(np.stack([lams, vals]))
-        flip = np.nonzero((vals[:-1] > 0) & (vals[1:] <= 0))[0]
-        if flip.size:
-            i = int(flip[0])
-            lo, hi = float(lams[i]), float(lams[i + 1])
-            flo, fhi = float(vals[i]), float(vals[i + 1])
-            break
-        lam0 = float(lams[-1])
-    if lo is None:
-        got = _tangent_eigenvalue(potential, bc, np.concatenate(scanned, axis=1),
-                                  grid_size)
-        if got is not None:
-            return got
-        raise BracketingFailure(
-            f"no sign change of the {bc} characteristic function in "
-            f"[{start:.6g}, {stop:.6g}]")
-    return _refine(potential, bc, lo, hi, flo, fhi, grid_size)
-
-
-def _closed_eigenvalues(rho: float, T: float, bc: BoundaryKind,
-                        count: int) -> list[float]:
-    w = math.pi / T
-    shift = rho * rho
-    out: list[float] = []
-    if bc is BoundaryKind.PERIODIC:
-        out.append(-shift)
-        k = 1
-        while len(out) < count:
-            out += [(2 * k * w) ** 2 - shift] * 2   # double eigenvalue
-            k += 1
-    elif bc is BoundaryKind.ANTIPERIODIC:
-        k = 0
-        while len(out) < count:
-            out += [((2 * k + 1) * w) ** 2 - shift] * 2
-            k += 1
-    elif bc is BoundaryKind.DIRICHLET:
-        out = [(k * w) ** 2 - shift for k in range(1, count + 1)]
-    elif bc is BoundaryKind.NEUMANN:
-        out = [(k * w) ** 2 - shift for k in range(count)]
-    else:
-        out = [((2 * k + 1) * w / 2) ** 2 - shift for k in range(count)]
-    return out[:count]
+    return _eigenvalues(potential, bc, 1, grid_size)[0]
 
 
 def smallest_eigenvalues(potential: Potential, bc: BoundaryKind,
@@ -157,64 +106,150 @@ def smallest_eigenvalues(potential: Potential, bc: BoundaryKind,
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    if isinstance(potential, ConstantPotential):
-        vals = _closed_eigenvalues(potential.rho, potential.interval.T, bc,
-                                   count)
-        return [EigenResult(v, bc, "closed") for v in vals]
+    return _eigenvalues(potential, bc, count, grid_size)
 
-    T = potential.interval.T
-    sup = potential.sup_norm
-    step = min(0.5, (math.pi / T) ** 2)
-    lam0 = -sup - 1.0
-    stop = ((count + 1) * math.pi / T) ** 2 + sup + 2 * step
-    results: list[EigenResult] = []
-    scale = 1.0
-    paired = bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC)
-    while lam0 < stop and len(results) < count:
-        lams = lam0 + step * np.arange(SCAN_BATCH + 1)
-        vals = char_values(potential, bc, lams, grid_size)
-        scale = max(scale, float(np.max(np.abs(vals))))
-        # an exact zero at a scan node is a root the sign product misses
-        zero_idx = np.nonzero(vals == 0.0)[0]
-        for i in zero_idx:
-            lam_star = float(lams[i])
-            if any(abs(r.value - lam_star) <= 1e-12 * max(1.0, abs(lam_star))
-                   for r in results):
-                continue   # batches share their boundary node
-            hit = EigenResult(lam_star, bc, "shooting", 0, (lam_star, lam_star))
-            results.append(hit)
-            if paired and 0 < i < len(vals) - 1 and vals[i - 1] * vals[i + 1] > 0:
-                results.append(hit)
-        crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        for i in crossings:
-            results.append(_refine(potential, bc, float(lams[i]),
-                                   float(lams[i + 1]), float(vals[i]),
-                                   float(vals[i + 1]), grid_size))
-        occupied = np.concatenate([crossings, zero_idx]) if len(zero_idx) \
-            else crossings
-        if paired:
-            # a closed gap only touches zero; look for near-zero extrema
-            # strictly between the crossings already found
-            interior = (np.abs(vals[1:-1]) < 1e-3 * scale)
-            is_min = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]) & (vals[1:-1] > 0)
-            is_max = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:]) & (vals[1:-1] < 0)
-            for i in np.nonzero(interior & (is_min | is_max))[0] + 1:
-                if np.any(np.abs(occupied - i) <= 1):
-                    continue
-                seg = np.stack([lams[i - 1:i + 2], vals[i - 1:i + 2]])
-                sgn = 1.0 if vals[i] > 0 else -1.0
-                got = _tangent_eigenvalue(potential, bc,
-                                          np.stack([seg[0], sgn * seg[1]]),
-                                          grid_size, sign=sgn)
-                if got is not None:
-                    results += [got, got]
-        lam0 = float(lams[-1])
-    results.sort(key=lambda r: r.value)
-    if len(results) < count:
+
+def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
+                 grid_size) -> list[EigenResult]:
+    if isinstance(potential, ConstantPotential):
+        shift = potential.rho * potential.rho
+        return [EigenResult(_free_eigenvalue(bc, potential.interval.T, i) - shift,
+                            bc, "closed") for i in range(count)]
+    if bc in _PAIRED:
+        return _paired(potential, bc, count, grid_size)
+    return list(_separated(potential, bc, range(count), grid_size).values())
+
+
+def _free_eigenvalue(bc: BoundaryKind, T: float, i: int) -> float:
+    """Eigenvalue i (0 = smallest, with multiplicity) of -u'' on [0, T]."""
+    w = math.pi / T
+    if bc is BoundaryKind.PERIODIC:
+        return (2 * ((i + 1) // 2) * w) ** 2
+    if bc is BoundaryKind.ANTIPERIODIC:
+        return ((2 * (i // 2) + 1) * w) ** 2
+    if bc is BoundaryKind.DIRICHLET:
+        return ((i + 1) * w) ** 2
+    if bc is BoundaryKind.NEUMANN:
+        return (i * w) ** 2
+    return ((2 * i + 1) * w / 2) ** 2
+
+
+def _window(potential: Potential, bc: BoundaryKind, i: int, grid_size,
+            scale: float = 1.0) -> tuple[float, float]:
+    """Interval that holds eigenvalue i, by min-max comparison with the
+    constant potentials min a and max a."""
+    a_lo, a_hi = potential.min_value, potential.max_value
+    mu = _free_eigenvalue(bc, potential.interval.T, i)
+    h = potential.interval.T / ((grid_size or DEFAULT_GRID) - 1)
+    # RK4 moves the eigenvalue by about h**4 q**3 / 60, q the largest
+    # |lam + a| in the window; the padding covers four times that
+    q = mu + a_hi - a_lo
+    pad = scale * (h**4 * q**3 / 15.0 + 1e-10 * (1.0 + q))
+    return mu - a_hi - pad, mu - a_lo + pad
+
+
+def _separated(potential: Potential, bc: BoundaryKind, wanted,
+               grid_size) -> dict[int, EigenResult]:
+    """Eigenvalues of the indices in wanted (0 = smallest) under a separated
+    condition, keyed by index."""
+    for scale in 2.0 ** np.arange(MAX_DOUBLINGS):
+        groups = []                    # (first index, last index, lo, hi)
+        i = 0
+        while i <= max(wanted):
+            lo, hi = _window(potential, bc, i, grid_size, scale)
+            j = i
+            while (nxt := _window(potential, bc, j + 1, grid_size, scale))[0] <= hi:
+                j, hi = j + 1, nxt[1]
+            if any(i <= k <= j for k in wanted):
+                groups.append((i, j, lo, hi))
+            i = j + 1
+        fends = char_values(potential, bc, [x for g in groups for x in g[2:]],
+                            grid_size)
+        # sign (-1)**i between eigenvalues i - 1 and i
+        if all(fends[2 * g] * (-1) ** i > 0 and fends[2 * g + 1] * (-1) ** j < 0
+               for g, (i, j, _, _) in enumerate(groups)):
+            break
+    else:
+        raise BracketingFailure(f"{bc} characteristic function has the wrong "
+                                f"sign at window ends after {MAX_DOUBLINGS} widenings")
+
+    found = {}
+    for (i, j, lo, hi), flo, fhi in zip(groups, fends[0::2], fends[1::2]):
+        roots = ([(lo, hi, flo, fhi)] if i == j else
+                 _split(potential, bc, lo, hi, flo, fhi, j - i + 1, grid_size))
+        for k, (x0, x1, f0, f1) in enumerate(roots, i):
+            if k in wanted:
+                found[k] = (EigenResult(x1, bc, "shooting", 0, (x1, x1))
+                            if f1 == 0.0 else
+                            _refine(potential, bc, x0, x1, f0, f1, grid_size))
+    return found
+
+
+def _split(potential, bc, lo: float, hi: float, flo: float, fhi: float,
+           n_roots: int, grid_size) -> list[tuple[float, float, float, float]]:
+    """Brackets (x0, x1, f0, f1) of the n_roots simple roots in [lo, hi], in
+    order, from samples at doubling resolution; f1 == 0 marks x1 a root."""
+    xs = np.linspace(lo, hi, 4 * n_roots + 1)
+    fs = np.concatenate([[flo], char_values(potential, bc, xs[1:-1], grid_size), [fhi]])
+    for doubling in range(MAX_DOUBLINGS + 1):
+        cut = (fs[1:] == 0.0) | (fs[:-1] * fs[1:] < 0.0)
+        if np.count_nonzero(cut) >= n_roots or doubling == MAX_DOUBLINGS:
+            break
+        mid = 0.5 * (xs[:-1] + xs[1:])
+        fmid = char_values(potential, bc, mid, grid_size)
+        xs = np.insert(xs, np.arange(1, len(xs)), mid)
+        fs = np.insert(fs, np.arange(1, len(fs)), fmid)
+    idx = np.nonzero(cut)[0]
+    if len(idx) != n_roots:
         raise BracketingFailure(
-            f"found only {len(results)} of {count} eigenvalues below "
-            f"{stop:.6g} for {bc}")
-    return results[:count]
+            f"{len(idx)} sign changes of the {bc} characteristic function "
+            f"where {n_roots} eigenvalues lie, in [{lo:.9g}, {hi:.9g}]")
+    return [(xs[k], xs[k + 1], fs[k], fs[k + 1]) for k in idx]
+
+
+def _paired(potential: Potential, bc: BoundaryKind, count: int,
+            grid_size) -> list[EigenResult]:
+    """The count smallest periodic or antiperiodic eigenvalues, from the
+    brackets [R_m, L_{m+1}] of the module docstring."""
+    # the characteristic function can vanish only in the gaps of its own
+    # kind, the even ones for periodic and the odd ones for antiperiodic
+    # conditions; only there is a Neumann separator needed
+    periodic = bc is BoundaryKind.PERIODIC
+    own = [n for n in range(1, count + 1) if (n % 2 == 0) == periodic]
+    dirichlet = _separated(potential, BoundaryKind.DIRICHLET, range(count),
+                           grid_size)
+    neumann = (_separated(potential, BoundaryKind.NEUMANN, own, grid_size)
+               if own else {})
+    below = -potential.sup_norm - 1.0
+    # (L_n, R_n) for n = 0..count, L_0 = R_0 below the spectrum
+    ends = np.array([(below, below)] + [
+        sorted((dirichlet[n - 1].value, neumann.get(n, dirichlet[n - 1]).value))
+        for n in range(1, count + 1)])
+    # each bracket, and the bracket clipped to the comparison window of its
+    # eigenvalue, which is shorter to refine where it shows the sign change
+    x = []
+    for m in range(count):
+        lo, hi = ends[m, 1], ends[m + 1, 0]
+        w_lo, w_hi = _window(potential, bc, m, grid_size)
+        x.append((lo, hi, max(lo, w_lo), min(hi, w_hi)))
+    x = np.array(x)
+    lams, where = np.unique(x, return_inverse=True)
+    fx = char_values(potential, bc, lams, grid_size)[where].reshape(x.shape)
+
+    out = []
+    for (lo, hi, c_lo, c_hi), (flo, fhi, fc_lo, fc_hi) in zip(x, fx):
+        if c_lo < c_hi and fc_lo * fc_hi < 0.0:
+            lo, hi, flo, fhi = c_lo, c_hi, fc_lo, fc_hi
+        if flo * fhi < 0.0:
+            out.append(_refine(potential, bc, lo, hi, flo, fhi, grid_size))
+            continue
+        end, fend = min((lo, flo), (hi, fhi), key=lambda e: abs(e[1]))
+        if abs(fend) > EDGE_TOL:
+            raise BracketingFailure(
+                f"no root of the {bc} characteristic function in the Hill "
+                f"bracket [{lo:.9g}, {hi:.9g}]")
+        out.append(EigenResult(end, bc, "shooting", 0, (end, end)))
+    return out
 
 
 def _refine(potential, bc, lo: float, hi: float, flo: float, fhi: float,
@@ -262,42 +297,6 @@ def _refine(potential, bc, lo: float, hi: float, flo: float, fhi: float,
         if iterations > 200:
             break
     return EigenResult(0.5 * (lo + hi), bc, "shooting", iterations, (lo, hi))
-
-
-def _tangent_eigenvalue(potential, bc, scan: np.ndarray, grid_size,
-                        sign: float = 1.0) -> EigenResult | None:
-    """Double eigenvalue where the characteristic function touches zero.
-
-    A pair with a closed spectral gap (a constant potential, for one) gives
-    a tangent zero that the sign scan cannot bracket.  Refine each local
-    minimum of the scanned values in turn; accept a parabolic vertex whose
-    characteristic value is indistinguishable from a touch.  sign flips the
-    characteristic function so a touch from below is refined the same way.
-    """
-    lams, vals = scan
-    order = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    for i in order:
-        lo, hi = float(lams[i - 1]), float(lams[i + 1])
-        for _ in range(3):
-            xs = np.linspace(lo, hi, 41)
-            fv = sign * char_values(potential, bc, xs, grid_size)
-            if np.any(fv <= 0):
-                j = int(np.nonzero(fv <= 0)[0][0])
-                return _refine(potential, bc, float(xs[j - 1]), float(xs[j]),
-                               sign * float(fv[j - 1]), sign * float(fv[j]),
-                               grid_size)
-            j = int(np.argmin(fv))
-            lo = float(xs[max(j - 1, 0)])
-            hi = float(xs[min(j + 1, len(xs) - 1)])
-        h = xs[1] - xs[0]
-        j = min(max(j, 1), len(xs) - 2)
-        denom = fv[j - 1] - 2 * fv[j] + fv[j + 1]
-        vertex = float(xs[j] if denom == 0
-                       else xs[j] + 0.5 * h * (fv[j - 1] - fv[j + 1]) / denom)
-        fstar = float(char_values(potential, bc, vertex, grid_size)[0])
-        if abs(fstar) <= 1e-5 * max(1.0, abs(vertex)):
-            return EigenResult(vertex, bc, "shooting", 3, (lo, hi))
-    return None
 
 
 def _decided(lam: float, what: str) -> float:

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from greensign.cli import main
+from greensign.cli import _load_samples, main
+from greensign.errors import GreensignError
 
 
 def run(args, capsys):
@@ -261,6 +262,63 @@ class TestSamples:
                             "--T", "2"], capsys)
         assert code == 1
         assert "--T" in err
+
+
+def load_rows_by_csv(path):
+    """The row-by-row csv loop the sample loader used before; oracle."""
+    rows = []
+    with open(path, newline="") as fh:
+        for line in csv.reader(fh):
+            if not line:
+                continue
+            try:
+                rows.append((float(line[0]), float(line[1])))
+            except (ValueError, IndexError):
+                if rows:
+                    raise GreensignError(f"bad sample row {line!r} in {path}")
+                continue  # header
+    if len(rows) < 2:
+        raise GreensignError(f"need at least two sample rows in {path}")
+    return np.asarray(rows, dtype=float)
+
+
+class TestLoadSamples:
+    WAVY = "".join(f"{float(t)!r},{60 + 10 * math.sin(2 * math.pi * t)!r}\n"
+                   for t in np.linspace(0.0, 1.0, 2001))
+
+    @pytest.mark.parametrize("text", [
+        "t,a\n" + WAVY,
+        WAVY,
+        "\n\nt,a\n\n" + WAVY.replace("\n", "\n\n", 5) + "\n\n",
+        WAVY.rstrip("\n"),
+        "time,coefficient,note\nunits,,\n0,1.5,x\n0.5,2e-3,y\n1,-3.25,z\n",
+        '"t","a"\n"0","1"\n"1","2"\n',
+        "0,1\r\n1,2\r\n",
+    ])
+    def test_arrays_match_csv_loop(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text, newline="")
+        want = load_rows_by_csv(path)
+        pot = _load_samples(str(path))
+        assert pot.grid.tobytes() == want[:, 0].tobytes()
+        assert pot.values.tobytes() == want[:, 1].tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "t,a\n0,1\nx,y\n1,2\n",          # bad row after the data
+        "0,1\n1\n",                     # short row
+        "0,1\n  \n1,2\n",               # whitespace is not a blank row
+        "t,a\n0,1\n",                   # a single row
+        "t,a\n\n",                      # header only
+        "",
+    ])
+    def test_errors_match_csv_loop(self, tmp_path, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(GreensignError) as want:
+            load_rows_by_csv(path)
+        with pytest.raises(GreensignError) as got:
+            _load_samples(str(path))
+        assert str(got.value) == str(want.value)
 
 
 class TestFigures:

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import spectral
-from greensign.errors import UndeterminedSign, UnsupportedBoundaryKind
+from greensign.errors import (BracketingFailure, UndeterminedSign,
+                              UnsupportedBoundaryKind)
 from greensign.potentials import BoundaryKind, constant, sampled
 from greensign.spectral import (BISECT_REL_WIDTH, EigenResult,
                                 smallest_eigenvalues,
@@ -298,3 +299,174 @@ class TestRefinement:
         lo, hi = got.bracket
         assert lo <= 0.3 <= hi
         assert hi - lo <= BISECT_REL_WIDTH
+
+
+# ------------------------------------------------- index brackets: oracles
+
+def trig_samples(mean, modes, n=2001):
+    """Samples on n nodes of a = mean + sum c cos 2 pi k t + s sin 2 pi k t,
+    modes a list of (k, c, s)."""
+    g = np.linspace(0.0, 1.0, n)
+    a = np.full_like(g, float(mean))
+    for k, c, s in modes:
+        a += c * np.cos(2 * math.pi * k * g) + s * np.sin(2 * math.pi * k * g)
+    return sampled(g, a)
+
+
+def hill_eigenvalues(mean, modes, bc, count=6, n=2001, size=40):
+    """Oracle: the count smallest eigenvalues of -u'' - a u for the linear
+    interpolant of trig_samples(mean, modes, n).
+
+    The interpolant's Fourier coefficient at a harmonic k well below n is
+    that of a times sinc(k / (n - 1))**2; its harmonics near multiples of
+    n - 1 move these eigenvalues far less than the tolerances used here.
+    Periodic and antiperiodic spectra come from the banded Fourier (Hill)
+    matrix on exp(2 pi i (j + shift) t), the separated ones from Galerkin
+    matrices on the sine or cosine eigenbasis of -u''.
+    """
+    damped = [(k, c * np.sinc(k / (n - 1)) ** 2, s * np.sinc(k / (n - 1)) ** 2)
+              for k, c, s in modes]
+    if bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC):
+        j = np.arange(-size, size + 1) + (0.0 if bc is BoundaryKind.PERIODIC else 0.5)
+        H = np.diag((2 * math.pi * j) ** 2 - mean).astype(complex)
+        for k, c, s in damped:
+            # c cos + s sin couples harmonic j to j + k by (c - i s) / 2
+            H -= np.diag(np.full(len(j) - k, (c - 1j * s) / 2), -k)
+            H -= np.diag(np.full(len(j) - k, (c + 1j * s) / 2), k)
+        return np.linalg.eigvalsh(H)[:count]
+    x, w = np.polynomial.legendre.leggauss(512)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    a = mean + sum(c * np.cos(2 * math.pi * k * x) + s * np.sin(2 * math.pi * k * x)
+                   for k, c, s in damped)
+    freq, trig = {BoundaryKind.DIRICHLET: (1.0, np.sin),
+                  BoundaryKind.NEUMANN: (0.0, np.cos),
+                  BoundaryKind.MIXED1: (0.5, np.cos),
+                  BoundaryKind.MIXED2: (0.5, np.sin)}[bc]
+    om = math.pi * (np.arange(2 * size) + freq)
+    basis = math.sqrt(2) * trig(np.outer(om, x))
+    if bc is BoundaryKind.NEUMANN:
+        basis[0] = 1.0
+    H = np.diag(om ** 2) - (basis * (a * w)) @ basis.T
+    return np.linalg.eigvalsh(H)[:count]
+
+
+REPRO_A = (30.0, [(1, 0.01, 0.0), (3, 5.0, 0.0)])
+# the antiperiodic spectrum job of the benchmark's spectrum workload, seed 7
+SEED7 = (31.62023001615959,
+         [(1, 2.7772019709269546, 0.32915057101191003),
+          (2, 1.1177373355402098, 0.06217789040279964),
+          (3, 1.934167578894857, 2.970715013543045),
+          (4, -3.2680351594956347, -1.1098875278867393)])
+
+
+class TestNarrowGaps:
+    """Cases a fixed-step scan of lam got wrong: a narrow gap skipped, or
+    an open pair reported as a double eigenvalue."""
+
+    def test_skipped_gap_gives_antiperiodic_first(self):
+        pot = trig_samples(*REPRO_A)
+        got = smallest_eigenvalue(pot, BoundaryKind.ANTIPERIODIC).value
+        want = hill_eigenvalues(*REPRO_A, BoundaryKind.ANTIPERIODIC)[0]
+        assert got == pytest.approx(-20.174969, abs=1e-6)
+        assert got == pytest.approx(want, abs=1e-7)
+        # lam_P < 0 < ... and lam'_1 < 0: the periodic kernel changes sign
+        assert classify_sign(pot, BoundaryKind.PERIODIC) is SignClass.CHANGES_SIGN
+
+    @pytest.mark.parametrize("eps", [0.3, 2.0])
+    def test_even_potential_pairs_resolved(self, eps):
+        case = (60.0, [(2, eps, 0.0)])
+        got = np.array([r.value for r in smallest_eigenvalues(
+            trig_samples(*case), BoundaryKind.PERIODIC, 6)])
+        want = hill_eigenvalues(*case, BoundaryKind.PERIODIC)
+        assert_allclose(got, want, rtol=1e-8, atol=1e-8)
+        for i in (1, 3):
+            assert got[i + 1] - got[i] > 0.9 * (want[i + 1] - want[i]) > 0
+
+    def test_benchmark_antiperiodic_pair(self):
+        got = [r.value for r in smallest_eigenvalues(
+            trig_samples(*SEED7), BoundaryKind.ANTIPERIODIC, 6)]
+        assert got[4] == pytest.approx(215.1272, abs=1e-4)
+        assert got[5] == pytest.approx(215.1762, abs=1e-4)
+
+    def test_wavy_periodic_pair(self):
+        got = [r.value for r in smallest_eigenvalues(wavy(), BoundaryKind.PERIODIC, 6)]
+        assert got[3] == pytest.approx(97.997867, abs=5e-6)
+        assert got[4] == pytest.approx(97.998430, abs=5e-6)
+
+
+@st.composite
+def trig_cases(draw):
+    """Random trig potentials: generic, even (cosines only), or with some
+    harmonics scaled down so their gaps are narrow."""
+    flavor = draw(st.sampled_from(["generic", "even", "narrow"]))
+    coef = st.floats(-4.0, 4.0, allow_nan=False)
+    modes = []
+    for k in range(1, 5):
+        c, s = draw(coef), draw(coef)
+        if flavor == "even":
+            s = 0.0
+        if flavor == "narrow" and draw(st.booleans()):
+            c, s = 1e-3 * c, 1e-3 * s
+        modes.append((k, c, s))
+    return draw(st.floats(0.0, 100.0)), modes
+
+
+class TestHillOracle:
+    @given(trig_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_six_smallest_match(self, case):
+        pot = trig_samples(*case)
+        for bc in BoundaryKind:
+            got = np.array([r.value for r in smallest_eigenvalues(pot, bc, 6)])
+            want = hill_eigenvalues(*case, bc)
+            assert_allclose(got, want, rtol=1e-7, atol=1e-7)
+            gaps = np.diff(want)
+            assert np.all(np.diff(got)[gaps >= 1e-5] > 0.5 * gaps[gaps >= 1e-5])
+
+
+class TestIndexBrackets:
+    def _counting(self, monkeypatch):
+        seen = [0]
+        real = spectral.char_values
+
+        def counting(pot, bc, lams, grid=None):
+            out = real(pot, bc, lams, grid)
+            seen[0] += out.size
+            return out
+
+        monkeypatch.setattr(spectral, "char_values", counting)
+        return seen
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_lam_evaluations_are_bounded(self, bc, monkeypatch):
+        pot = wavy()
+        spectral.char_values(pot, bc, 0.0)        # build the step table
+        seen = self._counting(monkeypatch)
+        smallest_eigenvalues(pot, bc, 6)
+        paired = bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC)
+        assert seen[0] <= (400 if paired else 150)
+        seen[0] = 0
+        smallest_eigenvalue(pot, bc)
+        assert seen[0] <= 50
+
+    def test_large_entries_keep_trace_finite(self):
+        # at lam = -sup - 1 the entries of Phi(T) reach about 5e13 for this
+        # potential, and a determinant computed from them is rounding only
+        g = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(g, 1000.0 * np.sin(2 * math.pi * g))
+        for bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC):
+            assert char_values(pot, bc, -pot.sup_norm - 1.0)[0] > 0
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET,     # window ends
+                                    BoundaryKind.NEUMANN,       # window group
+                                    BoundaryKind.PERIODIC])     # Hill bracket
+    def test_contradicting_signs_raise(self, bc, monkeypatch):
+        real = spectral.char_values
+
+        def positive_for_bc(pot, kind, lams, grid=None):
+            out = real(pot, kind, lams, grid)
+            return np.abs(out) + 1.0 if kind is bc else out
+
+        monkeypatch.setattr(spectral, "char_values", positive_for_bc)
+        with pytest.raises(BracketingFailure):
+            smallest_eigenvalues(wavy(), bc, 6)
