@@ -86,10 +86,6 @@ def _default_grid() -> int:
     return DEFAULT_GRID
 
 
-def _csv_fields(line: str) -> list:
-    return next(csv.reader([line]), [])
-
-
 def _is_sample_row(fields: list) -> bool:
     try:
         float(fields[0]), float(fields[1])
@@ -98,23 +94,47 @@ def _is_sample_row(fields: list) -> bool:
     return True
 
 
+def _read_rows(path: str) -> np.ndarray:
+    """Rows t,a of a CSV file, one csv row at a time."""
+    rows = []
+    with open(path, newline="") as fh:
+        for line in csv.reader(fh):
+            if not line:
+                continue
+            try:
+                rows.append((float(line[0]), float(line[1])))
+            except (ValueError, IndexError):
+                if rows:
+                    raise GreensignError(f"bad sample row {line!r} in {path}")
+                continue  # header
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
 def _load_samples(path: str):
     """Rows t,a of a CSV file.  Rows before the first data row are a header;
-    blank rows are skipped."""
+    blank rows are skipped.
+
+    A file without quotes is split into rows where the csv module ends them
+    and into fields at commas, and its data rows are parsed by one
+    np.loadtxt call.  np.loadtxt reads a subset of what float() reads, so
+    a file with quotes, or one it refuses (a bad row, or a number such as
+    1_000), goes through _read_rows, one csv row at a time.
+    """
     with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    start = next((i for i, line in enumerate(lines)
-                  if _is_sample_row(_csv_fields(line))), len(lines))
-    data = np.empty((0, 2))
-    try:
-        if start < len(lines):
-            data = np.loadtxt(lines[start:], delimiter=",", usecols=(0, 1),
-                              ndmin=2, comments=None, quotechar='"')
-    except ValueError as exc:
-        for fields in map(_csv_fields, lines[start:]):
-            if fields and not _is_sample_row(fields):
-                raise GreensignError(f"bad sample row {fields!r} in {path}") from None
-        raise GreensignError(f"bad sample rows in {path}: {exc}") from None
+        text = fh.read()
+    data = None
+    if '"' not in text:
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        start = next((i for i, line in enumerate(lines)
+                      if _is_sample_row(line.split(","))), len(lines))
+        try:
+            data = (np.loadtxt(lines[start:], delimiter=",", usecols=(0, 1),
+                               ndmin=2, comments=None)
+                    if start < len(lines) else np.empty((0, 2)))
+        except ValueError:
+            pass
+    if data is None:
+        data = _read_rows(path)
     if len(data) < 2:
         raise GreensignError(f"need at least two sample rows in {path}")
     return sampled(data[:, 0], data[:, 1])

@@ -16,7 +16,9 @@ depend only on the potential and the grid, so they are tabulated once per
 shifts then only evaluates the polynomials.  Transfer matrices are assembled
 by a pairwise product tree that works on the four entries as separate
 (batch, steps) arrays; fundamental solutions at the nodes come from the
-cumulative product.
+cumulative product.  On request the tree also carries each subtree's lifted
+(Pruefer) angle, which composes exactly, so the number of zeros of a
+solution on [0, T] comes out of the same pass.
 """
 from __future__ import annotations
 
@@ -78,8 +80,9 @@ def _step_table(potential: Potential, grid_size: int) -> _StepTable:
     return table
 
 
-def _product(table: _StepTable, lams: np.ndarray, width: int) -> np.ndarray:
-    """Ordered product of all steps at each shift, shape (2, 2, len(lams)).
+def _product(table: _StepTable, lams: np.ndarray, width: int, lift: bool):
+    """Ordered product of all steps at each shift, shape (2, 2, len(lams)),
+    and with lift the Pruefer angle of its second column, or None.
 
     Steps are padded with identities on the late side to width, a power of
     two, and reduced pairwise.
@@ -89,27 +92,63 @@ def _product(table: _StepTable, lams: np.ndarray, width: int) -> np.ndarray:
     m = np.empty((2, 2, len(lams), width))
     m[..., n:] = np.eye(2)[:, :, None, None]
     table.entries(lams, m.reshape(4, len(lams), width)[..., :n])
+    theta = None
+    if lift:
+        if not np.all(m[0, 1, :, :n] > 0.0):
+            raise IntegratorFailure("an RK4 step turns the solution by half a "
+                                    "turn or more; the grid is too coarse")
+        theta = np.arctan2(m[0, 1], m[1, 1])
     while m.shape[-1] > 1:
         # each later step (odd index) left-multiplies the earlier one:
         # (R L)[i, j] = R[i, 0] L[0, j] + R[i, 1] L[1, j]
         left, right = m[..., 0::2], m[..., 1::2]
         m = right[:, :1] * left[:1]
         m += right[:, 1:] * left[1:]
-    return m[..., 0]
+        if lift:
+            theta = theta[..., 1::2] + _turn(right[:, 1], m[:, 1], theta[..., 0::2])
+    return m[..., 0], None if theta is None else theta[..., 0]
 
 
-def transfer_matrix(potential: Potential, lam, grid_size: int) -> np.ndarray:
-    """Phi(T) for u'' + (a + lam) u = 0.  lam may be a scalar or a 1-d batch."""
+def _turn(r, rl, theta_l):
+    """Lifted angle of R L e2 less that of R e2, from the columns r = R e2
+    and rl = R L e2 and the lifted angle theta_l of L e2.
+
+    R maps angles theta to lifts F with F(theta + pi) = F(theta) + pi, so
+    the turn lies in [k pi, (k + 1) pi) for k = floor(theta_l / pi); of the
+    angles equal to it modulo 2 pi, the one nearest the middle of that range
+    is taken, which rounding near its ends cannot move.
+    """
+    delta = np.arctan2(r[1] * rl[0] - r[0] * rl[1], r[0] * rl[0] + r[1] * rl[1])
+    mid = (np.floor(theta_l / np.pi) + 0.5) * np.pi
+    return delta + 2.0 * np.pi * np.round((mid - delta) / (2.0 * np.pi))
+
+
+def transfer_matrix(potential: Potential, lam, grid_size: int, lift: bool = False):
+    """Phi(T) for u'' + (a + lam) u = 0.  lam may be a scalar or a 1-d batch.
+
+    With lift, also the Pruefer angles theta(T) of u1 and u2, shape (2,)
+    per shift: the continuous angle of (u, u') measured as atan2(u, u'),
+    from pi / 2 for u1 and 0 for u2, which passes each multiple of pi
+    upward at a zero of u.  Returns (Phi(T), theta(T)) then.
+    """
     table = _step_table(potential, grid_size)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     width = 1 << (grid_size - 2).bit_length()
     blocks = max(1, -(-len(lams) * width // TRANSFER_BLOCK_ENTRIES))
-    phi = np.concatenate([_product(table, part, width)
-                          for part in np.array_split(lams, blocks)], axis=-1)
-    phi = np.moveaxis(phi, -1, 0)
+    parts = [_product(table, part, width, lift)
+             for part in np.array_split(lams, blocks)]
+    phi = np.moveaxis(np.concatenate([p[0] for p in parts], axis=-1), -1, 0)
     if not np.all(np.isfinite(phi)):
         raise IntegratorFailure("fundamental system overflowed; potential scale too large")
-    return phi if np.ndim(lam) else phi[0]
+    if not lift:
+        return phi if np.ndim(lam) else phi[0]
+    theta2 = np.concatenate([p[1] for p in parts])
+    # u1 starts a quarter turn ahead of u2 and stays less than half a turn
+    # ahead, since det Phi > 0 keeps the turn from u2 to u1 in (0, pi)
+    theta = np.stack([theta2 + np.arctan2(
+        phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 0, 1] * phi[:, 1, 0],
+        phi[:, 0, 0] * phi[:, 0, 1] + phi[:, 1, 0] * phi[:, 1, 1]), theta2], axis=-1)
+    return (phi, theta) if np.ndim(lam) else (phi[0], theta[0])
 
 
 def cumulative_products(m11, m12, m21, m22) -> np.ndarray:

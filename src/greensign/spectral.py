@@ -7,16 +7,17 @@ condition: closed-form for a = rho**2, otherwise bracketed from its index
 function, built from the monodromy matrix Phi(T).  Separated conditions:
 by min-max comparison with the constants min a and max a (Pryce, Numerical
 Solution of Sturm-Liouville Problems, 1993), eigenvalue i lies in a window
-about mu_i, the i-th eigenvalue of -u''; a group of overlapping windows
-j..k holds k - j + 1 simple eigenvalues, with the sign (-1)**i between
-eigenvalues i - 1 and i.  Periodic and antiperiodic conditions: the n-th
-Dirichlet and Neumann eigenvalues lie in the closure of the n-th gap of
-Hill's equation, |trace Phi(T)| >= 2 (Magnus & Winkler, Hill's Equation,
-1966), so with L_n, R_n the smaller and larger of the two, [R_m, L_{m+1}]
-holds exactly one periodic (lam_m) and one antiperiodic (lam'_{m+1})
-eigenvalue.  For an even potential each Dirichlet eigenvalue is a band
-edge, so it alone does not separate a pair.  Signs that contradict the
-count a bracket must hold raise BracketingFailure.
+about mu_i, the i-th eigenvalue of -u''; where windows overlap, the number
+of eigenvalues below lam comes from the Pruefer angle (Sturm oscillation),
+and bisection on it isolates each one.  Periodic and antiperiodic
+conditions: the n-th Dirichlet and Neumann eigenvalues lie in the closure
+of the n-th gap of Hill's equation, |trace Phi(T)| >= 2 (Magnus & Winkler,
+Hill's Equation, 1966), so with L_n, R_n the smaller and larger of the
+two, [R_m, L_{m+1}] holds exactly one periodic (lam_m) and one
+antiperiodic (lam'_{m+1}) eigenvalue.  For an even potential each
+Dirichlet eigenvalue is a band edge, so it alone does not separate a pair.
+Counts or signs that contradict what a bracket must hold raise
+BracketingFailure.
 """
 from __future__ import annotations
 
@@ -33,12 +34,14 @@ from .potentials import DEFAULT_GRID, BoundaryKind, ConstantPotential, Potential
 
 SIGN_DECISION_TOL = 1e-8
 BISECT_REL_WIDTH = 1e-13
-#: doublings of a window's padding, or of a window group's samples, before failing
-MAX_DOUBLINGS = 10
+#: rounds of counting eigenvalues at new points before failing
+MAX_COUNT_STEPS = 64
 #: a characteristic value this small at a Hill bracket end marks a root there
 EDGE_TOL = 1e-9
 
 _PAIRED = (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC)
+_SEPARATED = (BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN,
+              BoundaryKind.MIXED1, BoundaryKind.MIXED2)
 
 
 class SignClass(Enum):
@@ -60,34 +63,39 @@ class EigenResult:
 
 
 def char_values(potential: Potential, bc: BoundaryKind, lams,
-                grid_size: int | None = None) -> np.ndarray:
+                grid_size: int | None = None, count: bool = False) -> np.ndarray:
     """Characteristic function of the boundary condition at each lam.
 
-    Zero exactly at eigenvalues, positive below the smallest one.
+    Zero exactly at eigenvalues, positive below the smallest one.  With
+    count, for a separated condition, the number of eigenvalues below each
+    lam instead (Sturm oscillation), from the Pruefer angle at T of the
+    solution that meets the condition at 0.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    phi = transfer_matrix(potential, lams, grid_size or DEFAULT_GRID)
-    u1T = phi[..., 0, 0]
-    u2T = phi[..., 0, 1]
-    p1T = phi[..., 1, 0]
-    p2T = phi[..., 1, 1]
+    if count:
+        if bc not in _SEPARATED:
+            raise UnsupportedBoundaryKind(f"no eigenvalue count for {bc} conditions")
+        left, right = bc.pinned_ends
+        _, theta = transfer_matrix(potential, lams, grid_size or DEFAULT_GRID, lift=True)
+        # eigenvalue n has theta(T) = (n + 1) pi where u(T) = 0 is asked,
+        # (n + 1/2) pi where u'(T) = 0 is
+        return np.floor(theta[:, int(left)] / np.pi + (0.0 if right else 0.5)).astype(int)
+    (u1T, u2T), (p1T, p2T) = np.moveaxis(
+        transfer_matrix(potential, lams, grid_size or DEFAULT_GRID), 0, -1)
     if bc in _PAIRED:
         # RK4's det Phi(T) falls below one by about T h**5 (lam + a)**3 / 72,
         # which would pull |trace| below 2 and shrink narrow gaps; the trace
-        # of Phi(T) / sqrt(det Phi(T)) keeps Hill's theory exact.  Where
-        # rounding swamps the determinant of large entries, it is left out.
+        # of Phi(T) / sqrt(det Phi(T)) keeps Hill's theory exact.  Where the
+        # entries are so large that rounding leaves the determinant fewer
+        # than about seven digits, it is left out.
         det = u1T * p2T - u2T * p1T
-        trace = (u1T + p2T) / np.sqrt(np.where(np.abs(det - 1.0) < 0.5, det, 1.0))
+        exact = det > 1e7 * (np.abs(u1T * p2T) + np.abs(u2T * p1T)) * np.finfo(float).eps
+        trace = (u1T + p2T) / np.sqrt(np.where(exact, det, 1.0))
         return trace - 2.0 if bc is BoundaryKind.PERIODIC else trace + 2.0
-    if bc is BoundaryKind.DIRICHLET:
-        return u2T
-    if bc is BoundaryKind.NEUMANN:
-        return p1T
-    if bc is BoundaryKind.MIXED1:
-        return u1T
-    if bc is BoundaryKind.MIXED2:
-        return p2T
-    raise UnsupportedBoundaryKind(str(bc))
+    if bc not in _SEPARATED:
+        raise UnsupportedBoundaryKind(str(bc))
+    return {BoundaryKind.DIRICHLET: u2T, BoundaryKind.NEUMANN: p1T,
+            BoundaryKind.MIXED1: u1T, BoundaryKind.MIXED2: p2T}[bc]
 
 
 def smallest_eigenvalue(potential: Potential, bc: BoundaryKind,
@@ -134,8 +142,8 @@ def _free_eigenvalue(bc: BoundaryKind, T: float, i: int) -> float:
     return ((2 * i + 1) * w / 2) ** 2
 
 
-def _window(potential: Potential, bc: BoundaryKind, i: int, grid_size,
-            scale: float = 1.0) -> tuple[float, float]:
+def _window(potential: Potential, bc: BoundaryKind, i: int,
+            grid_size) -> tuple[float, float]:
     """Interval that holds eigenvalue i, by min-max comparison with the
     constant potentials min a and max a."""
     a_lo, a_hi = potential.min_value, potential.max_value
@@ -144,67 +152,61 @@ def _window(potential: Potential, bc: BoundaryKind, i: int, grid_size,
     # RK4 moves the eigenvalue by about h**4 q**3 / 60, q the largest
     # |lam + a| in the window; the padding covers four times that
     q = mu + a_hi - a_lo
-    pad = scale * (h**4 * q**3 / 15.0 + 1e-10 * (1.0 + q))
+    pad = h**4 * q**3 / 15.0 + 1e-10 * (1.0 + q)
     return mu - a_hi - pad, mu - a_lo + pad
 
 
 def _separated(potential: Potential, bc: BoundaryKind, wanted,
                grid_size) -> dict[int, EigenResult]:
     """Eigenvalues of the indices in wanted (0 = smallest) under a separated
-    condition, keyed by index."""
-    for scale in 2.0 ** np.arange(MAX_DOUBLINGS):
-        groups = []                    # (first index, last index, lo, hi)
-        i = 0
-        while i <= max(wanted):
-            lo, hi = _window(potential, bc, i, grid_size, scale)
-            j = i
-            while (nxt := _window(potential, bc, j + 1, grid_size, scale))[0] <= hi:
-                j, hi = j + 1, nxt[1]
-            if any(i <= k <= j for k in wanted):
-                groups.append((i, j, lo, hi))
-            i = j + 1
-        fends = char_values(potential, bc, [x for g in groups for x in g[2:]],
-                            grid_size)
-        # sign (-1)**i between eigenvalues i - 1 and i
-        if all(fends[2 * g] * (-1) ** i > 0 and fends[2 * g + 1] * (-1) ** j < 0
-               for g, (i, j, _, _) in enumerate(groups)):
+    condition, keyed by index.
+
+    Points are added until, for each wanted i, neighbouring points count i
+    and i + 1 eigenvalues below them: halfway between two points that are
+    not yet such a pair, or a window's width beyond all points.
+    """
+    wanted = np.array(sorted(set(wanted)), dtype=int)
+    w_lo, w_hi = np.array([_window(potential, bc, j, grid_size)
+                           for j in range(wanted[-1] + 2)]).T
+    xs = np.array(sorted({*w_lo[wanted], *w_hi[wanted]}))
+    # eigenvalue j lies in window j: below a point lie those of the windows
+    # wholly below it, and none from the first window wholly above it on
+    j = np.arange(len(w_lo))[:, None]
+    ns = np.max(np.where(w_hi[:, None] < xs, j + 1, 0), axis=0)
+    unknown = ns != np.min(np.where(w_lo[:, None] >= xs, j, len(w_lo) + 1), axis=0)
+    if unknown.any():
+        ns[unknown] = char_values(potential, bc, xs[unknown], grid_size, count=True)
+    step = np.max(w_hi - w_lo)
+    for _ in range(MAX_COUNT_STEPS):
+        if np.any(np.diff(ns) < 0):
+            raise BracketingFailure(f"{bc} eigenvalue count decreases in lam")
+        # points k - 1 and k: the last counting at most i, the first more
+        k = np.searchsorted(ns, wanted, side="right")
+        inner = np.clip(k, 1, len(xs) - 1)
+        done = (k == inner) & (ns[inner - 1] == wanted) & (ns[inner] == wanted + 1)
+        if done.all():
             break
+        new = np.array(sorted({xs[0] - step if m == 0 else xs[-1] + step if m == len(xs)
+                               else 0.5 * (xs[m - 1] + xs[m]) for m in k[~done]}
+                              - set(xs.tolist())))
+        if not len(new):
+            raise BracketingFailure(f"{bc} eigenvalues closer than rounding")
+        ns = np.concatenate([ns, char_values(potential, bc, new, grid_size, count=True)])
+        order = np.argsort(xs := np.concatenate([xs, new]))
+        xs, ns = xs[order], ns[order]
     else:
-        raise BracketingFailure(f"{bc} characteristic function has the wrong "
-                                f"sign at window ends after {MAX_DOUBLINGS} widenings")
+        raise BracketingFailure(f"{bc} eigenvalues not apart after {MAX_COUNT_STEPS} counts")
 
+    ends = np.stack([xs[k - 1], xs[k]], axis=1)
+    fends = char_values(potential, bc, ends.ravel(), grid_size).reshape(ends.shape)
     found = {}
-    for (i, j, lo, hi), flo, fhi in zip(groups, fends[0::2], fends[1::2]):
-        roots = ([(lo, hi, flo, fhi)] if i == j else
-                 _split(potential, bc, lo, hi, flo, fhi, j - i + 1, grid_size))
-        for k, (x0, x1, f0, f1) in enumerate(roots, i):
-            if k in wanted:
-                found[k] = (EigenResult(x1, bc, "shooting", 0, (x1, x1))
-                            if f1 == 0.0 else
-                            _refine(potential, bc, x0, x1, f0, f1, grid_size))
+    for i, (lo, hi), (flo, fhi) in zip(wanted.tolist(), ends, fends):
+        # sign (-1)**i between eigenvalues i - 1 and i
+        if not (flo * (-1) ** i > 0 and fhi * (-1) ** i <= 0):
+            raise BracketingFailure(f"{bc} characteristic function has the wrong "
+                                    f"sign at an end of [{lo:.9g}, {hi:.9g}]")
+        found[i] = _refine(potential, bc, lo, hi, flo, fhi, grid_size)
     return found
-
-
-def _split(potential, bc, lo: float, hi: float, flo: float, fhi: float,
-           n_roots: int, grid_size) -> list[tuple[float, float, float, float]]:
-    """Brackets (x0, x1, f0, f1) of the n_roots simple roots in [lo, hi], in
-    order, from samples at doubling resolution; f1 == 0 marks x1 a root."""
-    xs = np.linspace(lo, hi, 4 * n_roots + 1)
-    fs = np.concatenate([[flo], char_values(potential, bc, xs[1:-1], grid_size), [fhi]])
-    for doubling in range(MAX_DOUBLINGS + 1):
-        cut = (fs[1:] == 0.0) | (fs[:-1] * fs[1:] < 0.0)
-        if np.count_nonzero(cut) >= n_roots or doubling == MAX_DOUBLINGS:
-            break
-        mid = 0.5 * (xs[:-1] + xs[1:])
-        fmid = char_values(potential, bc, mid, grid_size)
-        xs = np.insert(xs, np.arange(1, len(xs)), mid)
-        fs = np.insert(fs, np.arange(1, len(fs)), fmid)
-    idx = np.nonzero(cut)[0]
-    if len(idx) != n_roots:
-        raise BracketingFailure(
-            f"{len(idx)} sign changes of the {bc} characteristic function "
-            f"where {n_roots} eigenvalues lie, in [{lo:.9g}, {hi:.9g}]")
-    return [(xs[k], xs[k + 1], fs[k], fs[k + 1]) for k in idx]
 
 
 def _paired(potential: Potential, bc: BoundaryKind, count: int,
@@ -227,12 +229,9 @@ def _paired(potential: Potential, bc: BoundaryKind, count: int,
         for n in range(1, count + 1)])
     # each bracket, and the bracket clipped to the comparison window of its
     # eigenvalue, which is shorter to refine where it shows the sign change
-    x = []
-    for m in range(count):
-        lo, hi = ends[m, 1], ends[m + 1, 0]
-        w_lo, w_hi = _window(potential, bc, m, grid_size)
-        x.append((lo, hi, max(lo, w_lo), min(hi, w_hi)))
-    x = np.array(x)
+    w = np.array([_window(potential, bc, m, grid_size) for m in range(count)])
+    lo, hi = ends[:-1, 1], ends[1:, 0]
+    x = np.stack([lo, hi, np.maximum(lo, w[:, 0]), np.minimum(hi, w[:, 1])], axis=1)
     lams, where = np.unique(x, return_inverse=True)
     fx = char_values(potential, bc, lams, grid_size)[where].reshape(x.shape)
 
@@ -256,28 +255,29 @@ def _refine(potential, bc, lo: float, hi: float, flo: float, fhi: float,
             grid_size) -> EigenResult:
     """Root of the characteristic function in the sign-change bracket
     [lo, hi], where it takes the values flo and fhi, by the ITP method
-    (Oliveira & Takahashi, ACM TOMS 47, 2020).
-
-    Each step evaluates at the regula falsi point, truncated toward the
-    midpoint and projected into the interval about it that bisection's step
-    count allows: superlinear on smooth functions, and in the worst case at
-    most one step more than bisection (ITP's n0 = 1).  The bracket shrinks
-    until hi - lo <= BISECT_REL_WIDTH * max(1, |lo|); an exact zero ends
-    the search at that point.
+    (Oliveira & Takahashi, ACM TOMS 47, 2020): regula falsi, truncated
+    toward the midpoint and projected into the interval about it that the
+    step budget allows.  The budget is the fewest steps bisection from the
+    first bracket could take with the root anywhere in the present one, so
+    the search never takes more.  It stops at
+    hi - lo <= BISECT_REL_WIDTH * max(1, |lo|), or at an exact zero.
     """
     if fhi == 0.0:
         return EigenResult(hi, bc, "shooting", 0, (hi, hi))
-    # the stopping width nowhere in [lo, hi] is smaller than this
-    width = BISECT_REL_WIDTH * max(1.0, 0.0 if lo < 0.0 < hi
-                                   else min(abs(lo), abs(hi)))
-    n_max = max(0, math.ceil(math.log2((hi - lo) / width))) + 1
-    kappa1 = 0.2 / (hi - lo)
+    width0 = hi - lo
+    kappa1 = 0.2 / width0
     iterations = 0
     while hi - lo > BISECT_REL_WIDTH * max(1.0, abs(lo)):
+        # anywhere in [lo, hi], bisection stops at a width of at most
+        # `large`, and this search at one of at least `small`
+        large = BISECT_REL_WIDTH * max(1.0, abs(lo), abs(hi)) * (1.0 + 1e-12)
+        small = BISECT_REL_WIDTH * max(1.0, 0.0 if lo < 0.0 < hi
+                                       else min(abs(lo), abs(hi)))
+        budget = max(0, math.ceil(math.log2(width0 / large)))
         mid = 0.5 * (lo + hi)
-        # aim 1/64 below that width, which absorbs the rounding of x
-        radius = max(0.0, (63 / 64) * width * 2.0 ** (n_max - iterations - 1)
-                     - 0.5 * (hi - lo))
+        # a few units in the last place below the budget absorb the rounding of x
+        radius = max(0.0, small * 2.0 ** (budget - iterations - 1) - 0.5 * (hi - lo)
+                     - 4.0 * math.ulp(max(abs(lo), abs(hi))))
         delta = kappa1 * (hi - lo) ** 2
         falsi = (fhi * lo - flo * hi) / (fhi - flo)
         side = math.copysign(1.0, mid - falsi)

@@ -294,6 +294,10 @@ class TestLoadSamples:
         "time,coefficient,note\nunits,,\n0,1.5,x\n0.5,2e-3,y\n1,-3.25,z\n",
         '"t","a"\n"0","1"\n"1","2"\n',
         "0,1\r\n1,2\r\n",
+        "0,1\r1,2\r",                             # old Mac line ends
+        '"t\nof day",a\n0,1\n1,2\n',              # a quoted newline
+        "0,1\x0c\n0.5,1\x0b\n1,2\n",               # form feed, vertical tab
+        "t,a\n0,1_000\n1,\u0661\u0662\n",        # numbers only float() reads
     ])
     def test_arrays_match_csv_loop(self, tmp_path, text):
         path = tmp_path / "a.csv"

@@ -122,6 +122,28 @@ class TestTransferMatrix:
         with pytest.raises(IntegratorFailure):
             FundamentalSolutions(pot, 0.0, 201)
 
+    @pytest.mark.parametrize("amp", [10.0, 2000.0])
+    def test_lift_is_the_node_angle_unwrapped(self, amp):
+        # from node to node the angle of (u2, u2') turns by less than pi
+        g = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(g, 60.0 + amp * np.sin(2 * math.pi * g))
+        lams = np.linspace(-pot.sup_norm - 50.0, 3000.0, 9)
+        phi, theta = transfer_matrix(pot, lams, 2001, lift=True)
+        assert np.array_equal(phi, transfer_matrix(pot, lams, 2001))
+        assert theta.shape == (9, 2)
+        for lam, got in zip(lams, theta):
+            fs = FundamentalSolutions(pot, lam, 2001)
+            want = [np.unwrap(np.arctan2(fs.u1, fs.p1))[-1],
+                    np.unwrap(np.arctan2(fs.u2, fs.p2))[-1]]
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert np.array_equal(transfer_matrix(pot, lams[0], 2001, lift=True)[1],
+                              theta[0])
+
+    def test_lift_refuses_a_half_turn_step(self):
+        # h**2 (a + lam) >= 6 makes the RK4 step entry M12 nonpositive
+        with pytest.raises(IntegratorFailure):
+            transfer_matrix(wavy(), 6.0 * 2000**2, 2001, lift=True)
+
     def test_table_is_built_once_per_grid(self, monkeypatch):
         pot = trig(7)
         calls = []

@@ -273,6 +273,11 @@ class TestRefinement:
             assert hi - lo <= BISECT_REL_WIDTH * max(1.0, abs(lo))
             assert got.iterations <= want.iterations
 
+    @pytest.mark.parametrize("seed", [16, 19])
+    def test_never_more_steps_than_bisection(self, seed, monkeypatch):
+        # brackets on which a budget of one step beyond bisection was used
+        self.test_matches_bisection_in_fewer_steps(seed, monkeypatch)
+
     def _fake(self, monkeypatch, f):
         monkeypatch.setattr(spectral, "char_values",
                             lambda pot, bc, lams, grid=None: np.atleast_1d(f(lams)))
@@ -429,8 +434,8 @@ class TestIndexBrackets:
         seen = [0]
         real = spectral.char_values
 
-        def counting(pot, bc, lams, grid=None):
-            out = real(pot, bc, lams, grid)
+        def counting(pot, bc, lams, grid=None, **kw):
+            out = real(pot, bc, lams, grid, **kw)
             seen[0] += out.size
             return out
 
@@ -457,16 +462,77 @@ class TestIndexBrackets:
         for bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC):
             assert char_values(pot, bc, -pot.sup_norm - 1.0)[0] > 0
 
-    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET,     # window ends
-                                    BoundaryKind.NEUMANN,       # window group
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET,     # counted bracket
+                                    BoundaryKind.NEUMANN,
                                     BoundaryKind.PERIODIC])     # Hill bracket
     def test_contradicting_signs_raise(self, bc, monkeypatch):
         real = spectral.char_values
 
-        def positive_for_bc(pot, kind, lams, grid=None):
-            out = real(pot, kind, lams, grid)
-            return np.abs(out) + 1.0 if kind is bc else out
+        def positive_for_bc(pot, kind, lams, grid=None, count=False):
+            out = real(pot, kind, lams, grid, count)
+            return np.abs(out) + 1.0 if kind is bc and not count else out
 
         monkeypatch.setattr(spectral, "char_values", positive_for_bc)
         with pytest.raises(BracketingFailure):
             smallest_eigenvalues(wavy(), bc, 6)
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN])
+    def test_decreasing_count_raises(self, bc, monkeypatch):
+        real = spectral.char_values
+
+        def reversed_count(pot, kind, lams, grid=None, count=False):
+            out = real(pot, kind, lams, grid, count)
+            return 100 - out if count else out
+
+        monkeypatch.setattr(spectral, "char_values", reversed_count)
+        # a = 2000 sin 2 pi t: its windows overlap, so counts are taken
+        with pytest.raises(BracketingFailure):
+            smallest_eigenvalues(trig_samples(0.0, [(1, 0.0, 2000.0)]), bc, 3)
+
+    def test_count_that_never_separates_raises(self, monkeypatch):
+        real = spectral.char_values
+
+        def no_eigenvalues(pot, kind, lams, grid=None, count=False):
+            out = real(pot, kind, lams, grid, count)
+            return 0 * out if count else out
+
+        monkeypatch.setattr(spectral, "char_values", no_eigenvalues)
+        with pytest.raises(BracketingFailure):
+            smallest_eigenvalues(trig_samples(0.0, [(1, 0.0, 2000.0)]),
+                                 BoundaryKind.DIRICHLET, 3)
+
+
+class TestWideWindows:
+    """Comparison windows that overlap by the dozen: large amplitudes, high
+    indices, coarse grids."""
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_large_amplitude_matches_oracle(self, bc):
+        case = (0.0, [(1, 0.0, 2000.0)])
+        pot = trig_samples(*case)
+        got = np.array([r.value for r in smallest_eigenvalues(pot, bc, 3)])
+        want = hill_eigenvalues(*case, bc, count=3, size=120)
+        # RK4 moves these by about h**4 (lam + max a)**3 / 60 ~ 1e-5
+        assert_allclose(got, want, rtol=0, atol=1e-4)
+        assert smallest_eigenvalue(pot, bc).value == pytest.approx(got[0], rel=1e-11)
+        if bc is not BoundaryKind.ANTIPERIODIC:
+            assert classify_sign(pot, bc) is SignClass.CHANGES_SIGN
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN,
+                                    BoundaryKind.PERIODIC])
+    def test_many_eigenvalues_on_a_coarse_grid(self, bc):
+        pot = wavy(101)
+        vals = np.array([r.value for r in smallest_eigenvalues(pot, bc, 30, 101)])
+        assert np.all(np.diff(vals) >= 0)
+        if bc is not BoundaryKind.PERIODIC:
+            below = char_values(pot, bc, vals - 1e-6 * np.abs(vals), 101, count=True)
+            above = char_values(pot, bc, vals + 1e-6 * np.abs(vals), 101, count=True)
+            assert np.array_equal(below, np.arange(30))
+            assert np.array_equal(above, np.arange(1, 31))
+
+    def test_three_hundred_dirichlet_eigenvalues(self):
+        vals = np.array([r.value for r in smallest_eigenvalues(
+            wavy(), BoundaryKind.DIRICHLET, 300)])
+        assert np.all(np.diff(vals) > 0)
+        free = (math.pi * np.arange(1, 301)) ** 2
+        assert np.all(np.abs(vals - free + 60.0) < 10.0 + 1e-13 * free**3)
