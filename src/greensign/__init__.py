@@ -20,11 +20,11 @@ from .errors import (BracketingFailure, EvaluationFailure, ExpressionError,
                      UndeterminedSign, UnsupportedBoundaryKind)
 from .expressions import Expression, evaluate_scalar
 from .fundamental import FundamentalSolutions
-from .gamma import (GammaResult, gamma_dirichlet_closed,
+from .gamma import (GammaResult, gamma_closed, gamma_dirichlet_closed,
                     gamma_dirichlet_t_closed, gamma_periodic_closed,
                     gamma_quadrature, gamma_star, pointwise_ratio)
 from .greens import (DirichletConstantKernel, NumericKernel,
-                     PeriodicConstantKernel, build_kernel, kernel_parts)
+                     PeriodicConstantKernel, build_kernel)
 from .potentials import (BoundaryKind, ConstantPotential, Interval,
                          SampledPotential, constant, sampled)
 from .solver import (Positivity, SolutionProfile, VerificationRecord,
@@ -40,12 +40,12 @@ __all__ = [
     "constant", "sampled",
     "FundamentalSolutions",
     "DirichletConstantKernel", "NumericKernel", "PeriodicConstantKernel",
-    "build_kernel", "kernel_parts",
+    "build_kernel",
     "EigenResult", "SignClass", "char_values", "classify_sign",
     "principal_eigenfunction", "smallest_eigenvalue", "smallest_eigenvalues",
-    "GammaResult", "gamma_dirichlet_closed", "gamma_dirichlet_t_closed",
-    "gamma_periodic_closed", "gamma_quadrature", "gamma_star",
-    "pointwise_ratio",
+    "GammaResult", "gamma_closed", "gamma_dirichlet_closed",
+    "gamma_dirichlet_t_closed", "gamma_periodic_closed", "gamma_quadrature",
+    "gamma_star", "pointwise_ratio",
     "ConeConstants", "H2Verdict", "H3Verdict", "HypothesisReport",
     "Subinterval", "build_report", "check_H2", "check_H3",
     "compute_cone_constants", "cone_membership", "find_subinterval",

@@ -20,14 +20,13 @@ import sys
 import numpy as np
 
 from .cone import build_report
-from .errors import GreensignError, OutOfRange, ResonantPotential
+from .errors import GreensignError, ResonantPotential
 from .expressions import Expression, evaluate_scalar
-from .gamma import (gamma_dirichlet_closed, gamma_dirichlet_t_closed,
-                    gamma_periodic_closed, gamma_quadrature, gamma_star,
-                    pointwise_ratio)
+from .gamma import (gamma_closed, gamma_dirichlet_closed,
+                    gamma_dirichlet_t_closed, gamma_periodic_closed,
+                    gamma_quadrature, gamma_star, pointwise_ratio)
 from .greens import DirichletConstantKernel, build_kernel
-from .potentials import (DEFAULT_GRID, BoundaryKind, ConstantPotential,
-                         constant, sampled)
+from .potentials import DEFAULT_GRID, BoundaryKind, constant, sampled
 from .solver import solve_linear, solve_nonlinear
 from .spectral import classify_sign, principal_eigenfunction, smallest_eigenvalues
 
@@ -220,28 +219,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _gamma_closed(pot, bc):
-    if not isinstance(pot, ConstantPotential):
-        return None
-    if bc is BoundaryKind.PERIODIC:
-        try:
-            return gamma_periodic_closed(pot.rho, pot.interval.T)
-        except OutOfRange:
-            return None
-    if (bc is BoundaryKind.DIRICHLET and pot.interval.T == 1.0
-            and math.pi < pot.rho < 6 * math.pi):
-        return gamma_dirichlet_closed(pot.rho)
-    return None
-
-
-def _gamma_result_dict(res):
-    if res is None:
-        return None
-    return {"value": res.value, "argmin_t": res.argmin_t,
-            "method": res.method, "weight": res.weight,
-            "case": res.case, "note": res.note}
-
-
 def _fmt_value(v: float) -> str:
     if math.isinf(v):
         return "+inf" if v > 0 else "-inf"
@@ -253,7 +230,7 @@ def _cmd_gamma(args) -> int:
     bc = _bc(args)
     grid_size = _grid_size(args)
     kernel = build_kernel(pot, bc, grid_size=grid_size)
-    closed = _gamma_closed(pot, bc) if args.weight == "eigenfunction" else None
+    closed = gamma_closed(pot, bc) if args.weight == "eigenfunction" else None
     if args.weight == "coefficient":
         quad = gamma_star(kernel, pot, t_grid_size=args.t_grid,
                           s_quadrature_order=args.order)
@@ -267,8 +244,8 @@ def _cmd_gamma(args) -> int:
                                 weight_label="PrincipalEigenfunction")
     cls = classify_sign(pot, bc, grid_size=grid_size)
     if args.format == "json":
-        _emit_json({"closed": _gamma_result_dict(closed),
-                    "quadrature": _gamma_result_dict(quad),
+        _emit_json({"closed": closed.to_dict() if closed else None,
+                    "quadrature": quad.to_dict(),
                     "classification": str(cls)}, args.output)
     else:
         out, close = _open_out(args.output)

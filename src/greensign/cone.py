@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
-                     NonpositiveWeightedIntegral, OutOfRange)
-from .gamma import (GammaResult, gamma_dirichlet_closed, gamma_periodic_closed,
-                    gamma_quadrature, gamma_star)
+                     NonpositiveWeightedIntegral)
+from .gamma import GammaResult, gamma_closed, gamma_quadrature, gamma_star
 from .greens import build_kernel
-from .potentials import BoundaryKind, ConstantPotential
+from .potentials import BoundaryKind
 from .quadrature import default_max_len, gauss_nodes, panel_plan
 from .spectral import principal_eigenfunction
 
@@ -341,52 +340,24 @@ class HypothesisReport:
     def to_dict(self) -> dict:
         def g(v):
             return v.to_dict() if v is not None else None
-        gamma = None
-        if self.gamma_used is not None:
-            gamma = {"value": self.gamma_used.value,
-                     "argmin_t": self.gamma_used.argmin_t,
-                     "method": self.gamma_used.method,
-                     "weight": self.gamma_used.weight,
-                     "case": self.gamma_used.case,
-                     "note": self.gamma_used.note}
         return {"h2": g(self.h2), "h2_star": g(self.h2_star),
-                "h3": g(self.h3), "gamma": gamma,
-                "cone": g(self.cone) if self.cone else None,
+                "h3": g(self.h3), "gamma": g(self.gamma_used),
+                "cone": g(self.cone),
                 "subinterval_trace": self.subinterval_trace,
                 "all_passed": self.all_passed,
                 "notes": list(self.notes)}
-
-
-def _best_gamma(kernel, weight, t_grid_size: int = 1001) -> GammaResult:
-    """Closed form when one covers the kernel, quadrature otherwise.
-
-    Both closed forms already encode the principal-eigenfunction weight
-    (constant for the periodic problem, sin(pi t / T) for the clamped one),
-    so they are interchangeable with the quadrature path.
-    """
-    pot = kernel.potential
-    if isinstance(pot, ConstantPotential):
-        if kernel.bc is BoundaryKind.PERIODIC:
-            try:
-                return gamma_periodic_closed(pot.rho, pot.interval.T)
-            except OutOfRange:
-                pass
-        if (kernel.bc is BoundaryKind.DIRICHLET and pot.interval.T == 1.0
-                and math.pi < pot.rho < 6 * math.pi):
-            return gamma_dirichlet_closed(pot.rho)
-    return gamma_quadrature(kernel, weight, t_grid_size=t_grid_size,
-                            weight_label="PrincipalEigenfunction")
 
 
 def build_report(potential, bc: BoundaryKind, f, grid: int = 201,
                  gamma_t_grid: int = 1001) -> HypothesisReport:
     """Run the whole hypothesis pipeline for one problem.
 
-    Collects the sign-ratio constant (with the principal eigenfunction as
-    weight), the sandwich checks for f against that weight and, where the
-    coefficient itself is an admissible weight, against the coefficient, the
-    subinterval search with its trace, the positivity certificate on the
-    found subinterval, and the cone constants.  Failures of individual
+    Collects the sign-ratio constant with the principal eigenfunction as
+    weight (its closed form where gamma_closed has one), the sandwich checks
+    for f against that weight and, where the coefficient itself is an
+    admissible weight, against the coefficient, the subinterval search with
+    its trace, the positivity certificate on the found subinterval, and the
+    cone constants.  Failures of individual
     stages are recorded as notes instead of aborting the report.
     """
     kernel = build_kernel(potential, bc)
@@ -395,7 +366,9 @@ def build_report(potential, bc: BoundaryKind, f, grid: int = 201,
     weight = principal_eigenfunction(potential, bc)
 
     try:
-        report.gamma_used = _best_gamma(kernel, weight, gamma_t_grid)
+        report.gamma_used = (gamma_closed(potential, bc) or gamma_quadrature(
+            kernel, weight, t_grid_size=gamma_t_grid,
+            weight_label="PrincipalEigenfunction"))
         report.h2 = check_H2(f, weight, report.gamma_used, T=T)
     except NonpositiveWeightedIntegral as exc:
         report.notes.append(f"sign-ratio constant unavailable: {exc}")

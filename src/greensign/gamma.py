@@ -14,7 +14,7 @@ also the independent oracle for the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      QuadratureFailure, InvalidWeight, ResonantPotential,
                      UnsupportedBoundaryKind)
 from .greens import RESONANCE_TOL, _constant_margin
-from .potentials import BoundaryKind, Potential
-from .quadrature import default_max_len, panel_plan, slice_points
+from .potentials import BoundaryKind, ConstantPotential, Potential
+from .quadrature import default_max_len, shared_breaks, slice_panels
 
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
@@ -47,6 +47,9 @@ class GammaResult:
     case: str | None = None
     note: str | None = None
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
 
 def _slice_parts(kernel, ts, roots: list, weight, order: int,
                  max_len: float) -> tuple[np.ndarray, np.ndarray]:
@@ -59,26 +62,20 @@ def _slice_parts(kernel, ts, roots: list, weight, order: int,
     counts as positive or negative by the sign of G at its midpoint.
     """
     T = kernel.T
-    bps = kernel.potential.breakpoints
-    shared = bps if 0 < len(bps) <= 64 else ()
     # a slice has at most one panel per max_len plus one per break point
-    panels = (math.ceil(T / max_len) + len(shared) + 2
+    panels = (math.ceil(T / max_len) + len(shared_breaks(kernel.potential)) + 2
               + max((len(r) for r in roots), default=0))
     block = max(1, SLICE_BLOCK_NODES // (order * panels))
     pos = np.empty(len(ts))
     neg = np.empty(len(ts))
     for a in range(0, len(ts), block):
         bt = ts[a:a + block]
-        plan = panel_plan(np.zeros(len(bt)), np.full(len(bt), T),
-                          *slice_points(bt, roots[a:a + block], shared),
-                          max_len, order)
-        t_panel = np.repeat(bt, np.diff(plan.offsets))
-        xs = plan.xs
-        g = np.asarray(kernel(np.repeat(t_panel, order).reshape(xs.shape), xs),
-                       dtype=float)
+        plan, g = slice_panels(kernel, bt, roots[a:a + block], max_len, order)
         if weight is not None:
-            g = g * np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
+            g = g * np.asarray(weight(plan.xs.ravel()),
+                               dtype=float).reshape(g.shape)
         panel = np.sum(g * plan.weights, axis=1)
+        t_panel = np.repeat(bt, np.diff(plan.offsets))
         up = np.asarray(kernel(t_panel, plan.mid), dtype=float) >= 0
         for i, (p0, p1) in enumerate(zip(plan.offsets[:-1], plan.offsets[1:])):
             vals, sgn = panel[p0:p1], up[p0:p1]
@@ -142,7 +139,17 @@ def _boundary_limit(hs: np.ndarray, rs: np.ndarray) -> float:
 
 def pointwise_ratio(kernel, t: float, weight=None,
                     s_quadrature_order: int = 16) -> float:
-    """N(t)/D(t) at a single interior t, by the quadrature path."""
+    """N(t)/D(t) at a single t in [0, T], by the quadrature path.
+
+    Raises OutOfRange outside [0, T] and at an end where the boundary
+    condition pins the whole slice to zero, so that N and D both vanish.
+    """
+    left, right = kernel.bc.pinned_ends
+    if not 0.0 <= t <= kernel.T:
+        raise OutOfRange(f"t = {t:.6g} is outside [0, {kernel.T:.6g}]")
+    if (left and t == 0.0) or (right and t == kernel.T):
+        raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {t:.6g} "
+                         f"to zero")
     max_len = default_max_len(kernel.potential)
     return float(_slice_ratios(kernel, [t], weight, s_quadrature_order,
                                max_len, need_positive=False)[0])
@@ -280,6 +287,26 @@ def gamma_dirichlet_closed(rho: float) -> GammaResult:
     sgn = 1.0 if m % 2 == 1 else -1.0
     value = rho * total / (rho * total + sgn * math.pi * math.sin(rho))
     return GammaResult(value, 0.0, "ClosedFormDirichletT1", "PrincipalEigenfunction")
+
+
+def gamma_closed(potential: Potential, bc: BoundaryKind) -> GammaResult | None:
+    """The closed form covering (potential, bc), None where none does.
+
+    Both closed forms encode the principal-eigenfunction weight (constant
+    for the periodic problem, sin(pi t) for the clamped one), so they can
+    stand in for the quadrature path with that weight.
+    """
+    if not isinstance(potential, ConstantPotential):
+        return None
+    rho, T = potential.rho, potential.interval.T
+    if bc is BoundaryKind.PERIODIC:
+        try:
+            return gamma_periodic_closed(rho, T)
+        except OutOfRange:
+            return None
+    if bc is BoundaryKind.DIRICHLET and T == 1.0 and math.pi < rho < 6 * math.pi:
+        return gamma_dirichlet_closed(rho)
+    return None
 
 
 def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,

@@ -23,10 +23,9 @@ import math
 
 import numpy as np
 
-from .errors import OutOfRange, ResonantPotential, UnsupportedBoundaryKind
+from .errors import ResonantPotential, UnsupportedBoundaryKind
 from .fundamental import FundamentalSolutions
-from .potentials import (BoundaryKind, ConstantPotential, Interval, Potential,
-                         SampledPotential)
+from .potentials import BoundaryKind, ConstantPotential, Interval, Potential
 from .quadrature import scan_kernel_roots_many
 
 RESONANCE_TOL = 1e-9
@@ -38,18 +37,8 @@ def _constant_margin(rho: float, T: float, bc: BoundaryKind) -> tuple[float, flo
     sin_env = 1.0 if x >= math.pi / 2 else math.sin(x)  # max |sin(rho t)| on [0, T]
     if bc is BoundaryKind.PERIODIC:
         return 2.0 - 2.0 * math.cos(x), max(1.0, sin_env / rho, rho * sin_env)
-    if bc is BoundaryKind.ANTIPERIODIC:
-        return 2.0 + 2.0 * math.cos(x), max(1.0, sin_env / rho, rho * sin_env)
     if bc is BoundaryKind.DIRICHLET:
         return math.sin(x) / rho, sin_env / rho
-    if bc is BoundaryKind.NEUMANN:
-        # the rho -> 0 limit is resonant (constant eigenfunction), mirror the
-        # periodic threshold there
-        if x * x < RESONANCE_TOL:
-            return 0.0, 1.0
-        return -rho * math.sin(x), rho * sin_env
-    if bc in (BoundaryKind.MIXED1, BoundaryKind.MIXED2):
-        return math.cos(x), 1.0
     raise UnsupportedBoundaryKind(str(bc))
 
 
@@ -71,16 +60,6 @@ def _numeric_margin(fs: FundamentalSolutions, bc: BoundaryKind) -> tuple[float, 
     if bc is BoundaryKind.MIXED2:
         return p2T, float(np.max(np.abs(fs.p2)))
     raise UnsupportedBoundaryKind(str(bc))
-
-
-def is_resonant(potential: Potential, bc: BoundaryKind, grid_size: int | None = None) -> bool:
-    """Whether the homogeneous problem has a nontrivial solution (no kernel)."""
-    if isinstance(potential, ConstantPotential):
-        det, scale = _constant_margin(potential.rho, potential.interval.T, bc)
-    else:
-        fs = FundamentalSolutions(potential, 0.0, grid_size)
-        det, scale = _numeric_margin(fs, bc)
-    return abs(det) < RESONANCE_TOL * scale
 
 
 class _KernelBase:
@@ -131,24 +110,6 @@ class _KernelBase:
     def s_roots_many(self, ts) -> list[np.ndarray]:
         """s_roots at every t in ts, found in one batched scan."""
         return scan_kernel_roots_many(self, ts)
-
-    def parts(self):
-        return KernelPart(self, +1), KernelPart(self, -1)
-
-
-class KernelPart:
-    """max(G, 0) or max(-G, 0), sharing the parent kernel's plumbing."""
-
-    def __init__(self, kernel, sign: int):
-        self.kernel = kernel
-        self.sign = sign
-
-    def __call__(self, t, s):
-        g = self.kernel(t, s)
-        return np.maximum(self.sign * g, 0.0)
-
-    def grid_eval(self, ts, ss):
-        return np.maximum(self.sign * self.kernel.grid_eval(ts, ss), 0.0)
 
 
 class _ClosedFormKernel(_KernelBase):
@@ -289,31 +250,6 @@ class NumericKernel(_KernelBase):
         return self.fs.eval_pair(x)
 
 
-def greens_periodic_constant(rho: float, T: float, t, s):
-    """Closed-form periodic G for a = rho**2, evaluated at (t, s)."""
-    _check_domain(T, t, s)
-    return PeriodicConstantKernel(rho, T)(t, s)
-
-
-def greens_dirichlet_constant(rho: float, T: float, t, s):
-    """Closed-form Dirichlet G for a = rho**2, evaluated at (t, s)."""
-    _check_domain(T, t, s)
-    return DirichletConstantKernel(rho, T)(t, s)
-
-
-def _check_domain(T, t, s):
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(t < 0) or np.any(t > T) or np.any(s < 0) or np.any(s > T):
-        raise OutOfRange(f"(t, s) must lie inside [0, {T}]^2")
-
-
-def greens_numeric(potential: Potential, bc: BoundaryKind,
-                   grid_size: int | None = None) -> NumericKernel:
-    """Kernel from the fundamental system, for any nonresonant pairing."""
-    return NumericKernel(potential, bc, grid_size)
-
-
 def build_kernel(potential: Potential, bc: BoundaryKind,
                  grid_size: int | None = None):
     """Closed form when one exists for this pairing, numeric otherwise."""
@@ -323,8 +259,3 @@ def build_kernel(potential: Potential, bc: BoundaryKind,
         if bc is BoundaryKind.DIRICHLET:
             return DirichletConstantKernel(potential.rho, potential.interval.T)
     return NumericKernel(potential, bc, grid_size)
-
-
-def kernel_parts(kernel) -> tuple[KernelPart, KernelPart]:
-    """(positive part, negative part) of a kernel, as evaluators."""
-    return kernel.parts()

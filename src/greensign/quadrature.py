@@ -7,7 +7,9 @@ at every such point keeps a modest fixed-order rule accurate.
 
 panel_plan lays out the panels of many rows (slices, or t-integrals) at
 once, as flat arrays: the same panels build_edges gives each row, without a
-Python loop per row.
+Python loop per row.  slice_panels is that plan for the slices G(t, .),
+with the one rule for where a slice is broken, and G at its nodes; the
+sign-ratio constant and the solver both integrate through it.
 
 The zeros of the slices G(t, .) come from scan_kernel_roots_many, which
 scans the slices of many t together: a block of t at a time, at most
@@ -25,6 +27,9 @@ import numpy as np
 GAUSS_ORDER = 16
 #: (t, s) samples per block of the batched root scan; bounds its memory.
 SCAN_BLOCK_POINTS = 1 << 16
+#: Most break points of a potential that split every kernel slice; a finely
+#: sampled potential is left to the panel-length cap instead.
+MAX_SHARED_BREAKS = 64
 
 _gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -114,36 +119,45 @@ def panel_plan(lo, hi, rows, points, max_len: float | None = None,
                      half[:, None] * gw[None, :], mid, offsets)
 
 
-def slice_points(ts, roots, shared=()) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, points) breaking the slices G(t, .) for panel_plan: the
-    roots[r] of row r, its diagonal kink ts[r], and the shared points."""
+def shared_breaks(potential) -> np.ndarray:
+    """The potential's break points, which every slice is split at when
+    there are at most MAX_SHARED_BREAKS of them; none otherwise."""
+    bps = np.asarray(potential.breakpoints, dtype=float)
+    return bps if len(bps) <= MAX_SHARED_BREAKS else bps[:0]
+
+
+def slice_panels(kernel, ts, roots: list, max_len: float | None,
+                 order: int = GAUSS_ORDER) -> tuple[PanelPlan, np.ndarray]:
+    """(plan, g): the panels of the slices G(t, .) on [0, T] for every t in
+    ts, and G at their Gauss nodes, shaped as plan.xs.
+
+    Row r is broken at roots[r], the zeros of its slice, at its diagonal
+    kink ts[r] and at shared_breaks(kernel.potential), then capped at
+    max_len, so that each panel of a row is smooth and of one sign.
+    """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    shared = np.asarray(shared, dtype=float).reshape(-1)
+    shared = shared_breaks(kernel.potential)
     n = len(ts)
     counts = [len(r) for r in roots]
     rows = np.concatenate([np.repeat(np.arange(n), counts), np.arange(n),
                            np.repeat(np.arange(n), len(shared))])
     points = np.concatenate([np.concatenate([np.zeros(0), *roots]), ts,
                              np.tile(shared, n)])
-    return rows, points
+    plan = panel_plan(np.zeros(n), np.full(n, kernel.T), rows, points,
+                      max_len, order)
+    t_nodes = np.repeat(ts, np.diff(plan.offsets) * order).reshape(plan.xs.shape)
+    return plan, np.asarray(kernel(t_nodes, plan.xs), dtype=float)
 
 
-def composite_gauss(f, edges: np.ndarray, order: int = GAUSS_ORDER) -> float:
-    """Integral of vectorized f over the union of panels given by edges."""
-    nodes, weights = gauss_nodes(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xs = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    return float(np.sum(vals * (half[:, None] * weights[None, :])))
-
-
-def integrate(f, a: float, b: float, points=(), max_len: float | None = None,
-              order: int = GAUSS_ORDER) -> float:
-    """Convenience wrapper: build edges, then integrate."""
-    return composite_gauss(f, build_edges(a, b, points, max_len), order)
+def slice_roots(kernel, ts) -> list[np.ndarray]:
+    """kernel.s_roots_many(ts), but none for a slice that the boundary
+    condition pins to zero (t = 0 or T): a scan of such a slice finds only
+    rounding noise, and every "root" would split its panels."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    left, right = kernel.bc.pinned_ends
+    pinned = (left & (ts == 0.0)) | (right & (ts == kernel.T))
+    live = iter(kernel.s_roots_many(ts[~pinned]))
+    return [np.zeros(0) if pin else next(live) for pin in pinned]
 
 
 def default_max_len(potential) -> float:

@@ -10,7 +10,6 @@ x-independent f reproduces the linear solve exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,11 +18,12 @@ import numpy as np
 from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import default_max_len, panel_plan, slice_points
+from .quadrature import default_max_len, slice_panels, slice_roots
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
-MAX_BREAKPOINT_SPLITS = 64
+#: Nodes per stencil of the fine re-quadrature; bounds its weight tables.
+FINE_STENCIL_NODES = 1 << 17
 
 # one-sided five-point first-derivative stencil, O(h^4)
 _D5 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -93,31 +93,22 @@ class _NodeQuadrature:
     """Per-node panel quadrature against a fixed kernel, flattened so one
     vectorized kernel evaluation and one reduceat serve all output nodes.
 
-    roots, the zeros of every slice G(t, .), default to _slice_roots over
+    roots, the zeros of every slice G(t, .), default to slice_roots over
     ts; they depend neither on the order nor on the panel cap, so a second
     quadrature on the same ts can reuse them.
     """
 
     def __init__(self, kernel, ts: np.ndarray, order: int = 16,
                  max_len: float | None = None, roots: list | None = None):
-        pot = kernel.potential
         if max_len is None:
-            max_len = default_max_len(pot)
+            max_len = default_max_len(kernel.potential)
         if roots is None:
-            roots = _slice_roots(kernel, ts)
-        brk = pot.breakpoints
-        brk = brk if len(brk) <= MAX_BREAKPOINT_SPLITS else ()
-        n = len(ts)
-        plan = panel_plan(np.zeros(n), np.full(n, kernel.T),
-                          *slice_points(ts, roots, brk), max_len, order)
-        starts = plan.offsets * order
-        self.ts = ts
+            roots = slice_roots(kernel, ts)
+        plan, g = slice_panels(kernel, ts, roots, max_len, order)
         self.roots = roots
         self.xs = plan.xs.ravel()
-        self.offsets = starts[:-1]
-        trep = np.repeat(ts, np.diff(starts))
-        g = np.asarray(kernel(trep, self.xs), dtype=float)
-        self.coeff = plan.weights.ravel() * g
+        self.offsets = plan.offsets[:-1] * order
+        self.coeff = plan.weights.ravel() * g.ravel()
 
     def apply(self, sigma_at_xs: np.ndarray) -> np.ndarray:
         vals = self.coeff * sigma_at_xs
@@ -126,58 +117,27 @@ class _NodeQuadrature:
         return np.add.reduceat(vals, self.offsets)
 
 
-def _slice_roots(kernel, ts: np.ndarray) -> list[np.ndarray]:
-    """kernel.s_roots_many(ts), but none for a slice that the boundary
-    condition pins to zero (t = 0 or T): a scan of such a slice finds only
-    rounding noise, and every "root" would split its panels."""
-    left, right = kernel.bc.pinned_ends
-    pinned = (left & (ts == 0.0)) | (right & (ts == kernel.T))
-    live = iter(kernel.s_roots_many(ts[~pinned]))
-    return [np.zeros(0) if pin else next(live) for pin in pinned]
-
-
-def _lagrange_weights(ts: np.ndarray, xs: np.ndarray):
-    """(j, rows): the first node j of each x's 4-point Lagrange stencil on
-    ts, and an iterator over the four weight rows of the stencil."""
-    j = np.searchsorted(ts, xs, side="right") - 1
-    j = np.clip(j, 1, len(ts) - 3) - 1
-
-    def rows():
-        for k in range(4):
-            w = np.ones_like(xs)
-            tk = ts[k:][j]
-            for l in range(4):
-                if l != k:
-                    tl = ts[l:][j]
-                    w *= (xs - tl) / (tk - tl)
-            yield w
-    return j, rows()
-
-
-def _combine(j: np.ndarray, rows, us: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(j))
-    for k, w in enumerate(rows):
-        out += w * us[k:][j]
-    return out
-
-
-def _cubic_interp(ts: np.ndarray, us: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Local 4-point Lagrange interpolation of grid samples, O(h^4)."""
-    return _combine(*_lagrange_weights(ts, xs), us)
-
-
 class _Stencil:
-    """_cubic_interp from ts to fixed points xs, its cells and weights
-    built once for the many us of a Picard iteration."""
+    """Local 4-point Lagrange interpolation, O(h^4), from the nodes ts to
+    fixed points xs; its cells and weights are built once for the many us
+    of a Picard iteration."""
 
     def __init__(self, ts: np.ndarray, xs: np.ndarray):
-        self.j, rows = _lagrange_weights(ts, xs)
-        self.w = np.empty((4, len(xs)))
-        for k, w in enumerate(rows):
-            self.w[k] = w
+        j = np.searchsorted(ts, xs, side="right") - 1
+        self.j = np.clip(j, 1, len(ts) - 3) - 1
+        self.w = np.ones((4, len(xs)))
+        for k in range(4):
+            tk = ts[k:][self.j]
+            for l in range(4):
+                if l != k:
+                    tl = ts[l:][self.j]
+                    self.w[k] *= (xs - tl) / (tk - tl)
 
     def __call__(self, us: np.ndarray) -> np.ndarray:
-        return _combine(self.j, self.w, us)
+        out = np.zeros(len(self.j))
+        for k in range(4):
+            out += self.w[k] * us[k:][self.j]
+        return out
 
 
 def _classify_positivity(us: np.ndarray) -> Positivity:
@@ -296,7 +256,8 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
         fine = _NodeQuadrature(kernel, ts, order + 8,
                                default_max_len(kernel.potential) / 2,
                                roots=roots)
-        ux = _cubic_interp(ts, us, fine.xs)
+        ux = np.concatenate([_Stencil(ts, fine.xs[a:a + FINE_STENCIL_NODES])(us)
+                             for a in range(0, len(fine.xs), FINE_STENCIL_NODES)])
         fx = np.asarray(f(fine.xs, ux), dtype=float)
         fp_resid = float(np.max(np.abs(
             fine.apply(np.broadcast_to(fx, fine.xs.shape)) - us)))

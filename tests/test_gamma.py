@@ -9,11 +9,11 @@ from greensign import gamma as gamma_module
 from greensign.errors import (InvalidWeight, NonpositiveWeightedIntegral,
                               OutOfRange, QuadratureFailure, ResonantPotential,
                               UnsupportedBoundaryKind)
-from greensign.gamma import (GammaResult, _boundary_nodes,
+from greensign.gamma import (CASE_2B_NOTE, GammaResult, _boundary_nodes,
                              _neville_to_zero, _ratio, _slice_parts,
-                             gamma_dirichlet_closed, gamma_dirichlet_t_closed,
-                             gamma_periodic_closed, gamma_quadrature,
-                             gamma_star, pointwise_ratio)
+                             gamma_closed, gamma_dirichlet_closed,
+                             gamma_dirichlet_t_closed, gamma_periodic_closed,
+                             gamma_quadrature, gamma_star, pointwise_ratio)
 from greensign.greens import NumericKernel, build_kernel
 from greensign.potentials import BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
@@ -160,6 +160,36 @@ class TestDirichletPointwise:
             gamma_dirichlet_t_closed(0.0, 10.8)
         with pytest.raises(OutOfRange):
             gamma_dirichlet_t_closed(1.0, 10.8)
+
+
+class TestClosedDispatch:
+    def test_covered_pairings(self):
+        rho = 3 * math.pi / 2
+        assert gamma_closed(constant(rho, 1.0), BoundaryKind.PERIODIC) == \
+            gamma_periodic_closed(rho)
+        assert gamma_closed(constant(3.0, 2.0), BoundaryKind.PERIODIC) == \
+            gamma_periodic_closed(3.0, 2.0)
+        assert gamma_closed(constant(10.8, 1.0), BoundaryKind.DIRICHLET) == \
+            gamma_dirichlet_closed(10.8)
+
+    @pytest.mark.parametrize("pot,bc", [
+        (constant(0.5, 1.0), BoundaryKind.PERIODIC),      # rho*T <= pi
+        (constant(2.0, 1.0), BoundaryKind.DIRICHLET),     # rho < pi
+        (constant(20.0, 1.0), BoundaryKind.DIRICHLET),    # rho > 6 pi
+        (constant(4.0, 2.0), BoundaryKind.DIRICHLET),     # T != 1
+        (constant(4.0, 1.0), BoundaryKind.NEUMANN),
+        (sampled(np.linspace(0.0, 1.0, 11), np.full(11, 30.0)),
+         BoundaryKind.PERIODIC),
+    ])
+    def test_uncovered_pairings(self, pot, bc):
+        assert gamma_closed(pot, bc) is None
+
+    def test_to_dict(self):
+        res = gamma_periodic_closed(2.5 * math.pi)
+        assert res.to_dict() == {"value": res.value, "argmin_t": 0.0,
+                                 "method": "ClosedFormPeriodic",
+                                 "weight": "One", "case": res.case,
+                                 "note": CASE_2B_NOTE}
 
 
 class TestQuadrature:
@@ -324,6 +354,26 @@ class TestFlattenedSlices:
             want = _ratio(*slice_parts_one_t(kernel, t, kernel.s_roots(t),
                                              weight, 16, max_len))
             assert pointwise_ratio(kernel, t, weight) == want
+
+    def test_pointwise_ratio_domain(self):
+        # outside [0, T], and at an end whose slice the condition pins to
+        # zero, there is no ratio to give
+        kernel, weight = flat_case("dirichlet-wavy")
+        for t in (0.0, 1.0, -1e-3, 1.5):
+            with pytest.raises(OutOfRange):
+                pointwise_ratio(kernel, t, weight)
+        kernel, weight = flat_case("mixed1-coarse")     # u'(0) = u(T) = 0
+        with pytest.raises(OutOfRange):
+            pointwise_ratio(kernel, 1.0, weight)
+        assert math.isfinite(pointwise_ratio(kernel, 0.0, weight))
+        pot = coarse_wavy(2001)
+        kernel = build_kernel(pot, BoundaryKind.PERIODIC)
+        weight = principal_eigenfunction(pot, BoundaryKind.PERIODIC)
+        for t in (-0.5, 1.5):
+            with pytest.raises(OutOfRange):
+                pointwise_ratio(kernel, t, weight)
+        assert pointwise_ratio(kernel, 0.0, weight) == pytest.approx(
+            pointwise_ratio(kernel, 1.0, weight), rel=1e-9)
 
     def test_non_finite_weight_raises(self):
         kernel, _ = flat_case("periodic-closed")

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from greensign import solver as solver_module
 from greensign.errors import EvaluationFailure
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
-from greensign.solver import (Positivity, _cubic_interp, _NodeQuadrature,
-                              _slice_roots, _Stencil, solve_linear,
-                              solve_nonlinear, verify_solution)
+from greensign.quadrature import slice_roots
+from greensign.solver import (Positivity, _NodeQuadrature, _Stencil,
+                              solve_linear, solve_nonlinear, verify_solution)
 
 RHO_D = math.sqrt(60.0)
 RHO_P = 1.5 * math.pi
@@ -56,12 +57,11 @@ def test_cubic_interp_matches_index_table_form():
     ts = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 40)]))
     us = rng.normal(size=ts.shape)
     xs = np.concatenate([ts, rng.uniform(0.0, 1.0, 500)])
-    assert np.array_equal(_cubic_interp(ts, us, xs), cubic_interp_2d(ts, us, xs))
     # the stencil a Picard iteration builds once gives the same bits
     stencil = _Stencil(ts, xs)
     assert stencil.j.dtype == np.intp
     for vs in (us, rng.normal(size=ts.shape), np.zeros_like(ts)):
-        assert np.array_equal(stencil(vs), _cubic_interp(ts, vs, xs))
+        assert np.array_equal(stencil(vs), cubic_interp_2d(ts, vs, xs))
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,15 @@ class TestNonlinear:
                                   abs=1e-10)
         assert np.max(np.abs(p.values - c)) < 1e-9
 
+    def test_fine_check_is_the_same_in_stencil_blocks(self, monkeypatch):
+        k = DirichletConstantKernel(RHO_D)
+        f = lambda s, x: s * (1.0 - s) + 5.0 * x
+        whole = solve_nonlinear(k, f, 201)
+        monkeypatch.setattr(solver_module, "FINE_STENCIL_NODES", 1000)
+        blocks = solve_nonlinear(k, f, 201)
+        assert whole.converged and blocks.converged
+        assert blocks.fixed_point_residual == whole.fixed_point_residual
+
     def test_divergent_iteration_reports_not_raises(self):
         # Lipschitz constant of the map is ~40, far from a contraction
         k = PeriodicConstantKernel(RHO_P)
@@ -274,7 +283,7 @@ class TestPinnedEndSlices:
         pot = sampled(grid, PINNED_MEANS[bc] + 10.0 * np.sin(2 * math.pi * grid))
         k = NumericKernel(pot, bc)
         ts = np.linspace(0.0, 1.0, 11)
-        got = _slice_roots(k, ts)
+        got = slice_roots(k, ts)
         scanned = k.s_roots_many(ts)
         left, right = bc.pinned_ends
         for i, (r, s) in enumerate(zip(got, scanned)):
@@ -298,7 +307,7 @@ class TestPinnedEndSlices:
     def test_closed_form_pinned_rows(self):
         k = DirichletConstantKernel(RHO_D)
         ts = np.linspace(0.0, 1.0, 5)
-        got = _slice_roots(k, ts)
+        got = slice_roots(k, ts)
         assert got[0].shape == (0,) and got[-1].shape == (0,)
         for r, s in zip(got[1:-1], k.s_roots_many(ts[1:-1])):
             assert np.array_equal(r, s)
