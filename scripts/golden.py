@@ -50,6 +50,12 @@ def calls(wavy: str, repro_a: str) -> list:
         src = ["--bc", bc, "--samples", wavy]
         out += [["gamma", *src], ["check", *src, "--f", WAVY_F],
                 ["solve", *src, "--rhs", "1"]]
+    # the numeric root finder at pinned ends: Neumann pins none, mixed1
+    # pins u(T), mixed2 u(0), and a coarse grid tests the Dirichlet ends
+    for bc in ("neumann", "mixed1", "mixed2"):
+        src = ["--bc", bc, "--samples", wavy]
+        out += [["gamma", *src], ["solve", *src, "--rhs", "1"]]
+    out.append(["gamma", "--bc", "dirichlet", "--samples", wavy, "--grid", "251"])
     out.append(["check", "--bc", "dirichlet", "--rho", "sqrt(60)",
                 "--f", "t*(1-t)"])
     # fixed-point solves: a contraction that converges, and a periodic f

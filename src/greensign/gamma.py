@@ -23,7 +23,7 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      UnsupportedBoundaryKind)
 from .greens import RESONANCE_TOL, _constant_margin
 from .potentials import BoundaryKind, ConstantPotential, Potential
-from .quadrature import default_max_len, shared_breaks, slice_panels
+from .quadrature import default_max_len, shared_breaks, slice_panels, slice_roots
 
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
@@ -56,8 +56,8 @@ def _slice_parts(kernel, ts, roots: list, weight, order: int,
     """(N, D) at every t in ts: weighted integrals of the positive and
     negative parts of G(t, .), non-finite where the quadrature failed.
 
-    roots[i] are the interior zeros of G(ts[i], .), as kernel.s_roots_many
-    gives them.  The slices go in blocks of at most SLICE_BLOCK_NODES Gauss
+    roots[i] are the interior zeros of G(ts[i], .), as slice_roots gives
+    them.  The slices go in blocks of at most SLICE_BLOCK_NODES Gauss
     nodes, with one kernel, weight and sign evaluation per block; a panel
     counts as positive or negative by the sign of G at its midpoint.
     """
@@ -93,7 +93,7 @@ def _slice_ratios(kernel, ts, weight, order: int, max_len: float,
     not positive.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
+    pos, neg = _slice_parts(kernel, ts, slice_roots(kernel, ts), weight,
                             order, max_len)
     nonfinite = ~(np.isfinite(pos) & np.isfinite(neg))
     nonpositive = need_positive & ~nonfinite & (

@@ -16,6 +16,13 @@ for a 2x2 coupling matrix C fixed by the boundary condition.  The boundary
 determinant that must not vanish is det(I - Phi(T)) for the periodic case,
 det(I + Phi(T)) for the antiperiodic one, and a single monodromy entry for the
 separated conditions.
+
+Zeros of the numeric kernel's slices: on either side of the diagonal a slice
+G(t, .) is alpha u1 + beta u2 for a fixed (alpha, beta), and the pair's
+Wronskian is one, so the angle psi of (u1(s), u2(s)) rises strictly and the
+slice vanishes exactly where psi = atan2(-alpha, beta) modulo pi (Pruefer's
+angle).  Each such target is placed in its grid cell by the lifted node
+angles and refined there on the slice's Hermite cubic; no slice is sampled.
 """
 from __future__ import annotations
 
@@ -23,12 +30,24 @@ import math
 
 import numpy as np
 
-from .errors import ResonantPotential, UnsupportedBoundaryKind
+from .errors import IntegratorFailure, ResonantPotential, UnsupportedBoundaryKind
 from .fundamental import FundamentalSolutions
 from .potentials import BoundaryKind, ConstantPotential, Interval, Potential
-from .quadrature import scan_kernel_roots_many
 
 RESONANCE_TOL = 1e-9
+#: cell halvings that refine a numeric kernel's slice root to rounding level
+ROOT_HALVINGS = 52
+
+
+def _sorted_rows(r: np.ndarray, T: float) -> list[np.ndarray]:
+    """Row by row, the entries of r inside (0, T), sorted and without repeats."""
+    r = np.where((r > 0) & (r < T), r, np.inf)
+    r.sort(axis=1)
+    keep = np.isfinite(r)
+    keep[:, 1:] &= r[:, 1:] != r[:, :-1]
+    flat, counts = r[keep], keep.sum(axis=1)
+    ends = np.cumsum(counts)
+    return [flat[b - c:b] for b, c in zip(ends, counts)]
 
 
 def _constant_margin(rho: float, T: float, bc: BoundaryKind) -> tuple[float, float]:
@@ -107,10 +126,6 @@ class _KernelBase:
         """Interior zeros of G(t, .), sorted."""
         return self.s_roots_many([t])[0]
 
-    def s_roots_many(self, ts) -> list[np.ndarray]:
-        """s_roots at every t in ts, found in one batched scan."""
-        return scan_kernel_roots_many(self, ts)
-
 
 class _ClosedFormKernel(_KernelBase):
     """Closed-form kernel: the zeros of its slices are analytic.
@@ -128,13 +143,7 @@ class _ClosedFormKernel(_KernelBase):
     def s_roots_many(self, ts) -> list[np.ndarray]:
         ts = np.asarray(ts, dtype=float).reshape(-1)
         cand, keep = self._root_candidates(ts)
-        r = np.where(keep & (cand > 0) & (cand < self.T), cand, np.inf)
-        r.sort(axis=1)
-        keep = np.isfinite(r)
-        keep[:, 1:] &= r[:, 1:] != r[:, :-1]
-        flat, counts = r[keep], keep.sum(axis=1)
-        ends = np.cumsum(counts)
-        return [flat[b - c:b] for b, c in zip(ends, counts)]
+        return _sorted_rows(np.where(keep, cand, np.inf), self.T)
 
 
 class PeriodicConstantKernel(_ClosedFormKernel):
@@ -230,6 +239,7 @@ class NumericKernel(_KernelBase):
         self.bc = bc
         self.fs = fs
         self.grid_size = len(fs.ts)
+        self._angles = None
         u1T, u2T = fs.u1[-1], fs.u2[-1]
         p1T, p2T = fs.p1[-1], fs.p2[-1]
         if bc is BoundaryKind.PERIODIC or bc is BoundaryKind.ANTIPERIODIC:
@@ -248,6 +258,59 @@ class NumericKernel(_KernelBase):
 
     def _pair(self, x):
         return self.fs.eval_pair(x)
+
+    def _node_angles(self) -> np.ndarray:
+        """Lifted angle psi of (u1, u2) at the grid nodes, tabulated on the
+        first root request.  A cell must turn psi by less than half a turn,
+        so that it holds at most one zero of a slice and the slice changes
+        sign across it; a grid too coarse for that is refused."""
+        if self._angles is None:
+            u1, u2 = self.fs.u1, self.fs.u2
+            cross = u1[:-1] * u2[1:] - u2[:-1] * u1[1:]
+            if not np.all(cross > 0.0):
+                raise IntegratorFailure("the fundamental pair turns by half a turn "
+                                        "or more in one grid cell; the grid is too coarse")
+            turn = np.arctan2(cross, u1[:-1] * u1[1:] + u2[:-1] * u2[1:])
+            self._angles = math.atan2(u2[0], u1[0]) + np.concatenate([[0.0], np.cumsum(turn)])
+        return self._angles
+
+    def s_roots_many(self, ts) -> list[np.ndarray]:
+        """s_roots at every t in ts, where psi meets its targets (see the
+        module docstring).  On a side that reaches an end the condition
+        pins, the target that is that end is dropped by its index."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        n = len(ts)
+        psi = self._node_angles()
+        u1t, u2t = self.fs.eval_pair(ts)
+        right = self._C.T @ np.stack([u1t, u2t])
+        # rows 0..n-1 are the sides s <= t, rows n..2n-1 the sides s > t
+        alpha, beta = np.concatenate([right + np.stack([u2t, -u1t]), right], axis=1)
+        phi = np.arctan2(-alpha, beta)
+        k = (np.floor((psi[0] - phi) / np.pi)[:, None]
+             + np.arange(math.ceil((psi[-1] - psi[0]) / np.pi) + 2))
+        cell = np.searchsorted(psi, phi[:, None] + k * np.pi) - 1
+        keep = (cell >= 0) & (cell < len(psi) - 1)
+        pinned = np.repeat(self.bc.pinned_ends, n)
+        end = np.repeat([psi[0], psi[-1]], n)
+        keep &= ~pinned[:, None] | (k != np.round((end - phi) / np.pi)[:, None])
+
+        row = np.nonzero(keep)[0]
+        a, b, cell = alpha[row], beta[row], cell[keep]
+        lo, hi = self.fs.ts[cell], self.fs.ts[cell + 1]
+        # past the target phi + k pi the slice has the sign of (-1)**k
+        up = k[keep] % 2 == 0
+        for _ in range(ROOT_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            u1m, u2m = self.fs.eval_pair(mid)
+            past = (a * u1m + b * u2m > 0.0) == up
+            lo = np.where(past, lo, mid)
+            hi = np.where(past, mid, hi)
+        r = np.full(keep.shape, np.inf)
+        r[keep] = 0.5 * (lo + hi)
+        left, right = r[:n], r[n:]
+        return _sorted_rows(np.concatenate([np.where(left <= ts[:, None], left, np.inf),
+                                            np.where(right > ts[:, None], right, np.inf)],
+                                           axis=1), self.T)
 
 
 def build_kernel(potential: Potential, bc: BoundaryKind,

@@ -85,13 +85,20 @@ def char_values(potential: Potential, bc: BoundaryKind, lams,
     if bc in _PAIRED:
         # RK4's det Phi(T) falls below one by about T h**5 (lam + a)**3 / 72,
         # which would pull |trace| below 2 and shrink narrow gaps; the trace
-        # of Phi(T) / sqrt(det Phi(T)) keeps Hill's theory exact.  Where the
-        # entries are so large that rounding leaves the determinant fewer
-        # than about seven digits, it is left out.
+        # Delta of Phi(T) / sqrt(det Phi(T)) keeps Hill's theory exact.  Where
+        # the entries are so large that rounding leaves the determinant fewer
+        # than about seven digits, it is left out.  Delta -+ 2 cancels to
+        # rounding near Phi = +-I, where disc = Delta**2 - 4
+        # = ((u1 - p2)**2 + 4 u2 p1) / det does not; so on that side
+        # Delta - 2 = disc / (Delta + 2) and Delta + 2 = -disc / (2 - Delta).
         det = u1T * p2T - u2T * p1T
         exact = det > 1e7 * (np.abs(u1T * p2T) + np.abs(u2T * p1T)) * np.finfo(float).eps
-        trace = (u1T + p2T) / np.sqrt(np.where(exact, det, 1.0))
-        return trace - 2.0 if bc is BoundaryKind.PERIODIC else trace + 2.0
+        scale = np.where(exact, det, 1.0)
+        delta = (u1T + p2T) / np.sqrt(scale)
+        disc = ((u1T - p2T) ** 2 + 4.0 * u2T * p1T) / scale
+        sgn = 1.0 if bc is BoundaryKind.PERIODIC else -1.0
+        return np.where(exact & (sgn * delta > 0.0),
+                        sgn * disc / (np.abs(delta) + 2.0), delta - 2.0 * sgn)
     if bc not in _SEPARATED:
         raise UnsupportedBoundaryKind(str(bc))
     return {BoundaryKind.DIRICHLET: u2T, BoundaryKind.NEUMANN: p1T,

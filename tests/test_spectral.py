@@ -398,6 +398,14 @@ class TestNarrowGaps:
         assert got[3] == pytest.approx(97.997867, abs=5e-6)
         assert got[4] == pytest.approx(97.998430, abs=5e-6)
 
+    def test_closed_gap_of_constant_samples(self):
+        # Phi(T) = I at the double eigenvalue 4 pi^2 - 9, where Delta - 2
+        # formed as trace - 2 cancels to rounding (4.8e-9 off)
+        g = np.linspace(0.0, 1.0, 2001)
+        got = [r.value for r in smallest_eigenvalues(
+            sampled(g, np.full(2001, 9.0)), BoundaryKind.PERIODIC, 3)]
+        assert_allclose(got[1:], 4 * math.pi**2 - 9, rtol=1e-9)
+
 
 @st.composite
 def trig_cases(draw):
