@@ -68,6 +68,12 @@ def calls(wavy: str, repro_a: str) -> list:
     for bc in ("periodic", "antiperiodic"):
         out.append(["eigen", "--bc", bc, "--samples", repro_a, "--count", "6"])
     out.append(["classify", "--bc", "periodic", "--samples", repro_a])
+    # the weight labels: the coefficient weight of gamma_star, the weight
+    # one, and a Neumann check, which reports both weighted ratios
+    for weight in ("coefficient", "one"):
+        out.append(["gamma", "--bc", "periodic", "--samples", wavy,
+                    "--weight", weight])
+    out.append(["check", "--bc", "neumann", "--samples", wavy, "--f", WAVY_F])
     return out
 
 

@@ -11,6 +11,7 @@ under --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -27,6 +28,7 @@ from .gamma import (gamma_closed, gamma_dirichlet_closed,
                     gamma_quadrature, gamma_star, pointwise_ratio)
 from .greens import DirichletConstantKernel, build_kernel
 from .potentials import DEFAULT_GRID, BoundaryKind, constant, sampled
+from .quadrature import GAUSS_ORDER
 from .solver import solve_linear, solve_nonlinear
 from .spectral import classify_sign, principal_eigenfunction, smallest_eigenvalues
 
@@ -52,27 +54,27 @@ def _jsonable(obj):
     return obj
 
 
+@contextlib.contextmanager
 def _open_out(path):
+    """stdout for no path or "-", else the file, closed on the way out."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
 def _emit_json(obj, path):
-    out, close = _open_out(path)
-    json.dump(_jsonable(obj), out, indent=2, sort_keys=True)
-    out.write("\n")
-    if close:
-        out.close()
+    with _open_out(path) as out:
+        json.dump(_jsonable(obj), out, indent=2, sort_keys=True)
+        out.write("\n")
 
 
 def _emit_csv(header, rows, path):
-    out, close = _open_out(path)
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if close:
-        out.close()
+    with _open_out(path) as out:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _default_grid() -> int:
@@ -168,6 +170,16 @@ def _add_potential_args(p, bc_required=True):
                         f"(default GREENSIGN_GRID or {DEFAULT_GRID})")
 
 
+def _int_at_least(least: int):
+    """argparse type: an integer >= least, a usage error otherwise."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    return integer
+
+
 def _grid_size(args) -> int:
     return args.grid if args.grid is not None else _default_grid()
 
@@ -198,11 +210,9 @@ def _cmd_eigen(args) -> int:
         _emit_json([{"value": r.value, "bc": str(r.bc), "method": r.method}
                     for r in results], args.output)
     else:
-        out, close = _open_out(args.output)
-        for i, r in enumerate(results, 1):
-            out.write(f"lambda_{i} = {r.value:.12g} ({r.bc}, {r.method})\n")
-        if close:
-            out.close()
+        with _open_out(args.output) as out:
+            for i, r in enumerate(results, 1):
+                out.write(f"lambda_{i} = {r.value:.12g} ({r.bc}, {r.method})\n")
     return 0
 
 
@@ -212,10 +222,8 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         _emit_json({"bc": args.bc, "classification": str(cls)}, args.output)
     else:
-        out, close = _open_out(args.output)
-        out.write(f"{cls}\n")
-        if close:
-            out.close()
+        with _open_out(args.output) as out:
+            out.write(f"{cls}\n")
     return 0
 
 
@@ -234,32 +242,27 @@ def _cmd_gamma(args) -> int:
     if args.weight == "coefficient":
         quad = gamma_star(kernel, pot, t_grid_size=args.t_grid,
                           s_quadrature_order=args.order)
-    elif args.weight == "one":
-        quad = gamma_quadrature(kernel, None, t_grid_size=args.t_grid,
-                                s_quadrature_order=args.order)
     else:
-        weight = principal_eigenfunction(pot, bc, grid_size=grid_size)
+        weight = (principal_eigenfunction(pot, bc, grid_size=grid_size)
+                  if args.weight == "eigenfunction" else None)
         quad = gamma_quadrature(kernel, weight, t_grid_size=args.t_grid,
-                                s_quadrature_order=args.order,
-                                weight_label="PrincipalEigenfunction")
+                                s_quadrature_order=args.order)
     cls = classify_sign(pot, bc, grid_size=grid_size)
     if args.format == "json":
         _emit_json({"closed": closed.to_dict() if closed else None,
                     "quadrature": quad.to_dict(),
                     "classification": str(cls)}, args.output)
     else:
-        out, close = _open_out(args.output)
-        if closed is not None:
-            case = f", case {closed.case}" if closed.case else ""
-            out.write(f"gamma_closed     = {_fmt_value(closed.value)}"
-                      f" ({closed.method}{case})\n")
-            if closed.note:
-                out.write(f"note: {closed.note}\n")
-        out.write(f"gamma_quadrature = {_fmt_value(quad.value)}"
-                  f" (argmin t = {quad.argmin_t:.6g}, weight {quad.weight})\n")
-        out.write(f"classification   = {cls}\n")
-        if close:
-            out.close()
+        with _open_out(args.output) as out:
+            if closed is not None:
+                case = f", case {closed.case}" if closed.case else ""
+                out.write(f"gamma_closed     = {_fmt_value(closed.value)}"
+                          f" ({closed.method}{case})\n")
+                if closed.note:
+                    out.write(f"note: {closed.note}\n")
+            out.write(f"gamma_quadrature = {_fmt_value(quad.value)}"
+                      f" (argmin t = {quad.argmin_t:.6g}, weight {quad.weight})\n")
+            out.write(f"classification   = {cls}\n")
     return 0
 
 
@@ -332,8 +335,7 @@ def _cmd_figure(args) -> int:
         for rho in math.pi * np.linspace(1.02, 5.98, 200):
             closed = gamma_dirichlet_closed(float(rho))
             kernel = DirichletConstantKernel(float(rho))
-            quad = gamma_quadrature(kernel, weight, t_grid_size=101,
-                                    weight_label="PrincipalEigenfunction")
+            quad = gamma_quadrature(kernel, weight, t_grid_size=101)
             rows.append((rho, closed.value, quad.value))
         _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], rows, out)
     elif n in (4, 5):
@@ -379,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", choices=["eigenfunction", "coefficient", "one"],
                    default="eigenfunction",
                    help="weight in the part-integral ratio")
-    p.add_argument("--t-grid", type=int, default=1001, dest="t_grid",
+    p.add_argument("--t-grid", type=_int_at_least(1), default=1001, dest="t_grid",
                    help="t-nodes for the quadrature infimum")
-    p.add_argument("--order", type=int, default=16,
+    p.add_argument("--order", type=_int_at_least(1), default=GAUSS_ORDER,
                    help="Gauss order for the s-integrals")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", help="file path (default stdout)")
@@ -391,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_potential_args(p)
     p.add_argument("--f", required=True,
                    help="nonlinearity f(t,x) as an expression")
-    p.add_argument("--t-grid", type=int, default=1001, dest="t_grid")
-    p.add_argument("--cone-grid", type=int, default=201, dest="cone_grid",
+    p.add_argument("--t-grid", type=_int_at_least(1), default=1001, dest="t_grid")
+    p.add_argument("--cone-grid", type=_int_at_least(2), default=201, dest="cone_grid",
                    help="s-nodes for the subinterval search")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when any hypothesis fails")

@@ -19,7 +19,7 @@ from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
 from .gamma import GammaResult, gamma_closed, gamma_quadrature, gamma_star
 from .greens import build_kernel
 from .potentials import BoundaryKind
-from .quadrature import default_max_len, gauss_nodes, panel_plan
+from .quadrature import GAUSS_ORDER, default_max_len, gauss_nodes, panel_plan
 from .spectral import principal_eigenfunction
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -97,7 +97,7 @@ class H2Verdict:
                 "reason": self.reason}
 
 
-def _t_integrals(kernel, ss, cs, ds, order: int = 16) -> np.ndarray:
+def _t_integrals(kernel, ss, cs, ds) -> np.ndarray:
     """Integral over t in [c, d] of G(t, s) for every (s, c, d), the three
     broadcast together; 0 where d <= c.
 
@@ -111,8 +111,8 @@ def _t_integrals(kernel, ss, cs, ds, order: int = 16) -> np.ndarray:
     if not live.size:
         return out
     plan = panel_plan(cs[live], ds[live], np.arange(len(live)), ss[live],
-                      default_max_len(kernel.potential), order)
-    starts = plan.offsets * order
+                      default_max_len(kernel.potential))
+    starts = plan.offsets * GAUSS_ORDER
     g = np.asarray(kernel(plan.xs.ravel(),
                           np.repeat(ss[live], np.diff(starts))), dtype=float)
     vals = g * plan.weights.ravel()
@@ -171,11 +171,11 @@ def compute_cone_constants(kernel, subinterval: Subinterval,
     return ConeConstants(eta, eta / mx, mx, subinterval)
 
 
-def _cell_integral_table(kernel, ss: np.ndarray, order: int = 16) -> np.ndarray:
+def _cell_integral_table(kernel, ss: np.ndarray) -> np.ndarray:
     """M[k, j] = integral of G(t, ss[j]) over the k-th of 64 equal t-cells."""
     T = kernel.T
     edges = np.linspace(0.0, T, N_CELLS + 1)
-    nodes, gw = gauss_nodes(order)
+    nodes, gw = gauss_nodes()
     M = np.empty((N_CELLS, len(ss)))
     for k in range(N_CELLS):
         lo, hi = edges[k], edges[k + 1]
@@ -189,7 +189,7 @@ def _cell_integral_table(kernel, ss: np.ndarray, order: int = 16) -> np.ndarray:
     # split panels, all in one batch
     ks, js = np.nonzero((ss[None, :] > edges[:-1, None])
                         & (ss[None, :] < edges[1:, None]))
-    M[ks, js] = _t_integrals(kernel, ss[js], edges[ks], edges[ks + 1], order)
+    M[ks, js] = _t_integrals(kernel, ss[js], edges[ks], edges[ks + 1])
     return M
 
 
@@ -246,16 +246,16 @@ def check_H3(kernel, subinterval: Subinterval, grid: int = 201) -> H3Verdict:
     return H3Verdict(True, subinterval, min_all, min_sub)
 
 
-def check_H2(f, weight, gamma: GammaResult, t_samples=None, x_samples=None,
-             T: float = 1.0) -> H2Verdict:
+def check_H2(f, weight, gamma: GammaResult, T: float = 1.0) -> H2Verdict:
     """Sandwich certificate: m w(t) <= f(t, x) <= M w(t) with M/m <= gamma.
 
-    m and M are the sampled extrema of f/w over the lattice.  Where the
+    m and M are the sampled extrema of f/w over the lattice of 201 equally
+    spaced t and the x of DEFAULT_X_SAMPLES.  Where the
     weight vanishes, f must vanish too, and the ratio is continued by a
     one-sided difference quotient just inside the interval.
     """
-    ts = np.linspace(0.0, T, 201) if t_samples is None else np.asarray(t_samples, dtype=float)
-    xs = np.asarray(DEFAULT_X_SAMPLES if x_samples is None else x_samples, dtype=float)
+    ts = np.linspace(0.0, T, 201)
+    xs = np.asarray(DEFAULT_X_SAMPLES, dtype=float)
     w = np.asarray(weight(ts), dtype=float)
     if np.any(~np.isfinite(w)) or np.any(w < 0):
         raise EvaluationFailure("weight must be finite and nonnegative")
@@ -367,8 +367,7 @@ def build_report(potential, bc: BoundaryKind, f, grid: int = 201,
 
     try:
         report.gamma_used = (gamma_closed(potential, bc) or gamma_quadrature(
-            kernel, weight, t_grid_size=gamma_t_grid,
-            weight_label="PrincipalEigenfunction"))
+            kernel, weight, t_grid_size=gamma_t_grid))
         report.h2 = check_H2(f, weight, report.gamma_used, T=T)
     except NonpositiveWeightedIntegral as exc:
         report.notes.append(f"sign-ratio constant unavailable: {exc}")

@@ -14,7 +14,7 @@ also the independent oracle for the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      UnsupportedBoundaryKind)
 from .greens import RESONANCE_TOL, _constant_margin
 from .potentials import BoundaryKind, ConstantPotential, Potential
-from .quadrature import default_max_len, shared_breaks, slice_panels, slice_roots
+from .quadrature import GAUSS_ORDER, default_max_len, shared_breaks, slice_panels
 
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
@@ -56,7 +56,7 @@ def _slice_parts(kernel, ts, roots: list, weight, order: int,
     """(N, D) at every t in ts: weighted integrals of the positive and
     negative parts of G(t, .), non-finite where the quadrature failed.
 
-    roots[i] are the interior zeros of G(ts[i], .), as slice_roots gives
+    roots[i] are the interior zeros of G(ts[i], .), as s_roots_many gives
     them.  The slices go in blocks of at most SLICE_BLOCK_NODES Gauss
     nodes, with one kernel, weight and sign evaluation per block; a panel
     counts as positive or negative by the sign of G at its midpoint.
@@ -84,17 +84,16 @@ def _slice_parts(kernel, ts, roots: list, weight, order: int,
     return pos, neg
 
 
-def _slice_ratios(kernel, ts, weight, order: int, max_len: float,
-                  need_positive) -> np.ndarray:
-    """N/D at every t in ts.
+def _slice_ratios(kernel, ts, weight, order: int, need_positive) -> np.ndarray:
+    """N/D at every t in ts, on panels capped at default_max_len.
 
     Raises at the first slice, in the order of ts, whose quadrature is not
     finite or, where need_positive holds, whose weighted integral N - D is
     not positive.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    pos, neg = _slice_parts(kernel, ts, slice_roots(kernel, ts), weight,
-                            order, max_len)
+    pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
+                            order, default_max_len(kernel.potential))
     nonfinite = ~(np.isfinite(pos) & np.isfinite(neg))
     nonpositive = need_positive & ~nonfinite & (
         pos - neg <= 1e-13 * np.maximum(pos, 1e-300))
@@ -137,8 +136,7 @@ def _boundary_limit(hs: np.ndarray, rs: np.ndarray) -> float:
     return _neville_to_zero(hs, rs)
 
 
-def pointwise_ratio(kernel, t: float, weight=None,
-                    s_quadrature_order: int = 16) -> float:
+def pointwise_ratio(kernel, t: float, weight=None) -> float:
     """N(t)/D(t) at a single t in [0, T], by the quadrature path.
 
     Raises OutOfRange outside [0, T] and at an end where the boundary
@@ -150,27 +148,23 @@ def pointwise_ratio(kernel, t: float, weight=None,
     if (left and t == 0.0) or (right and t == kernel.T):
         raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {t:.6g} "
                          f"to zero")
-    max_len = default_max_len(kernel.potential)
-    return float(_slice_ratios(kernel, [t], weight, s_quadrature_order,
-                               max_len, need_positive=False)[0])
+    return float(_slice_ratios(kernel, [t], weight, GAUSS_ORDER,
+                               need_positive=False)[0])
 
 
 def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
-                     s_quadrature_order: int = 16,
-                     weight_label: str | None = None) -> GammaResult:
+                     s_quadrature_order: int = GAUSS_ORDER) -> GammaResult:
     """Infimum over t of the weighted positive/negative part ratio.
 
-    weight of None means the constant weight one.  Endpoints where the
+    weight of None means the constant weight one, labelled One; any other
+    weight is labelled PrincipalEigenfunction.  Endpoints where the
     boundary condition forces the whole slice to zero are evaluated as
     one-sided limits by polynomial extrapolation from interior nodes.
     """
     T = kernel.T
-    bc = kernel.bc
-    max_len = default_max_len(kernel.potential)
-    order = s_quadrature_order
-    label = weight_label or ("One" if weight is None else "PrincipalEigenfunction")
+    label = "One" if weight is None else "PrincipalEigenfunction"
 
-    vanish_left, vanish_right = bc.pinned_ends
+    vanish_left, vanish_right = kernel.bc.pinned_ends
 
     ts = np.linspace(0.0, T, t_grid_size)
     pinned = np.zeros(t_grid_size, dtype=bool)
@@ -180,7 +174,7 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
     slice_ts = np.concatenate([_boundary_nodes(T, i > 0)[1] if pin else [t]
                                for i, (t, pin) in enumerate(zip(ts, pinned))])
     size = np.where(pinned, BOUNDARY_SLICES, 1)
-    rs = _slice_ratios(kernel, slice_ts, weight, order, max_len,
+    rs = _slice_ratios(kernel, slice_ts, weight, s_quadrature_order,
                        need_positive=np.repeat(~pinned, size))
     hs = _boundary_nodes(T, False)[0]
     ratios = np.array([_boundary_limit(hs, rs[k:k + BOUNDARY_SLICES]) if pin
@@ -310,7 +304,7 @@ def gamma_closed(potential: Potential, bc: BoundaryKind) -> GammaResult | None:
 
 
 def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,
-               s_quadrature_order: int = 16) -> GammaResult:
+               s_quadrature_order: int = GAUSS_ORDER) -> GammaResult:
     """Ratio weighted by the coefficient a itself (periodic and Neumann only,
     where int G a ds = 1 makes the weighted integral positive for free)."""
     if kernel.bc not in (BoundaryKind.PERIODIC, BoundaryKind.NEUMANN):
@@ -324,5 +318,5 @@ def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,
             f"coefficient takes negative values (min {np.min(samples):.3e})")
     if np.max(samples) <= 0:
         raise InvalidWeight("coefficient is identically zero")
-    return gamma_quadrature(kernel, potential, t_grid_size, s_quadrature_order,
-                            weight_label="Coefficient")
+    return replace(gamma_quadrature(kernel, potential, t_grid_size,
+                                    s_quadrature_order), weight="Coefficient")

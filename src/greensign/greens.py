@@ -126,22 +126,28 @@ class _KernelBase:
         """Interior zeros of G(t, .), sorted."""
         return self.s_roots_many([t])[0]
 
+    def s_roots_many(self, ts) -> list[np.ndarray]:
+        """s_roots at every t in ts.  A slice that the boundary condition
+        pins to zero (t = 0 or T) has none: its values are rounding noise,
+        and every "root" of it would split its panels."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        left, right = self.bc.pinned_ends
+        pinned = (left & (ts == 0.0)) | (right & (ts == self.T))
+        live = iter(self._live_roots(ts[~pinned]))
+        return [np.zeros(0) if pin else next(live) for pin in pinned]
+
 
 class _ClosedFormKernel(_KernelBase):
     """Closed-form kernel: the zeros of its slices are analytic.
 
     A subclass gives, for every t, candidate zeros and which of them are
-    zeros of G(t, .); s_roots_many keeps those inside (0, T), sorted and
+    zeros of G(t, .); _live_roots keeps those inside (0, T), sorted and
     without repeats, row by row.
     """
 
     form = "closed"
 
-    def _root_candidates(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def s_roots_many(self, ts) -> list[np.ndarray]:
-        ts = np.asarray(ts, dtype=float).reshape(-1)
+    def _live_roots(self, ts):
         cand, keep = self._root_candidates(ts)
         return _sorted_rows(np.where(keep, cand, np.inf), self.T)
 
@@ -238,7 +244,6 @@ class NumericKernel(_KernelBase):
         self.potential = potential
         self.bc = bc
         self.fs = fs
-        self.grid_size = len(fs.ts)
         self._angles = None
         u1T, u2T = fs.u1[-1], fs.u2[-1]
         p1T, p2T = fs.p1[-1], fs.p2[-1]
@@ -274,11 +279,10 @@ class NumericKernel(_KernelBase):
             self._angles = math.atan2(u2[0], u1[0]) + np.concatenate([[0.0], np.cumsum(turn)])
         return self._angles
 
-    def s_roots_many(self, ts) -> list[np.ndarray]:
-        """s_roots at every t in ts, where psi meets its targets (see the
-        module docstring).  On a side that reaches an end the condition
-        pins, the target that is that end is dropped by its index."""
-        ts = np.asarray(ts, dtype=float).reshape(-1)
+    def _live_roots(self, ts):
+        """Slice zeros where psi meets its targets (see the module
+        docstring).  On a side that reaches an end the condition pins, the
+        target that is that end is dropped by its index."""
         n = len(ts)
         psi = self._node_angles()
         u1t, u2t = self.fs.eval_pair(ts)

@@ -53,9 +53,6 @@ class Interval:
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError(f"interval length must be positive and finite, got {self.T}")
 
-    def grid(self, n: int) -> np.ndarray:
-        return np.linspace(0.0, self.T, n)
-
 
 @dataclass(frozen=True)
 class ConstantPotential:

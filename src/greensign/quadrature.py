@@ -11,10 +11,11 @@ Python loop per row.  slice_panels is that plan for the slices G(t, .),
 with the one rule for where a slice is broken, and G at its nodes; the
 sign-ratio constant and the solver both integrate through it.
 
-The zeros of the slices G(t, .) come from the kernel, through slice_roots:
-the closed forms know them analytically, and a numeric kernel places each
-at the angle of its fundamental pair where the slice vanishes (see
-greens.NumericKernel.s_roots_many).  No slice is sampled to find them.
+The zeros of the slices G(t, .) come from the kernel's s_roots_many, which
+gives none for a slice the boundary condition pins to zero: the closed
+forms know them analytically, and a numeric kernel places each at the
+angle of its fundamental pair where the slice vanishes (see
+greens.NumericKernel).  No slice is sampled to find them.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class PanelPlan(NamedTuple):
     offsets: np.ndarray   # (rows + 1,) row r owns panels offsets[r]:offsets[r + 1]
 
 
-def panel_plan(lo, hi, rows, points, max_len: float | None = None,
+def panel_plan(lo, hi, rows, points, max_len: float,
                order: int = GAUSS_ORDER) -> PanelPlan:
     """Panels of [lo[r], hi[r]] for every row r, broken at the points
     points[i] of row rows[i] and capped at max_len.
@@ -96,18 +97,15 @@ def panel_plan(lo, hi, rows, points, max_len: float | None = None,
     # pieces between consecutive break points of one row
     piece = row[1:] == row[:-1]
     p_row, p_lo, p_hi = row[:-1][piece], edge[:-1][piece], edge[1:][piece]
-    if max_len is None or max_len <= 0:
-        row, plo, phi = p_row, p_lo, p_hi
-    else:
-        cuts = np.maximum(1, np.ceil((p_hi - p_lo) / max_len)).astype(np.intp)
-        first = np.repeat(np.cumsum(cuts) - cuts, cuts)
-        i = np.arange(len(first)) - first
-        k = np.repeat(cuts, cuts)
-        start = np.repeat(p_lo, cuts)
-        step = np.repeat((p_hi - p_lo) / cuts, cuts)
-        row = np.repeat(p_row, cuts)
-        plo = np.where(i == 0, start, i * step + start)
-        phi = np.where(i + 1 == k, np.repeat(p_hi, cuts), (i + 1) * step + start)
+    cuts = np.maximum(1, np.ceil((p_hi - p_lo) / max_len)).astype(np.intp)
+    first = np.repeat(np.cumsum(cuts) - cuts, cuts)
+    i = np.arange(len(first)) - first
+    k = np.repeat(cuts, cuts)
+    start = np.repeat(p_lo, cuts)
+    step = np.repeat((p_hi - p_lo) / cuts, cuts)
+    row = np.repeat(p_row, cuts)
+    plo = np.where(i == 0, start, i * step + start)
+    phi = np.where(i + 1 == k, np.repeat(p_hi, cuts), (i + 1) * step + start)
     nodes, gw = gauss_nodes(order)
     mid = 0.5 * (plo + phi)
     half = 0.5 * (phi - plo)
@@ -123,7 +121,7 @@ def shared_breaks(potential) -> np.ndarray:
     return bps if len(bps) <= MAX_SHARED_BREAKS else bps[:0]
 
 
-def slice_panels(kernel, ts, roots: list, max_len: float | None,
+def slice_panels(kernel, ts, roots: list, max_len: float,
                  order: int = GAUSS_ORDER) -> tuple[PanelPlan, np.ndarray]:
     """(plan, g): the panels of the slices G(t, .) on [0, T] for every t in
     ts, and G at their Gauss nodes, shaped as plan.xs.
@@ -144,17 +142,6 @@ def slice_panels(kernel, ts, roots: list, max_len: float | None,
                       max_len, order)
     t_nodes = np.repeat(ts, np.diff(plan.offsets) * order).reshape(plan.xs.shape)
     return plan, np.asarray(kernel(t_nodes, plan.xs), dtype=float)
-
-
-def slice_roots(kernel, ts) -> list[np.ndarray]:
-    """kernel.s_roots_many(ts), but none for a slice that the boundary
-    condition pins to zero (t = 0 or T): such a slice is rounding noise,
-    and every "root" of it would split its panels."""
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    left, right = kernel.bc.pinned_ends
-    pinned = (left & (ts == 0.0)) | (right & (ts == kernel.T))
-    live = iter(kernel.s_roots_many(ts[~pinned]))
-    return [np.zeros(0) if pin else next(live) for pin in pinned]
 
 
 def default_max_len(potential) -> float:

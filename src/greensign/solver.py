@@ -18,7 +18,7 @@ import numpy as np
 from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import default_max_len, slice_panels, slice_roots
+from .quadrature import GAUSS_ORDER, default_max_len, slice_panels
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
@@ -93,17 +93,17 @@ class _NodeQuadrature:
     """Per-node panel quadrature against a fixed kernel, flattened so one
     vectorized kernel evaluation and one reduceat serve all output nodes.
 
-    roots, the zeros of every slice G(t, .), default to slice_roots over
-    ts; they depend neither on the order nor on the panel cap, so a second
-    quadrature on the same ts can reuse them.
+    roots, the zeros of every slice G(t, .), default to kernel.s_roots_many
+    over ts; they depend neither on the order nor on the panel cap, so a
+    second quadrature on the same ts can reuse them.
     """
 
-    def __init__(self, kernel, ts: np.ndarray, order: int = 16,
+    def __init__(self, kernel, ts: np.ndarray, order: int = GAUSS_ORDER,
                  max_len: float | None = None, roots: list | None = None):
         if max_len is None:
             max_len = default_max_len(kernel.potential)
         if roots is None:
-            roots = slice_roots(kernel, ts)
+            roots = kernel.s_roots_many(ts)
         plan, g = slice_panels(kernel, ts, roots, max_len, order)
         self.roots = roots
         self.xs = plan.xs.ravel()
@@ -185,34 +185,28 @@ def _second_difference_residual(ts: np.ndarray, us: np.ndarray, potential,
     return float(np.max(np.abs(res)))
 
 
-def _rhs_values(rhs, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Evaluate a right-hand side that is either sigma(t) or f(t, x)."""
-    try:
-        vals = rhs(ts, us)
-    except TypeError:
-        vals = rhs(ts)
-    return np.broadcast_to(np.asarray(vals, dtype=float), ts.shape)
+def _checks(ts: np.ndarray, us: np.ndarray, potential, rhs_vals,
+            bc: BoundaryKind) -> dict:
+    """residual_norm, bc_error and positivity of the profile us on ts, for
+    the right-hand side with values rhs_vals at ts."""
+    rhs_vals = np.broadcast_to(np.asarray(rhs_vals, dtype=float), ts.shape)
+    return {"residual_norm": _second_difference_residual(ts, us, potential, rhs_vals),
+            "bc_error": _bc_error(ts, us, bc),
+            "positivity": _classify_positivity(us)}
 
 
-def solve_linear(kernel, sigma, grid, order: int = 16) -> SolutionProfile:
+def solve_linear(kernel, sigma, grid) -> SolutionProfile:
     """u(t) = integral of G(t, s) sigma(s) ds at every grid node."""
     ts = _as_grid(kernel, grid)
-    quad = _NodeQuadrature(kernel, ts, order)
+    quad = _NodeQuadrature(kernel, ts)
     sig = np.asarray(sigma(quad.xs), dtype=float)
     us = quad.apply(np.broadcast_to(sig, quad.xs.shape))
-    rhs_vals = np.broadcast_to(np.asarray(sigma(ts), dtype=float), ts.shape)
-    return SolutionProfile(
-        grid=ts, values=us,
-        residual_norm=_second_difference_residual(ts, us, kernel.potential,
-                                                  rhs_vals),
-        bc_error=_bc_error(ts, us, kernel.bc),
-        positivity=_classify_positivity(us),
-        bc=kernel.bc)
+    return SolutionProfile(grid=ts, values=us, bc=kernel.bc,
+                           **_checks(ts, us, kernel.potential, sigma(ts), kernel.bc))
 
 
 def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
-                    max_iter: int = 200, tol: float = 1e-10,
-                    order: int = 16) -> SolutionProfile:
+                    max_iter: int = 200, tol: float = 1e-10) -> SolutionProfile:
     """Damped Picard iteration for u = integral of G(t, s) f(s, u(s)) ds.
 
     Starts from the image of the zero function, mixes each step with the
@@ -224,7 +218,7 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     ts = _as_grid(kernel, grid)
-    quad = _NodeQuadrature(kernel, ts, order)
+    quad = _NodeQuadrature(kernel, ts)
     stencil = _Stencil(ts, quad.xs)
 
     def image(us: np.ndarray) -> np.ndarray:
@@ -253,7 +247,7 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
         # the roots are all the finer quadrature needs from them
         roots = quad.roots
         del quad, stencil
-        fine = _NodeQuadrature(kernel, ts, order + 8,
+        fine = _NodeQuadrature(kernel, ts, GAUSS_ORDER + 8,
                                default_max_len(kernel.potential) / 2,
                                roots=roots)
         ux = np.concatenate([_Stencil(ts, fine.xs[a:a + FINE_STENCIL_NODES])(us)
@@ -264,17 +258,10 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
         if fp_resid > 10.0 * tol:
             converged = False
 
-    rhs_vals = np.asarray(f(ts, us), dtype=float)
-    return SolutionProfile(
-        grid=ts, values=us,
-        residual_norm=_second_difference_residual(ts, us, kernel.potential,
-                                                  np.broadcast_to(rhs_vals, ts.shape)),
-        bc_error=_bc_error(ts, us, kernel.bc),
-        positivity=_classify_positivity(us),
-        bc=kernel.bc,
-        iterations=iterations,
-        converged=converged,
-        fixed_point_residual=fp_resid)
+    return SolutionProfile(grid=ts, values=us, bc=kernel.bc,
+                           iterations=iterations, converged=converged,
+                           fixed_point_residual=fp_resid,
+                           **_checks(ts, us, kernel.potential, f(ts, us), kernel.bc))
 
 
 def verify_solution(profile: SolutionProfile, potential, rhs,
@@ -285,12 +272,10 @@ def verify_solution(profile: SolutionProfile, potential, rhs,
     profile in that cone is checked as well.
     """
     ts, us = profile.grid, profile.values
-    rhs_vals = _rhs_values(rhs, ts, us)
-    cone_ok = None
-    if cone is not None:
-        cone_ok = cone_membership(ts, us, cone)
-    return VerificationRecord(
-        residual_norm=_second_difference_residual(ts, us, potential, rhs_vals),
-        bc_error=_bc_error(ts, us, profile.bc),
-        positivity=_classify_positivity(us),
-        cone_ok=cone_ok)
+    try:
+        rhs_vals = rhs(ts, us)
+    except TypeError:
+        rhs_vals = rhs(ts)
+    cone_ok = None if cone is None else cone_membership(ts, us, cone)
+    return VerificationRecord(cone_ok=cone_ok,
+                              **_checks(ts, us, potential, rhs_vals, profile.bc))

@@ -199,6 +199,20 @@ class TestErrorsAndEnv:
             main(["green", "--rho", "2"])  # missing --bc
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gamma", "--t-grid", "0"], "--t-grid"),
+        (["check", "--f", "1", "--t-grid", "0"], "--t-grid"),
+        (["gamma", "--order", "0"], "--order"),
+        (["check", "--f", "1", "--cone-grid", "1"], "--cone-grid"),
+    ])
+    def test_bad_grid_size_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--bc", "periodic", "--rho", "7", *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be at least" in err
+        assert "Traceback" not in err
+
     def test_bad_expression_exits_1(self, capsys):
         code, _, err = run(["gamma", "--bc", "periodic", "--rho", "2*"],
                            capsys)

@@ -378,8 +378,11 @@ def periodic_roots_one_t(k, t):
 
 
 def dirichlet_roots_one_t(k, t):
-    """As periodic_roots_one_t, for the Dirichlet constant kernel."""
+    """As periodic_roots_one_t, for the Dirichlet constant kernel; none at
+    t = 0 and T, where the condition pins the slice to zero."""
     rho, T = k.rho, k.T
+    if t in (0.0, T):
+        return np.zeros(0)
     j = np.arange(1, int(rho * T / math.pi) + 1)
     left = j * math.pi / rho
     right = T - j * math.pi / rho
@@ -405,3 +408,39 @@ class TestClosedFormRoots:
             for t, r in zip(ts, got):
                 assert np.array_equal(r, one_t(k, float(t))), t
             assert k.s_roots_many([]) == []
+
+
+class TestPinnedSlices:
+    """A slice that the condition pins to zero, G(t, .) = 0 at t = 0 or T,
+    has no roots through any entry point; the others keep their finder's."""
+
+    def test_closed_form_dirichlet_ends(self):
+        k = DirichletConstantKernel(math.sqrt(60), 1.0)
+        for t in (0.0, 1.0):
+            assert k.s_roots(t).shape == (0,)
+            assert scan_kernel_roots(k, t).shape == (0,)
+
+    @pytest.mark.parametrize("bc, ends", [(BoundaryKind.DIRICHLET, (0.0, 1.0)),
+                                          (BoundaryKind.MIXED1, (1.0,)),
+                                          (BoundaryKind.MIXED2, (0.0,))])
+    def test_numeric_wavy_ends(self, bc, ends):
+        k = NumericKernel(wavy(), bc)
+        for t in ends:
+            assert k.s_roots(t).shape == (0,)
+            assert scan_kernel_roots(k, t).shape == (0,)
+
+    @pytest.mark.parametrize("bc", KERNEL_KINDS)
+    def test_interior_rows_are_the_finders(self, bc):
+        ts = np.linspace(0.0, 1.0, 41)
+        kernels = [NumericKernel(wavy(), bc)]
+        if bc is BoundaryKind.DIRICHLET:
+            kernels.append(DirichletConstantKernel(math.sqrt(60), 1.0))
+        if bc is BoundaryKind.PERIODIC:
+            kernels.append(PeriodicConstantKernel(RHO, 1.0))
+        left, right = bc.pinned_ends
+        for k in kernels:
+            got = k.s_roots_many(ts)
+            live = ts[int(left):len(ts) - int(right)]
+            for r, want in zip(got[int(left):len(ts) - int(right)], k._live_roots(live)):
+                assert np.array_equal(r, want)
+            assert all(got[i].shape == (0,) for i, pin in ((0, left), (-1, right)) if pin)

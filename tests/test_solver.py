@@ -9,7 +9,6 @@ from greensign.errors import EvaluationFailure
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
-from greensign.quadrature import slice_roots
 from greensign.solver import (Positivity, _NodeQuadrature, _Stencil,
                               solve_linear, solve_nonlinear, verify_solution)
 
@@ -259,6 +258,25 @@ class TestVerification:
         assert p.bc_error <= 1e-6
         assert verify_solution(p, pot, const_sigma(1.0)).bc_error == p.bc_error
 
+    @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET,
+                                    BoundaryKind.MIXED1])
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_record_reproduces_the_profile(self, bc, linear):
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(grid, PINNED_MEANS[bc] + 10.0 * np.sin(2 * math.pi * grid))
+        k = build_kernel(pot, bc)
+        if linear:
+            rhs = lambda s: 1.0 + s
+            p = solve_linear(k, rhs, 201)
+        else:
+            rhs = lambda s, x: 1.0 + s + 0.01 * np.sin(x)
+            p = solve_nonlinear(k, rhs, 201)
+            assert p.converged
+        rec = verify_solution(p, pot, rhs)
+        assert rec.residual_norm == p.residual_norm
+        assert rec.bc_error == p.bc_error
+        assert rec.positivity is p.positivity
+
     def test_profile_report_dict(self):
         p = solve_linear(DirichletConstantKernel(RHO_D), lambda s: s, 501)
         d = p.to_dict()
@@ -283,8 +301,8 @@ class TestPinnedEndSlices:
         pot = sampled(grid, PINNED_MEANS[bc] + 10.0 * np.sin(2 * math.pi * grid))
         k = NumericKernel(pot, bc)
         ts = np.linspace(0.0, 1.0, 11)
-        got = slice_roots(k, ts)
-        scanned = k.s_roots_many(ts)
+        got = k.s_roots_many(ts)
+        scanned = [k.s_roots_many([t])[0] for t in ts]
         left, right = bc.pinned_ends
         for i, (r, s) in enumerate(zip(got, scanned)):
             if (i == 0 and left) or (i == len(ts) - 1 and right):
@@ -307,7 +325,7 @@ class TestPinnedEndSlices:
     def test_closed_form_pinned_rows(self):
         k = DirichletConstantKernel(RHO_D)
         ts = np.linspace(0.0, 1.0, 5)
-        got = slice_roots(k, ts)
+        got = k.s_roots_many(ts)
         assert got[0].shape == (0,) and got[-1].shape == (0,)
         for r, s in zip(got[1:-1], k.s_roots_many(ts[1:-1])):
             assert np.array_equal(r, s)
