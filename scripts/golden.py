@@ -74,6 +74,13 @@ def calls(wavy: str, repro_a: str) -> list:
         out.append(["gamma", "--bc", "periodic", "--samples", wavy,
                     "--weight", weight])
     out.append(["check", "--bc", "neumann", "--samples", wavy, "--f", WAVY_F])
+    # kernel tables on the outer grid, numeric and closed form
+    for bc in ("periodic", "mixed1"):
+        out.append(["green", "--bc", bc, "--samples", wavy, "--nodes", "51"])
+    out.append(["green", "--bc", "dirichlet", "--rho", "7.5", "--nodes", "51"])
+    # a cone grid too coarse to put an s-sample in every T/64 window
+    out.append(["check", "--bc", "dirichlet", "--rho", "7.5", "--f", "1",
+                "--cone-grid", "2"])
     return out
 
 

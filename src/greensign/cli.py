@@ -358,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green", help="tabulate G(t,s) on a square lattice")
     _add_potential_args(p)
-    p.add_argument("--nodes", type=int, default=101, help="lattice size per axis")
+    p.add_argument("--nodes", type=_int_at_least(1), default=101, help="lattice size per axis")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="file path (default stdout)")
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("eigen", help="smallest eigenvalues under the boundary condition")
     _add_potential_args(p)
-    p.add_argument("--count", type=int, default=6)
+    p.add_argument("--count", type=_int_at_least(1), default=6)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", help="file path (default stdout)")
     p.set_defaults(func=_cmd_eigen)
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_potential_args(p)
     p.add_argument("--rhs", help="linear right-hand side sigma(t)")
     p.add_argument("--f", help="nonlinearity f(t,x) for the fixed-point solve")
-    p.add_argument("--solve-grid", type=int, default=2001, dest="solve_grid",
+    p.add_argument("--solve-grid", type=_int_at_least(5), default=2001, dest="solve_grid",
                    help="output grid size")
     p.add_argument("--damping", type=float, default=0.5)
     p.add_argument("--max-iter", type=int, default=200, dest="max_iter")

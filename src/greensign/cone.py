@@ -112,10 +112,9 @@ def _t_integrals(kernel, ss, cs, ds) -> np.ndarray:
         return out
     plan = panel_plan(cs[live], ds[live], np.arange(len(live)), ss[live],
                       default_max_len(kernel.potential))
+    s_rows = np.repeat(ss[live], np.diff(plan.offsets))[:, None]
+    vals = (np.asarray(kernel(plan.xs, s_rows), dtype=float) * plan.weights).ravel()
     starts = plan.offsets * GAUSS_ORDER
-    g = np.asarray(kernel(plan.xs.ravel(),
-                          np.repeat(ss[live], np.diff(starts))), dtype=float)
-    vals = g * plan.weights.ravel()
     out[live] = [np.sum(vals[a:b]) for a, b in zip(starts[:-1], starts[1:])]
     return out
 
@@ -214,9 +213,10 @@ def find_subinterval(kernel, grid: int = 201,
             c = float(T) * start / N_CELLS
             d = float(T) * (start + width) / N_CELLS
             w = prefix[start + width] - prefix[start]
-            inner = (ss >= c) & (ss <= d)
-            ok = bool(np.all(w >= -H3_TOL) and np.all(w[inner] > H3_TOL))
-            eta_hat = float(np.min(w[inner]))
+            # a window that holds no s-sample has no evidence inside it
+            inner = w[(ss >= c) & (ss <= d)]
+            ok = bool(inner.size and np.all(w >= -H3_TOL) and np.all(inner > H3_TOL))
+            eta_hat = float(np.min(inner)) if inner.size else math.nan
             trace.append({"c": c, "d": d, "valid": ok, "eta_hat": eta_hat})
             if ok and (best is None or eta_hat > best[0]):
                 best = (eta_hat, Subinterval(c, d))

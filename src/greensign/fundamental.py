@@ -197,21 +197,16 @@ class FundamentalSolutions:
         return float(max(np.max(np.abs(self.u1)), np.max(np.abs(self.u2)),
                          np.max(np.abs(self.p1)), np.max(np.abs(self.p2)), 1.0))
 
-    def _locate(self, x):
+    def eval_pair(self, x):
+        """(u1(x), u2(x)) with one shared cell lookup and Hermite basis."""
         x = np.asarray(x, dtype=float)
         i = np.clip((x / self.h).astype(int), 0, len(self.ts) - 2)
+        j = i + 1
         xi = (x - self.ts[i]) / self.h
-        return i, xi
-
-    def _hermite(self, y, dy, i, xi):
-        h00 = (1.0 + 2.0 * xi) * (1.0 - xi) ** 2
-        h10 = xi * (1.0 - xi) ** 2
-        h01 = xi * xi * (3.0 - 2.0 * xi)
-        h11 = xi * xi * (xi - 1.0)
-        return (h00 * y[i] + h10 * self.h * dy[i]
-                + h01 * y[i + 1] + h11 * self.h * dy[i + 1])
-
-    def eval_pair(self, x):
-        """(u1(x), u2(x)) with one shared cell lookup."""
-        i, xi = self._locate(x)
-        return self._hermite(self.u1, self.p1, i, xi), self._hermite(self.u2, self.p2, i, xi)
+        left, right = (1.0 - xi) ** 2, xi * xi
+        h00 = (1.0 + 2.0 * xi) * left
+        h10 = xi * left * self.h
+        h01 = right * (3.0 - 2.0 * xi)
+        h11 = right * (xi - 1.0) * self.h
+        return tuple(h00 * y[i] + h10 * dy[i] + h01 * y[j] + h11 * dy[j]
+                     for y, dy in ((self.u1, self.p1), (self.u2, self.p2)))

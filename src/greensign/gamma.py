@@ -58,8 +58,10 @@ def _slice_parts(kernel, ts, roots: list, weight, order: int,
 
     roots[i] are the interior zeros of G(ts[i], .), as s_roots_many gives
     them.  The slices go in blocks of at most SLICE_BLOCK_NODES Gauss
-    nodes, with one kernel, weight and sign evaluation per block; a panel
-    counts as positive or negative by the sign of G at its midpoint.
+    nodes, with one kernel and one weight evaluation per block.  Every
+    slice is broken at its zeros and the weight is nonnegative, so a panel
+    has one sign, and counts as positive or negative by the sign of its
+    own weighted integral (zero counts as positive).
     """
     T = kernel.T
     # a slice has at most one panel per max_len plus one per break point
@@ -75,8 +77,7 @@ def _slice_parts(kernel, ts, roots: list, weight, order: int,
             g = g * np.asarray(weight(plan.xs.ravel()),
                                dtype=float).reshape(g.shape)
         panel = np.sum(g * plan.weights, axis=1)
-        t_panel = np.repeat(bt, np.diff(plan.offsets))
-        up = np.asarray(kernel(t_panel, plan.mid), dtype=float) >= 0
+        up = panel >= 0
         for i, (p0, p1) in enumerate(zip(plan.offsets[:-1], plan.offsets[1:])):
             vals, sgn = panel[p0:p1], up[p0:p1]
             pos[a + i] = np.sum(vals[sgn])

@@ -2,7 +2,9 @@
 
 Every kernel object evaluates G(t, s) elementwise over broadcast arrays and on
 outer grids, knows the interior zeros of its slices G(t, .), and reports which
-construction produced it.  Closed forms exist for constant potentials under
+construction produced it.  The numeric kernel evaluates its fundamental pair
+on t and on s as given, before they broadcast, so callers pass operands shaped
+per row (t of shape (rows, 1) against s of shape (rows, nodes)).  Closed forms exist for constant potentials under
 periodic and Dirichlet conditions; every other nonresonant case is served by a
 kernel assembled from the RK4 fundamental system.
 
@@ -99,9 +101,11 @@ class _KernelBase:
     _C: np.ndarray
 
     def __call__(self, t, s):
+        """G(t, s) over t and s broadcast together.  The pair is evaluated
+        on each operand before they broadcast: pass operands shaped per row,
+        not repeated per node."""
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        t, s = np.broadcast_arrays(t, s)
         u1t, u2t = self._pair(t)
         u1s, u2s = self._pair(s)
         C = self._C
@@ -112,15 +116,7 @@ class _KernelBase:
 
     def grid_eval(self, ts, ss) -> np.ndarray:
         """G on the outer grid, shape (len(ts), len(ss))."""
-        ts = np.asarray(ts, dtype=float)
-        ss = np.asarray(ss, dtype=float)
-        u1t, u2t = self._pair(ts)
-        u1s, u2s = self._pair(ss)
-        C = self._C
-        g = (np.outer(C[0, 0] * u1t + C[1, 0] * u2t, u1s)
-             + np.outer(C[0, 1] * u1t + C[1, 1] * u2t, u2s))
-        k = np.outer(u2t, u1s) - np.outer(u1t, u2s)
-        return g + np.where(ts[:, None] >= ss[None, :], k, 0.0)
+        return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
 
     def s_roots(self, t: float) -> np.ndarray:
         """Interior zeros of G(t, .), sorted."""
@@ -170,13 +166,10 @@ class PeriodicConstantKernel(_ClosedFormKernel):
         g = (np.sin(self.rho * u) + np.sin(self.rho * (self.T - u))) / self._den
         return g if g.ndim else float(g)
 
-    def grid_eval(self, ts, ss):
-        return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
-
-    # each closed form defines s_roots on its own class, where the tracer in
-    # perfbench/ finds it
-    def s_roots(self, t: float) -> np.ndarray:
-        return self.s_roots_many([t])[0]
+    # each closed form holds these on its own class, where the tracer in
+    # perfbench/ finds them
+    grid_eval = _KernelBase.grid_eval
+    s_roots = _KernelBase.s_roots
 
     def _root_candidates(self, ts):
         # zeros of cos(rho (u - T/2)) at u = T/2 + (2j+1) pi / (2 rho), u = |t - s|
@@ -209,11 +202,8 @@ class DirichletConstantKernel(_ClosedFormKernel):
         g = -np.sin(self.rho * lo) * np.sin(self.rho * (self.T - hi)) / self._den
         return g if g.ndim else float(g)
 
-    def grid_eval(self, ts, ss):
-        return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
-
-    def s_roots(self, t: float) -> np.ndarray:
-        return self.s_roots_many([t])[0]
+    grid_eval = _KernelBase.grid_eval
+    s_roots = _KernelBase.s_roots
 
     def _root_candidates(self, ts):
         # zeros of sin(rho s) left of t and of sin(rho (T - s)) right of it

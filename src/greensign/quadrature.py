@@ -9,7 +9,8 @@ panel_plan lays out the panels of many rows (slices, or t-integrals) at
 once, as flat arrays: the same panels build_edges gives each row, without a
 Python loop per row.  slice_panels is that plan for the slices G(t, .),
 with the one rule for where a slice is broken, and G at its nodes; the
-sign-ratio constant and the solver both integrate through it.
+sign-ratio constant and the solver both integrate through it.  It passes
+each panel's t once, as a column against the panel's nodes.
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_many, which
 gives none for a slice the boundary condition pins to zero: the closed
@@ -62,7 +63,6 @@ class PanelPlan(NamedTuple):
 
     xs: np.ndarray        # (panels, order) Gauss nodes
     weights: np.ndarray   # (panels, order) Gauss weights times half-widths
-    mid: np.ndarray       # (panels,) panel midpoints
     offsets: np.ndarray   # (rows + 1,) row r owns panels offsets[r]:offsets[r + 1]
 
 
@@ -111,7 +111,7 @@ def panel_plan(lo, hi, rows, points, max_len: float,
     half = 0.5 * (phi - plo)
     offsets = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
     return PanelPlan(mid[:, None] + half[:, None] * nodes[None, :],
-                     half[:, None] * gw[None, :], mid, offsets)
+                     half[:, None] * gw[None, :], offsets)
 
 
 def shared_breaks(potential) -> np.ndarray:
@@ -140,8 +140,8 @@ def slice_panels(kernel, ts, roots: list, max_len: float,
                              np.tile(shared, n)])
     plan = panel_plan(np.zeros(n), np.full(n, kernel.T), rows, points,
                       max_len, order)
-    t_nodes = np.repeat(ts, np.diff(plan.offsets) * order).reshape(plan.xs.shape)
-    return plan, np.asarray(kernel(t_nodes, plan.xs), dtype=float)
+    t_rows = np.repeat(ts, np.diff(plan.offsets))[:, None]
+    return plan, np.asarray(kernel(t_rows, plan.xs), dtype=float)
 
 
 def default_max_len(potential) -> float:

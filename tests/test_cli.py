@@ -149,6 +149,14 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["all_passed"] is False
 
+    def test_cone_grid_without_samples_in_windows(self, capsys):
+        code, out, err = run(["check", "--bc", "dirichlet", "--rho", "7.5",
+                              "--f", "1", "--cone-grid", "2"], capsys)
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["h3"] is None
+        assert any(n.startswith("no subinterval") for n in obj["notes"])
+
 
 class TestSolve:
     def test_positive_profile_csv(self, capsys):
@@ -204,6 +212,9 @@ class TestErrorsAndEnv:
         (["check", "--f", "1", "--t-grid", "0"], "--t-grid"),
         (["gamma", "--order", "0"], "--order"),
         (["check", "--f", "1", "--cone-grid", "1"], "--cone-grid"),
+        (["solve", "--rhs", "1", "--solve-grid", "3"], "--solve-grid"),
+        (["eigen", "--count", "0"], "--count"),
+        (["green", "--nodes", "-1"], "--nodes"),
     ])
     def test_bad_grid_size_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -159,6 +159,15 @@ class TestFindSubinterval:
         sub = find_subinterval(PeriodicConstantKernel(RHO_P))
         assert type(sub.c) is float and type(sub.d) is float
 
+    def test_windows_without_samples_are_invalid(self):
+        # on two s-samples, the ends, most windows hold none
+        sub, trace = find_subinterval(DirichletConstantKernel(7.5), grid=2,
+                                      with_trace=True)
+        assert sub is None
+        empty = [e for e in trace if 0.0 < e["c"] and e["d"] < 1.0]
+        assert empty
+        assert all(not e["valid"] and math.isnan(e["eta_hat"]) for e in empty)
+
     def test_periodic_stops_at_widest(self):
         sub, trace = find_subinterval(PeriodicConstantKernel(RHO_P),
                                       with_trace=True)

@@ -302,13 +302,19 @@ def coarse_wavy(n):
 
 
 # (potential, condition, weight): closed and numeric kernels, pinned ends,
-# shared break points (a 41-node potential), no weight and two weights
+# shared break points (a 41-node potential), no weight and two weights.
+# The oracle takes a panel's sign from G at its midpoint, the batched path
+# from the panel's own integral.
 FLAT_CASES = {
     "periodic-closed": (constant(4.5 * math.pi, 1.0), BoundaryKind.PERIODIC,
                         None),
     "dirichlet-closed": (constant(10.8, 1.0), BoundaryKind.DIRICHLET,
                          SIN_WEIGHT),
     "dirichlet-wavy": (coarse_wavy(2001), BoundaryKind.DIRICHLET, "eigen"),
+    "periodic-wavy": (coarse_wavy(2001), BoundaryKind.PERIODIC, "eigen"),
+    "neumann-wavy": (coarse_wavy(2001), BoundaryKind.NEUMANN, "eigen"),
+    "mixed1-wavy": (coarse_wavy(2001), BoundaryKind.MIXED1, "eigen"),
+    "mixed2-wavy": (coarse_wavy(2001), BoundaryKind.MIXED2, "eigen"),
     "mixed1-coarse": (coarse_wavy(41), BoundaryKind.MIXED1, "eigen"),
     "neumann-coarse": (coarse_wavy(41), BoundaryKind.NEUMANN, "potential"),
 }

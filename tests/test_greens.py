@@ -444,3 +444,92 @@ class TestPinnedSlices:
             for r, want in zip(got[int(left):len(ts) - int(right)], k._live_roots(live)):
                 assert np.array_equal(r, want)
             assert all(got[i].shape == (0,) for i, pin in ((0, left), (-1, right)) if pin)
+
+
+def hermite_per_solution(fs, x):
+    """(u1(x), u2(x)) with the Hermite basis built once per solution, the
+    form eval_pair replaced, kept as its oracle."""
+    x = np.asarray(x, dtype=float)
+    i = np.clip((x / fs.h).astype(int), 0, len(fs.ts) - 2)
+    xi = (x - fs.ts[i]) / fs.h
+
+    def one(y, dy):
+        h00 = (1.0 + 2.0 * xi) * (1.0 - xi) ** 2
+        h10 = xi * (1.0 - xi) ** 2
+        h01 = xi * xi * (3.0 - 2.0 * xi)
+        h11 = xi * xi * (xi - 1.0)
+        return (h00 * y[i] + h10 * fs.h * dy[i]
+                + h01 * y[i + 1] + h11 * fs.h * dy[i + 1])
+    return one(fs.u1, fs.p1), one(fs.u2, fs.p2)
+
+
+def grid_by_outer(k, ts, ss):
+    """The np.outer copy of the kernel formula that grid_eval replaced."""
+    u1t, u2t = k._pair(ts)
+    u1s, u2s = k._pair(ss)
+    C = k._C
+    g = (np.outer(C[0, 0] * u1t + C[1, 0] * u2t, u1s)
+         + np.outer(C[0, 1] * u1t + C[1, 1] * u2t, u2s))
+    cauchy = np.outer(u2t, u1s) - np.outer(u1t, u2s)
+    return g + np.where(ts[:, None] >= ss[None, :], cauchy, 0.0)
+
+
+def single_path_kernels():
+    """NumericKernel on wavy under the five kernel conditions, and both
+    closed forms."""
+    return ([pytest.param(NumericKernel(wavy(), bc), id=f"wavy-{bc}")
+             for bc in KERNEL_KINDS]
+            + [pytest.param(PeriodicConstantKernel(RHO), id="periodic-closed"),
+               pytest.param(DirichletConstantKernel(math.sqrt(60)),
+                            id="dirichlet-closed")])
+
+
+def awkward_points(n=300):
+    """Random points plus the ends, grid nodes and a diagonal t = s."""
+    rng = np.random.default_rng(5)
+    return np.concatenate([[0.0, 1.0, 0.5, 1e-3, 1.0 - 1e-3],
+                           np.linspace(0.0, 1.0, 41), rng.uniform(0.0, 1.0, n)])
+
+
+class TestSingleEvaluationPath:
+    """The kernel evaluates its fundamental pair once per given point;
+    every value is bit for bit that of the broadcast-first forms."""
+
+    @pytest.mark.parametrize("k", single_path_kernels())
+    def test_rows_against_nodes_match_broadcast_first(self, k):
+        x = awkward_points()
+        ts, ss = x[:37], x[:37 * 8].reshape(37, 8)
+        got = k(ts[:, None], ss)
+        assert got.shape == (37, 8)
+        assert np.array_equal(got, k(*np.broadcast_arrays(ts[:, None], ss)))
+        got = k(ss, ts[:, None])
+        assert np.array_equal(got, k(*np.broadcast_arrays(ss, ts[:, None])))
+        assert k(0.3, 0.7) == k(np.array([0.3]), np.array([0.7]))[0]
+
+    def test_pair_evaluated_once_per_given_point(self, monkeypatch):
+        k = NumericKernel(wavy(), BoundaryKind.PERIODIC)
+        sizes = []
+        pair = k.fs.eval_pair
+        monkeypatch.setattr(k.fs, "eval_pair",
+                            lambda x: sizes.append(np.size(x)) or pair(x))
+        k(np.zeros((37, 1)), np.zeros((37, 8)))
+        k.grid_eval(np.zeros(5), np.zeros(7))
+        assert sizes == [37, 37 * 8, 5, 7]
+
+    @pytest.mark.parametrize("k", single_path_kernels())
+    def test_grid_eval_matches_outer_formula(self, k):
+        x = awkward_points(60)
+        got = k.grid_eval(x, x[::-1])
+        assert got.shape == (len(x), len(x))
+        tt, ss = np.meshgrid(x, x[::-1], indexing="ij")
+        assert np.array_equal(got, k(tt, ss))
+        if isinstance(k, NumericKernel):
+            assert np.array_equal(got, grid_by_outer(k, x, x[::-1]))
+
+    def test_eval_pair_matches_per_solution_basis(self):
+        fs = NumericKernel(wavy(), BoundaryKind.PERIODIC).fs
+        x = awkward_points()
+        for got, want in zip(fs.eval_pair(x), hermite_per_solution(fs, x)):
+            assert np.array_equal(got, want)
+        u1, u2 = fs.eval_pair(0.37)
+        assert (u1, u2) == hermite_per_solution(fs, 0.37)

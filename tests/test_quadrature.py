@@ -11,19 +11,18 @@ from greensign.quadrature import (MAX_SHARED_BREAKS, build_edges, gauss_nodes,
 
 def per_row_panels(lo, hi, rows, points, max_len, order=16):
     """The per-row build_edges loop the flat plan replaced, kept as its
-    oracle: (xs, weights, mid) of every row, stacked."""
+    oracle: (xs, weights, offsets) of every row, stacked."""
     nodes, gw = gauss_nodes(order)
-    xs, ws, mids, counts = [], [], [], []
+    xs, ws, counts = [], [], []
     for r in range(len(lo)):
         edges = build_edges(lo[r], hi[r], points[rows == r], max_len)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         xs.append(mid[:, None] + half[:, None] * nodes[None, :])
         ws.append(half[:, None] * gw[None, :])
-        mids.append(mid)
         counts.append(len(mid))
     offsets = np.concatenate([[0], np.cumsum(counts)])
-    return np.concatenate(xs), np.concatenate(ws), np.concatenate(mids), offsets
+    return np.concatenate(xs), np.concatenate(ws), offsets
 
 
 def awkward_rows(rng, n):
@@ -51,7 +50,7 @@ def test_plan_matches_per_row_build_edges(max_len):
     lo, hi, rows, points = awkward_rows(rng, 40)
     want = per_row_panels(lo, hi, rows, points, max_len)
     got = panel_plan(lo, hi, rows, points, max_len)
-    for g, w in zip((got.xs, got.weights, got.mid, got.offsets), want):
+    for g, w in zip((got.xs, got.weights, got.offsets), want):
         assert np.array_equal(g, w)
 
 
@@ -79,7 +78,7 @@ def test_plan_of_kernel_slices_matches_per_row_build_edges():
     kernel = wavy_kernel(5)               # break points 0.25, 0.5 and 0.75
     want = per_slice_panels(ts, roots, [0.25, 0.5, 0.75], 1.0 / 7, 24)
     plan, _ = slice_panels(kernel, ts, roots, 1.0 / 7, 24)
-    for g, w in zip((plan.xs, plan.weights, plan.mid, plan.offsets), want):
+    for g, w in zip((plan.xs, plan.weights, plan.offsets), want):
         assert np.array_equal(g, w)
 
 
@@ -94,7 +93,7 @@ def test_slice_panels_share_only_few_break_points(nodes):
     shared = grid[1:-1] if nodes - 2 <= MAX_SHARED_BREAKS else []
     want = per_slice_panels(ts, roots, shared, 0.1, 12)
     plan, g = slice_panels(kernel, ts, roots, 0.1, 12)
-    for got, w in zip((plan.xs, plan.weights, plan.mid, plan.offsets), want):
+    for got, w in zip((plan.xs, plan.weights, plan.offsets), want):
         assert np.array_equal(got, w)
     t_nodes = np.repeat(ts, np.diff(plan.offsets))[:, None]
     assert np.array_equal(
