@@ -81,6 +81,15 @@ def calls(wavy: str, repro_a: str) -> list:
     # a cone grid too coarse to put an s-sample in every T/64 window
     out.append(["check", "--bc", "dirichlet", "--rho", "7.5", "--f", "1",
                 "--cone-grid", "2"])
+    # the characteristic value of each separated condition, the mixed
+    # spectra a Neumann verdict compares, and the boundary error and
+    # positivity verdict of a paired and a separated solve
+    for bc in ("dirichlet", "neumann", "mixed1", "mixed2"):
+        out.append(["eigen", "--bc", bc, "--samples", wavy, "--count", "6"])
+    out.append(["classify", "--bc", "neumann", "--samples", wavy])
+    for bc in ("antiperiodic", "neumann"):
+        out.append(["solve", "--bc", bc, "--samples", wavy, "--rhs", "1",
+                    "--format", "json"])
     return out
 
 

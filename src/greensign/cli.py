@@ -23,6 +23,7 @@ import numpy as np
 from .cone import build_report
 from .errors import GreensignError, ResonantPotential
 from .expressions import Expression, evaluate_scalar
+from .fundamental import MIN_GRID
 from .gamma import (gamma_closed, gamma_dirichlet_closed,
                     gamma_dirichlet_t_closed, gamma_periodic_closed,
                     gamma_quadrature, gamma_star, pointwise_ratio)
@@ -81,9 +82,9 @@ def _default_grid() -> int:
     env = os.environ.get("GREENSIGN_GRID")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise GreensignError(f"GREENSIGN_GRID must be an integer, got {env!r}")
+            return _int_at_least(MIN_GRID)(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise GreensignError(f"GREENSIGN_GRID must be an integer >= {MIN_GRID}, got {env!r}")
     return DEFAULT_GRID
 
 
@@ -165,19 +166,25 @@ def _add_potential_args(p, bc_required=True):
     p.add_argument("--T", default="1", help="interval length (expression, default 1)")
     p.add_argument("--bc", required=bc_required, choices=BC_CHOICES,
                    help="boundary condition")
-    p.add_argument("--grid", type=int, default=None,
+    p.add_argument("--grid", type=_int_at_least(MIN_GRID), default=None,
                    help=f"fundamental-solution grid size "
                         f"(default GREENSIGN_GRID or {DEFAULT_GRID})")
 
 
+def _arg_type(convert, ok, rule: str):
+    """argparse type: the converted text where ok holds, a usage error
+    saying the rule otherwise."""
+    def value(text: str):
+        x = convert(text)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return x
+    value.__name__ = convert.__name__
+    return value
+
+
 def _int_at_least(least: int):
-    """argparse type: an integer >= least, a usage error otherwise."""
-    def integer(text: str) -> int:
-        n = int(text)
-        if n < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
-        return n
-    return integer
+    return _arg_type(int, lambda n: n >= least, f"must be at least {least}")
 
 
 def _grid_size(args) -> int:
@@ -407,9 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="nonlinearity f(t,x) for the fixed-point solve")
     p.add_argument("--solve-grid", type=_int_at_least(5), default=2001, dest="solve_grid",
                    help="output grid size")
-    p.add_argument("--damping", type=float, default=0.5)
-    p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--damping", default=0.5,
+                   type=_arg_type(float, lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"))
+    p.add_argument("--max-iter", type=_int_at_least(1), default=200, dest="max_iter")
+    p.add_argument("--tol", default=1e-10, type=_arg_type(
+        float, lambda x: 0.0 < x < math.inf, "must be positive and finite"))
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--output", help="file path (default stdout)")
     p.set_defaults(func=_cmd_solve)

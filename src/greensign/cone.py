@@ -372,7 +372,7 @@ def build_report(potential, bc: BoundaryKind, f, grid: int = 201,
     except NonpositiveWeightedIntegral as exc:
         report.notes.append(f"sign-ratio constant unavailable: {exc}")
 
-    if bc in (BoundaryKind.PERIODIC, BoundaryKind.NEUMANN):
+    if bc.keeps_constants:
         try:
             gs = gamma_star(kernel, potential, t_grid_size=gamma_t_grid)
             report.h2_star = check_H2(f, potential, gs, T=T)

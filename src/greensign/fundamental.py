@@ -31,6 +31,8 @@ from .potentials import DEFAULT_GRID, Potential
 #: bounds the product tree's working set (about 2 MB), which the allocator
 #: then reuses from block to block instead of mapping fresh pages each time
 TRANSFER_BLOCK_ENTRIES = 1 << 16
+#: the fewest grid nodes a step table is built on
+MIN_GRID = 9
 
 
 class _StepTable:
@@ -76,6 +78,8 @@ def _step_table(potential: Potential, grid_size: int) -> _StepTable:
     """The step table of (potential, grid_size), built once per potential."""
     table = potential.cache.get(("rk4", grid_size))
     if table is None:
+        if grid_size < MIN_GRID:
+            raise ValueError(f"grid_size must be at least {MIN_GRID}")
         table = potential.cache[("rk4", grid_size)] = _StepTable(potential, grid_size)
     return table
 
@@ -174,8 +178,6 @@ class FundamentalSolutions:
     def __init__(self, potential: Potential, lam: float = 0.0, grid_size: int | None = None):
         if grid_size is None:
             grid_size = DEFAULT_GRID
-        if grid_size < 9:
-            raise ValueError("grid_size must be at least 9")
         table = _step_table(potential, grid_size)
         steps = np.empty((4, 1, grid_size - 1))
         table.entries(np.array([float(lam)]), steps)

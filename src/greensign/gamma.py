@@ -306,9 +306,10 @@ def gamma_closed(potential: Potential, bc: BoundaryKind) -> GammaResult | None:
 
 def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,
                s_quadrature_order: int = GAUSS_ORDER) -> GammaResult:
-    """Ratio weighted by the coefficient a itself (periodic and Neumann only,
-    where int G a ds = 1 makes the weighted integral positive for free)."""
-    if kernel.bc not in (BoundaryKind.PERIODIC, BoundaryKind.NEUMANN):
+    """Ratio weighted by the coefficient a itself, only where the condition
+    keeps constants (periodic and Neumann): there int G a ds = 1 makes the
+    weighted integral positive for free."""
+    if not kernel.bc.keeps_constants:
         raise UnsupportedBoundaryKind(
             f"the coefficient-weighted ratio needs periodic or Neumann "
             f"conditions, got {kernel.bc}")

@@ -14,10 +14,11 @@ function here has the form
 
     G(t, s) = [u1(t) u2(t)] C [u1(s) u2(s)]^T + k(t, s) * 1{s <= t}
 
-for a 2x2 coupling matrix C fixed by the boundary condition.  The boundary
-determinant that must not vanish is det(I - Phi(T)) for the periodic case,
-det(I + Phi(T)) for the antiperiodic one, and a single monodromy entry for the
-separated conditions.
+for a 2x2 coupling matrix C fixed by the rule of potentials.BoundaryKind.  A
+paired condition of multiplier m solves (m I - Phi(T)) C = [[u2, -u1], [u2',
+-u1']](T), and det(m I - Phi(T)) must not vanish; for a separated one the
+entry (r, c) = BoundaryKind.entry of Phi(T) must not, and C is zero but for
+its row c, filled from row r of Phi(T).
 
 Zeros of the numeric kernel's slices: on either side of the diagonal a slice
 G(t, .) is alpha u1 + beta u2 for a fixed (alpha, beta), and the pair's
@@ -60,26 +61,6 @@ def _constant_margin(rho: float, T: float, bc: BoundaryKind) -> tuple[float, flo
         return 2.0 - 2.0 * math.cos(x), max(1.0, sin_env / rho, rho * sin_env)
     if bc is BoundaryKind.DIRICHLET:
         return math.sin(x) / rho, sin_env / rho
-    raise UnsupportedBoundaryKind(str(bc))
-
-
-def _numeric_margin(fs: FundamentalSolutions, bc: BoundaryKind) -> tuple[float, float]:
-    u1T, u2T = fs.u1[-1], fs.u2[-1]
-    p1T, p2T = fs.p1[-1], fs.p2[-1]
-    if bc is BoundaryKind.PERIODIC:
-        det = (1.0 - u1T) * (1.0 - p2T) - u2T * p1T
-        return det, fs.scale
-    if bc is BoundaryKind.ANTIPERIODIC:
-        det = (1.0 + u1T) * (1.0 + p2T) - u2T * p1T
-        return det, fs.scale
-    if bc is BoundaryKind.DIRICHLET:
-        return u2T, float(np.max(np.abs(fs.u2)))
-    if bc is BoundaryKind.NEUMANN:
-        return p1T, float(np.max(np.abs(fs.p1)))
-    if bc is BoundaryKind.MIXED1:
-        return u1T, float(np.max(np.abs(fs.u1)))
-    if bc is BoundaryKind.MIXED2:
-        return p2T, float(np.max(np.abs(fs.p2)))
     raise UnsupportedBoundaryKind(str(bc))
 
 
@@ -228,28 +209,30 @@ class NumericKernel(_KernelBase):
         if not isinstance(bc, BoundaryKind):
             raise UnsupportedBoundaryKind(repr(bc))
         fs = FundamentalSolutions(potential, 0.0, grid_size)
-        det, scale = _numeric_margin(fs, bc)
+        series = ((fs.u1, fs.u2), (fs.p1, fs.p2))
+        phi = np.array([[x[-1] for x in row] for row in series])  # Phi(T)
+        m = bc.multiplier
+        if m:
+            det = (m - phi[0, 0]) * (m - phi[1, 1]) - phi[0, 1] * phi[1, 0]
+            scale = fs.scale
+        else:
+            r, c = bc.entry
+            det, scale = phi[r, c], float(np.max(np.abs(series[r][c])))
         if abs(det) < RESONANCE_TOL * scale:
             raise ResonantPotential(f"boundary determinant {det:.3e} below tolerance for {bc}")
         self.potential = potential
         self.bc = bc
         self.fs = fs
         self._angles = None
-        u1T, u2T = fs.u1[-1], fs.u2[-1]
-        p1T, p2T = fs.p1[-1], fs.p2[-1]
-        if bc is BoundaryKind.PERIODIC or bc is BoundaryKind.ANTIPERIODIC:
-            sgn = 1.0 if bc is BoundaryKind.PERIODIC else -1.0
-            A = sgn * np.eye(2) - np.array([[u1T, u2T], [p1T, p2T]])
-            B = np.array([[u2T, -u1T], [p2T, -p1T]])
-            self._C = np.linalg.solve(A, B)
-        elif bc is BoundaryKind.DIRICHLET:
-            self._C = np.array([[0.0, 0.0], [-1.0, u1T / u2T]])
-        elif bc is BoundaryKind.NEUMANN:
-            self._C = np.array([[-p2T / p1T, 1.0], [0.0, 0.0]])
-        elif bc is BoundaryKind.MIXED1:
-            self._C = np.array([[-u2T / u1T, 1.0], [0.0, 0.0]])
-        else:  # MIXED2
-            self._C = np.array([[0.0, 0.0], [-1.0, p1T / p2T]])
+        if m:
+            self._C = np.linalg.solve(m * np.eye(2) - phi, phi[:, ::-1] * [1.0, -1.0])
+        else:
+            # for s > t a slice is u_c(t), which meets the condition at 0,
+            # times the solution of s that meets it at T: row r weighs the
+            # entry's neighbour against the entry
+            self._C = np.zeros((2, 2))
+            self._C[c] = ((-phi[r, 1] / phi[r, 0], 1.0) if c == 0
+                          else (-1.0, phi[r, 0] / phi[r, 1]))
 
     def _pair(self, x):
         return self.fs.eval_pair(x)

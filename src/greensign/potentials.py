@@ -16,6 +16,10 @@ DEFAULT_GRID = 2001
 
 
 class BoundaryKind(enum.Enum):
+    """The rule that every per-condition formula reads: each end of a
+    separated condition fixes u (a pinned end) or u' to zero, and a paired
+    condition asks u(T) = m u(0), u'(T) = m u'(0) of its multiplier m."""
+
     PERIODIC = "periodic"          # u(0)=u(T), u'(0)=u'(T)
     ANTIPERIODIC = "antiperiodic"  # u(0)=-u(T), u'(0)=-u'(T)
     DIRICHLET = "dirichlet"        # u(0)=u(T)=0
@@ -32,15 +36,33 @@ class BoundaryKind(enum.Enum):
         return (self in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED2),
                 self in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED1))
 
+    @property
+    def multiplier(self) -> int:
+        """m: 1 periodic, -1 antiperiodic, 0 for a separated condition."""
+        return {BoundaryKind.PERIODIC: 1, BoundaryKind.ANTIPERIODIC: -1}.get(self, 0)
+
+    @property
+    def entry(self) -> tuple[int, int]:
+        """(row, column) of Phi(T) = [[u1, u2], [u1', u2']] that vanishes at a
+        separated eigenvalue: row 0 (u) where u(T) = 0, else 1 (u'); column 1
+        (u2, u2(0) = 0) where u(0) = 0, else 0 (u1, u1'(0) = 0)."""
+        left, right = self.pinned_ends
+        return int(not right), int(left)
+
+    @property
+    def unpinned(self) -> slice:
+        """The samples of a profile over [0, T] that no pinned end fixes."""
+        left, right = self.pinned_ends
+        return slice(int(left), -1 if right else None)
+
+    @property
+    def keeps_constants(self) -> bool:
+        """Whether u = 1 meets the condition, so that int G(t, s) a(s) ds = 1."""
+        return self.multiplier >= 0 and not any(self.pinned_ends)
+
 
 #: Kinds for which a Green's function is constructed and classified.
-KERNEL_KINDS = (
-    BoundaryKind.PERIODIC,
-    BoundaryKind.DIRICHLET,
-    BoundaryKind.NEUMANN,
-    BoundaryKind.MIXED1,
-    BoundaryKind.MIXED2,
-)
+KERNEL_KINDS = tuple(bc for bc in BoundaryKind if bc is not BoundaryKind.ANTIPERIODIC)
 
 
 @dataclass(frozen=True)

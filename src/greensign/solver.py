@@ -140,9 +140,9 @@ class _Stencil:
         return out
 
 
-def _classify_positivity(us: np.ndarray) -> Positivity:
-    interior = us[1:-1]
-    lo = float(np.min(interior))
+def _classify_positivity(us: np.ndarray, bc: BoundaryKind) -> Positivity:
+    """Sign verdict on the samples that the condition leaves free."""
+    lo = float(np.min(us[bc.unpinned]))
     if lo > POSITIVITY_TOL:
         return Positivity.POSITIVE
     if lo >= -POSITIVITY_TOL:
@@ -161,17 +161,11 @@ def _end_derivatives(ts: np.ndarray, us: np.ndarray) -> tuple[float, float]:
 def _bc_error(ts: np.ndarray, us: np.ndarray, bc: BoundaryKind) -> float:
     u0, uT = float(us[0]), float(us[-1])
     d0, dT = _end_derivatives(ts, us)
-    if bc is BoundaryKind.PERIODIC:
-        return max(abs(u0 - uT), abs(d0 - dT))
-    if bc is BoundaryKind.ANTIPERIODIC:
-        return max(abs(u0 + uT), abs(d0 + dT))
-    if bc is BoundaryKind.DIRICHLET:
-        return max(abs(u0), abs(uT))
-    if bc is BoundaryKind.NEUMANN:
-        return max(abs(d0), abs(dT))
-    if bc is BoundaryKind.MIXED1:
-        return max(abs(d0), abs(uT))
-    return max(abs(u0), abs(dT))
+    m = bc.multiplier
+    if m:
+        return max(abs(u0 - m * uT), abs(d0 - m * dT))
+    left, right = bc.pinned_ends
+    return max(abs(u0 if left else d0), abs(uT if right else dT))
 
 
 def _second_difference_residual(ts: np.ndarray, us: np.ndarray, potential,
@@ -192,7 +186,7 @@ def _checks(ts: np.ndarray, us: np.ndarray, potential, rhs_vals,
     rhs_vals = np.broadcast_to(np.asarray(rhs_vals, dtype=float), ts.shape)
     return {"residual_norm": _second_difference_residual(ts, us, potential, rhs_vals),
             "bc_error": _bc_error(ts, us, bc),
-            "positivity": _classify_positivity(us)}
+            "positivity": _classify_positivity(us, bc)}
 
 
 def solve_linear(kernel, sigma, grid) -> SolutionProfile:

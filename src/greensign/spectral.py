@@ -4,20 +4,21 @@ classification they determine.
 lam is an eigenvalue of u'' + (a(t) + lam) u = 0 under the boundary
 condition: closed-form for a = rho**2, otherwise bracketed from its index
 (no scan over lam) and refined by the ITP method on the characteristic
-function, built from the monodromy matrix Phi(T).  Separated conditions:
-by min-max comparison with the constants min a and max a (Pryce, Numerical
-Solution of Sturm-Liouville Problems, 1993), eigenvalue i lies in a window
-about mu_i, the i-th eigenvalue of -u''; where windows overlap, the number
-of eigenvalues below lam comes from the Pruefer angle (Sturm oscillation),
-and bisection on it isolates each one.  Periodic and antiperiodic
-conditions: the n-th Dirichlet and Neumann eigenvalues lie in the closure
-of the n-th gap of Hill's equation, |trace Phi(T)| >= 2 (Magnus & Winkler,
-Hill's Equation, 1966), so with L_n, R_n the smaller and larger of the
-two, [R_m, L_{m+1}] holds exactly one periodic (lam_m) and one
-antiperiodic (lam'_{m+1}) eigenvalue.  For an even potential each
-Dirichlet eigenvalue is a band edge, so it alone does not separate a pair.
-Counts or signs that contradict what a bracket must hold raise
-BracketingFailure.
+function.  That comes from the monodromy matrix Phi(T) by the rule of
+potentials.BoundaryKind: the entry BoundaryKind.entry of Phi(T) for a
+separated condition, its trace against the multiplier for a paired one.
+Separated conditions: by min-max comparison with the constants min a and max
+a (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993), eigenvalue
+i lies in a window about mu_i, the i-th eigenvalue of -u''; where windows
+overlap, the number of eigenvalues below lam comes from the Pruefer angle
+(Sturm oscillation), and bisection on it isolates each one.  Periodic and
+antiperiodic conditions: the n-th Dirichlet and Neumann eigenvalues lie in
+the closure of the n-th gap of Hill's equation, |trace Phi(T)| >= 2 (Magnus
+& Winkler, Hill's Equation, 1966), so with L_n, R_n the smaller and larger
+of the two, [R_m, L_{m+1}] holds exactly one periodic (lam_m) and one
+antiperiodic (lam'_{m+1}) eigenvalue.  For an even potential each Dirichlet
+eigenvalue is a band edge, so it alone does not separate a pair.  Counts or
+signs that contradict what a bracket must hold raise BracketingFailure.
 """
 from __future__ import annotations
 
@@ -38,10 +39,6 @@ BISECT_REL_WIDTH = 1e-13
 MAX_COUNT_STEPS = 64
 #: a characteristic value this small at a Hill bracket end marks a root there
 EDGE_TOL = 1e-9
-
-_PAIRED = (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC)
-_SEPARATED = (BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN,
-              BoundaryKind.MIXED1, BoundaryKind.MIXED2)
 
 
 class SignClass(Enum):
@@ -72,17 +69,18 @@ def char_values(potential: Potential, bc: BoundaryKind, lams,
     solution that meets the condition at 0.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    m = bc.multiplier
     if count:
-        if bc not in _SEPARATED:
+        if m:
             raise UnsupportedBoundaryKind(f"no eigenvalue count for {bc} conditions")
-        left, right = bc.pinned_ends
+        r, c = bc.entry
         _, theta = transfer_matrix(potential, lams, grid_size or DEFAULT_GRID, lift=True)
-        # eigenvalue n has theta(T) = (n + 1) pi where u(T) = 0 is asked,
-        # (n + 1/2) pi where u'(T) = 0 is
-        return np.floor(theta[:, int(left)] / np.pi + (0.0 if right else 0.5)).astype(int)
-    (u1T, u2T), (p1T, p2T) = np.moveaxis(
-        transfer_matrix(potential, lams, grid_size or DEFAULT_GRID), 0, -1)
-    if bc in _PAIRED:
+        # eigenvalue n has theta(T) = (n + 1) pi where u(T) = 0 is asked
+        # (row 0), (n + 1/2) pi where u'(T) = 0 is
+        return np.floor(theta[:, c] / np.pi + 0.5 * r).astype(int)
+    phi = np.moveaxis(transfer_matrix(potential, lams, grid_size or DEFAULT_GRID), 0, -1)
+    if m:
+        (u1T, u2T), (p1T, p2T) = phi
         # RK4's det Phi(T) falls below one by about T h**5 (lam + a)**3 / 72,
         # which would pull |trace| below 2 and shrink narrow gaps; the trace
         # Delta of Phi(T) / sqrt(det Phi(T)) keeps Hill's theory exact.  Where
@@ -96,13 +94,9 @@ def char_values(potential: Potential, bc: BoundaryKind, lams,
         scale = np.where(exact, det, 1.0)
         delta = (u1T + p2T) / np.sqrt(scale)
         disc = ((u1T - p2T) ** 2 + 4.0 * u2T * p1T) / scale
-        sgn = 1.0 if bc is BoundaryKind.PERIODIC else -1.0
-        return np.where(exact & (sgn * delta > 0.0),
-                        sgn * disc / (np.abs(delta) + 2.0), delta - 2.0 * sgn)
-    if bc not in _SEPARATED:
-        raise UnsupportedBoundaryKind(str(bc))
-    return {BoundaryKind.DIRICHLET: u2T, BoundaryKind.NEUMANN: p1T,
-            BoundaryKind.MIXED1: u1T, BoundaryKind.MIXED2: p2T}[bc]
+        return np.where(exact & (m * delta > 0.0),
+                        m * disc / (np.abs(delta) + 2.0), delta - 2.0 * m)
+    return phi[bc.entry]
 
 
 def smallest_eigenvalue(potential: Potential, bc: BoundaryKind,
@@ -130,7 +124,7 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
         shift = potential.rho * potential.rho
         return [EigenResult(_free_eigenvalue(bc, potential.interval.T, i) - shift,
                             bc, "closed") for i in range(count)]
-    if bc in _PAIRED:
+    if bc.multiplier:
         return _paired(potential, bc, count, grid_size)
     return list(_separated(potential, bc, range(count), grid_size).values())
 
@@ -138,15 +132,12 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
 def _free_eigenvalue(bc: BoundaryKind, T: float, i: int) -> float:
     """Eigenvalue i (0 = smallest, with multiplicity) of -u'' on [0, T]."""
     w = math.pi / T
-    if bc is BoundaryKind.PERIODIC:
-        return (2 * ((i + 1) // 2) * w) ** 2
-    if bc is BoundaryKind.ANTIPERIODIC:
-        return ((2 * (i // 2) + 1) * w) ** 2
-    if bc is BoundaryKind.DIRICHLET:
-        return ((i + 1) * w) ** 2
-    if bc is BoundaryKind.NEUMANN:
-        return (i * w) ** 2
-    return ((2 * i + 1) * w / 2) ** 2
+    if bc.multiplier:
+        # half waves 0, 2, 2, 4, 4, ... periodic, 1, 1, 3, 3, ... antiperiodic
+        k = 2 * ((i + 1) // 2) if bc.multiplier > 0 else 2 * (i // 2) + 1
+        return (k * w) ** 2
+    # a pinned end adds a quarter wave to the i half waves
+    return ((i + sum(bc.pinned_ends) / 2) * w) ** 2
 
 
 def _window(potential: Potential, bc: BoundaryKind, i: int,
@@ -386,19 +377,14 @@ def principal_eigenfunction(potential: Potential, bc: BoundaryKind,
     """
     lam = smallest_eigenvalue(potential, bc, grid_size).value
     fs = FundamentalSolutions(potential, lam, grid_size)
-    if bc is BoundaryKind.PERIODIC or bc is BoundaryKind.ANTIPERIODIC:
-        sgn = 1.0 if bc is BoundaryKind.PERIODIC else -1.0
-        A = np.array([[fs.u1[-1], fs.u2[-1]], [fs.p1[-1], fs.p2[-1]]]) - sgn * np.eye(2)
-        _, _, vt = np.linalg.svd(A)
-        c1, c2 = vt[-1]
-    elif bc is BoundaryKind.DIRICHLET or bc is BoundaryKind.MIXED2:
-        c1, c2 = 0.0, 1.0
-    else:  # NEUMANN, MIXED1
-        c1, c2 = 1.0, 0.0
+    if bc.multiplier:
+        A = (np.array([[fs.u1[-1], fs.u2[-1]], [fs.p1[-1], fs.p2[-1]]])
+             - bc.multiplier * np.eye(2))
+        c1, c2 = np.linalg.svd(A)[2][-1]
+    else:  # the solution that meets the condition at 0
+        c1, c2 = np.eye(2)[bc.entry[1]]
     ef = Eigenfunction(fs, float(c1), float(c2), lam, bc)
-
-    left, right = bc.pinned_ends
-    inner = ef.values[int(left):len(ef.values) - int(right)]
+    inner = ef.values[bc.unpinned]
     if np.min(inner) <= 0:
         raise NotPositive(
             f"principal {bc} eigenfunction is not strictly positive away from "

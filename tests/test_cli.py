@@ -215,6 +215,10 @@ class TestErrorsAndEnv:
         (["solve", "--rhs", "1", "--solve-grid", "3"], "--solve-grid"),
         (["eigen", "--count", "0"], "--count"),
         (["green", "--nodes", "-1"], "--nodes"),
+        (["eigen", "--grid", "1"], "--grid"),
+        (["gamma", "--grid", "5"], "--grid"),
+        (["classify", "--grid", "8"], "--grid"),
+        (["solve", "--f", "1+0*x", "--max-iter", "0"], "--max-iter"),
     ])
     def test_bad_grid_size_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -223,6 +227,29 @@ class TestErrorsAndEnv:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: must be at least" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--damping", "0", "must lie in (0, 1]"),
+        ("--damping", "nan", "must lie in (0, 1]"),
+        ("--damping", "1.5", "must lie in (0, 1]"),
+        ("--tol", "-1", "must be positive and finite"),
+        ("--tol", "nan", "must be positive and finite"),
+        ("--tol", "inf", "must be positive and finite"),
+    ])
+    def test_bad_fixed_point_flag_is_a_usage_error(self, flag, value, message,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--bc", "periodic", "--rho", "7", "--f", "1+0*x",
+                  flag, value])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+
+    def test_fixed_point_flags_at_their_bounds(self, capsys):
+        code, out, _ = run(["solve", "--bc", "periodic", "--rho", "7",
+                            "--f", "1+0*x", "--solve-grid", "21", "--damping", "1",
+                            "--max-iter", "1", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["iterations"] == 1
 
     def test_bad_expression_exits_1(self, capsys):
         code, _, err = run(["gamma", "--bc", "periodic", "--rho", "2*"],
@@ -241,11 +268,14 @@ class TestErrorsAndEnv:
                             "--nodes", "2", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["form"] == "numeric"
-        monkeypatch.setenv("GREENSIGN_GRID", "bogus")
-        code, _, err = run(["green", "--bc", "neumann", "--rho", "2",
-                            "--nodes", "2"], capsys)
-        assert code == 1
-        assert "GREENSIGN_GRID" in err
+        # a value that is no integer, or below the least grid of 9 nodes
+        for env in ("bogus", "8", "0", "-3"):
+            monkeypatch.setenv("GREENSIGN_GRID", env)
+            code, _, err = run(["green", "--bc", "neumann", "--rho", "2",
+                                "--nodes", "2"], capsys)
+            assert code == 1
+            assert err.startswith("error: GreensignError: GREENSIGN_GRID must be "
+                                  "an integer >= 9")
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GREENSIGN_GRID", "bogus")

@@ -122,6 +122,15 @@ class TestTransferMatrix:
         with pytest.raises(IntegratorFailure):
             FundamentalSolutions(pot, 0.0, 201)
 
+    @pytest.mark.parametrize("grid", [1, 3, 5, 8])
+    def test_too_few_nodes_raise(self, grid):
+        pot = wavy()
+        with pytest.raises(ValueError, match="at least 9"):
+            transfer_matrix(pot, 0.0, grid)
+        with pytest.raises(ValueError, match="at least 9"):
+            FundamentalSolutions(pot, 0.0, grid)
+        assert transfer_matrix(pot, 0.0, 9).shape == (2, 2)
+
     @pytest.mark.parametrize("amp", [10.0, 2000.0])
     def test_lift_is_the_node_angle_unwrapped(self, amp):
         # from node to node the angle of (u2, u2') turns by less than pi

@@ -9,8 +9,8 @@ from greensign.errors import EvaluationFailure
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
-from greensign.solver import (Positivity, _NodeQuadrature, _Stencil,
-                              solve_linear, solve_nonlinear, verify_solution)
+from greensign.solver import (Positivity, _classify_positivity, _NodeQuadrature,
+                              _Stencil, solve_linear, solve_nonlinear, verify_solution)
 
 RHO_D = math.sqrt(60.0)
 RHO_P = 1.5 * math.pi
@@ -248,12 +248,14 @@ class TestVerification:
         with pytest.raises(ValueError):
             solve_linear(k, const_sigma(1.0), np.linspace(0.0, 2.0, 11))
 
-    @pytest.mark.parametrize("bc", [BoundaryKind.MIXED1, BoundaryKind.MIXED2])
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
     def test_mixed_bc_error_reads_the_pinned_ends(self, bc):
-        # mixed1 is u'(0) = u(T) = 0 and mixed2 is u(0) = u'(T) = 0; the
-        # free ends carry values of order 0.02 and slopes of order 0.04
+        # a pinned end has u = 0 and any other end of a separated condition
+        # u' = 0 (mixed1 is u'(0) = u(T) = 0, mixed2 u(0) = u'(T) = 0); a
+        # paired condition links the ends by its multiplier.  The free ends
+        # carry values of order 0.02 and slopes of order 0.04
         grid = np.linspace(0.0, 1.0, 2001)
-        pot = sampled(grid, 41.0 + 10.0 * np.sin(2 * math.pi * grid))
+        pot = sampled(grid, PINNED_MEANS[bc] + 10.0 * np.sin(2 * math.pi * grid))
         p = solve_linear(build_kernel(pot, bc), const_sigma(1.0), 201)
         assert p.bc_error <= 1e-6
         assert verify_solution(p, pot, const_sigma(1.0)).bc_error == p.bc_error
@@ -277,6 +279,25 @@ class TestVerification:
         assert rec.bc_error == p.bc_error
         assert rec.positivity is p.positivity
 
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_positivity_skips_only_the_pinned_ends(self, bc):
+        left, right = bc.pinned_ends
+        neg_at_0 = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
+        assert _classify_positivity(neg_at_0, bc) is (
+            Positivity.POSITIVE if left else Positivity.CHANGES_SIGN)
+        assert _classify_positivity(neg_at_0[::-1], bc) is (
+            Positivity.POSITIVE if right else Positivity.CHANGES_SIGN)
+
+    def test_negative_free_end_changes_the_sign(self):
+        # antiperiodic on 5 nodes: u(0) = -u(T) = -0.0052, interior positive
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid))
+        p = solve_linear(build_kernel(pot, BoundaryKind.ANTIPERIODIC),
+                         const_sigma(1.0), 5)
+        assert p.values[0] == pytest.approx(-0.0052, abs=1e-4)
+        assert np.min(p.values[1:]) > 0
+        assert p.positivity is Positivity.CHANGES_SIGN
+
     def test_profile_report_dict(self):
         p = solve_linear(DirichletConstantKernel(RHO_D), lambda s: s, 501)
         d = p.to_dict()
@@ -291,7 +312,7 @@ class TestVerification:
 # the mean of each condition's potential sits between two resonances
 PINNED_MEANS = {BoundaryKind.PERIODIC: 62.0, BoundaryKind.NEUMANN: 63.0,
                 BoundaryKind.DIRICHLET: 64.0, BoundaryKind.MIXED1: 41.0,
-                BoundaryKind.MIXED2: 42.0}
+                BoundaryKind.MIXED2: 42.0, BoundaryKind.ANTIPERIODIC: 60.0}
 
 
 class TestPinnedEndSlices:
