@@ -58,8 +58,9 @@ def calls(wavy: str, repro_a: str) -> list:
     out.append(["gamma", "--bc", "dirichlet", "--samples", wavy, "--grid", "251"])
     out.append(["check", "--bc", "dirichlet", "--rho", "sqrt(60)",
                 "--f", "t*(1-t)"])
-    # fixed-point solves: a contraction that converges, and a periodic f
-    # whose Picard map is not contractive, which ends converged=False
+    # fixed-point solves: a contraction, and a periodic f whose damped
+    # Picard map is not contractive, which the Anderson-mixed steps solve
+    # (u = 1/15.25)
     out.append(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
                 "--f", "t*(1-t) + 5*x"])
     out.append(["solve", "--bc", "periodic", "--rho", "7.5",
@@ -90,6 +91,10 @@ def calls(wavy: str, repro_a: str) -> list:
     for bc in ("antiperiodic", "neumann"):
         out.append(["solve", "--bc", bc, "--samples", wavy, "--rhs", "1",
                     "--format", "json"])
+    # a non-contractive Dirichlet solve, u'' + 10 u = 1 written as
+    # u'' + 60 u = 1 + 50 u, on which damped Picard steps diverge
+    out.append(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
+                "--f", "1+50*x"])
     return out
 
 

@@ -4,9 +4,10 @@ The linear problem u = integral of G(t, s) sigma(s) ds is evaluated by
 panel Gauss quadrature at every output node, with panels split at the
 diagonal kink, the kernel's sign changes, and the coefficient's
 breakpoints.  The nonlinear problem u = integral of G(t, s) f(s, u(s)) ds
-runs damped Picard iteration through the same quadrature, so a fixed
-point of the iteration is a fixed point of the reported operator, and an
-x-independent f reproduces the linear solve exactly.
+runs an Anderson-accelerated fixed-point iteration through the same
+quadrature, so a fixed point of the iteration is a fixed point of the
+reported operator, and an x-independent f reproduces the linear solve
+exactly.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from .quadrature import GAUSS_ORDER, default_max_len, slice_panels
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
+#: Past steps whose differences the Anderson mixing of solve_nonlinear keeps.
+ANDERSON_DEPTH = 5
 #: Nodes per stencil of the fine re-quadrature; bounds its weight tables.
 FINE_STENCIL_NODES = 1 << 17
 
@@ -120,7 +123,7 @@ class _NodeQuadrature:
 class _Stencil:
     """Local 4-point Lagrange interpolation, O(h^4), from the nodes ts to
     fixed points xs; its cells and weights are built once for the many us
-    of a Picard iteration."""
+    of a fixed-point iteration."""
 
     def __init__(self, ts: np.ndarray, xs: np.ndarray):
         j = np.searchsorted(ts, xs, side="right") - 1
@@ -201,13 +204,23 @@ def solve_linear(kernel, sigma, grid) -> SolutionProfile:
 
 def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
                     max_iter: int = 200, tol: float = 1e-10) -> SolutionProfile:
-    """Damped Picard iteration for u = integral of G(t, s) f(s, u(s)) ds.
+    """Fixed-point iteration for u = integral of G(t, s) f(s, u(s)) ds.
 
-    Starts from the image of the zero function, mixes each step with the
-    damping weight, and stops when successive iterates agree to tol.  A
-    non-contractive problem is reported through converged=False rather
-    than raised.  On convergence the fixed-point residual is re-measured
-    with a finer, independent quadrature.
+    Starts from the image of the zero function and takes Anderson-mixed
+    steps (type II, Walker & Ni 2011): with g the image map, residuals
+    r_k = g(u_k) - u_k and the differences dU, dR of the last
+    ANDERSON_DEPTH iterates and residuals,
+
+        u_{k+1} = u_k + damping r_k - (dU + damping dR) gamma,
+        gamma = argmin |r_k - dR gamma|,
+
+    so damping is the weight of each step, and the first step, with no
+    history, is the damped Picard step.  Stops when successive iterates
+    agree to tol, or after max_iter steps.  A problem the iteration
+    cannot solve is reported through converged=False rather than raised.
+    On convergence the fixed-point residual is re-measured with a finer,
+    independent quadrature, and converged stays True only if it is
+    within 10 tol.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
@@ -224,8 +237,20 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
     us = image(np.zeros_like(ts))
     iterations = 0
     converged = False
+    d_us, d_rs = [], []          # the last ANDERSON_DEPTH differences
+    prev = None
     for _ in range(max_iter):
-        nxt = (1.0 - damping) * us + damping * image(us)
+        r = image(us) - us
+        if prev is not None:
+            d_us.append(us - prev[0])
+            d_rs.append(r - prev[1])
+            del d_us[:-ANDERSON_DEPTH], d_rs[:-ANDERSON_DEPTH]
+        prev = us, r
+        nxt = us + damping * r
+        if d_rs:
+            dU, dR = np.column_stack(d_us), np.column_stack(d_rs)
+            gamma = np.linalg.lstsq(dR, r, rcond=None)[0]
+            nxt -= (dU + damping * dR) @ gamma
         step = float(np.max(np.abs(nxt - us)))
         us = nxt
         iterations += 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from greensign import solver as solver_module
 from greensign.errors import EvaluationFailure
@@ -183,13 +183,83 @@ class TestNonlinear:
         assert whole.converged and blocks.converged
         assert blocks.fixed_point_residual == whole.fixed_point_residual
 
-    def test_divergent_iteration_reports_not_raises(self):
-        # Lipschitz constant of the map is ~40, far from a contraction
+    def test_problem_without_solution_reports_not_raises(self):
+        # f = 1 + rho^2 x turns the problem into u'' = 1, which has no
+        # periodic solution: the iterates run off to the divergence cap
         k = PeriodicConstantKernel(RHO_P)
-        p = solve_nonlinear(k, lambda s, x: 1.0 + 500.0 * x, 101,
-                            max_iter=60)
-        assert not p.converged
+        p = solve_nonlinear(k, lambda s, x: 1.0 + RHO_P**2 * x, 101)
+        assert p.converged is False
         assert p.fixed_point_residual is None
+
+    def test_resonance_is_rejected_by_the_fine_check(self):
+        # u'' + 4 pi^2 u = cos(2 pi t) has no periodic solution.  The
+        # discrete map is only near-singular, so the coarse iterates settle
+        # (a residual is measured only then), and the fine re-quadrature is
+        # what rejects them, far above its 10 * tol bound
+        rho = 7.5
+        f = lambda s, x: np.cos(2 * math.pi * s) + (rho**2 - 4 * math.pi**2) * x
+        p = solve_nonlinear(PeriodicConstantKernel(rho), f, 101)
+        assert p.converged is False
+        assert p.fixed_point_residual is not None
+        assert p.fixed_point_residual > 1e-4
+
+    def test_non_contractive_dirichlet_matches_the_shifted_kernel(self):
+        # u'' + 60 u = 1 + 50 u is u'' + 10 u = 1; damped Picard diverges
+        p = solve_nonlinear(DirichletConstantKernel(RHO_D),
+                            lambda s, x: 1.0 + 50.0 * x, 2001)
+        ref = solve_linear(DirichletConstantKernel(math.sqrt(10.0)),
+                           const_sigma(1.0), 2001)
+        assert p.converged
+        assert p.fixed_point_residual <= 1e-9
+        scale = float(np.max(np.abs(ref.values)))
+        assert np.max(np.abs(p.values - ref.values)) <= 1e-9 * scale
+
+    def test_non_contractive_periodic_finds_the_constant(self):
+        # u'' + 56.25 u = 1 + 41 u is u'' + 15.25 u = 1, so u = 1/15.25
+        p = solve_nonlinear(PeriodicConstantKernel(7.5),
+                            lambda s, x: 1.0 + 41.0 * x, 201)
+        assert p.converged
+        assert p.fixed_point_residual <= 1e-9
+        assert np.max(np.abs(p.values - 1.0 / 15.25)) <= 1e-9 / 15.25
+
+    def test_contraction_needs_few_iterations(self):
+        # the golden contraction, which damped Picard solved in 26
+        # iterations; the count barely depends on the grid
+        p = solve_nonlinear(DirichletConstantKernel(RHO_D),
+                            lambda s, x: s * (1.0 - s) + 5.0 * x, 201)
+        assert p.converged
+        assert p.iterations <= 12
+
+    @given(periodic=st.booleans(), place=st.floats(0.05, 0.95),
+           factor=st.one_of(st.floats(0.3, 0.9), st.floats(1.2, 2.5)),
+           damping=st.sampled_from([0.5, 0.8, 1.0]),
+           p0=st.floats(0.5, 2.0), p1=st.floats(-1.0, 1.0),
+           p2=st.floats(-1.0, 1.0))
+    @settings(max_examples=12, deadline=None)
+    def test_affine_f_matches_the_shifted_kernel(self, periodic, place, factor,
+                                                 damping, p0, p1, p2):
+        # f = p(t) + c x makes u'' + rho^2 u = f the linear problem
+        # u'' + (rho^2 - c) u = p.  c sets the damped-Picard factor, the
+        # largest |1 - damping + damping c / (rho^2 - omega_k^2)| over the
+        # eigenfrequencies omega_k, so the map contracts or expands
+        assume(factor > 1.0 - damping + 0.05)
+        step = 2 if periodic else 1
+        rho = step * math.pi * (1.05 + 0.9 * place)
+        omega = step * math.pi * np.arange(0 if periodic else 1, 40)
+        mu = 1.0 / (rho**2 - omega**2)
+        c = min((factor - 1.0 + damping) / (damping * mu[mu > 0].max()),
+                (factor + 1.0 - damping) / (damping * -mu[mu < 0].min()))
+        shifted = rho**2 - c
+        assume(shifted >= 1.0 and np.min(np.abs(shifted - omega**2)) >= 0.1 * shifted)
+        kind = PeriodicConstantKernel if periodic else DirichletConstantKernel
+        sigma = lambda s: p0 + p1 * np.cos(2 * math.pi * s) + p2 * s
+        p = solve_nonlinear(kind(rho), lambda s, x: sigma(s) + c * x, 401,
+                            damping=damping)
+        ref = solve_linear(kind(math.sqrt(shifted)), sigma, 401)
+        assert p.converged
+        assert p.fixed_point_residual <= 1e-9
+        scale = float(np.max(np.abs(ref.values)))
+        assert np.max(np.abs(p.values - ref.values)) <= 1e-7 * scale
 
     def test_non_finite_f_raises(self):
         k = PeriodicConstantKernel(RHO_P)
