@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nonlinearity f(t,x) as an expression")
     p.add_argument("--t-grid", type=_int_at_least(1), default=1001, dest="t_grid")
     p.add_argument("--cone-grid", type=_int_at_least(2), default=201, dest="cone_grid",
-                   help="s-nodes for the subinterval search")
+                   help="s-samples of H3 and eta, and side of the coarse max-G lattice")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when any hypothesis fails")
     p.add_argument("--output", help="file path (default stdout)")

@@ -29,6 +29,8 @@ WEIGHT_ZERO_REL = 1e-12
 F_ZERO_ABS = 1e-12
 N_CELLS = 64          # dyadic partition underlying the subinterval search
 MIN_WIDTH_CELLS = 1   # narrowest candidate: T / 64
+ZOOM_STARTS = 8       # lattice maxima the max-G search refines
+ZOOM_ROUNDS = 12      # kernel calls of that refinement
 
 DEFAULT_X_SAMPLES = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
@@ -119,38 +121,41 @@ def _t_integrals(kernel, ss, cs, ds) -> np.ndarray:
     return out
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 48) -> float:
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b)
+def _samples(lo: float, hi: float, grid: int) -> np.ndarray:
+    """The cone grid: grid equally spaced points of [lo, hi], at least 2."""
+    if grid < 2:
+        raise ValueError(f"the cone grid needs at least 2 samples, got {grid}")
+    return np.linspace(lo, hi, grid)
 
 
 def max_kernel_value(kernel, grid: int = 201) -> float:
-    """max over the square of G: dense scan plus coordinate refinement."""
+    """max over the square of G: a grid x grid lattice, then a zoom on its
+    ZOOM_STARTS largest local maxima (points no neighbour beats), all
+    refined together.  Each of ZOOM_ROUNDS rounds evaluates G once, on a
+    9 x 9 lattice per start, clipped to the square, centred on that start's
+    best point and a quarter the size of the last.  Returns the best value.
+    """
     T = kernel.T
-    xs = np.linspace(0.0, T, grid)
+    xs = _samples(0.0, T, grid)
     g = kernel.grid_eval(xs, xs)
-    i, j = np.unravel_index(np.argmax(g), g.shape)
-    t0, s0 = float(xs[i]), float(xs[j])
-    h = 2.0 * T / (grid - 1)
-    for _ in range(3):
-        t0 = _golden_max(lambda t: float(kernel(t, s0)),
-                         max(0.0, t0 - h), min(T, t0 + h))
-        s0 = _golden_max(lambda s: float(kernel(t0, s)),
-                         max(0.0, s0 - h), min(T, s0 + h))
-    return max(float(g[i, j]), float(kernel(t0, s0)))
+    pad = np.pad(g, 1, constant_values=-np.inf)
+    rows = np.maximum(np.maximum(pad[:-2], pad[1:-1]), pad[2:])
+    around = np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+    peaks = np.flatnonzero(g >= around)
+    peaks = peaks[np.argsort(-g.flat[peaks], kind="stable")[:ZOOM_STARTS]]
+    t0, s0, best = xs[peaks // grid], xs[peaks % grid], g.flat[peaks]
+    step = np.linspace(-1.0, 1.0, 9) * (T / (grid - 1))
+    n = np.arange(len(peaks))
+    for _ in range(ZOOM_ROUNDS):
+        tt = np.clip(t0[:, None] + step, 0.0, T)
+        ss = np.clip(s0[:, None] + step, 0.0, T)
+        vals = kernel(tt[:, :, None], ss[:, None, :]).reshape(len(n), -1)
+        # the centre is on the lattice, so its argmax is the best point yet
+        k = np.argmax(vals, axis=1)
+        best = np.maximum(best, vals[n, k])
+        t0, s0 = tt[n, k // 9], ss[n, k % 9]
+        step = step / 4.0
+    return float(np.max(best))
 
 
 def compute_cone_constants(kernel, subinterval: Subinterval,
@@ -161,8 +166,7 @@ def compute_cone_constants(kernel, subinterval: Subinterval,
         raise ValueError(f"subinterval [{c}, {d}] leaves [0, {kernel.T}]")
     if d <= c:
         raise NonpositiveEta(f"degenerate subinterval [{c}, {d}]")
-    ss = np.linspace(c, d, grid)
-    eta = float(np.min(_t_integrals(kernel, ss, c, d)))
+    eta = float(np.min(_t_integrals(kernel, _samples(c, d, grid), c, d)))
     if eta <= 0:
         raise NonpositiveEta(
             f"min over s in [{c}, {d}] of the t-integral is {eta:.3e}")
@@ -192,58 +196,55 @@ def _cell_integral_table(kernel, ss: np.ndarray) -> np.ndarray:
     return M
 
 
+def _h3_rule(ss, w, c, d):
+    """H3 on windows [c, d] from their t-integrals w[..., j] at s = ss[j]:
+    w >= 0 at every s and w > 0 at every s in the window, to H3_TOL (a nan
+    fails), with at least one s in the window.  Gives, per window: passed,
+    the min over all s, the min over the window (nan when it holds no s),
+    and the first failing s (nan when none fails)."""
+    inner = (ss >= np.asarray(c)[..., None]) & (ss <= np.asarray(d)[..., None])
+    bad = ~(w >= -H3_TOL) | (inner & ~(w > H3_TOL))
+    filled = inner.any(axis=-1)
+    min_sub = np.where(filled, np.min(w, axis=-1, where=inner, initial=np.inf), math.nan)
+    witness = np.where(bad.any(axis=-1), ss[bad.argmax(axis=-1)], math.nan)
+    return filled & ~bad.any(axis=-1), np.min(w, axis=-1), min_sub, witness
+
+
 def find_subinterval(kernel, grid: int = 201,
                      with_trace: bool = False):
-    """Widest dyadic window [c, d] making the t-integral of G nonnegative
-    everywhere and positive inside; None when no window of width >= T/64
-    qualifies.  Ties at a given width go to the window with the larger eta.
-
-    Candidates are every aligned run of cells from a 64-cell partition with
-    dyadic run lengths 64, 32, ..., 1, so all endpoints sit on the T/64 grid.
+    """Widest window [c, d] that passes H3 (`_h3_rule`) on grid s-samples,
+    or None when none of width >= T/64 does.  The candidates are the aligned
+    runs of 64, 32, ..., 1 cells of a 64-cell partition of [0, T], all of
+    one width judged at once; ties go to the window with the larger eta.
     """
-    T = kernel.T
-    ss = np.linspace(0.0, T, grid)
+    T = float(kernel.T)
+    ss = _samples(0.0, T, grid)
     M = _cell_integral_table(kernel, ss)
     prefix = np.vstack([np.zeros(len(ss)), np.cumsum(M, axis=0)])
     trace: list[dict] = []
     width = N_CELLS
     while width >= MIN_WIDTH_CELLS:
-        best = None
-        for start in range(0, N_CELLS - width + 1):
-            c = float(T) * start / N_CELLS
-            d = float(T) * (start + width) / N_CELLS
-            w = prefix[start + width] - prefix[start]
-            # a window that holds no s-sample has no evidence inside it
-            inner = w[(ss >= c) & (ss <= d)]
-            ok = bool(inner.size and np.all(w >= -H3_TOL) and np.all(inner > H3_TOL))
-            eta_hat = float(np.min(inner)) if inner.size else math.nan
-            trace.append({"c": c, "d": d, "valid": ok, "eta_hat": eta_hat})
-            if ok and (best is None or eta_hat > best[0]):
-                best = (eta_hat, Subinterval(c, d))
-        if best is not None:
-            return (best[1], trace) if with_trace else best[1]
+        starts = np.arange(N_CELLS - width + 1)
+        cs, ds = T * starts / N_CELLS, T * (starts + width) / N_CELLS
+        passed, _, eta_hat, _ = _h3_rule(ss, prefix[starts + width] - prefix[starts],
+                                         cs, ds)
+        trace += [{"c": float(c), "d": float(d), "valid": bool(ok), "eta_hat": float(e)}
+                  for c, d, ok, e in zip(cs, ds, passed, eta_hat)]
+        if passed.any():
+            k = int(np.argmax(np.where(passed, eta_hat, -np.inf)))
+            sub = Subinterval(float(cs[k]), float(ds[k]))
+            return (sub, trace) if with_trace else sub
         width //= 2
     return (None, trace) if with_trace else None
 
 
 def check_H3(kernel, subinterval: Subinterval, grid: int = 201) -> H3Verdict:
-    """Nonnegativity of the t-integral over all of I, positivity inside [c,d]."""
-    T = kernel.T
+    """H3 (`_h3_rule`) for one window, on grid s-samples of [0, T]."""
     c, d = subinterval.c, subinterval.d
-    ss = np.linspace(0.0, T, grid)
-    vals = _t_integrals(kernel, ss, c, d)
-    inner = (ss >= c) & (ss <= d)
-    min_all = float(np.min(vals))
-    min_sub = float(np.min(vals[inner])) if np.any(inner) else math.nan
-    bad_all = vals < -H3_TOL
-    bad_sub = inner & (vals <= H3_TOL)
-    if np.any(bad_all):
-        return H3Verdict(False, subinterval, min_all, min_sub,
-                         float(ss[np.argmax(bad_all)]))
-    if np.any(bad_sub):
-        return H3Verdict(False, subinterval, min_all, min_sub,
-                         float(ss[np.argmax(bad_sub)]))
-    return H3Verdict(True, subinterval, min_all, min_sub)
+    ss = _samples(0.0, kernel.T, grid)
+    passed, min_all, min_sub, witness = _h3_rule(ss, _t_integrals(kernel, ss, c, d), c, d)
+    return H3Verdict(bool(passed), subinterval, float(min_all), float(min_sub),
+                     None if math.isnan(witness) else float(witness))
 
 
 def check_H2(f, weight, gamma: GammaResult, T: float = 1.0) -> H2Verdict:
@@ -332,9 +333,7 @@ class HypothesisReport:
 
     @property
     def all_passed(self) -> bool:
-        parts = [v.passed for v in (self.h2, self.h3) if v is not None]
-        if self.h2_star is not None:
-            parts.append(self.h2_star.passed)
+        parts = [v.passed for v in (self.h2, self.h2_star, self.h3) if v is not None]
         return bool(parts) and all(parts)
 
     def to_dict(self) -> dict:

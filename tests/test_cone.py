@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from greensign.cone import (ConeConstants, Subinterval, _t_integrals,
-                            build_report, check_H2, check_H3,
+import greensign.cone as cone_module
+from greensign.cone import (H3_TOL, N_CELLS, ZOOM_ROUNDS, ConeConstants,
+                            Subinterval, _cell_integral_table, _h3_rule,
+                            _t_integrals, build_report, check_H2, check_H3,
                             compute_cone_constants, cone_membership,
                             find_subinterval, max_kernel_value)
 from greensign.errors import EvaluationFailure, NonpositiveEta
@@ -41,6 +43,68 @@ def t_integral_one_s(kernel, s, c, d, order=16):
     ts = mid[:, None] + half[:, None] * nodes[None, :]
     g = np.asarray(kernel(ts, np.full(ts.shape, s)), dtype=float)
     return float(np.sum(g * (half[:, None] * gw[None, :])))
+
+
+def trig_potential(m, modes):
+    """a = m + sum_k alpha_k cos 2 pi k t + beta_k sin 2 pi k t on 2001 nodes."""
+    grid = np.linspace(0.0, 1.0, 2001)
+    a = np.full_like(grid, m)
+    for k, (alpha, beta) in enumerate(modes, 1):
+        a += alpha * np.cos(2 * math.pi * k * grid) + beta * np.sin(2 * math.pi * k * grid)
+    return sampled(grid, a)
+
+
+WAVY = trig_potential(60.0, [(0.0, 10.0)])
+KERNEL_KINDS = (BoundaryKind.PERIODIC, BoundaryKind.NEUMANN, BoundaryKind.DIRICHLET,
+                BoundaryKind.MIXED1, BoundaryKind.MIXED2)
+
+
+def lattice_max(kernel, n=1001, rows=100):
+    """max of G on an n x n lattice of the square, evaluated in row blocks."""
+    xs = np.linspace(0.0, kernel.T, n)
+    return max(float(np.max(kernel.grid_eval(xs[i:i + rows], xs)))
+               for i in range(0, n, rows))
+
+
+def find_subinterval_per_candidate(kernel, grid=201):
+    """The per-candidate window loop the batched search replaced, kept as
+    its oracle: (window, trace)."""
+    T = kernel.T
+    ss = np.linspace(0.0, T, grid)
+    M = _cell_integral_table(kernel, ss)
+    prefix = np.vstack([np.zeros(len(ss)), np.cumsum(M, axis=0)])
+    trace = []
+    width = N_CELLS
+    while width >= 1:
+        best = None
+        for start in range(0, N_CELLS - width + 1):
+            c = float(T) * start / N_CELLS
+            d = float(T) * (start + width) / N_CELLS
+            w = prefix[start + width] - prefix[start]
+            inner = w[(ss >= c) & (ss <= d)]
+            ok = bool(inner.size and np.all(w >= -H3_TOL) and np.all(inner > H3_TOL))
+            eta_hat = float(np.min(inner)) if inner.size else math.nan
+            trace.append({"c": c, "d": d, "valid": ok, "eta_hat": eta_hat})
+            if ok and (best is None or eta_hat > best[0]):
+                best = (eta_hat, Subinterval(c, d))
+        if best is not None:
+            return best[1], trace
+        width //= 2
+    return None, trace
+
+
+class CountingKernel:
+    """A kernel that records the broadcast shape of every evaluation."""
+
+    def __init__(self, kernel):
+        self.kernel, self.T, self.shapes = kernel, kernel.T, []
+
+    def __call__(self, t, s):
+        self.shapes.append(np.broadcast_shapes(np.shape(t), np.shape(s)))
+        return self.kernel(t, s)
+
+    def grid_eval(self, ts, ss):
+        return self(np.asarray(ts)[:, None], np.asarray(ss)[None, :])
 
 
 class TestTIntegrals:
@@ -139,6 +203,81 @@ class TestDirichletConstants:
         assert cc.eta <= cc.subinterval.width * cc.max_G + 1e-12
 
 
+class TestH3Rule:
+    def test_h3_fails_on_a_window_without_samples(self):
+        # G > 0 for this kernel, but no s-sample of the 201-point grid lies
+        # in the window, so there is no evidence inside it
+        v = check_H3(PeriodicConstantKernel(2.0), Subinterval(0.501, 0.504))
+        assert not v.passed
+        assert v.witness_s is None
+        assert math.isnan(v.min_over_sub)
+        assert v.min_over_all > 0
+
+    def test_rule_fails_a_nan_integral_outside_the_window(self):
+        ss = np.linspace(0.0, 1.0, 5)
+        w = np.array([1.0, math.nan, 1.0, 1.0, 1.0])
+        passed, min_all, min_sub, witness = _h3_rule(ss, w, 0.5, 1.0)
+        assert not passed and witness == 0.25
+        assert math.isnan(min_all) and min_sub == 1.0
+
+
+class TestMaxKernelValue:
+    @pytest.mark.parametrize("kernel, parent", [
+        (NumericKernel(WAVY, BoundaryKind.PERIODIC), 0.10906222218926633),
+        # the largest value of this kernel is near (0.988, 1.0)
+        (NumericKernel(trig_potential(63.90270599356029, [
+            (-1.0091845467128762, 1.2087834003466518),
+            (1.1108240407105874, -1.4064228771559772),
+            (1.6494343713715613, 0.7882610543662159)]), BoundaryKind.MIXED2),
+         1.2297004782668737),
+    ], ids=["wavy-periodic", "trig-mixed2"])
+    def test_not_below_a_dense_lattice(self, kernel, parent):
+        # the coordinate golden-section search read these maxima low
+        dense = lattice_max(kernel)
+        assert dense > parent
+        assert max_kernel_value(kernel) >= dense
+
+    def test_off_lattice_maximum_of_the_dirichlet_closed_form(self):
+        # -sin(rho t) sin(rho (1 - s)) / (rho sin rho) peaks at 1/(rho sin rho)
+        # where rho t = pi/2 and rho (1 - s) = 3 pi/2, between lattice nodes
+        assert max_kernel_value(DirichletConstantKernel(RHO_D)) == pytest.approx(
+            1.0 / (RHO_D * math.sin(RHO_D)), rel=1e-14)
+
+    @pytest.mark.parametrize("bc", KERNEL_KINDS, ids=str)
+    def test_matches_a_zoom_from_many_more_starts(self, bc, monkeypatch):
+        k = NumericKernel(WAVY, bc)
+        got = max_kernel_value(k)
+        monkeypatch.setattr(cone_module, "ZOOM_STARTS", 200)
+        assert got == pytest.approx(max_kernel_value(k, 401), rel=1e-12)
+
+    @pytest.mark.parametrize("bc", KERNEL_KINDS, ids=str)
+    def test_batched_kernel_calls(self, bc):
+        k = CountingKernel(NumericKernel(WAVY, bc))
+        max_kernel_value(k)
+        assert len(k.shapes) <= 1 + ZOOM_ROUNDS
+        assert all(len(shape) >= 2 for shape in k.shapes)
+
+
+class TestGridValidation:
+    CALLS = {
+        "max_kernel_value": lambda k, g: max_kernel_value(k, g),
+        "compute_cone_constants": lambda k, g: compute_cone_constants(
+            k, Subinterval(0.25, 0.75), g),
+        "find_subinterval": lambda k, g: find_subinterval(k, g),
+        "check_H3": lambda k, g: check_H3(k, Subinterval(0.25, 0.75), g),
+    }
+
+    @pytest.mark.parametrize("grid", [1, 0, -3])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_grid_below_two_raises(self, name, grid):
+        with pytest.raises(ValueError, match="at least 2"):
+            self.CALLS[name](DirichletConstantKernel(RHO_D), grid)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_grid_two_runs(self, name):
+        self.CALLS[name](PeriodicConstantKernel(RHO_P), 2)
+
+
 class TestFindSubinterval:
     def test_nonpositive_kernel_has_none(self):
         grid = np.linspace(0.0, 1.0, 11)
@@ -167,6 +306,26 @@ class TestFindSubinterval:
         empty = [e for e in trace if 0.0 < e["c"] and e["d"] < 1.0]
         assert empty
         assert all(not e["valid"] and math.isnan(e["eta_hat"]) for e in empty)
+
+    @pytest.mark.parametrize("kernel, grid", [
+        *[pytest.param(NumericKernel(WAVY, bc), 201, id=f"wavy-{bc}")
+          for bc in KERNEL_KINDS],
+        pytest.param(DirichletConstantKernel(RHO_D), 201, id="dirichlet-closed"),
+        pytest.param(DirichletConstantKernel(7.5), 2, id="two-nodes"),
+    ])
+    def test_matches_the_per_candidate_loop(self, kernel, grid):
+        want_sub, want = find_subinterval_per_candidate(kernel, grid)
+        sub, trace = find_subinterval(kernel, grid, with_trace=True)
+        assert sub == want_sub
+        assert len(trace) == len(want)
+        for got, exp in zip(trace, want):
+            assert repr(got) == repr(exp)   # types too, and nan where nan
+
+    def test_mixed1_searches_every_candidate(self):
+        sub, trace = find_subinterval(NumericKernel(WAVY, BoundaryKind.MIXED1),
+                                      with_trace=True)
+        assert sub is None
+        assert len(trace) == sum(N_CELLS - w + 1 for w in (64, 32, 16, 8, 4, 2, 1))
 
     def test_periodic_stops_at_widest(self):
         sub, trace = find_subinterval(PeriodicConstantKernel(RHO_P),
