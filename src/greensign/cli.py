@@ -143,10 +143,10 @@ def _load_samples(path: str):
 
 
 def _potential(args):
-    T = evaluate_scalar(args.T)
+    T = 1.0 if args.T is None else evaluate_scalar(args.T)
     if getattr(args, "samples", None):
         pot = _load_samples(args.samples)
-        if abs(pot.interval.T - T) > 1e-12 and args.T != "1":
+        if args.T is not None and abs(pot.interval.T - T) > 1e-12:
             raise GreensignError(
                 f"--T {args.T} conflicts with the sample grid ending at "
                 f"{pot.interval.T}")
@@ -163,7 +163,7 @@ def _bc(args) -> BoundaryKind:
 def _add_potential_args(p, bc_required=True):
     p.add_argument("--rho", help="constant potential a = rho^2; expression, e.g. sqrt(60)")
     p.add_argument("--samples", help="CSV of t,a rows defining a sampled potential")
-    p.add_argument("--T", default="1", help="interval length (expression, default 1)")
+    p.add_argument("--T", default=None, help="interval length (expression, default 1)")
     p.add_argument("--bc", required=bc_required, choices=BC_CHOICES,
                    help="boundary condition")
     p.add_argument("--grid", type=_int_at_least(MIN_GRID), default=None,

@@ -103,8 +103,8 @@ def _t_integrals(kernel, ss, cs, ds) -> np.ndarray:
     """Integral over t in [c, d] of G(t, s) for every (s, c, d), the three
     broadcast together; 0 where d <= c.
 
-    Each integral has its own panels, split at its only kink t = s, and its
-    own sum; one kernel evaluation serves them all.
+    Each integral is a row of one panel plan, split at its only kink t = s;
+    one kernel evaluation and one np.add.reduceat serve them all.
     """
     ss, cs, ds = np.broadcast_arrays(*(np.asarray(x, dtype=float)
                                        for x in (ss, cs, ds)))
@@ -117,7 +117,7 @@ def _t_integrals(kernel, ss, cs, ds) -> np.ndarray:
     s_rows = np.repeat(ss[live], np.diff(plan.offsets))[:, None]
     vals = (np.asarray(kernel(plan.xs, s_rows), dtype=float) * plan.weights).ravel()
     starts = plan.offsets * GAUSS_ORDER
-    out[live] = [np.sum(vals[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    out[live] = np.add.reduceat(vals, starts[:-1])
     return out
 
 

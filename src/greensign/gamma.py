@@ -19,9 +19,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import (NonpositiveWeightedIntegral, OutOfRange,
-                     QuadratureFailure, InvalidWeight, ResonantPotential,
-                     UnsupportedBoundaryKind)
-from .greens import RESONANCE_TOL, _constant_margin
+                     QuadratureFailure, InvalidWeight, UnsupportedBoundaryKind)
+from .greens import _require_nonresonant
 from .potentials import BoundaryKind, ConstantPotential, Potential
 from .quadrature import GAUSS_ORDER, default_max_len, shared_breaks, slice_panels
 
@@ -61,7 +60,9 @@ def _slice_parts(kernel, ts, roots: list, weight, order: int,
     nodes, with one kernel and one weight evaluation per block.  Every
     slice is broken at its zeros and the weight is nonnegative, so a panel
     has one sign, and counts as positive or negative by the sign of its
-    own weighted integral (zero counts as positive).
+    own weighted integral (zero counts as positive).  One np.add.reduceat
+    per sign sums the panels of every slice, each a segment of the plan;
+    panel_plan gives every slice a panel, so no segment is empty.
     """
     T = kernel.T
     # a slice has at most one panel per max_len plus one per break point
@@ -78,10 +79,9 @@ def _slice_parts(kernel, ts, roots: list, weight, order: int,
                                dtype=float).reshape(g.shape)
         panel = np.sum(g * plan.weights, axis=1)
         up = panel >= 0
-        for i, (p0, p1) in enumerate(zip(plan.offsets[:-1], plan.offsets[1:])):
-            vals, sgn = panel[p0:p1], up[p0:p1]
-            pos[a + i] = np.sum(vals[sgn])
-            neg[a + i] = -np.sum(vals[~sgn])
+        starts = plan.offsets[:-1]
+        pos[a:a + len(bt)] = np.add.reduceat(np.where(up, panel, 0.0), starts)
+        neg[a:a + len(bt)] = -np.add.reduceat(np.where(up, 0.0, panel), starts)
     return pos, neg
 
 
@@ -104,13 +104,16 @@ def _slice_ratios(kernel, ts, weight, order: int, need_positive) -> np.ndarray:
             raise QuadratureFailure(f"non-finite panel integral at t = {ts[k]}")
         raise NonpositiveWeightedIntegral(
             f"weighted integral of the kernel is not positive at t = {ts[k]}")
-    return np.array([_ratio(float(p), float(n)) for p, n in zip(pos, neg)])
+    return _ratio(pos, neg)
 
 
-def _ratio(pos: float, neg: float) -> float:
-    if neg <= NEG_PART_REL_TOL * max(pos, 1e-300):
-        return math.inf
-    return pos / neg
+def _ratio(pos, neg):
+    """pos/neg elementwise, +inf where the negative part counts as absent;
+    a float for scalar arguments."""
+    absent = neg <= NEG_PART_REL_TOL * np.maximum(pos, 1e-300)
+    r = np.divide(pos, neg, out=np.full(np.shape(absent), math.inf),
+                  where=~absent)
+    return r if r.ndim else float(r)
 
 
 def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -201,10 +204,7 @@ def gamma_periodic_closed(rho: float, T: float = 1.0) -> GammaResult:
     if x <= 1.0:
         raise OutOfRange(
             f"rho*T = {rho * T:.6g} <= pi: the kernel does not change sign")
-    det, scale = _constant_margin(rho, T, BoundaryKind.PERIODIC)
-    if abs(det) < RESONANCE_TOL * scale:
-        raise ResonantPotential(
-            f"rho*T = {rho * T:.6g} is within tolerance of a multiple of 2*pi")
+    _require_nonresonant(rho, T, BoundaryKind.PERIODIC)
     m = int(math.floor(x))
     sn = math.sin(rho * T / 2)
     note = None
@@ -228,10 +228,7 @@ def gamma_periodic_closed(rho: float, T: float = 1.0) -> GammaResult:
 def _dirichlet_domain_check(rho: float) -> None:
     if not (math.pi < rho < 6 * math.pi):
         raise OutOfRange(f"closed form requires pi < rho < 6*pi, got {rho:.6g}")
-    det, scale = _constant_margin(rho, 1.0, BoundaryKind.DIRICHLET)
-    if abs(det) < RESONANCE_TOL * scale:
-        raise ResonantPotential(
-            f"rho = {rho:.6g} is within tolerance of a multiple of pi")
+    _require_nonresonant(rho, 1.0, BoundaryKind.DIRICHLET)
 
 
 def _sine_product_antiderivative(rho: float, u):
@@ -313,12 +310,11 @@ def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,
         raise UnsupportedBoundaryKind(
             f"the coefficient-weighted ratio needs periodic or Neumann "
             f"conditions, got {kernel.bc}")
-    T = potential.interval.T
-    samples = potential(np.linspace(0.0, T, 4097))
-    if np.min(samples) < 0:
+    # exact extrema: a sampled potential is piecewise linear on its grid
+    if potential.min_value < 0:
         raise InvalidWeight(
-            f"coefficient takes negative values (min {np.min(samples):.3e})")
-    if np.max(samples) <= 0:
+            f"coefficient takes negative values (min {potential.min_value:.3e})")
+    if potential.max_value <= 0:
         raise InvalidWeight("coefficient is identically zero")
     return replace(gamma_quadrature(kernel, potential, t_grid_size,
                                     s_quadrature_order), weight="Coefficient")

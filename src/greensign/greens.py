@@ -53,15 +53,22 @@ def _sorted_rows(r: np.ndarray, T: float) -> list[np.ndarray]:
     return [flat[b - c:b] for b, c in zip(ends, counts)]
 
 
-def _constant_margin(rho: float, T: float, bc: BoundaryKind) -> tuple[float, float]:
-    """(boundary determinant, fundamental-solution scale) for a = rho**2."""
+def _require_nonresonant(rho: float, T: float, bc: BoundaryKind) -> None:
+    """Raise ResonantPotential where a = rho**2 on [0, T] is resonant under
+    periodic or Dirichlet conditions: the boundary determinant is below
+    RESONANCE_TOL times the scale of the fundamental solutions."""
     x = rho * T
     sin_env = 1.0 if x >= math.pi / 2 else math.sin(x)  # max |sin(rho t)| on [0, T]
     if bc is BoundaryKind.PERIODIC:
-        return 2.0 - 2.0 * math.cos(x), max(1.0, sin_env / rho, rho * sin_env)
-    if bc is BoundaryKind.DIRICHLET:
-        return math.sin(x) / rho, sin_env / rho
-    raise UnsupportedBoundaryKind(str(bc))
+        det, scale = 2.0 - 2.0 * math.cos(x), max(1.0, sin_env / rho, rho * sin_env)
+    elif bc is BoundaryKind.DIRICHLET:
+        det, scale = math.sin(x) / rho, sin_env / rho
+    else:
+        raise UnsupportedBoundaryKind(str(bc))
+    if abs(det) < RESONANCE_TOL * scale:
+        period = "2*pi" if bc is BoundaryKind.PERIODIC else "pi"
+        raise ResonantPotential(
+            f"rho*T = {x:.6g} is within tolerance of a multiple of {period}")
 
 
 class _KernelBase:
@@ -135,9 +142,7 @@ class PeriodicConstantKernel(_ClosedFormKernel):
     bc = BoundaryKind.PERIODIC
 
     def __init__(self, rho: float, T: float = 1.0):
-        det, scale = _constant_margin(rho, T, self.bc)
-        if abs(det) < RESONANCE_TOL * scale:
-            raise ResonantPotential(f"rho*T = {rho * T} is within tolerance of a multiple of 2*pi")
+        _require_nonresonant(rho, T, self.bc)
         self.potential = ConstantPotential(rho, Interval(T))
         self.rho = float(rho)
         self._den = 2.0 * rho * (1.0 - math.cos(rho * T))
@@ -168,9 +173,7 @@ class DirichletConstantKernel(_ClosedFormKernel):
     bc = BoundaryKind.DIRICHLET
 
     def __init__(self, rho: float, T: float = 1.0):
-        det, scale = _constant_margin(rho, T, self.bc)
-        if abs(det) < RESONANCE_TOL * scale:
-            raise ResonantPotential(f"rho*T = {rho * T} is within tolerance of a multiple of pi")
+        _require_nonresonant(rho, T, self.bc)
         self.potential = ConstantPotential(rho, Interval(T))
         self.rho = float(rho)
         self._den = rho * math.sin(rho * T)

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import greensign
 from greensign.cli import _load_samples, main
 from greensign.errors import GreensignError
 
@@ -318,6 +321,40 @@ class TestSamples:
         assert code == 1
         assert "--T" in err
 
+    def test_T_one_checked_against_the_grid_like_any_other(self, capsys,
+                                                           tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("t,a\n" + "".join(f"{t},{(0.75 * math.pi) ** 2}\n"
+                                          for t in np.linspace(0.0, 2.0, 201)))
+        for T in ("1", "1.0"):
+            code, _, err = run(["classify", "--bc", "periodic", "--samples",
+                                str(path), "--T", T], capsys)
+            assert code == 1
+            assert f"--T {T} conflicts with the sample grid ending at 2.0" in err
+        for T in (["--T", "2"], []):
+            code, out, err = run(["classify", "--bc", "periodic", "--samples",
+                                  str(path), *T], capsys)
+            assert code == 0, err
+            assert out.strip() == "changes_sign"
+
+    def test_check_skips_coefficient_weight_with_one_negative_sample(
+            self, capsys, tmp_path):
+        ts = np.linspace(0.0, 1.0, 2001)
+        a = 60 + 10 * np.sin(2 * np.pi * ts)
+        a[777] = -1.0
+        path = tmp_path / "dip.csv"
+        path.write_text("t,a\n" + "".join(f"{float(t)!r},{float(v)!r}\n"
+                                          for t, v in zip(ts, a)))
+        code, out, err = run(["check", "--bc", "neumann", "--samples",
+                              str(path), "--f", "1 + x/(1+x)",
+                              "--t-grid", "41"], capsys)
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["h2_star"] is None
+        assert any(n.startswith("coefficient-weighted variant skipped: "
+                                "coefficient takes negative values")
+                   for n in obj["notes"])
+
 
 def load_rows_by_csv(path):
     """The row-by-row csv loop the sample loader used before; oracle."""
@@ -427,8 +464,13 @@ class TestFigures:
 
 
 def test_console_script_runs():
+    # the child imports the package this process imported, also where only
+    # pytest's pythonpath setting put it on the path
+    src = str(Path(greensign.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "greensign.cli", "eigen",
                            "--bc", "neumann", "--rho", "1", "--count", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("lambda_1 = -1 ")

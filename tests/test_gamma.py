@@ -15,7 +15,7 @@ from greensign.gamma import (CASE_2B_NOTE, GammaResult, _boundary_nodes,
                              gamma_dirichlet_t_closed, gamma_periodic_closed,
                              gamma_quadrature, gamma_star, pointwise_ratio)
 from greensign.greens import NumericKernel, build_kernel
-from greensign.potentials import BoundaryKind, constant, sampled
+from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 from greensign.spectral import principal_eigenfunction
 
@@ -136,6 +136,24 @@ class TestDirichletClosed:
             gamma_dirichlet_closed(3 * math.pi)
 
 
+@pytest.mark.parametrize("bc, rho, closed", [
+    (BoundaryKind.PERIODIC, 2 * math.pi, gamma_periodic_closed),
+    (BoundaryKind.PERIODIC, 4 * math.pi * (1 + 1e-12), gamma_periodic_closed),
+    (BoundaryKind.DIRICHLET, 3 * math.pi, gamma_dirichlet_closed),
+    (BoundaryKind.DIRICHLET, 2 * math.pi * (1 - 1e-12),
+     lambda rho: gamma_dirichlet_t_closed(0.5, rho)),
+])
+def test_closed_forms_and_kernels_share_one_resonance_rule(bc, rho, closed):
+    with pytest.raises(ResonantPotential) as by_kernel:
+        build_kernel(constant(rho, 1.0), bc)
+    with pytest.raises(ResonantPotential) as by_closed_form:
+        closed(rho)
+    assert str(by_closed_form.value) == str(by_kernel.value)
+    # just off resonance, both go through
+    build_kernel(constant(rho * (1 + 1e-3), 1.0), bc)
+    closed(rho * (1 + 1e-3))
+
+
 class TestDirichletPointwise:
     def test_figure_point(self):
         v = gamma_dirichlet_t_closed(0.5, 10.8)
@@ -248,6 +266,15 @@ class TestGammaStar:
         with pytest.raises(InvalidWeight):
             gamma_star(k, signed)
 
+    def test_rejects_negative_sample_between_probe_points(self):
+        # t = 777/2000 lies between the 4097 points a probe grid would check
+        a = coarse_wavy(2001).values.copy()
+        a[777] = -1.0
+        pot = sampled(np.linspace(0.0, 1.0, 2001), a)
+        k = NumericKernel(pot, BoundaryKind.PERIODIC)
+        with pytest.raises(InvalidWeight, match="-1.000e"):
+            gamma_star(k, pot)
+
 
 def slice_parts_one_t(kernel, t, roots, weight, order, max_len):
     """The per-t slice quadrature the batched one replaced, kept as its
@@ -267,7 +294,11 @@ def slice_parts_one_t(kernel, t, roots, weight, order, max_len):
         g = g * np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
     panel = np.sum(g * (half[:, None] * gw[None, :]), axis=1)
     sign = np.asarray(kernel(np.full(mid.shape, t), mid), dtype=float)
-    return float(np.sum(panel[sign >= 0])), float(-np.sum(panel[sign < 0]))
+    # one row of the segmented sum, which adds a segment alike wherever it
+    # lies (test_quadrature.test_segment_sum_depends_only_on_contents)
+    pos = np.add.reduceat(np.where(sign >= 0, panel, 0.0), [0])[0]
+    neg = -np.add.reduceat(np.where(sign >= 0, 0.0, panel), [0])[0]
+    return float(pos), float(neg)
 
 
 def gamma_by_slice_loop(kernel, weight, t_grid_size, order=16):
@@ -342,6 +373,38 @@ class TestFlattenedSlices:
         max_len = default_max_len(kernel.potential)
         pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
                                 16, max_len)
+        for t, p, n in zip(ts, pos, neg):
+            want = slice_parts_one_t(kernel, float(t), kernel.s_roots(t),
+                                     weight, 16, max_len)
+            assert (p, n) == want, t
+
+    @given(mean=st.floats(45.0, 75.0),
+           modes=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                          min_size=1, max_size=3),
+           nodes=st.sampled_from([41, 401]),
+           bc=st.sampled_from(KERNEL_KINDS),
+           eigen_weight=st.booleans(),
+           block=st.integers(16, 1 << 15),
+           ts=st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_slice_parts_match_per_t_loop_on_random_potentials(
+            self, mean, modes, nodes, bc, eigen_weight, block, ts):
+        # t stays off the ends: a slice the condition pins to zero is
+        # rounding noise, whose panel signs the midpoint rule reads apart
+        grid = np.linspace(0.0, 1.0, nodes)
+        a = np.full(nodes, mean)
+        for k, (alpha, beta) in enumerate(modes, 1):
+            a += (alpha * np.cos(2 * np.pi * k * grid)
+                  + beta * np.sin(2 * np.pi * k * grid))
+        pot = sampled(grid, a)
+        kernel = build_kernel(pot, bc)
+        weight = principal_eigenfunction(pot, bc) if eigen_weight else None
+        ts = np.array(ts)
+        max_len = default_max_len(pot)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gamma_module, "SLICE_BLOCK_NODES", block)
+            pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts),
+                                    weight, 16, max_len)
         for t, p, n in zip(ts, pos, neg):
             want = slice_parts_one_t(kernel, float(t), kernel.s_roots(t),
                                      weight, 16, max_len)

@@ -52,6 +52,9 @@ def test_plan_matches_per_row_build_edges(max_len):
     got = panel_plan(lo, hi, rows, points, max_len)
     for g, w in zip((got.xs, got.weights, got.offsets), want):
         assert np.array_equal(g, w)
+    # every row has a panel: reduceat over an empty segment would return
+    # the next segment's first entry
+    assert np.all(np.diff(got.offsets) >= 1)
 
 
 def per_slice_panels(ts, roots, shared, max_len, order):
@@ -117,3 +120,19 @@ def test_empty_range_rejected():
     with pytest.raises(ValueError):
         panel_plan([0.0, 1.0], [1.0, 1.0], [], [], 0.5)
 
+
+def test_segment_sum_depends_only_on_contents():
+    """np.add.reduceat over a plan's offsets is the one reduction of a
+    panel plan.  The per-row oracles of gamma and cone end in a one-row
+    reduceat; that is the same sum because a segment's sum depends only on
+    its contents, not on where in the array, or at what alignment, it lies."""
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(40000) * rng.uniform(1e-3, 1e3, 40000)
+    counts = rng.integers(1, 600, 120)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    got = np.add.reduceat(vals[:counts.sum()], starts)
+    for k, (a, c) in enumerate(zip(starts, counts)):
+        for shift in (0, 1, 3):        # moved to another offset in a buffer
+            buf = np.zeros(c + shift)
+            buf[shift:] = vals[a:a + c]
+            assert np.add.reduceat(buf[shift:], [0])[0] == got[k]
