@@ -95,6 +95,12 @@ def calls(wavy: str, repro_a: str) -> list:
     # u'' + 60 u = 1 + 50 u, on which damped Picard steps diverge
     out.append(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
                 "--f", "1+50*x"])
+    # eigenvalues at full precision (JSON prints every digit; the text lines
+    # above round to 12), on the narrow-gap potential under every condition
+    for bc in ("periodic", "antiperiodic", "dirichlet", "neumann", "mixed1",
+               "mixed2"):
+        out.append(["eigen", "--bc", bc, "--samples", repro_a, "--count", "8",
+                    "--format", "json"])
     return out
 
 

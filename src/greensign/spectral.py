@@ -4,9 +4,11 @@ classification they determine.
 lam is an eigenvalue of u'' + (a(t) + lam) u = 0 under the boundary
 condition: closed-form for a = rho**2, otherwise bracketed from its index
 (no scan over lam) and refined by the ITP method on the characteristic
-function.  That comes from the monodromy matrix Phi(T) by the rule of
-potentials.BoundaryKind: the entry BoundaryKind.entry of Phi(T) for a
-separated condition, its trace against the multiplier for a paired one.
+function, all brackets of one request together: one evaluation per round
+serves every open bracket, and each takes the steps it would take alone.
+The characteristic function comes from the monodromy matrix Phi(T) by the
+rule of potentials.BoundaryKind: the entry BoundaryKind.entry of Phi(T) for
+a separated condition, its trace against the multiplier for a paired one.
 Separated conditions: by min-max comparison with the constants min a and max
 a (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993), eigenvalue
 i lies in a window about mu_i, the i-th eigenvalue of -u''; where windows
@@ -18,7 +20,8 @@ the closure of the n-th gap of Hill's equation, |trace Phi(T)| >= 2 (Magnus
 of the two, [R_m, L_{m+1}] holds exactly one periodic (lam_m) and one
 antiperiodic (lam'_{m+1}) eigenvalue.  For an even potential each Dirichlet
 eigenvalue is a band edge, so it alone does not separate a pair.  Counts or
-signs that contradict what a bracket must hold raise BracketingFailure.
+signs that contradict what a bracket must hold raise BracketingFailure,
+before any bracket is refined.
 """
 from __future__ import annotations
 
@@ -197,14 +200,14 @@ def _separated(potential: Potential, bc: BoundaryKind, wanted,
 
     ends = np.stack([xs[k - 1], xs[k]], axis=1)
     fends = char_values(potential, bc, ends.ravel(), grid_size).reshape(ends.shape)
-    found = {}
+    brackets = []
     for i, (lo, hi), (flo, fhi) in zip(wanted.tolist(), ends, fends):
         # sign (-1)**i between eigenvalues i - 1 and i
         if not (flo * (-1) ** i > 0 and fhi * (-1) ** i <= 0):
             raise BracketingFailure(f"{bc} characteristic function has the wrong "
                                     f"sign at an end of [{lo:.9g}, {hi:.9g}]")
-        found[i] = _refine(potential, bc, lo, hi, flo, fhi, grid_size)
-    return found
+        brackets.append((lo, hi, flo, fhi))
+    return dict(zip(wanted.tolist(), _refine_all(potential, bc, brackets, grid_size)))
 
 
 def _paired(potential: Potential, bc: BoundaryKind, count: int,
@@ -233,12 +236,14 @@ def _paired(potential: Potential, bc: BoundaryKind, count: int,
     lams, where = np.unique(x, return_inverse=True)
     fx = char_values(potential, bc, lams, grid_size)[where].reshape(x.shape)
 
-    out = []
+    # an edge root resolves at once; None holds the place of a refined one
+    out, brackets = [], []
     for (lo, hi, c_lo, c_hi), (flo, fhi, fc_lo, fc_hi) in zip(x, fx):
         if c_lo < c_hi and fc_lo * fc_hi < 0.0:
             lo, hi, flo, fhi = c_lo, c_hi, fc_lo, fc_hi
         if flo * fhi < 0.0:
-            out.append(_refine(potential, bc, lo, hi, flo, fhi, grid_size))
+            out.append(None)
+            brackets.append((lo, hi, flo, fhi))
             continue
         end, fend = min((lo, flo), (hi, fhi), key=lambda e: abs(e[1]))
         if abs(fend) > EDGE_TOL:
@@ -246,19 +251,47 @@ def _paired(potential: Potential, bc: BoundaryKind, count: int,
                 f"no root of the {bc} characteristic function in the Hill "
                 f"bracket [{lo:.9g}, {hi:.9g}]")
         out.append(EigenResult(end, bc, "shooting", 0, (end, end)))
-    return out
+    refined = iter(_refine_all(potential, bc, brackets, grid_size))
+    return [r or next(refined) for r in out]
 
 
-def _refine(potential, bc, lo: float, hi: float, flo: float, fhi: float,
-            grid_size) -> EigenResult:
-    """Root of the characteristic function in the sign-change bracket
-    [lo, hi], where it takes the values flo and fhi, by the ITP method
-    (Oliveira & Takahashi, ACM TOMS 47, 2020): regula falsi, truncated
-    toward the midpoint and projected into the interval about it that the
-    step budget allows.  The budget is the fewest steps bisection from the
-    first bracket could take with the root anywhere in the present one, so
-    the search never takes more.  It stops at
-    hi - lo <= BISECT_REL_WIDTH * max(1, |lo|), or at an exact zero.
+def _refine_all(potential, bc, brackets, grid_size) -> list[EigenResult]:
+    """Roots of the characteristic function in the sign-change brackets
+    (lo, hi, flo, fhi), flo and fhi its values at lo and hi, in their order.
+
+    The brackets are refined together: each round calls char_values once on
+    the next points of all open _itp searches.  char_values treats each lam
+    of a batch on its own, so every search takes the very steps it takes
+    alone.
+    """
+    searches = [_itp(bc, *b) for b in brackets]
+    found = [None] * len(searches)
+    live, fxs = list(range(len(searches))), [None] * len(searches)
+    while live:
+        xs, still = [], []
+        for k, fx in zip(live, fxs):
+            try:
+                xs.append(searches[k].send(fx))
+                still.append(k)
+            except StopIteration as stop:
+                found[k] = stop.value
+        live = still
+        if live:
+            fxs = char_values(potential, bc, np.array(xs), grid_size).tolist()
+    return found
+
+
+def _itp(bc: BoundaryKind, lo: float, hi: float, flo: float, fhi: float):
+    """ITP search for the root in one sign-change bracket (Oliveira &
+    Takahashi, ACM TOMS 47, 2020): regula falsi, truncated toward the
+    midpoint and projected into the interval about it that the step budget
+    allows.  The budget is the fewest steps bisection from the first bracket
+    could take with the root anywhere in the present one, so the search
+    never takes more.  It stops at hi - lo <= BISECT_REL_WIDTH * max(1, |lo|),
+    or at an exact zero.
+
+    A generator: it yields each point and is sent the characteristic value
+    there, and returns the EigenResult.
     """
     if fhi == 0.0:
         return EigenResult(hi, bc, "shooting", 0, (hi, hi))
@@ -284,7 +317,7 @@ def _refine(potential, bc, lo: float, hi: float, flo: float, fhi: float,
             x = mid - side * radius
         if not lo < x < hi:
             x = mid
-        fx = float(char_values(potential, bc, x, grid_size)[0])
+        fx = yield x
         iterations += 1
         if fx == 0.0:
             return EigenResult(x, bc, "shooting", iterations, (x, x))

@@ -239,6 +239,60 @@ def bisect(potential, bc, lo, hi, grid_size):
     return EigenResult(0.5 * (lo + hi), bc, "shooting", iterations, (lo, hi))
 
 
+def itp(potential, bc, lo, hi, flo, fhi, grid_size):
+    """The ITP search on one bracket, one lam per char_values call, as the
+    eigenvalue search ran it before its brackets were refined together;
+    oracle."""
+    if fhi == 0.0:
+        return EigenResult(hi, bc, "shooting", 0, (hi, hi))
+    width0 = hi - lo
+    kappa1 = 0.2 / width0
+    iterations = 0
+    while hi - lo > BISECT_REL_WIDTH * max(1.0, abs(lo)):
+        large = BISECT_REL_WIDTH * max(1.0, abs(lo), abs(hi)) * (1.0 + 1e-12)
+        small = BISECT_REL_WIDTH * max(1.0, 0.0 if lo < 0.0 < hi
+                                       else min(abs(lo), abs(hi)))
+        budget = max(0, math.ceil(math.log2(width0 / large)))
+        mid = 0.5 * (lo + hi)
+        radius = max(0.0, small * 2.0 ** (budget - iterations - 1) - 0.5 * (hi - lo)
+                     - 4.0 * math.ulp(max(abs(lo), abs(hi))))
+        delta = kappa1 * (hi - lo) ** 2
+        falsi = (fhi * lo - flo * hi) / (fhi - flo)
+        side = math.copysign(1.0, mid - falsi)
+        x = falsi + side * delta if delta <= abs(mid - falsi) else mid
+        if abs(x - mid) > radius:
+            x = mid - side * radius
+        if not lo < x < hi:
+            x = mid
+        fx = float(spectral.char_values(potential, bc, x, grid_size)[0])
+        iterations += 1
+        if fx == 0.0:
+            return EigenResult(x, bc, "shooting", iterations, (x, x))
+        if (fx > 0) == (flo > 0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        if iterations > 200:
+            break
+    return EigenResult(0.5 * (lo + hi), bc, "shooting", iterations, (lo, hi))
+
+
+def record_refinements(monkeypatch):
+    """List that fills with ((potential, bc, lo, hi, flo, fhi, grid_size),
+    result) for every bracket handed to spectral._refine_all."""
+    calls = []
+    refine_all = spectral._refine_all
+
+    def recording(potential, bc, brackets, grid_size):
+        got = refine_all(potential, bc, brackets, grid_size)
+        calls.extend(((potential, bc, *b, grid_size), r)
+                     for b, r in zip(brackets, got))
+        return got
+
+    monkeypatch.setattr(spectral, "_refine_all", recording)
+    return calls
+
+
 def trig_potential(seed, n=2001):
     rng = np.random.default_rng(seed)
     g = np.linspace(0.0, 1.0, n)
@@ -253,14 +307,7 @@ class TestRefinement:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_bisection_in_fewer_steps(self, seed, monkeypatch):
         pot = trig_potential(seed)
-        calls = []
-        refine = spectral._refine
-
-        def recording(*args):
-            calls.append((args, refine(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(spectral, "_refine", recording)
+        calls = record_refinements(monkeypatch)
         for bc in BoundaryKind:
             smallest_eigenvalues(pot, bc, 6)
         assert len(calls) >= 30
@@ -279,15 +326,28 @@ class TestRefinement:
         self.test_matches_bisection_in_fewer_steps(seed, monkeypatch)
 
     def _fake(self, monkeypatch, f):
-        monkeypatch.setattr(spectral, "char_values",
-                            lambda pot, bc, lams, grid=None: np.atleast_1d(f(lams)))
+        """Make char_values f; returns the list of lam batches it is called on."""
+        seen = []
+
+        def fake(pot, bc, lams, grid=None):
+            seen.append(np.atleast_1d(lams).tolist())
+            return np.atleast_1d(f(lams))
+
+        monkeypatch.setattr(spectral, "char_values", fake)
+        return seen
+
+    @staticmethod
+    def _refine_one(lo, hi, flo, fhi):
+        [got] = spectral._refine_all(None, BoundaryKind.DIRICHLET,
+                                     [(lo, hi, flo, fhi)], None)
+        return got
 
     def test_exact_zero_ends_the_search(self, monkeypatch):
         self._fake(monkeypatch, lambda lam: 0.5 - np.asarray(lam))
         # the regula falsi point of the bracket is the root itself
-        got = spectral._refine(None, BoundaryKind.DIRICHLET, 0.0, 1.0, 0.5, -0.5, None)
+        got = self._refine_one(0.0, 1.0, 0.5, -0.5)
         assert (got.value, got.bracket, got.iterations) == (0.5, (0.5, 0.5), 1)
-        got = spectral._refine(None, BoundaryKind.DIRICHLET, -1.0, 0.5, 1.5, 0.0, None)
+        got = self._refine_one(-1.0, 0.5, 1.5, 0.0)
         assert (got.value, got.bracket, got.iterations) == (0.5, (0.5, 0.5), 0)
 
     @pytest.mark.parametrize("f", [
@@ -298,12 +358,75 @@ class TestRefinement:
     def test_worst_case_is_bisection(self, f, monkeypatch):
         self._fake(monkeypatch, f)
         want = bisect(None, BoundaryKind.DIRICHLET, 0.0, 0.5, None)
-        got = spectral._refine(None, BoundaryKind.DIRICHLET, 0.0, 0.5,
-                               float(f(0.0)), float(f(0.5)), None)
+        got = self._refine_one(0.0, 0.5, float(f(0.0)), float(f(0.5)))
         assert got.iterations <= want.iterations + 1
         lo, hi = got.bracket
         assert lo <= 0.3 <= hi
         assert hi - lo <= BISECT_REL_WIDTH
+
+    @staticmethod
+    def _mixed(lam):
+        """A flat root at 0.3, a jump at 2.3, a steep root at 4.3 and a
+        linear one at 6.5, which regula falsi hits at once on [6, 7]."""
+        lam = np.asarray(lam)
+        return np.select([lam < 1.5, lam < 3.5, lam < 5.5],
+                         [np.cbrt(0.3 - lam) ** 9, np.where(lam < 2.3, 1.0, -1e-9),
+                          np.arctan(1e6 * (4.3 - lam))], 6.5 - lam)
+
+    def test_one_char_values_call_per_round(self, monkeypatch):
+        f = self._mixed
+        brackets = [(lo, lo + 0.5, float(f(lo)), float(f(lo + 0.5)))
+                    for lo in (0.0, 2.0, 4.0)]
+        brackets += [(6.0, 7.0, 0.5, -0.5), (8.0, 9.0, 1.0, 0.0)]
+        # each bracket searched alone: the points it asks for, in order
+        alone = []
+        for b in brackets:
+            seen = self._fake(monkeypatch, f)
+            alone.append((itp(None, BoundaryKind.DIRICHLET, *b, None),
+                          [lams[0] for lams in seen]))
+        seen = self._fake(monkeypatch, f)
+        got = spectral._refine_all(None, BoundaryKind.DIRICHLET, brackets, None)
+        assert got == [want for want, _ in alone]
+        steps = [r.iterations for r in got]
+        assert len(set(steps[:3])) == 3 and steps[3:] == [1, 0]
+        assert len(seen) == max(steps)
+        for n, lams in enumerate(seen):
+            assert lams == [xs[n] for _, xs in alone if n < len(xs)]
+
+    def test_closed_brackets_make_no_call(self, monkeypatch):
+        # a zero at the upper end, and a bracket already narrow enough
+        brackets = [(8.0, 9.0, 1.0, 0.0), (1.0, 1.0 + 1e-14, 1.0, -1.0)]
+        seen = self._fake(monkeypatch, self._mixed)
+        got = spectral._refine_all(None, BoundaryKind.DIRICHLET, brackets, None)
+        assert seen == []
+        assert [r.iterations for r in got] == [0, 0]
+        assert got == [itp(None, BoundaryKind.DIRICHLET, *b, None) for b in brackets]
+
+
+class TestLockstep:
+    """Brackets refined together take, bit for bit, the steps the ITP
+    search takes on each alone."""
+
+    @staticmethod
+    def _check(pot, bc, count):
+        with pytest.MonkeyPatch.context() as mp:
+            calls = record_refinements(mp)
+            smallest_eigenvalues(pot, bc, count)
+        for args, got in calls:
+            assert got == itp(*args)
+        return calls
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_narrow_gap_equals_sequential_search(self, bc):
+        assert len(self._check(trig_samples(*REPRO_A), bc, 8)) >= 8
+
+    @given(st.floats(0.0, 100.0),
+           st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8),
+           st.sampled_from(list(BoundaryKind)), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_random_potential_equals_sequential_search(self, mean, coef, bc, count):
+        modes = [(k, coef[2 * k - 2], coef[2 * k - 1]) for k in range(1, 5)]
+        assert self._check(trig_samples(mean, modes), bc, count)
 
 
 # ------------------------------------------------- index brackets: oracles
