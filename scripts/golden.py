@@ -101,6 +101,11 @@ def calls(wavy: str, repro_a: str) -> list:
                "mixed2"):
         out.append(["eigen", "--bc", bc, "--samples", repro_a, "--count", "8",
                     "--format", "json"])
+    # the sign verdict of every separated condition on both potentials, and
+    # the Neumann verdict, decided by both mixed spectra, on the narrow gap
+    for bc in ("dirichlet", "mixed1", "mixed2"):
+        out += [["classify", "--bc", bc, "--samples", src] for src in (wavy, repro_a)]
+    out.append(["classify", "--bc", "neumann", "--samples", repro_a])
     return out
 
 

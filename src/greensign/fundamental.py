@@ -22,6 +22,8 @@ solution on [0, T] comes out of the same pass.
 """
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .errors import IntegratorFailure
@@ -158,13 +160,14 @@ def transfer_matrix(potential: Potential, lam, grid_size: int, lift: bool = Fals
 def cumulative_products(m11, m12, m21, m22) -> np.ndarray:
     """Phi_i = M_{i-1} @ ... @ M_0 for i = 0..n, Phi_0 = I, from the step
     entries as sequences of floats.  Returns (4, n + 1): the entries
-    Phi11, Phi12, Phi21, Phi22 at every node."""
+    Phi11, Phi12, Phi21, Phi22 at every node, gathered in a flat array of
+    doubles, which keeps no float object per entry."""
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    out = [(a, b, c, d)]
+    out = array("d", (a, b, c, d))
     for e, f, g, k in zip(m11, m12, m21, m22):
         a, b, c, d = e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d
-        out.append((a, b, c, d))
-    return np.ascontiguousarray(np.array(out).T)
+        out.extend((a, b, c, d))
+    return np.frombuffer(out).reshape(-1, 4).T.copy()
 
 
 class FundamentalSolutions:

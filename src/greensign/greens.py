@@ -71,6 +71,26 @@ def _require_nonresonant(rho: float, T: float, bc: BoundaryKind) -> None:
             f"rho*T = {x:.6g} is within tolerance of a multiple of {period}")
 
 
+def _boundary_matrix(fs: FundamentalSolutions, bc: BoundaryKind) -> np.ndarray:
+    """Phi(T) of the fundamental pair fs.  Raises ResonantPotential where
+    the boundary determinant of the condition is below RESONANCE_TOL times
+    the scale of the solutions it is formed from: det(m I - Phi(T)) against
+    all four for a paired condition, the entry BoundaryKind.entry against
+    its solution for a separated one."""
+    series = ((fs.u1, fs.u2), (fs.p1, fs.p2))
+    phi = np.array([[x[-1] for x in row] for row in series])
+    m = bc.multiplier
+    if m:
+        det = (m - phi[0, 0]) * (m - phi[1, 1]) - phi[0, 1] * phi[1, 0]
+        scale = fs.scale
+    else:
+        r, c = bc.entry
+        det, scale = phi[r, c], float(np.max(np.abs(series[r][c])))
+    if abs(det) < RESONANCE_TOL * scale:
+        raise ResonantPotential(f"boundary determinant {det:.3e} below tolerance for {bc}")
+    return phi
+
+
 class _KernelBase:
     """Shared evaluation plumbing; subclasses fill the coupling pieces."""
 
@@ -212,17 +232,8 @@ class NumericKernel(_KernelBase):
         if not isinstance(bc, BoundaryKind):
             raise UnsupportedBoundaryKind(repr(bc))
         fs = FundamentalSolutions(potential, 0.0, grid_size)
-        series = ((fs.u1, fs.u2), (fs.p1, fs.p2))
-        phi = np.array([[x[-1] for x in row] for row in series])  # Phi(T)
+        phi = _boundary_matrix(fs, bc)
         m = bc.multiplier
-        if m:
-            det = (m - phi[0, 0]) * (m - phi[1, 1]) - phi[0, 1] * phi[1, 0]
-            scale = fs.scale
-        else:
-            r, c = bc.entry
-            det, scale = phi[r, c], float(np.max(np.abs(series[r][c])))
-        if abs(det) < RESONANCE_TOL * scale:
-            raise ResonantPotential(f"boundary determinant {det:.3e} below tolerance for {bc}")
         self.potential = potential
         self.bc = bc
         self.fs = fs
@@ -233,6 +244,7 @@ class NumericKernel(_KernelBase):
             # for s > t a slice is u_c(t), which meets the condition at 0,
             # times the solution of s that meets it at T: row r weighs the
             # entry's neighbour against the entry
+            r, c = bc.entry
             self._C = np.zeros((2, 2))
             self._C[c] = ((-phi[r, 1] / phi[r, 0], 1.0) if c == 0
                           else (-1.0, phi[r, 0] / phi[r, 1]))
@@ -293,12 +305,28 @@ class NumericKernel(_KernelBase):
                                            axis=1), self.T)
 
 
+def _closed_form(potential: Potential, bc: BoundaryKind):
+    """The closed-form kernel class of this pairing, or None."""
+    if isinstance(potential, ConstantPotential):
+        return {BoundaryKind.PERIODIC: PeriodicConstantKernel,
+                BoundaryKind.DIRICHLET: DirichletConstantKernel}.get(bc)
+    return None
+
+
 def build_kernel(potential: Potential, bc: BoundaryKind,
                  grid_size: int | None = None):
     """Closed form when one exists for this pairing, numeric otherwise."""
-    if isinstance(potential, ConstantPotential):
-        if bc is BoundaryKind.PERIODIC:
-            return PeriodicConstantKernel(potential.rho, potential.interval.T)
-        if bc is BoundaryKind.DIRICHLET:
-            return DirichletConstantKernel(potential.rho, potential.interval.T)
+    closed = _closed_form(potential, bc)
+    if closed:
+        return closed(potential.rho, potential.interval.T)
     return NumericKernel(potential, bc, grid_size)
+
+
+def require_kernel(potential: Potential, bc: BoundaryKind,
+                   grid_size: int | None = None) -> None:
+    """Raise ResonantPotential wherever build_kernel would, by the same
+    rule, without building the kernel."""
+    if _closed_form(potential, bc):
+        _require_nonresonant(potential.rho, potential.interval.T, bc)
+    else:
+        _boundary_matrix(FundamentalSolutions(potential, 0.0, grid_size), bc)

@@ -22,6 +22,15 @@ antiperiodic (lam'_{m+1}) eigenvalue.  For an even potential each Dirichlet
 eigenvalue is a band edge, so it alone does not separate a pair.  Counts or
 signs that contradict what a bracket must hold raise BracketingFailure,
 before any bracket is refined.
+
+The sign class needs only where 0 lies relative to first eigenvalues, and
+classify_sign finds no eigenvalue: it asks whether each first eigenvalue
+lies above mu = -tol and mu = +tol, from one lifted monodromy pass at the
+two shifts.  A separated first eigenvalue lies above mu where the Sturm
+count at mu is zero.  Below the first Dirichlet eigenvalue lie only
+(-inf, lam_0), the first band and part of the first antiperiodic gap, so
+where the Dirichlet count at mu is zero, lam_0 (lam'_1) lies above mu
+exactly where the periodic (antiperiodic) characteristic value is positive.
 """
 from __future__ import annotations
 
@@ -34,9 +43,12 @@ import numpy as np
 from .errors import (BracketingFailure, NotPositive, UndeterminedSign,
                      UnsupportedBoundaryKind)
 from .fundamental import FundamentalSolutions, transfer_matrix
+from .greens import require_kernel
 from .potentials import DEFAULT_GRID, BoundaryKind, ConstantPotential, Potential
 
 SIGN_DECISION_TOL = 1e-8
+#: where classify_sign counts eigenvalues: below -tol, and below +tol
+SIGN_SHIFTS = np.array([-SIGN_DECISION_TOL, SIGN_DECISION_TOL])
 BISECT_REL_WIDTH = 1e-13
 #: rounds of counting eigenvalues at new points before failing
 MAX_COUNT_STEPS = 64
@@ -72,16 +84,28 @@ def char_values(potential: Potential, bc: BoundaryKind, lams,
     solution that meets the condition at 0.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    m = bc.multiplier
     if count:
-        if m:
+        if bc.multiplier:
             raise UnsupportedBoundaryKind(f"no eigenvalue count for {bc} conditions")
-        r, c = bc.entry
         _, theta = transfer_matrix(potential, lams, grid_size or DEFAULT_GRID, lift=True)
-        # eigenvalue n has theta(T) = (n + 1) pi where u(T) = 0 is asked
-        # (row 0), (n + 1/2) pi where u'(T) = 0 is
-        return np.floor(theta[:, c] / np.pi + 0.5 * r).astype(int)
-    phi = np.moveaxis(transfer_matrix(potential, lams, grid_size or DEFAULT_GRID), 0, -1)
+        return _counts(theta, bc)
+    return _char_of(transfer_matrix(potential, lams, grid_size or DEFAULT_GRID), bc)
+
+
+def _counts(theta: np.ndarray, bc: BoundaryKind) -> np.ndarray:
+    """Eigenvalues of a separated condition below each shift, from the
+    lifted angles theta(T) of u1 and u2 there, shape (shifts, 2)."""
+    r, c = bc.entry
+    # eigenvalue n has theta(T) = (n + 1) pi where u(T) = 0 is asked
+    # (row 0), (n + 1/2) pi where u'(T) = 0 is
+    return np.floor(theta[:, c] / np.pi + 0.5 * r).astype(int)
+
+
+def _char_of(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
+    """Characteristic value of the condition at each shift, from Phi(T)
+    there, shape (shifts, 2, 2)."""
+    phi = np.moveaxis(phi, 0, -1)
+    m = bc.multiplier
     if m:
         (u1T, u2T), (p1T, p2T) = phi
         # RK4's det Phi(T) falls below one by about T h**5 (lam + a)**3 / 72,
@@ -330,45 +354,69 @@ def _itp(bc: BoundaryKind, lo: float, hi: float, flo: float, fhi: float):
     return EigenResult(0.5 * (lo + hi), bc, "shooting", iterations, (lo, hi))
 
 
-def _decided(lam: float, what: str) -> float:
-    if abs(lam) < SIGN_DECISION_TOL:
-        raise UndeterminedSign(
-            f"{what} eigenvalue {lam:.3e} is within {SIGN_DECISION_TOL} of zero")
-    return lam
+#: the spectra, besides its own, that decide a kernel's sign class
+_COMPARED = {BoundaryKind.PERIODIC: (BoundaryKind.ANTIPERIODIC,),
+             BoundaryKind.NEUMANN: (BoundaryKind.MIXED1, BoundaryKind.MIXED2)}
 
 
 def classify_sign(potential: Potential, bc: BoundaryKind,
                   grid_size: int | None = None) -> SignClass:
-    """Sign class of the Green's function, decided by first eigenvalues.
+    """Sign class of the Green's function, decided by where 0 lies relative
+    to first eigenvalues.
 
     Periodic kernels are compared against the antiperiodic spectrum, Neumann
     kernels against both mixed spectra; the separated conditions are decided
-    by their own first eigenvalue alone.
+    by their own first eigenvalue alone.  A first eigenvalue above
+    SIGN_DECISION_TOL is positive, one not above -SIGN_DECISION_TOL
+    negative, and one between raises UndeterminedSign.  Where a verdict is
+    reached but no Green's function exists, ResonantPotential is raised, as
+    build_kernel raises it.
     """
     if bc is BoundaryKind.ANTIPERIODIC:
         raise UnsupportedBoundaryKind(
             "no sign classification is defined for antiperiodic conditions")
+    other = _COMPARED.get(bc, ())
+    above = _first_above(potential, (bc, *other), grid_size)
+    if _sign(above, (bc,)) > 0:
+        cls = SignClass.NON_POSITIVE
+    elif other and _sign(above, other) > 0:
+        cls = SignClass.NON_NEGATIVE
+    else:
+        cls = SignClass.CHANGES_SIGN
+    require_kernel(potential, bc, grid_size)
+    return cls
 
-    def lam_of(kind: BoundaryKind) -> float:
-        return smallest_eigenvalue(potential, kind, grid_size).value
 
-    if bc is BoundaryKind.PERIODIC:
-        lam_p = _decided(lam_of(BoundaryKind.PERIODIC), "periodic")
-        if lam_p > 0:
-            return SignClass.NON_POSITIVE
-        lam_a = _decided(lam_of(BoundaryKind.ANTIPERIODIC), "antiperiodic")
-        return SignClass.NON_NEGATIVE if lam_a > 0 else SignClass.CHANGES_SIGN
+def _first_above(potential: Potential, kinds, grid_size) -> dict:
+    """For each kind, whether its first eigenvalue lies above each of
+    SIGN_SHIFTS, as a boolean array.
 
-    if bc is BoundaryKind.NEUMANN:
-        lam_n = _decided(lam_of(BoundaryKind.NEUMANN), "Neumann")
-        if lam_n > 0:
-            return SignClass.NON_POSITIVE
-        lam_m = min(lam_of(BoundaryKind.MIXED1), lam_of(BoundaryKind.MIXED2))
-        lam_m = _decided(lam_m, "mixed")
-        return SignClass.NON_NEGATIVE if lam_m > 0 else SignClass.CHANGES_SIGN
+    A constant potential reads its closed-form eigenvalue; any other
+    potential answers for every kind from one lifted transfer_matrix call on
+    the shifts, by the count rule of the module docstring.
+    """
+    if isinstance(potential, ConstantPotential):
+        return {k: _eigenvalues(potential, k, 1, grid_size)[0].value > SIGN_SHIFTS
+                for k in kinds}
+    phi, theta = transfer_matrix(potential, SIGN_SHIFTS, grid_size or DEFAULT_GRID,
+                                 lift=True)
+    below_dirichlet = _counts(theta, BoundaryKind.DIRICHLET) == 0
+    return {k: below_dirichlet & (_char_of(phi, k) > 0.0) if k.multiplier
+            else _counts(theta, k) == 0 for k in kinds}
 
-    lam = _decided(lam_of(bc), str(bc))
-    return SignClass.NON_POSITIVE if lam > 0 else SignClass.CHANGES_SIGN
+
+def _sign(above: dict, kinds) -> int:
+    """+1 where the smallest first eigenvalue of kinds is positive, -1 where
+    it is negative; raises UndeterminedSign where it lies within
+    SIGN_DECISION_TOL of zero."""
+    above_minus, above_plus = np.logical_and.reduce([above[k] for k in kinds])
+    if above_plus:
+        return 1
+    if not above_minus:
+        return -1
+    raise UndeterminedSign(
+        f"the first {'/'.join(map(str, kinds))} eigenvalue lies within "
+        f"{SIGN_DECISION_TOL:g} of zero")
 
 
 class Eigenfunction:

@@ -202,6 +202,19 @@ class TestErrorsAndEnv:
         assert code == 3
         assert err.startswith("error: ResonantPotential:")
 
+    @pytest.mark.parametrize("bc,rho", [("periodic", "2*pi"), ("dirichlet", "2*pi"),
+                                        ("neumann", "pi"), ("mixed1", "3*pi/2")])
+    def test_classify_resonance_exits_3(self, bc, rho, capsys):
+        code, out, err = run(["classify", "--bc", bc, "--rho", rho], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ResonantPotential:")
+
+    def test_undetermined_sign_names_kind_and_tolerance(self, capsys):
+        code, _, err = run(["classify", "--bc", "periodic", "--rho", "1e-5"], capsys)
+        assert code == 1
+        assert err == ("error: UndeterminedSign: the first periodic eigenvalue "
+                       "lies within 1e-08 of zero\n")
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["nonsense"])

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import spectral
-from greensign.errors import (BracketingFailure, UndeterminedSign,
-                              UnsupportedBoundaryKind)
-from greensign.potentials import BoundaryKind, constant, sampled
-from greensign.spectral import (BISECT_REL_WIDTH, EigenResult,
+from greensign.errors import (BracketingFailure, ResonantPotential,
+                              UndeterminedSign, UnsupportedBoundaryKind)
+from greensign.greens import build_kernel
+from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
+from greensign.spectral import (BISECT_REL_WIDTH, SIGN_DECISION_TOL, EigenResult,
                                 smallest_eigenvalues,
                                 SignClass, char_values, classify_sign,
                                 principal_eigenfunction, smallest_eigenvalue)
@@ -130,8 +131,23 @@ class TestClassifySign:
                 assert g.min() < 0 < g.max()
 
     def test_near_zero_eigenvalue_is_undetermined(self):
-        with pytest.raises(UndeterminedSign):
+        with pytest.raises(UndeterminedSign, match=r"periodic eigenvalue .* 1e-08 of zero"):
             classify_sign(constant(1e-5, 1.0), BoundaryKind.PERIODIC)
+
+    @pytest.mark.parametrize("rho,bc", [
+        (2 * math.pi, BoundaryKind.PERIODIC),
+        (2 * math.pi, BoundaryKind.DIRICHLET),
+        (math.pi, BoundaryKind.NEUMANN),
+        (1.5 * math.pi, BoundaryKind.MIXED1),
+    ])
+    def test_no_verdict_where_no_kernel_exists(self, rho, bc):
+        # 0 is a higher eigenvalue of the condition: the first ones decide
+        # changes_sign, but there is no Green's function to have that sign
+        for pot in (constant(rho), const_sampled(rho)):
+            with pytest.raises(ResonantPotential):
+                build_kernel(pot, bc)
+            with pytest.raises(ResonantPotential):
+                classify_sign(pot, bc)
 
     def test_antiperiodic_unsupported(self):
         with pytest.raises(UnsupportedBoundaryKind):
@@ -667,3 +683,131 @@ class TestWideWindows:
         assert np.all(np.diff(vals) > 0)
         free = (math.pi * np.arange(1, 301)) ** 2
         assert np.all(np.abs(vals - free + 60.0) < 10.0 + 1e-13 * free**3)
+
+
+# ------------------------------------------------- sign verdicts: oracles
+
+#: the spectra, besides its own, that decide a kernel's sign class
+COMPARED = {BoundaryKind.PERIODIC: [BoundaryKind.ANTIPERIODIC],
+            BoundaryKind.NEUMANN: [BoundaryKind.MIXED1, BoundaryKind.MIXED2]}
+
+
+def verdict(first, bc):
+    """The sign class by the rule on refined first eigenvalues, first(kind)
+    the smallest eigenvalue of a kind: one within SIGN_DECISION_TOL of zero
+    decides nothing; oracle."""
+    def decided(kinds):
+        lam = min(first(k) for k in kinds)
+        if abs(lam) < SIGN_DECISION_TOL:
+            raise UndeterminedSign(f"{kinds} eigenvalue {lam:.3e}")
+        return lam
+
+    if decided([bc]) > 0:
+        return SignClass.NON_POSITIVE
+    if bc in COMPARED and decided(COMPARED[bc]) > 0:
+        return SignClass.NON_NEGATIVE
+    return SignClass.CHANGES_SIGN
+
+
+def search_verdict(potential, bc):
+    """verdict on the eigenvalues the ITP search refines, or UndeterminedSign."""
+    try:
+        return verdict(lambda k: smallest_eigenvalue(potential, k).value, bc)
+    except UndeterminedSign:
+        return UndeterminedSign
+
+
+def count_verdict(potential, bc):
+    """classify_sign's verdict, or UndeterminedSign."""
+    try:
+        return classify_sign(potential, bc)
+    except UndeterminedSign:
+        return UndeterminedSign
+
+
+def shifted(mean, modes, kinds, target):
+    """trig_samples(mean, modes) moved by a constant so that the smallest
+    first eigenvalue of kinds lies at target, up to rounding."""
+    lam = min(smallest_eigenvalue(trig_samples(mean, modes), k).value for k in kinds)
+    return trig_samples(mean + lam - target, modes)
+
+
+@st.composite
+def verdict_cases(draw):
+    """Random trig potentials under a kernel kind.  With near, the first
+    eigenvalue of the kind (own) or of its compared spectra (other) is
+    moved to +-(0.5..3) SIGN_DECISION_TOL.  Multiples within 1e-3 of 1 are
+    not drawn: there the eigenvalue can lie within ITP's last bracket
+    (1e-13) of the tolerance, where either rule may fall either way."""
+    coef = st.floats(-4.0, 4.0, allow_nan=False)
+    modes = [(k, draw(coef), draw(coef)) for k in range(1, 5)]
+    bc = draw(st.sampled_from(KERNEL_KINDS))
+    near = draw(st.sampled_from([None, "own", "other"]))
+    x = draw(st.floats(0.5, 3.0).filter(lambda x: abs(x - 1.0) > 1e-3))
+    return (draw(st.floats(-20.0, 60.0)), modes, bc, near,
+            draw(st.sampled_from([-1.0, 1.0])) * x * SIGN_DECISION_TOL)
+
+
+class TestSignVerdict:
+    """classify_sign counts eigenvalues at -+SIGN_DECISION_TOL; the verdict
+    is the one the refined first eigenvalues give."""
+
+    @given(verdict_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_count_rule_matches_search(self, case):
+        mean, modes, bc, near, target = case
+        if near is None:
+            pot = trig_samples(mean, modes)
+        else:
+            kinds = COMPARED[bc] if near == "other" and bc in COMPARED else [bc]
+            pot = shifted(mean, modes, kinds, target)
+        assert count_verdict(pot, bc) is search_verdict(pot, bc)
+
+    @pytest.mark.parametrize("bc", KERNEL_KINDS)
+    @pytest.mark.parametrize("x", [-2.0, -0.5, 0.5, 2.0])
+    def test_first_eigenvalue_at_the_tolerance(self, bc, x):
+        pot = shifted(*SEED7, [bc], x * SIGN_DECISION_TOL)
+        want = search_verdict(pot, bc)
+        assert (want is UndeterminedSign) == (abs(x) < 1.0)
+        assert count_verdict(pot, bc) is want
+
+    def test_zero_in_a_higher_gap(self):
+        # 0 lies in the second periodic gap, about (-2, 2), where Hill's
+        # discriminant is above 2 as it is below lam_0; the Dirichlet
+        # count tells the two apart
+        pot = trig_samples(4 * math.pi**2, [(2, 4.0, 0.0)])
+        bc = BoundaryKind.PERIODIC
+        lam = [r.value for r in smallest_eigenvalues(pot, bc, 3)]
+        assert lam[1] < -1.0 and lam[2] > 1.0
+        assert classify_sign(pot, bc) is SignClass.CHANGES_SIGN is search_verdict(pot, bc)
+
+    @given(st.floats(-20.0, 60.0),
+           st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8),
+           st.sampled_from(KERNEL_KINDS))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_hill_oracle(self, mean, coef, bc):
+        modes = [(k, coef[2 * k - 2], coef[2 * k - 1]) for k in range(1, 5)]
+        first = {k: hill_eigenvalues(mean, modes, k, count=1)[0]
+                 for k in [bc, *COMPARED.get(bc, [])]}
+        assume(all(abs(lam) > 1e-3 for lam in first.values()))
+        assert classify_sign(trig_samples(mean, modes), bc) is verdict(first.get, bc)
+
+    def test_one_monodromy_pass(self, monkeypatch):
+        calls = []
+        transfer_matrix = spectral.transfer_matrix
+
+        def recording(potential, lam, grid_size, lift=False):
+            calls.append((np.array(lam).tolist(), lift))
+            return transfer_matrix(potential, lam, grid_size, lift)
+
+        def no_search(*args):
+            raise AssertionError("an ITP search was started")
+
+        monkeypatch.setattr(spectral, "transfer_matrix", recording)
+        monkeypatch.setattr(spectral, "_itp", no_search)
+        pot = trig_potential(1)
+        for bc in KERNEL_KINDS:
+            calls.clear()
+            classify_sign(pot, bc)
+            assert calls == [([-SIGN_DECISION_TOL, SIGN_DECISION_TOL], True)]
+
