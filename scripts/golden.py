@@ -106,6 +106,14 @@ def calls(wavy: str, repro_a: str) -> list:
     for bc in ("dirichlet", "mixed1", "mixed2"):
         out += [["classify", "--bc", bc, "--samples", src] for src in (wavy, repro_a)]
     out.append(["classify", "--bc", "neumann", "--samples", repro_a])
+    # fine-check verdicts on a coarse grid, which JSON carries: the
+    # non-contractive Dirichlet solve above, and a periodic one without a
+    # solution (u'' + 4 pi^2 u = cos 2 pi t), both converged=false at 101 nodes
+    coarse = ["--solve-grid", "101", "--format", "json"]
+    out.append(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
+                "--f", "1+50*x", *coarse])
+    out.append(["solve", "--bc", "periodic", "--rho", "7.5",
+                "--f", "cos(2*pi*t) + (7.5^2 - 4*pi^2)*x", *coarse])
     return out
 
 

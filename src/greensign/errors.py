@@ -34,7 +34,8 @@ class NotPositive(GreensignError):
 
 
 class QuadratureFailure(GreensignError):
-    """A quadrature produced a non-finite value."""
+    """A quadrature produced a non-finite value, or a sum that rounding
+    cannot back."""
 
 
 class NonpositiveWeightedIntegral(GreensignError):

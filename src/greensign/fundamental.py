@@ -187,7 +187,9 @@ class FundamentalSolutions:
         phis = cumulative_products(*steps[:, 0].tolist())
         if not np.all(np.isfinite(phis)):
             raise IntegratorFailure("fundamental system overflowed; potential scale too large")
-        self.potential = potential
+        # no reference back to the potential: base_solutions keeps the pair
+        # on the potential's cache, and a cycle would hold both, with their
+        # tables, until the cycle collector runs
         self.lam = float(lam)
         self.ts = table.ts
         self.h = table.h
@@ -215,3 +217,18 @@ class FundamentalSolutions:
         h11 = right * (xi - 1.0) * self.h
         return tuple(h00 * y[i] + h10 * dy[i] + h01 * y[j] + h11 * dy[j]
                      for y, dy in ((self.u1, self.p1), (self.u2, self.p2)))
+
+
+def base_solutions(potential: Potential, grid_size: int | None = None) -> FundamentalSolutions:
+    """The FundamentalSolutions of the potential at lam = 0, built once per
+    (potential, grid_size) and kept on the potential's cache, as the step
+    table is: a numeric kernel and the resonance check of its sign verdict
+    share it."""
+    if grid_size is None:
+        grid_size = DEFAULT_GRID
+    fs = potential.cache.get(("pair0", grid_size))
+    if fs is None:
+        fs = potential.cache[("pair0", grid_size)] = FundamentalSolutions(potential, 0.0, grid_size)
+        for x in (fs.u1, fs.u2, fs.p1, fs.p2, fs.dp1, fs.dp2):
+            x.flags.writeable = False
+    return fs

@@ -8,13 +8,16 @@ per row (t of shape (rows, 1) against s of shape (rows, nodes)).  Closed forms e
 periodic and Dirichlet conditions; every other nonresonant case is served by a
 kernel assembled from the RK4 fundamental system.
 
-Construction of the numeric kernel: with u1, u2 the normalized fundamental
-pair and k(t, s) = u1(s) u2(t) - u1(t) u2(s) the Cauchy kernel, every Green's
-function here has the form
+Separable form of every kernel: with u1, u2 the normalized fundamental pair
+(_pair) and k(t, s) = u1(s) u2(t) - u1(t) u2(s) the Cauchy kernel, every
+Green's function here has the form
 
     G(t, s) = [u1(t) u2(t)] C [u1(s) u2(s)]^T + k(t, s) * 1{s <= t}
 
-for a 2x2 coupling matrix C fixed by the rule of potentials.BoundaryKind.  A
+for a 2x2 coupling matrix C (_C) fixed by the rule of
+potentials.BoundaryKind, from the RK4 pair of a numeric kernel or the exact
+pair cos(rho t), sin(rho t) / rho of a closed form, whose own G stays its
+closed formula.  A
 paired condition of multiplier m solves (m I - Phi(T)) C = [[u2, -u1], [u2',
 -u1']](T), and det(m I - Phi(T)) must not vanish; for a separated one the
 entry (r, c) = BoundaryKind.entry of Phi(T) must not, and C is zero but for
@@ -34,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import IntegratorFailure, ResonantPotential, UnsupportedBoundaryKind
-from .fundamental import FundamentalSolutions
+from .fundamental import FundamentalSolutions, base_solutions
 from .potentials import BoundaryKind, ConstantPotential, Interval, Potential
 
 RESONANCE_TOL = 1e-9
@@ -89,6 +92,22 @@ def _boundary_matrix(fs: FundamentalSolutions, bc: BoundaryKind) -> np.ndarray:
     if abs(det) < RESONANCE_TOL * scale:
         raise ResonantPotential(f"boundary determinant {det:.3e} below tolerance for {bc}")
     return phi
+
+
+def _coupling(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
+    """The coupling matrix C of the kernel whose pair has Phi(T) = phi
+    (see the module docstring)."""
+    m = bc.multiplier
+    if m:
+        return np.linalg.solve(m * np.eye(2) - phi, phi[:, ::-1] * [1.0, -1.0])
+    # for s > t a slice is u_c(t), which meets the condition at 0, times
+    # the solution of s that meets it at T: row r weighs the entry's
+    # neighbour against the entry
+    r, c = bc.entry
+    C = np.zeros((2, 2))
+    C[c] = ((-phi[r, 1] / phi[r, 0], 1.0) if c == 0
+            else (-1.0, phi[r, 0] / phi[r, 1]))
+    return C
 
 
 class _KernelBase:
@@ -151,6 +170,20 @@ class _ClosedFormKernel(_KernelBase):
 
     form = "closed"
 
+    def __init__(self, rho: float, T: float = 1.0):
+        _require_nonresonant(rho, T, self.bc)
+        self.potential = ConstantPotential(rho, Interval(T))
+        self.rho = float(rho)
+        x = self.rho * T
+        phi = np.array([[math.cos(x), math.sin(x) / self.rho],
+                        [-self.rho * math.sin(x), math.cos(x)]])
+        self._C = _coupling(phi, self.bc)
+
+    def _pair(self, x):
+        # the normalized pair of u'' + rho**2 u = 0, whose Phi(T) is phi above
+        x = self.rho * np.asarray(x, dtype=float)
+        return np.cos(x), np.sin(x) / self.rho
+
     def _live_roots(self, ts):
         cand, keep = self._root_candidates(ts)
         return _sorted_rows(np.where(keep, cand, np.inf), self.T)
@@ -162,9 +195,7 @@ class PeriodicConstantKernel(_ClosedFormKernel):
     bc = BoundaryKind.PERIODIC
 
     def __init__(self, rho: float, T: float = 1.0):
-        _require_nonresonant(rho, T, self.bc)
-        self.potential = ConstantPotential(rho, Interval(T))
-        self.rho = float(rho)
+        super().__init__(rho, T)
         self._den = 2.0 * rho * (1.0 - math.cos(rho * T))
 
     def __call__(self, t, s):
@@ -193,9 +224,7 @@ class DirichletConstantKernel(_ClosedFormKernel):
     bc = BoundaryKind.DIRICHLET
 
     def __init__(self, rho: float, T: float = 1.0):
-        _require_nonresonant(rho, T, self.bc)
-        self.potential = ConstantPotential(rho, Interval(T))
-        self.rho = float(rho)
+        super().__init__(rho, T)
         self._den = rho * math.sin(rho * T)
 
     def __call__(self, t, s):
@@ -231,23 +260,12 @@ class NumericKernel(_KernelBase):
     def __init__(self, potential: Potential, bc: BoundaryKind, grid_size: int | None = None):
         if not isinstance(bc, BoundaryKind):
             raise UnsupportedBoundaryKind(repr(bc))
-        fs = FundamentalSolutions(potential, 0.0, grid_size)
-        phi = _boundary_matrix(fs, bc)
-        m = bc.multiplier
+        fs = base_solutions(potential, grid_size)
         self.potential = potential
         self.bc = bc
         self.fs = fs
         self._angles = None
-        if m:
-            self._C = np.linalg.solve(m * np.eye(2) - phi, phi[:, ::-1] * [1.0, -1.0])
-        else:
-            # for s > t a slice is u_c(t), which meets the condition at 0,
-            # times the solution of s that meets it at T: row r weighs the
-            # entry's neighbour against the entry
-            r, c = bc.entry
-            self._C = np.zeros((2, 2))
-            self._C[c] = ((-phi[r, 1] / phi[r, 0], 1.0) if c == 0
-                          else (-1.0, phi[r, 0] / phi[r, 1]))
+        self._C = _coupling(_boundary_matrix(fs, bc), bc)
 
     def _pair(self, x):
         return self.fs.eval_pair(x)
@@ -329,4 +347,4 @@ def require_kernel(potential: Potential, bc: BoundaryKind,
     if _closed_form(potential, bc):
         _require_nonresonant(potential.rho, potential.interval.T, bc)
     else:
-        _boundary_matrix(FundamentalSolutions(potential, 0.0, grid_size), bc)
+        _boundary_matrix(base_solutions(potential, grid_size), bc)

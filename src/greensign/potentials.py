@@ -83,7 +83,8 @@ class ConstantPotential:
     rho: float
     interval: Interval = field(default_factory=Interval)
     #: tables derived from the potential alone, kept by the modules that
-    #: build them (the RK4 step coefficients of ``fundamental``)
+    #: build them (the RK4 step coefficients of ``fundamental`` and its
+    #: fundamental pair at lam = 0)
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

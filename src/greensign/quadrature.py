@@ -9,7 +9,7 @@ panel_plan lays out the panels of many rows (slices, or t-integrals) at
 once, as flat arrays: the same panels build_edges gives each row, without a
 Python loop per row.  slice_panels is that plan for the slices G(t, .),
 with the one rule for where a slice is broken, and G at its nodes; the
-sign-ratio constant and the solver both integrate through it.  It passes
+sign-ratio constant integrates through it.  It passes
 each panel's t once, as a column against the panel's nodes.
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_many, which

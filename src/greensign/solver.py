@@ -1,13 +1,27 @@
 """Linear and fixed-point solvers built on a Green's kernel.
 
-The linear problem u = integral of G(t, s) sigma(s) ds is evaluated by
-panel Gauss quadrature at every output node, with panels split at the
-diagonal kink, the kernel's sign changes, and the coefficient's
-breakpoints.  The nonlinear problem u = integral of G(t, s) f(s, u(s)) ds
-runs an Anderson-accelerated fixed-point iteration through the same
-quadrature, so a fixed point of the iteration is a fixed point of the
+Every kernel here is semiseparable: with p = (u1, u2) its fundamental pair
+and C its coupling matrix (see greens), for any integrand g
+
+    integral of G(t, s) g(s) ds = p(t)^T C P(T) + u2(t) P1(t) - u1(t) P2(t),
+
+where P(x) is the integral of p g over [0, x].  So every output node is
+read off one cumulative Gauss quadrature of p g (Greengard & Rokhlin
+1991), on cells between consecutive output nodes, the nodes of a numeric
+kernel's grid and the potential's break points, capped in length: no cell
+straddles the diagonal kink or a kink of the sampled pair, and no slice is
+split at its zeros.  The nonlinear problem u = integral of G(t, s)
+f(s, u(s)) ds runs an Anderson-accelerated fixed-point iteration through
+the same sum, with u between the nodes from a local 4-point Lagrange
+stencil, so a fixed point of the iteration is a fixed point of the
 reported operator, and an x-independent f reproduces the linear solve
-exactly.
+exactly.  Its fine check takes more points per cell and a 6-point
+stencil: on one cell the 4-point stencil is one cubic, which a finer rule
+alone would integrate exactly and so could not fault.
+
+Where the pair grows fast (a strongly negative potential) the terms of the
+sum cancel, as the products in a pointwise G do; a sum whose terms exceed
+max |u| by more than CANCELLATION_LIMIT raises QuadratureFailure.
 """
 from __future__ import annotations
 
@@ -19,14 +33,19 @@ import numpy as np
 from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import GAUSS_ORDER, default_max_len, slice_panels
+from .quadrature import default_max_len, gauss_nodes, shared_breaks
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
 #: Past steps whose differences the Anderson mixing of solve_nonlinear keeps.
 ANDERSON_DEPTH = 5
-#: Nodes per stencil of the fine re-quadrature; bounds its weight tables.
-FINE_STENCIL_NODES = 1 << 17
+#: Gauss points per cell of the cumulative quadrature, and of its fine check
+CELL_ORDER = 8
+FINE_CELL_ORDER = 12
+#: Lagrange stencil width of the fine check (the image map's is 4)
+FINE_STENCIL_WIDTH = 6
+#: The most that the terms of the separable sum may exceed max |u| by
+CANCELLATION_LIMIT = 1e8
 
 # one-sided five-point first-derivative stencil, O(h^4)
 _D5 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -92,53 +111,77 @@ def _as_grid(kernel, grid) -> np.ndarray:
     return ts
 
 
-class _NodeQuadrature:
-    """Per-node panel quadrature against a fixed kernel, flattened so one
-    vectorized kernel evaluation and one reduceat serve all output nodes.
+class _Cumulative:
+    """The integrals of G(t_i, s) g(s) ds at the output nodes t_i, for any
+    g sampled at the Gauss nodes xs, through the separable form (see the
+    module docstring): one pair evaluation at build, one cumulative sum
+    per apply."""
 
-    roots, the zeros of every slice G(t, .), default to kernel.s_roots_many
-    over ts; they depend neither on the order nor on the panel cap, so a
-    second quadrature on the same ts can reuse them.
-    """
+    def __init__(self, kernel, ts: np.ndarray, order: int = CELL_ORDER):
+        T = kernel.T
+        ts = np.clip(ts, 0.0, T)
+        # a numeric kernel's pair is one Hermite cubic per cell of its grid
+        fs = getattr(kernel, "fs", None)
+        edges = np.unique(np.concatenate([[0.0, T], ts, shared_breaks(kernel.potential),
+                                          np.zeros(0) if fs is None else fs.ts]))
+        # cut each cell into equal parts no longer than the panel cap
+        width = np.diff(edges)
+        cuts = np.ceil(width / default_max_len(kernel.potential)).astype(np.intp)
+        i = np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+        edges = np.append(np.repeat(edges[:-1], cuts) + i * np.repeat(width / cuts, cuts), T)
+        # the output nodes are edges, and P at edge k sums the first k cells
+        self.at = np.searchsorted(edges, ts)
+        nodes, weights = gauss_nodes(order)
+        half = 0.5 * np.diff(edges)[:, None]
+        xs = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+        self.xs = xs.ravel()
+        self.q = np.stack(kernel._pair(xs)) * (half * weights)
+        # G(t, .) vanishes where the condition pins t, and the sum there
+        # would be rounding noise: those rows read the zero pair
+        left, right = kernel.bc.pinned_ends
+        pinned = (left & (ts == 0.0)) | (right & (ts == T))
+        self.pt = np.where(pinned, 0.0, kernel._pair(ts))
+        self.C = kernel._C
 
-    def __init__(self, kernel, ts: np.ndarray, order: int = GAUSS_ORDER,
-                 max_len: float | None = None, roots: list | None = None):
-        if max_len is None:
-            max_len = default_max_len(kernel.potential)
-        if roots is None:
-            roots = kernel.s_roots_many(ts)
-        plan, g = slice_panels(kernel, ts, roots, max_len, order)
-        self.roots = roots
-        self.xs = plan.xs.ravel()
-        self.offsets = plan.offsets[:-1] * order
-        self.coeff = plan.weights.ravel() * g.ravel()
-
-    def apply(self, sigma_at_xs: np.ndarray) -> np.ndarray:
-        vals = self.coeff * sigma_at_xs
-        if np.any(~np.isfinite(vals)):
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
+        P = np.zeros((2, self.q.shape[1] + 1))
+        np.cumsum((self.q * g.reshape(self.q.shape[1:])).sum(axis=2), axis=1, out=P[:, 1:])
+        if not np.all(np.isfinite(P)):
             raise QuadratureFailure("non-finite integrand in the solve")
-        return np.add.reduceat(vals, self.offsets)
+        u1, u2 = self.pt
+        c1, c2 = self.C @ P[:, -1]
+        P1, P2 = P[:, self.at]
+        terms = u1 * c1, u2 * c2, u2 * P1, -u1 * P2
+        us = sum(terms)
+        bulk = float(np.max(sum(np.abs(x) for x in terms)))
+        if bulk > CANCELLATION_LIMIT * float(np.max(np.abs(us))):
+            raise QuadratureFailure(
+                f"the terms of the separable sum reach {bulk:.3e}, more than "
+                f"{CANCELLATION_LIMIT:.0e} times max |u|; the fundamental pair "
+                "grows too fast for a solve on this potential")
+        return us
 
 
 class _Stencil:
-    """Local 4-point Lagrange interpolation, O(h^4), from the nodes ts to
-    fixed points xs; its cells and weights are built once for the many us
-    of a fixed-point iteration."""
+    """Local Lagrange interpolation on width consecutive nodes, from the
+    nodes ts to fixed points xs; its cells and weights are built once for
+    the many us of a fixed-point iteration."""
 
-    def __init__(self, ts: np.ndarray, xs: np.ndarray):
+    def __init__(self, ts: np.ndarray, xs: np.ndarray, width: int = 4):
         j = np.searchsorted(ts, xs, side="right") - 1
-        self.j = np.clip(j, 1, len(ts) - 3) - 1
-        self.w = np.ones((4, len(xs)))
-        for k in range(4):
+        self.j = np.clip(j - (width // 2 - 1), 0, len(ts) - width)
+        self.w = np.ones((width, len(xs)))
+        for k in range(width):
             tk = ts[k:][self.j]
-            for l in range(4):
+            for l in range(width):
                 if l != k:
                     tl = ts[l:][self.j]
                     self.w[k] *= (xs - tl) / (tk - tl)
 
     def __call__(self, us: np.ndarray) -> np.ndarray:
         out = np.zeros(len(self.j))
-        for k in range(4):
+        for k in range(len(self.w)):
             out += self.w[k] * us[k:][self.j]
         return out
 
@@ -195,9 +238,8 @@ def _checks(ts: np.ndarray, us: np.ndarray, potential, rhs_vals,
 def solve_linear(kernel, sigma, grid) -> SolutionProfile:
     """u(t) = integral of G(t, s) sigma(s) ds at every grid node."""
     ts = _as_grid(kernel, grid)
-    quad = _NodeQuadrature(kernel, ts)
-    sig = np.asarray(sigma(quad.xs), dtype=float)
-    us = quad.apply(np.broadcast_to(sig, quad.xs.shape))
+    quad = _Cumulative(kernel, ts)
+    us = quad.apply(sigma(quad.xs))
     return SolutionProfile(grid=ts, values=us, bc=kernel.bc,
                            **_checks(ts, us, kernel.potential, sigma(ts), kernel.bc))
 
@@ -225,14 +267,14 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     ts = _as_grid(kernel, grid)
-    quad = _NodeQuadrature(kernel, ts)
+    quad = _Cumulative(kernel, ts)
     stencil = _Stencil(ts, quad.xs)
 
     def image(us: np.ndarray) -> np.ndarray:
         fx = np.asarray(f(quad.xs, stencil(us)), dtype=float)
         if np.any(~np.isfinite(fx)):
             raise EvaluationFailure("f returned a non-finite value")
-        return quad.apply(np.broadcast_to(fx, quad.xs.shape))
+        return quad.apply(fx)
 
     us = image(np.zeros_like(ts))
     iterations = 0
@@ -262,18 +304,9 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
 
     fp_resid = None
     if converged:
-        # free the coarse tables before the finer, larger ones are built;
-        # the roots are all the finer quadrature needs from them
-        roots = quad.roots
-        del quad, stencil
-        fine = _NodeQuadrature(kernel, ts, GAUSS_ORDER + 8,
-                               default_max_len(kernel.potential) / 2,
-                               roots=roots)
-        ux = np.concatenate([_Stencil(ts, fine.xs[a:a + FINE_STENCIL_NODES])(us)
-                             for a in range(0, len(fine.xs), FINE_STENCIL_NODES)])
-        fx = np.asarray(f(fine.xs, ux), dtype=float)
-        fp_resid = float(np.max(np.abs(
-            fine.apply(np.broadcast_to(fx, fine.xs.shape)) - us)))
+        fine = _Cumulative(kernel, ts, FINE_CELL_ORDER)
+        ux = _Stencil(ts, fine.xs, min(FINE_STENCIL_WIDTH, len(ts)))(us)
+        fp_resid = float(np.max(np.abs(fine.apply(f(fine.xs, ux)) - us)))
         if fp_resid > 10.0 * tol:
             converged = False
 

@@ -72,6 +72,30 @@ class TestGamma:
         assert obj["closed"] is None
 
 
+    def test_sampled_gamma_builds_the_pair_at_zero_once(self, capsys, tmp_path,
+                                                        monkeypatch):
+        # the kernel and the resonance check of its sign verdict share the
+        # lam = 0 pair kept on the potential; the other build is the
+        # principal eigenfunction's
+        from greensign.fundamental import FundamentalSolutions
+        ts = np.linspace(0.0, 1.0, 2001)
+        path = tmp_path / "wavy.csv"
+        path.write_text("t,a\n" + "\n".join(
+            f"{float(t)!r},{float(60 + 10 * np.sin(2 * np.pi * t))!r}" for t in ts))
+        lams = []
+        init = FundamentalSolutions.__init__
+
+        def counted(self, potential, lam=0.0, grid_size=None):
+            lams.append(float(lam))
+            init(self, potential, lam, grid_size)
+
+        monkeypatch.setattr(FundamentalSolutions, "__init__", counted)
+        code, _, _ = run(["gamma", "--bc", "neumann", "--samples", str(path)], capsys)
+        assert code == 0
+        assert lams.count(0.0) == 1
+        assert len(lams) == 2
+
+
 class TestGreen:
     def test_csv_schema_and_values(self, capsys):
         code, out, _ = run(["green", "--bc", "periodic", "--rho", "3*pi/2",

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from greensign import solver as solver_module
-from greensign.errors import EvaluationFailure
+from greensign.errors import EvaluationFailure, QuadratureFailure
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
-from greensign.solver import (Positivity, _classify_positivity, _NodeQuadrature,
-                              _Stencil, solve_linear, solve_nonlinear, verify_solution)
+from greensign.quadrature import GAUSS_ORDER, default_max_len, slice_panels
+from greensign.solver import (Positivity, _classify_positivity, _Stencil,
+                              solve_linear, solve_nonlinear, verify_solution)
 
 RHO_D = math.sqrt(60.0)
 RHO_P = 1.5 * math.pi
@@ -29,6 +29,28 @@ def exact_clamped_linear_rhs(t):
     # u'' + 60 u = t, u(0) = u(1) = 0
     t = np.asarray(t, dtype=float)
     return t / 60.0 - np.sin(RHO_D * t) / (60.0 * math.sin(RHO_D))
+
+
+class _NodeQuadrature:
+    """The per-row oracle: every output node integrated on its own Gauss
+    panels, split at the zeros of its slice G(t, .), at its diagonal and at
+    the potential's break points, and capped at default_max_len."""
+
+    def __init__(self, kernel, ts: np.ndarray, order: int = GAUSS_ORDER):
+        roots = kernel.s_roots_many(ts)
+        plan, g = slice_panels(kernel, ts, roots,
+                               default_max_len(kernel.potential), order)
+        self.xs = plan.xs.ravel()
+        self.offsets = plan.offsets[:-1] * order
+        self.coeff = plan.weights.ravel() * g.ravel()
+
+    def apply(self, sigma_at_xs: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(self.coeff * sigma_at_xs, self.offsets)
+
+
+def oracle_solve(kernel, sigma, grid) -> np.ndarray:
+    quad = _NodeQuadrature(kernel, np.linspace(0.0, kernel.T, grid))
+    return quad.apply(np.broadcast_to(sigma(quad.xs), quad.xs.shape))
 
 
 def const_sigma(value):
@@ -96,6 +118,121 @@ class TestLinearClamped:
         assert p.positivity is Positivity.CHANGES_SIGN
         assert float(np.min(p.values)) < 0 < float(np.max(p.values))
         assert p.bc_error <= 1e-9
+
+
+class TestLinearClosedForms:
+    """The separable sum with the exact pairs of the constant kernels, on
+    grids down to five nodes, where the length cap splits the cells."""
+
+    @pytest.mark.parametrize("n", [5, 11, 101, 2001])
+    @pytest.mark.parametrize("rho", [RHO_P, 7.5, 20.3])
+    def test_periodic_matches_exact_solution(self, rho, n):
+        # u'' + rho^2 u = cos 2 pi t + sin 4 pi t
+        p = solve_linear(PeriodicConstantKernel(rho),
+                         lambda s: np.cos(2 * math.pi * s) + np.sin(4 * math.pi * s), n)
+        t = p.grid
+        exact = (np.cos(2 * math.pi * t) / (rho**2 - 4 * math.pi**2)
+                 + np.sin(4 * math.pi * t) / (rho**2 - 16 * math.pi**2))
+        assert np.max(np.abs(p.values - exact)) < 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("n", [5, 11, 101, 2001])
+    @pytest.mark.parametrize("rho", [RHO_D, 7.5, 20.3])
+    def test_dirichlet_matches_exact_solution(self, rho, n):
+        # u'' + rho^2 u = sin pi t + sin 3 pi t, u(0) = u(1) = 0
+        p = solve_linear(DirichletConstantKernel(rho),
+                         lambda s: np.sin(math.pi * s) + np.sin(3 * math.pi * s), n)
+        t = p.grid
+        exact = (np.sin(math.pi * t) / (rho**2 - math.pi**2)
+                 + np.sin(3 * math.pi * t) / (rho**2 - 9 * math.pi**2))
+        assert np.max(np.abs(p.values - exact)) < 1e-12 * np.max(np.abs(exact))
+        assert p.values[0] == 0.0 and p.values[-1] == 0.0
+
+
+#: means of the numeric-report benchmark's potentials, between two
+#: resonances of each condition; antiperiodic between pi^2 and (3 pi)^2
+MEAN_WINDOWS = {BoundaryKind.PERIODIC: (45.0, 80.0), BoundaryKind.NEUMANN: (45.0, 82.0),
+                BoundaryKind.DIRICHLET: (45.0, 82.0), BoundaryKind.MIXED1: (27.0, 56.0),
+                BoundaryKind.MIXED2: (27.0, 56.0), BoundaryKind.ANTIPERIODIC: (15.0, 82.0)}
+
+
+def wavy_rhs(s):
+    return 1.0 + 0.3 * np.cos(2 * math.pi * s) - 0.5 * s
+
+
+class TestSeparableAgainstOracle:
+    """The cumulative separable solve against the per-row panel oracle:
+    the same kernel, integrated two independent ways."""
+
+    @pytest.mark.parametrize("n", [101, 2001])
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_wavy(self, bc, n):
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid))
+        k = build_kernel(pot, bc)
+        got = solve_linear(k, wavy_rhs, n).values
+        want = oracle_solve(k, wavy_rhs, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.MIXED2])
+    def test_cells_follow_the_kernel_grid(self, bc):
+        # on a coarse kernel grid the Hermite pair kinks at every grid
+        # node; panels broken there too integrate it exactly, and a cell
+        # that straddled a node would miss by about 1e-8
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid))
+        k = NumericKernel(pot, bc, grid_size=33)
+        ts = np.linspace(0.0, 1.0, 11)
+        plan, g = slice_panels(k, ts, [k.fs.ts[1:-1]] * len(ts),
+                               default_max_len(pot))
+        want = np.add.reduceat((plan.weights * g * wavy_rhs(plan.xs)).ravel(),
+                               plan.offsets[:-1] * plan.xs.shape[1])
+        got = solve_linear(k, wavy_rhs, ts).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @given(bc=st.sampled_from(list(BoundaryKind)), place=st.floats(0.0, 1.0),
+           modes=st.lists(st.floats(-2.5, 2.5), min_size=6, max_size=6),
+           rhs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_trig_potentials(self, bc, place, modes, rhs):
+        lo, hi = MEAN_WINDOWS[bc]
+        grid = np.linspace(0.0, 1.0, 2001)
+        a = lo + place * (hi - lo) + sum(
+            modes[2 * k] * np.cos(2 * math.pi * (k + 1) * grid)
+            + modes[2 * k + 1] * np.sin(2 * math.pi * (k + 1) * grid) for k in range(3))
+        k = build_kernel(sampled(grid, a), bc)
+        sigma = lambda s: 1.5 + rhs[0] + rhs[1] * np.cos(2 * math.pi * s) + rhs[2] * s
+        got = solve_linear(k, sigma, 101).values
+        want = oracle_solve(k, sigma, 101)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestCancellationGuard:
+    """On a strongly negative potential the pair grows like exp(sqrt(-a) t)
+    and the terms of the separable sum cancel; a sum that cannot back half
+    its digits raises."""
+
+    @staticmethod
+    def kernel(a, bc=BoundaryKind.DIRICHLET):
+        grid = np.linspace(0.0, 1.0, 2001)
+        return build_kernel(sampled(grid, np.full_like(grid, a)), bc)
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.PERIODIC,
+                                    BoundaryKind.NEUMANN])
+    def test_steep_pair_raises(self, bc):
+        k = self.kernel(-800.0, bc)
+        with pytest.raises(QuadratureFailure):
+            solve_linear(k, const_sigma(1.0), 2001)
+        with pytest.raises(QuadratureFailure):
+            solve_nonlinear(k, lambda s, x: 1.0 + 0.0 * x, 2001)
+
+    def test_moderate_pair_matches_exact_solution(self):
+        # u'' - 50 u = 1, u(0) = u(1) = 0
+        r = math.sqrt(50.0)
+        p = solve_linear(self.kernel(-50.0), const_sigma(1.0), 2001)
+        t = p.grid
+        exact = (np.cosh(r * t) - 1.0
+                 + (1.0 - math.cosh(r)) / math.sinh(r) * np.sinh(r * t)) / 50.0
+        assert np.max(np.abs(p.values - exact)) <= 1e-9 * np.max(np.abs(exact))
 
 
 class TestLinearPeriodic:
@@ -174,14 +311,16 @@ class TestNonlinear:
                                   abs=1e-10)
         assert np.max(np.abs(p.values - c)) < 1e-9
 
-    def test_fine_check_is_the_same_in_stencil_blocks(self, monkeypatch):
-        k = DirichletConstantKernel(RHO_D)
-        f = lambda s, x: s * (1.0 - s) + 5.0 * x
-        whole = solve_nonlinear(k, f, 201)
-        monkeypatch.setattr(solver_module, "FINE_STENCIL_NODES", 1000)
-        blocks = solve_nonlinear(k, f, 201)
-        assert whole.converged and blocks.converged
-        assert blocks.fixed_point_residual == whole.fixed_point_residual
+    @pytest.mark.parametrize("n,converged", [(101, False), (201, False),
+                                             (401, True), (2001, True)])
+    def test_fine_check_verdicts_on_the_non_contractive_dirichlet(self, n, converged):
+        # u'' + 10 u = 1 written as u'' + 60 u = 1 + 50 u: the coarse
+        # iterates settle on every grid, and the fine check, with its own
+        # 6-point stencil, rejects those of the two coarsest
+        p = solve_nonlinear(DirichletConstantKernel(RHO_D),
+                            lambda s, x: 1.0 + 50.0 * x, n)
+        assert p.fixed_point_residual is not None
+        assert p.converged is converged
 
     def test_problem_without_solution_reports_not_raises(self):
         # f = 1 + rho^2 x turns the problem into u'' = 1, which has no
