@@ -114,6 +114,12 @@ def calls(wavy: str, repro_a: str) -> list:
                 "--f", "1+50*x", *coarse])
     out.append(["solve", "--bc", "periodic", "--rho", "7.5",
                 "--f", "cos(2*pi*t) + (7.5^2 - 4*pi^2)*x", *coarse])
+    # ratios at full precision: the coefficient weight, whose kinks sit at
+    # the sample nodes, and a coarse kernel grid, whose pair kinks at its nodes
+    out.append(["gamma", "--bc", "neumann", "--samples", wavy,
+                "--weight", "coefficient", "--format", "json"])
+    out.append(["gamma", "--bc", "dirichlet", "--samples", wavy, "--grid", "251",
+                "--format", "json"])
     return out
 
 

@@ -24,12 +24,11 @@ from .cone import build_report
 from .errors import GreensignError, ResonantPotential
 from .expressions import Expression, evaluate_scalar
 from .fundamental import MIN_GRID
-from .gamma import (gamma_closed, gamma_dirichlet_closed,
+from .gamma import (CELL_ORDER, gamma_closed, gamma_dirichlet_closed,
                     gamma_dirichlet_t_closed, gamma_periodic_closed,
                     gamma_quadrature, gamma_star, pointwise_ratio)
 from .greens import DirichletConstantKernel, build_kernel
 from .potentials import DEFAULT_GRID, BoundaryKind, constant, sampled
-from .quadrature import GAUSS_ORDER
 from .solver import solve_linear, solve_nonlinear
 from .spectral import classify_sign, principal_eigenfunction, smallest_eigenvalues
 
@@ -329,11 +328,9 @@ def _cmd_figure(args) -> int:
         rho = 10.8
         kernel = DirichletConstantKernel(rho)
         weight = principal_eigenfunction(constant(rho), BoundaryKind.DIRICHLET)
-        rows = []
-        for t in np.linspace(0.005, 0.995, 199):
-            closed = gamma_dirichlet_t_closed(float(t), rho)
-            quad = pointwise_ratio(kernel, float(t), weight)
-            rows.append((t, closed, quad))
+        ts = np.linspace(0.005, 0.995, 199)
+        rows = [(t, gamma_dirichlet_t_closed(float(t), rho), quad)
+                for t, quad in zip(ts, pointwise_ratio(kernel, ts, weight).tolist())]
         _emit_csv(["t", "gamma_closed", "gamma_quadrature"], rows, out)
     elif n == 3:
         rows = []
@@ -390,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight in the part-integral ratio")
     p.add_argument("--t-grid", type=_int_at_least(1), default=1001, dest="t_grid",
                    help="t-nodes for the quadrature infimum")
-    p.add_argument("--order", type=_int_at_least(1), default=GAUSS_ORDER,
-                   help="Gauss order for the s-integrals")
+    p.add_argument("--order", type=_int_at_least(1), default=CELL_ORDER,
+                   help="Gauss points per cell of the antiderivative table")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", help="file path (default stdout)")
     p.set_defaults(func=_cmd_gamma)

@@ -363,17 +363,18 @@ def build_report(potential, bc: BoundaryKind, f, grid: int = 201,
     report = HypothesisReport()
     T = kernel.T
     weight = principal_eigenfunction(potential, bc)
+    roots = {}       # both weighted ratios read the same slice zeros
 
     try:
         report.gamma_used = (gamma_closed(potential, bc) or gamma_quadrature(
-            kernel, weight, t_grid_size=gamma_t_grid))
+            kernel, weight, t_grid_size=gamma_t_grid, roots=roots))
         report.h2 = check_H2(f, weight, report.gamma_used, T=T)
     except NonpositiveWeightedIntegral as exc:
         report.notes.append(f"sign-ratio constant unavailable: {exc}")
 
     if bc.keeps_constants:
         try:
-            gs = gamma_star(kernel, potential, t_grid_size=gamma_t_grid)
+            gs = gamma_star(kernel, potential, t_grid_size=gamma_t_grid, roots=roots)
             report.h2_star = check_H2(f, potential, gs, T=T)
         except (InvalidWeight, NonpositiveWeightedIntegral) as exc:
             report.notes.append(f"coefficient-weighted variant skipped: {exc}")

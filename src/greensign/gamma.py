@@ -6,6 +6,18 @@ reported here is the infimum over t of N/D, which exceeds one precisely when
 the weighted integral of G stays positive while G itself changes sign.  A
 kernel with no negative part gets the +inf sentinel.
 
+The quadrature path reads N and D through the kernel's separable form
+G(t, s) = p(t)^T C p(s) + k(t, s) 1{s <= t} (see greens): on either side of
+the diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha,
+beta), so between two of its zeros its weighted integral is alpha dW1 +
+beta dW2, with W the antiderivative of p w.  W is one cumulative Gauss sum
+per (kernel, weight), on cells aligned to every kink of p w, kept from both
+ends and read at each slice's zeros and its diagonal t (_antiderivative);
+no slice is evaluated on panels of its own.  A piece counts as positive or
+negative by the sign of its own weighted integral.  The zeros of the
+slices do not depend on the weight, and callers that need several weights
+on one t-grid share them (gamma_quadrature's roots).
+
 Closed forms cover the constant-potential periodic case (all rho > pi/T) and
 the constant-potential Dirichlet case on the unit interval (pi < rho < 6 pi,
 weight sin(pi s)); everything else goes through the quadrature path, which is
@@ -22,14 +34,20 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      QuadratureFailure, InvalidWeight, UnsupportedBoundaryKind)
 from .greens import _require_nonresonant
 from .potentials import BoundaryKind, ConstantPotential, Potential
-from .quadrature import GAUSS_ORDER, default_max_len, shared_breaks, slice_panels
+from .quadrature import cell_edges, cell_nodes, default_max_len, gauss_nodes
 
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
                              # counts as absent and the ratio as +inf
 BOUNDARY_SLICES = 6          # interior slices behind each boundary limit
-#: Gauss nodes per block of slices in _slice_parts; bounds its memory.
-SLICE_BLOCK_NODES = 1 << 17
+#: Gauss points per cell of the antiderivative table.  A numeric kernel's
+#: pair and the eigenfunction weight are Hermite cubics between their grid
+#: nodes, which are cell edges, so p w has degree at most 6 on a cell and
+#: these points integrate it exactly.
+CELL_ORDER = 4
+#: Cells per default_max_len: on a closed form's pair a cell turns the
+#: phase by at most pi / 16, where the 4-point rule is good to rounding.
+CELLS_PER_PANEL = 16
 
 CASE_2B_NOTE = ("rho*T/pi in (4k+2, 4k+3): the published ratio reads below "
                 "one at face value, but sin(rho*T/2) is negative on this "
@@ -50,58 +68,104 @@ class GammaResult:
         return asdict(self)
 
 
-def _slice_parts(kernel, ts, roots: list, weight, order: int,
-                 max_len: float) -> tuple[np.ndarray, np.ndarray]:
+def _antiderivative(kernel, weight, order: int, x: np.ndarray):
+    """(S, left, total) for the points x: total is the integral of p w
+    over [0, T], with p = (u1, u2) the kernel's pair and w the weight (None
+    for one); left is where x <= T - x, and S[:, i] is the integral over
+    [0, x[i]] there and minus the integral over [x[i], T] elsewhere, shape
+    (2, len(x)).
+
+    The table is one order-point Gauss sum per cell of
+    quadrature.cell_edges, broken also at the weight's break points and
+    capped at default_max_len / CELLS_PER_PANEL, cumulated from both ends.
+    A point is read once, from its nearer end: the sum up to its cell's
+    edge on that side plus a Gauss sum over the rest of its cell, both in
+    the same pass as the cells.  So a piece next to either end is read
+    without the cancellation of W(T) - W(x), and mirrored slices alike.
+    """
+    T = kernel.T
+    edges = cell_edges(kernel, getattr(weight, "breakpoints", ()),
+                       default_max_len(kernel.potential) / CELLS_PER_PANEL)
+    n = len(edges) - 1
+    left = x <= T - x
+    k = np.where(left, edges.searchsorted(x, "right") - 1, edges.searchsorted(x))
+    near = edges[k]
+    xs, half = cell_nodes(np.concatenate([edges[:-1], np.where(left, near, x)]),
+                          np.concatenate([edges[1:], np.where(left, x, near)]), order)
+    u1, u2 = kernel._pair(xs)
+    if weight is not None:
+        w = np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
+        u1, u2 = u1 * w, u2 * w
+    gw = gauss_nodes(order)[1]
+    sums = np.array([u1 @ gw, u2 @ gw])
+    sums *= half
+    # up[:, j] sums the cells left of edge j, down[:, j] those right of it
+    up = np.zeros((2, n + 1))
+    down = np.zeros((2, n + 1))
+    sums[:, :n].cumsum(axis=1, out=up[:, 1:])
+    sums[:, n - 1::-1].cumsum(axis=1, out=down[:, -2::-1])
+    parts = sums[:, n:]
+    S = np.where(left, up[:, k] + parts, -(down[:, k] + parts))
+    return S, left, 0.5 * (up[:, -1] + down[:, 0])
+
+
+def _slice_parts(kernel, ts, roots, weight, order: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """(N, D) at every t in ts: weighted integrals of the positive and
     negative parts of G(t, .), non-finite where the quadrature failed.
 
-    roots[i] are the interior zeros of G(ts[i], .), as s_roots_many gives
-    them.  The slices go in blocks of at most SLICE_BLOCK_NODES Gauss
-    nodes, with one kernel and one weight evaluation per block.  Every
-    slice is broken at its zeros and the weight is nonnegative, so a panel
-    has one sign, and counts as positive or negative by the sign of its
-    own weighted integral (zero counts as positive).  One np.add.reduceat
-    per sign sums the panels of every slice, each a segment of the plan;
-    panel_plan gives every slice a panel, so no segment is empty.
+    roots are the interior zeros of the slices, as s_roots_flat gives
+    them.  Row i lays out 0, its zeros and t in order, and T; each piece
+    between neighbours has one sign, and its integral is alpha dW1 +
+    beta dW2 with (alpha, beta) of its side of t (kernel._sides) and dW
+    the difference of S (_antiderivative) across it, plus the whole
+    integral for the one piece that spans the middle of [0, T].  A piece
+    counts as positive or negative by the sign of its own weighted
+    integral (zero counts as positive); one np.bincount per sign sums the
+    pieces of every slice.
     """
-    T = kernel.T
-    # a slice has at most one panel per max_len plus one per break point
-    panels = (math.ceil(T / max_len) + len(shared_breaks(kernel.potential)) + 2
-              + max((len(r) for r in roots), default=0))
-    block = max(1, SLICE_BLOCK_NODES // (order * panels))
-    pos = np.empty(len(ts))
-    neg = np.empty(len(ts))
-    for a in range(0, len(ts), block):
-        bt = ts[a:a + block]
-        plan, g = slice_panels(kernel, bt, roots[a:a + block], max_len, order)
-        if weight is not None:
-            g = g * np.asarray(weight(plan.xs.ravel()),
-                               dtype=float).reshape(g.shape)
-        panel = np.sum(g * plan.weights, axis=1)
-        up = panel >= 0
-        starts = plan.offsets[:-1]
-        pos[a:a + len(bt)] = np.add.reduceat(np.where(up, panel, 0.0), starts)
-        neg[a:a + len(bt)] = -np.add.reduceat(np.where(up, 0.0, panel), starts)
-    return pos, neg
+    flat, k = roots
+    n = len(ts)
+    rows = np.arange(n)
+    root_row = rows.repeat(k)
+    past = flat > ts[root_row]
+    # row i holds k[i] + 3 points from start[i]: 0, the zeros left of t,
+    # t, the zeros right of t, and T
+    start = k.cumsum() - k + 3 * rows
+    at_t = start + k + 1 - np.bincount(root_row[past], minlength=n)
+    at = np.concatenate([np.arange(len(flat)) + 3 * root_row + 1 + past, at_t,
+                         start, start + k + 2])
+    x = np.concatenate([flat, ts, np.zeros(n), np.full(n, kernel.T)])
+    S = np.empty((2, len(x)))
+    left = np.empty(len(x), dtype=bool)
+    S[:, at], left[at], total = _antiderivative(kernel, weight, order, x)
+    # piece j of row i runs from point a = i + j to b = a + 1
+    row = rows.repeat(k + 2)
+    a = np.arange(len(row)) + row
+    b = a + 1
+    dW = S[:, b] - S[:, a]
+    dW += total[:, None] * (left[a] > left[b])
+    alpha, beta = kernel._sides(ts)[:, np.where(b <= at_t[row], row, row + n)]
+    piece = alpha * dW[0] + beta * dW[1]
+    return (np.bincount(row, np.maximum(piece, 0.0), minlength=n),
+            -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
 
 
-def _slice_ratios(kernel, ts, weight, order: int, need_positive) -> np.ndarray:
-    """N/D at every t in ts, on panels capped at default_max_len.
+def _slice_ratios(kernel, ts, roots, weight, order: int,
+                  need_positive) -> np.ndarray:
+    """N/D at every t in ts, whose slices have the zeros roots.
 
     Raises at the first slice, in the order of ts, whose quadrature is not
     finite or, where need_positive holds, whose weighted integral N - D is
     not positive.
     """
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
-                            order, default_max_len(kernel.potential))
-    nonfinite = ~(np.isfinite(pos) & np.isfinite(neg))
-    nonpositive = need_positive & ~nonfinite & (
-        pos - neg <= 1e-13 * np.maximum(pos, 1e-300))
-    if np.any(nonfinite | nonpositive):
-        k = int(np.argmax(nonfinite | nonpositive))
-        if nonfinite[k]:
-            raise QuadratureFailure(f"non-finite panel integral at t = {ts[k]}")
+    pos, neg = _slice_parts(kernel, ts, roots, weight, order)
+    net = pos - neg              # finite only where both parts are
+    bad = ~np.isfinite(net) | (need_positive & (net <= 1e-13 * np.maximum(pos, 1e-300)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.isfinite(net[k]):
+            raise QuadratureFailure(f"non-finite slice integral at t = {ts[k]}")
         raise NonpositiveWeightedIntegral(
             f"weighted integral of the kernel is not positive at t = {ts[k]}")
     return _ratio(pos, neg)
@@ -140,30 +204,41 @@ def _boundary_limit(hs: np.ndarray, rs: np.ndarray) -> float:
     return _neville_to_zero(hs, rs)
 
 
-def pointwise_ratio(kernel, t: float, weight=None) -> float:
-    """N(t)/D(t) at a single t in [0, T], by the quadrature path.
+def pointwise_ratio(kernel, t, weight=None):
+    """N(t)/D(t) by the quadrature path, at a t in [0, T] or at every t of
+    an array (one antiderivative table serves them all): a float for a
+    scalar t, an array shaped as t otherwise.
 
     Raises OutOfRange outside [0, T] and at an end where the boundary
     condition pins the whole slice to zero, so that N and D both vanish.
     """
+    t = np.asarray(t, dtype=float)
+    ts = t.reshape(-1)
     left, right = kernel.bc.pinned_ends
-    if not 0.0 <= t <= kernel.T:
-        raise OutOfRange(f"t = {t:.6g} is outside [0, {kernel.T:.6g}]")
-    if (left and t == 0.0) or (right and t == kernel.T):
-        raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {t:.6g} "
-                         f"to zero")
-    return float(_slice_ratios(kernel, [t], weight, GAUSS_ORDER,
-                               need_positive=False)[0])
+    for u in ts:
+        if not 0.0 <= u <= kernel.T:
+            raise OutOfRange(f"t = {u:.6g} is outside [0, {kernel.T:.6g}]")
+        if (left and u == 0.0) or (right and u == kernel.T):
+            raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {u:.6g} "
+                             f"to zero")
+    rs = _slice_ratios(kernel, ts, kernel.s_roots_flat(ts), weight, CELL_ORDER,
+                       need_positive=False)
+    return float(rs[0]) if t.ndim == 0 else rs.reshape(t.shape)
 
 
 def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
-                     s_quadrature_order: int = GAUSS_ORDER) -> GammaResult:
+                     s_quadrature_order: int = CELL_ORDER, *,
+                     roots: dict | None = None) -> GammaResult:
     """Infimum over t of the weighted positive/negative part ratio.
 
     weight of None means the constant weight one, labelled One; any other
     weight is labelled PrincipalEigenfunction.  Endpoints where the
     boundary condition forces the whole slice to zero are evaluated as
     one-sided limits by polynomial extrapolation from interior nodes.
+    s_quadrature_order is the number of Gauss points per cell of the
+    antiderivative table.  The zeros of the slices do not depend on the
+    weight: a dict passed as roots keeps them, per t_grid_size, for later
+    calls on the same kernel.
     """
     T = kernel.T
     label = "One" if weight is None else "PrincipalEigenfunction"
@@ -175,15 +250,23 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
     pinned[0] |= vanish_left
     pinned[-1] |= vanish_right
     # every slice, the boundary limits' included, in the order of the t grid
-    slice_ts = np.concatenate([_boundary_nodes(T, i > 0)[1] if pin else [t]
-                               for i, (t, pin) in enumerate(zip(ts, pinned))])
     size = np.where(pinned, BOUNDARY_SLICES, 1)
-    rs = _slice_ratios(kernel, slice_ts, weight, s_quadrature_order,
+    first = np.cumsum(size) - size
+    slice_ts = np.repeat(ts, size)
+    ends = [(i, slice(first[i], first[i] + BOUNDARY_SLICES))
+            for i in np.flatnonzero(pinned)]
+    for i, block in ends:
+        slice_ts[block] = _boundary_nodes(T, i > 0)[1]
+    found = None if roots is None else roots.get(t_grid_size)
+    if found is None:
+        found = kernel.s_roots_flat(slice_ts)
+        if roots is not None:
+            roots[t_grid_size] = found
+    rs = _slice_ratios(kernel, slice_ts, found, weight, s_quadrature_order,
                        need_positive=np.repeat(~pinned, size))
-    hs = _boundary_nodes(T, False)[0]
-    ratios = np.array([_boundary_limit(hs, rs[k:k + BOUNDARY_SLICES]) if pin
-                       else rs[k]
-                       for k, pin in zip(np.cumsum(size) - size, pinned)])
+    ratios = rs[first]
+    for i, block in ends:
+        ratios[i] = _boundary_limit(_boundary_nodes(T, False)[0], rs[block])
 
     vmin = float(np.min(ratios))
     if math.isinf(vmin):
@@ -302,10 +385,11 @@ def gamma_closed(potential: Potential, bc: BoundaryKind) -> GammaResult | None:
 
 
 def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,
-               s_quadrature_order: int = GAUSS_ORDER) -> GammaResult:
+               s_quadrature_order: int = CELL_ORDER, *,
+               roots: dict | None = None) -> GammaResult:
     """Ratio weighted by the coefficient a itself, only where the condition
     keeps constants (periodic and Neumann): there int G a ds = 1 makes the
-    weighted integral positive for free."""
+    weighted integral positive for free.  roots is as in gamma_quadrature."""
     if not kernel.bc.keeps_constants:
         raise UnsupportedBoundaryKind(
             f"the coefficient-weighted ratio needs periodic or Neumann "
@@ -317,4 +401,5 @@ def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,
     if potential.max_value <= 0:
         raise InvalidWeight("coefficient is identically zero")
     return replace(gamma_quadrature(kernel, potential, t_grid_size,
-                                    s_quadrature_order), weight="Coefficient")
+                                    s_quadrature_order, roots=roots),
+                   weight="Coefficient")

@@ -45,15 +45,15 @@ RESONANCE_TOL = 1e-9
 ROOT_HALVINGS = 52
 
 
-def _sorted_rows(r: np.ndarray, T: float) -> list[np.ndarray]:
-    """Row by row, the entries of r inside (0, T), sorted and without repeats."""
+def _sorted_rows(r: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, the entries of r inside (0, T), sorted and without
+    repeats, as (flat, counts): the rows one after another, and the length
+    of each."""
     r = np.where((r > 0) & (r < T), r, np.inf)
     r.sort(axis=1)
     keep = np.isfinite(r)
     keep[:, 1:] &= r[:, 1:] != r[:, :-1]
-    flat, counts = r[keep], keep.sum(axis=1)
-    ends = np.cumsum(counts)
-    return [flat[b - c:b] for b, c in zip(ends, counts)]
+    return r[keep], keep.sum(axis=1)
 
 
 def _require_nonresonant(rho: float, T: float, bc: BoundaryKind) -> None:
@@ -145,19 +145,37 @@ class _KernelBase:
         """G on the outer grid, shape (len(ts), len(ss))."""
         return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
 
+    def _sides(self, ts: np.ndarray) -> np.ndarray:
+        """(alpha, beta) with G(t, .) = alpha u1 + beta u2 on each side of
+        the diagonal, shape (2, 2 len(ts)): the sides s <= t of every t in
+        ts first, then the sides s > t."""
+        u1, u2 = p = np.array(self._pair(ts))
+        right = self._C.T @ p
+        # for s <= t the Cauchy kernel u1(s) u2(t) - u1(t) u2(s) adds (u2, -u1)
+        return np.concatenate([right + (u2, -u1), right], axis=1)
+
     def s_roots(self, t: float) -> np.ndarray:
         """Interior zeros of G(t, .), sorted."""
         return self.s_roots_many([t])[0]
 
     def s_roots_many(self, ts) -> list[np.ndarray]:
-        """s_roots at every t in ts.  A slice that the boundary condition
-        pins to zero (t = 0 or T) has none: its values are rounding noise,
-        and every "root" of it would split its panels."""
+        """s_roots at every t in ts."""
+        flat, counts = self.s_roots_flat(ts)
+        ends = np.cumsum(counts)
+        return [flat[b - c:b] for b, c in zip(ends.tolist(), counts.tolist())]
+
+    def s_roots_flat(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """s_roots_many as (flat, counts): the zeros of every slice one
+        after another, and how many each slice has.  A slice that the
+        boundary condition pins to zero (t = 0 or T) has none: its values
+        are rounding noise, and every "root" of it would split its pieces."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         left, right = self.bc.pinned_ends
         pinned = (left & (ts == 0.0)) | (right & (ts == self.T))
-        live = iter(self._live_roots(ts[~pinned]))
-        return [np.zeros(0) if pin else next(live) for pin in pinned]
+        flat, live = self._live_roots(ts[~pinned])
+        counts = np.zeros(len(ts), dtype=live.dtype)
+        counts[~pinned] = live
+        return flat, counts
 
 
 class _ClosedFormKernel(_KernelBase):
@@ -291,10 +309,8 @@ class NumericKernel(_KernelBase):
         target that is that end is dropped by its index."""
         n = len(ts)
         psi = self._node_angles()
-        u1t, u2t = self.fs.eval_pair(ts)
-        right = self._C.T @ np.stack([u1t, u2t])
         # rows 0..n-1 are the sides s <= t, rows n..2n-1 the sides s > t
-        alpha, beta = np.concatenate([right + np.stack([u2t, -u1t]), right], axis=1)
+        alpha, beta = self._sides(ts)
         phi = np.arctan2(-alpha, beta)
         k = (np.floor((psi[0] - phi) / np.pi)[:, None]
              + np.arange(math.ceil((psi[-1] - psi[0]) / np.pi) + 2))

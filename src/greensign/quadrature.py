@@ -1,22 +1,26 @@
-"""Panelized Gauss-Legendre quadrature of kernel slices.
+"""Gauss-Legendre quadrature of kernel integrals.
 
 Integrands here are piecewise smooth: kernels are C^1 away from the diagonal
 t = s, their positive/negative parts additionally kink at the interior zeros
-of G(t, .), and sampled potentials kink at their grid nodes.  Splitting panels
-at every such point keeps a modest fixed-order rule accurate.
+of G(t, .), and sampled potentials kink at their grid nodes.
 
-panel_plan lays out the panels of many rows (slices, or t-integrals) at
-once, as flat arrays: the same panels build_edges gives each row, without a
-Python loop per row.  slice_panels is that plan for the slices G(t, .),
-with the one rule for where a slice is broken, and G at its nodes; the
-sign-ratio constant integrates through it.  It passes
-each panel's t once, as a column against the panel's nodes.
+Two layouts serve the callers.  cell_edges and cell_nodes lay out the cells
+of one cumulative quadrature of p g over [0, T], with p the kernel's
+fundamental pair: no cell straddles a numeric kernel's grid node (its pair
+is one Hermite cubic per grid cell), a shared break point of the potential
+or a point the caller names, so a low-order rule per cell is exact for a
+piecewise-polynomial g aligned to those points.  The solver and the
+sign-ratio constant integrate through it (see solver and gamma).
+panel_plan lays out the panels of many rows (the t-integrals of cone) at
+once, as flat arrays: the same panels build_edges gives each row, without
+a Python loop per row.
 
-The zeros of the slices G(t, .) come from the kernel's s_roots_many, which
-gives none for a slice the boundary condition pins to zero: the closed
-forms know them analytically, and a numeric kernel places each at the
-angle of its fundamental pair where the slice vanishes (see
-greens.NumericKernel).  No slice is sampled to find them.
+The zeros of the slices G(t, .) come from the kernel's s_roots_flat (or
+s_roots_many, one array per slice), which gives none for a slice the
+boundary condition pins to zero: the closed forms know them analytically,
+and a numeric kernel places each at the angle of its fundamental pair
+where the slice vanishes (see greens.NumericKernel).  No slice is sampled
+to find them.
 """
 from __future__ import annotations
 
@@ -26,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 GAUSS_ORDER = 16
-#: Most break points of a potential that split every kernel slice; a finely
-#: sampled potential is left to the panel-length cap instead.
+#: Most break points of a potential that every cell layout is broken at; a
+#: finely sampled potential is left to the length cap instead.
 MAX_SHARED_BREAKS = 64
 
 _gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -115,33 +119,35 @@ def panel_plan(lo, hi, rows, points, max_len: float,
 
 
 def shared_breaks(potential) -> np.ndarray:
-    """The potential's break points, which every slice is split at when
-    there are at most MAX_SHARED_BREAKS of them; none otherwise."""
+    """The potential's break points, which every cell layout is broken at
+    when there are at most MAX_SHARED_BREAKS of them; none otherwise."""
     bps = np.asarray(potential.breakpoints, dtype=float)
     return bps if len(bps) <= MAX_SHARED_BREAKS else bps[:0]
 
 
-def slice_panels(kernel, ts, roots: list, max_len: float,
-                 order: int = GAUSS_ORDER) -> tuple[PanelPlan, np.ndarray]:
-    """(plan, g): the panels of the slices G(t, .) on [0, T] for every t in
-    ts, and G at their Gauss nodes, shaped as plan.xs.
+def cell_edges(kernel, points, max_len: float) -> np.ndarray:
+    """Sorted edges of the cells of [0, T] that a cumulative quadrature
+    sums over: 0, T, the points (clipped to [0, T]), a numeric kernel's
+    grid nodes and shared_breaks(kernel.potential), with each cell between
+    them cut into equal parts no longer than max_len."""
+    T = kernel.T
+    fs = getattr(kernel, "fs", None)
+    edges = np.sort(np.concatenate([(0.0, T), points, shared_breaks(kernel.potential),
+                                    () if fs is None else fs.ts]).clip(0.0, T))
+    # np.unique would import numpy.ma on its first call
+    edges = edges[np.concatenate([[True], edges[1:] > edges[:-1]])]
+    # the edges interpolated at integer knots cut each cell into equal parts
+    cuts = np.ceil((edges[1:] - edges[:-1]) / max_len)
+    ends = np.concatenate([[0.0], cuts.cumsum()])
+    return np.interp(np.arange(ends[-1] + 1.0), ends, edges)
 
-    Row r is broken at roots[r], the zeros of its slice, at its diagonal
-    kink ts[r] and at shared_breaks(kernel.potential), then capped at
-    max_len, so that each panel of a row is smooth and of one sign.
-    """
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    shared = shared_breaks(kernel.potential)
-    n = len(ts)
-    counts = [len(r) for r in roots]
-    rows = np.concatenate([np.repeat(np.arange(n), counts), np.arange(n),
-                           np.repeat(np.arange(n), len(shared))])
-    points = np.concatenate([np.concatenate([np.zeros(0), *roots]), ts,
-                             np.tile(shared, n)])
-    plan = panel_plan(np.zeros(n), np.full(n, kernel.T), rows, points,
-                      max_len, order)
-    t_rows = np.repeat(ts, np.diff(plan.offsets))[:, None]
-    return plan, np.asarray(kernel(t_rows, plan.xs), dtype=float)
+
+def cell_nodes(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, half): the order-point Gauss nodes of every cell [lo[i], hi[i]],
+    shape (cells, order), and the half-widths of the cells, by which the
+    rule's weights on [-1, 1] scale."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * gauss_nodes(order)[0], half
 
 
 def default_max_len(potential) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import default_max_len, gauss_nodes, shared_breaks
+from .quadrature import cell_edges, cell_nodes, default_max_len, gauss_nodes
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
@@ -120,22 +120,12 @@ class _Cumulative:
     def __init__(self, kernel, ts: np.ndarray, order: int = CELL_ORDER):
         T = kernel.T
         ts = np.clip(ts, 0.0, T)
-        # a numeric kernel's pair is one Hermite cubic per cell of its grid
-        fs = getattr(kernel, "fs", None)
-        edges = np.unique(np.concatenate([[0.0, T], ts, shared_breaks(kernel.potential),
-                                          np.zeros(0) if fs is None else fs.ts]))
-        # cut each cell into equal parts no longer than the panel cap
-        width = np.diff(edges)
-        cuts = np.ceil(width / default_max_len(kernel.potential)).astype(np.intp)
-        i = np.arange(cuts.sum()) - np.repeat(np.cumsum(cuts) - cuts, cuts)
-        edges = np.append(np.repeat(edges[:-1], cuts) + i * np.repeat(width / cuts, cuts), T)
+        edges = cell_edges(kernel, ts, default_max_len(kernel.potential))
         # the output nodes are edges, and P at edge k sums the first k cells
         self.at = np.searchsorted(edges, ts)
-        nodes, weights = gauss_nodes(order)
-        half = 0.5 * np.diff(edges)[:, None]
-        xs = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+        xs, half = cell_nodes(edges[:-1], edges[1:], order)
         self.xs = xs.ravel()
-        self.q = np.stack(kernel._pair(xs)) * (half * weights)
+        self.q = np.stack(kernel._pair(xs)) * (half[:, None] * gauss_nodes(order)[1])
         # G(t, .) vanishes where the condition pins t, and the sum there
         # would be rounding noise: those rows read the zero pair
         left, right = kernel.bc.pinned_ends

@@ -440,6 +440,12 @@ class Eigenfunction:
         self.ts = fs.ts
         self.values = vals
 
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """Interior grid nodes, where the Hermite interpolant passes from
+        one cubic to the next."""
+        return self.ts[1:-1]
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         u1, u2 = self._fs.eval_pair(t)

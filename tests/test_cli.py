@@ -184,6 +184,31 @@ class TestCheck:
         assert obj["h3"] is None
         assert any(n.startswith("no subinterval") for n in obj["notes"])
 
+    def test_both_weighted_ratios_share_one_root_search(self, capsys, tmp_path,
+                                                        monkeypatch):
+        # the zeros of the slices do not depend on the weight: the
+        # eigenfunction- and coefficient-weighted ratios read one set
+        from greensign.greens import NumericKernel
+        ts = np.linspace(0.0, 1.0, 2001)
+        path = tmp_path / "wavy.csv"
+        path.write_text("t,a\n" + "\n".join(
+            f"{float(t)!r},{float(60 + 10 * np.sin(2 * np.pi * t))!r}" for t in ts))
+        calls = []
+        live_roots = NumericKernel._live_roots
+
+        def counted(self, ts):
+            calls.append(len(ts))
+            return live_roots(self, ts)
+
+        monkeypatch.setattr(NumericKernel, "_live_roots", counted)
+        code, out, _ = run(["check", "--bc", "neumann", "--samples", str(path),
+                            "--f", "1 + x/(1+x)"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["gamma"]["weight"] == "PrincipalEigenfunction"
+        assert obj["h2_star"]["gamma"] > 1.0
+        assert calls == [1001]
+
 
 class TestSolve:
     def test_positive_profile_csv(self, capsys):

@@ -10,7 +10,7 @@ from greensign.errors import (InvalidWeight, NonpositiveWeightedIntegral,
                               OutOfRange, QuadratureFailure, ResonantPotential,
                               UnsupportedBoundaryKind)
 from greensign.gamma import (CASE_2B_NOTE, GammaResult, _boundary_nodes,
-                             _neville_to_zero, _ratio, _slice_parts,
+                             _neville_to_zero, _ratio,
                              gamma_closed, gamma_dirichlet_closed,
                              gamma_dirichlet_t_closed, gamma_periodic_closed,
                              gamma_quadrature, gamma_star, pointwise_ratio)
@@ -18,6 +18,7 @@ from greensign.greens import NumericKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 from greensign.spectral import principal_eigenfunction
+from slice_oracle import panel_slice_parts, slice_parts
 
 SIN_WEIGHT = lambda s: np.sin(np.pi * np.asarray(s))
 
@@ -361,18 +362,20 @@ def flat_case(name):
 
 
 class TestFlattenedSlices:
+    """The panel oracle of slice_oracle against its per-t loop, and the
+    gamma_quadrature driver run on that oracle."""
+
     @pytest.mark.parametrize("name", sorted(FLAT_CASES))
-    def test_slice_parts_match_per_t_loop_bit_for_bit(self, name, monkeypatch):
+    def test_slice_parts_match_per_t_loop_bit_for_bit(self, name):
         kernel, weight = flat_case(name)
-        # small blocks, so that the slices spread over many of them
-        monkeypatch.setattr(gamma_module, "SLICE_BLOCK_NODES", 4000)
         rng = np.random.default_rng(2)
         ts = np.concatenate([_boundary_nodes(1.0, False)[1],
                              rng.uniform(0.0, 1.0, 40),
                              _boundary_nodes(1.0, True)[1]])
         max_len = default_max_len(kernel.potential)
-        pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
-                                16, max_len)
+        # small blocks, so that the slices spread over many of them
+        pos, neg = slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
+                               16, max_len, block_nodes=4000)
         for t, p, n in zip(ts, pos, neg):
             want = slice_parts_one_t(kernel, float(t), kernel.s_roots(t),
                                      weight, 16, max_len)
@@ -401,23 +404,23 @@ class TestFlattenedSlices:
         weight = principal_eigenfunction(pot, bc) if eigen_weight else None
         ts = np.array(ts)
         max_len = default_max_len(pot)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gamma_module, "SLICE_BLOCK_NODES", block)
-            pos, neg = _slice_parts(kernel, ts, kernel.s_roots_many(ts),
-                                    weight, 16, max_len)
+        pos, neg = slice_parts(kernel, ts, kernel.s_roots_many(ts), weight, 16,
+                               max_len, block_nodes=block)
         for t, p, n in zip(ts, pos, neg):
             want = slice_parts_one_t(kernel, float(t), kernel.s_roots(t),
                                      weight, 16, max_len)
             assert (p, n) == want, t
 
     @pytest.mark.parametrize("name", sorted(FLAT_CASES))
-    def test_gamma_matches_per_t_loop(self, name):
+    def test_gamma_matches_per_t_loop(self, name, monkeypatch):
         kernel, weight = flat_case(name)
+        monkeypatch.setattr(gamma_module, "_slice_parts", panel_slice_parts())
         got = gamma_quadrature(kernel, weight, t_grid_size=61)
         assert (got.value, got.argmin_t) == gamma_by_slice_loop(kernel, weight, 61)
 
-    def test_pointwise_ratio_matches_per_t_loop(self):
+    def test_pointwise_ratio_matches_per_t_loop(self, monkeypatch):
         kernel, weight = flat_case("dirichlet-wavy")
+        monkeypatch.setattr(gamma_module, "_slice_parts", panel_slice_parts())
         max_len = default_max_len(kernel.potential)
         for t in (0.013, 0.5, 0.91):
             want = _ratio(*slice_parts_one_t(kernel, t, kernel.s_roots(t),
@@ -449,3 +452,119 @@ class TestFlattenedSlices:
         bad = lambda s: np.where(np.asarray(s) > 0.7, np.nan, 1.0)
         with pytest.raises(QuadratureFailure):
             gamma_quadrature(kernel, bad, t_grid_size=11)
+
+
+def on_panels(fn, breaks=None):
+    """fn() with gamma's slice integrals taken on the panels of the
+    slice_oracle, broken also at breaks when given."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gamma_module, "_slice_parts", panel_slice_parts(breaks))
+        return fn()
+
+
+def trig_potential(mean, modes, nodes=2001):
+    grid = np.linspace(0.0, 1.0, nodes)
+    a = np.full(nodes, mean)
+    for k, (alpha, beta) in enumerate(modes, 1):
+        a += (alpha * np.cos(2 * np.pi * k * grid)
+              + beta * np.sin(2 * np.pi * k * grid))
+    return sampled(grid, a)
+
+
+def assert_same_gamma(kernel, weight, t_grid_size, rtol=1e-12, breaks=None):
+    """The separable gamma_quadrature against the panel oracle: the same
+    value to rtol and the same argmin, or the same error from both."""
+    def gamma():
+        try:
+            return gamma_quadrature(kernel, weight, t_grid_size)
+        except NonpositiveWeightedIntegral as exc:
+            return type(exc)
+    got = gamma()
+    want = on_panels(gamma, breaks)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.argmin_t == want.argmin_t
+    assert got.value == pytest.approx(want.value, rel=rtol)
+
+
+class TestSeparableSlices:
+    """gamma through the kernel's separable form (gamma._antiderivative)
+    against the panel oracle it replaced."""
+
+    @pytest.mark.parametrize("bc", KERNEL_KINDS)
+    @pytest.mark.parametrize("eigen_weight", [True, False])
+    def test_gamma_matches_panels_on_wavy(self, bc, eigen_weight):
+        pot = coarse_wavy(2001)
+        kernel = build_kernel(pot, bc)
+        weight = principal_eigenfunction(pot, bc) if eigen_weight else None
+        assert_same_gamma(kernel, weight, 61)
+        ts = np.linspace(0.003, 0.997, 23)
+        try:
+            want = on_panels(lambda: pointwise_ratio(kernel, ts, weight))
+        except NonpositiveWeightedIntegral:
+            return
+        assert_allclose(pointwise_ratio(kernel, ts, weight), want, rtol=1e-12)
+
+    @given(mean=st.floats(45.0, 75.0),
+           modes=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                          min_size=1, max_size=3),
+           bc=st.sampled_from(KERNEL_KINDS),
+           eigen_weight=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_gamma_matches_panels_on_random_potentials(self, mean, modes, bc,
+                                                       eigen_weight):
+        pot = trig_potential(mean, modes)
+        kernel = build_kernel(pot, bc)
+        weight = principal_eigenfunction(pot, bc) if eigen_weight else None
+        assert_same_gamma(kernel, weight, 21)
+
+    @pytest.mark.parametrize("seed, nodes", [(0, 2001), (1, 2001), (2, 1201),
+                                             (3, 1201)])
+    def test_coefficient_weight_integrated_across_every_sample_kink(self, seed,
+                                                                  nodes):
+        # the coefficient kinks at each of its interior samples; the panel
+        # path split its slices at none of them (more than
+        # MAX_SHARED_BREAKS) and read 1e-9 to 4e-8 off panels split at all.
+        # On 1201 samples most kinks are not nodes of the kernel's grid.
+        rng = np.random.default_rng(seed)
+        pot = trig_potential(rng.uniform(45.0, 75.0),
+                             rng.uniform(-2.5, 2.5, (3, 2)), nodes)
+        bc = (BoundaryKind.PERIODIC, BoundaryKind.NEUMANN)[seed % 2]
+        kernel = build_kernel(pot, bc)
+        got = gamma_star(kernel, pot, 21)
+        want = on_panels(lambda: gamma_star(kernel, pot, 21), pot.grid[1:-1])
+        assert got.argmin_t == want.argmin_t
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+
+    @pytest.mark.parametrize("bc, grid, eigen_weight", [
+        (BoundaryKind.DIRICHLET, 251, True), (BoundaryKind.PERIODIC, 41, False)])
+    def test_coarse_kernel_grid_integrated_across_its_nodes(self, bc, grid,
+                                                            eigen_weight):
+        # on a coarse grid the Hermite pair (and an eigenfunction on that
+        # grid) kink at every node: panels across them read 1.5e-10 off at
+        # 251 nodes, and cells across them 7e-12 at 41; on cells between
+        # the nodes the 4-point rule is exact
+        pot = coarse_wavy(2001)
+        kernel = NumericKernel(pot, bc, grid_size=grid)
+        weight = (principal_eigenfunction(pot, bc, grid_size=grid)
+                  if eigen_weight else None)
+        assert_same_gamma(kernel, weight, 41, rtol=1e-13,
+                          breaks=kernel.fs.ts[1:-1])
+
+    @pytest.mark.parametrize("rho", sorted(DIRICHLET_TABLE))
+    def test_mirrored_boundary_slices_agree(self, rho):
+        # G(t, s) = G(1 - t, 1 - s) and sin(pi s) is symmetric, so the
+        # slices a boundary limit extrapolates from read alike at each end
+        kernel = dirichlet_kernel(rho)
+        left = pointwise_ratio(kernel, _boundary_nodes(1.0, False)[1], SIN_WEIGHT)
+        right = pointwise_ratio(kernel, _boundary_nodes(1.0, True)[1], SIN_WEIGHT)
+        assert_allclose(right, left, rtol=1e-14)
+
+    def test_pointwise_ratio_takes_arrays(self):
+        kernel, weight = flat_case("dirichlet-wavy")
+        ts = np.array([[0.013, 0.5], [0.91, 0.2]])
+        got = pointwise_ratio(kernel, ts, weight)
+        assert got.shape == ts.shape
+        for t, r in zip(ts.ravel(), got.ravel()):
+            assert pointwise_ratio(kernel, float(t), weight) == pytest.approx(r, rel=1e-14)
