@@ -120,6 +120,9 @@ def calls(wavy: str, repro_a: str) -> list:
                 "--weight", "coefficient", "--format", "json"])
     out.append(["gamma", "--bc", "dirichlet", "--samples", wavy, "--grid", "251",
                 "--format", "json"])
+    # a check that finds no window: all 328 candidates of the subinterval
+    # search, with their eta_hat, are in its trace
+    out.append(["check", "--bc", "mixed1", "--samples", wavy, "--f", WAVY_F])
     return out
 
 

@@ -6,6 +6,9 @@ constants eta (worst such integral) and sigma = eta / max G, and a sandwich
 certificate that the nonlinearity f sits between m*w and M*w for a weight w
 with M/m within the sign-ratio constant.  Everything here reports sampled
 evidence, not proofs: the report says so explicitly.
+
+Every t-integral of G is read off one antiderivative of the kernel's pair
+through its separable form (_t_prefix); no window is cut into panels.
 """
 from __future__ import annotations
 
@@ -16,10 +19,10 @@ import numpy as np
 
 from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
                      NonpositiveWeightedIntegral)
-from .gamma import GammaResult, gamma_closed, gamma_quadrature, gamma_star
+from .gamma import (CELL_ORDER, GammaResult, _antiderivative, gamma_closed,
+                    gamma_quadrature, gamma_star)
 from .greens import build_kernel
 from .potentials import BoundaryKind
-from .quadrature import GAUSS_ORDER, default_max_len, gauss_nodes, panel_plan
 from .spectral import principal_eigenfunction
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -99,26 +102,39 @@ class H2Verdict:
                 "reason": self.reason}
 
 
-def _t_integrals(kernel, ss, cs, ds) -> np.ndarray:
-    """Integral over t in [c, d] of G(t, s) for every (s, c, d), the three
-    broadcast together; 0 where d <= c.
+def _t_prefix(kernel, xs, ss) -> np.ndarray:
+    """P[i, j] = integral over t in [0, xs[i]] of G(t, ss[j]), shape
+    (len(xs), len(ss)), read off the kernel's separable form (see greens).
 
-    Each integral is a row of one panel plan, split at its only kink t = s;
-    one kernel evaluation and one np.add.reduceat serve them all.
+    With U(x) the integral of the pair p = (u1, u2) over [0, x], one
+    antiderivative table (gamma._antiderivative, weight one) read at every
+    x and s,
+
+        P = U(x)^T C p(s) + [u1(s) (U2(x) - U2(s)) - u2(s) (U1(x) - U1(s))] 1{s < x}.
+
+    The pair is zero at an s the condition pins, where G(., s) vanishes, so
+    those columns read exactly zero.
     """
-    ss, cs, ds = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                       for x in (ss, cs, ds)))
-    out = np.zeros(ss.shape)
-    live = np.nonzero(ds > cs)[0]
-    if not live.size:
-        return out
-    plan = panel_plan(cs[live], ds[live], np.arange(len(live)), ss[live],
-                      default_max_len(kernel.potential))
-    s_rows = np.repeat(ss[live], np.diff(plan.offsets))[:, None]
-    vals = (np.asarray(kernel(plan.xs, s_rows), dtype=float) * plan.weights).ravel()
-    starts = plan.offsets * GAUSS_ORDER
-    out[live] = np.add.reduceat(vals, starts[:-1])
-    return out
+    xs = np.asarray(xs, dtype=float)
+    ss = np.asarray(ss, dtype=float)
+    S, left, total = _antiderivative(kernel, None, CELL_ORDER, np.concatenate([xs, ss]))
+    U = S + np.where(left, 0.0, total[:, None])
+    Ux, Us = U[:, :len(xs)], U[:, len(xs):]
+    lo, hi = kernel.bc.pinned_ends
+    pinned = (lo & (ss == 0.0)) | (hi & (ss == kernel.T))
+    u1, u2 = p = np.where(pinned, 0.0, kernel._pair(ss))
+    cauchy = u1 * (Ux[1, :, None] - Us[1]) - u2 * (Ux[0, :, None] - Us[0])
+    return Ux.T @ (kernel._C @ p) + np.where(ss < xs[:, None], cauchy, 0.0)
+
+
+def _t_integrals(kernel, ss, c: float, d: float) -> np.ndarray:
+    """Integral over t in [c, d] of G(t, s) at every s in ss: the
+    difference of _t_prefix at d and c.  Raises ValueError where [c, d]
+    leaves [0, T]."""
+    if d > kernel.T:
+        raise ValueError(f"subinterval [{c}, {d}] leaves [0, {kernel.T}]")
+    P = _t_prefix(kernel, [d, c], ss)
+    return P[0] - P[1]
 
 
 def _samples(lo: float, hi: float, grid: int) -> np.ndarray:
@@ -162,38 +178,15 @@ def compute_cone_constants(kernel, subinterval: Subinterval,
                            grid: int = 201) -> ConeConstants:
     """eta, max G, and sigma = eta / max G for the given subinterval."""
     c, d = subinterval.c, subinterval.d
-    if d > kernel.T:
-        raise ValueError(f"subinterval [{c}, {d}] leaves [0, {kernel.T}]")
+    w = _t_integrals(kernel, _samples(c, d, grid), c, d)
     if d <= c:
         raise NonpositiveEta(f"degenerate subinterval [{c}, {d}]")
-    eta = float(np.min(_t_integrals(kernel, _samples(c, d, grid), c, d)))
+    eta = float(np.min(w))
     if eta <= 0:
         raise NonpositiveEta(
             f"min over s in [{c}, {d}] of the t-integral is {eta:.3e}")
     mx = max_kernel_value(kernel, grid)
     return ConeConstants(eta, eta / mx, mx, subinterval)
-
-
-def _cell_integral_table(kernel, ss: np.ndarray) -> np.ndarray:
-    """M[k, j] = integral of G(t, ss[j]) over the k-th of 64 equal t-cells."""
-    T = kernel.T
-    edges = np.linspace(0.0, T, N_CELLS + 1)
-    nodes, gw = gauss_nodes()
-    M = np.empty((N_CELLS, len(ss)))
-    for k in range(N_CELLS):
-        lo, hi = edges[k], edges[k + 1]
-        inside = (ss > lo) & (ss < hi)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        ts = mid + half * nodes
-        g = np.asarray(kernel(ts[:, None], ss[None, ~inside]), dtype=float)
-        M[k, ~inside] = (half * gw) @ g
-    # an s inside its cell kinks the integrand there: those entries get
-    # split panels, all in one batch
-    ks, js = np.nonzero((ss[None, :] > edges[:-1, None])
-                        & (ss[None, :] < edges[1:, None]))
-    M[ks, js] = _t_integrals(kernel, ss[js], edges[ks], edges[ks + 1])
-    return M
 
 
 def _h3_rule(ss, w, c, d):
@@ -219,8 +212,7 @@ def find_subinterval(kernel, grid: int = 201,
     """
     T = float(kernel.T)
     ss = _samples(0.0, T, grid)
-    M = _cell_integral_table(kernel, ss)
-    prefix = np.vstack([np.zeros(len(ss)), np.cumsum(M, axis=0)])
+    prefix = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)
     trace: list[dict] = []
     width = N_CELLS
     while width >= MIN_WIDTH_CELLS:
@@ -239,7 +231,8 @@ def find_subinterval(kernel, grid: int = 201,
 
 
 def check_H3(kernel, subinterval: Subinterval, grid: int = 201) -> H3Verdict:
-    """H3 (`_h3_rule`) for one window, on grid s-samples of [0, T]."""
+    """H3 (`_h3_rule`) for one window, on grid s-samples of [0, T].
+    Raises ValueError where the window leaves [0, T]."""
     c, d = subinterval.c, subinterval.d
     ss = _samples(0.0, kernel.T, grid)
     passed, min_all, min_sub, witness = _h3_rule(ss, _t_integrals(kernel, ss, c, d), c, d)

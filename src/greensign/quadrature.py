@@ -4,16 +4,14 @@ Integrands here are piecewise smooth: kernels are C^1 away from the diagonal
 t = s, their positive/negative parts additionally kink at the interior zeros
 of G(t, .), and sampled potentials kink at their grid nodes.
 
-Two layouts serve the callers.  cell_edges and cell_nodes lay out the cells
-of one cumulative quadrature of p g over [0, T], with p the kernel's
+One layout serves every caller.  cell_edges and cell_nodes lay out the
+cells of one cumulative quadrature of p g over [0, T], with p the kernel's
 fundamental pair: no cell straddles a numeric kernel's grid node (its pair
 is one Hermite cubic per grid cell), a shared break point of the potential
 or a point the caller names, so a low-order rule per cell is exact for a
-piecewise-polynomial g aligned to those points.  The solver and the
-sign-ratio constant integrate through it (see solver and gamma).
-panel_plan lays out the panels of many rows (the t-integrals of cone) at
-once, as flat arrays: the same panels build_edges gives each row, without
-a Python loop per row.
+piecewise-polynomial g aligned to those points.  The solver, the
+sign-ratio constant and the t-integrals of the cone integrate through it
+(see solver, gamma and cone).
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_flat (or
 s_roots_many, one array per slice), which gives none for a slice the
@@ -25,11 +23,9 @@ to find them.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-GAUSS_ORDER = 16
 #: Most break points of a potential that every cell layout is broken at; a
 #: finely sampled potential is left to the length cap instead.
 MAX_SHARED_BREAKS = 64
@@ -37,7 +33,7 @@ MAX_SHARED_BREAKS = 64
 _gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def gauss_nodes(order: int = GAUSS_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the order-point rule on [-1, 1], cached."""
     got = _gauss_cache.get(order)
     if got is None:
@@ -47,7 +43,9 @@ def gauss_nodes(order: int = GAUSS_ORDER) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_edges(a: float, b: float, points=(), max_len: float | None = None) -> np.ndarray:
-    """Sorted panel edges of [a, b]: interior break points plus a length cap."""
+    """Sorted panel edges of [a, b]: interior break points plus a length cap.
+    No library path lays out panels; the per-row oracles of the tests and
+    the tracer in perfbench/ use it."""
     if not b > a:
         raise ValueError(f"empty integration range [{a}, {b}]")
     pts = np.asarray(points, dtype=float)
@@ -60,62 +58,6 @@ def build_edges(a: float, b: float, points=(), max_len: float | None = None) -> 
         n = max(1, int(math.ceil((hi - lo) / max_len)))
         pieces.append(np.linspace(lo, hi, n + 1)[1:])
     return np.concatenate(pieces)
-
-
-class PanelPlan(NamedTuple):
-    """Gauss panels of many rows, row after row, in flat arrays."""
-
-    xs: np.ndarray        # (panels, order) Gauss nodes
-    weights: np.ndarray   # (panels, order) Gauss weights times half-widths
-    offsets: np.ndarray   # (rows + 1,) row r owns panels offsets[r]:offsets[r + 1]
-
-
-def panel_plan(lo, hi, rows, points, max_len: float,
-               order: int = GAUSS_ORDER) -> PanelPlan:
-    """Panels of [lo[r], hi[r]] for every row r, broken at the points
-    points[i] of row rows[i] and capped at max_len.
-
-    Row r gets exactly the panels of build_edges(lo[r], hi[r], its points,
-    max_len): points within 1e-15 of the range of an end are dropped, the
-    rest sorted and freed of exact duplicates, and a piece between two
-    break points is cut into n equal panels with edges i*step + start and
-    the last edge set to its end, as np.linspace cuts it.
-    """
-    lo = np.asarray(lo, dtype=float).reshape(-1)
-    hi = np.asarray(hi, dtype=float).reshape(-1)
-    n = len(lo)
-    if not np.all(hi > lo):
-        i = int(np.argmin(hi > lo))
-        raise ValueError(f"empty integration range [{lo[i]}, {hi[i]}]")
-    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-    points = np.asarray(points, dtype=float).reshape(-1)
-    eps = 1e-15 * (hi - lo)
-    inside = (points > (lo + eps)[rows]) & (points < (hi - eps)[rows])
-    row = np.concatenate([np.arange(n), rows[inside], np.arange(n)])
-    edge = np.concatenate([lo, points[inside], hi])
-    by = np.lexsort((edge, row))
-    row, edge = row[by], edge[by]
-    new = np.ones(len(edge), dtype=bool)
-    new[1:] = (row[1:] != row[:-1]) | (edge[1:] != edge[:-1])
-    row, edge = row[new], edge[new]
-    # pieces between consecutive break points of one row
-    piece = row[1:] == row[:-1]
-    p_row, p_lo, p_hi = row[:-1][piece], edge[:-1][piece], edge[1:][piece]
-    cuts = np.maximum(1, np.ceil((p_hi - p_lo) / max_len)).astype(np.intp)
-    first = np.repeat(np.cumsum(cuts) - cuts, cuts)
-    i = np.arange(len(first)) - first
-    k = np.repeat(cuts, cuts)
-    start = np.repeat(p_lo, cuts)
-    step = np.repeat((p_hi - p_lo) / cuts, cuts)
-    row = np.repeat(p_row, cuts)
-    plo = np.where(i == 0, start, i * step + start)
-    phi = np.where(i + 1 == k, np.repeat(p_hi, cuts), (i + 1) * step + start)
-    nodes, gw = gauss_nodes(order)
-    mid = 0.5 * (plo + phi)
-    half = 0.5 * (phi - plo)
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
-    return PanelPlan(mid[:, None] + half[:, None] * nodes[None, :],
-                     half[:, None] * gw[None, :], offsets)
 
 
 def shared_breaks(potential) -> np.ndarray:

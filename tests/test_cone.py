@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import greensign.cone as cone_module
 from greensign.cone import (H3_TOL, N_CELLS, ZOOM_ROUNDS, ConeConstants,
-                            Subinterval, _cell_integral_table, _h3_rule,
-                            _t_integrals, build_report, check_H2, check_H3,
+                            Subinterval, _h3_rule, _t_integrals, _t_prefix,
+                            build_report, check_H2, check_H3,
                             compute_cone_constants, cone_membership,
                             find_subinterval, max_kernel_value)
 from greensign.errors import EvaluationFailure, NonpositiveEta
@@ -16,6 +17,7 @@ from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
+from slice_oracle import cell_integral_table, t_integrals
 
 RHO_P = 1.5 * math.pi
 RHO_D = math.sqrt(60.0)
@@ -69,13 +71,15 @@ def lattice_max(kernel, n=1001, rows=100):
                for i in range(0, n, rows))
 
 
-def find_subinterval_per_candidate(kernel, grid=201):
+def find_subinterval_per_candidate(kernel, grid=201, prefix=None):
     """The per-candidate window loop the batched search replaced, kept as
-    its oracle: (window, trace)."""
+    its oracle: (window, trace).  It reads the t-integrals of every window
+    off prefix[k, j], the integral of G(t, s_j) over the first k of the 64
+    cells (the library's _t_prefix table by default)."""
     T = kernel.T
     ss = np.linspace(0.0, T, grid)
-    M = _cell_integral_table(kernel, ss)
-    prefix = np.vstack([np.zeros(len(ss)), np.cumsum(M, axis=0)])
+    if prefix is None:
+        prefix = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)
     trace = []
     width = N_CELLS
     while width >= 1:
@@ -120,11 +124,120 @@ class TestTIntegrals:
         ss = np.linspace(0.0, 1.0, 41)
         cs = np.where(ss < 0.5, 0.1, 0.4)
         ds = np.where(ss < 0.9, 0.8, 0.3)    # the last s get d <= c
-        got = _t_integrals(kernel, ss, cs, ds)
+        got = t_integrals(kernel, ss, cs, ds)
         want = [t_integral_one_s(kernel, float(s), float(c), float(d))
                 for s, c, d in zip(ss, cs, ds)]
         assert np.array_equal(got, want)
         assert np.all(got[ss >= 0.9] == 0.0)
+
+
+#: The mean windows of the numeric-report benchmark workload: each lies
+#: between two resonances, above the first eigenvalue.
+MEAN_WINDOWS = {
+    BoundaryKind.PERIODIC: (45.0, 80.0),
+    BoundaryKind.NEUMANN: (45.0, 82.0),
+    BoundaryKind.DIRICHLET: (45.0, 82.0),
+    BoundaryKind.MIXED1: (27.0, 56.0),
+    BoundaryKind.MIXED2: (27.0, 56.0),
+}
+
+
+def panel_prefix(kernel, ss):
+    """The table of _t_prefix at the 65 cell edges, summed from the panel
+    cell integrals of the oracle."""
+    M = cell_integral_table(kernel, ss)
+    return np.vstack([np.zeros(len(ss)), np.cumsum(M, axis=0)])
+
+
+def sinh_prefix(k, xs, ss):
+    """Integral over t in [0, x] of G(t, s) for u'' - k^2 u under Dirichlet
+    conditions on [0, 1], G = -sinh(k min) sinh(k (1 - max)) / (k sinh k),
+    on the outer grid of xs and ss."""
+    x, s = np.asarray(xs)[:, None], np.asarray(ss)[None, :]
+    ks = k * k * math.sinh(k)
+    below = -np.sinh(k * (1 - s)) * (np.cosh(k * np.minimum(x, s)) - 1) / ks
+    above = -np.sinh(k * s) * (np.cosh(k * (1 - s))
+                               - np.cosh(k * (1 - np.maximum(x, s)))) / ks
+    return below + above
+
+
+def assert_matches_panels(kernel, grid=201):
+    """The separable t-integrals agree with the panel ones to 1e-12 of their
+    largest value, and give the same window and the same H3 verdicts."""
+    T = kernel.T
+    ss = np.linspace(0.0, T, grid)
+    want = panel_prefix(kernel, ss)
+    scale = float(np.max(np.abs(want)))
+    got = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    sub, _ = find_subinterval_per_candidate(kernel, grid, want)
+    assert find_subinterval(kernel, grid) == sub
+    for window in ([sub] if sub else []) + [Subinterval(0.0, T)]:
+        c, d = window.c, window.d
+        w = t_integrals(kernel, ss, c, d)
+        assert np.max(np.abs(_t_integrals(kernel, ss, c, d) - w)) <= 1e-12 * scale
+        passed, min_all, min_sub, witness = _h3_rule(ss, w, c, d)
+        v = check_H3(kernel, window, grid)
+        assert v.passed == passed
+        assert v.witness_s == (None if math.isnan(witness) else witness)
+        assert v.min_over_all == pytest.approx(min_all, abs=1e-12 * scale)
+    if sub is not None:
+        eta = float(np.min(t_integrals(kernel, np.linspace(sub.c, sub.d, grid),
+                                       sub.c, sub.d)))
+        got = compute_cone_constants(kernel, sub, grid).eta
+        assert got == pytest.approx(eta, abs=1e-12 * scale)
+
+
+class TestSeparableTIntegrals:
+    @pytest.mark.parametrize("kernel", [
+        *[pytest.param(NumericKernel(WAVY, bc), id=f"wavy-{bc}") for bc in BoundaryKind],
+        pytest.param(PeriodicConstantKernel(RHO_P), id="periodic-closed"),
+        pytest.param(DirichletConstantKernel(RHO_D), id="dirichlet-closed"),
+    ])
+    def test_match_panels(self, kernel):
+        assert_matches_panels(kernel)
+
+    @given(bc=st.sampled_from(list(MEAN_WINDOWS)), where=st.floats(0.0, 1.0),
+           modes=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                          min_size=3, max_size=3))
+    @settings(max_examples=15, deadline=None)
+    def test_match_panels_on_random_potentials(self, bc, where, modes):
+        lo, hi = MEAN_WINDOWS[bc]
+        assert_matches_panels(NumericKernel(trig_potential(lo + (hi - lo) * where,
+                                                           modes), bc))
+
+    @pytest.mark.parametrize("kernel", [
+        pytest.param(DirichletConstantKernel(RHO_D), id="dirichlet-closed"),
+        *[pytest.param(NumericKernel(WAVY, bc), id=f"wavy-{bc}")
+          for bc in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED1, BoundaryKind.MIXED2)],
+    ])
+    def test_pinned_columns_read_zero(self, kernel):
+        ss = np.linspace(0.0, 1.0, 201)
+        P = _t_prefix(kernel, np.linspace(0.0, 1.0, N_CELLS + 1), ss)
+        left, right = kernel.bc.pinned_ends
+        assert np.all(P[:, 0] == 0.0) == left
+        assert np.all(P[:, -1] == 0.0) == right
+
+    def test_pinned_min_over_all_is_exactly_zero(self):
+        # check --bc dirichlet --rho "sqrt(60)": G(., 0) and G(., 1) vanish
+        rep = build_report(constant(RHO_D), BoundaryKind.DIRICHLET, parabola,
+                           gamma_t_grid=101)
+        assert rep.h3.min_over_all == 0.0
+
+    @pytest.mark.parametrize("k", [5, 7, 10, 14])
+    def test_sinh_dirichlet_no_worse_than_panels(self, k):
+        # a = -k^2: the pair grows like e^{k t}, and both paths lose digits
+        # to its cancellation (about 1e-11 of the largest value at k = 5,
+        # 2e-4 at k = 14)
+        grid = np.linspace(0.0, 1.0, 2001)
+        kernel = build_kernel(sampled(grid, np.full(2001, -k * k)),
+                              BoundaryKind.DIRICHLET)
+        ss = np.linspace(0.0, 1.0, 201)
+        edges = np.linspace(0.0, 1.0, N_CELLS + 1)
+        exact = sinh_prefix(k, edges, ss)
+        got = np.max(np.abs(_t_prefix(kernel, edges, ss) - exact))
+        panels = np.max(np.abs(panel_prefix(kernel, ss) - exact))
+        assert got <= 2.0 * panels
 
 
 class TestSubinterval:
@@ -196,6 +309,14 @@ class TestDirichletConstants:
         with pytest.raises(ValueError):
             compute_cone_constants(DirichletConstantKernel(RHO_D),
                                    Subinterval(0.5, 1.5))
+
+    @pytest.mark.parametrize("kernel", [
+        pytest.param(DirichletConstantKernel(RHO_D), id="dirichlet-closed"),
+        pytest.param(NumericKernel(WAVY, BoundaryKind.PERIODIC), id="wavy-periodic"),
+    ])
+    def test_h3_window_outside_domain(self, kernel):
+        with pytest.raises(ValueError, match=r"leaves \[0, 1"):
+            check_H3(kernel, Subinterval(0.5, 1.5))
 
     def test_window_constants_are_sane(self):
         cc = compute_cone_constants(DirichletConstantKernel(RHO_D),

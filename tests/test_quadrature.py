@@ -5,9 +5,8 @@ import pytest
 
 from greensign.greens import NumericKernel, PeriodicConstantKernel
 from greensign.potentials import BoundaryKind, sampled
-from greensign.quadrature import (MAX_SHARED_BREAKS, build_edges, gauss_nodes,
-                                  panel_plan)
-from slice_oracle import slice_panels
+from greensign.quadrature import MAX_SHARED_BREAKS, build_edges, gauss_nodes
+from slice_oracle import panel_plan, slice_panels
 
 
 def per_row_panels(lo, hi, rows, points, max_len, order=16):

@@ -8,8 +8,8 @@ from greensign.errors import EvaluationFailure, QuadratureFailure
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
-from greensign.quadrature import GAUSS_ORDER, default_max_len
-from slice_oracle import slice_panels
+from greensign.quadrature import default_max_len
+from slice_oracle import GAUSS_ORDER, slice_panels
 from greensign.solver import (Positivity, _classify_positivity, _Stencil,
                               solve_linear, solve_nonlinear, verify_solution)
 
