@@ -123,6 +123,12 @@ def calls(wavy: str, repro_a: str) -> list:
     # a check that finds no window: all 328 candidates of the subinterval
     # search, with their eta_hat, are in its trace
     out.append(["check", "--bc", "mixed1", "--samples", wavy, "--f", WAVY_F])
+    # constant potentials stand on the exact pair under every condition:
+    # a Neumann table, the separable Dirichlet table, and a mixed ratio
+    out.append(["green", "--bc", "neumann", "--rho", "7", "--nodes", "11",
+                "--format", "json"])
+    out.append(["green", "--bc", "dirichlet", "--rho", "sqrt(60)", "--nodes", "11"])
+    out.append(["gamma", "--bc", "mixed1", "--rho", "6", "--format", "json"])
     return out
 
 

@@ -23,6 +23,7 @@ from .gamma import (CELL_ORDER, GammaResult, _antiderivative, gamma_closed,
                     gamma_quadrature, gamma_star)
 from .greens import build_kernel
 from .potentials import BoundaryKind
+from .quadrature import require_no_cancellation
 from .spectral import principal_eigenfunction
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -102,9 +103,11 @@ class H2Verdict:
                 "reason": self.reason}
 
 
-def _t_prefix(kernel, xs, ss) -> np.ndarray:
-    """P[i, j] = integral over t in [0, xs[i]] of G(t, ss[j]), shape
-    (len(xs), len(ss)), read off the kernel's separable form (see greens).
+def _t_prefix(kernel, xs, ss):
+    """(P, B): P[i, j] = integral over t in [0, xs[i]] of G(t, ss[j]), shape
+    (len(xs), len(ss)), read off the kernel's separable form (see greens),
+    and B the sum of the absolute values of its terms, which the readers of
+    P hold against P (quadrature.require_no_cancellation).
 
     With U(x) the integral of the pair p = (u1, u2) over [0, x], one
     antiderivative table (gamma._antiderivative, weight one) read at every
@@ -123,17 +126,21 @@ def _t_prefix(kernel, xs, ss) -> np.ndarray:
     lo, hi = kernel.bc.pinned_ends
     pinned = (lo & (ss == 0.0)) | (hi & (ss == kernel.T))
     u1, u2 = p = np.where(pinned, 0.0, kernel._pair(ss))
-    cauchy = u1 * (Ux[1, :, None] - Us[1]) - u2 * (Ux[0, :, None] - Us[0])
-    return Ux.T @ (kernel._C @ p) + np.where(ss < xs[:, None], cauchy, 0.0)
+    Cp = kernel._C @ p
+    below = ss < xs[:, None]
+    a, b = u1 * (Ux[1, :, None] - Us[1]), u2 * (Ux[0, :, None] - Us[0])
+    return (Ux.T @ Cp + np.where(below, a - b, 0.0),
+            np.abs(Ux.T) @ np.abs(Cp) + np.where(below, np.abs(a) + np.abs(b), 0.0))
 
 
 def _t_integrals(kernel, ss, c: float, d: float) -> np.ndarray:
     """Integral over t in [c, d] of G(t, s) at every s in ss: the
     difference of _t_prefix at d and c.  Raises ValueError where [c, d]
-    leaves [0, T]."""
+    leaves [0, T], and QuadratureFailure where the terms cancel."""
     if d > kernel.T:
         raise ValueError(f"subinterval [{c}, {d}] leaves [0, {kernel.T}]")
-    P = _t_prefix(kernel, [d, c], ss)
+    P, bulk = _t_prefix(kernel, [d, c], ss)
+    require_no_cancellation(bulk, P, "t-integral", "the cone on this potential")
     return P[0] - P[1]
 
 
@@ -212,7 +219,8 @@ def find_subinterval(kernel, grid: int = 201,
     """
     T = float(kernel.T)
     ss = _samples(0.0, T, grid)
-    prefix = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)
+    prefix, bulk = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)
+    require_no_cancellation(bulk, prefix, "t-integral", "the cone on this potential")
     trace: list[dict] = []
     width = N_CELLS
     while width >= MIN_WIDTH_CELLS:

@@ -22,12 +22,14 @@ solution on [0, T] comes out of the same pass.
 """
 from __future__ import annotations
 
+import math
 from array import array
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IntegratorFailure
-from .potentials import DEFAULT_GRID, Potential
+from .potentials import DEFAULT_GRID, ConstantPotential, Potential
 
 #: step entries per array in one block of shifts of transfer_matrix: a block
 #: bounds the product tree's working set (about 2 MB), which the allocator
@@ -35,6 +37,8 @@ from .potentials import DEFAULT_GRID, Potential
 TRANSFER_BLOCK_ENTRIES = 1 << 16
 #: the fewest grid nodes a step table is built on
 MIN_GRID = 9
+#: cell halvings that place a slice root of the RK4 pair to rounding level
+ROOT_HALVINGS = 52
 
 
 class _StepTable:
@@ -178,6 +182,8 @@ class FundamentalSolutions:
     Hermite interpolation, which keeps the RK4 accuracy order.
     """
 
+    form = "numeric"
+
     def __init__(self, potential: Potential, lam: float = 0.0, grid_size: int | None = None):
         if grid_size is None:
             grid_size = DEFAULT_GRID
@@ -198,11 +204,14 @@ class FundamentalSolutions:
         q_nodes = table.a + self.lam
         self.dp1 = -q_nodes * self.u1
         self.dp2 = -q_nodes * self.u2
+        # Phi(T) = [[u1, u2], [u1', u2']] at T
+        self.phi = phis[:, -1].reshape(2, 2).copy()
 
     @property
-    def scale(self) -> float:
-        return float(max(np.max(np.abs(self.u1)), np.max(np.abs(self.u2)),
-                         np.max(np.abs(self.p1)), np.max(np.abs(self.p2)), 1.0))
+    def sups(self) -> np.ndarray:
+        """max |.| over the nodes of [[u1, u2], [u1', u2']]."""
+        return np.array([[np.max(np.abs(x)) for x in row]
+                         for row in ((self.u1, self.u2), (self.p1, self.p2))])
 
     def eval_pair(self, x):
         """(u1(x), u2(x)) with one shared cell lookup and Hermite basis."""
@@ -218,6 +227,85 @@ class FundamentalSolutions:
         return tuple(h00 * y[i] + h10 * dy[i] + h01 * y[j] + h11 * dy[j]
                      for y, dy in ((self.u1, self.p1), (self.u2, self.p2)))
 
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """Lifted angle psi of (u1, u2) at the nodes, tabulated on the first
+        request.  A cell must turn psi by less than half a turn, so that it
+        holds at most one zero of a slice and the slice changes sign across
+        it; a grid too coarse for that is refused."""
+        u1, u2 = self.u1, self.u2
+        cross = u1[:-1] * u2[1:] - u2[:-1] * u1[1:]
+        if not np.all(cross > 0.0):
+            raise IntegratorFailure("the fundamental pair turns by half a turn "
+                                    "or more in one grid cell; the grid is too coarse")
+        turn = np.arctan2(cross, u1[:-1] * u1[1:] + u2[:-1] * u2[1:])
+        return math.atan2(u2[0], u1[0]) + np.concatenate([[0.0], np.cumsum(turn)])
+
+    @staticmethod
+    def target(alpha, beta):
+        """psi at which alpha u1 + beta u2 vanishes, modulo pi."""
+        return np.arctan2(-alpha, beta)
+
+    def place(self, theta, keep, alpha, beta, k0):
+        """The zeros of the slices alpha u1 + beta u2 (one per row) where
+        psi reaches theta = target + k pi, k = k0 + column, at the entries
+        keep marks, inf elsewhere, each refined in its node cell on the
+        slice's Hermite cubic by ROOT_HALVINGS halvings."""
+        row, col = np.nonzero(keep)
+        a, b = alpha[row], beta[row]
+        cell = np.searchsorted(self.angles, theta[keep]) - 1
+        lo, hi = self.ts[cell], self.ts[cell + 1]
+        # past the target phi + k pi the slice has the sign of (-1)**k
+        up = (k0[row] + col) % 2 == 0
+        for _ in range(ROOT_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            u1m, u2m = self.eval_pair(mid)
+            past = (a * u1m + b * u2m > 0.0) == up
+            lo = np.where(past, lo, mid)
+            hi = np.where(past, mid, hi)
+        r = np.full(keep.shape, np.inf)
+        r[keep] = 0.5 * (lo + hi)
+        return r
+
+
+class ConstantPair:
+    """The exact normalized pair of u'' + rho**2 u = 0 on [0, T]:
+    u1 = cos(rho t) and u2 = sin(rho t) / rho, one smooth piece on [0, T].
+
+    Its modified Pruefer angle, the angle of (u1, rho u2), is exactly
+    theta = rho t, so a slice alpha u1 + beta u2 vanishes at
+    theta = atan2(-rho alpha, beta) modulo pi, at t = theta / rho, with no
+    search (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).
+    It gives what a kernel reads of FundamentalSolutions: phi, sups, ts,
+    eval_pair and the angle hooks angles, target and place.
+    """
+
+    form = "closed"
+
+    def __init__(self, rho: float, T: float):
+        self.rho = float(rho)
+        x = self.rho * T
+        self.ts = np.array([0.0, T])
+        self.angles = np.array([0.0, x])
+        self.phi = np.array([[math.cos(x), math.sin(x) / self.rho],
+                             [-self.rho * math.sin(x), math.cos(x)]])
+        env = 1.0 if x >= math.pi / 2 else math.sin(x)  # max |sin(rho t)| on [0, T]
+        self.sups = np.array([[1.0, env / self.rho], [self.rho * env, 1.0]])
+
+    def eval_pair(self, x):
+        x = self.rho * np.asarray(x, dtype=float)
+        return np.cos(x), np.sin(x) / self.rho
+
+    def target(self, alpha, beta):
+        return np.arctan2(-self.rho * alpha, beta)
+
+    def place(self, theta, keep, *_):
+        """theta / rho where keep, inf elsewhere, in theta's storage: no
+        slice is needed."""
+        theta /= self.rho
+        theta[~keep] = np.inf
+        return theta
+
 
 def base_solutions(potential: Potential, grid_size: int | None = None) -> FundamentalSolutions:
     """The FundamentalSolutions of the potential at lam = 0, built once per
@@ -232,3 +320,11 @@ def base_solutions(potential: Potential, grid_size: int | None = None) -> Fundam
         for x in (fs.u1, fs.u2, fs.p1, fs.p2, fs.dp1, fs.dp2):
             x.flags.writeable = False
     return fs
+
+
+def fundamental_pair(potential: Potential, grid_size: int | None = None):
+    """The pair a kernel of the potential is built on: the exact
+    ConstantPair of a constant potential, base_solutions otherwise."""
+    if isinstance(potential, ConstantPotential):
+        return ConstantPair(potential.rho, potential.interval.T)
+    return base_solutions(potential, grid_size)

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      QuadratureFailure, InvalidWeight, UnsupportedBoundaryKind)
-from .greens import _require_nonresonant
-from .potentials import BoundaryKind, ConstantPotential, Potential
+from .greens import require_kernel
+from .potentials import BoundaryKind, ConstantPotential, Potential, constant
 from .quadrature import cell_edges, cell_nodes, default_max_len, gauss_nodes
 
 T_GRID_SIZE = 1001
@@ -287,7 +287,7 @@ def gamma_periodic_closed(rho: float, T: float = 1.0) -> GammaResult:
     if x <= 1.0:
         raise OutOfRange(
             f"rho*T = {rho * T:.6g} <= pi: the kernel does not change sign")
-    _require_nonresonant(rho, T, BoundaryKind.PERIODIC)
+    require_kernel(constant(rho, T), BoundaryKind.PERIODIC)
     m = int(math.floor(x))
     sn = math.sin(rho * T / 2)
     note = None
@@ -311,7 +311,7 @@ def gamma_periodic_closed(rho: float, T: float = 1.0) -> GammaResult:
 def _dirichlet_domain_check(rho: float) -> None:
     if not (math.pi < rho < 6 * math.pi):
         raise OutOfRange(f"closed form requires pi < rho < 6*pi, got {rho:.6g}")
-    _require_nonresonant(rho, 1.0, BoundaryKind.DIRICHLET)
+    require_kernel(constant(rho), BoundaryKind.DIRICHLET)
 
 
 def _sine_product_antiderivative(rho: float, u):

@@ -15,10 +15,10 @@ sign-ratio constant and the t-integrals of the cone integrate through it
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_flat (or
 s_roots_many, one array per slice), which gives none for a slice the
-boundary condition pins to zero: the closed forms know them analytically,
-and a numeric kernel places each at the angle of its fundamental pair
-where the slice vanishes (see greens.NumericKernel).  No slice is sampled
-to find them.
+boundary condition pins to zero: every kernel places each zero at the
+angle of its fundamental pair where the slice vanishes, in closed form on
+an exact pair and by bisection in one grid cell on the RK4 pair (see
+greens).  No slice is sampled to find them.
 """
 from __future__ import annotations
 
@@ -26,9 +26,14 @@ import math
 
 import numpy as np
 
+from .errors import QuadratureFailure
+
 #: Most break points of a potential that every cell layout is broken at; a
 #: finely sampled potential is left to the length cap instead.
 MAX_SHARED_BREAKS = 64
+
+#: The most that the terms of a separable sum may exceed its values by
+CANCELLATION_LIMIT = 1e8
 
 _gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -69,13 +74,13 @@ def shared_breaks(potential) -> np.ndarray:
 
 def cell_edges(kernel, points, max_len: float) -> np.ndarray:
     """Sorted edges of the cells of [0, T] that a cumulative quadrature
-    sums over: 0, T, the points (clipped to [0, T]), a numeric kernel's
-    grid nodes and shared_breaks(kernel.potential), with each cell between
-    them cut into equal parts no longer than max_len."""
+    sums over: 0, T, the points (clipped to [0, T]), the nodes of the
+    kernel's pair (a numeric kernel's grid; only 0 and T for an exact pair)
+    and shared_breaks(kernel.potential), with each cell between them cut
+    into equal parts no longer than max_len."""
     T = kernel.T
-    fs = getattr(kernel, "fs", None)
     edges = np.sort(np.concatenate([(0.0, T), points, shared_breaks(kernel.potential),
-                                    () if fs is None else fs.ts]).clip(0.0, T))
+                                    kernel.fs.ts]).clip(0.0, T))
     # np.unique would import numpy.ma on its first call
     edges = edges[np.concatenate([[True], edges[1:] > edges[:-1]])]
     # the edges interpolated at integer knots cut each cell into equal parts
@@ -90,6 +95,18 @@ def cell_nodes(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
     rule's weights on [-1, 1] scale."""
     half = 0.5 * (hi - lo)
     return (0.5 * (lo + hi))[:, None] + half[:, None] * gauss_nodes(order)[0], half
+
+
+def require_no_cancellation(bulk, values, what: str, task: str) -> None:
+    """Raise QuadratureFailure where bulk, the sum of the absolute values of
+    the terms of a separable sum, exceeds its largest |value| by more than
+    CANCELLATION_LIMIT: a fast-growing pair makes the terms cancel."""
+    bulk = float(np.max(bulk))
+    if bulk > CANCELLATION_LIMIT * float(np.max(np.abs(values))):
+        raise QuadratureFailure(
+            f"the terms of the separable sum reach {bulk:.3e}, more than "
+            f"{CANCELLATION_LIMIT:.0e} times max |{what}|; the fundamental pair "
+            f"grows too fast for {task}")
 
 
 def default_max_len(potential) -> float:

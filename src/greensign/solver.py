@@ -21,7 +21,8 @@ alone would integrate exactly and so could not fault.
 
 Where the pair grows fast (a strongly negative potential) the terms of the
 sum cancel, as the products in a pointwise G do; a sum whose terms exceed
-max |u| by more than CANCELLATION_LIMIT raises QuadratureFailure.
+max |u| by more than quadrature.CANCELLATION_LIMIT raises QuadratureFailure
+(quadrature.require_no_cancellation, which the cone applies too).
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ import numpy as np
 from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import cell_edges, cell_nodes, default_max_len, gauss_nodes
+from .quadrature import (cell_edges, cell_nodes, default_max_len, gauss_nodes,
+                         require_no_cancellation)
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
@@ -44,8 +46,6 @@ CELL_ORDER = 8
 FINE_CELL_ORDER = 12
 #: Lagrange stencil width of the fine check (the image map's is 4)
 FINE_STENCIL_WIDTH = 6
-#: The most that the terms of the separable sum may exceed max |u| by
-CANCELLATION_LIMIT = 1e8
 
 # one-sided five-point first-derivative stencil, O(h^4)
 _D5 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -136,7 +136,8 @@ class _Cumulative:
     def apply(self, g: np.ndarray) -> np.ndarray:
         g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
         P = np.zeros((2, self.q.shape[1] + 1))
-        np.cumsum((self.q * g.reshape(self.q.shape[1:])).sum(axis=2), axis=1, out=P[:, 1:])
+        np.cumsum(np.einsum("kij,ij->ki", self.q, g.reshape(self.q.shape[1:])),
+                  axis=1, out=P[:, 1:])
         if not np.all(np.isfinite(P)):
             raise QuadratureFailure("non-finite integrand in the solve")
         u1, u2 = self.pt
@@ -144,12 +145,8 @@ class _Cumulative:
         P1, P2 = P[:, self.at]
         terms = u1 * c1, u2 * c2, u2 * P1, -u1 * P2
         us = sum(terms)
-        bulk = float(np.max(sum(np.abs(x) for x in terms)))
-        if bulk > CANCELLATION_LIMIT * float(np.max(np.abs(us))):
-            raise QuadratureFailure(
-                f"the terms of the separable sum reach {bulk:.3e}, more than "
-                f"{CANCELLATION_LIMIT:.0e} times max |u|; the fundamental pair "
-                "grows too fast for a solve on this potential")
+        require_no_cancellation(sum(np.abs(x) for x in terms), us, "u",
+                                "a solve on this potential")
         return us
 
 

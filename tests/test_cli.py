@@ -188,19 +188,19 @@ class TestCheck:
                                                         monkeypatch):
         # the zeros of the slices do not depend on the weight: the
         # eigenfunction- and coefficient-weighted ratios read one set
-        from greensign.greens import NumericKernel
+        from greensign.greens import Kernel
         ts = np.linspace(0.0, 1.0, 2001)
         path = tmp_path / "wavy.csv"
         path.write_text("t,a\n" + "\n".join(
             f"{float(t)!r},{float(60 + 10 * np.sin(2 * np.pi * t))!r}" for t in ts))
         calls = []
-        live_roots = NumericKernel._live_roots
+        roots_flat = Kernel.s_roots_flat
 
         def counted(self, ts):
             calls.append(len(ts))
-            return live_roots(self, ts)
+            return roots_flat(self, ts)
 
-        monkeypatch.setattr(NumericKernel, "_live_roots", counted)
+        monkeypatch.setattr(Kernel, "s_roots_flat", counted)
         code, out, _ = run(["check", "--bc", "neumann", "--samples", str(path),
                             "--f", "1 + x/(1+x)"], capsys)
         assert code == 0
@@ -327,12 +327,20 @@ class TestErrorsAndEnv:
         assert code == 1
         assert "potential" in err
 
-    def test_grid_env_override(self, capsys, monkeypatch):
+    def test_grid_env_override(self, capsys, monkeypatch, tmp_path):
+        # a constant potential stands on its exact pair, which has no grid:
+        # the grid is read for a sampled one
+        path = tmp_path / "a.csv"
+        path.write_text("t,a\n" + "\n".join(f"{t},4" for t in np.linspace(0, 1, 201)))
         monkeypatch.setenv("GREENSIGN_GRID", "101")
-        code, out, _ = run(["green", "--bc", "neumann", "--rho", "2",
+        code, out, _ = run(["green", "--bc", "neumann", "--samples", str(path),
                             "--nodes", "2", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["form"] == "numeric"
+        monkeypatch.delenv("GREENSIGN_GRID")
+        by_flag = run(["green", "--bc", "neumann", "--samples", str(path),
+                       "--grid", "101", "--nodes", "2", "--format", "json"], capsys)[1]
+        assert out == by_flag
         # a value that is no integer, or below the least grid of 9 nodes
         for env in ("bogus", "8", "0", "-3"):
             monkeypatch.setenv("GREENSIGN_GRID", env)

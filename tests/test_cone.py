@@ -11,7 +11,7 @@ from greensign.cone import (H3_TOL, N_CELLS, ZOOM_ROUNDS, ConeConstants,
                             build_report, check_H2, check_H3,
                             compute_cone_constants, cone_membership,
                             find_subinterval, max_kernel_value)
-from greensign.errors import EvaluationFailure, NonpositiveEta
+from greensign.errors import EvaluationFailure, NonpositiveEta, QuadratureFailure
 from greensign.gamma import GammaResult
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
@@ -79,7 +79,7 @@ def find_subinterval_per_candidate(kernel, grid=201, prefix=None):
     T = kernel.T
     ss = np.linspace(0.0, T, grid)
     if prefix is None:
-        prefix = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)
+        prefix = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)[0]
     trace = []
     width = N_CELLS
     while width >= 1:
@@ -168,7 +168,7 @@ def assert_matches_panels(kernel, grid=201):
     ss = np.linspace(0.0, T, grid)
     want = panel_prefix(kernel, ss)
     scale = float(np.max(np.abs(want)))
-    got = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)
+    got = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
     sub, _ = find_subinterval_per_candidate(kernel, grid, want)
     assert find_subinterval(kernel, grid) == sub
@@ -213,7 +213,7 @@ class TestSeparableTIntegrals:
     ])
     def test_pinned_columns_read_zero(self, kernel):
         ss = np.linspace(0.0, 1.0, 201)
-        P = _t_prefix(kernel, np.linspace(0.0, 1.0, N_CELLS + 1), ss)
+        P = _t_prefix(kernel, np.linspace(0.0, 1.0, N_CELLS + 1), ss)[0]
         left, right = kernel.bc.pinned_ends
         assert np.all(P[:, 0] == 0.0) == left
         assert np.all(P[:, -1] == 0.0) == right
@@ -235,9 +235,27 @@ class TestSeparableTIntegrals:
         ss = np.linspace(0.0, 1.0, 201)
         edges = np.linspace(0.0, 1.0, N_CELLS + 1)
         exact = sinh_prefix(k, edges, ss)
-        got = np.max(np.abs(_t_prefix(kernel, edges, ss) - exact))
+        got = np.max(np.abs(_t_prefix(kernel, edges, ss)[0] - exact))
         panels = np.max(np.abs(panel_prefix(kernel, ss) - exact))
         assert got <= 2.0 * panels
+
+    @pytest.mark.parametrize("k, cancels", [(10, False), (14, True)])
+    def test_check_refuses_a_cancelling_prefix(self, k, cancels):
+        # the terms of the t-integrals exceed their values by 6e7 at k = 10
+        # and by 2e11 at k = 14, past CANCELLATION_LIMIT, where the table
+        # is off by 2e-4 of its largest value (above)
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = sampled(grid, np.full(2001, -k * k))
+        kernel = build_kernel(pot, BoundaryKind.DIRICHLET)
+        calls = [lambda: build_report(pot, BoundaryKind.DIRICHLET, parabola),
+                 lambda: find_subinterval(kernel),
+                 lambda: check_H3(kernel, Subinterval(0.0, 1.0))]
+        for call in calls:
+            if cancels:
+                with pytest.raises(QuadratureFailure, match="grows too fast"):
+                    call()
+            else:
+                call()
 
 
 class TestSubinterval:

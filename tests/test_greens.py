@@ -1,17 +1,20 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign.errors import IntegratorFailure, ResonantPotential
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
-                              PeriodicConstantKernel, build_kernel)
+                              PeriodicConstantKernel, build_kernel, require_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import default_max_len, scan_kernel_roots
-from slice_oracle import slice_panels, split_roots
+from closed_oracle import closed_roots_many, dirichlet_green, require_nonresonant
+from slice_oracle import slice_panels
 
 RHO = 3 * math.pi / 2
 
@@ -144,6 +147,14 @@ class TestDirichletClosed:
         k = DirichletConstantKernel(math.sqrt(60), 1.0)
         assert abs(k(t, s) - k(s, t)) < 1e-12
 
+    @pytest.mark.parametrize("rho, T", [(math.sqrt(60), 1.0), (2.0, 1.0), (21.4, 1.0),
+                                        (7.0, 2.5), (0.5, 0.4)])
+    def test_separable_form_matches_closed_formula(self, rho, T):
+        k = DirichletConstantKernel(rho, T)
+        x = np.concatenate([[0.0, T], np.random.default_rng(1).uniform(0.0, T, 400)])
+        want = dirichlet_green(rho, T, x[:, None], x[None, :])
+        assert np.max(np.abs(k.grid_eval(x, x) - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_single_sign_below_first_resonance(self):
         # rho T < pi: kernel strictly negative inside the square
         k = DirichletConstantKernel(2.0, 1.0)
@@ -213,6 +224,54 @@ class TestNumericKernel:
         kc = DirichletConstantKernel(math.sqrt(60), 1.0)
         tt = np.linspace(0, 1, 29)
         assert np.max(np.abs(k.grid_eval(tt, tt) - kc.grid_eval(tt, tt))) < 1e-8
+
+
+def load_reference():
+    """perfbench/reference.py, loaded from its file and only read."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+EXACT_ONLY_KINDS = [BoundaryKind.NEUMANN, BoundaryKind.MIXED1, BoundaryKind.MIXED2,
+                    BoundaryKind.ANTIPERIODIC]
+
+
+class TestExactConstantKernels:
+    """Constant potentials stand on the exact pair under every condition;
+    those with no closed formula of their own are checked against the
+    finite-difference Green's matrix of the benchmark's references (no
+    antiperiodic one there) and against the RK4 kernel."""
+
+    @pytest.mark.parametrize("rho", [2.0, 7.0, 11.3])
+    @pytest.mark.parametrize("bc", EXACT_ONLY_KINDS, ids=str)
+    def test_match_finite_differences_and_rk4(self, rho, bc):
+        k = build_kernel(constant(rho), bc)
+        assert k.form == "closed"
+        nodes = np.arange(0, 3201, 160)
+        t = nodes / 3200.0
+        if bc is not BoundaryKind.ANTIPERIODIC:
+            fd = load_reference().FDKernel(lambda x: np.full_like(x, rho * rho), str(bc))
+            g = k.grid_eval(t, fd.t)
+            # second order on 3200 cells: 2e-5 of max |G| at rho = 11.3
+            assert np.max(np.abs(fd.rows(list(nodes)).T - g)) <= 1e-4 * np.max(np.abs(g))
+        numeric = NumericKernel(constant(rho), bc)
+        assert numeric.form == "numeric"
+        assert np.max(np.abs(numeric.grid_eval(t, t) - k.grid_eval(t, t))) < 1e-8
+
+    def test_antiperiodic_condition_holds(self):
+        # G(0, s) = -G(T, s) and the same for the slopes in t, by the
+        # one-sided stencil of test_boundary_conditions_hold
+        k = build_kernel(constant(7.0), BoundaryKind.ANTIPERIODIC)
+        h = 1e-3
+        stencil = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12 * h)
+        for s in (0.25, 0.6):
+            g0 = k(h * np.arange(5), np.full(5, s))
+            g1 = k(1.0 - h * np.arange(5), np.full(5, s))
+            assert abs(g0[0] + g1[0]) < 1e-14
+            assert abs(float(stencil @ g0) - float(stencil @ g1)) < 1e-6
 
 
 def is_resonant(potential, bc, grid_size=None):
@@ -365,10 +424,9 @@ class TestBatchedRootScan:
         assert peak < 16 * 2**20, peak
 
 
-def periodic_roots_one_t(k, t):
+def periodic_roots_one_t(rho, T, t):
     """The per-t analytic roots the vectorized ones replaced, kept as
     their oracle (periodic constant kernel)."""
-    rho, T = k.rho, k.T
     jmax = int(rho * T / math.pi) + 2
     us = T / 2 + (2 * np.arange(-jmax, jmax + 1) + 1) * math.pi / (2 * rho)
     us = us[(us > 0) & (us < T)]
@@ -377,10 +435,9 @@ def periodic_roots_one_t(k, t):
     return np.unique(roots)
 
 
-def dirichlet_roots_one_t(k, t):
+def dirichlet_roots_one_t(rho, T, t):
     """As periodic_roots_one_t, for the Dirichlet constant kernel; none at
     t = 0 and T, where the condition pins the slice to zero."""
-    rho, T = k.rho, k.T
     if t in (0.0, T):
         return np.zeros(0)
     j = np.arange(1, int(rho * T / math.pi) + 1)
@@ -395,19 +452,65 @@ class TestClosedFormRoots:
     @pytest.mark.parametrize("rho, T", [(RHO, 1.0), (4.5 * math.pi, 1.0),
                                         (21.4, 1.0), (7.0, 2.5), (0.5, 1.0)])
     def test_vectorized_match_per_t_formula(self, rho, T):
+        """The vectorized analytic roots of the oracle against its per-t
+        ones, bit for bit."""
         rng = np.random.default_rng(4)
-        kernels = [(PeriodicConstantKernel(rho, T), periodic_roots_one_t)]
+        kinds = [(BoundaryKind.PERIODIC, periodic_roots_one_t)]
         if abs(math.sin(rho * T)) > 1e-6:
-            kernels.append((DirichletConstantKernel(rho, T), dirichlet_roots_one_t))
-        for k, one_t in kernels:
+            kinds.append((BoundaryKind.DIRICHLET, dirichlet_roots_one_t))
+        for bc, one_t in kinds:
             ts = np.concatenate([[0.0, T], np.linspace(0.0, T, 101),
                                  rng.uniform(0.0, T, 50),
-                                 one_t(k, 0.3 * T), one_t(k, 0.8 * T)])
-            got = k.s_roots_many(ts)
+                                 one_t(rho, T, 0.3 * T), one_t(rho, T, 0.8 * T)])
+            got = closed_roots_many(rho, T, bc, ts)
             assert len(got) == len(ts)
             for t, r in zip(ts, got):
-                assert np.array_equal(r, one_t(k, float(t))), t
-            assert k.s_roots_many([]) == []
+                assert np.array_equal(r, one_t(rho, T, float(t))), t
+            assert closed_roots_many(rho, T, bc, []) == []
+            assert build_kernel(constant(rho, T), bc).s_roots_many([]) == []
+
+    @given(st.floats(0.5, 22.0), st.sampled_from([0.4, 1.0, 2.5]),
+           st.sampled_from([BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET]),
+           st.integers(0, 2**32 - 1))
+    @example(17.1 * math.pi / 2.5, 2.5, BoundaryKind.DIRICHLET, 0)
+    @example(17.1 * math.pi, 1.0, BoundaryKind.DIRICHLET, 0)
+    @example(17.1 * math.pi, 1.0, BoundaryKind.PERIODIC, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_angle_roots_match_the_analytic_ones(self, rho, T, bc, seed):
+        """The exact pair's angle roots against the analytic ones: equal
+        counts and roots within 2e-15 T, on a 1001-point t-grid (its ends
+        included) and random t."""
+        try:
+            kernel = build_kernel(constant(rho, T), bc)
+        except ResonantPotential:
+            return
+        ts = np.concatenate([np.linspace(0.0, T, 1001),
+                             np.random.default_rng(seed).uniform(0.0, T, 200)])
+        for t, got, want in zip(ts, kernel.s_roots_many(ts),
+                                closed_roots_many(rho, T, bc, ts)):
+            assert len(got) == len(want), (t, got, want)
+            assert_allclose(got, want, rtol=0, atol=2e-15 * T, err_msg=str(t))
+
+
+class TestClosedFormResonance:
+    @pytest.mark.parametrize("bc", [BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET])
+    @pytest.mark.parametrize("T", [0.4, 1.0, 2.5])
+    def test_boundary_matrix_agrees_with_the_closed_test(self, bc, T):
+        """The one resonance rule and the closed forms' own test give the
+        same verdict for rho T within 1e-8 relative of k pi."""
+        offsets = np.concatenate([[0.0], np.geomspace(1e-16, 1e-8, 41)])
+        for k in range(1, 9):
+            for rel in np.concatenate([offsets, -offsets]):
+                rho = k * math.pi * (1.0 + rel) / T
+                verdicts = []
+                for check in (lambda: require_kernel(constant(rho, T), bc),
+                              lambda: require_nonresonant(rho, T, bc)):
+                    try:
+                        check()
+                        verdicts.append(False)
+                    except ResonantPotential:
+                        verdicts.append(True)
+                assert verdicts[0] == verdicts[1], (k, rel)
 
 
 class TestPinnedSlices:
@@ -442,7 +545,7 @@ class TestPinnedSlices:
             got = k.s_roots_many(ts)
             live = ts[int(left):len(ts) - int(right)]
             for r, want in zip(got[int(left):len(ts) - int(right)],
-                               split_roots(k._live_roots(live))):
+                               k.s_roots_many(live)):
                 assert np.array_equal(r, want)
             assert all(got[i].shape == (0,) for i, pin in ((0, left), (-1, right)) if pin)
 
