@@ -7,16 +7,25 @@ eigen (leading eigenvalues), classify (kernel sign class), gamma
 (regenerate the reference CSV datasets).  Exit codes: 0 success, 1 module
 error, 2 usage error, 3 resonant potential, 4 failed hypothesis check
 under --strict.
+
+main(argv) may be called again and again in one process: it builds its
+parser on the first call and reuses it, and reads GREENSIGN_GRID on every
+call.  JSON output has two-space indent and sorted keys, escapes every
+non-ASCII character, and writes inf, -inf and nan as the strings "inf",
+"-inf" and "nan", so json.loads then json.dumps(indent=2, sort_keys=True)
+gives back the same text.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,23 +44,48 @@ from .spectral import classify_sign, principal_eigenfunction, smallest_eigenvalu
 BC_CHOICES = [str(bc) for bc in BoundaryKind]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_key(key) -> str:
+    """A dict key as json writes it: json's own rule for a key not a str."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return json.dumps({key: None})[1:-len(": null}")]
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it once numpy
+    scalars are Python numbers and inf, -inf and nan the strings "inf",
+    "-inf" and "nan".  indent is the line break and indentation that obj's
+    own line starts with.  Any other type raises TypeError, as in json."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        if math.isnan(f):
-            return "nan"
-        return f
-    return obj
+        text = float.__repr__(float(obj))
+        return f'"{text}"' if "n" in text else text     # only inf and nan have an n
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{" + inner + sep.join(_json_key(k) + ": " + _json_text(v, inner)
+                                       for k, v in sorted(obj.items()))
+                + indent + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:        # finite floats, as json writes them, in one join
+            text = sep.join(map(float.__repr__, obj))
+        except TypeError:       # an item that is not a float
+            text = None
+        if text is None or "n" in text:
+            text = sep.join(_json_text(v, inner) for v in obj)
+        return "[" + inner + text + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @contextlib.contextmanager
@@ -66,8 +100,7 @@ def _open_out(path):
 
 def _emit_json(obj, path):
     with _open_out(path) as out:
-        json.dump(_jsonable(obj), out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(_json_text(obj) + "\n")
 
 
 def _emit_csv(header, rows, path):
@@ -198,8 +231,7 @@ def _cmd_green(args) -> int:
     ts = np.linspace(0.0, kernel.T, args.nodes)
     g = kernel.grid_eval(ts, ts)
     if args.format == "json":
-        _emit_json({"t": list(ts), "s": list(ts),
-                    "value": [list(row) for row in g],
+        _emit_json({"t": ts.tolist(), "s": ts.tolist(), "value": g.tolist(),
                     "bc": str(kernel.bc), "form": kernel.form}, args.output)
     else:
         rows = ((ts[i], ts[j], g[i, j])
@@ -428,8 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built on its first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResonantPotential as exc:

@@ -84,8 +84,8 @@ class SolutionProfile:
                "min": float(np.min(self.values)),
                "max": float(np.max(self.values))}
         if include_values:
-            out["t"] = [float(v) for v in self.grid]
-            out["u"] = [float(v) for v in self.values]
+            out["t"] = self.grid.tolist()
+            out["u"] = self.values.tolist()
         return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -8,10 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import greensign
+from greensign import cli
 from greensign.cli import _load_samples, main
 from greensign.errors import GreensignError
+from json_oracle import jsonable
+
+GOLDEN = Path(__file__).resolve().parents[1] / "scripts" / "golden.py"
 
 
 def run(args, capsys):
@@ -357,6 +363,42 @@ class TestErrorsAndEnv:
         assert code == 0
 
 
+class TestParserOnce:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_main_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def build():
+            built.append(1)
+            return build_parser()
+        monkeypatch.setattr(cli, "build_parser", build)
+        for argv in (["classify", "--bc", "periodic", "--rho", "2"],
+                     ["eigen", "--bc", "neumann", "--rho", "1", "--count", "2"],
+                     ["classify", "--bc", "dirichlet", "--rho", "2"]):
+            assert run(argv, capsys)[0] == 0
+        with pytest.raises(SystemExit):
+            main(["classify", "--bc", "bogus", "--rho", "2"])
+        assert built == [1]
+        assert build_parser() is not build_parser()
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        argv = ["eigen", "--bc", "dirichlet", "--rho", "3", "--count", "2",
+                "--format", "json"]
+        first = run(argv, capsys)
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["eigen", "--bc", "bogus", "--rho", "3", "--count", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert run(argv, capsys) == first
+
+
 class TestSamples:
     def make_file(self, tmp_path, header=True):
         ts = np.linspace(0.0, 1.0, 201)
@@ -531,6 +573,86 @@ class TestFigures:
         u5 = np.array([float(r[1]) for r in rows_of(p5.read_text())[1:]])
         assert np.min(u4[1:-1]) > 0
         assert np.min(u5) < 0 < np.max(u5)
+
+
+def oracle_text(obj):
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True)
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(),                                  # -0.0, subnormals, inf, nan
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072e-308, math.inf, -math.inf,
+                     math.nan, 1e16, 1e-7, 0.1]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.text(max_size=8),
+    st.sampled_from(["", "\x00\x1f\x7f", '"\\/', "\n\t\r", "é ", "\ud800",
+                     "😀"]),
+)
+_float_lists = st.lists(st.one_of(st.floats(), st.floats().map(np.float64)),
+                        max_size=8)
+_values = st.recursive(
+    st.one_of(_scalars, _float_lists),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(st.text(max_size=5), inner,
+                                            max_size=5)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    """cli._json_text against json.dump of the oracle conversion."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_matches_json_dumps(self, obj):
+        assert cli._json_text(obj) == oracle_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [0.1, -0.0, 5e-324, 1e300], (1.5, np.float64(2.5)), [1.0, math.inf],
+        [math.nan, 2.0], [1.0, True], [1.0, 2], [], {}, [[]], {"a": {}},
+        {"b": 1, "a": [np.float32(0.1)], "c": None}, "\u00e9\x01",
+        {1: "x", 2.5: "y", 0: "z"}, {True: 1}, {None: 1}, {math.inf: 1},
+    ])
+    def test_edge_cases(self, obj):
+        assert cli._json_text(obj) == oracle_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        object(), np.array([1.0]), [1 + 2j], {"a": {1, 2}}, {(1, 2): 1},
+        {1: 1, "a": 2}, {np.int64(1): 1}, [1.0, np.complex128(1)],
+    ])
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            oracle_text(obj)
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
+
+    def test_golden_json_outputs(self, capsys, monkeypatch, tmp_path):
+        """Every JSON output of scripts/golden.py is what json.dump of the
+        oracle conversion writes for the same object."""
+        spec = importlib.util.spec_from_file_location("golden", GOLDEN)
+        golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(golden)
+        files = []
+        for name, a in golden.POTENTIALS.items():
+            files.append(str(tmp_path / f"{name}.csv"))
+            golden.write_samples(tmp_path / f"{name}.csv", a)
+        emitted = []
+        emit = cli._emit_json
+        monkeypatch.setattr(cli, "_emit_json",
+                            lambda obj, path: (emitted.append(obj), emit(obj, path)))
+        n_json = 0
+        for argv in golden.calls(*files):
+            if argv[0] != "check" and "json" not in argv:
+                continue
+            emitted.clear()
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert len(emitted) == 1
+            assert out == oracle_text(emitted[0]) + "\n"
+            n_json += 1
+        assert n_json == 20
 
 
 def test_console_script_runs():
