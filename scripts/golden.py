@@ -120,6 +120,10 @@ def calls(wavy: str, repro_a: str) -> list:
                 "--weight", "coefficient", "--format", "json"])
     out.append(["gamma", "--bc", "dirichlet", "--samples", wavy, "--grid", "251",
                 "--format", "json"])
+    # the limit slices at a pinned end, u(T) = 0 and u(0) = 0, in full (the
+    # text lines above round to 12 digits)
+    for bc in ("mixed1", "mixed2"):
+        out.append(["gamma", "--bc", bc, "--samples", wavy, "--format", "json"])
     # a check that finds no window: all 328 candidates of the subinterval
     # search, with their eta_hat, are in its trace
     out.append(["check", "--bc", "mixed1", "--samples", wavy, "--f", WAVY_F])

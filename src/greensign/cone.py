@@ -123,9 +123,7 @@ def _t_prefix(kernel, xs, ss):
     S, left, total = _antiderivative(kernel, None, CELL_ORDER, np.concatenate([xs, ss]))
     U = S + np.where(left, 0.0, total[:, None])
     Ux, Us = U[:, :len(xs)], U[:, len(xs):]
-    lo, hi = kernel.bc.pinned_ends
-    pinned = (lo & (ss == 0.0)) | (hi & (ss == kernel.T))
-    u1, u2 = p = np.where(pinned, 0.0, kernel._pair(ss))
+    u1, u2 = p = np.where(kernel.pinned(ss), 0.0, kernel._pair(ss))
     Cp = kernel._C @ p
     below = ss < xs[:, None]
     a, b = u1 * (Ux[1, :, None] - Us[1]), u2 * (Ux[0, :, None] - Us[0])

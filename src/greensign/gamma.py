@@ -18,6 +18,13 @@ negative by the sign of its own weighted integral.  The zeros of the
 slices do not depend on the weight, and callers that need several weights
 on one t-grid share them (gamma_quadrature's roots).
 
+Where the boundary condition pins an end, G(t, .) vanishes there and only
+the limit t -> end means anything.  That limit is a slice of the same
+separable form, G(t, .) / |t - end| with p'(end) in place of p(t) (see
+greens.Kernel._sides), so gamma_quadrature reads it as it reads every
+other node of its t-grid: one slice per node, its zeros from the same
+angle rule.
+
 Closed forms cover the constant-potential periodic case (all rho > pi/T) and
 the constant-potential Dirichlet case on the unit interval (pi < rho < 6 pi,
 weight sin(pi s)); everything else goes through the quadrature path, which is
@@ -39,7 +46,6 @@ from .quadrature import cell_edges, cell_nodes, default_max_len, gauss_nodes
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
                              # counts as absent and the ratio as +inf
-BOUNDARY_SLICES = 6          # interior slices behind each boundary limit
 #: Gauss points per cell of the antiderivative table.  A numeric kernel's
 #: pair and the eigenfunction weight are Hermite cubics between their grid
 #: nodes, which are cell edges, so p w has degree at most 6 on a cell and
@@ -180,30 +186,6 @@ def _ratio(pos, neg):
     return r if r.ndim else float(r)
 
 
-def _neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> float:
-    p = [float(y) for y in ys]
-    n = len(p)
-    for lev in range(1, n):
-        for i in range(n - lev):
-            p[i] = (-xs[i + lev] * p[i] + xs[i] * p[i + 1]) / (xs[i] - xs[i + lev])
-    return p[0]
-
-
-def _boundary_nodes(T: float, at_right: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(h, t) of the slices a boundary limit extrapolates from, t = T - h
-    at the right end and t = h at the left."""
-    hs = T * 1e-2 / 2.0 ** np.arange(BOUNDARY_SLICES)
-    return hs, (T - hs if at_right else hs)
-
-
-def _boundary_limit(hs: np.ndarray, rs: np.ndarray) -> float:
-    """Limit of N/D approaching an endpoint where the kernel slice vanishes,
-    from the ratios rs of the slices at distances hs from it."""
-    if not np.all(np.isfinite(rs)):
-        return math.inf
-    return _neville_to_zero(hs, rs)
-
-
 def pointwise_ratio(kernel, t, weight=None):
     """N(t)/D(t) by the quadrature path, at a t in [0, T] or at every t of
     an array (one antiderivative table serves them all): a float for a
@@ -214,11 +196,10 @@ def pointwise_ratio(kernel, t, weight=None):
     """
     t = np.asarray(t, dtype=float)
     ts = t.reshape(-1)
-    left, right = kernel.bc.pinned_ends
-    for u in ts:
+    for u, pinned in zip(ts, kernel.pinned(ts)):
         if not 0.0 <= u <= kernel.T:
             raise OutOfRange(f"t = {u:.6g} is outside [0, {kernel.T:.6g}]")
-        if (left and u == 0.0) or (right and u == kernel.T):
+        if pinned:
             raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {u:.6g} "
                              f"to zero")
     rs = _slice_ratios(kernel, ts, kernel.s_roots_flat(ts), weight, CELL_ORDER,
@@ -232,42 +213,25 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
     """Infimum over t of the weighted positive/negative part ratio.
 
     weight of None means the constant weight one, labelled One; any other
-    weight is labelled PrincipalEigenfunction.  Endpoints where the
-    boundary condition forces the whole slice to zero are evaluated as
-    one-sided limits by polynomial extrapolation from interior nodes.
-    s_quadrature_order is the number of Gauss points per cell of the
-    antiderivative table.  The zeros of the slices do not depend on the
-    weight: a dict passed as roots keeps them, per t_grid_size, for later
-    calls on the same kernel.
+    weight is labelled PrincipalEigenfunction.  At an end where the
+    boundary condition forces the whole slice to zero, the ratio is that of
+    the limit slice G(t, .) / |t - end| as t tends to the end, which the
+    kernel's separable form gives exactly (kernel._sides); its weighted
+    integral need not be positive.  s_quadrature_order is the number of
+    Gauss points per cell of the antiderivative table.  The zeros of the
+    slices do not depend on the weight: a dict passed as roots keeps them,
+    per t_grid_size, for later calls on the same kernel.
     """
-    T = kernel.T
     label = "One" if weight is None else "PrincipalEigenfunction"
-
-    vanish_left, vanish_right = kernel.bc.pinned_ends
-
-    ts = np.linspace(0.0, T, t_grid_size)
-    pinned = np.zeros(t_grid_size, dtype=bool)
-    pinned[0] |= vanish_left
-    pinned[-1] |= vanish_right
-    # every slice, the boundary limits' included, in the order of the t grid
-    size = np.where(pinned, BOUNDARY_SLICES, 1)
-    first = np.cumsum(size) - size
-    slice_ts = np.repeat(ts, size)
-    ends = [(i, slice(first[i], first[i] + BOUNDARY_SLICES))
-            for i in np.flatnonzero(pinned)]
-    for i, block in ends:
-        slice_ts[block] = _boundary_nodes(T, i > 0)[1]
+    ts = np.linspace(0.0, kernel.T, t_grid_size)
     found = None if roots is None else roots.get(t_grid_size)
     if found is None:
-        found = kernel.s_roots_flat(slice_ts)
+        # the zeros of the limit slices at pinned ends included
+        found = kernel._roots_flat(ts)
         if roots is not None:
             roots[t_grid_size] = found
-    rs = _slice_ratios(kernel, slice_ts, found, weight, s_quadrature_order,
-                       need_positive=np.repeat(~pinned, size))
-    ratios = rs[first]
-    for i, block in ends:
-        ratios[i] = _boundary_limit(_boundary_nodes(T, False)[0], rs[block])
-
+    ratios = _slice_ratios(kernel, ts, found, weight, s_quadrature_order,
+                           need_positive=~kernel.pinned(ts))
     vmin = float(np.min(ratios))
     if math.isinf(vmin):
         return GammaResult(math.inf, 0.0, "Quadrature", label)

@@ -117,11 +117,30 @@ class Kernel:
         """G on the outer grid, shape (len(ts), len(ss))."""
         return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
 
+    def pinned(self, ts) -> np.ndarray:
+        """Where a point of ts is an end that the condition pins: 0 where
+        it fixes u(0) = 0, T where it fixes u(T) = 0.  G(t, .) and G(., t)
+        vanish there."""
+        left, right = self.bc.pinned_ends
+        ts = np.asarray(ts, dtype=float)
+        return (left & (ts == 0.0)) | (right & (ts == self.T))
+
     def _sides(self, ts: np.ndarray) -> np.ndarray:
         """(alpha, beta) with G(t, .) = alpha u1 + beta u2 on each side of
         the diagonal, shape (2, 2 len(ts)): the sides s <= t of every t in
-        ts first, then the sides s > t."""
+        ts first, then the sides s > t.
+
+        At a pinned end t, where G(t, .) vanishes, they are the sides of
+        the limit slice G(t', .) / |t' - t| as t' tends to t: p'(0) = (0, 1)
+        stands for p(t) at 0 and -p'(T) at T.  C is zero but for its row c,
+        so on the side that is not empty the limit slice is exactly that
+        row at 0, the solution that meets the condition at T, and at T a
+        multiple of u_c, its other coefficient exactly zero."""
         u1, u2 = p = np.array(self._pair(ts))
+        pinned = self.pinned(ts)
+        if pinned.any():
+            p[:, pinned] = np.where(ts[pinned] == 0.0, [[0.0], [1.0]],
+                                    -self.fs.phi[1][:, None])
         right = self._C.T @ p
         # for s <= t the Cauchy kernel u1(s) u2(t) - u1(t) u2(s) adds (u2, -u1)
         return np.concatenate([right + (u2, -u1), right], axis=1)
@@ -147,14 +166,20 @@ class Kernel:
         On a side that reaches a pinned end, the target that is that end is
         dropped by its index."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        left, right = self.bc.pinned_ends
-        pinned = (left & (ts == 0.0)) | (right & (ts == self.T))
-        live_ts = ts[~pinned]
-        n = len(live_ts)
+        pinned = self.pinned(ts)
+        flat, live = self._roots_flat(ts[~pinned])
+        counts = np.zeros(len(ts), dtype=int)
+        counts[~pinned] = live
+        return flat, counts
+
+    def _roots_flat(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """s_roots_flat, but a row at a pinned end has the zeros of its
+        limit slice (see _sides), all on the side of t that is not empty."""
+        n = len(ts)
         pair = self.fs
         psi = pair.angles
         # rows 0..n-1 are the sides s <= t, rows n..2n-1 the sides s > t
-        alpha, beta = self._sides(live_ts)
+        alpha, beta = self._sides(ts)
         phi = pair.target(alpha, beta)
         # theta = phi + k pi at k = k0 + j, column j, from the last target
         # at or below psi[0] to the first past psi[-1]
@@ -171,12 +196,10 @@ class Kernel:
                 keep[rows] &= j != (np.round((end - phi[rows]) / np.pi) - k0[rows])[:, None]
         left, right = np.split(pair.place(theta, keep, alpha, beta, k0), 2)
         # a zero left of t lies in (0, t] and below T, one right of it in (t, T)
-        below = np.minimum(live_ts, np.nextafter(self.T, 0.0))[:, None]
+        below = np.minimum(ts, np.nextafter(self.T, 0.0))[:, None]
         live = np.concatenate([(left > 0.0) & (left <= below),
-                               (right > live_ts[:, None]) & (right < self.T)], axis=1)
-        counts = np.zeros(len(ts), dtype=int)
-        counts[~pinned] = live.sum(axis=1)
-        return np.concatenate([left, right], axis=1)[live], counts
+                               (right > ts[:, None]) & (right < self.T)], axis=1)
+        return np.concatenate([left, right], axis=1)[live], live.sum(axis=1)
 
 
 #: the name under which the tracer in perfbench/ wraps the kernel's methods

@@ -15,10 +15,11 @@ sign-ratio constant and the t-integrals of the cone integrate through it
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_flat (or
 s_roots_many, one array per slice), which gives none for a slice the
-boundary condition pins to zero: every kernel places each zero at the
-angle of its fundamental pair where the slice vanishes, in closed form on
-an exact pair and by bisection in one grid cell on the RK4 pair (see
-greens).  No slice is sampled to find them.
+boundary condition pins to zero (gamma reads the zeros of the limit slice
+there): every kernel places each zero at the angle of its fundamental
+pair where the slice vanishes, in closed form on an exact pair and by
+bisection in one grid cell on the RK4 pair (see greens).  No slice is
+sampled to find them.
 """
 from __future__ import annotations
 

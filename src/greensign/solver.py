@@ -128,9 +128,7 @@ class _Cumulative:
         self.q = np.stack(kernel._pair(xs)) * (half[:, None] * gauss_nodes(order)[1])
         # G(t, .) vanishes where the condition pins t, and the sum there
         # would be rounding noise: those rows read the zero pair
-        left, right = kernel.bc.pinned_ends
-        pinned = (left & (ts == 0.0)) | (right & (ts == T))
-        self.pt = np.where(pinned, 0.0, kernel._pair(ts))
+        self.pt = np.where(kernel.pinned(ts), 0.0, kernel._pair(ts))
         self.C = kernel._C
 
     def apply(self, g: np.ndarray) -> np.ndarray:

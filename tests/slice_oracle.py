@@ -11,6 +11,16 @@ slices on those panels, in blocks of slices; every panel has one sign and
 counts as positive or negative by the sign of its own weighted integral.
 t_integrals and cell_integral_table are the panel t-integrals of G(., s)
 that cone read its windows from.
+
+At an end that the boundary condition pins, G(t, .) vanishes and gamma
+reads the limit slice G(t, .) / |t - end|; the panels read the slice
+PINNED_STEP T inside that end instead (inside_pinned_ends), with values
+from its sides (side_values).  Its ratio meets the limit's to rounding
+under a weight that vanishes at that end, as the principal eigenfunction
+does; under the weight one it is off by O(PINNED_STEP), since the piece
+between the end and t then counts to first order.  boundary_nodes and
+neville_to_zero are the extrapolation to that limit which gamma used
+before it read the limit slice.
 """
 import math
 from typing import NamedTuple
@@ -24,6 +34,13 @@ GAUSS_ORDER = 16
 
 #: Gauss nodes per block of slices in slice_parts; bounds its memory.
 SLICE_BLOCK_NODES = 1 << 17
+
+#: Distance from a pinned end, in units of T, of the slice that the panels
+#: read for the limit slice there.
+PINNED_STEP = 1e-8
+
+#: Slices behind the extrapolation of boundary_nodes.
+BOUNDARY_SLICES = 6
 
 
 class PanelPlan(NamedTuple):
@@ -126,15 +143,30 @@ def cell_integral_table(kernel, ss: np.ndarray) -> np.ndarray:
     return M
 
 
+def side_values(kernel, t: float, xs) -> np.ndarray:
+    """G(t, s) at the points s of xs as alpha u1(s) + beta u2(s), with the
+    sides (alpha, beta) of t (kernel._sides) on either side of s = t.
+
+    Near a pinned end the slice is small against the terms of the kernel's
+    pointwise sum, which adds them in another order and so loses the exact
+    zero of one of its coefficients: 1e-8 inside T that puts the ratio of
+    the wavy Dirichlet slice 3e-11 off.  The sides keep that zero.
+    """
+    (a_left, a_right), (b_left, b_right) = kernel._sides(np.array([t], dtype=float))
+    u1, u2 = kernel._pair(xs)
+    return np.where(xs <= t, a_left * u1 + b_left * u2, a_right * u1 + b_right * u2)
+
+
 def slice_panels(kernel, ts, roots: list, max_len: float,
-                 order: int = GAUSS_ORDER, breaks=None):
+                 order: int = GAUSS_ORDER, breaks=None, by_sides=()):
     """(plan, g): the panels of the slices G(t, .) on [0, T] for every t in
     ts, and G at their Gauss nodes, shaped as plan.xs.
 
     Row r is broken at roots[r], the zeros of its slice, at its diagonal
     kink ts[r] and at breaks (shared_breaks(kernel.potential) by default),
     then capped at max_len, so that each panel of a row is smooth and of one
-    sign.
+    sign.  G is the kernel's pointwise value, or side_values on the rows
+    that the mask by_sides marks (none when empty).
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     shared = shared_breaks(kernel.potential) if breaks is None else np.asarray(breaks)
@@ -147,15 +179,20 @@ def slice_panels(kernel, ts, roots: list, max_len: float,
     plan = panel_plan(np.zeros(n), np.full(n, kernel.T), rows, points,
                       max_len, order)
     t_rows = np.repeat(ts, np.diff(plan.offsets))[:, None]
-    return plan, np.asarray(kernel(t_rows, plan.xs), dtype=float)
+    g = np.asarray(kernel(t_rows, plan.xs), dtype=float)
+    for r in np.flatnonzero(by_sides):
+        rows = slice(plan.offsets[r], plan.offsets[r + 1])
+        g[rows] = side_values(kernel, ts[r], plan.xs[rows])
+    return plan, g
 
 
 def slice_parts(kernel, ts, roots: list, weight, order: int, max_len: float,
-                block_nodes: int = SLICE_BLOCK_NODES, breaks=None):
+                block_nodes: int = SLICE_BLOCK_NODES, breaks=None,
+                by_sides=()):
     """(N, D) at every t in ts: weighted integrals of the positive and
-    negative parts of G(t, .) on the panels of slice_panels, in blocks of at
-    most block_nodes Gauss nodes; one np.add.reduceat per sign sums the
-    panels of every slice."""
+    negative parts of G(t, .) on the panels of slice_panels (by_sides as
+    there), in blocks of at most block_nodes Gauss nodes; one
+    np.add.reduceat per sign sums the panels of every slice."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     n_breaks = len(shared_breaks(kernel.potential) if breaks is None else breaks)
     # a slice has at most one panel per max_len plus one per break point
@@ -167,7 +204,7 @@ def slice_parts(kernel, ts, roots: list, weight, order: int, max_len: float,
     for a in range(0, len(ts), block):
         bt = ts[a:a + block]
         plan, g = slice_panels(kernel, bt, roots[a:a + block], max_len, order,
-                               breaks)
+                               breaks, by_sides[a:a + block])
         if weight is not None:
             g = g * np.asarray(weight(plan.xs.ravel()),
                                dtype=float).reshape(g.shape)
@@ -186,12 +223,46 @@ def split_roots(roots) -> list:
     return np.split(flat, np.cumsum(counts)[:-1])
 
 
+def inside_pinned_ends(kernel, ts) -> np.ndarray:
+    """ts with every end that the condition pins moved PINNED_STEP T
+    inside [0, T], where a slice stands for the limit slice at that end."""
+    ts = np.asarray(ts, dtype=float)
+    h = PINNED_STEP * kernel.T
+    return np.where(kernel.pinned(ts), np.where(ts == 0.0, h, kernel.T - h), ts)
+
+
 def panel_slice_parts(breaks=None):
     """A stand-in for gamma._slice_parts, with its arguments, that integrates
     on the panels of slice_parts, GAUSS_ORDER points each whatever order
     its caller asks for, capped at default_max_len, and broken at breaks in
-    place of the potential's shared break points when given."""
+    place of the potential's shared break points when given.  A row at a
+    pinned end is read at inside_pinned_ends, with the zeros and the
+    side_values of that slice."""
     def parts(kernel, ts, roots, weight, _order):
-        return slice_parts(kernel, ts, split_roots(roots), weight, GAUSS_ORDER,
-                           default_max_len(kernel.potential), breaks=breaks)
+        near = inside_pinned_ends(kernel, ts)
+        moved = near != ts
+        roots = split_roots(roots)
+        for i in np.flatnonzero(moved):
+            roots[i] = kernel.s_roots(near[i])
+        return slice_parts(kernel, near, roots, weight, GAUSS_ORDER,
+                           default_max_len(kernel.potential), breaks=breaks,
+                           by_sides=moved)
     return parts
+
+
+def boundary_nodes(T: float, at_right: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(h, t) of BOUNDARY_SLICES slices approaching an end, at distances
+    h = T 1e-2 / 2**k from it: t = T - h at the right end, t = h at the
+    left."""
+    hs = T * 1e-2 / 2.0 ** np.arange(BOUNDARY_SLICES)
+    return hs, (T - hs if at_right else hs)
+
+
+def neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> float:
+    """The value at 0 of the polynomial through the points (xs, ys)."""
+    p = [float(y) for y in ys]
+    n = len(p)
+    for lev in range(1, n):
+        for i in range(n - lev):
+            p[i] = (-xs[i + lev] * p[i] + xs[i] * p[i + 1]) / (xs[i] - xs[i + lev])
+    return p[0]

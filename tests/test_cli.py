@@ -200,13 +200,13 @@ class TestCheck:
         path.write_text("t,a\n" + "\n".join(
             f"{float(t)!r},{float(60 + 10 * np.sin(2 * np.pi * t))!r}" for t in ts))
         calls = []
-        roots_flat = Kernel.s_roots_flat
+        roots_flat = Kernel._roots_flat
 
         def counted(self, ts):
             calls.append(len(ts))
             return roots_flat(self, ts)
 
-        monkeypatch.setattr(Kernel, "s_roots_flat", counted)
+        monkeypatch.setattr(Kernel, "_roots_flat", counted)
         code, out, _ = run(["check", "--bc", "neumann", "--samples", str(path),
                             "--f", "1 + x/(1+x)"], capsys)
         assert code == 0
@@ -652,7 +652,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 20
+        assert n_json == 22
 
 
 def test_console_script_runs():

@@ -9,8 +9,7 @@ from greensign import gamma as gamma_module
 from greensign.errors import (InvalidWeight, NonpositiveWeightedIntegral,
                               OutOfRange, QuadratureFailure, ResonantPotential,
                               UnsupportedBoundaryKind)
-from greensign.gamma import (CASE_2B_NOTE, GammaResult, _boundary_nodes,
-                             _neville_to_zero, _ratio,
+from greensign.gamma import (CASE_2B_NOTE, GammaResult, _ratio,
                              gamma_closed, gamma_dirichlet_closed,
                              gamma_dirichlet_t_closed, gamma_periodic_closed,
                              gamma_quadrature, gamma_star, pointwise_ratio)
@@ -18,7 +17,8 @@ from greensign.greens import NumericKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 from greensign.spectral import principal_eigenfunction
-from slice_oracle import panel_slice_parts, slice_parts
+from slice_oracle import (boundary_nodes, inside_pinned_ends, neville_to_zero,
+                          panel_slice_parts, side_values, slice_parts)
 
 SIN_WEIGHT = lambda s: np.sin(np.pi * np.asarray(s))
 
@@ -116,16 +116,18 @@ class TestDirichletClosed:
 
     @pytest.mark.parametrize("rho", sorted(DIRICHLET_TABLE))
     def test_quadrature_agreement(self, rho):
+        # the quadrature reads the limit slice at t = 0: at most 8.2e-15
+        # relative off the closed form over the table (at rho = 4)
         closed = gamma_dirichlet_closed(rho).value
         quad = gamma_quadrature(dirichlet_kernel(rho), SIN_WEIGHT)
-        assert abs(closed - quad.value) < 1e-5
+        assert quad.value == pytest.approx(closed, rel=5e-14, abs=0.0)
         assert quad.argmin_t == 0.0
 
     def test_matches_boundary_limit_of_pointwise_form(self):
         for rho in (10.8, math.sqrt(60)):
             hs = 1e-3 / 2.0 ** np.arange(6)
             vals = np.array([gamma_dirichlet_t_closed(h, rho) for h in hs])
-            limit = _neville_to_zero(hs, vals)
+            limit = neville_to_zero(hs, vals)
             assert abs(limit - gamma_dirichlet_closed(rho).value) < 1e-9
 
     def test_domain_errors(self):
@@ -277,9 +279,9 @@ class TestGammaStar:
             gamma_star(k, pot)
 
 
-def slice_parts_one_t(kernel, t, roots, weight, order, max_len):
+def slice_parts_one_t(kernel, t, roots, weight, order, max_len, by_sides=False):
     """The per-t slice quadrature the batched one replaced, kept as its
-    oracle: (N, D) at one t."""
+    oracle: (N, D) at one t, with G from side_values where by_sides."""
     pts = np.append(roots, t)
     bps = kernel.potential.breakpoints
     if 0 < len(bps) <= 64:
@@ -290,7 +292,8 @@ def slice_parts_one_t(kernel, t, roots, weight, order, max_len):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * nodes[None, :]
-    g = np.asarray(kernel(np.full(xs.shape, t), xs), dtype=float)
+    g = (side_values(kernel, t, xs) if by_sides
+         else np.asarray(kernel(np.full(xs.shape, t), xs), dtype=float))
     if weight is not None:
         g = g * np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
     panel = np.sum(g * (half[:, None] * gw[None, :]), axis=1)
@@ -303,24 +306,14 @@ def slice_parts_one_t(kernel, t, roots, weight, order, max_len):
 
 
 def gamma_by_slice_loop(kernel, weight, t_grid_size, order=16):
-    """(value, argmin) of the gamma_quadrature loop over slice_parts_one_t."""
-    T = kernel.T
+    """(value, argmin) of the gamma_quadrature loop over slice_parts_one_t,
+    which reads a pinned end at inside_pinned_ends, by its side_values."""
     max_len = default_max_len(kernel.potential)
-    left, right = kernel.bc.pinned_ends
-    ts = np.linspace(0.0, T, t_grid_size)
-    ratios = []
-    for i, t in enumerate(ts):
-        if (i == 0 and left) or (i == t_grid_size - 1 and right):
-            hs, bts = _boundary_nodes(T, i > 0)
-            rs = [_ratio(*slice_parts_one_t(kernel, float(u), kernel.s_roots(u),
-                                            weight, order, max_len))
-                  for u in bts]
-            ratios.append(_neville_to_zero(hs, rs)
-                          if np.all(np.isfinite(rs)) else math.inf)
-        else:
-            ratios.append(_ratio(*slice_parts_one_t(
-                kernel, float(t), kernel.s_roots(t), weight, order, max_len)))
-    ratios = np.array(ratios)
+    ts = np.linspace(0.0, kernel.T, t_grid_size)
+    near = inside_pinned_ends(kernel, ts)
+    ratios = np.array([_ratio(*slice_parts_one_t(
+        kernel, float(u), kernel.s_roots(u), weight, order, max_len, u != t))
+        for t, u in zip(ts, near)])
     vmin = float(np.min(ratios))
     if math.isinf(vmin):
         return math.inf, 0.0
@@ -369,9 +362,9 @@ class TestFlattenedSlices:
     def test_slice_parts_match_per_t_loop_bit_for_bit(self, name):
         kernel, weight = flat_case(name)
         rng = np.random.default_rng(2)
-        ts = np.concatenate([_boundary_nodes(1.0, False)[1],
+        ts = np.concatenate([boundary_nodes(1.0, False)[1],
                              rng.uniform(0.0, 1.0, 40),
-                             _boundary_nodes(1.0, True)[1]])
+                             boundary_nodes(1.0, True)[1]])
         max_len = default_max_len(kernel.potential)
         # small blocks, so that the slices spread over many of them
         pos, neg = slice_parts(kernel, ts, kernel.s_roots_many(ts), weight,
@@ -554,11 +547,11 @@ class TestSeparableSlices:
 
     @pytest.mark.parametrize("rho", sorted(DIRICHLET_TABLE))
     def test_mirrored_boundary_slices_agree(self, rho):
-        # G(t, s) = G(1 - t, 1 - s) and sin(pi s) is symmetric, so the
-        # slices a boundary limit extrapolates from read alike at each end
+        # G(t, s) = G(1 - t, 1 - s) and sin(pi s) is symmetric, so slices
+        # at the same distance from either end read alike
         kernel = dirichlet_kernel(rho)
-        left = pointwise_ratio(kernel, _boundary_nodes(1.0, False)[1], SIN_WEIGHT)
-        right = pointwise_ratio(kernel, _boundary_nodes(1.0, True)[1], SIN_WEIGHT)
+        left = pointwise_ratio(kernel, boundary_nodes(1.0, False)[1], SIN_WEIGHT)
+        right = pointwise_ratio(kernel, boundary_nodes(1.0, True)[1], SIN_WEIGHT)
         assert_allclose(right, left, rtol=1e-14)
 
     def test_pointwise_ratio_takes_arrays(self):
@@ -568,3 +561,68 @@ class TestSeparableSlices:
         assert got.shape == ts.shape
         for t, r in zip(ts.ravel(), got.ravel()):
             assert pointwise_ratio(kernel, float(t), weight) == pytest.approx(r, rel=1e-14)
+
+
+def rng3_trig_draws(count=9):
+    """count trig potentials from default_rng(3): a mean in [45, 75], then
+    three (cos, sin) mode pairs in [-2.5, 2.5]."""
+    rng = np.random.default_rng(3)
+    return [trig_potential(rng.uniform(45.0, 75.0), rng.uniform(-2.5, 2.5, (3, 2)))
+            for _ in range(count)]
+
+
+def eigen_case(pot, bc, grid_size=None):
+    return (NumericKernel(pot, bc, grid_size),
+            principal_eigenfunction(pot, bc, grid_size=grid_size))
+
+
+PINNED_CASES = {
+    **{f"wavy-{bc}": (lambda bc=bc: eigen_case(coarse_wavy(2001), bc))
+       for bc in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED1, BoundaryKind.MIXED2)},
+    "wavy-dirichlet-251": lambda: eigen_case(coarse_wavy(2001), BoundaryKind.DIRICHLET, 251),
+    **{f"closed-dirichlet-{rho:.4g}": (lambda rho=rho: (dirichlet_kernel(rho), SIN_WEIGHT))
+       for rho in (10.8, math.sqrt(60))},
+    **{f"trig-{i}-mixed1": (lambda i=i: eigen_case(rng3_trig_draws()[i], BoundaryKind.MIXED1))
+       for i in range(9)},
+}
+
+
+class TestPinnedEndLimit:
+    """At an end that the condition pins, gamma reads the limit slice
+    G(t, .) / |t - end| off the kernel's separable form.  Its ratio is that
+    of the slice PINNED_STEP T inside the end, to rounding.  An
+    extrapolation from the slices of boundary_nodes misses it on trig-8 by
+    1.8e-12."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CASES))
+    def test_end_ratio_is_the_slice_just_inside(self, name):
+        kernel, weight = PINNED_CASES[name]()
+        ends = np.array([0.0, kernel.T])[list(kernel.bc.pinned_ends)]
+        got = gamma_module._slice_ratios(kernel, ends, kernel._roots_flat(ends),
+                                         weight, gamma_module.CELL_ORDER,
+                                         need_positive=False)
+        near = pointwise_ratio(kernel, inside_pinned_ends(kernel, ends), weight)
+        assert_allclose(got, near, rtol=1e-14)
+        # on every case here the infimum sits at a pinned end
+        res = gamma_quadrature(kernel, weight, 41)
+        assert res.argmin_t in ends
+        assert res.value == pytest.approx(got[list(ends).index(res.argmin_t)],
+                                          rel=1e-15)
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.MIXED1,
+                                    BoundaryKind.MIXED2])
+    def test_limit_slice_is_exact(self, bc):
+        # C is zero but for its row c: the side of the limit slice that is
+        # not empty is that row at 0, the solution meeting the condition at
+        # T, and at T a multiple of u_c, the other coefficient exactly zero
+        kernel = build_kernel(coarse_wavy(2001), bc)
+        ends = np.array([0.0, kernel.T])[list(bc.pinned_ends)]
+        alpha, beta = kernel._sides(ends)
+        n = len(ends)
+        c = bc.entry[1]
+        for i, end in enumerate(ends):
+            if end == 0.0:
+                assert (alpha[n + i], beta[n + i]) == tuple(kernel._C[c])
+            else:
+                assert (alpha, beta)[1 - c][i] == 0.0
+                assert (alpha, beta)[c][i] != 0.0
