@@ -133,6 +133,11 @@ def calls(wavy: str, repro_a: str) -> list:
                 "--format", "json"])
     out.append(["green", "--bc", "dirichlet", "--rho", "sqrt(60)", "--nodes", "11"])
     out.append(["gamma", "--bc", "mixed1", "--rho", "6", "--format", "json"])
+    # the paired conditions' tables on the exact pair, in full
+    out.append(["green", "--bc", "periodic", "--rho", "3*pi/2", "--nodes", "11",
+                "--format", "json"])
+    out.append(["green", "--bc", "antiperiodic", "--rho", "7", "--nodes", "11",
+                "--format", "json"])
     return out
 
 

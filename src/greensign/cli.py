@@ -33,10 +33,10 @@ from .cone import build_report
 from .errors import GreensignError, ResonantPotential
 from .expressions import Expression, evaluate_scalar
 from .fundamental import MIN_GRID
-from .gamma import (CELL_ORDER, gamma_closed, gamma_dirichlet_closed,
-                    gamma_dirichlet_t_closed, gamma_periodic_closed,
-                    gamma_quadrature, gamma_star, pointwise_ratio)
-from .greens import DirichletConstantKernel, build_kernel
+from .gamma import (gamma_closed, gamma_dirichlet_closed, gamma_dirichlet_t_closed,
+                    gamma_periodic_closed, gamma_quadrature, gamma_star,
+                    pointwise_ratio)
+from .greens import build_kernel
 from .potentials import DEFAULT_GRID, BoundaryKind, constant, sampled
 from .solver import solve_linear, solve_nonlinear
 from .spectral import classify_sign, principal_eigenfunction, smallest_eigenvalues
@@ -278,13 +278,11 @@ def _cmd_gamma(args) -> int:
     kernel = build_kernel(pot, bc, grid_size=grid_size)
     closed = gamma_closed(pot, bc) if args.weight == "eigenfunction" else None
     if args.weight == "coefficient":
-        quad = gamma_star(kernel, pot, t_grid_size=args.t_grid,
-                          s_quadrature_order=args.order)
+        quad = gamma_star(kernel, pot, t_grid_size=args.t_grid)
     else:
         weight = (principal_eigenfunction(pot, bc, grid_size=grid_size)
                   if args.weight == "eigenfunction" else None)
-        quad = gamma_quadrature(kernel, weight, t_grid_size=args.t_grid,
-                                s_quadrature_order=args.order)
+        quad = gamma_quadrature(kernel, weight, t_grid_size=args.t_grid)
     cls = classify_sign(pot, bc, grid_size=grid_size)
     if args.format == "json":
         _emit_json({"closed": closed.to_dict() if closed else None,
@@ -358,7 +356,7 @@ def _cmd_figure(args) -> int:
         _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], rows, out)
     elif n == 2:
         rho = 10.8
-        kernel = DirichletConstantKernel(rho)
+        kernel = build_kernel(constant(rho), BoundaryKind.DIRICHLET)
         weight = principal_eigenfunction(constant(rho), BoundaryKind.DIRICHLET)
         ts = np.linspace(0.005, 0.995, 199)
         rows = [(t, gamma_dirichlet_t_closed(float(t), rho), quad)
@@ -370,12 +368,12 @@ def _cmd_figure(args) -> int:
         weight = principal_eigenfunction(constant(2.0), BoundaryKind.DIRICHLET)
         for rho in math.pi * np.linspace(1.02, 5.98, 200):
             closed = gamma_dirichlet_closed(float(rho))
-            kernel = DirichletConstantKernel(float(rho))
+            kernel = build_kernel(constant(float(rho)), BoundaryKind.DIRICHLET)
             quad = gamma_quadrature(kernel, weight, t_grid_size=101)
             rows.append((rho, closed.value, quad.value))
         _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], rows, out)
     elif n in (4, 5):
-        kernel = DirichletConstantKernel(math.sqrt(60.0))
+        kernel = build_kernel(constant(math.sqrt(60.0)), BoundaryKind.DIRICHLET)
         rhs = (lambda s: s * (1.0 - s)) if n == 4 else (lambda s: s)
         profile = solve_linear(kernel, rhs, 2001)
         _emit_csv(["t", "u"], zip(profile.grid, profile.values), out)
@@ -419,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight in the part-integral ratio")
     p.add_argument("--t-grid", type=_int_at_least(1), default=1001, dest="t_grid",
                    help="t-nodes for the quadrature infimum")
-    p.add_argument("--order", type=_int_at_least(1), default=CELL_ORDER,
-                   help="Gauss points per cell of the antiderivative table")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", help="file path (default stdout)")
     p.set_defaults(func=_cmd_gamma)

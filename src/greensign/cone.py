@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
                      NonpositiveWeightedIntegral)
-from .gamma import (CELL_ORDER, GammaResult, _antiderivative, gamma_closed,
-                    gamma_quadrature, gamma_star)
+from .gamma import (GammaResult, _antiderivative, gamma_closed, gamma_quadrature,
+                    gamma_star)
 from .greens import build_kernel
 from .potentials import BoundaryKind
 from .quadrature import require_no_cancellation
@@ -120,7 +120,7 @@ def _t_prefix(kernel, xs, ss):
     """
     xs = np.asarray(xs, dtype=float)
     ss = np.asarray(ss, dtype=float)
-    S, left, total = _antiderivative(kernel, None, CELL_ORDER, np.concatenate([xs, ss]))
+    S, left, total = _antiderivative(kernel, None, np.concatenate([xs, ss]))
     U = S + np.where(left, 0.0, total[:, None])
     Ux, Us = U[:, :len(xs)], U[:, len(xs):]
     u1, u2 = p = np.where(kernel.pinned(ss), 0.0, kernel._pair(ss))
@@ -362,18 +362,17 @@ def build_report(potential, bc: BoundaryKind, f, grid: int = 201,
     report = HypothesisReport()
     T = kernel.T
     weight = principal_eigenfunction(potential, bc)
-    roots = {}       # both weighted ratios read the same slice zeros
 
     try:
         report.gamma_used = (gamma_closed(potential, bc) or gamma_quadrature(
-            kernel, weight, t_grid_size=gamma_t_grid, roots=roots))
+            kernel, weight, t_grid_size=gamma_t_grid))
         report.h2 = check_H2(f, weight, report.gamma_used, T=T)
     except NonpositiveWeightedIntegral as exc:
         report.notes.append(f"sign-ratio constant unavailable: {exc}")
 
     if bc.keeps_constants:
         try:
-            gs = gamma_star(kernel, potential, t_grid_size=gamma_t_grid, roots=roots)
+            gs = gamma_star(kernel, potential, t_grid_size=gamma_t_grid)
             report.h2_star = check_H2(f, potential, gs, T=T)
         except (InvalidWeight, NonpositiveWeightedIntegral) as exc:
             report.notes.append(f"coefficient-weighted variant skipped: {exc}")

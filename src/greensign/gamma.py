@@ -15,8 +15,8 @@ per (kernel, weight), on cells aligned to every kink of p w, kept from both
 ends and read at each slice's zeros and its diagonal t (_antiderivative);
 no slice is evaluated on panels of its own.  A piece counts as positive or
 negative by the sign of its own weighted integral.  The zeros of the
-slices do not depend on the weight, and callers that need several weights
-on one t-grid share them (gamma_quadrature's roots).
+slices do not depend on the weight: the kernel keeps those of each t-grid
+(Kernel._grid_roots), and every weight read on that grid shares them.
 
 Where the boundary condition pins an end, G(t, .) vanishes there and only
 the limit t -> end means anything.  That limit is a slice of the same
@@ -74,14 +74,14 @@ class GammaResult:
         return asdict(self)
 
 
-def _antiderivative(kernel, weight, order: int, x: np.ndarray):
+def _antiderivative(kernel, weight, x: np.ndarray):
     """(S, left, total) for the points x: total is the integral of p w
     over [0, T], with p = (u1, u2) the kernel's pair and w the weight (None
     for one); left is where x <= T - x, and S[:, i] is the integral over
     [0, x[i]] there and minus the integral over [x[i], T] elsewhere, shape
     (2, len(x)).
 
-    The table is one order-point Gauss sum per cell of
+    The table is one CELL_ORDER-point Gauss sum per cell of
     quadrature.cell_edges, broken also at the weight's break points and
     capped at default_max_len / CELLS_PER_PANEL, cumulated from both ends.
     A point is read once, from its nearer end: the sum up to its cell's
@@ -97,12 +97,12 @@ def _antiderivative(kernel, weight, order: int, x: np.ndarray):
     k = np.where(left, edges.searchsorted(x, "right") - 1, edges.searchsorted(x))
     near = edges[k]
     xs, half = cell_nodes(np.concatenate([edges[:-1], np.where(left, near, x)]),
-                          np.concatenate([edges[1:], np.where(left, x, near)]), order)
+                          np.concatenate([edges[1:], np.where(left, x, near)]), CELL_ORDER)
     u1, u2 = kernel._pair(xs)
     if weight is not None:
         w = np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
         u1, u2 = u1 * w, u2 * w
-    gw = gauss_nodes(order)[1]
+    gw = gauss_nodes(CELL_ORDER)[1]
     sums = np.array([u1 @ gw, u2 @ gw])
     sums *= half
     # up[:, j] sums the cells left of edge j, down[:, j] those right of it
@@ -115,8 +115,7 @@ def _antiderivative(kernel, weight, order: int, x: np.ndarray):
     return S, left, 0.5 * (up[:, -1] + down[:, 0])
 
 
-def _slice_parts(kernel, ts, roots, weight, order: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     """(N, D) at every t in ts: weighted integrals of the positive and
     negative parts of G(t, .), non-finite where the quadrature failed.
 
@@ -144,7 +143,7 @@ def _slice_parts(kernel, ts, roots, weight, order: int
     x = np.concatenate([flat, ts, np.zeros(n), np.full(n, kernel.T)])
     S = np.empty((2, len(x)))
     left = np.empty(len(x), dtype=bool)
-    S[:, at], left[at], total = _antiderivative(kernel, weight, order, x)
+    S[:, at], left[at], total = _antiderivative(kernel, weight, x)
     # piece j of row i runs from point a = i + j to b = a + 1
     row = rows.repeat(k + 2)
     a = np.arange(len(row)) + row
@@ -157,15 +156,14 @@ def _slice_parts(kernel, ts, roots, weight, order: int
             -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
 
 
-def _slice_ratios(kernel, ts, roots, weight, order: int,
-                  need_positive) -> np.ndarray:
+def _slice_ratios(kernel, ts, roots, weight, need_positive) -> np.ndarray:
     """N/D at every t in ts, whose slices have the zeros roots.
 
     Raises at the first slice, in the order of ts, whose quadrature is not
     finite or, where need_positive holds, whose weighted integral N - D is
     not positive.
     """
-    pos, neg = _slice_parts(kernel, ts, roots, weight, order)
+    pos, neg = _slice_parts(kernel, ts, roots, weight)
     net = pos - neg              # finite only where both parts are
     bad = ~np.isfinite(net) | (need_positive & (net <= 1e-13 * np.maximum(pos, 1e-300)))
     if bad.any():
@@ -202,14 +200,11 @@ def pointwise_ratio(kernel, t, weight=None):
         if pinned:
             raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {u:.6g} "
                              f"to zero")
-    rs = _slice_ratios(kernel, ts, kernel.s_roots_flat(ts), weight, CELL_ORDER,
-                       need_positive=False)
+    rs = _slice_ratios(kernel, ts, kernel.s_roots_flat(ts), weight, need_positive=False)
     return float(rs[0]) if t.ndim == 0 else rs.reshape(t.shape)
 
 
-def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
-                     s_quadrature_order: int = CELL_ORDER, *,
-                     roots: dict | None = None) -> GammaResult:
+def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE) -> GammaResult:
     """Infimum over t of the weighted positive/negative part ratio.
 
     weight of None means the constant weight one, labelled One; any other
@@ -217,21 +212,16 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE,
     boundary condition forces the whole slice to zero, the ratio is that of
     the limit slice G(t, .) / |t - end| as t tends to the end, which the
     kernel's separable form gives exactly (kernel._sides); its weighted
-    integral need not be positive.  s_quadrature_order is the number of
-    Gauss points per cell of the antiderivative table.  The zeros of the
-    slices do not depend on the weight: a dict passed as roots keeps them,
-    per t_grid_size, for later calls on the same kernel.
+    integral need not be positive.  The zeros of the slices do not depend
+    on the weight: the kernel keeps them per t_grid_size for later calls.
     """
     label = "One" if weight is None else "PrincipalEigenfunction"
     ts = np.linspace(0.0, kernel.T, t_grid_size)
-    found = None if roots is None else roots.get(t_grid_size)
+    found = kernel._grid_roots.get(t_grid_size)
     if found is None:
         # the zeros of the limit slices at pinned ends included
-        found = kernel._roots_flat(ts)
-        if roots is not None:
-            roots[t_grid_size] = found
-    ratios = _slice_ratios(kernel, ts, found, weight, s_quadrature_order,
-                           need_positive=~kernel.pinned(ts))
+        found = kernel._grid_roots[t_grid_size] = kernel._roots_flat(ts)
+    ratios = _slice_ratios(kernel, ts, found, weight, need_positive=~kernel.pinned(ts))
     vmin = float(np.min(ratios))
     if math.isinf(vmin):
         return GammaResult(math.inf, 0.0, "Quadrature", label)
@@ -348,12 +338,10 @@ def gamma_closed(potential: Potential, bc: BoundaryKind) -> GammaResult | None:
     return None
 
 
-def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,
-               s_quadrature_order: int = CELL_ORDER, *,
-               roots: dict | None = None) -> GammaResult:
+def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE) -> GammaResult:
     """Ratio weighted by the coefficient a itself, only where the condition
     keeps constants (periodic and Neumann): there int G a ds = 1 makes the
-    weighted integral positive for free.  roots is as in gamma_quadrature."""
+    weighted integral positive for free."""
     if not kernel.bc.keeps_constants:
         raise UnsupportedBoundaryKind(
             f"the coefficient-weighted ratio needs periodic or Neumann "
@@ -364,6 +352,5 @@ def gamma_star(kernel, potential: Potential, t_grid_size: int = T_GRID_SIZE,
             f"coefficient takes negative values (min {potential.min_value:.3e})")
     if potential.max_value <= 0:
         raise InvalidWeight("coefficient is identically zero")
-    return replace(gamma_quadrature(kernel, potential, t_grid_size,
-                                    s_quadrature_order, roots=roots),
+    return replace(gamma_quadrature(kernel, potential, t_grid_size),
                    weight="Coefficient")

@@ -21,8 +21,7 @@ multiplier m solves (m I - Phi(T)) C = [[u2, -u1], [u2', -u1']](T), and
 det(m I - Phi(T)) must not vanish; for a separated one the entry (r, c) =
 BoundaryKind.entry of Phi(T) must not, and C is zero but for its row c,
 filled from row r of Phi(T).  That is the one resonance rule
-(_boundary_matrix).  The periodic constant kernel alone is evaluated
-through |t - s|, which keeps it exactly symmetric.
+(_boundary_matrix).
 
 Zeros of the slices, one rule for every kernel: on either side of the
 diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha, beta),
@@ -41,7 +40,7 @@ import numpy as np
 
 from .errors import ResonantPotential, UnsupportedBoundaryKind
 from .fundamental import ConstantPair, base_solutions, fundamental_pair
-from .potentials import BoundaryKind, ConstantPotential, Potential, constant
+from .potentials import BoundaryKind, Potential, constant
 
 RESONANCE_TOL = 1e-9
 
@@ -95,6 +94,9 @@ class Kernel:
         self.fs = pair
         self.form = pair.form  # "closed" on an exact pair, "numeric" on RK4
         self._C = _coupling(_boundary_matrix(pair, bc), bc)
+        # _roots_flat on the uniform t-grid of each size: the zeros of the
+        # slices do not depend on the weight (gamma_quadrature)
+        self._grid_roots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _pair(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self.fs.eval_pair(x)
@@ -102,15 +104,23 @@ class Kernel:
     def __call__(self, t, s):
         """G(t, s) over t and s broadcast together.  The pair is evaluated
         on each operand before they broadcast: pass operands shaped per row,
-        not repeated per node."""
+        not repeated per node.  On the exact pair G is read at (max(t, s),
+        min(t, s)), which makes it exactly symmetric; the RK4 pair's G is
+        symmetric only to RK4's error, and keeps the separable form that
+        solve, gamma and cone integrate."""
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
         u1t, u2t = self._pair(t)
         u1s, u2s = self._pair(s)
+        below = s <= t
+        if self.form == "closed":
+            u1t, u1s = np.where(below, u1t, u1s), np.where(below, u1s, u1t)
+            u2t, u2s = np.where(below, u2t, u2s), np.where(below, u2s, u2t)
+            below = True
         C = self._C
         g = ((C[0, 0] * u1t + C[1, 0] * u2t) * u1s
              + (C[0, 1] * u1t + C[1, 1] * u2t) * u2s)
-        g = g + np.where(s <= t, u1s * u2t - u1t * u2s, 0.0)
+        g = g + np.where(below, u1s * u2t - u1t * u2s, 0.0)
         return g if g.ndim else float(g)
 
     def grid_eval(self, ts, ss) -> np.ndarray:
@@ -215,22 +225,14 @@ class NumericKernel(Kernel):
 
 
 class PeriodicConstantKernel(Kernel):
-    """G for a = rho**2 under periodic conditions, on the exact pair.  G
-    depends only on |t - s|, through which it is evaluated, so that it is
-    exactly symmetric."""
+    """G for a = rho**2 under periodic conditions, on the exact pair."""
 
     def __init__(self, rho: float, T: float = 1.0):
         super().__init__(constant(rho, T), BoundaryKind.PERIODIC, ConstantPair(rho, T))
-        self._den = 2.0 * rho * (1.0 - math.cos(rho * T))
-
-    def __call__(self, t, s):
-        u = np.abs(np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
-        rho = self.fs.rho
-        g = (np.sin(rho * u) + np.sin(rho * (self.T - u))) / self._den
-        return g if g.ndim else float(g)
 
     # each constant kernel holds these on its own class, where the tracer
     # in perfbench/ finds them
+    __call__ = Kernel.__call__
     grid_eval = Kernel.grid_eval
     s_roots = Kernel.s_roots
 
@@ -249,10 +251,7 @@ class DirichletConstantKernel(Kernel):
 def build_kernel(potential: Potential, bc: BoundaryKind,
                  grid_size: int | None = None):
     """The kernel of (potential, bc) on fundamental_pair(potential,
-    grid_size): exact for a constant potential, RK4 otherwise.  A constant
-    periodic one is a PeriodicConstantKernel, for its exact symmetry."""
-    if isinstance(potential, ConstantPotential) and bc is BoundaryKind.PERIODIC:
-        return PeriodicConstantKernel(potential.rho, potential.interval.T)
+    grid_size): exact for a constant potential, RK4 otherwise."""
     return Kernel(potential, bc, fundamental_pair(potential, grid_size))
 
 

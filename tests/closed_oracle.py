@@ -1,6 +1,7 @@
 """The closed forms of the constant-potential kernels that the library
 replaced with its one kernel class, kept as oracles: their analytic slice
-roots, their resonance test and the closed Dirichlet formula.
+roots, their resonance test and the closed periodic and Dirichlet
+formulas.
 
 The library builds every kernel of a constant potential a = rho**2 on the
 exact pair cos(rho t), sin(rho t) / rho, finds the slice roots by the
@@ -85,6 +86,14 @@ def require_nonresonant(rho, T, bc):
         period = "2*pi" if bc is BoundaryKind.PERIODIC else "pi"
         raise ResonantPotential(
             f"rho*T = {x:.6g} is within tolerance of a multiple of {period}")
+
+
+def periodic_green(rho, T, t, s):
+    """G(t, s) for a = rho**2 with periodic conditions, through u = |t - s|:
+    (sin(rho u) + sin(rho (T - u))) / (2 rho (1 - cos(rho T)))."""
+    u = np.abs(np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
+    return ((np.sin(rho * u) + np.sin(rho * (T - u)))
+            / (2.0 * rho * (1.0 - math.cos(rho * T))))
 
 
 def dirichlet_green(rho, T, t, s):

@@ -233,12 +233,11 @@ def inside_pinned_ends(kernel, ts) -> np.ndarray:
 
 def panel_slice_parts(breaks=None):
     """A stand-in for gamma._slice_parts, with its arguments, that integrates
-    on the panels of slice_parts, GAUSS_ORDER points each whatever order
-    its caller asks for, capped at default_max_len, and broken at breaks in
-    place of the potential's shared break points when given.  A row at a
-    pinned end is read at inside_pinned_ends, with the zeros and the
-    side_values of that slice."""
-    def parts(kernel, ts, roots, weight, _order):
+    on the panels of slice_parts, GAUSS_ORDER points each, capped at
+    default_max_len, and broken at breaks in place of the potential's
+    shared break points when given.  A row at a pinned end is read at
+    inside_pinned_ends, with the zeros and the side_values of that slice."""
+    def parts(kernel, ts, roots, weight):
         near = inside_pinned_ends(kernel, ts)
         moved = near != ts
         roots = split_roots(roots)

@@ -281,7 +281,7 @@ class TestErrorsAndEnv:
     @pytest.mark.parametrize("argv, flag", [
         (["gamma", "--t-grid", "0"], "--t-grid"),
         (["check", "--f", "1", "--t-grid", "0"], "--t-grid"),
-        (["gamma", "--order", "0"], "--order"),
+        (["solve", "--rhs", "1", "--grid", "8"], "--grid"),
         (["check", "--f", "1", "--cone-grid", "1"], "--cone-grid"),
         (["solve", "--rhs", "1", "--solve-grid", "3"], "--solve-grid"),
         (["eigen", "--count", "0"], "--count"),
@@ -652,7 +652,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 22
+        assert n_json == 24
 
 
 def test_console_script_runs():

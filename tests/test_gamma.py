@@ -599,8 +599,7 @@ class TestPinnedEndLimit:
         kernel, weight = PINNED_CASES[name]()
         ends = np.array([0.0, kernel.T])[list(kernel.bc.pinned_ends)]
         got = gamma_module._slice_ratios(kernel, ends, kernel._roots_flat(ends),
-                                         weight, gamma_module.CELL_ORDER,
-                                         need_positive=False)
+                                         weight, need_positive=False)
         near = pointwise_ratio(kernel, inside_pinned_ends(kernel, ends), weight)
         assert_allclose(got, near, rtol=1e-14)
         # on every case here the infimum sits at a pinned end

@@ -13,7 +13,8 @@ from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel, require_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import default_max_len, scan_kernel_roots
-from closed_oracle import closed_roots_many, dirichlet_green, require_nonresonant
+from closed_oracle import (closed_roots_many, dirichlet_green, periodic_green,
+                           require_nonresonant)
 from slice_oracle import slice_panels
 
 RHO = 3 * math.pi / 2
@@ -141,18 +142,25 @@ class TestDirichletClosed:
         assert_allclose(k(np.zeros_like(s), s), 0.0, atol=1e-15)
         assert_allclose(k(np.ones_like(s), s), 0.0, atol=1e-15)
 
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    # the exact pair's G is read at (max(t, s), min(t, s)) under every
+    # condition, so it is symmetric to the bit
+    @pytest.mark.parametrize("bc", list(BoundaryKind), ids=str)
+    @given(t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
-    def test_symmetry(self, t, s):
-        k = DirichletConstantKernel(math.sqrt(60), 1.0)
-        assert abs(k(t, s) - k(s, t)) < 1e-12
+    def test_symmetry(self, bc, t, s):
+        k = build_kernel(constant(math.sqrt(60), 1.0), bc)
+        assert k.form == "closed"
+        assert k(t, s) == k(s, t)
 
-    @pytest.mark.parametrize("rho, T", [(math.sqrt(60), 1.0), (2.0, 1.0), (21.4, 1.0),
-                                        (7.0, 2.5), (0.5, 0.4)])
-    def test_separable_form_matches_closed_formula(self, rho, T):
-        k = DirichletConstantKernel(rho, T)
+    @pytest.mark.parametrize("bc, rho, T", [
+        pytest.param(BoundaryKind.DIRICHLET, rho, T, id=f"{rho}-{T}")
+        for rho, T in [(math.sqrt(60), 1.0), (2.0, 1.0), (21.4, 1.0), (7.0, 2.5), (0.5, 0.4)]
+    ] + [pytest.param(BoundaryKind.PERIODIC, RHO, 1.0, id="periodic")])
+    def test_separable_form_matches_closed_formula(self, bc, rho, T):
+        k = build_kernel(constant(rho, T), bc)
         x = np.concatenate([[0.0, T], np.random.default_rng(1).uniform(0.0, T, 400)])
-        want = dirichlet_green(rho, T, x[:, None], x[None, :])
+        green = periodic_green if bc is BoundaryKind.PERIODIC else dirichlet_green
+        want = green(rho, T, x[:, None], x[None, :])
         assert np.max(np.abs(k.grid_eval(x, x) - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_single_sign_below_first_resonance(self):
