@@ -9,6 +9,9 @@ the outputs:
 
     PYTHONPATH=src python scripts/golden.py > golden.txt
 
+scripts/golden_diff.py runs the same calls in two trees and measures how
+far the numbers of each output that differs have moved.
+
 The sampled potentials are "wavy", a(t) = 60 + 10 sin(2 pi t), and
 "repro-a", a(t) = 30 + 0.01 cos(2 pi t) + 5 cos(6 pi t), whose first
 antiperiodic gap is narrow; each is written on 2001 nodes to a temporary

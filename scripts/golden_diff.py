@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Compare the outputs of the golden CLI calls of two trees, number by number.
+
+    python scripts/golden_diff.py OTHER_TREE
+
+Runs every call of ``golden.calls`` (scripts/golden.py of this tree) once
+on the greensign of this tree and once on that of OTHER_TREE, a checkout
+root with its own ``src/``, one subprocess per tree.  For every call whose
+output differs it prints the structure check, that the two outputs are the
+same text once every number in them is masked, and then how many numbers
+differ, max |delta| over them, max |value| over both outputs, and their
+ratio.  A changed exit code is printed as such.  Exits 1 when any output
+differs, 0 otherwise.
+"""
+import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
+import tempfile
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def dump() -> None:
+    """Print as JSON [label, exit code, output] of every golden call, run on
+    the greensign that is importable here."""
+    import golden
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = pathlib.Path(tmp)
+        files = {}
+        for name, a in golden.POTENTIALS.items():
+            files[str(workdir / f"{name}.csv")] = name
+            golden.write_samples(workdir / f"{name}.csv", a)
+        out = []
+        for argv in golden.calls(*files):
+            code, data = golden.run(argv, workdir)
+            out.append([" ".join(files.get(a, a) for a in argv), code, data.decode()])
+    sys.stdout.write(json.dumps(out))
+
+
+def outputs(tree: pathlib.Path) -> list:
+    """The dump of the golden calls on the greensign under tree/src."""
+    code = f"import sys; sys.path.insert(0, {str(SCRIPTS)!r}); import golden_diff; golden_diff.dump()"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return json.loads(proc.stdout)
+
+
+def compare(old: str, new: str) -> str:
+    """The structure check and the size of the numeric change from old to new."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return "structure differs"
+    a = [float(x) for x in NUMBER.findall(old)]
+    b = [float(x) for x in NUMBER.findall(new)]
+    # a number can change its spelling and keep its value ("1.0", "1.00")
+    deltas = [abs(x - y) for x, y in zip(a, b) if x != y]
+    delta, scale = max(deltas, default=0.0), max(map(abs, a + b), default=0.0)
+    return (f"structure same, {len(deltas)} of {len(a)} numbers differ, "
+            f"max|delta| {delta:.2e} / max|value| {scale:.2e} = "
+            f"{delta / scale if scale else 0.0:.1e}")
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    here, there = outputs(SCRIPTS.parent), outputs(pathlib.Path(argv[0]).resolve())
+    moved = 0
+    for (label, code, new), (_, old_code, old) in zip(here, there):
+        if (code, new) == (old_code, old):
+            continue
+        moved += 1
+        if code != old_code:
+            print(f"{label}: exit {old_code} -> {code}")
+        else:
+            print(f"{label}: {compare(old, new)}")
+    print(f"{moved} of {len(here)} outputs differ")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -15,10 +15,16 @@ depend only on the potential and the grid, so they are tabulated once per
 (potential, grid size) and cached on the potential; a call at any batch of
 shifts then only evaluates the polynomials.  Transfer matrices are assembled
 by a pairwise product tree that works on the four entries as separate
-(batch, steps) arrays; fundamental solutions at the nodes come from the
-cumulative product.  On request the tree also carries each subtree's lifted
-(Pruefer) angle, which composes exactly, so the number of zeros of a
+(batch, steps) arrays.  On request the tree also carries each subtree's
+lifted (Pruefer) angle, which composes exactly, so the number of zeros of a
 solution on [0, T] comes out of the same pass.
+
+Fundamental solutions at the nodes come from the cumulative product, carried
+block by block (cumulative_products): the products of fixed-size blocks of
+steps, all blocks at once, carry Phi over the block starts, and each block
+is stepped from its start, all blocks at once.  Between nodes the pair is
+its cubic Hermite interpolant, on which the zeros of a slice
+alpha u1 + beta u2 are refined by safeguarded Newton steps (place).
 """
 from __future__ import annotations
 
@@ -37,8 +43,13 @@ from .potentials import DEFAULT_GRID, ConstantPotential, Potential
 TRANSFER_BLOCK_ENTRIES = 1 << 16
 #: the fewest grid nodes a step table is built on
 MIN_GRID = 9
-#: cell halvings that place a slice root of the RK4 pair to rounding level
+#: steps per block of cumulative_products
+PRODUCT_BLOCK = 16
+#: cell halvings that place a slice root of the RK4 pair to rounding level:
+#: the cap on the Newton rounds of place
 ROOT_HALVINGS = 52
+#: a Newton step of place, in units of the cell, at rounding level
+ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
 class _StepTable:
@@ -108,14 +119,16 @@ def _product(table: _StepTable, lams: np.ndarray, width: int, lift: bool):
             raise IntegratorFailure("an RK4 step turns the solution by half a "
                                     "turn or more; the grid is too coarse")
         theta = np.arctan2(m[0, 1], m[1, 1])
-    while m.shape[-1] > 1:
-        # each later step (odd index) left-multiplies the earlier one:
-        # (R L)[i, j] = R[i, 0] L[0, j] + R[i, 1] L[1, j]
-        left, right = m[..., 0::2], m[..., 1::2]
-        m = right[:, :1] * left[:1]
-        m += right[:, 1:] * left[1:]
-        if lift:
-            theta = theta[..., 1::2] + _turn(right[:, 1], m[:, 1], theta[..., 0::2])
+    # an overflow leaves inf or nan, which transfer_matrix refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m.shape[-1] > 1:
+            # each later step (odd index) left-multiplies the earlier one:
+            # (R L)[i, j] = R[i, 0] L[0, j] + R[i, 1] L[1, j]
+            left, right = m[..., 0::2], m[..., 1::2]
+            m = right[:, :1] * left[:1]
+            m += right[:, 1:] * left[1:]
+            if lift:
+                theta = theta[..., 1::2] + _turn(right[:, 1], m[:, 1], theta[..., 0::2])
     return m[..., 0], None if theta is None else theta[..., 0]
 
 
@@ -161,17 +174,78 @@ def transfer_matrix(potential: Potential, lam, grid_size: int, lift: bool = Fals
     return (phi, theta) if np.ndim(lam) else (phi[0], theta[0])
 
 
+def _steps(m, a, b, c, d, out):
+    """Step the nodes (a, b, c, d), one per block, by the steps m of shape
+    (4, steps, blocks) in turn, writing the node after step i to out[:, i]."""
+    for node, (e, f, g, k) in zip(out.transpose(1, 0, 2), m.transpose(1, 0, 2)):
+        a, b, c, d = e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d
+        node[:] = a, b, c, d
+
+
 def cumulative_products(m11, m12, m21, m22) -> np.ndarray:
     """Phi_i = M_{i-1} @ ... @ M_0 for i = 0..n, Phi_0 = I, from the step
-    entries as sequences of floats.  Returns (4, n + 1): the entries
-    Phi11, Phi12, Phi21, Phi22 at every node, gathered in a flat array of
-    doubles, which keeps no float object per entry."""
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    out = array("d", (a, b, c, d))
-    for e, f, g, k in zip(m11, m12, m21, m22):
-        a, b, c, d = e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d
-        out.extend((a, b, c, d))
-    return np.frombuffer(out).reshape(-1, 4).T.copy()
+    entries as 1-d sequences.  Returns (4, n + 1): the entries Phi11, Phi12,
+    Phi21, Phi22 at every node.
+
+    The steps are split into blocks of PRODUCT_BLOCK, the last one padded
+    with identities.  Every block's product is formed from the identity,
+    all blocks at once, and Phi is carried over the block starts by the
+    scalar recurrence of those products.  Each block is then stepped from
+    its start, all blocks at once, so every node inside a block is the
+    sequential step (e a + f c, ...) of the node before it, bit for bit,
+    and nodes 0..PRODUCT_BLOCK are the sequential product's own.
+    """
+    steps = np.asarray([m11, m12, m21, m22], dtype=float)
+    n = steps.shape[1]
+    blocks = -(-n // PRODUCT_BLOCK)
+    eye = np.array([1.0, 0.0, 0.0, 1.0])
+    # m[:, i, j] holds the entries of step i of block j
+    m = np.empty((4, blocks * PRODUCT_BLOCK))
+    m[:, :n] = steps
+    m[:, n:] = eye[:, None]
+    m = m.reshape(4, blocks, PRODUCT_BLOCK).transpose(0, 2, 1).copy()
+    # nodes[:, i, j] is node i of block j; a last column holds the end
+    nodes = np.empty((4, PRODUCT_BLOCK, blocks + 1))
+    # an overflow leaves inf or nan, which FundamentalSolutions refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        _steps(m, *eye[:, None].repeat(blocks, axis=1), out=nodes[:, :, :blocks])
+        a, b, c, d = eye.tolist()
+        starts = array("d", (a, b, c, d))
+        for e, f, g, k in nodes[:, -1, :blocks].T.tolist():
+            a, b, c, d = e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d
+            starts.extend((a, b, c, d))
+        nodes[:, 0] = np.frombuffer(starts).reshape(-1, 4).T
+        _steps(m[:, :-1], *nodes[:, 0, :blocks], out=nodes[:, 1:, :blocks])
+    return nodes.transpose(0, 2, 1).reshape(4, -1)[:, :n + 1].copy()
+
+
+def _newton(y0, y1, d0, d1, up, x):
+    """Zeros in [0, 1] of the cubics of end values y0, y1 and end slopes
+    d0, d1, from the start x, and the rounds taken.  A zero is where the
+    cubic's sign turns to the one up marks (positive where up is true); a
+    point is past it where the cubic has that sign.  Every round evaluates
+    each cubic at its x, shrinks its bracket to the side of x that holds
+    the zero, and steps to the Newton iterate where it lies in the bracket
+    (ends included), to the bracket's middle elsewhere; the rounds stop
+    when every step is at most ROOT_TOL, or after ROOT_HALVINGS."""
+    lo, hi = np.zeros(len(x)), np.ones(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rounds in range(1, ROOT_HALVINGS + 1):
+            left, right = (1.0 - x) ** 2, x * x
+            y = ((1.0 + 2.0 * x) * left * y0 + x * left * d0
+                 + right * (3.0 - 2.0 * x) * y1 + right * (x - 1.0) * d1)
+            dy = (6.0 * x * (x - 1.0) * (y0 - y1) + (1.0 - x) * (1.0 - 3.0 * x) * d0
+                  + x * (3.0 * x - 2.0) * d1)
+            past = (y > 0.0) == up
+            lo = np.where(past, lo, x)
+            hi = np.where(past, x, hi)
+            step = x - y / dy
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.all(np.abs(step - x) <= ROOT_TOL)
+            x = step
+            if done:
+                break
+    return x, rounds
 
 
 class FundamentalSolutions:
@@ -190,7 +264,7 @@ class FundamentalSolutions:
         table = _step_table(potential, grid_size)
         steps = np.empty((4, 1, grid_size - 1))
         table.entries(np.array([float(lam)]), steps)
-        phis = cumulative_products(*steps[:, 0].tolist())
+        phis = cumulative_products(*steps[:, 0])
         if not np.all(np.isfinite(phis)):
             raise IntegratorFailure("fundamental system overflowed; potential scale too large")
         # no reference back to the potential: base_solutions keeps the pair
@@ -249,22 +323,28 @@ class FundamentalSolutions:
     def place(self, theta, keep, alpha, beta, k0):
         """The zeros of the slices alpha u1 + beta u2 (one per row) where
         psi reaches theta = target + k pi, k = k0 + column, at the entries
-        keep marks, inf elsewhere, each refined in its node cell on the
-        slice's Hermite cubic by ROOT_HALVINGS halvings."""
+        keep marks, inf elsewhere.  Each zero is placed in its node cell by
+        psi and refined there, from the secant, by safeguarded Newton steps
+        on the slice's Hermite cubic (_newton), all zeros in lockstep."""
         row, col = np.nonzero(keep)
         a, b = alpha[row], beta[row]
         cell = np.searchsorted(self.angles, theta[keep]) - 1
-        lo, hi = self.ts[cell], self.ts[cell + 1]
+        # in the cell coordinate x in [0, 1] the slice is the cubic with end
+        # values y0, y1 and end slopes d0, d1
+        y0 = a * self.u1[cell] + b * self.u2[cell]
+        y1 = a * self.u1[cell + 1] + b * self.u2[cell + 1]
+        d0 = (a * self.p1[cell] + b * self.p2[cell]) * self.h
+        d1 = (a * self.p1[cell + 1] + b * self.p2[cell + 1]) * self.h
         # past the target phi + k pi the slice has the sign of (-1)**k
         up = (k0[row] + col) % 2 == 0
-        for _ in range(ROOT_HALVINGS):
-            mid = 0.5 * (lo + hi)
-            u1m, u2m = self.eval_pair(mid)
-            past = (a * u1m + b * u2m > 0.0) == up
-            lo = np.where(past, lo, mid)
-            hi = np.where(past, mid, hi)
+        # start where the secant crosses zero, or in the middle
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = y0 / (y0 - y1)
+        x[~((x >= 0.0) & (x <= 1.0))] = 0.5
+        x, _ = _newton(y0, y1, d0, d1, up, x)
         r = np.full(keep.shape, np.inf)
-        r[keep] = 0.5 * (lo + hi)
+        # the rounding of x h must not carry a zero past its cell
+        r[keep] = np.clip(self.ts[cell] + x * self.h, self.ts[cell], self.ts[cell + 1])
         return r
 
 

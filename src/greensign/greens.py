@@ -28,9 +28,10 @@ diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha, beta),
 and the pair's Wronskian is one, so a Pruefer angle of the pair rises
 strictly and the slice vanishes exactly where it meets the pair's target
 for (alpha, beta) modulo pi.  The RK4 pair places each target in its grid
-cell by the lifted node angles of (u1, u2) and refines it there on the
-slice's Hermite cubic; the exact pair's angle of (u1, rho u2) is rho t,
-which it inverts in closed form.  No slice is sampled.
+cell by the lifted node angles of (u1, u2) and refines it there by
+safeguarded Newton steps on the slice's Hermite cubic; the exact pair's
+angle of (u1, rho u2) is rho t, which it inverts in closed form.  No slice
+is sampled.
 """
 from __future__ import annotations
 

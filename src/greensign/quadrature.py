@@ -18,8 +18,8 @@ s_roots_many, one array per slice), which gives none for a slice the
 boundary condition pins to zero (gamma reads the zeros of the limit slice
 there): every kernel places each zero at the angle of its fundamental
 pair where the slice vanishes, in closed form on an exact pair and by
-bisection in one grid cell on the RK4 pair (see greens).  No slice is
-sampled to find them.
+safeguarded Newton steps in one grid cell on the RK4 pair (see greens).
+No slice is sampled to find them.
 """
 from __future__ import annotations
 

@@ -21,6 +21,10 @@ does; under the weight one it is off by O(PINNED_STEP), since the piece
 between the end and t then counts to first order.  boundary_nodes and
 neville_to_zero are the extrapolation to that limit which gamma used
 before it read the limit slice.
+
+bisect_place is the root refinement of FundamentalSolutions.place before
+it took Newton steps: ROOT_HALVINGS halvings of each zero's node cell,
+with one eval_pair per halving.
 """
 import math
 from typing import NamedTuple
@@ -28,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from greensign.cone import N_CELLS
+from greensign.fundamental import ROOT_HALVINGS
 from greensign.quadrature import default_max_len, gauss_nodes, shared_breaks
 
 GAUSS_ORDER = 16
@@ -265,3 +270,23 @@ def neville_to_zero(xs: np.ndarray, ys: np.ndarray) -> float:
         for i in range(n - lev):
             p[i] = (-xs[i + lev] * p[i] + xs[i] * p[i + 1]) / (xs[i] - xs[i + lev])
     return p[0]
+
+
+def bisect_place(fs, theta, keep, alpha, beta, k0):
+    """FundamentalSolutions.place by bisection: each zero in its node cell,
+    halved ROOT_HALVINGS times on the slice's Hermite cubic (eval_pair)."""
+    row, col = np.nonzero(keep)
+    a, b = alpha[row], beta[row]
+    cell = np.searchsorted(fs.angles, theta[keep]) - 1
+    lo, hi = fs.ts[cell], fs.ts[cell + 1]
+    # past the target phi + k pi the slice has the sign of (-1)**k
+    up = (k0[row] + col) % 2 == 0
+    for _ in range(ROOT_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        u1m, u2m = fs.eval_pair(mid)
+        past = (a * u1m + b * u2m > 0.0) == up
+        lo = np.where(past, lo, mid)
+        hi = np.where(past, mid, hi)
+    r = np.full(keep.shape, np.inf)
+    r[keep] = 0.5 * (lo + hi)
+    return r

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,23 @@ class TestErrorsAndEnv:
         code, out, err = run(["classify", "--bc", bc, "--rho", rho], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("error: ResonantPotential:")
+
+    @pytest.mark.parametrize("argv", [["classify"], ["green"], ["solve", "--rhs", "1"],
+                                      ["check", "--f", "1"]])
+    def test_overflow_is_one_error_line(self, argv, capsys, tmp_path):
+        # a = -1e8 grows the solutions past the float range; the products
+        # overflow quietly and the finiteness check reports it
+        path = tmp_path / "steep.csv"
+        ts = np.linspace(0.0, 1.0, 2001)
+        path.write_text("t,a\n" + "".join(f"{float(t)!r},-1e8\n" for t in ts))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run([*argv, "--bc", "periodic", "--samples", str(path)],
+                                 capsys)
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (1, "")
+        assert err == ("error: IntegratorFailure: fundamental system overflowed; "
+                       "potential scale too large\n")
 
     def test_undetermined_sign_names_kind_and_tolerance(self, capsys):
         code, _, err = run(["classify", "--bc", "periodic", "--rho", "1e-5"], capsys)
@@ -653,6 +671,31 @@ class TestJsonWriter:
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
         assert n_json == 24
+
+
+def load_golden_diff():
+    spec = importlib.util.spec_from_file_location("golden_diff",
+                                                  GOLDEN.with_name("golden_diff.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_diff_measures_moved_numbers():
+    compare = load_golden_diff().compare
+    assert compare("gamma = 1.25 (n = 3)\n", "gamma = 1.2500000001 (n = 3)\n") == (
+        "structure same, 1 of 2 numbers differ, max|delta| 1.00e-10 / "
+        "max|value| 3.00e+00 = 3.3e-11")
+    assert compare("u,1e-3\n", "u,-2\n").startswith("structure same, 1 of 1 ")
+    assert compare("0.0,1.0\n", "0,1.00\n").startswith("structure same, 0 of 2 ")
+    assert compare("ok 1\n", "failed 1\n") == "structure differs"
+    assert compare("1,2\n", "1,2,3\n") == "structure differs"
+
+
+def test_golden_diff_of_a_tree_with_itself(capsys):
+    golden_diff = load_golden_diff()
+    assert golden_diff.main([str(GOLDEN.parents[1])]) == 0
+    assert capsys.readouterr().out == "0 of 67 outputs differ\n"
 
 
 def test_console_script_runs():

@@ -1,12 +1,14 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from greensign.errors import IntegratorFailure
-from greensign.fundamental import (TRANSFER_BLOCK_ENTRIES, FundamentalSolutions,
-                                   _step_table, cumulative_products,
-                                   transfer_matrix)
+from greensign.fundamental import (PRODUCT_BLOCK, ROOT_HALVINGS, TRANSFER_BLOCK_ENTRIES,
+                                   FundamentalSolutions, _newton, _step_table,
+                                   cumulative_products, transfer_matrix)
 from greensign.potentials import constant, sampled
 
 
@@ -49,10 +51,11 @@ def matmul_transfer(potential, lam, grid_size):
     return mats[..., 0, :, :]
 
 
-def scalar_cumulative(mats):
-    """Node products from an (n, 2, 2) stack by numpy scalar indexing; oracle."""
+def scalar_cumulative(mats, start=((1.0, 0.0), (0.0, 1.0))):
+    """Node products from an (n, 2, 2) stack by numpy scalar indexing, from
+    the node start (the identity by default); oracle."""
     out = np.empty((len(mats) + 1, 2, 2))
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    (a, b), (c, d) = start
     out[0] = ((a, b), (c, d))
     for i in range(len(mats)):
         m = mats[i]
@@ -61,6 +64,13 @@ def scalar_cumulative(mats):
                       m21 * a + m22 * c, m21 * b + m22 * d)
         out[i + 1] = ((a, b), (c, d))
     return out
+
+
+# [[+-1, 0], [0, +-1]] and [[0, +-1], [+-1, 0]]: every product of these is
+# exact in any association, and the order of the factors still matters
+SIGNED_PERMUTATIONS = np.array([np.array(signs)[:, None] * perm
+                                for perm in (np.eye(2), np.eye(2)[::-1])
+                                for signs in itertools.product((1.0, -1.0), repeat=2)])
 
 
 def trig(seed, n=2001):
@@ -174,19 +184,57 @@ class TestTransferMatrix:
         assert "cache" not in repr(a)
 
 
+def longdouble_cumulative(mats):
+    """Node products from an (n, 2, 2) stack, sequentially in np.longdouble
+    arithmetic; oracle for the rounding of the float64 products."""
+    out = np.empty((len(mats) + 1, 2, 2), dtype=np.longdouble)
+    phi = np.eye(2, dtype=np.longdouble)
+    out[0] = phi
+    for i, m in enumerate(mats.astype(np.longdouble)):
+        phi = m @ phi
+        out[i + 1] = phi
+    return out
+
+
+def flat(value, n=2001):
+    g = np.linspace(0.0, 1.0, n)
+    return sampled(g, np.full_like(g, value))
+
+
+# a constant step matrix makes every block product the same, so the
+# rounding of the blocked product adds up coherently over the blocks
+LONG_POTENTIALS = {**POTENTIALS, "minus400": lambda: flat(-400.0),
+                   "minus900": lambda: flat(-900.0)}
+LONGDOUBLE_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+
+
 class TestFundamentalSolutions:
-    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    @pytest.mark.parametrize("name", sorted(LONG_POTENTIALS))
     def test_cumulative_product_of_the_table_entries(self, name):
-        pot = POTENTIALS[name]()
+        pot = LONG_POTENTIALS[name]()
         lam = -17.5
         fs = FundamentalSolutions(pot, lam, 2001)
-        # the same entries through the old scalar-indexing loop: same bits
+        got = np.stack([fs.u1, fs.u2, fs.p1, fs.p2], axis=-1).reshape(-1, 2, 2)
+        # the same entries through the old scalar-indexing loop
         steps = np.empty((4, 1, 2000))
         _step_table(pot, 2001).entries(np.array([lam]), steps)
-        phis = scalar_cumulative(steps[:, 0].T.reshape(2000, 2, 2))
-        for got, (i, j) in zip((fs.u1, fs.u2, fs.p1, fs.p2),
-                               ((0, 0), (0, 1), (1, 0), (1, 1))):
-            assert np.array_equal(got, phis[:, i, j])
+        mats = steps[:, 0].T.reshape(2000, 2, 2)
+        phis = scalar_cumulative(mats)
+        # its bits up to the end of the first block
+        assert np.array_equal(got[:PRODUCT_BLOCK + 1], phis[:PRODUCT_BLOCK + 1])
+        # and inside every block the loop's step of the node before, bit
+        # for bit, from the library's own value at the block start
+        for start in range(0, 2000, PRODUCT_BLOCK):
+            stop = min(start + PRODUCT_BLOCK - 1, 2000)
+            assert np.array_equal(scalar_cumulative(mats[start:stop], got[start]),
+                                  got[start:stop + 1])
+        # every node, and every node of the loop, within 1e-13 of the running
+        # max of |Phi| of the sequential product in extended precision
+        if LONGDOUBLE_EXTENDED:
+            exact = longdouble_cumulative(mats)
+            scale = np.maximum.accumulate(np.max(np.abs(exact), axis=(1, 2)))[:, None, None]
+            for nodes in (got, phis):
+                assert np.all(np.abs(nodes - exact) <= 1e-13 * scale)
         # and the old entries agree to rounding
         ts, q0, qm, q1 = q_samples(pot, lam, 2001)
         old = scalar_cumulative(rk4_step_matrices(q0, qm, q1, ts[1] - ts[0]))
@@ -207,6 +255,42 @@ class TestFundamentalSolutions:
         fs = FundamentalSolutions(wavy(), 0.0, 2001)
         with pytest.raises(ValueError):
             fs.ts[0] = 1.0
+
+    @pytest.mark.parametrize("n", [1, PRODUCT_BLOCK - 1, PRODUCT_BLOCK,
+                                   PRODUCT_BLOCK + 1, 2000])
+    def test_block_product_of_signed_permutations(self, n):
+        mats = SIGNED_PERMUTATIONS[np.random.default_rng(n).integers(0, 8, n)]
+        out = cumulative_products(*mats.reshape(n, 4).T)
+        assert out.shape == (4, n + 1) and out.flags.c_contiguous
+        want = scalar_cumulative(mats).reshape(n + 1, 4).T
+        # bit for bit once + 0.0 has made every zero positive: the sign of
+        # a zero entry depends on the association
+        assert np.array_equal((out + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+
+    def test_overflow_raises_without_warnings(self):
+        pot = flat(-1e8, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam, lift in ((0.0, False), (np.array([0.0, 1.0]), False),
+                              (np.array([0.0, 1.0]), True)):
+                with pytest.raises(IntegratorFailure):
+                    transfer_matrix(pot, lam, 201, lift=lift)
+            with pytest.raises(IntegratorFailure):
+                FundamentalSolutions(pot, 0.0, 201)
+
+    def test_newton_steps_that_leave_the_bracket_halve_it(self):
+        # from x = 0 a flat end divides by zero, and a shallow one steps far
+        # past 1; the zeros are where the cubics turn to the sign of y1
+        y0, y1 = np.array([1.0, -1.0, -1.0]), np.array([-1.0, 1.0, 1.0])
+        d0, d1 = np.array([0.0, 0.0, 0.01]), np.array([0.0, 0.01, 0.01])
+        x, rounds = _newton(y0, y1, d0, d1, y1 > 0.0, np.zeros(3))
+        assert rounds < ROOT_HALVINGS
+        assert np.all((x > 0.0) & (x < 1.0))
+        left, right = (1.0 - x) ** 2, x * x
+        cubic = ((1.0 + 2.0 * x) * left * y0 + x * left * d0
+                 + right * (3.0 - 2.0 * x) * y1 + right * (x - 1.0) * d1)
+        assert np.all(np.abs(cubic) <= 1e-15)
+        assert x[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_python_float_loop(self):
         out = cumulative_products([2.0, 1.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0])

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from greensign import fundamental
 from greensign.errors import IntegratorFailure, ResonantPotential
+from greensign.fundamental import ROOT_HALVINGS, FundamentalSolutions
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel, require_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import default_max_len, scan_kernel_roots
 from closed_oracle import (closed_roots_many, dirichlet_green, periodic_green,
                            require_nonresonant)
-from slice_oracle import slice_panels
+from slice_oracle import bisect_place, slice_panels
 
 RHO = 3 * math.pi / 2
 
@@ -430,6 +432,69 @@ class TestBatchedRootScan:
             tracemalloc.stop()
         assert len(roots) == len(ts)
         assert peak < 16 * 2**20, peak
+
+
+def scan_potentials(bc):
+    """The four potentials of TestBatchedRootScan under bc."""
+    rng = np.random.default_rng(list(KERNEL_KINDS).index(bc))
+    return [wavy(),
+            trig(lambda t: 30 + 0.01 * np.cos(2 * np.pi * t) + 5 * np.cos(6 * np.pi * t)),
+            trig(lambda t: 400 + 50 * np.sin(2 * np.pi * t)),
+            random_trig(rng, SCAN_MEANS[bc])]
+
+
+class TestNewtonRootsAgainstBisection:
+    """The Newton steps of FundamentalSolutions.place against bisect_place,
+    the bisection they replaced, on every slice of a t-grid with its ends,
+    where a pinned end gives the limit slice."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        taken = []
+
+        def newton(*args):
+            x, n = newton_rounds(*args)
+            taken.append(n)
+            return x, n
+
+        newton_rounds = fundamental._newton
+        monkeypatch.setattr(fundamental, "_newton", newton)
+        return taken
+
+    @staticmethod
+    def assert_matches_bisection(k, ts, monkeypatch):
+        got = k._roots_flat(ts)
+        with monkeypatch.context() as m:
+            m.setattr(FundamentalSolutions, "place", bisect_place)
+            want = k._roots_flat(ts)
+        assert np.array_equal(got[1], want[1])
+        assert np.all(np.abs(got[0] - want[0]) <= 4 * np.finfo(float).eps * k.T)
+
+    @pytest.mark.parametrize("bc", KERNEL_KINDS)
+    def test_scan_potentials(self, bc, rounds, monkeypatch):
+        ts = np.linspace(0.0, 1.0, 1001)
+        for i, pot in enumerate(scan_potentials(bc)):
+            rounds.clear()
+            self.assert_matches_bisection(NumericKernel(pot, bc), ts, monkeypatch)
+            assert max(rounds) <= 6 if i == 0 else max(rounds) < ROOT_HALVINGS
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.MIXED1,
+                                    BoundaryKind.MIXED2])
+    def test_pinned_end_rows_on_a_coarse_grid(self, bc, monkeypatch):
+        k = NumericKernel(wavy(), bc, grid_size=251)
+        ts = np.array([0.0, 1.0])
+        assert np.all(k._roots_flat(ts)[1][k.pinned(ts)] > 0)
+        self.assert_matches_bisection(k, np.linspace(0.0, 1.0, 1001), monkeypatch)
+
+    @pytest.mark.parametrize("start", [0.0, 1.0])
+    @pytest.mark.parametrize("bc", KERNEL_KINDS)
+    def test_start_at_a_bracket_end(self, bc, start, rounds, monkeypatch):
+        newton = fundamental._newton
+        monkeypatch.setattr(fundamental, "_newton",
+                            lambda *args: newton(*args[:-1], np.full(len(args[-1]), start)))
+        self.assert_matches_bisection(NumericKernel(wavy(), bc), np.linspace(0.0, 1.0, 1001),
+                                      monkeypatch)
+        assert max(rounds) < ROOT_HALVINGS
 
 
 def periodic_roots_one_t(rho, T, t):
