@@ -136,6 +136,9 @@ def calls(wavy: str, repro_a: str) -> list:
                 "--format", "json"])
     out.append(["green", "--bc", "dirichlet", "--rho", "sqrt(60)", "--nodes", "11"])
     out.append(["gamma", "--bc", "mixed1", "--rho", "6", "--format", "json"])
+    # the read with the most slice zeros: 1001 Dirichlet slices at rho = 17.3
+    # beside the closed form, in full
+    out.append(["gamma", "--bc", "dirichlet", "--rho", "17.3", "--format", "json"])
     # the paired conditions' tables on the exact pair, in full
     out.append(["green", "--bc", "periodic", "--rho", "3*pi/2", "--nodes", "11",
                 "--format", "json"])

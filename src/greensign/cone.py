@@ -8,7 +8,8 @@ with M/m within the sign-ratio constant.  Everything here reports sampled
 evidence, not proofs: the report says so explicitly.
 
 Every t-integral of G is read off one antiderivative of the kernel's pair
-through its separable form (_t_prefix); no window is cut into panels.
+(quadrature.CellSums) through its separable form (_t_prefix); no window is
+cut into panels.
 """
 from __future__ import annotations
 
@@ -19,11 +20,10 @@ import numpy as np
 
 from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
                      NonpositiveWeightedIntegral)
-from .gamma import (GammaResult, _antiderivative, gamma_closed, gamma_quadrature,
-                    gamma_star)
+from .gamma import GammaResult, gamma_closed, gamma_quadrature, gamma_star
 from .greens import build_kernel
 from .potentials import BoundaryKind
-from .quadrature import require_no_cancellation
+from .quadrature import CellSums, default_max_len, require_no_cancellation
 from .spectral import principal_eigenfunction
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -35,6 +35,9 @@ N_CELLS = 64          # dyadic partition underlying the subinterval search
 MIN_WIDTH_CELLS = 1   # narrowest candidate: T / 64
 ZOOM_STARTS = 8       # lattice maxima the max-G search refines
 ZOOM_ROUNDS = 12      # kernel calls of that refinement
+#: Gauss points per cell, and cells per default_max_len, of the pair's table
+#: (as gamma's: the numeric pair is one cubic per cell)
+CELL_ORDER, CELLS_PER_PANEL = 4, 16
 
 DEFAULT_X_SAMPLES = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
@@ -109,9 +112,8 @@ def _t_prefix(kernel, xs, ss):
     and B the sum of the absolute values of its terms, which the readers of
     P hold against P (quadrature.require_no_cancellation).
 
-    With U(x) the integral of the pair p = (u1, u2) over [0, x], one
-    antiderivative table (gamma._antiderivative, weight one) read at every
-    x and s,
+    With U(x) the integral of the pair p = (u1, u2) over [0, x], read from
+    one CellSums table edged at every x and s, from the nearer end,
 
         P = U(x)^T C p(s) + [u1(s) (U2(x) - U2(s)) - u2(s) (U1(x) - U1(s))] 1{s < x}.
 
@@ -120,7 +122,9 @@ def _t_prefix(kernel, xs, ss):
     """
     xs = np.asarray(xs, dtype=float)
     ss = np.asarray(ss, dtype=float)
-    S, left, total = _antiderivative(kernel, None, np.concatenate([xs, ss]))
+    x = np.concatenate([xs, ss])
+    S, left, total = CellSums(kernel, x, default_max_len(kernel.potential)
+                              / CELLS_PER_PANEL, CELL_ORDER).both(1.0, x)
     U = S + np.where(left, 0.0, total[:, None])
     Ux, Us = U[:, :len(xs)], U[:, len(xs):]
     u1, u2 = p = np.where(kernel.pinned(ss), 0.0, kernel._pair(ss))

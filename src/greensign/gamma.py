@@ -11,12 +11,13 @@ G(t, s) = p(t)^T C p(s) + k(t, s) 1{s <= t} (see greens): on either side of
 the diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha,
 beta), so between two of its zeros its weighted integral is alpha dW1 +
 beta dW2, with W the antiderivative of p w.  W is one cumulative Gauss sum
-per (kernel, weight), on cells aligned to every kink of p w, kept from both
-ends and read at each slice's zeros and its diagonal t (_antiderivative);
-no slice is evaluated on panels of its own.  A piece counts as positive or
-negative by the sign of its own weighted integral.  The zeros of the
-slices do not depend on the weight: the kernel keeps those of each t-grid
-(Kernel._grid_roots), and every weight read on that grid shares them.
+per (kernel, weight), quadrature.CellSums, on cells aligned to every kink
+of p w and edged at each slice's zeros and its diagonal t, read there from
+the nearer end; no slice is evaluated on panels of its own.  A piece
+counts as positive or negative by the sign of its own weighted integral.
+The zeros of the slices do not depend on the weight: the kernel keeps
+those of each t-grid (Kernel._grid_roots), and every weight read on that
+grid shares them.
 
 Where the boundary condition pins an end, G(t, .) vanishes there and only
 the limit t -> end means anything.  That limit is a slice of the same
@@ -41,15 +42,15 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      QuadratureFailure, InvalidWeight, UnsupportedBoundaryKind)
 from .greens import require_kernel
 from .potentials import BoundaryKind, ConstantPotential, Potential, constant
-from .quadrature import cell_edges, cell_nodes, default_max_len, gauss_nodes
+from .quadrature import CellSums, default_max_len
 
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
                              # counts as absent and the ratio as +inf
-#: Gauss points per cell of the antiderivative table.  A numeric kernel's
-#: pair and the eigenfunction weight are Hermite cubics between their grid
-#: nodes, which are cell edges, so p w has degree at most 6 on a cell and
-#: these points integrate it exactly.
+#: Gauss points per cell of the table of W.  A numeric kernel's pair and
+#: the eigenfunction weight are Hermite cubics between their grid nodes,
+#: which are cell edges, so p w has degree at most 6 on a cell and these
+#: points integrate it exactly.
 CELL_ORDER = 4
 #: Cells per default_max_len: on a closed form's pair a cell turns the
 #: phase by at most pi / 16, where the 4-point rule is good to rounding.
@@ -74,47 +75,6 @@ class GammaResult:
         return asdict(self)
 
 
-def _antiderivative(kernel, weight, x: np.ndarray):
-    """(S, left, total) for the points x: total is the integral of p w
-    over [0, T], with p = (u1, u2) the kernel's pair and w the weight (None
-    for one); left is where x <= T - x, and S[:, i] is the integral over
-    [0, x[i]] there and minus the integral over [x[i], T] elsewhere, shape
-    (2, len(x)).
-
-    The table is one CELL_ORDER-point Gauss sum per cell of
-    quadrature.cell_edges, broken also at the weight's break points and
-    capped at default_max_len / CELLS_PER_PANEL, cumulated from both ends.
-    A point is read once, from its nearer end: the sum up to its cell's
-    edge on that side plus a Gauss sum over the rest of its cell, both in
-    the same pass as the cells.  So a piece next to either end is read
-    without the cancellation of W(T) - W(x), and mirrored slices alike.
-    """
-    T = kernel.T
-    edges = cell_edges(kernel, getattr(weight, "breakpoints", ()),
-                       default_max_len(kernel.potential) / CELLS_PER_PANEL)
-    n = len(edges) - 1
-    left = x <= T - x
-    k = np.where(left, edges.searchsorted(x, "right") - 1, edges.searchsorted(x))
-    near = edges[k]
-    xs, half = cell_nodes(np.concatenate([edges[:-1], np.where(left, near, x)]),
-                          np.concatenate([edges[1:], np.where(left, x, near)]), CELL_ORDER)
-    u1, u2 = kernel._pair(xs)
-    if weight is not None:
-        w = np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
-        u1, u2 = u1 * w, u2 * w
-    gw = gauss_nodes(CELL_ORDER)[1]
-    sums = np.array([u1 @ gw, u2 @ gw])
-    sums *= half
-    # up[:, j] sums the cells left of edge j, down[:, j] those right of it
-    up = np.zeros((2, n + 1))
-    down = np.zeros((2, n + 1))
-    sums[:, :n].cumsum(axis=1, out=up[:, 1:])
-    sums[:, n - 1::-1].cumsum(axis=1, out=down[:, -2::-1])
-    parts = sums[:, n:]
-    S = np.where(left, up[:, k] + parts, -(down[:, k] + parts))
-    return S, left, 0.5 * (up[:, -1] + down[:, 0])
-
-
 def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     """(N, D) at every t in ts: weighted integrals of the positive and
     negative parts of G(t, .), non-finite where the quadrature failed.
@@ -123,9 +83,10 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     them.  Row i lays out 0, its zeros and t in order, and T; each piece
     between neighbours has one sign, and its integral is alpha dW1 +
     beta dW2 with (alpha, beta) of its side of t (kernel._sides) and dW
-    the difference of S (_antiderivative) across it, plus the whole
-    integral for the one piece that spans the middle of [0, T].  A piece
-    counts as positive or negative by the sign of its own weighted
+    the difference across it of W, read from the nearer end at every
+    point of every row (CellSums.both, which edges its cells there), plus
+    the whole integral for the one piece that spans the middle of [0, T].
+    A piece counts as positive or negative by the sign of its own weighted
     integral (zero counts as positive); one np.bincount per sign sums the
     pieces of every slice.
     """
@@ -141,9 +102,12 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     at = np.concatenate([np.arange(len(flat)) + 3 * root_row + 1 + past, at_t,
                          start, start + k + 2])
     x = np.concatenate([flat, ts, np.zeros(n), np.full(n, kernel.T)])
+    sums = CellSums(kernel, np.concatenate([getattr(weight, "breakpoints", ()), x]),
+                    default_max_len(kernel.potential) / CELLS_PER_PANEL, CELL_ORDER)
+    g = 1.0 if weight is None else weight(sums.xs)
     S = np.empty((2, len(x)))
     left = np.empty(len(x), dtype=bool)
-    S[:, at], left[at], total = _antiderivative(kernel, weight, x)
+    S[:, at], left[at], total = sums.both(g, x)
     # piece j of row i runs from point a = i + j to b = a + 1
     row = rows.repeat(k + 2)
     a = np.arange(len(row)) + row

@@ -4,14 +4,15 @@ Integrands here are piecewise smooth: kernels are C^1 away from the diagonal
 t = s, their positive/negative parts additionally kink at the interior zeros
 of G(t, .), and sampled potentials kink at their grid nodes.
 
-One layout serves every caller.  cell_edges and cell_nodes lay out the
-cells of one cumulative quadrature of p g over [0, T], with p the kernel's
-fundamental pair: no cell straddles a numeric kernel's grid node (its pair
-is one Hermite cubic per grid cell), a shared break point of the potential
-or a point the caller names, so a low-order rule per cell is exact for a
-piecewise-polynomial g aligned to those points.  The solver, the
-sign-ratio constant and the t-integrals of the cone integrate through it
-(see solver, gamma and cone).
+One table serves every caller.  CellSums is one cumulative quadrature of
+p g over [0, T], with p the kernel's fundamental pair, on the cells of
+cell_edges: no cell straddles a numeric kernel's grid node (its pair is
+one Hermite cubic per grid cell), a shared break point of the potential or
+a point the caller reads at, so a low-order rule per cell is exact for a
+piecewise-polynomial g aligned to those points, and a read is an index
+into the sums.  The solver, the sign-ratio constant and the t-integrals of
+the cone integrate through it (see solver, gamma and cone), each with its
+own rule order and length cap.
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_flat (or
 s_roots_many, one array per slice), which gives none for a slice the
@@ -23,6 +24,7 @@ No slice is sampled to find them.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,16 +38,11 @@ MAX_SHARED_BREAKS = 64
 #: The most that the terms of a separable sum may exceed its values by
 CANCELLATION_LIMIT = 1e8
 
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the order-point rule on [-1, 1], cached."""
-    got = _gauss_cache.get(order)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(order)
-        _gauss_cache[order] = got
-    return got
+    return np.polynomial.legendre.leggauss(order)
 
 
 def build_edges(a: float, b: float, points=(), max_len: float | None = None) -> np.ndarray:
@@ -90,12 +87,55 @@ def cell_edges(kernel, points, max_len: float) -> np.ndarray:
     return np.interp(np.arange(ends[-1] + 1.0), ends, edges)
 
 
-def cell_nodes(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, half): the order-point Gauss nodes of every cell [lo[i], hi[i]],
-    shape (cells, order), and the half-widths of the cells, by which the
-    rule's weights on [-1, 1] scale."""
-    half = 0.5 * (hi - lo)
-    return (0.5 * (lo + hi))[:, None] + half[:, None] * gauss_nodes(order)[0], half
+class CellSums:
+    """One cumulative Gauss quadrature of p g over [0, T], with p = (u1, u2)
+    the kernel's pair, for any g sampled at the nodes xs (or broadcast to
+    them).  Built once: the order-point Gauss nodes xs of the cells of
+    cell_edges(kernel, points, max_len), and q, the pair there times the
+    half-width of each cell and the rule's weights, shape (2, cells,
+    order).  Every point is an edge, so a read is an index into the sums.
+    """
+
+    def __init__(self, kernel, points, max_len: float, order: int):
+        self.T = kernel.T
+        self.edges = e = cell_edges(kernel, points, max_len)
+        nodes, gw = gauss_nodes(order)
+        half = 0.5 * (e[1:] - e[:-1])
+        xs = (0.5 * (e[:-1] + e[1:]))[:, None] + half[:, None] * nodes
+        self.xs = xs.ravel()
+        self.q = np.stack(kernel._pair(xs)) * (half[:, None] * gw)
+
+    def index(self, x) -> np.ndarray:
+        """Where the points x, clipped to [0, T], stand among the edges:
+        edges[index(x)] is x for every x that was among the points."""
+        return self.edges.searchsorted(np.clip(x, 0.0, self.T))
+
+    def _cells(self, g) -> np.ndarray:
+        g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
+        return np.einsum("kij,ij->ki", self.q, g.reshape(self.q.shape[1:]))
+
+    def up(self, g) -> np.ndarray:
+        """P[:, j], the integral of p g over [0, edges[j]], shape
+        (2, cells + 1)."""
+        P = np.zeros((2, self.q.shape[1] + 1))
+        np.cumsum(self._cells(g), axis=1, out=P[:, 1:])
+        return P
+
+    def both(self, g, x):
+        """(S, left, total) at the points x: total is the integral of p g
+        over [0, T]; left is where x <= T - x, and S[:, i] is the integral
+        over [0, x[i]] there and minus that over [x[i], T] elsewhere.  So a
+        point is read from its nearer end, without the cancellation of
+        P(T) - P(x) next to T."""
+        cells = self._cells(g)
+        up = np.zeros((2, cells.shape[1] + 1))
+        down = np.zeros_like(up)
+        np.cumsum(cells, axis=1, out=up[:, 1:])
+        np.cumsum(cells[:, ::-1], axis=1, out=down[:, -2::-1])
+        at = self.index(x)
+        left = self.edges[at] <= self.T - self.edges[at]
+        return (np.where(left, up[:, at], -down[:, at]), left,
+                0.5 * (up[:, -1] + down[:, 0]))
 
 
 def require_no_cancellation(bulk, values, what: str, task: str) -> None:

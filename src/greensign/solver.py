@@ -7,10 +7,11 @@ and C its coupling matrix (see greens), for any integrand g
 
 where P(x) is the integral of p g over [0, x].  So every output node is
 read off one cumulative Gauss quadrature of p g (Greengard & Rokhlin
-1991), on cells between consecutive output nodes, the nodes of a numeric
-kernel's grid and the potential's break points, capped in length: no cell
-straddles the diagonal kink or a kink of the sampled pair, and no slice is
-split at its zeros.  The nonlinear problem u = integral of G(t, s)
+1991), quadrature.CellSums read from 0: its cells lie between consecutive
+output nodes, the nodes of a numeric kernel's grid and the potential's
+break points, capped in length, so no cell straddles the diagonal kink or
+a kink of the sampled pair, no slice is split at its zeros, and every
+output node is an edge.  The nonlinear problem u = integral of G(t, s)
 f(s, u(s)) ds runs an Anderson-accelerated fixed-point iteration through
 the same sum, with u between the nodes from a local 4-point Lagrange
 stencil, so a fixed point of the iteration is a fixed point of the
@@ -34,8 +35,7 @@ import numpy as np
 from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import (cell_edges, cell_nodes, default_max_len, gauss_nodes,
-                         require_no_cancellation)
+from .quadrature import CellSums, default_max_len, require_no_cancellation
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
@@ -111,31 +111,22 @@ def _as_grid(kernel, grid) -> np.ndarray:
     return ts
 
 
-class _Cumulative:
+class _Cumulative(CellSums):
     """The integrals of G(t_i, s) g(s) ds at the output nodes t_i, for any
     g sampled at the Gauss nodes xs, through the separable form (see the
-    module docstring): one pair evaluation at build, one cumulative sum
-    per apply."""
+    module docstring): the table's sums from 0, read at the nodes."""
 
     def __init__(self, kernel, ts: np.ndarray, order: int = CELL_ORDER):
-        T = kernel.T
-        ts = np.clip(ts, 0.0, T)
-        edges = cell_edges(kernel, ts, default_max_len(kernel.potential))
-        # the output nodes are edges, and P at edge k sums the first k cells
-        self.at = np.searchsorted(edges, ts)
-        xs, half = cell_nodes(edges[:-1], edges[1:], order)
-        self.xs = xs.ravel()
-        self.q = np.stack(kernel._pair(xs)) * (half[:, None] * gauss_nodes(order)[1])
+        ts = np.clip(ts, 0.0, kernel.T)
+        super().__init__(kernel, ts, default_max_len(kernel.potential), order)
+        self.at = self.index(ts)
         # G(t, .) vanishes where the condition pins t, and the sum there
         # would be rounding noise: those rows read the zero pair
         self.pt = np.where(kernel.pinned(ts), 0.0, kernel._pair(ts))
         self.C = kernel._C
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
-        P = np.zeros((2, self.q.shape[1] + 1))
-        np.cumsum(np.einsum("kij,ij->ki", self.q, g.reshape(self.q.shape[1:])),
-                  axis=1, out=P[:, 1:])
+        P = self.up(g)
         if not np.all(np.isfinite(P)):
             raise QuadratureFailure("non-finite integrand in the solve")
         u1, u2 = self.pt

@@ -25,6 +25,12 @@ before it read the limit slice.
 bisect_place is the root refinement of FundamentalSolutions.place before
 it took Newton steps: ROOT_HALVINGS halvings of each zero's node cell,
 with one eval_pair per halving.
+
+antiderivative and Cumulative are the two cumulative tables that
+quadrature.CellSums replaced: the two-sided antiderivative of p w that
+gamma and the cone read, on cells that ignore the read points, with a
+partial Gauss cell from the nearest edge to each of them; and the
+solver's prefix sums, read at cell edges.
 """
 import math
 from typing import NamedTuple
@@ -32,8 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from greensign.cone import N_CELLS
+from greensign.errors import QuadratureFailure
 from greensign.fundamental import ROOT_HALVINGS
-from greensign.quadrature import default_max_len, gauss_nodes, shared_breaks
+from greensign.quadrature import (cell_edges, default_max_len, gauss_nodes,
+                                  require_no_cancellation, shared_breaks)
 
 GAUSS_ORDER = 16
 
@@ -290,3 +298,76 @@ def bisect_place(fs, theta, keep, alpha, beta, k0):
     r = np.full(keep.shape, np.inf)
     r[keep] = 0.5 * (lo + hi)
     return r
+
+
+def cell_nodes(lo, hi, order: int):
+    """(xs, half): the order-point Gauss nodes of every cell [lo[i], hi[i]],
+    shape (cells, order), and the half-widths of the cells."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * gauss_nodes(order)[0], half
+
+
+def antiderivative(kernel, weight, x: np.ndarray, order: int = 4,
+                   cells_per_panel: int = 16):
+    """(S, left, total) of CellSums.both at the points x, for g the weight
+    (None for one), on order-point cells of cell_edges broken at the
+    weight's break points only and capped at default_max_len /
+    cells_per_panel: a point is read from its nearer end as the sum up to
+    its cell's edge on that side plus a Gauss sum over the rest of its
+    cell."""
+    T = kernel.T
+    edges = cell_edges(kernel, getattr(weight, "breakpoints", ()),
+                       default_max_len(kernel.potential) / cells_per_panel)
+    n = len(edges) - 1
+    left = x <= T - x
+    k = np.where(left, edges.searchsorted(x, "right") - 1, edges.searchsorted(x))
+    near = edges[k]
+    xs, half = cell_nodes(np.concatenate([edges[:-1], np.where(left, near, x)]),
+                          np.concatenate([edges[1:], np.where(left, x, near)]), order)
+    u1, u2 = kernel._pair(xs)
+    if weight is not None:
+        w = np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
+        u1, u2 = u1 * w, u2 * w
+    gw = gauss_nodes(order)[1]
+    sums = np.array([u1 @ gw, u2 @ gw])
+    sums *= half
+    up = np.zeros((2, n + 1))
+    down = np.zeros((2, n + 1))
+    sums[:, :n].cumsum(axis=1, out=up[:, 1:])
+    sums[:, n - 1::-1].cumsum(axis=1, out=down[:, -2::-1])
+    parts = sums[:, n:]
+    S = np.where(left, up[:, k] + parts, -(down[:, k] + parts))
+    return S, left, 0.5 * (up[:, -1] + down[:, 0])
+
+
+class Cumulative:
+    """solver._Cumulative as it built its own cells: the integrals of
+    G(t_i, s) g(s) ds at the output nodes t_i, for any g sampled at the
+    Gauss nodes xs, read off prefix sums at cell edges."""
+
+    def __init__(self, kernel, ts: np.ndarray, order: int = 8):
+        T = kernel.T
+        ts = np.clip(ts, 0.0, T)
+        edges = cell_edges(kernel, ts, default_max_len(kernel.potential))
+        self.at = np.searchsorted(edges, ts)
+        xs, half = cell_nodes(edges[:-1], edges[1:], order)
+        self.xs = xs.ravel()
+        self.q = np.stack(kernel._pair(xs)) * (half[:, None] * gauss_nodes(order)[1])
+        self.pt = np.where(kernel.pinned(ts), 0.0, kernel._pair(ts))
+        self.C = kernel._C
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
+        P = np.zeros((2, self.q.shape[1] + 1))
+        np.cumsum(np.einsum("kij,ij->ki", self.q, g.reshape(self.q.shape[1:])),
+                  axis=1, out=P[:, 1:])
+        if not np.all(np.isfinite(P)):
+            raise QuadratureFailure("non-finite integrand in the solve")
+        u1, u2 = self.pt
+        c1, c2 = self.C @ P[:, -1]
+        P1, P2 = P[:, self.at]
+        terms = u1 * c1, u2 * c2, u2 * P1, -u1 * P2
+        us = sum(terms)
+        require_no_cancellation(sum(np.abs(x) for x in terms), us, "u",
+                                "a solve on this potential")
+        return us

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from greensign import gamma as gamma_module
+from greensign import gamma as gamma_module, quadrature
+from greensign.cone import _t_prefix
 from greensign.errors import (InvalidWeight, NonpositiveWeightedIntegral,
                               OutOfRange, QuadratureFailure, ResonantPotential,
                               UnsupportedBoundaryKind)
@@ -17,8 +18,9 @@ from greensign.greens import NumericKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 from greensign.spectral import principal_eigenfunction
-from slice_oracle import (boundary_nodes, inside_pinned_ends, neville_to_zero,
-                          panel_slice_parts, side_values, slice_parts)
+from slice_oracle import (antiderivative, boundary_nodes, inside_pinned_ends,
+                          neville_to_zero, panel_slice_parts, side_values,
+                          slice_parts)
 
 SIN_WEIGHT = lambda s: np.sin(np.pi * np.asarray(s))
 
@@ -482,8 +484,9 @@ def assert_same_gamma(kernel, weight, t_grid_size, rtol=1e-12, breaks=None):
 
 
 class TestSeparableSlices:
-    """gamma through the kernel's separable form (gamma._antiderivative)
-    against the panel oracle it replaced."""
+    """gamma through the kernel's separable form (quadrature.CellSums read
+    at every slice's zeros and diagonal) against the panel oracle it
+    replaced, and its table against the partial-cell one it replaced."""
 
     @pytest.mark.parametrize("bc", KERNEL_KINDS)
     @pytest.mark.parametrize("eigen_weight", [True, False])
@@ -511,6 +514,40 @@ class TestSeparableSlices:
         kernel = build_kernel(pot, bc)
         weight = principal_eigenfunction(pot, bc) if eigen_weight else None
         assert_same_gamma(kernel, weight, 21)
+
+    @given(mean=st.floats(45.0, 75.0),
+           modes=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                          min_size=1, max_size=3),
+           bc=st.sampled_from(KERNEL_KINDS),
+           eigen_weight=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_reads_match_partial_cells(self, mean, modes, bc, eigen_weight):
+        # gamma's S and the cone's U, read at edges, against the table read
+        # through a partial Gauss cell per point (slice_oracle.antiderivative):
+        # at most 1.3e-15 of max |S| over 80 draws
+        pot = trig_potential(mean, modes)
+        kernel = build_kernel(pot, bc)
+        weight = principal_eigenfunction(pot, bc) if eigen_weight else None
+        reads = []
+        both = quadrature.CellSums.both
+
+        def spy(sums, g, x):
+            reads.append((np.array(x, dtype=float), both(sums, g, x)))
+            return reads[-1][1]
+
+        ts = np.linspace(0.0, 1.0, 41)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature.CellSums, "both", spy)
+            gamma_module._slice_parts(kernel, ts, kernel._roots_flat(ts), weight)
+            _t_prefix(kernel, np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 201))
+        (x, (S, left, total)), (y, (U, up_left, U_total)) = reads
+        want, want_left, _ = antiderivative(kernel, weight, x)
+        assert np.array_equal(left, want_left)
+        assert np.all(np.abs(S - want) <= 1e-14 * np.max(np.abs(want), axis=1)[:, None])
+        U = U + np.where(up_left, 0.0, U_total[:, None])
+        V, V_left, V_total = antiderivative(kernel, None, y)
+        V = V + np.where(V_left, 0.0, V_total[:, None])
+        assert np.all(np.abs(U - V) <= 1e-14 * np.max(np.abs(V), axis=1)[:, None])
 
     @pytest.mark.parametrize("seed, nodes", [(0, 2001), (1, 2001), (2, 1201),
                                              (3, 1201)])

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from greensign.greens import NumericKernel, PeriodicConstantKernel
-from greensign.potentials import BoundaryKind, sampled
-from greensign.quadrature import MAX_SHARED_BREAKS, build_edges, gauss_nodes
+from greensign.greens import NumericKernel, PeriodicConstantKernel, build_kernel
+from greensign.potentials import BoundaryKind, constant, sampled
+from greensign.quadrature import (MAX_SHARED_BREAKS, CellSums, build_edges,
+                                  default_max_len, gauss_nodes)
 from slice_oracle import panel_plan, slice_panels
 
 
@@ -136,3 +137,35 @@ def test_segment_sum_depends_only_on_contents():
             buf = np.zeros(c + shift)
             buf[shift:] = vals[a:a + c]
             assert np.add.reduceat(buf[shift:], [0])[0] == got[k]
+
+
+def test_gauss_nodes_are_kept_per_order():
+    for order in (4, 8, 12):
+        got = gauss_nodes(order)
+        assert gauss_nodes(order) is got
+        want = np.polynomial.legendre.leggauss(order)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("kernel", [
+    wavy_kernel(2001),
+    build_kernel(constant(7.5, 1.7), BoundaryKind.DIRICHLET)], ids=["wavy", "closed"])
+def test_every_read_point_is_an_edge(kernel):
+    """A read is an index into the sums: every point of the build is an
+    edge, once clipped to [0, T], and the two-sided read at both ends is 0."""
+    T = kernel.T
+    rng = np.random.default_rng(2)
+    inner = rng.uniform(0.0, T, 40)
+    x = np.concatenate([
+        inner, inner[:5],                                  # duplicates
+        np.nextafter(inner[5:10], T), np.nextafter(inner[10:15], 0.0),
+        [0.0, T, np.nextafter(0.0, 1.0), np.nextafter(T, 0.0),
+         -0.3, T + 0.2, -1e-13, T + 1e-13]])               # clipped to 0 and T
+    rng.shuffle(x)
+    sums = CellSums(kernel, x, default_max_len(kernel.potential) / 16, 4)
+    assert np.all(np.diff(sums.edges) > 0.0)
+    assert np.array_equal(sums.edges[sums.index(x)], np.clip(x, 0.0, T))
+    S, left, total = sums.both(np.cos(sums.xs), [0.0, T])
+    assert list(left) == [True, False]
+    assert np.all(S == 0.0)
+    assert np.all(total != 0.0)

@@ -9,8 +9,9 @@ from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import default_max_len, shared_breaks
-from slice_oracle import GAUSS_ORDER, slice_panels
-from greensign.solver import (Positivity, _classify_positivity, _Stencil,
+from slice_oracle import GAUSS_ORDER, Cumulative, slice_panels
+from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, Positivity,
+                              _classify_positivity, _Cumulative, _Stencil,
                               solve_linear, solve_nonlinear, verify_solution)
 
 RHO_D = math.sqrt(60.0)
@@ -227,6 +228,31 @@ class TestSeparableAgainstOracle:
         got = solve_linear(k, sigma, 101).values
         want = oracle_solve(k, sigma, 101)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestCellSumsRead:
+    """The solver's read of quadrature.CellSums against the prefix table
+    that built its own cells (slice_oracle.Cumulative): the same nodes and
+    the same sums, bit for bit."""
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @pytest.mark.parametrize("numeric", [True, False])
+    @pytest.mark.parametrize("order", [CELL_ORDER, FINE_CELL_ORDER])
+    @pytest.mark.parametrize("outside", [0.0, 1e-13])
+    def test_matches_the_prefix_table(self, bc, numeric, order, outside):
+        grid = np.linspace(0.0, 1.0, 2001)
+        pot = (sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid)) if numeric
+               else constant(RHO_D))
+        k = build_kernel(pot, bc)
+        # uneven output nodes, the end nodes outside [0, T] by outside
+        ts = np.linspace(0.0, 1.0, 57) ** 1.3
+        ts[0], ts[-1] = -outside, 1.0 + outside
+        got, want = _Cumulative(k, ts, order), Cumulative(k, ts, order)
+        assert np.array_equal(got.xs, want.xs)
+        assert np.array_equal(got.at, want.at)
+        g = wavy_rhs(got.xs) + np.sin(9.0 * got.xs)
+        assert np.array_equal(got.apply(g), want.apply(g))
+        assert np.array_equal(got.apply(1.5), want.apply(1.5))
 
 
 class TestCancellationGuard:
