@@ -8,8 +8,8 @@ with M/m within the sign-ratio constant.  Everything here reports sampled
 evidence, not proofs: the report says so explicitly.
 
 Every t-integral of G is read off one antiderivative of the kernel's pair
-(quadrature.CellSums) through its separable form (_t_prefix); no window is
-cut into panels.
+(quadrature.slice_sums) through its separable form p(min)^T C p(max)
+(_t_prefix); no window is cut into panels.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
 from .gamma import GammaResult, gamma_closed, gamma_quadrature, gamma_star
 from .greens import build_kernel
 from .potentials import BoundaryKind
-from .quadrature import CellSums, default_max_len, require_no_cancellation
+from .quadrature import require_no_cancellation, slice_sums
 from .spectral import principal_eigenfunction
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -35,9 +35,6 @@ N_CELLS = 64          # dyadic partition underlying the subinterval search
 MIN_WIDTH_CELLS = 1   # narrowest candidate: T / 64
 ZOOM_STARTS = 8       # lattice maxima the max-G search refines
 ZOOM_ROUNDS = 12      # kernel calls of that refinement
-#: Gauss points per cell, and cells per default_max_len, of the pair's table
-#: (as gamma's: the numeric pair is one cubic per cell)
-CELL_ORDER, CELLS_PER_PANEL = 4, 16
 
 DEFAULT_X_SAMPLES = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
@@ -113,25 +110,26 @@ def _t_prefix(kernel, xs, ss):
     P hold against P (quadrature.require_no_cancellation).
 
     With U(x) the integral of the pair p = (u1, u2) over [0, x], read from
-    one CellSums table edged at every x and s, from the nearer end,
+    one slice_sums table edged at every x and s, from the nearer end:
+    G(t, s) is p(t)^T C p(s) for t <= s and p(s)^T C p(t) past s, so
 
-        P = U(x)^T C p(s) + [u1(s) (U2(x) - U2(s)) - u2(s) (U1(x) - U1(s))] 1{s < x}.
+        P = U(x)^T C p(s) + d [u1(s) (U2(x) - U2(s)) - u2(s) (U1(x) - U1(s))] 1{s < x}
 
-    The pair is zero at an s the condition pins, where G(., s) vanishes, so
-    those columns read exactly zero.
+    with d = C[0, 1] - C[1, 0] (see greens).  The pair is zero at an s the
+    condition pins, where G(., s) vanishes, so those columns read exactly
+    zero.
     """
     xs = np.asarray(xs, dtype=float)
     ss = np.asarray(ss, dtype=float)
     x = np.concatenate([xs, ss])
-    S, left, total = CellSums(kernel, x, default_max_len(kernel.potential)
-                              / CELLS_PER_PANEL, CELL_ORDER).both(1.0, x)
+    S, left, total = slice_sums(kernel, x).both(1.0, x)
     U = S + np.where(left, 0.0, total[:, None])
     Ux, Us = U[:, :len(xs)], U[:, len(xs):]
-    u1, u2 = p = np.where(kernel.pinned(ss), 0.0, kernel._pair(ss))
+    u1, u2 = p = np.array(kernel._pair(ss))
     Cp = kernel._C @ p
     below = ss < xs[:, None]
     a, b = u1 * (Ux[1, :, None] - Us[1]), u2 * (Ux[0, :, None] - Us[0])
-    return (Ux.T @ Cp + np.where(below, a - b, 0.0),
+    return (Ux.T @ Cp + np.where(below, kernel._d * (a - b), 0.0),
             np.abs(Ux.T) @ np.abs(Cp) + np.where(below, np.abs(a) + np.abs(b), 0.0))
 
 

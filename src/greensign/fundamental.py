@@ -274,10 +274,6 @@ class FundamentalSolutions:
         self.ts = table.ts
         self.h = table.h
         self.u1, self.u2, self.p1, self.p2 = phis
-        # slope of (u1', u2') comes from the ODE itself: u'' = -q u
-        q_nodes = table.a + self.lam
-        self.dp1 = -q_nodes * self.u1
-        self.dp2 = -q_nodes * self.u2
         # Phi(T) = [[u1, u2], [u1', u2']] at T
         self.phi = phis[:, -1].reshape(2, 2).copy()
 
@@ -397,7 +393,7 @@ def base_solutions(potential: Potential, grid_size: int | None = None) -> Fundam
     fs = potential.cache.get(("pair0", grid_size))
     if fs is None:
         fs = potential.cache[("pair0", grid_size)] = FundamentalSolutions(potential, 0.0, grid_size)
-        for x in (fs.u1, fs.u2, fs.p1, fs.p2, fs.dp1, fs.dp2):
+        for x in (fs.u1, fs.u2, fs.p1, fs.p2):
             x.flags.writeable = False
     return fs
 

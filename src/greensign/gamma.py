@@ -7,11 +7,12 @@ the weighted integral of G stays positive while G itself changes sign.  A
 kernel with no negative part gets the +inf sentinel.
 
 The quadrature path reads N and D through the kernel's separable form
-G(t, s) = p(t)^T C p(s) + k(t, s) 1{s <= t} (see greens): on either side of
+G(t, s) = p(min(t, s))^T C p(max(t, s)) (see greens): on either side of
 the diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha,
-beta), so between two of its zeros its weighted integral is alpha dW1 +
-beta dW2, with W the antiderivative of p w.  W is one cumulative Gauss sum
-per (kernel, weight), quadrature.CellSums, on cells aligned to every kink
+beta), C p(t) left of t and C^T p(t) right of it, so between two of its
+zeros its weighted integral is alpha dW1 + beta dW2, with W the
+antiderivative of p w.  W is one cumulative Gauss sum per (kernel,
+weight), quadrature.slice_sums, on cells aligned to every kink
 of p w and edged at each slice's zeros and its diagonal t, read there from
 the nearer end; no slice is evaluated on panels of its own.  A piece
 counts as positive or negative by the sign of its own weighted integral.
@@ -42,19 +43,11 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      QuadratureFailure, InvalidWeight, UnsupportedBoundaryKind)
 from .greens import require_kernel
 from .potentials import BoundaryKind, ConstantPotential, Potential, constant
-from .quadrature import CellSums, default_max_len
+from .quadrature import slice_sums
 
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
                              # counts as absent and the ratio as +inf
-#: Gauss points per cell of the table of W.  A numeric kernel's pair and
-#: the eigenfunction weight are Hermite cubics between their grid nodes,
-#: which are cell edges, so p w has degree at most 6 on a cell and these
-#: points integrate it exactly.
-CELL_ORDER = 4
-#: Cells per default_max_len: on a closed form's pair a cell turns the
-#: phase by at most pi / 16, where the 4-point rule is good to rounding.
-CELLS_PER_PANEL = 16
 
 CASE_2B_NOTE = ("rho*T/pi in (4k+2, 4k+3): the published ratio reads below "
                 "one at face value, but sin(rho*T/2) is negative on this "
@@ -79,10 +72,10 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     """(N, D) at every t in ts: weighted integrals of the positive and
     negative parts of G(t, .), non-finite where the quadrature failed.
 
-    roots are the interior zeros of the slices, as s_roots_flat gives
-    them.  Row i lays out 0, its zeros and t in order, and T; each piece
-    between neighbours has one sign, and its integral is alpha dW1 +
-    beta dW2 with (alpha, beta) of its side of t (kernel._sides) and dW
+    roots are the interior zeros of the slices as (flat, counts), as
+    kernel._roots_flat gives them.  Row i lays out 0, its zeros and t in
+    order, and T; each piece between neighbours has one sign, and its
+    integral is alpha dW1 + beta dW2 with (alpha, beta) of its side of t (kernel._sides) and dW
     the difference across it of W, read from the nearer end at every
     point of every row (CellSums.both, which edges its cells there), plus
     the whole integral for the one piece that spans the middle of [0, T].
@@ -102,8 +95,7 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     at = np.concatenate([np.arange(len(flat)) + 3 * root_row + 1 + past, at_t,
                          start, start + k + 2])
     x = np.concatenate([flat, ts, np.zeros(n), np.full(n, kernel.T)])
-    sums = CellSums(kernel, np.concatenate([getattr(weight, "breakpoints", ()), x]),
-                    default_max_len(kernel.potential) / CELLS_PER_PANEL, CELL_ORDER)
+    sums = slice_sums(kernel, np.concatenate([getattr(weight, "breakpoints", ()), x]))
     g = 1.0 if weight is None else weight(sums.xs)
     S = np.empty((2, len(x)))
     left = np.empty(len(x), dtype=bool)
@@ -164,7 +156,7 @@ def pointwise_ratio(kernel, t, weight=None):
         if pinned:
             raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {u:.6g} "
                              f"to zero")
-    rs = _slice_ratios(kernel, ts, kernel.s_roots_flat(ts), weight, need_positive=False)
+    rs = _slice_ratios(kernel, ts, kernel._roots_flat(ts), weight, need_positive=False)
     return float(rs[0]) if t.ndim == 0 else rs.reshape(t.shape)
 
 

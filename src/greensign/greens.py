@@ -9,11 +9,10 @@ evaluates its pair on t and on s as given, before they broadcast, so
 callers pass operands shaped per row (t of shape (rows, 1) against s of
 shape (rows, nodes)).
 
-Separable form of every kernel: with u1, u2 the normalized fundamental pair
-(_pair) and k(t, s) = u1(s) u2(t) - u1(t) u2(s) the Cauchy kernel, every
-Green's function here has the form
+Separable form of every kernel: with p = (u1, u2) the normalized
+fundamental pair (_pair), every Green's function here has the form
 
-    G(t, s) = [u1(t) u2(t)] C [u1(s) u2(s)]^T + k(t, s) * 1{s <= t}
+    G(t, s) = p(min(t, s))^T C p(max(t, s))
 
 for a 2x2 coupling matrix C (_C) fixed by the rule of
 potentials.BoundaryKind from Phi(T) of the pair.  A paired condition of
@@ -21,7 +20,13 @@ multiplier m solves (m I - Phi(T)) C = [[u2, -u1], [u2', -u1']](T), and
 det(m I - Phi(T)) must not vanish; for a separated one the entry (r, c) =
 BoundaryKind.entry of Phi(T) must not, and C is zero but for its row c,
 filled from row r of Phi(T).  That is the one resonance rule
-(_boundary_matrix).
+(_boundary_matrix).  On a separated condition G is thus u_c(min)
+phi_R(max), with phi_R = C[c] p the solution that meets the condition at
+T (Greengard & Rokhlin 1991).  The two sides of the diagonal differ by d
+times the Cauchy kernel u1(s) u2(t) - u1(t) u2(s), d = C[0, 1] - C[1, 0]
+(_d): exactly one on a separated condition, and on a paired one one to
+rounding on the exact pair and to RK4's error on the other.  The pair,
+and so G, is exactly zero at an end that the condition pins.
 
 Zeros of the slices, one rule for every kernel: on either side of the
 diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha, beta),
@@ -81,6 +86,11 @@ def _coupling(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
     return C
 
 
+def _times(C, p) -> tuple[np.ndarray, np.ndarray]:
+    """C p entry by entry: each column alike, whatever their number."""
+    return C[0, 0] * p[0] + C[0, 1] * p[1], C[1, 0] * p[0] + C[1, 1] * p[1]
+
+
 class Kernel:
     """G(t, s) of (potential, bc) from a fundamental pair: the RK4
     FundamentalSolutions of any potential, or the exact ConstantPair of a
@@ -95,33 +105,30 @@ class Kernel:
         self.fs = pair
         self.form = pair.form  # "closed" on an exact pair, "numeric" on RK4
         self._C = _coupling(_boundary_matrix(pair, bc), bc)
+        self._d = float(self._C[0, 1] - self._C[1, 0])
         # _roots_flat on the uniform t-grid of each size: the zeros of the
         # slices do not depend on the weight (gamma_quadrature)
         self._grid_roots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _pair(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return self.fs.eval_pair(x)
+        """(u1, u2) at x, exactly zero at an end that the condition pins."""
+        u1, u2 = self.fs.eval_pair(x)
+        pinned = self.pinned(x)
+        if pinned.any():
+            return np.where(pinned, 0.0, u1), np.where(pinned, 0.0, u2)
+        return u1, u2
 
     def __call__(self, t, s):
-        """G(t, s) over t and s broadcast together.  The pair is evaluated
-        on each operand before they broadcast: pass operands shaped per row,
-        not repeated per node.  On the exact pair G is read at (max(t, s),
-        min(t, s)), which makes it exactly symmetric; the RK4 pair's G is
-        symmetric only to RK4's error, and keeps the separable form that
-        solve, gamma and cone integrate."""
+        """G(t, s) over t and s broadcast together.  The pair and C p are
+        evaluated once on each operand before they broadcast: pass operands
+        shaped per row, not repeated per node.  G is the one product
+        p(min) . C p(max) whichever operand is the larger, so it is exactly
+        symmetric."""
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        u1t, u2t = self._pair(t)
-        u1s, u2s = self._pair(s)
-        below = s <= t
-        if self.form == "closed":
-            u1t, u1s = np.where(below, u1t, u1s), np.where(below, u1s, u1t)
-            u2t, u2s = np.where(below, u2t, u2s), np.where(below, u2s, u2t)
-            below = True
-        C = self._C
-        g = ((C[0, 0] * u1t + C[1, 0] * u2t) * u1s
-             + (C[0, 1] * u1t + C[1, 1] * u2t) * u2s)
-        g = g + np.where(below, u1s * u2t - u1t * u2s, 0.0)
+        (u1t, u2t), (u1s, u2s) = pt, ps = self._pair(t), self._pair(s)
+        (c1t, c2t), (c1s, c2s) = _times(self._C, pt), _times(self._C, ps)
+        g = np.where(s <= t, u1s * c1t + u2s * c2t, u1t * c1s + u2t * c2s)
         return g if g.ndim else float(g)
 
     def grid_eval(self, ts, ss) -> np.ndarray:
@@ -138,8 +145,8 @@ class Kernel:
 
     def _sides(self, ts: np.ndarray) -> np.ndarray:
         """(alpha, beta) with G(t, .) = alpha u1 + beta u2 on each side of
-        the diagonal, shape (2, 2 len(ts)): the sides s <= t of every t in
-        ts first, then the sides s > t.
+        the diagonal, shape (2, 2 len(ts)): C p(t), the sides s <= t of
+        every t in ts, first, then C^T p(t), the sides s > t.
 
         At a pinned end t, where G(t, .) vanishes, they are the sides of
         the limit slice G(t', .) / |t' - t| as t' tends to t: p'(0) = (0, 1)
@@ -147,45 +154,37 @@ class Kernel:
         so on the side that is not empty the limit slice is exactly that
         row at 0, the solution that meets the condition at T, and at T a
         multiple of u_c, its other coefficient exactly zero."""
-        u1, u2 = p = np.array(self._pair(ts))
+        p = np.array(self.fs.eval_pair(ts))
         pinned = self.pinned(ts)
         if pinned.any():
             p[:, pinned] = np.where(ts[pinned] == 0.0, [[0.0], [1.0]],
                                     -self.fs.phi[1][:, None])
-        right = self._C.T @ p
-        # for s <= t the Cauchy kernel u1(s) u2(t) - u1(t) u2(s) adds (u2, -u1)
-        return np.concatenate([right + (u2, -u1), right], axis=1)
+        return np.concatenate([_times(self._C, p), _times(self._C.T, p)], axis=1)
 
     def s_roots(self, t: float) -> np.ndarray:
         """Interior zeros of G(t, .), sorted."""
         return self.s_roots_many([t])[0]
 
     def s_roots_many(self, ts) -> list[np.ndarray]:
-        """s_roots at every t in ts."""
-        flat, counts = self.s_roots_flat(ts)
-        ends = np.cumsum(counts)
-        return [flat[b - c:b] for b, c in zip(ends.tolist(), counts.tolist())]
-
-    def s_roots_flat(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """s_roots_many as (flat, counts): the zeros of every slice one
-        after another, and how many each slice has.  They lie where the
-        pair's angle meets its targets (see the module docstring); each
-        side's zeros come in the order of their angles, and those left of t
-        before those right of it, so every row is sorted.  A slice that the
-        boundary condition pins to zero (t = 0 or T) has none: its values
-        are rounding noise, and every "root" of it would split its pieces.
-        On a side that reaches a pinned end, the target that is that end is
-        dropped by its index."""
+        """s_roots at every t in ts.  They lie where the pair's angle meets
+        its targets (see the module docstring); each side's zeros come in
+        the order of their angles, and those left of t before those right
+        of it, so every row is sorted.  A slice that the boundary condition
+        pins to zero (t = 0 or T) has none: it reads exactly zero, and every
+        "root" of it would split its pieces.  On a side that reaches a
+        pinned end, the target that is that end is dropped by its index."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         pinned = self.pinned(ts)
         flat, live = self._roots_flat(ts[~pinned])
         counts = np.zeros(len(ts), dtype=int)
         counts[~pinned] = live
-        return flat, counts
+        ends = np.cumsum(counts)
+        return [flat[b - c:b] for b, c in zip(ends.tolist(), counts.tolist())]
 
     def _roots_flat(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """s_roots_flat, but a row at a pinned end has the zeros of its
-        limit slice (see _sides), all on the side of t that is not empty."""
+        """s_roots_many as (flat, counts), the zeros one slice after
+        another and their number per slice; but a row at a pinned end has
+        the zeros of its limit slice (see _sides), on its nonempty side."""
         n = len(ts)
         pair = self.fs
         psi = pair.angles

@@ -10,16 +10,16 @@ cell_edges: no cell straddles a numeric kernel's grid node (its pair is
 one Hermite cubic per grid cell), a shared break point of the potential or
 a point the caller reads at, so a low-order rule per cell is exact for a
 piecewise-polynomial g aligned to those points, and a read is an index
-into the sums.  The solver, the sign-ratio constant and the t-integrals of
-the cone integrate through it (see solver, gamma and cone), each with its
-own rule order and length cap.
+into the sums.  The solver integrates through it with its own rule order
+and length cap (see solver); the sign-ratio constant and the t-integrals
+of the cone share one table recipe, slice_sums (see gamma and cone).
 
-The zeros of the slices G(t, .) come from the kernel's s_roots_flat (or
-s_roots_many, one array per slice), which gives none for a slice the
-boundary condition pins to zero (gamma reads the zeros of the limit slice
-there): every kernel places each zero at the angle of its fundamental
-pair where the slice vanishes, in closed form on an exact pair and by
-safeguarded Newton steps in one grid cell on the RK4 pair (see greens).
+The zeros of the slices G(t, .) come from the kernel's s_roots_many, one
+array per slice, which gives none for a slice the boundary condition pins
+to zero (gamma reads the zeros of the limit slice there): every kernel
+places each zero at the angle of its fundamental pair where the slice
+vanishes, in closed form on an exact pair and by safeguarded Newton steps
+in one grid cell on the RK4 pair (see greens).
 No slice is sampled to find them.
 """
 from __future__ import annotations
@@ -37,6 +37,12 @@ MAX_SHARED_BREAKS = 64
 
 #: The most that the terms of a separable sum may exceed its values by
 CANCELLATION_LIMIT = 1e8
+
+#: Gauss points per cell, and cells per default_max_len, of slice_sums: they
+#: integrate exactly a p w of degree 6 per cell (the RK4 pair and weight are
+#: cubics between grid nodes), and to rounding where an exact pair turns by
+#: at most pi / 16 in a cell.
+SLICE_ORDER, SLICE_CELLS_PER_PANEL = 4, 16
 
 
 @functools.cache
@@ -154,6 +160,13 @@ def default_max_len(potential) -> float:
     """Panel-length cap keeping a handful of panels per kernel half-wave."""
     T = potential.interval.T
     return min(T / 8.0, math.pi / math.sqrt(max(potential.sup_norm, 1.0)))
+
+
+def slice_sums(kernel, points) -> CellSums:
+    """The CellSums edged at points that gamma reads its slices from and
+    the cone its t-integrals."""
+    return CellSums(kernel, points, default_max_len(kernel.potential) / SLICE_CELLS_PER_PANEL,
+                    SLICE_ORDER)
 
 
 def scan_kernel_roots(kernel, t: float) -> np.ndarray:

@@ -1,20 +1,21 @@
 """Linear and fixed-point solvers built on a Green's kernel.
 
 Every kernel here is semiseparable: with p = (u1, u2) its fundamental pair
-and C its coupling matrix (see greens), for any integrand g
+and C its coupling matrix, G(t, s) = p(min(t, s))^T C p(max(t, s)) (see
+greens), so for any integrand g
 
-    integral of G(t, s) g(s) ds = p(t)^T C P(T) + u2(t) P1(t) - u1(t) P2(t),
+    integral of G(t, s) g(s) ds = p(t)^T C P(T) + d [u2(t) P1(t) - u1(t) P2(t)],
 
-where P(x) is the integral of p g over [0, x].  So every output node is
-read off one cumulative Gauss quadrature of p g (Greengard & Rokhlin
-1991), quadrature.CellSums read from 0: its cells lie between consecutive
-output nodes, the nodes of a numeric kernel's grid and the potential's
-break points, capped in length, so no cell straddles the diagonal kink or
-a kink of the sampled pair, no slice is split at its zeros, and every
-output node is an edge.  The nonlinear problem u = integral of G(t, s)
-f(s, u(s)) ds runs an Anderson-accelerated fixed-point iteration through
-the same sum, with u between the nodes from a local 4-point Lagrange
-stencil, so a fixed point of the iteration is a fixed point of the
+where P(x) is the integral of p g over [0, x] and d = C[0, 1] - C[1, 0].
+So every output node is read off one cumulative Gauss quadrature of p g
+(Greengard & Rokhlin 1991), quadrature.CellSums read from 0: its cells lie
+between consecutive output nodes, the nodes of a numeric kernel's grid and
+the potential's break points, capped in length, so no cell straddles the
+diagonal kink or a kink of the sampled pair, no slice is split at its
+zeros, and every output node is an edge.  The nonlinear problem u = integral
+of G(t, s) f(s, u(s)) ds runs an Anderson-accelerated fixed-point iteration
+through the same sum, with u between the nodes from a local 4-point
+Lagrange stencil, so a fixed point of the iteration is a fixed point of the
 reported operator, and an x-independent f reproduces the linear solve
 exactly.  Its fine check takes more points per cell and a 6-point
 stencil: on one cell the 4-point stencil is one cubic, which a finer rule
@@ -120,10 +121,9 @@ class _Cumulative(CellSums):
         ts = np.clip(ts, 0.0, kernel.T)
         super().__init__(kernel, ts, default_max_len(kernel.potential), order)
         self.at = self.index(ts)
-        # G(t, .) vanishes where the condition pins t, and the sum there
-        # would be rounding noise: those rows read the zero pair
-        self.pt = np.where(kernel.pinned(ts), 0.0, kernel._pair(ts))
-        self.C = kernel._C
+        # exactly zero where the condition pins t, not the sum's rounding
+        self.pt = kernel._pair(ts)
+        self.C, self.d = kernel._C, kernel._d
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         P = self.up(g)
@@ -131,7 +131,7 @@ class _Cumulative(CellSums):
             raise QuadratureFailure("non-finite integrand in the solve")
         u1, u2 = self.pt
         c1, c2 = self.C @ P[:, -1]
-        P1, P2 = P[:, self.at]
+        P1, P2 = self.d * P[:, self.at]
         terms = u1 * c1, u2 * c2, u2 * P1, -u1 * P2
         us = sum(terms)
         require_no_cancellation(sum(np.abs(x) for x in terms), us, "u",

@@ -14,13 +14,12 @@ that cone read its windows from.
 
 At an end that the boundary condition pins, G(t, .) vanishes and gamma
 reads the limit slice G(t, .) / |t - end|; the panels read the slice
-PINNED_STEP T inside that end instead (inside_pinned_ends), with values
-from its sides (side_values).  Its ratio meets the limit's to rounding
-under a weight that vanishes at that end, as the principal eigenfunction
-does; under the weight one it is off by O(PINNED_STEP), since the piece
-between the end and t then counts to first order.  boundary_nodes and
-neville_to_zero are the extrapolation to that limit which gamma used
-before it read the limit slice.
+PINNED_STEP T inside that end instead (inside_pinned_ends).  Its ratio meets
+the limit's to rounding under a weight that vanishes at that end, as the
+principal eigenfunction does; under the weight one it is off by
+O(PINNED_STEP), since the piece between the end and t then counts to first
+order.  boundary_nodes and neville_to_zero are the extrapolation to that
+limit which gamma used before it read the limit slice.
 
 bisect_place is the root refinement of FundamentalSolutions.place before
 it took Newton steps: ROOT_HALVINGS halvings of each zero's node cell,
@@ -156,30 +155,15 @@ def cell_integral_table(kernel, ss: np.ndarray) -> np.ndarray:
     return M
 
 
-def side_values(kernel, t: float, xs) -> np.ndarray:
-    """G(t, s) at the points s of xs as alpha u1(s) + beta u2(s), with the
-    sides (alpha, beta) of t (kernel._sides) on either side of s = t.
-
-    Near a pinned end the slice is small against the terms of the kernel's
-    pointwise sum, which adds them in another order and so loses the exact
-    zero of one of its coefficients: 1e-8 inside T that puts the ratio of
-    the wavy Dirichlet slice 3e-11 off.  The sides keep that zero.
-    """
-    (a_left, a_right), (b_left, b_right) = kernel._sides(np.array([t], dtype=float))
-    u1, u2 = kernel._pair(xs)
-    return np.where(xs <= t, a_left * u1 + b_left * u2, a_right * u1 + b_right * u2)
-
-
 def slice_panels(kernel, ts, roots: list, max_len: float,
-                 order: int = GAUSS_ORDER, breaks=None, by_sides=()):
+                 order: int = GAUSS_ORDER, breaks=None):
     """(plan, g): the panels of the slices G(t, .) on [0, T] for every t in
     ts, and G at their Gauss nodes, shaped as plan.xs.
 
     Row r is broken at roots[r], the zeros of its slice, at its diagonal
     kink ts[r] and at breaks (shared_breaks(kernel.potential) by default),
     then capped at max_len, so that each panel of a row is smooth and of one
-    sign.  G is the kernel's pointwise value, or side_values on the rows
-    that the mask by_sides marks (none when empty).
+    sign.  G is the kernel's pointwise value.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     shared = shared_breaks(kernel.potential) if breaks is None else np.asarray(breaks)
@@ -192,20 +176,15 @@ def slice_panels(kernel, ts, roots: list, max_len: float,
     plan = panel_plan(np.zeros(n), np.full(n, kernel.T), rows, points,
                       max_len, order)
     t_rows = np.repeat(ts, np.diff(plan.offsets))[:, None]
-    g = np.asarray(kernel(t_rows, plan.xs), dtype=float)
-    for r in np.flatnonzero(by_sides):
-        rows = slice(plan.offsets[r], plan.offsets[r + 1])
-        g[rows] = side_values(kernel, ts[r], plan.xs[rows])
-    return plan, g
+    return plan, np.asarray(kernel(t_rows, plan.xs), dtype=float)
 
 
 def slice_parts(kernel, ts, roots: list, weight, order: int, max_len: float,
-                block_nodes: int = SLICE_BLOCK_NODES, breaks=None,
-                by_sides=()):
+                block_nodes: int = SLICE_BLOCK_NODES, breaks=None):
     """(N, D) at every t in ts: weighted integrals of the positive and
-    negative parts of G(t, .) on the panels of slice_panels (by_sides as
-    there), in blocks of at most block_nodes Gauss nodes; one
-    np.add.reduceat per sign sums the panels of every slice."""
+    negative parts of G(t, .) on the panels of slice_panels, in blocks of
+    at most block_nodes Gauss nodes; one np.add.reduceat per sign sums the
+    panels of every slice."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     n_breaks = len(shared_breaks(kernel.potential) if breaks is None else breaks)
     # a slice has at most one panel per max_len plus one per break point
@@ -217,7 +196,7 @@ def slice_parts(kernel, ts, roots: list, weight, order: int, max_len: float,
     for a in range(0, len(ts), block):
         bt = ts[a:a + block]
         plan, g = slice_panels(kernel, bt, roots[a:a + block], max_len, order,
-                               breaks, by_sides[a:a + block])
+                               breaks)
         if weight is not None:
             g = g * np.asarray(weight(plan.xs.ravel()),
                                dtype=float).reshape(g.shape)
@@ -230,7 +209,7 @@ def slice_parts(kernel, ts, roots: list, weight, order: int, max_len: float,
 
 
 def split_roots(roots) -> list:
-    """The (flat, counts) zeros of kernel.s_roots_flat as one array per
+    """The (flat, counts) zeros of kernel._roots_flat as one array per
     slice, as kernel.s_roots_many gives them."""
     flat, counts = roots
     return np.split(flat, np.cumsum(counts)[:-1])
@@ -249,7 +228,7 @@ def panel_slice_parts(breaks=None):
     on the panels of slice_parts, GAUSS_ORDER points each, capped at
     default_max_len, and broken at breaks in place of the potential's
     shared break points when given.  A row at a pinned end is read at
-    inside_pinned_ends, with the zeros and the side_values of that slice."""
+    inside_pinned_ends, with the zeros of that slice."""
     def parts(kernel, ts, roots, weight):
         near = inside_pinned_ends(kernel, ts)
         moved = near != ts
@@ -257,8 +236,7 @@ def panel_slice_parts(breaks=None):
         for i in np.flatnonzero(moved):
             roots[i] = kernel.s_roots(near[i])
         return slice_parts(kernel, near, roots, weight, GAUSS_ORDER,
-                           default_max_len(kernel.potential), breaks=breaks,
-                           by_sides=moved)
+                           default_max_len(kernel.potential), breaks=breaks)
     return parts
 
 
@@ -353,8 +331,9 @@ class Cumulative:
         xs, half = cell_nodes(edges[:-1], edges[1:], order)
         self.xs = xs.ravel()
         self.q = np.stack(kernel._pair(xs)) * (half[:, None] * gauss_nodes(order)[1])
-        self.pt = np.where(kernel.pinned(ts), 0.0, kernel._pair(ts))
+        self.pt = kernel._pair(ts)
         self.C = kernel._C
+        self.d = kernel._d
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
@@ -365,7 +344,7 @@ class Cumulative:
             raise QuadratureFailure("non-finite integrand in the solve")
         u1, u2 = self.pt
         c1, c2 = self.C @ P[:, -1]
-        P1, P2 = P[:, self.at]
+        P1, P2 = self.d * P[:, self.at]
         terms = u1 * c1, u2 * c2, u2 * P1, -u1 * P2
         us = sum(terms)
         require_no_cancellation(sum(np.abs(x) for x in terms), us, "u",

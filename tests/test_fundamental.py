@@ -243,7 +243,6 @@ class TestFundamentalSolutions:
                                ((0, 0), (0, 1), (1, 0), (1, 1))):
             assert np.max(np.abs(got - old[:, i, j])) <= 1e-12 * scale
         assert np.array_equal(fs.ts, ts)
-        assert np.array_equal(fs.dp1, -(pot(ts) + lam) * fs.u1)
 
     def test_last_node_is_the_transfer_matrix(self):
         pot = wavy()

@@ -19,8 +19,7 @@ from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 from greensign.spectral import principal_eigenfunction
 from slice_oracle import (antiderivative, boundary_nodes, inside_pinned_ends,
-                          neville_to_zero, panel_slice_parts, side_values,
-                          slice_parts)
+                          neville_to_zero, panel_slice_parts, slice_parts)
 
 SIN_WEIGHT = lambda s: np.sin(np.pi * np.asarray(s))
 
@@ -281,9 +280,9 @@ class TestGammaStar:
             gamma_star(k, pot)
 
 
-def slice_parts_one_t(kernel, t, roots, weight, order, max_len, by_sides=False):
+def slice_parts_one_t(kernel, t, roots, weight, order, max_len):
     """The per-t slice quadrature the batched one replaced, kept as its
-    oracle: (N, D) at one t, with G from side_values where by_sides."""
+    oracle: (N, D) at one t."""
     pts = np.append(roots, t)
     bps = kernel.potential.breakpoints
     if 0 < len(bps) <= 64:
@@ -294,8 +293,7 @@ def slice_parts_one_t(kernel, t, roots, weight, order, max_len, by_sides=False):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * nodes[None, :]
-    g = (side_values(kernel, t, xs) if by_sides
-         else np.asarray(kernel(np.full(xs.shape, t), xs), dtype=float))
+    g = np.asarray(kernel(np.full(xs.shape, t), xs), dtype=float)
     if weight is not None:
         g = g * np.asarray(weight(xs.ravel()), dtype=float).reshape(xs.shape)
     panel = np.sum(g * (half[:, None] * gw[None, :]), axis=1)
@@ -309,13 +307,13 @@ def slice_parts_one_t(kernel, t, roots, weight, order, max_len, by_sides=False):
 
 def gamma_by_slice_loop(kernel, weight, t_grid_size, order=16):
     """(value, argmin) of the gamma_quadrature loop over slice_parts_one_t,
-    which reads a pinned end at inside_pinned_ends, by its side_values."""
+    which reads a pinned end at inside_pinned_ends."""
     max_len = default_max_len(kernel.potential)
     ts = np.linspace(0.0, kernel.T, t_grid_size)
     near = inside_pinned_ends(kernel, ts)
     ratios = np.array([_ratio(*slice_parts_one_t(
-        kernel, float(u), kernel.s_roots(u), weight, order, max_len, u != t))
-        for t, u in zip(ts, near)])
+        kernel, float(u), kernel.s_roots(u), weight, order, max_len))
+        for u in near])
     vmin = float(np.min(ratios))
     if math.isinf(vmin):
         return math.inf, 0.0

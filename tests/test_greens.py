@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import tracemalloc
@@ -398,6 +399,12 @@ class TestBatchedRootScan:
             assert np.array_equal(scan_kernel_roots(k, t), many)
             assert_same_roots(many, scan_slices(k, [t])[0], t)
         assert k.s_roots_many([]) == []
+        # the sides of one t are those of many, bit for bit, on a full C too
+        ts = np.linspace(0.0, 1.0, 1001)
+        for k in (k, NumericKernel(wavy(), BoundaryKind.PERIODIC)):
+            sides = k._sides(ts)
+            for i in range(len(ts)):
+                assert np.array_equal(k._sides(ts[i:i + 1]), sides[:, [i, len(ts) + i]])
 
     @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.MIXED1])
     def test_no_root_at_a_pinned_end(self, bc):
@@ -641,14 +648,15 @@ def hermite_per_solution(fs, x):
 
 
 def grid_by_outer(k, ts, ss):
-    """The np.outer copy of the kernel formula that grid_eval replaced."""
-    u1t, u2t = k._pair(ts)
-    u1s, u2s = k._pair(ss)
+    """The np.outer copy of the kernel formula p(min)^T C p(max) that
+    grid_eval replaced."""
+    (u1t, u2t), (u1s, u2s) = k._pair(ts), k._pair(ss)
     C = k._C
-    g = (np.outer(C[0, 0] * u1t + C[1, 0] * u2t, u1s)
-         + np.outer(C[0, 1] * u1t + C[1, 1] * u2t, u2s))
-    cauchy = np.outer(u2t, u1s) - np.outer(u1t, u2s)
-    return g + np.where(ts[:, None] >= ss[None, :], cauchy, 0.0)
+    c1t, c2t = C[0, 0] * u1t + C[0, 1] * u2t, C[1, 0] * u1t + C[1, 1] * u2t
+    c1s, c2s = C[0, 0] * u1s + C[0, 1] * u2s, C[1, 0] * u1s + C[1, 1] * u2s
+    return np.where(ts[:, None] >= ss[None, :],
+                    np.outer(c1t, u1s) + np.outer(c2t, u2s),
+                    np.outer(u1t, c1s) + np.outer(u2t, c2s))
 
 
 def single_path_kernels():
@@ -710,3 +718,53 @@ class TestSingleEvaluationPath:
             assert np.array_equal(got, want)
         u1, u2 = fs.eval_pair(0.37)
         assert (u1, u2) == hermite_per_solution(fs, 0.37)
+
+
+@functools.cache
+def symmetric_case(bc, grid):
+    """The wavy kernel of bc on an RK4 grid of grid nodes, or with grid
+    None the exact kernel of a = 7.5**2, nonresonant under all six."""
+    if grid is None:
+        return build_kernel(constant(7.5), bc)
+    return NumericKernel(wavy(), bc, grid_size=grid)
+
+
+class TestSymmetricForm:
+    """Every kernel is p(min)^T C p(max): symmetric bit for bit, exactly
+    zero at a pinned end, and its slices keep their shape next to one."""
+
+    @pytest.mark.parametrize("grid", [41, 2001, None])
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    @given(x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+    @settings(max_examples=25, deadline=None)
+    def test_bit_symmetric(self, bc, grid, x):
+        k = symmetric_case(bc, grid)
+        x = np.concatenate([[0.0, 1.0], x])
+        g = k.grid_eval(x, x)
+        assert np.array_equal(g.view(np.uint64), g.T.copy().view(np.uint64))
+        for t, s in zip(x[:5], x[::-1]):
+            assert k(t, s) == k(s, t)
+
+    @pytest.mark.parametrize("grid", [41, 2001, None])
+    @pytest.mark.parametrize("bc", [bc for bc in BoundaryKind if any(bc.pinned_ends)])
+    def test_zero_at_a_pinned_end(self, bc, grid):
+        k = symmetric_case(bc, grid)
+        ends = np.array([0.0, 1.0])[list(bc.pinned_ends)]
+        ss = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-9, 1.0 - 1e-9]])
+        for end in ends:
+            assert np.all(k(end, ss) == 0.0) and np.all(k(ss, end) == 0.0)
+            assert np.all(k.grid_eval([end], ss) == 0.0)
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.MIXED1])
+    def test_slice_next_to_a_pinned_end_has_the_limit_shape(self, bc):
+        # G(t, .) for s <= t is u_c(s) phi_R(t): 1e-8 inside T its shape is
+        # the limit slice's to rounding, with no cancellation of terms
+        k = symmetric_case(bc, 2001)
+        t = 1.0 - 1e-8
+        ss = np.linspace(0.0, t, 1001)
+        g = k(t, ss)
+        (alpha, _), (beta, _) = k._sides(np.array([1.0]))
+        u1, u2 = k._pair(ss)
+        limit = alpha * u1 + beta * u2
+        err = g / np.max(np.abs(g)) - limit / np.max(np.abs(limit))
+        assert np.max(np.abs(err)) <= 1e-15
