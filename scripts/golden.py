@@ -12,10 +12,11 @@ the outputs:
 scripts/golden_diff.py runs the same calls in two trees and measures how
 far the numbers of each output that differs have moved.
 
-The sampled potentials are "wavy", a(t) = 60 + 10 sin(2 pi t), and
+The sampled potentials are "wavy", a(t) = 60 + 10 sin(2 pi t),
 "repro-a", a(t) = 30 + 0.01 cos(2 pi t) + 5 cos(6 pi t), whose first
-antiperiodic gap is narrow; each is written on 2001 nodes to a temporary
-CSV file.
+antiperiodic gap is narrow, and "half-period", a(t) = 2000 sin(4 pi t),
+whose antiperiodic gaps are all closed; each is written on 2001 nodes to a
+temporary CSV file.
 """
 import contextlib
 import hashlib
@@ -34,6 +35,7 @@ WAVY_F = "1 + x/(1+x)"
 POTENTIALS = {
     "wavy": lambda t: 60 + 10 * np.sin(2 * np.pi * t),
     "repro-a": lambda t: 30 + 0.01 * np.cos(2 * np.pi * t) + 5 * np.cos(6 * np.pi * t),
+    "half-period": lambda t: 2000 * np.sin(4 * np.pi * t),
 }
 
 
@@ -43,7 +45,7 @@ def write_samples(path: pathlib.Path, a) -> None:
     path.write_text("t,a\n" + "\n".join(rows) + "\n")
 
 
-def calls(wavy: str, repro_a: str) -> list:
+def calls(wavy: str, repro_a: str, half_period: str) -> list:
     out = [["figure", str(n)] for n in range(1, 6)]
     # eigenvalue search: the spectra the periodic sign verdict compares
     for bc in ("periodic", "antiperiodic"):
@@ -144,6 +146,10 @@ def calls(wavy: str, repro_a: str) -> list:
                 "--format", "json"])
     out.append(["green", "--bc", "antiperiodic", "--rho", "7", "--nodes", "11",
                 "--format", "json"])
+    # double eigenvalues: closed antiperiodic gaps between bands about 2e-8
+    # wide, in full
+    out.append(["eigen", "--bc", "antiperiodic", "--samples", half_period,
+                "--count", "8", "--format", "json"])
     return out
 
 

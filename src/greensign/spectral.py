@@ -9,28 +9,22 @@ serves every open bracket, and each takes the steps it would take alone.
 The characteristic function comes from the monodromy matrix Phi(T) by the
 rule of potentials.BoundaryKind: the entry BoundaryKind.entry of Phi(T) for
 a separated condition, its trace against the multiplier for a paired one.
-Separated conditions: by min-max comparison with the constants min a and max
-a (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993), eigenvalue
-i lies in a window about mu_i, the i-th eigenvalue of -u''; where windows
-overlap, the number of eigenvalues below lam comes from the Pruefer angle
-(Sturm oscillation), and bisection on it isolates each one.  Periodic and
-antiperiodic conditions: the n-th Dirichlet and Neumann eigenvalues lie in
-the closure of the n-th gap of Hill's equation, |trace Phi(T)| >= 2 (Magnus
-& Winkler, Hill's Equation, 1966), so with L_n, R_n the smaller and larger
-of the two, [R_m, L_{m+1}] holds exactly one periodic (lam_m) and one
-antiperiodic (lam'_{m+1}) eigenvalue.  For an even potential each Dirichlet
-eigenvalue is a band edge, so it alone does not separate a pair.  Counts or
-signs that contradict what a bracket must hold raise BracketingFailure,
-before any bracket is refined.
+By min-max comparison with the constants min a and max a (Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993), eigenvalue i lies in a window
+about mu_i, the i-th eigenvalue of -u''; where windows overlap, the number
+of eigenvalues below lam isolates each one.  Under a separated condition it
+is read off the Pruefer angle at T (Sturm oscillation), under a paired one
+off Hill's gaps (Magnus & Winkler, Hill's Equation, 1966), as SLEIGN2 counts
+coupled conditions (Bailey, Everitt & Zettl, ACM TOMS 27, 2001): with n the
+Dirichlet count and Delta the trace, gap g (|Delta| > 2, sign (-1)**g) has
+n = g - 1 or g, and g periodic and g antiperiodic eigenvalues below it;
+band n (|Delta| <= 2) has 1 + 2 floor(n / 2) periodic and 2 ceil(n / 2)
+antiperiodic ones.  Counts or signs that contradict what a bracket must
+hold raise BracketingFailure, before any bracket is refined.
 
-The sign class needs only where 0 lies relative to first eigenvalues, and
-classify_sign finds no eigenvalue: it asks whether each first eigenvalue
-lies above mu = -tol and mu = +tol, from one lifted monodromy pass at the
-two shifts.  A separated first eigenvalue lies above mu where the Sturm
-count at mu is zero.  Below the first Dirichlet eigenvalue lie only
-(-inf, lam_0), the first band and part of the first antiperiodic gap, so
-where the Dirichlet count at mu is zero, lam_0 (lam'_1) lies above mu
-exactly where the periodic (antiperiodic) characteristic value is positive.
+classify_sign finds no eigenvalue: a first eigenvalue lies above mu = -tol
+or +tol where the count there is zero, from one lifted monodromy pass at
+the two shifts.
 """
 from __future__ import annotations
 
@@ -52,8 +46,6 @@ SIGN_SHIFTS = np.array([-SIGN_DECISION_TOL, SIGN_DECISION_TOL])
 BISECT_REL_WIDTH = 1e-13
 #: rounds of counting eigenvalues at new points before failing
 MAX_COUNT_STEPS = 64
-#: a characteristic value this small at a Hill bracket end marks a root there
-EDGE_TOL = 1e-9
 
 
 class SignClass(Enum):
@@ -79,26 +71,38 @@ def char_values(potential: Potential, bc: BoundaryKind, lams,
     """Characteristic function of the boundary condition at each lam.
 
     Zero exactly at eigenvalues, positive below the smallest one.  With
-    count, for a separated condition, the number of eigenvalues below each
-    lam instead (Sturm oscillation), from the Pruefer angle at T of the
-    solution that meets the condition at 0.
+    count, the number of eigenvalues below each lam instead, by the count
+    rule of the module docstring.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if count:
-        if bc.multiplier:
-            raise UnsupportedBoundaryKind(f"no eigenvalue count for {bc} conditions")
-        _, theta = transfer_matrix(potential, lams, grid_size or DEFAULT_GRID, lift=True)
-        return _counts(theta, bc)
+        return _counted(potential, bc, lams, grid_size)[0]
     return _char_of(transfer_matrix(potential, lams, grid_size or DEFAULT_GRID), bc)
 
 
-def _counts(theta: np.ndarray, bc: BoundaryKind) -> np.ndarray:
-    """Eigenvalues of a separated condition below each shift, from the
-    lifted angles theta(T) of u1 and u2 there, shape (shifts, 2)."""
-    r, c = bc.entry
-    # eigenvalue n has theta(T) = (n + 1) pi where u(T) = 0 is asked
-    # (row 0), (n + 1/2) pi where u'(T) = 0 is
-    return np.floor(theta[:, c] / np.pi + 0.5 * r).astype(int)
+def _counted(potential: Potential, bc: BoundaryKind, lams: np.ndarray,
+             grid_size) -> tuple[np.ndarray, np.ndarray]:
+    """The number of eigenvalues below each lam of a 1-d batch, and the
+    characteristic values there, from one lifted monodromy pass."""
+    phi, theta = transfer_matrix(potential, lams, grid_size or DEFAULT_GRID, lift=True)
+    f = _char_of(phi, bc)
+    return _counts(theta, f, bc), f
+
+
+def _counts(theta: np.ndarray, f: np.ndarray, bc: BoundaryKind) -> np.ndarray:
+    """Eigenvalues below each shift, from the lifted angles theta(T) of u1
+    and u2 there, shape (shifts, 2), and the characteristic values f."""
+    # eigenvalue n of a separated condition has theta(T) = (n + 1) pi where
+    # u(T) = 0 is asked (row 0), (n + 1/2) pi where u'(T) = 0 is; a paired
+    # condition starts from the Dirichlet count, off u2
+    r, c = BoundaryKind.DIRICHLET.entry if bc.multiplier else bc.entry
+    n = np.floor(theta[:, c] / np.pi + 0.5 * r).astype(int)
+    if not bc.multiplier:
+        return n
+    # the gap rule of the module docstring: f has the sign of Delta in a
+    # gap and -m in a band, so in both the count is n + 1 where
+    # (-1)**n f < 0 and n elsewhere
+    return n + (np.where(n % 2, -f, f) < 0.0)
 
 
 def _char_of(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
@@ -147,13 +151,68 @@ def smallest_eigenvalues(potential: Potential, bc: BoundaryKind,
 
 def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
                  grid_size) -> list[EigenResult]:
+    """The count smallest eigenvalues, repeated according to multiplicity.
+
+    Points are added until, for each i < count, neighbouring points count i
+    and i + 1 eigenvalues below them (_split places them).  A paired
+    bracket whose count rises by two holds a double eigenvalue, a closed
+    gap, once it is as narrow as _itp's stop width; it is reported at its
+    middle.
+    """
     if isinstance(potential, ConstantPotential):
         shift = potential.rho * potential.rho
         return [EigenResult(_free_eigenvalue(bc, potential.interval.T, i) - shift,
                             bc, "closed") for i in range(count)]
-    if bc.multiplier:
-        return _paired(potential, bc, count, grid_size)
-    return list(_separated(potential, bc, range(count), grid_size).values())
+    w_lo, w_hi = np.array([_window(potential, bc, j, grid_size)
+                           for j in range(count + 1)]).T
+    xs = np.array(sorted({*w_lo[:count], *w_hi[:count]}))
+    # eigenvalue j lies in window j: below a point lie those of the windows
+    # wholly below it, and none from the first window wholly above it on
+    j = np.arange(count + 1)[:, None]
+    ns = np.max(np.where(w_hi[:, None] < xs, j + 1, 0), axis=0)
+    unknown = ns != np.min(np.where(w_lo[:, None] >= xs, j, count + 2), axis=0)
+    # rows: the points, their counts, their characteristic values where
+    # counted, and the round that added them
+    pts = np.stack([xs, ns, np.full(len(xs), np.nan), np.zeros(len(xs))])
+    if unknown.any():
+        pts[1:3, unknown] = _counted(potential, bc, xs[unknown], grid_size)
+    step, wanted = np.max(w_hi - w_lo), np.arange(count)
+    for r in range(1, MAX_COUNT_STEPS + 1):
+        xs, ns = pts[:2]
+        if np.any(np.diff(ns) < 0):
+            raise BracketingFailure(f"{bc} eigenvalue count decreases in lam")
+        # points k - 1 and k: the last counting at most i, the first more
+        k = np.searchsorted(ns, wanted, side="right")
+        inner = np.clip(k, 1, len(xs) - 1)
+        lo, hi = xs[inner - 1], xs[inner]
+        rise = ns[inner] - ns[inner - 1]
+        double = (rise == 2) & (hi - lo <= BISECT_REL_WIDTH * np.maximum(1.0, np.abs(lo)))
+        done = (k == inner) & ((rise == 1) | (double & bool(bc.multiplier)))
+        if done.all():
+            break
+        new = np.array(sorted({_split(pts, m, step, bc) for m in k[~done]}
+                              - set(xs.tolist())))
+        if not len(new):
+            raise BracketingFailure(f"{bc} eigenvalues closer than rounding")
+        pts = np.concatenate([pts, [new, *_counted(potential, bc, new, grid_size),
+                                    np.full(len(new), r)]], axis=1)
+        pts = pts[:, np.argsort(pts[0])]
+    else:
+        raise BracketingFailure(f"{bc} eigenvalues not apart after {MAX_COUNT_STEPS} counts")
+
+    single, lo, hi = (rise == 1).tolist(), lo.tolist(), hi.tolist()
+    ends = sorted({x for i in wanted[single] for x in (lo[i], hi[i])})
+    f = dict(zip(ends, char_values(potential, bc, ends, grid_size).tolist() if ends else []))
+    brackets = []
+    for i in wanted[single].tolist():
+        # sign (-1)**i between eigenvalues i - 1 and i
+        if not (f[lo[i]] * (-1) ** i > 0 and f[hi[i]] * (-1) ** i <= 0):
+            raise BracketingFailure(f"{bc} characteristic function has the wrong "
+                                    f"sign at an end of [{lo[i]:.9g}, {hi[i]:.9g}]")
+        brackets.append((lo[i], hi[i], f[lo[i]], f[hi[i]]))
+    refined = iter(_refine_all(potential, bc, brackets, grid_size))
+    return [next(refined) if s else EigenResult(0.5 * (l + h), bc, "shooting", 0, (l, h))
+            for s, l, h in zip(single, lo, hi)]
 
 
 def _free_eigenvalue(bc: BoundaryKind, T: float, i: int) -> float:
@@ -181,102 +240,40 @@ def _window(potential: Potential, bc: BoundaryKind, i: int,
     return mu - a_hi - pad, mu - a_lo + pad
 
 
-def _separated(potential: Potential, bc: BoundaryKind, wanted,
-               grid_size) -> dict[int, EigenResult]:
-    """Eigenvalues of the indices in wanted (0 = smallest) under a separated
-    condition, keyed by index.
+def _split(pts: np.ndarray, m: int, step: float, bc: BoundaryKind) -> float:
+    """The point added at bracket m, between points m - 1 and m of pts:
+    a window's width beyond all points for m = 0 or len(xs), else the middle.
 
-    Points are added until, for each wanted i, neighbouring points count i
-    and i + 1 eigenvalues below them: halfway between two points that are
-    not yet such a pair, or a window's width beyond all points.
+    A paired bracket that holds two eigenvalues takes the vertex of the
+    parabola through the characteristic values at its ends and at the
+    nearer point beside it, where the function peaks between the pair, at
+    the middle of a narrow gap; the middle where the step that added its
+    newer end kept more than half of the bracket, so that a bracket halves
+    at least every two rounds.  A vertex stays a stop width inside the
+    ends, so a closed gap's bracket narrows from both sides.
     """
-    wanted = np.array(sorted(set(wanted)), dtype=int)
-    w_lo, w_hi = np.array([_window(potential, bc, j, grid_size)
-                           for j in range(wanted[-1] + 2)]).T
-    xs = np.array(sorted({*w_lo[wanted], *w_hi[wanted]}))
-    # eigenvalue j lies in window j: below a point lie those of the windows
-    # wholly below it, and none from the first window wholly above it on
-    j = np.arange(len(w_lo))[:, None]
-    ns = np.max(np.where(w_hi[:, None] < xs, j + 1, 0), axis=0)
-    unknown = ns != np.min(np.where(w_lo[:, None] >= xs, j, len(w_lo) + 1), axis=0)
-    if unknown.any():
-        ns[unknown] = char_values(potential, bc, xs[unknown], grid_size, count=True)
-    step = np.max(w_hi - w_lo)
-    for _ in range(MAX_COUNT_STEPS):
-        if np.any(np.diff(ns) < 0):
-            raise BracketingFailure(f"{bc} eigenvalue count decreases in lam")
-        # points k - 1 and k: the last counting at most i, the first more
-        k = np.searchsorted(ns, wanted, side="right")
-        inner = np.clip(k, 1, len(xs) - 1)
-        done = (k == inner) & (ns[inner - 1] == wanted) & (ns[inner] == wanted + 1)
-        if done.all():
-            break
-        new = np.array(sorted({xs[0] - step if m == 0 else xs[-1] + step if m == len(xs)
-                               else 0.5 * (xs[m - 1] + xs[m]) for m in k[~done]}
-                              - set(xs.tolist())))
-        if not len(new):
-            raise BracketingFailure(f"{bc} eigenvalues closer than rounding")
-        ns = np.concatenate([ns, char_values(potential, bc, new, grid_size, count=True)])
-        order = np.argsort(xs := np.concatenate([xs, new]))
-        xs, ns = xs[order], ns[order]
-    else:
-        raise BracketingFailure(f"{bc} eigenvalues not apart after {MAX_COUNT_STEPS} counts")
-
-    ends = np.stack([xs[k - 1], xs[k]], axis=1)
-    fends = char_values(potential, bc, ends.ravel(), grid_size).reshape(ends.shape)
-    brackets = []
-    for i, (lo, hi), (flo, fhi) in zip(wanted.tolist(), ends, fends):
-        # sign (-1)**i between eigenvalues i - 1 and i
-        if not (flo * (-1) ** i > 0 and fhi * (-1) ** i <= 0):
-            raise BracketingFailure(f"{bc} characteristic function has the wrong "
-                                    f"sign at an end of [{lo:.9g}, {hi:.9g}]")
-        brackets.append((lo, hi, flo, fhi))
-    return dict(zip(wanted.tolist(), _refine_all(potential, bc, brackets, grid_size)))
-
-
-def _paired(potential: Potential, bc: BoundaryKind, count: int,
-            grid_size) -> list[EigenResult]:
-    """The count smallest periodic or antiperiodic eigenvalues, from the
-    brackets [R_m, L_{m+1}] of the module docstring."""
-    # the characteristic function can vanish only in the gaps of its own
-    # kind, the even ones for periodic and the odd ones for antiperiodic
-    # conditions; only there is a Neumann separator needed
-    periodic = bc is BoundaryKind.PERIODIC
-    own = [n for n in range(1, count + 1) if (n % 2 == 0) == periodic]
-    dirichlet = _separated(potential, BoundaryKind.DIRICHLET, range(count),
-                           grid_size)
-    neumann = (_separated(potential, BoundaryKind.NEUMANN, own, grid_size)
-               if own else {})
-    below = -potential.sup_norm - 1.0
-    # (L_n, R_n) for n = 0..count, L_0 = R_0 below the spectrum
-    ends = np.array([(below, below)] + [
-        sorted((dirichlet[n - 1].value, neumann.get(n, dirichlet[n - 1]).value))
-        for n in range(1, count + 1)])
-    # each bracket, and the bracket clipped to the comparison window of its
-    # eigenvalue, which is shorter to refine where it shows the sign change
-    w = np.array([_window(potential, bc, m, grid_size) for m in range(count)])
-    lo, hi = ends[:-1, 1], ends[1:, 0]
-    x = np.stack([lo, hi, np.maximum(lo, w[:, 0]), np.minimum(hi, w[:, 1])], axis=1)
-    lams, where = np.unique(x, return_inverse=True)
-    fx = char_values(potential, bc, lams, grid_size)[where].reshape(x.shape)
-
-    # an edge root resolves at once; None holds the place of a refined one
-    out, brackets = [], []
-    for (lo, hi, c_lo, c_hi), (flo, fhi, fc_lo, fc_hi) in zip(x, fx):
-        if c_lo < c_hi and fc_lo * fc_hi < 0.0:
-            lo, hi, flo, fhi = c_lo, c_hi, fc_lo, fc_hi
-        if flo * fhi < 0.0:
-            out.append(None)
-            brackets.append((lo, hi, flo, fhi))
-            continue
-        end, fend = min((lo, flo), (hi, fhi), key=lambda e: abs(e[1]))
-        if abs(fend) > EDGE_TOL:
-            raise BracketingFailure(
-                f"no root of the {bc} characteristic function in the Hill "
-                f"bracket [{lo:.9g}, {hi:.9g}]")
-        out.append(EigenResult(end, bc, "shooting", 0, (end, end)))
-    refined = iter(_refine_all(potential, bc, brackets, grid_size))
-    return [r or next(refined) for r in out]
+    xs, ns, fs, born = pts
+    if m in (0, len(xs)):
+        return xs[0] - step if m == 0 else xs[-1] + step
+    lo, hi = float(xs[m - 1]), float(xs[m])
+    mid = 0.5 * (lo + hi)
+    if not bc.multiplier or ns[m] - ns[m - 1] != 2 or len(xs) < 3:
+        return mid
+    # the end added last, and the end it replaced, now beside it
+    new, old = (m - 1, m - 2) if born[m - 1] > born[m] else (m, m + 1)
+    if born[new] and (old in (-1, len(xs)) or abs(xs[old] - xs[new]) < hi - lo):
+        return mid
+    o = min((i for i in (m - 2, m + 1) if 0 <= i < len(xs)),
+            key=lambda i: abs(xs[i] - mid))
+    x2, f0, f1, f2 = float(xs[o]), float(fs[m - 1]), float(fs[m]), float(fs[o])
+    # divided differences: the parabola's slope is d01 + c (2 x - lo - hi)
+    d01 = (f1 - f0) / (hi - lo)
+    c = ((f2 - f1) / (x2 - hi) - d01) / (x2 - lo)
+    v = mid - d01 / (2.0 * c) if c else mid
+    tol = BISECT_REL_WIDTH * max(1.0, abs(lo))
+    if not lo < v < hi or hi - lo <= 2.0 * tol:
+        return mid
+    return min(max(v, lo + tol), hi - tol)
 
 
 def _refine_all(potential, bc, brackets, grid_size) -> list[EigenResult]:
@@ -393,16 +390,15 @@ def _first_above(potential: Potential, kinds, grid_size) -> dict:
 
     A constant potential reads its closed-form eigenvalue; any other
     potential answers for every kind from one lifted transfer_matrix call on
-    the shifts, by the count rule of the module docstring.
+    the shifts: the first eigenvalue lies above a shift where the count of
+    eigenvalues below it is zero.
     """
     if isinstance(potential, ConstantPotential):
         return {k: _eigenvalues(potential, k, 1, grid_size)[0].value > SIGN_SHIFTS
                 for k in kinds}
     phi, theta = transfer_matrix(potential, SIGN_SHIFTS, grid_size or DEFAULT_GRID,
                                  lift=True)
-    below_dirichlet = _counts(theta, BoundaryKind.DIRICHLET) == 0
-    return {k: below_dirichlet & (_char_of(phi, k) > 0.0) if k.multiplier
-            else _counts(theta, k) == 0 for k in kinds}
+    return {k: _counts(theta, _char_of(phi, k), k) == 0 for k in kinds}
 
 
 def _sign(above: dict, kinds) -> int:

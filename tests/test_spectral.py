@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import spectral
-from greensign.errors import (BracketingFailure, ResonantPotential,
+from greensign.errors import (BracketingFailure, GreensignError, ResonantPotential,
                               UndeterminedSign, UnsupportedBoundaryKind)
 from greensign.greens import build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
@@ -495,6 +495,12 @@ def hill_eigenvalues(mean, modes, bc, count=6, n=2001, size=40):
 
 
 REPRO_A = (30.0, [(1, 0.01, 0.0), (3, 5.0, 0.0)])
+# period 1/2: every antiperiodic gap is closed, and the first bands are
+# about 2e-8 wide
+HALF_PERIOD = (0.0, [(2, 0.0, 2000.0)])
+# period 1/3: only every third gap is open; Phi(T) reaches 1.8e9 at lam = -600
+THIRD_PERIOD = (-178.73708305586453,
+                [(3, 829.1949083102487, 868.9420289184159)])
 # the antiperiodic spectrum job of the benchmark's spectrum workload, seed 7
 SEED7 = (31.62023001615959,
          [(1, 2.7772019709269546, 0.32915057101191003),
@@ -537,6 +543,14 @@ class TestNarrowGaps:
         assert got[3] == pytest.approx(97.997867, abs=5e-6)
         assert got[4] == pytest.approx(97.998430, abs=5e-6)
 
+    @pytest.mark.parametrize("case,bc", [(HALF_PERIOD, BoundaryKind.ANTIPERIODIC),
+                                         (THIRD_PERIOD, BoundaryKind.PERIODIC)])
+    def test_closed_gaps_of_a_shorter_period(self, case, bc):
+        got = [r.value for r in smallest_eigenvalues(trig_samples(*case), bc, 8)]
+        want = hill_eigenvalues(*case, bc, count=8, size=120)
+        # RK4 moves these by up to 1.3e-8 relative
+        assert_allclose(got, want, rtol=1e-7)
+
     def test_closed_gap_of_constant_samples(self):
         # Phi(T) = I at the double eigenvalue 4 pi^2 - 9, where Delta - 2
         # formed as trace - 2 cancels to rounding (4.8e-9 off)
@@ -548,9 +562,12 @@ class TestNarrowGaps:
 
 @st.composite
 def trig_cases(draw):
-    """Random trig potentials: generic, even (cosines only), or with some
-    harmonics scaled down so their gaps are narrow."""
-    flavor = draw(st.sampled_from(["generic", "even", "narrow"]))
+    """Random trig potentials: generic, even (cosines only), with some
+    harmonics scaled down so their gaps are narrow, or closed: of period
+    1/2 (harmonics 2 and 4) or 1/3 (harmonic 3), so that every odd gap, or
+    every gap but each third, has closed."""
+    flavor = draw(st.sampled_from(["generic", "even", "narrow", "closed"]))
+    kept = draw(st.sampled_from([(2, 4), (3,)])) if flavor == "closed" else range(1, 5)
     coef = st.floats(-4.0, 4.0, allow_nan=False)
     modes = []
     for k in range(1, 5):
@@ -559,6 +576,8 @@ def trig_cases(draw):
             s = 0.0
         if flavor == "narrow" and draw(st.booleans()):
             c, s = 1e-3 * c, 1e-3 * s
+        if k not in kept:
+            c = s = 0.0
         modes.append((k, c, s))
     return draw(st.floats(0.0, 100.0)), modes
 
@@ -576,17 +595,48 @@ class TestHillOracle:
             assert np.all(np.diff(got)[gaps >= 1e-5] > 0.5 * gaps[gaps >= 1e-5])
 
 
+class TestPairedCounts:
+    @given(trig_cases(), st.sampled_from([BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC]),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+    @settings(max_examples=25, deadline=None)
+    def test_count_matches_hill_oracle(self, case, bc, where):
+        # the count at lam is the number of oracle eigenvalues below it, up
+        # to the twelfth, away from each by more than RK4 moves them
+        want = hill_eigenvalues(*case, bc, count=12)
+        lams = want[0] - 10.0 + (want[-1] - want[0] + 10.0) * np.array(where)
+        apart = np.all(np.abs(lams[:, None] - want)
+                       > 1e-6 * np.maximum(1.0, np.abs(lams))[:, None], axis=1)
+        assume(apart.any())
+        lams = lams[apart]
+        got = char_values(trig_samples(*case), bc, lams, count=True)
+        assert np.array_equal(got, np.sum(want < lams[:, None], axis=1))
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_large_monodromy_refused_or_right(self, bc):
+        # u1's lifted angle, derived through det Phi(T), reads -1 eigenvalues
+        # below lam = -600 for this potential, where max |Phi(T)| is 1.8e9:
+        # the separated counts off it may refuse, but never answer wrong
+        pot = trig_samples(*THIRD_PERIOD)
+        try:
+            got = [r.value for r in smallest_eigenvalues(pot, bc, 6)]
+        except GreensignError:
+            return
+        want = hill_eigenvalues(*THIRD_PERIOD, bc, size=120)
+        assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+
 class TestIndexBrackets:
     def _counting(self, monkeypatch):
+        """A list whose one entry sums the shifts of every monodromy pass,
+        plain or lifted, from the patch on."""
         seen = [0]
-        real = spectral.char_values
+        real = spectral.transfer_matrix
 
-        def counting(pot, bc, lams, grid=None, **kw):
-            out = real(pot, bc, lams, grid, **kw)
-            seen[0] += out.size
-            return out
+        def counting(pot, lams, grid, lift=False):
+            seen[0] += np.size(lams)
+            return real(pot, lams, grid, lift)
 
-        monkeypatch.setattr(spectral, "char_values", counting)
+        monkeypatch.setattr(spectral, "transfer_matrix", counting)
         return seen
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
@@ -595,8 +645,7 @@ class TestIndexBrackets:
         spectral.char_values(pot, bc, 0.0)        # build the step table
         seen = self._counting(monkeypatch)
         smallest_eigenvalues(pot, bc, 6)
-        paired = bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC)
-        assert seen[0] <= (400 if paired else 150)
+        assert seen[0] <= 150
         seen[0] = 0
         smallest_eigenvalue(pot, bc)
         assert seen[0] <= 50
@@ -609,9 +658,8 @@ class TestIndexBrackets:
         for bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC):
             assert char_values(pot, bc, -pot.sup_norm - 1.0)[0] > 0
 
-    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET,     # counted bracket
-                                    BoundaryKind.NEUMANN,
-                                    BoundaryKind.PERIODIC])     # Hill bracket
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN,
+                                    BoundaryKind.PERIODIC])
     def test_contradicting_signs_raise(self, bc, monkeypatch):
         real = spectral.char_values
 
@@ -625,25 +673,25 @@ class TestIndexBrackets:
 
     @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN])
     def test_decreasing_count_raises(self, bc, monkeypatch):
-        real = spectral.char_values
+        real = spectral._counted
 
-        def reversed_count(pot, kind, lams, grid=None, count=False):
-            out = real(pot, kind, lams, grid, count)
-            return 100 - out if count else out
+        def reversed_count(pot, kind, lams, grid):
+            out, f = real(pot, kind, lams, grid)
+            return 100 - out, f
 
-        monkeypatch.setattr(spectral, "char_values", reversed_count)
+        monkeypatch.setattr(spectral, "_counted", reversed_count)
         # a = 2000 sin 2 pi t: its windows overlap, so counts are taken
         with pytest.raises(BracketingFailure):
             smallest_eigenvalues(trig_samples(0.0, [(1, 0.0, 2000.0)]), bc, 3)
 
     def test_count_that_never_separates_raises(self, monkeypatch):
-        real = spectral.char_values
+        real = spectral._counted
 
-        def no_eigenvalues(pot, kind, lams, grid=None, count=False):
-            out = real(pot, kind, lams, grid, count)
-            return 0 * out if count else out
+        def no_eigenvalues(pot, kind, lams, grid):
+            out, f = real(pot, kind, lams, grid)
+            return 0 * out, f
 
-        monkeypatch.setattr(spectral, "char_values", no_eigenvalues)
+        monkeypatch.setattr(spectral, "_counted", no_eigenvalues)
         with pytest.raises(BracketingFailure):
             smallest_eigenvalues(trig_samples(0.0, [(1, 0.0, 2000.0)]),
                                  BoundaryKind.DIRICHLET, 3)
