@@ -138,6 +138,10 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
                 "--format", "json"])
     out.append(["green", "--bc", "dirichlet", "--rho", "sqrt(60)", "--nodes", "11"])
     out.append(["gamma", "--bc", "mixed1", "--rho", "6", "--format", "json"])
+    # the exact weights that no closed form of gamma checks: one under
+    # Neumann conditions and sin(pi t / 2) under mixed2, in full
+    out.append(["gamma", "--bc", "neumann", "--rho", "7", "--format", "json"])
+    out.append(["gamma", "--bc", "mixed2", "--rho", "6", "--format", "json"])
     # the read with the most slice zeros: 1001 Dirichlet slices at rho = 17.3
     # beside the closed form, in full
     out.append(["gamma", "--bc", "dirichlet", "--rho", "17.3", "--format", "json"])

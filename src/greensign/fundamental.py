@@ -346,14 +346,17 @@ class FundamentalSolutions:
 
 class ConstantPair:
     """The exact normalized pair of u'' + rho**2 u = 0 on [0, T]:
-    u1 = cos(rho t) and u2 = sin(rho t) / rho, one smooth piece on [0, T].
+    u1 = cos(rho t) and u2 = sin(rho t) / rho, one smooth piece on [0, T];
+    at rho = 0, u1 = 1 and u2 = t.
 
     Its modified Pruefer angle, the angle of (u1, rho u2), is exactly
     theta = rho t, so a slice alpha u1 + beta u2 vanishes at
     theta = atan2(-rho alpha, beta) modulo pi, at t = theta / rho, with no
     search (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).
     It gives what a kernel reads of FundamentalSolutions: phi, sups, ts,
-    eval_pair and the angle hooks angles, target and place.
+    eval_pair and the angle hooks angles, target and place; and what an
+    eigenfunction reads: ts, the node samples u1 and u2 there, and
+    eval_pair.  Only its two nodes 0 and T are break points.
     """
 
     form = "closed"
@@ -363,13 +366,18 @@ class ConstantPair:
         x = self.rho * T
         self.ts = np.array([0.0, T])
         self.angles = np.array([0.0, x])
-        self.phi = np.array([[math.cos(x), math.sin(x) / self.rho],
-                             [-self.rho * math.sin(x), math.cos(x)]])
-        env = 1.0 if x >= math.pi / 2 else math.sin(x)  # max |sin(rho t)| on [0, T]
-        self.sups = np.array([[1.0, env / self.rho], [self.rho * env, 1.0]])
+        self.u1, self.u2 = self.eval_pair(self.ts)
+        u2T = math.sin(x) / self.rho if self.rho else T
+        self.phi = np.array([[math.cos(x), u2T], [-self.rho * math.sin(x), math.cos(x)]])
+        wide = x >= math.pi / 2  # whether sin(rho t) reaches one on [0, T]
+        self.sups = np.array([[1.0, 1.0 / self.rho if wide else u2T],
+                              [self.rho if wide else self.rho * math.sin(x), 1.0]])
 
     def eval_pair(self, x):
-        x = self.rho * np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if not self.rho:
+            return np.ones_like(x), x.copy()
+        x = self.rho * x
         return np.cos(x), np.sin(x) / self.rho
 
     def target(self, alpha, beta):

@@ -14,7 +14,10 @@ zeros its weighted integral is alpha dW1 + beta dW2, with W the
 antiderivative of p w.  W is one cumulative Gauss sum per (kernel,
 weight), quadrature.slice_sums, on cells aligned to every kink
 of p w and edged at each slice's zeros and its diagonal t, read there from
-the nearer end; no slice is evaluated on panels of its own.  A piece
+the nearer end; no slice is evaluated on panels of its own.  On a constant
+potential p and the principal-eigenfunction weight are both exact (see
+spectral.principal_eigenfunction), with no grid kinks, so neither adds a
+cell.  A piece
 counts as positive or negative by the sign of its own weighted integral.
 The zeros of the slices do not depend on the weight: the kernel keeps
 those of each t-grid (Kernel._grid_roots), and every weight read on that

@@ -40,8 +40,8 @@ CANCELLATION_LIMIT = 1e8
 
 #: Gauss points per cell, and cells per default_max_len, of slice_sums: they
 #: integrate exactly a p w of degree 6 per cell (the RK4 pair and weight are
-#: cubics between grid nodes), and to rounding where an exact pair turns by
-#: at most pi / 16 in a cell.
+#: cubics between grid nodes), and to rounding where an exact pair and
+#: weight turn by at most pi / 16 in a cell.
 SLICE_ORDER, SLICE_CELLS_PER_PANEL = 4, 16
 
 

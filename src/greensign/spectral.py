@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (BracketingFailure, NotPositive, UndeterminedSign,
                      UnsupportedBoundaryKind)
-from .fundamental import FundamentalSolutions, transfer_matrix
+from .fundamental import ConstantPair, FundamentalSolutions, transfer_matrix
 from .greens import require_kernel
 from .potentials import DEFAULT_GRID, BoundaryKind, ConstantPotential, Potential
 
@@ -416,35 +416,34 @@ def _sign(above: dict, kinds) -> int:
 
 
 class Eigenfunction:
-    """Principal eigenfunction, normalized to maximum value one.
+    """Principal eigenfunction c1 u1 + c2 u2 of a fundamental pair at lam,
+    normalized to maximum value one, with its samples values at the
+    pair's nodes ts.
 
     At an endpoint the boundary condition pins, values and calls give
     exactly 0.0, not the integrator's rounding residue there.
     """
 
-    def __init__(self, fs: FundamentalSolutions, c1: float, c2: float,
-                 lam: float, bc: BoundaryKind):
+    def __init__(self, pair, c1: float, c2: float, lam: float, bc: BoundaryKind):
         self.lam = lam
         self.bc = bc
-        self._fs = fs
-        vals = c1 * fs.u1 + c2 * fs.u2
-        peak = vals[np.argmax(np.abs(vals))]
-        vals = vals / peak
-        self._c = (c1 / peak, c2 / peak)
+        self._pair = pair
+        self._c = (c1, c2)
         self._pinned = [i for i, pin in zip((0, -1), bc.pinned_ends) if pin]
-        vals[self._pinned] = 0.0
-        self.ts = fs.ts
-        self.values = vals
+        self.ts = pair.ts
+        self.values = c1 * pair.u1 + c2 * pair.u2
+        self.values[self._pinned] = 0.0
 
     @property
     def breakpoints(self) -> np.ndarray:
-        """Interior grid nodes, where the Hermite interpolant passes from
-        one cubic to the next."""
+        """Interior nodes of the pair, where the RK4 pair's Hermite
+        interpolant passes from one cubic to the next; none on an exact
+        pair."""
         return self.ts[1:-1]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        u1, u2 = self._fs.eval_pair(t)
+        u1, u2 = self._pair.eval_pair(t)
         out = self._c[0] * u1 + self._c[1] * u2
         for i in self._pinned:
             out = np.where(t == self.ts[i], 0.0, out)
@@ -455,20 +454,33 @@ def principal_eigenfunction(potential: Potential, bc: BoundaryKind,
                             grid_size: int | None = None) -> Eigenfunction:
     """Eigenfunction at the smallest eigenvalue; raises if not positive.
 
-    Positivity is checked at the grid nodes, skipping endpoints that the
-    boundary condition pins to zero.
+    On a constant potential it is exact: lam + rho**2 is the eigenvalue
+    w**2 of -u'', w T one of 0, pi / 2 and pi, and the eigenfunction is
+    w u2 = sin(w t) of the ConstantPair at w where u(0) = 0 is asked,
+    u1 = cos(w t) elsewhere; either peaks at one on [0, T] and can turn
+    negative only at T (the antiperiodic cos(pi t / T)).  Otherwise it is
+    read off the RK4 pair at lam.  Positivity is checked at the pair's
+    nodes, skipping endpoints that the boundary condition pins to zero.
     """
     lam = smallest_eigenvalue(potential, bc, grid_size).value
-    fs = FundamentalSolutions(potential, lam, grid_size)
-    if bc.multiplier:
-        A = (np.array([[fs.u1[-1], fs.u2[-1]], [fs.p1[-1], fs.p2[-1]]])
-             - bc.multiplier * np.eye(2))
-        c1, c2 = np.linalg.svd(A)[2][-1]
-    else:  # the solution that meets the condition at 0
-        c1, c2 = np.eye(2)[bc.entry[1]]
-    ef = Eigenfunction(fs, float(c1), float(c2), lam, bc)
+    # u2 where u(0) = 0 is asked, else u1: on a separated condition the
+    # solution that meets it at 0
+    c1, c2 = np.eye(2)[bc.entry[1]]
+    if isinstance(potential, ConstantPotential):
+        T = potential.interval.T
+        w = math.sqrt(_free_eigenvalue(bc, T, 0))
+        pair, c2 = ConstantPair(w, T), c2 * w
+    else:
+        pair = FundamentalSolutions(potential, lam, grid_size)
+        if bc.multiplier:
+            A = pair.phi - bc.multiplier * np.eye(2)
+            c1, c2 = np.linalg.svd(A)[2][-1]
+        vals = c1 * pair.u1 + c2 * pair.u2
+        peak = vals[np.argmax(np.abs(vals))]
+        c1, c2 = c1 / peak, c2 / peak
+    ef = Eigenfunction(pair, float(c1), float(c2), lam, bc)
     inner = ef.values[bc.unpinned]
-    if np.min(inner) <= 0:
+    if np.min(inner, initial=np.inf) <= 0:
         raise NotPositive(
             f"principal {bc} eigenfunction is not strictly positive away from "
             f"pinned endpoints (min {np.min(inner):.3e})")

@@ -102,6 +102,40 @@ class TestGamma:
         assert lams.count(0.0) == 1
         assert len(lams) == 2
 
+    @pytest.mark.parametrize("bc,rho", [("periodic", "17.3"), ("dirichlet", "10.1")])
+    def test_constant_potential_builds_no_rk4_pair(self, capsys, monkeypatch, bc, rho):
+        # the kernel and the principal eigenfunction both stand on the
+        # exact pair of a constant potential
+        from greensign.fundamental import FundamentalSolutions
+        builds = []
+        init = FundamentalSolutions.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FundamentalSolutions, "__init__", counted)
+        for argv in (["gamma", "--bc", bc, "--rho", rho],
+                     ["check", "--bc", bc, "--rho", rho, "--f", "1"]):
+            assert run(argv, capsys)[0] == 0
+        assert builds == []
+
+    def test_constant_weight_adds_no_cells(self, capsys, monkeypatch):
+        # 7000 cells of four Gauss nodes; the break points of an RK4 weight
+        # on 2001 nodes added 1000 cells more
+        from greensign import gamma
+        sizes = []
+        slice_sums = gamma.slice_sums
+
+        def counted(kernel, points):
+            sums = slice_sums(kernel, points)
+            sizes.append(len(sums.xs))
+            return sums
+
+        monkeypatch.setattr(gamma, "slice_sums", counted)
+        assert run(["gamma", "--bc", "periodic", "--rho", "17.3"], capsys)[0] == 0
+        assert sizes == [28_000]
+
 
 class TestGreen:
     def test_csv_schema_and_values(self, capsys):
@@ -670,7 +704,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 26
+        assert n_json == 28
 
 
 def load_golden_diff():
@@ -695,7 +729,7 @@ def test_golden_diff_measures_moved_numbers():
 def test_golden_diff_of_a_tree_with_itself(capsys):
     golden_diff = load_golden_diff()
     assert golden_diff.main([str(GOLDEN.parents[1])]) == 0
-    assert capsys.readouterr().out == "0 of 69 outputs differ\n"
+    assert capsys.readouterr().out == "0 of 71 outputs differ\n"
 
 
 def test_console_script_runs():

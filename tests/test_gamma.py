@@ -97,6 +97,16 @@ class TestPeriodicClosed:
             assert quad.value > 1.0
             assert abs(closed.value - quad.value) < 1e-6
 
+    @pytest.mark.parametrize("x", TWELVE_X)
+    def test_quadrature_agreement_own_weight(self, x):
+        # the library's own weight, exactly one: at most 3.0e-15 relative
+        # off the closed form over TWELVE_X
+        rho = x * math.pi
+        weight = principal_eigenfunction(constant(rho), BoundaryKind.PERIODIC)
+        quad = gamma_quadrature(periodic_kernel(rho), weight)
+        assert quad.value == pytest.approx(gamma_periodic_closed(rho).value,
+                                           rel=5e-14, abs=0.0)
+
     def test_ratio_is_t_independent(self):
         k = periodic_kernel(3 * math.pi / 2)
         rs = np.array([pointwise_ratio(k, t) for t in np.linspace(0, 1, 101)])
@@ -123,6 +133,15 @@ class TestDirichletClosed:
         quad = gamma_quadrature(dirichlet_kernel(rho), SIN_WEIGHT)
         assert quad.value == pytest.approx(closed, rel=5e-14, abs=0.0)
         assert quad.argmin_t == 0.0
+
+    @pytest.mark.parametrize("rho", sorted(DIRICHLET_TABLE))
+    def test_quadrature_agreement_own_weight(self, rho):
+        # the library's own weight, the exact sin(pi s): at most 7.6e-15
+        # relative off the closed form over the table (at rho = 4)
+        weight = principal_eigenfunction(constant(rho), BoundaryKind.DIRICHLET)
+        quad = gamma_quadrature(dirichlet_kernel(rho), weight)
+        assert quad.value == pytest.approx(gamma_dirichlet_closed(rho).value,
+                                           rel=5e-14, abs=0.0)
 
     def test_matches_boundary_limit_of_pointwise_form(self):
         for rho in (10.8, math.sqrt(60)):

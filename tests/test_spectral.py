@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import spectral
-from greensign.errors import (BracketingFailure, GreensignError, ResonantPotential,
-                              UndeterminedSign, UnsupportedBoundaryKind)
+from greensign.errors import (BracketingFailure, GreensignError, NotPositive,
+                              ResonantPotential, UndeterminedSign,
+                              UnsupportedBoundaryKind)
 from greensign.greens import build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.spectral import (BISECT_REL_WIDTH, SIGN_DECISION_TOL, EigenResult,
@@ -163,9 +164,16 @@ class TestPrincipalEigenfunction:
         (BoundaryKind.MIXED2, lambda t: np.sin(np.pi * t / 2)),
     ])
     def test_constant_closed_forms(self, bc, closed):
-        ef = principal_eigenfunction(constant(2.0, 1.0), bc)
-        tt = np.linspace(0.0, 1.0, 301)
-        assert np.max(np.abs(ef(tt) - closed(tt))) < 1e-6
+        # the exact pair: no grid, so no break points for a quadrature
+        for T in (1.0, 2.0):
+            ef = principal_eigenfunction(constant(2.0, T), bc)
+            tt = np.linspace(0.0, T, 301)
+            assert np.max(np.abs(ef(tt) - closed(tt / T))) <= 1e-15
+            assert len(ef.breakpoints) == 0
+
+    def test_constant_antiperiodic_is_not_positive(self):
+        with pytest.raises(NotPositive):
+            principal_eigenfunction(constant(2.0), BoundaryKind.ANTIPERIODIC)
 
     def test_normalized_to_unit_max(self):
         ef = principal_eigenfunction(wavy(), BoundaryKind.PERIODIC)
