@@ -154,6 +154,10 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
     # wide, in full
     out.append(["eigen", "--bc", "antiperiodic", "--samples", half_period,
                 "--count", "8", "--format", "json"])
+    # the hypothesis report on a coarse RK4 grid: check, like every other
+    # subcommand, runs on the grid that --grid gives the potential
+    out.append(["check", "--bc", "dirichlet", "--samples", wavy, "--grid", "251",
+                "--f", WAVY_F])
     return out
 
 

@@ -32,12 +32,11 @@ import numpy as np
 from .cone import build_report
 from .errors import GreensignError, ResonantPotential
 from .expressions import Expression, evaluate_scalar
-from .fundamental import MIN_GRID
 from .gamma import (gamma_closed, gamma_dirichlet_closed, gamma_dirichlet_t_closed,
                     gamma_periodic_closed, gamma_quadrature, gamma_star,
                     pointwise_ratio)
 from .greens import build_kernel
-from .potentials import DEFAULT_GRID, BoundaryKind, constant, sampled
+from .potentials import DEFAULT_GRID, MIN_GRID, BoundaryKind, constant, sampled
 from .solver import solve_linear, solve_nonlinear
 from .spectral import classify_sign, principal_eigenfunction, smallest_eigenvalues
 
@@ -144,9 +143,10 @@ def _read_rows(path: str) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 2)
 
 
-def _load_samples(path: str):
-    """Rows t,a of a CSV file.  Rows before the first data row are a header;
-    blank rows are skipped.
+def _load_samples(path: str, grid_size: int = DEFAULT_GRID):
+    """The potential sampled by the rows t,a of a CSV file, on an RK4 grid
+    of grid_size nodes.  Rows before the first data row are a header; blank
+    rows are skipped.
 
     A file without quotes is split into rows where the csv module ends them
     and into fields at commas, and its data rows are parsed by one
@@ -171,13 +171,13 @@ def _load_samples(path: str):
         data = _read_rows(path)
     if len(data) < 2:
         raise GreensignError(f"need at least two sample rows in {path}")
-    return sampled(data[:, 0], data[:, 1])
+    return sampled(data[:, 0], data[:, 1], grid_size=grid_size)
 
 
 def _potential(args):
     T = 1.0 if args.T is None else evaluate_scalar(args.T)
     if getattr(args, "samples", None):
-        pot = _load_samples(args.samples)
+        pot = _load_samples(args.samples, _grid_size(args))
         if args.T is not None and abs(pot.interval.T - T) > 1e-12:
             raise GreensignError(
                 f"--T {args.T} conflicts with the sample grid ending at "
@@ -185,7 +185,7 @@ def _potential(args):
         return pot
     if getattr(args, "rho", None) is None:
         raise GreensignError("give a potential: --rho EXPR or --samples FILE")
-    return constant(evaluate_scalar(args.rho, T=T), T)
+    return constant(evaluate_scalar(args.rho, T=T), T, _grid_size(args))
 
 
 def _bc(args) -> BoundaryKind:
@@ -227,7 +227,7 @@ def _grid_size(args) -> int:
 
 def _cmd_green(args) -> int:
     pot = _potential(args)
-    kernel = build_kernel(pot, _bc(args), grid_size=_grid_size(args))
+    kernel = build_kernel(pot, _bc(args))
     ts = np.linspace(0.0, kernel.T, args.nodes)
     g = kernel.grid_eval(ts, ts)
     if args.format == "json":
@@ -242,8 +242,7 @@ def _cmd_green(args) -> int:
 
 def _cmd_eigen(args) -> int:
     pot = _potential(args)
-    results = smallest_eigenvalues(pot, _bc(args), args.count,
-                                   grid_size=_grid_size(args))
+    results = smallest_eigenvalues(pot, _bc(args), args.count)
     if args.format == "json":
         _emit_json([{"value": r.value, "bc": str(r.bc), "method": r.method}
                     for r in results], args.output)
@@ -256,7 +255,7 @@ def _cmd_eigen(args) -> int:
 
 def _cmd_classify(args) -> int:
     pot = _potential(args)
-    cls = classify_sign(pot, _bc(args), grid_size=_grid_size(args))
+    cls = classify_sign(pot, _bc(args))
     if args.format == "json":
         _emit_json({"bc": args.bc, "classification": str(cls)}, args.output)
     else:
@@ -274,16 +273,15 @@ def _fmt_value(v: float) -> str:
 def _cmd_gamma(args) -> int:
     pot = _potential(args)
     bc = _bc(args)
-    grid_size = _grid_size(args)
-    kernel = build_kernel(pot, bc, grid_size=grid_size)
+    kernel = build_kernel(pot, bc)
     closed = gamma_closed(pot, bc) if args.weight == "eigenfunction" else None
     if args.weight == "coefficient":
         quad = gamma_star(kernel, pot, t_grid_size=args.t_grid)
     else:
-        weight = (principal_eigenfunction(pot, bc, grid_size=grid_size)
+        weight = (principal_eigenfunction(pot, bc)
                   if args.weight == "eigenfunction" else None)
         quad = gamma_quadrature(kernel, weight, t_grid_size=args.t_grid)
-    cls = classify_sign(pot, bc, grid_size=grid_size)
+    cls = classify_sign(pot, bc)
     if args.format == "json":
         _emit_json({"closed": closed.to_dict() if closed else None,
                     "quadrature": quad.to_dict(),
@@ -318,7 +316,7 @@ def _cmd_solve(args) -> int:
     if (args.rhs is None) == (args.f is None):
         raise GreensignError("give exactly one of --rhs (linear) or --f (fixed point)")
     pot = _potential(args)
-    kernel = build_kernel(pot, _bc(args), grid_size=_grid_size(args))
+    kernel = build_kernel(pot, _bc(args))
     if args.rhs is not None:
         sigma = Expression(args.rhs, variables=("t",), T=pot.interval.T)
         profile = solve_linear(kernel, sigma, args.solve_grid)

@@ -11,9 +11,9 @@ q(t_i), q(t_i + h/2), q(t_i + h):
 
 With q = a + lam each entry is a polynomial in the spectral shift lam:
 quadratic in M11, M21 and M22, linear in M12.  Their per-step coefficients
-depend only on the potential and the grid, so they are tabulated once per
-(potential, grid size) and cached on the potential; a call at any batch of
-shifts then only evaluates the polynomials.  Transfer matrices are assembled
+depend only on the potential and its grid of potential.grid_size nodes, so
+they are tabulated once per potential and cached on it; a call at any batch
+of shifts then only evaluates the polynomials.  Transfer matrices are assembled
 by a pairwise product tree that works on the four entries as separate
 (batch, steps) arrays.  On request the tree also carries each subtree's
 lifted (Pruefer) angle, which composes exactly, so the number of zeros of a
@@ -35,14 +35,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IntegratorFailure
-from .potentials import DEFAULT_GRID, ConstantPotential, Potential
+from .potentials import ConstantPotential, Potential
 
 #: step entries per array in one block of shifts of transfer_matrix: a block
 #: bounds the product tree's working set (about 2 MB), which the allocator
 #: then reuses from block to block instead of mapping fresh pages each time
 TRANSFER_BLOCK_ENTRIES = 1 << 16
-#: the fewest grid nodes a step table is built on
-MIN_GRID = 9
 #: steps per block of cumulative_products
 PRODUCT_BLOCK = 16
 #: cell halvings that place a slice root of the RK4 pair to rounding level:
@@ -60,10 +58,10 @@ class _StepTable:
     the same for every step (zero for M12), and so is M12's lam coefficient.
     """
 
-    def __init__(self, potential: Potential, grid_size: int):
+    def __init__(self, potential: Potential):
         T = potential.interval.T
-        n = grid_size - 1
-        self.ts = np.linspace(0.0, T, grid_size)
+        n = potential.grid_size - 1
+        self.ts = np.linspace(0.0, T, potential.grid_size)
         h = self.ts[1] - self.ts[0]
         self.h = float(h)
         self.a = potential(self.ts)
@@ -91,13 +89,11 @@ class _StepTable:
         out += self.c0[:, None, :]
 
 
-def _step_table(potential: Potential, grid_size: int) -> _StepTable:
-    """The step table of (potential, grid_size), built once per potential."""
-    table = potential.cache.get(("rk4", grid_size))
+def _step_table(potential: Potential) -> _StepTable:
+    """The step table of the potential on its grid, built once per potential."""
+    table = potential.cache.get("rk4")
     if table is None:
-        if grid_size < MIN_GRID:
-            raise ValueError(f"grid_size must be at least {MIN_GRID}")
-        table = potential.cache[("rk4", grid_size)] = _StepTable(potential, grid_size)
+        table = potential.cache["rk4"] = _StepTable(potential)
     return table
 
 
@@ -146,7 +142,7 @@ def _turn(r, rl, theta_l):
     return delta + 2.0 * np.pi * np.round((mid - delta) / (2.0 * np.pi))
 
 
-def transfer_matrix(potential: Potential, lam, grid_size: int, lift: bool = False):
+def transfer_matrix(potential: Potential, lam, lift: bool = False):
     """Phi(T) for u'' + (a + lam) u = 0.  lam may be a scalar or a 1-d batch.
 
     With lift, also the Pruefer angles theta(T) of u1 and u2, shape (2,)
@@ -154,9 +150,9 @@ def transfer_matrix(potential: Potential, lam, grid_size: int, lift: bool = Fals
     from pi / 2 for u1 and 0 for u2, which passes each multiple of pi
     upward at a zero of u.  Returns (Phi(T), theta(T)) then.
     """
-    table = _step_table(potential, grid_size)
+    table = _step_table(potential)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    width = 1 << (grid_size - 2).bit_length()
+    width = 1 << (len(table.ts) - 2).bit_length()
     blocks = max(1, -(-len(lams) * width // TRANSFER_BLOCK_ENTRIES))
     parts = [_product(table, part, width, lift)
              for part in np.array_split(lams, blocks)]
@@ -167,9 +163,11 @@ def transfer_matrix(potential: Potential, lam, grid_size: int, lift: bool = Fals
         return phi if np.ndim(lam) else phi[0]
     theta2 = np.concatenate([p[1] for p in parts])
     # u1 starts a quarter turn ahead of u2 and stays less than half a turn
-    # ahead, since det Phi > 0 keeps the turn from u2 to u1 in (0, pi)
+    # ahead, since det Phi > 0 keeps the turn from u2 to u1 in (0, pi).  Where
+    # the entries are large, rounding can leave the computed det negative; its
+    # sign is known, and the cosine term, well resolved there, fixes the turn
     theta = np.stack([theta2 + np.arctan2(
-        phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 0, 1] * phi[:, 1, 0],
+        np.abs(phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 0, 1] * phi[:, 1, 0]),
         phi[:, 0, 0] * phi[:, 0, 1] + phi[:, 1, 0] * phi[:, 1, 1]), theta2], axis=-1)
     return (phi, theta) if np.ndim(lam) else (phi[0], theta[0])
 
@@ -258,11 +256,9 @@ class FundamentalSolutions:
 
     form = "numeric"
 
-    def __init__(self, potential: Potential, lam: float = 0.0, grid_size: int | None = None):
-        if grid_size is None:
-            grid_size = DEFAULT_GRID
-        table = _step_table(potential, grid_size)
-        steps = np.empty((4, 1, grid_size - 1))
+    def __init__(self, potential: Potential, lam: float = 0.0):
+        table = _step_table(potential)
+        steps = np.empty((4, 1, len(table.ts) - 1))
         table.entries(np.array([float(lam)]), steps)
         phis = cumulative_products(*steps[:, 0])
         if not np.all(np.isfinite(phis)):
@@ -391,24 +387,21 @@ class ConstantPair:
         return theta
 
 
-def base_solutions(potential: Potential, grid_size: int | None = None) -> FundamentalSolutions:
+def base_solutions(potential: Potential) -> FundamentalSolutions:
     """The FundamentalSolutions of the potential at lam = 0, built once per
-    (potential, grid_size) and kept on the potential's cache, as the step
-    table is: a numeric kernel and the resonance check of its sign verdict
-    share it."""
-    if grid_size is None:
-        grid_size = DEFAULT_GRID
-    fs = potential.cache.get(("pair0", grid_size))
+    potential and kept on its cache, as the step table is: a numeric kernel
+    and the resonance check of its sign verdict share it."""
+    fs = potential.cache.get("pair0")
     if fs is None:
-        fs = potential.cache[("pair0", grid_size)] = FundamentalSolutions(potential, 0.0, grid_size)
+        fs = potential.cache["pair0"] = FundamentalSolutions(potential, 0.0)
         for x in (fs.u1, fs.u2, fs.p1, fs.p2):
             x.flags.writeable = False
     return fs
 
 
-def fundamental_pair(potential: Potential, grid_size: int | None = None):
+def fundamental_pair(potential: Potential):
     """The pair a kernel of the potential is built on: the exact
     ConstantPair of a constant potential, base_solutions otherwise."""
     if isinstance(potential, ConstantPotential):
         return ConstantPair(potential.rho, potential.interval.T)
-    return base_solutions(potential, grid_size)
+    return base_solutions(potential)

@@ -217,11 +217,12 @@ _KernelBase = Kernel
 
 
 class NumericKernel(Kernel):
-    """The kernel on the RK4 pair, sampled on a uniform grid (cubic Hermite
-    between nodes), for any nonresonant potential, a constant one too."""
+    """The kernel on the RK4 pair, sampled on the potential's uniform grid
+    (cubic Hermite between nodes), for any nonresonant potential, a
+    constant one too."""
 
-    def __init__(self, potential: Potential, bc: BoundaryKind, grid_size: int | None = None):
-        super().__init__(potential, bc, base_solutions(potential, grid_size))
+    def __init__(self, potential: Potential, bc: BoundaryKind):
+        super().__init__(potential, bc, base_solutions(potential))
 
 
 class PeriodicConstantKernel(Kernel):
@@ -248,15 +249,13 @@ class DirichletConstantKernel(Kernel):
     s_roots = Kernel.s_roots
 
 
-def build_kernel(potential: Potential, bc: BoundaryKind,
-                 grid_size: int | None = None):
-    """The kernel of (potential, bc) on fundamental_pair(potential,
-    grid_size): exact for a constant potential, RK4 otherwise."""
-    return Kernel(potential, bc, fundamental_pair(potential, grid_size))
+def build_kernel(potential: Potential, bc: BoundaryKind):
+    """The kernel of (potential, bc) on fundamental_pair(potential): exact
+    for a constant potential, RK4 otherwise."""
+    return Kernel(potential, bc, fundamental_pair(potential))
 
 
-def require_kernel(potential: Potential, bc: BoundaryKind,
-                   grid_size: int | None = None) -> None:
+def require_kernel(potential: Potential, bc: BoundaryKind) -> None:
     """Raise ResonantPotential wherever build_kernel would, by the same
     rule, without building the kernel."""
-    _boundary_matrix(fundamental_pair(potential, grid_size), bc)
+    _boundary_matrix(fundamental_pair(potential), bc)

@@ -2,17 +2,22 @@
 
 A potential is either a positive constant written as rho**2 (so problems can be
 parameterized by rho directly) or a table of samples interpolated piecewise
-linearly.  Boundary kinds cover the periodic pair and the four separated
-conditions built from values and slopes at the endpoints.
+linearly.  Each potential carries grid_size, the nodes of the one uniform grid
+on which fundamental integrates it by RK4; another grid is another potential
+(dataclasses.replace).  Boundary kinds cover the periodic pair and the four
+separated conditions built from values and slopes at the endpoints.
 """
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+#: RK4 grid nodes of a potential by default, and the fewest it may have
 DEFAULT_GRID = 2001
+MIN_GRID = 9
 
 
 class BoundaryKind(enum.Enum):
@@ -78,10 +83,11 @@ class Interval:
 
 @dataclass(frozen=True)
 class ConstantPotential:
-    """a(t) = rho**2 with rho > 0."""
+    """a(t) = rho**2 with rho > 0, integrated on grid_size RK4 nodes."""
 
     rho: float
     interval: Interval = field(default_factory=Interval)
+    grid_size: int = DEFAULT_GRID
     #: tables derived from the potential alone, kept by the modules that
     #: build them (the RK4 step coefficients of ``fundamental`` and its
     #: fundamental pair at lam = 0)
@@ -90,6 +96,8 @@ class ConstantPotential:
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if operator.index(self.grid_size) < MIN_GRID:
+            raise ValueError(f"grid_size must be at least {MIN_GRID}, got {self.grid_size}")
 
     def __call__(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.rho**2)
@@ -119,11 +127,14 @@ class SampledPotential:
         grid: strictly increasing sample locations covering [0, T] exactly.
         values: finite samples a(grid).
         interval: the domain; grid[0] must be 0 and grid[-1] must be T.
+        grid_size: nodes of the uniform RK4 grid, at least MIN_GRID; it
+            need not match the sample grid.
     """
 
     grid: np.ndarray
     values: np.ndarray
     interval: Interval = field(default_factory=Interval)
+    grid_size: int = DEFAULT_GRID
     #: as on ConstantPotential
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -138,6 +149,8 @@ class SampledPotential:
             raise ValueError("grid must span [0, T] exactly")
         if not np.all(np.isfinite(v)):
             raise ValueError("potential samples must be finite")
+        if operator.index(self.grid_size) < MIN_GRID:
+            raise ValueError(f"grid_size must be at least {MIN_GRID}, got {self.grid_size}")
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
@@ -165,11 +178,14 @@ class SampledPotential:
 Potential = ConstantPotential | SampledPotential
 
 
-def constant(rho: float, T: float = 1.0) -> ConstantPotential:
-    return ConstantPotential(rho=rho, interval=Interval(T))
+def constant(rho: float, T: float = 1.0,
+             grid_size: int = DEFAULT_GRID) -> ConstantPotential:
+    return ConstantPotential(rho=rho, interval=Interval(T), grid_size=grid_size)
 
 
-def sampled(grid, values, T: float | None = None) -> SampledPotential:
+def sampled(grid, values, T: float | None = None,
+            grid_size: int = DEFAULT_GRID) -> SampledPotential:
     g = np.asarray(grid, dtype=float)
     return SampledPotential(grid=g, values=np.asarray(values, dtype=float),
-                            interval=Interval(g[-1] if T is None else T))
+                            interval=Interval(g[-1] if T is None else T),
+                            grid_size=grid_size)

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .cone import cone_membership
-from .errors import EvaluationFailure, QuadratureFailure
+from .errors import EvaluationFailure, ExpressionError, QuadratureFailure
 from .potentials import BoundaryKind
 from .quadrature import CellSums, default_max_len, require_no_cancellation
 
@@ -302,7 +302,7 @@ def verify_solution(profile: SolutionProfile, potential, rhs,
     ts, us = profile.grid, profile.values
     try:
         rhs_vals = rhs(ts, us)
-    except TypeError:
+    except (TypeError, ExpressionError):  # a one-variable sigma(t)
         rhs_vals = rhs(ts)
     cone_ok = None if cone is None else cone_membership(ts, us, cone)
     return VerificationRecord(cone_ok=cone_ok,

@@ -38,7 +38,7 @@ from .errors import (BracketingFailure, NotPositive, UndeterminedSign,
                      UnsupportedBoundaryKind)
 from .fundamental import ConstantPair, FundamentalSolutions, transfer_matrix
 from .greens import require_kernel
-from .potentials import DEFAULT_GRID, BoundaryKind, ConstantPotential, Potential
+from .potentials import BoundaryKind, ConstantPotential, Potential
 
 SIGN_DECISION_TOL = 1e-8
 #: where classify_sign counts eigenvalues: below -tol, and below +tol
@@ -66,25 +66,21 @@ class EigenResult:
     bracket: tuple[float, float] | None = None
 
 
-def char_values(potential: Potential, bc: BoundaryKind, lams,
-                grid_size: int | None = None, count: bool = False) -> np.ndarray:
+def char_values(potential: Potential, bc: BoundaryKind, lams) -> np.ndarray:
     """Characteristic function of the boundary condition at each lam.
 
-    Zero exactly at eigenvalues, positive below the smallest one.  With
-    count, the number of eigenvalues below each lam instead, by the count
-    rule of the module docstring.
+    Zero exactly at eigenvalues, positive below the smallest one.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if count:
-        return _counted(potential, bc, lams, grid_size)[0]
-    return _char_of(transfer_matrix(potential, lams, grid_size or DEFAULT_GRID), bc)
+    return _char_of(transfer_matrix(potential, lams), bc)
 
 
-def _counted(potential: Potential, bc: BoundaryKind, lams: np.ndarray,
-             grid_size) -> tuple[np.ndarray, np.ndarray]:
-    """The number of eigenvalues below each lam of a 1-d batch, and the
-    characteristic values there, from one lifted monodromy pass."""
-    phi, theta = transfer_matrix(potential, lams, grid_size or DEFAULT_GRID, lift=True)
+def _counted(potential: Potential, bc: BoundaryKind,
+             lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The number of eigenvalues below each lam of a 1-d batch, by the
+    count rule of the module docstring, and the characteristic values
+    there, from one lifted monodromy pass."""
+    phi, theta = transfer_matrix(potential, lams, lift=True)
     f = _char_of(phi, bc)
     return _counts(theta, f, bc), f
 
@@ -130,15 +126,13 @@ def _char_of(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
     return phi[bc.entry]
 
 
-def smallest_eigenvalue(potential: Potential, bc: BoundaryKind,
-                        grid_size: int | None = None) -> EigenResult:
+def smallest_eigenvalue(potential: Potential, bc: BoundaryKind) -> EigenResult:
     """First eigenvalue of u'' + (a + lam) u = 0 under the boundary condition."""
-    return _eigenvalues(potential, bc, 1, grid_size)[0]
+    return _eigenvalues(potential, bc, 1)[0]
 
 
 def smallest_eigenvalues(potential: Potential, bc: BoundaryKind,
-                         count: int = 6,
-                         grid_size: int | None = None) -> list[EigenResult]:
+                         count: int = 6) -> list[EigenResult]:
     """The count smallest eigenvalues, repeated according to multiplicity.
 
     Periodic and antiperiodic spectra come in pairs that may collapse to a
@@ -146,11 +140,11 @@ def smallest_eigenvalues(potential: Potential, bc: BoundaryKind,
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    return _eigenvalues(potential, bc, count, grid_size)
+    return _eigenvalues(potential, bc, count)
 
 
-def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
-                 grid_size) -> list[EigenResult]:
+def _eigenvalues(potential: Potential, bc: BoundaryKind,
+                 count: int) -> list[EigenResult]:
     """The count smallest eigenvalues, repeated according to multiplicity.
 
     Points are added until, for each i < count, neighbouring points count i
@@ -163,7 +157,7 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
         shift = potential.rho * potential.rho
         return [EigenResult(_free_eigenvalue(bc, potential.interval.T, i) - shift,
                             bc, "closed") for i in range(count)]
-    w_lo, w_hi = np.array([_window(potential, bc, j, grid_size)
+    w_lo, w_hi = np.array([_window(potential, bc, j)
                            for j in range(count + 1)]).T
     xs = np.array(sorted({*w_lo[:count], *w_hi[:count]}))
     # eigenvalue j lies in window j: below a point lie those of the windows
@@ -175,7 +169,7 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
     # counted, and the round that added them
     pts = np.stack([xs, ns, np.full(len(xs), np.nan), np.zeros(len(xs))])
     if unknown.any():
-        pts[1:3, unknown] = _counted(potential, bc, xs[unknown], grid_size)
+        pts[1:3, unknown] = _counted(potential, bc, xs[unknown])
     step, wanted = np.max(w_hi - w_lo), np.arange(count)
     for r in range(1, MAX_COUNT_STEPS + 1):
         xs, ns = pts[:2]
@@ -194,7 +188,7 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
                               - set(xs.tolist())))
         if not len(new):
             raise BracketingFailure(f"{bc} eigenvalues closer than rounding")
-        pts = np.concatenate([pts, [new, *_counted(potential, bc, new, grid_size),
+        pts = np.concatenate([pts, [new, *_counted(potential, bc, new),
                                     np.full(len(new), r)]], axis=1)
         pts = pts[:, np.argsort(pts[0])]
     else:
@@ -202,7 +196,7 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
 
     single, lo, hi = (rise == 1).tolist(), lo.tolist(), hi.tolist()
     ends = sorted({x for i in wanted[single] for x in (lo[i], hi[i])})
-    f = dict(zip(ends, char_values(potential, bc, ends, grid_size).tolist() if ends else []))
+    f = dict(zip(ends, char_values(potential, bc, ends).tolist() if ends else []))
     brackets = []
     for i in wanted[single].tolist():
         # sign (-1)**i between eigenvalues i - 1 and i
@@ -210,7 +204,7 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind, count: int,
             raise BracketingFailure(f"{bc} characteristic function has the wrong "
                                     f"sign at an end of [{lo[i]:.9g}, {hi[i]:.9g}]")
         brackets.append((lo[i], hi[i], f[lo[i]], f[hi[i]]))
-    refined = iter(_refine_all(potential, bc, brackets, grid_size))
+    refined = iter(_refine_all(potential, bc, brackets))
     return [next(refined) if s else EigenResult(0.5 * (l + h), bc, "shooting", 0, (l, h))
             for s, l, h in zip(single, lo, hi)]
 
@@ -226,13 +220,12 @@ def _free_eigenvalue(bc: BoundaryKind, T: float, i: int) -> float:
     return ((i + sum(bc.pinned_ends) / 2) * w) ** 2
 
 
-def _window(potential: Potential, bc: BoundaryKind, i: int,
-            grid_size) -> tuple[float, float]:
+def _window(potential: Potential, bc: BoundaryKind, i: int) -> tuple[float, float]:
     """Interval that holds eigenvalue i, by min-max comparison with the
     constant potentials min a and max a."""
     a_lo, a_hi = potential.min_value, potential.max_value
     mu = _free_eigenvalue(bc, potential.interval.T, i)
-    h = potential.interval.T / ((grid_size or DEFAULT_GRID) - 1)
+    h = potential.interval.T / (potential.grid_size - 1)
     # RK4 moves the eigenvalue by about h**4 q**3 / 60, q the largest
     # |lam + a| in the window; the padding covers four times that
     q = mu + a_hi - a_lo
@@ -276,7 +269,7 @@ def _split(pts: np.ndarray, m: int, step: float, bc: BoundaryKind) -> float:
     return min(max(v, lo + tol), hi - tol)
 
 
-def _refine_all(potential, bc, brackets, grid_size) -> list[EigenResult]:
+def _refine_all(potential, bc, brackets) -> list[EigenResult]:
     """Roots of the characteristic function in the sign-change brackets
     (lo, hi, flo, fhi), flo and fhi its values at lo and hi, in their order.
 
@@ -298,7 +291,7 @@ def _refine_all(potential, bc, brackets, grid_size) -> list[EigenResult]:
                 found[k] = stop.value
         live = still
         if live:
-            fxs = char_values(potential, bc, np.array(xs), grid_size).tolist()
+            fxs = char_values(potential, bc, np.array(xs)).tolist()
     return found
 
 
@@ -356,8 +349,7 @@ _COMPARED = {BoundaryKind.PERIODIC: (BoundaryKind.ANTIPERIODIC,),
              BoundaryKind.NEUMANN: (BoundaryKind.MIXED1, BoundaryKind.MIXED2)}
 
 
-def classify_sign(potential: Potential, bc: BoundaryKind,
-                  grid_size: int | None = None) -> SignClass:
+def classify_sign(potential: Potential, bc: BoundaryKind) -> SignClass:
     """Sign class of the Green's function, decided by where 0 lies relative
     to first eigenvalues.
 
@@ -373,18 +365,18 @@ def classify_sign(potential: Potential, bc: BoundaryKind,
         raise UnsupportedBoundaryKind(
             "no sign classification is defined for antiperiodic conditions")
     other = _COMPARED.get(bc, ())
-    above = _first_above(potential, (bc, *other), grid_size)
+    above = _first_above(potential, (bc, *other))
     if _sign(above, (bc,)) > 0:
         cls = SignClass.NON_POSITIVE
     elif other and _sign(above, other) > 0:
         cls = SignClass.NON_NEGATIVE
     else:
         cls = SignClass.CHANGES_SIGN
-    require_kernel(potential, bc, grid_size)
+    require_kernel(potential, bc)
     return cls
 
 
-def _first_above(potential: Potential, kinds, grid_size) -> dict:
+def _first_above(potential: Potential, kinds) -> dict:
     """For each kind, whether its first eigenvalue lies above each of
     SIGN_SHIFTS, as a boolean array.
 
@@ -394,10 +386,9 @@ def _first_above(potential: Potential, kinds, grid_size) -> dict:
     eigenvalues below it is zero.
     """
     if isinstance(potential, ConstantPotential):
-        return {k: _eigenvalues(potential, k, 1, grid_size)[0].value > SIGN_SHIFTS
+        return {k: _eigenvalues(potential, k, 1)[0].value > SIGN_SHIFTS
                 for k in kinds}
-    phi, theta = transfer_matrix(potential, SIGN_SHIFTS, grid_size or DEFAULT_GRID,
-                                 lift=True)
+    phi, theta = transfer_matrix(potential, SIGN_SHIFTS, lift=True)
     return {k: _counts(theta, _char_of(phi, k), k) == 0 for k in kinds}
 
 
@@ -450,8 +441,7 @@ class Eigenfunction:
         return out if np.ndim(out) else float(out)
 
 
-def principal_eigenfunction(potential: Potential, bc: BoundaryKind,
-                            grid_size: int | None = None) -> Eigenfunction:
+def principal_eigenfunction(potential: Potential, bc: BoundaryKind) -> Eigenfunction:
     """Eigenfunction at the smallest eigenvalue; raises if not positive.
 
     On a constant potential it is exact: lam + rho**2 is the eigenvalue
@@ -462,7 +452,7 @@ def principal_eigenfunction(potential: Potential, bc: BoundaryKind,
     read off the RK4 pair at lam.  Positivity is checked at the pair's
     nodes, skipping endpoints that the boundary condition pins to zero.
     """
-    lam = smallest_eigenvalue(potential, bc, grid_size).value
+    lam = smallest_eigenvalue(potential, bc).value
     # u2 where u(0) = 0 is asked, else u1: on a separated condition the
     # solution that meets it at 0
     c1, c2 = np.eye(2)[bc.entry[1]]
@@ -471,7 +461,7 @@ def principal_eigenfunction(potential: Potential, bc: BoundaryKind,
         w = math.sqrt(_free_eigenvalue(bc, T, 0))
         pair, c2 = ConstantPair(w, T), c2 * w
     else:
-        pair = FundamentalSolutions(potential, lam, grid_size)
+        pair = FundamentalSolutions(potential, lam)
         if bc.multiplier:
             A = pair.phi - bc.multiplier * np.eye(2)
             c1, c2 = np.linalg.svd(A)[2][-1]

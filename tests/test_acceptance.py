@@ -217,7 +217,7 @@ def test_c9_property_suite():
     rho = 1.5 * math.pi
     errs = []
     for n in (251, 501, 1001):
-        kernel = NumericKernel(constant(rho), BK.PERIODIC, grid_size=n)
+        kernel = NumericKernel(constant(rho, grid_size=n), BK.PERIODIC)
         profile = solve_linear(kernel, lambda s: np.full_like(s, rho**2), 101)
         errs.append(np.max(np.abs(profile.values - 1.0)))
     assert errs[0] / errs[1] >= 8.0

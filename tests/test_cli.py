@@ -92,9 +92,9 @@ class TestGamma:
         lams = []
         init = FundamentalSolutions.__init__
 
-        def counted(self, potential, lam=0.0, grid_size=None):
+        def counted(self, potential, lam=0.0):
             lams.append(float(lam))
-            init(self, potential, lam, grid_size)
+            init(self, potential, lam)
 
         monkeypatch.setattr(FundamentalSolutions, "__init__", counted)
         code, _, _ = run(["gamma", "--bc", "neumann", "--samples", str(path)], capsys)
@@ -224,6 +224,23 @@ class TestCheck:
         obj = json.loads(out)
         assert obj["h3"] is None
         assert any(n.startswith("no subinterval") for n in obj["notes"])
+
+    def test_runs_on_the_grid_it_is_given(self, capsys, tmp_path, monkeypatch):
+        # --grid and GREENSIGN_GRID set the RK4 grid of the potential the
+        # report is made from, as they set the grid of gamma
+        ts = np.linspace(0.0, 1.0, 2001)
+        path = tmp_path / "wavy.csv"
+        path.write_text("t,a\n" + "\n".join(
+            f"{float(t)!r},{float(60 + 10 * np.sin(2 * np.pi * t))!r}" for t in ts))
+        src = ["--bc", "dirichlet", "--samples", str(path), "--t-grid", "41"]
+        argv = ["check", *src, "--f", "1 + x/(1+x)", "--cone-grid", "65"]
+        default = run(argv, capsys)[1]
+        by_flag = run(argv + ["--grid", "251"], capsys)[1]
+        gamma = run(["gamma", *src, "--grid", "251", "--format", "json"], capsys)[1]
+        monkeypatch.setenv("GREENSIGN_GRID", "251")
+        by_env = run(argv, capsys)[1]
+        assert by_flag == by_env != default
+        assert json.loads(by_flag)["gamma"] == json.loads(gamma)["quadrature"]
 
     def test_both_weighted_ratios_share_one_root_search(self, capsys, tmp_path,
                                                         monkeypatch):
@@ -704,7 +721,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 28
+        assert n_json == 29
 
 
 def load_golden_diff():
@@ -729,7 +746,7 @@ def test_golden_diff_measures_moved_numbers():
 def test_golden_diff_of_a_tree_with_itself(capsys):
     golden_diff = load_golden_diff()
     assert golden_diff.main([str(GOLDEN.parents[1])]) == 0
-    assert capsys.readouterr().out == "0 of 71 outputs differ\n"
+    assert capsys.readouterr().out == "0 of 72 outputs differ\n"
 
 
 def test_console_script_runs():

@@ -1,10 +1,13 @@
+import inspect
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import greensign
 from greensign.errors import IntegratorFailure
 from greensign.fundamental import (PRODUCT_BLOCK, ROOT_HALVINGS, TRANSFER_BLOCK_ENTRIES,
                                    FundamentalSolutions, _newton, _step_table,
@@ -104,42 +107,54 @@ class TestTransferMatrix:
     @pytest.mark.parametrize("grid", [9, 801, 2001])
     @pytest.mark.parametrize("name", sorted(POTENTIALS))
     def test_matches_matmul_tree(self, name, grid):
-        pot = POTENTIALS[name]()
+        pot = replace(POTENTIALS[name](), grid_size=grid)
         lams = np.linspace(-pot.sup_norm - 1.0, 400.0, 65)
-        got = transfer_matrix(pot, lams, grid)
+        got = transfer_matrix(pot, lams)
         assert got.shape == (65, 2, 2)
         assert_close_per_matrix(got, matmul_transfer(pot, lams, grid), 1e-12)
-        one = transfer_matrix(pot, 3.25, grid)
+        one = transfer_matrix(pot, 3.25)
         assert one.shape == (2, 2)
         assert_close_per_matrix(one, matmul_transfer(pot, 3.25, grid), 1e-12)
 
     def test_blocks_give_the_bits_of_single_shifts(self):
         pot = trig(5)
         lams = np.linspace(-110.0, 500.0, 3 * TRANSFER_BLOCK_ENTRIES // 2048 + 7)
-        batched = transfer_matrix(pot, lams, 2001)
+        batched = transfer_matrix(pot, lams)
         assert np.array_equal(batched,
-                              np.stack([transfer_matrix(pot, lam, 2001) for lam in lams]))
-        assert transfer_matrix(pot, lams[:1], 2001).shape == (1, 2, 2)
-        assert transfer_matrix(pot, lams[:0], 2001).shape == (0, 2, 2)
+                              np.stack([transfer_matrix(pot, lam) for lam in lams]))
+        assert transfer_matrix(pot, lams[:1]).shape == (1, 2, 2)
+        assert transfer_matrix(pot, lams[:0]).shape == (0, 2, 2)
 
     def test_overflow_raises(self):
         g = np.linspace(0.0, 1.0, 201)
-        pot = sampled(g, np.full_like(g, -1e8))
+        pot = sampled(g, np.full_like(g, -1e8), grid_size=201)
         with pytest.raises(IntegratorFailure):
-            transfer_matrix(pot, 0.0, 201)
+            transfer_matrix(pot, 0.0)
         with pytest.raises(IntegratorFailure):
-            transfer_matrix(pot, np.array([0.0, 1.0]), 201)
+            transfer_matrix(pot, np.array([0.0, 1.0]))
         with pytest.raises(IntegratorFailure):
-            FundamentalSolutions(pot, 0.0, 201)
+            FundamentalSolutions(pot, 0.0)
 
     @pytest.mark.parametrize("grid", [1, 3, 5, 8])
     def test_too_few_nodes_raise(self, grid):
+        # the grid belongs to the potential, which refuses it at construction
         pot = wavy()
         with pytest.raises(ValueError, match="at least 9"):
-            transfer_matrix(pot, 0.0, grid)
+            replace(pot, grid_size=grid)
         with pytest.raises(ValueError, match="at least 9"):
-            FundamentalSolutions(pot, 0.0, grid)
-        assert transfer_matrix(pot, 0.0, 9).shape == (2, 2)
+            constant(2.0, grid_size=grid)
+        with pytest.raises(ValueError, match="at least 9"):
+            sampled(pot.grid, pot.values, grid_size=grid)
+        assert transfer_matrix(replace(pot, grid_size=9), 0.0).shape == (2, 2)
+
+    def test_grid_must_be_an_integer(self):
+        # refused where the potential is made, not at its first RK4 table
+        for grid in (101.0, "101"):
+            with pytest.raises(TypeError):
+                constant(2.0, grid_size=grid)
+            with pytest.raises(TypeError):
+                replace(wavy(), grid_size=grid)
+        assert transfer_matrix(constant(2.0, grid_size=np.int64(101)), 0.0).shape == (2, 2)
 
     @pytest.mark.parametrize("amp", [10.0, 2000.0])
     def test_lift_is_the_node_angle_unwrapped(self, amp):
@@ -147,21 +162,21 @@ class TestTransferMatrix:
         g = np.linspace(0.0, 1.0, 2001)
         pot = sampled(g, 60.0 + amp * np.sin(2 * math.pi * g))
         lams = np.linspace(-pot.sup_norm - 50.0, 3000.0, 9)
-        phi, theta = transfer_matrix(pot, lams, 2001, lift=True)
-        assert np.array_equal(phi, transfer_matrix(pot, lams, 2001))
+        phi, theta = transfer_matrix(pot, lams, lift=True)
+        assert np.array_equal(phi, transfer_matrix(pot, lams))
         assert theta.shape == (9, 2)
         for lam, got in zip(lams, theta):
-            fs = FundamentalSolutions(pot, lam, 2001)
+            fs = FundamentalSolutions(pot, lam)
             want = [np.unwrap(np.arctan2(fs.u1, fs.p1))[-1],
                     np.unwrap(np.arctan2(fs.u2, fs.p2))[-1]]
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
-        assert np.array_equal(transfer_matrix(pot, lams[0], 2001, lift=True)[1],
+        assert np.array_equal(transfer_matrix(pot, lams[0], lift=True)[1],
                               theta[0])
 
     def test_lift_refuses_a_half_turn_step(self):
         # h**2 (a + lam) >= 6 makes the RK4 step entry M12 nonpositive
         with pytest.raises(IntegratorFailure):
-            transfer_matrix(wavy(), 6.0 * 2000**2, 2001, lift=True)
+            transfer_matrix(wavy(), 6.0 * 2000**2, lift=True)
 
     def test_table_is_built_once_per_grid(self, monkeypatch):
         pot = trig(7)
@@ -169,17 +184,19 @@ class TestTransferMatrix:
         original = type(pot).__call__
         monkeypatch.setattr(type(pot), "__call__",
                             lambda self, t: calls.append(np.size(t)) or original(self, t))
-        transfer_matrix(pot, np.linspace(-100.0, 0.0, 65), 2001)
-        transfer_matrix(pot, 1.5, 2001)
-        FundamentalSolutions(pot, -20.0, 2001)
+        transfer_matrix(pot, np.linspace(-100.0, 0.0, 65))
+        transfer_matrix(pot, 1.5)
+        FundamentalSolutions(pot, -20.0)
         assert sum(calls) == 2001 + 2000
-        transfer_matrix(pot, 1.5, 801)
+        # another grid is another potential, with a table of its own
+        coarse = replace(pot, grid_size=801)
+        transfer_matrix(coarse, 1.5)
         assert sum(calls) == 2001 + 2000 + 801 + 800
-        assert len(pot.cache) == 2
+        assert len(pot.cache) == len(coarse.cache) == 1
 
     def test_cache_leaves_equality_and_hash(self):
-        a, b = constant(2.0), constant(2.0)
-        transfer_matrix(a, 0.0, 101)
+        a, b = constant(2.0, grid_size=101), constant(2.0, grid_size=101)
+        transfer_matrix(a, 0.0)
         assert a == b and hash(a) == hash(b)
         assert "cache" not in repr(a)
 
@@ -213,11 +230,11 @@ class TestFundamentalSolutions:
     def test_cumulative_product_of_the_table_entries(self, name):
         pot = LONG_POTENTIALS[name]()
         lam = -17.5
-        fs = FundamentalSolutions(pot, lam, 2001)
+        fs = FundamentalSolutions(pot, lam)
         got = np.stack([fs.u1, fs.u2, fs.p1, fs.p2], axis=-1).reshape(-1, 2, 2)
         # the same entries through the old scalar-indexing loop
         steps = np.empty((4, 1, 2000))
-        _step_table(pot, 2001).entries(np.array([lam]), steps)
+        _step_table(pot).entries(np.array([lam]), steps)
         mats = steps[:, 0].T.reshape(2000, 2, 2)
         phis = scalar_cumulative(mats)
         # its bits up to the end of the first block
@@ -246,12 +263,12 @@ class TestFundamentalSolutions:
 
     def test_last_node_is_the_transfer_matrix(self):
         pot = wavy()
-        fs = FundamentalSolutions(pot, 4.0, 2001)
+        fs = FundamentalSolutions(pot, 4.0)
         end = np.array([[fs.u1[-1], fs.u2[-1]], [fs.p1[-1], fs.p2[-1]]])
-        assert_close_per_matrix(end, transfer_matrix(pot, 4.0, 2001), 1e-12)
+        assert_close_per_matrix(end, transfer_matrix(pot, 4.0), 1e-12)
 
     def test_shared_nodes_are_read_only(self):
-        fs = FundamentalSolutions(wavy(), 0.0, 2001)
+        fs = FundamentalSolutions(wavy(), 0.0)
         with pytest.raises(ValueError):
             fs.ts[0] = 1.0
 
@@ -267,15 +284,15 @@ class TestFundamentalSolutions:
         assert np.array_equal((out + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
 
     def test_overflow_raises_without_warnings(self):
-        pot = flat(-1e8, 201)
+        pot = replace(flat(-1e8, 201), grid_size=201)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for lam, lift in ((0.0, False), (np.array([0.0, 1.0]), False),
                               (np.array([0.0, 1.0]), True)):
                 with pytest.raises(IntegratorFailure):
-                    transfer_matrix(pot, lam, 201, lift=lift)
+                    transfer_matrix(pot, lam, lift=lift)
             with pytest.raises(IntegratorFailure):
-                FundamentalSolutions(pot, 0.0, 201)
+                FundamentalSolutions(pot, 0.0)
 
     def test_newton_steps_that_leave_the_bracket_halve_it(self):
         # from x = 0 a flat end divides by zero, and a shallow one steps far
@@ -296,3 +313,17 @@ class TestFundamentalSolutions:
         assert out.shape == (4, 3) and out.flags.c_contiguous
         # M1 @ M0 = [[1, 1], [0, 1]] @ [[2, 0], [0, 1]] = [[2, 1], [0, 1]]
         assert out[:, -1].tolist() == [2.0, 1.0, 0.0, 1.0]
+
+
+def test_only_the_potential_takes_a_grid():
+    # the RK4 grid is a field of the potential: no other public callable
+    # takes one
+    takes = set()
+    for name in greensign.__all__:
+        try:
+            params = inspect.signature(getattr(greensign, name)).parameters
+        except (TypeError, ValueError):  # not callable, or no signature
+            continue
+        if "grid_size" in params:
+            takes.add(name)
+    assert takes == {"constant", "sampled", "ConstantPotential", "SampledPotential"}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -592,9 +593,9 @@ class TestSeparableSlices:
         # grid) kink at every node: panels across them read 1.5e-10 off at
         # 251 nodes, and cells across them 7e-12 at 41; on cells between
         # the nodes the 4-point rule is exact
-        pot = coarse_wavy(2001)
-        kernel = NumericKernel(pot, bc, grid_size=grid)
-        weight = (principal_eigenfunction(pot, bc, grid_size=grid)
+        pot = replace(coarse_wavy(2001), grid_size=grid)
+        kernel = NumericKernel(pot, bc)
+        weight = (principal_eigenfunction(pot, bc)
                   if eigen_weight else None)
         assert_same_gamma(kernel, weight, 41, rtol=1e-13,
                           breaks=kernel.fs.ts[1:-1])
@@ -625,15 +626,15 @@ def rng3_trig_draws(count=9):
             for _ in range(count)]
 
 
-def eigen_case(pot, bc, grid_size=None):
-    return (NumericKernel(pot, bc, grid_size),
-            principal_eigenfunction(pot, bc, grid_size=grid_size))
+def eigen_case(pot, bc):
+    return NumericKernel(pot, bc), principal_eigenfunction(pot, bc)
 
 
 PINNED_CASES = {
     **{f"wavy-{bc}": (lambda bc=bc: eigen_case(coarse_wavy(2001), bc))
        for bc in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED1, BoundaryKind.MIXED2)},
-    "wavy-dirichlet-251": lambda: eigen_case(coarse_wavy(2001), BoundaryKind.DIRICHLET, 251),
+    "wavy-dirichlet-251": lambda: eigen_case(replace(coarse_wavy(2001), grid_size=251),
+                                             BoundaryKind.DIRICHLET),
     **{f"closed-dirichlet-{rho:.4g}": (lambda rho=rho: (dirichlet_kernel(rho), SIN_WEIGHT))
        for rho in (10.8, math.sqrt(60))},
     **{f"trig-{i}-mixed1": (lambda i=i: eigen_case(rng3_trig_draws()[i], BoundaryKind.MIXED1))

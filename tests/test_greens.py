@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -285,10 +286,10 @@ class TestExactConstantKernels:
             assert abs(float(stencil @ g0) - float(stencil @ g1)) < 1e-6
 
 
-def is_resonant(potential, bc, grid_size=None):
+def is_resonant(potential, bc):
     """Whether build_kernel refuses the pairing as resonant."""
     try:
-        build_kernel(potential, bc, grid_size)
+        build_kernel(potential, bc)
     except ResonantPotential:
         return True
     return False
@@ -313,7 +314,7 @@ class TestResonance:
         (2.0, BoundaryKind.MIXED2, False),
     ])
     def test_constant_table(self, rho, bc, expect):
-        assert is_resonant(constant(rho, 1.0), bc, grid_size=801) == expect
+        assert is_resonant(constant(rho, 1.0, grid_size=801), bc) == expect
 
     def test_scales_with_interval(self):
         assert is_resonant(constant(math.pi, 2.0), BoundaryKind.PERIODIC)
@@ -410,14 +411,14 @@ class TestBatchedRootScan:
     def test_no_root_at_a_pinned_end(self, bc):
         # G(t, T) = 0 here, up to rounding that a sign-change search on
         # this coarse grid takes for a crossing within 1.2e-13 of T
-        k = NumericKernel(wavy(), bc, grid_size=251)
+        k = NumericKernel(replace(wavy(), grid_size=251), bc)
         ts = np.linspace(0.0, 1.0, 401)[1:-1]
         for t, r in zip(ts, k.s_roots_many(ts)):
             assert not np.any(r > 1.0 - 1e-9), (t, r)
 
     def test_half_turn_in_a_cell_raises(self):
-        k = NumericKernel(trig(lambda t: 400 + 50 * np.sin(2 * np.pi * t)),
-                          BoundaryKind.PERIODIC, grid_size=9)
+        k = NumericKernel(replace(trig(lambda t: 400 + 50 * np.sin(2 * np.pi * t)),
+                                  grid_size=9), BoundaryKind.PERIODIC)
         with pytest.raises(IntegratorFailure):
             k.s_roots_many([0.5])
 
@@ -488,7 +489,7 @@ class TestNewtonRootsAgainstBisection:
     @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.MIXED1,
                                     BoundaryKind.MIXED2])
     def test_pinned_end_rows_on_a_coarse_grid(self, bc, monkeypatch):
-        k = NumericKernel(wavy(), bc, grid_size=251)
+        k = NumericKernel(replace(wavy(), grid_size=251), bc)
         ts = np.array([0.0, 1.0])
         assert np.all(k._roots_flat(ts)[1][k.pinned(ts)] > 0)
         self.assert_matches_bisection(k, np.linspace(0.0, 1.0, 1001), monkeypatch)
@@ -726,7 +727,7 @@ def symmetric_case(bc, grid):
     None the exact kernel of a = 7.5**2, nonresonant under all six."""
     if grid is None:
         return build_kernel(constant(7.5), bc)
-    return NumericKernel(wavy(), bc, grid_size=grid)
+    return NumericKernel(replace(wavy(), grid_size=grid), bc)
 
 
 class TestSymmetricForm:

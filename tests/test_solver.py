@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from greensign.errors import EvaluationFailure, QuadratureFailure
+from greensign.expressions import Expression
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
@@ -199,8 +200,8 @@ class TestSeparableAgainstOracle:
         # node; panels broken there too integrate it exactly, and a cell
         # that straddled a node would miss by about 1e-8
         grid = np.linspace(0.0, 1.0, 2001)
-        pot = sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid))
-        k = NumericKernel(pot, bc, grid_size=33)
+        pot = sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid), grid_size=33)
+        k = NumericKernel(pot, bc)
         ts = np.linspace(0.0, 1.0, 11)
         plan, g = slice_panels(k, ts, [k.fs.ts[1:-1]] * len(ts),
                                default_max_len(pot))
@@ -322,8 +323,7 @@ class TestGridConvergence:
         # u == 1 reference; the kernel step is the only discretization
         errs = []
         for gs in (251, 501, 1001):
-            k = NumericKernel(constant(RHO_P), BoundaryKind.PERIODIC,
-                              grid_size=gs)
+            k = NumericKernel(constant(RHO_P, grid_size=gs), BoundaryKind.PERIODIC)
             p = solve_linear(k, const_sigma(RHO_P**2), 101)
             errs.append(float(np.max(np.abs(p.values - 1.0))))
         assert errs[0] / errs[1] >= 8.0
@@ -480,6 +480,16 @@ class TestVerification:
                               lambda s, x: s * (1.0 - s) + 0.0 * x)
         assert rec.residual_norm <= 1e-5
         assert rec.bc_error <= 1e-9
+
+    def test_one_variable_expression_accepted(self):
+        # the library's own Expression refuses a wrong argument count with
+        # ExpressionError, not TypeError
+        k = DirichletConstantKernel(RHO_D)
+        sigma = Expression("1+t")
+        p = solve_linear(k, sigma, 101)
+        rec = verify_solution(p, constant(RHO_D), sigma)
+        assert rec.residual_norm == p.residual_norm
+        assert rec.bc_error == p.bc_error
 
     def test_polynomial_sigma_residual(self):
         k = DirichletConstantKernel(RHO_D)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,14 +246,14 @@ class TestSmallestEigenvalues:
             smallest_eigenvalues(constant(1.0), BoundaryKind.DIRICHLET, 0)
 
 
-def bisect(potential, bc, lo, hi, grid_size):
+def bisect(potential, bc, lo, hi):
     """The scalar bisection the eigenvalue search used before; oracle."""
     char_values = spectral.char_values
-    flo = float(char_values(potential, bc, lo, grid_size)[0])
+    flo = float(char_values(potential, bc, lo)[0])
     iterations = 0
     while hi - lo > BISECT_REL_WIDTH * max(1.0, abs(lo)):
         mid = 0.5 * (lo + hi)
-        fmid = float(char_values(potential, bc, mid, grid_size)[0])
+        fmid = float(char_values(potential, bc, mid)[0])
         if (fmid > 0) == (flo > 0):
             lo, flo = mid, fmid
         else:
@@ -263,7 +264,7 @@ def bisect(potential, bc, lo, hi, grid_size):
     return EigenResult(0.5 * (lo + hi), bc, "shooting", iterations, (lo, hi))
 
 
-def itp(potential, bc, lo, hi, flo, fhi, grid_size):
+def itp(potential, bc, lo, hi, flo, fhi):
     """The ITP search on one bracket, one lam per char_values call, as the
     eigenvalue search ran it before its brackets were refined together;
     oracle."""
@@ -288,7 +289,7 @@ def itp(potential, bc, lo, hi, flo, fhi, grid_size):
             x = mid - side * radius
         if not lo < x < hi:
             x = mid
-        fx = float(spectral.char_values(potential, bc, x, grid_size)[0])
+        fx = float(spectral.char_values(potential, bc, x)[0])
         iterations += 1
         if fx == 0.0:
             return EigenResult(x, bc, "shooting", iterations, (x, x))
@@ -302,14 +303,14 @@ def itp(potential, bc, lo, hi, flo, fhi, grid_size):
 
 
 def record_refinements(monkeypatch):
-    """List that fills with ((potential, bc, lo, hi, flo, fhi, grid_size),
-    result) for every bracket handed to spectral._refine_all."""
+    """List that fills with ((potential, bc, lo, hi, flo, fhi), result)
+    for every bracket handed to spectral._refine_all."""
     calls = []
     refine_all = spectral._refine_all
 
-    def recording(potential, bc, brackets, grid_size):
-        got = refine_all(potential, bc, brackets, grid_size)
-        calls.extend(((potential, bc, *b, grid_size), r)
+    def recording(potential, bc, brackets):
+        got = refine_all(potential, bc, brackets)
+        calls.extend(((potential, bc, *b), r)
                      for b, r in zip(brackets, got))
         return got
 
@@ -335,9 +336,9 @@ class TestRefinement:
         for bc in BoundaryKind:
             smallest_eigenvalues(pot, bc, 6)
         assert len(calls) >= 30
-        for (p, bc, lo0, hi0, flo, fhi, grid), got in calls:
+        for (p, bc, lo0, hi0, flo, fhi), got in calls:
             assert (flo > 0) != (fhi > 0)
-            want = bisect(p, bc, lo0, hi0, grid)
+            want = bisect(p, bc, lo0, hi0)
             assert abs(got.value - want.value) <= 1e-10 * max(1.0, abs(want.value))
             lo, hi = got.bracket
             assert lo0 <= lo <= got.value <= hi <= hi0
@@ -353,7 +354,7 @@ class TestRefinement:
         """Make char_values f; returns the list of lam batches it is called on."""
         seen = []
 
-        def fake(pot, bc, lams, grid=None):
+        def fake(pot, bc, lams):
             seen.append(np.atleast_1d(lams).tolist())
             return np.atleast_1d(f(lams))
 
@@ -363,7 +364,7 @@ class TestRefinement:
     @staticmethod
     def _refine_one(lo, hi, flo, fhi):
         [got] = spectral._refine_all(None, BoundaryKind.DIRICHLET,
-                                     [(lo, hi, flo, fhi)], None)
+                                     [(lo, hi, flo, fhi)])
         return got
 
     def test_exact_zero_ends_the_search(self, monkeypatch):
@@ -381,7 +382,7 @@ class TestRefinement:
     ])
     def test_worst_case_is_bisection(self, f, monkeypatch):
         self._fake(monkeypatch, f)
-        want = bisect(None, BoundaryKind.DIRICHLET, 0.0, 0.5, None)
+        want = bisect(None, BoundaryKind.DIRICHLET, 0.0, 0.5)
         got = self._refine_one(0.0, 0.5, float(f(0.0)), float(f(0.5)))
         assert got.iterations <= want.iterations + 1
         lo, hi = got.bracket
@@ -406,10 +407,10 @@ class TestRefinement:
         alone = []
         for b in brackets:
             seen = self._fake(monkeypatch, f)
-            alone.append((itp(None, BoundaryKind.DIRICHLET, *b, None),
+            alone.append((itp(None, BoundaryKind.DIRICHLET, *b),
                           [lams[0] for lams in seen]))
         seen = self._fake(monkeypatch, f)
-        got = spectral._refine_all(None, BoundaryKind.DIRICHLET, brackets, None)
+        got = spectral._refine_all(None, BoundaryKind.DIRICHLET, brackets)
         assert got == [want for want, _ in alone]
         steps = [r.iterations for r in got]
         assert len(set(steps[:3])) == 3 and steps[3:] == [1, 0]
@@ -421,10 +422,10 @@ class TestRefinement:
         # a zero at the upper end, and a bracket already narrow enough
         brackets = [(8.0, 9.0, 1.0, 0.0), (1.0, 1.0 + 1e-14, 1.0, -1.0)]
         seen = self._fake(monkeypatch, self._mixed)
-        got = spectral._refine_all(None, BoundaryKind.DIRICHLET, brackets, None)
+        got = spectral._refine_all(None, BoundaryKind.DIRICHLET, brackets)
         assert seen == []
         assert [r.iterations for r in got] == [0, 0]
-        assert got == [itp(None, BoundaryKind.DIRICHLET, *b, None) for b in brackets]
+        assert got == [itp(None, BoundaryKind.DIRICHLET, *b) for b in brackets]
 
 
 class TestLockstep:
@@ -616,7 +617,7 @@ class TestPairedCounts:
                        > 1e-6 * np.maximum(1.0, np.abs(lams))[:, None], axis=1)
         assume(apart.any())
         lams = lams[apart]
-        got = char_values(trig_samples(*case), bc, lams, count=True)
+        got = spectral._counted(trig_samples(*case), bc, lams)[0]
         assert np.array_equal(got, np.sum(want < lams[:, None], axis=1))
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
@@ -632,6 +633,18 @@ class TestPairedCounts:
         want = hill_eigenvalues(*THIRD_PERIOD, bc, size=120)
         assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_large_monodromy_right(self, bc):
+        # rounding may give the computed det Phi(T) the wrong sign there, but
+        # u1's lifted angle does not read it: the counts and the eigenvalues
+        # are right under every condition
+        pot = trig_samples(*THIRD_PERIOD)
+        want = hill_eigenvalues(*THIRD_PERIOD, bc, size=120)
+        count = spectral._counted(pot, bc, np.array([-600.0]))[0]
+        assert count.tolist() == [np.sum(want < -600.0)]
+        got = [r.value for r in smallest_eigenvalues(pot, bc, 6)]
+        assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
 
 class TestIndexBrackets:
     def _counting(self, monkeypatch):
@@ -640,9 +653,9 @@ class TestIndexBrackets:
         seen = [0]
         real = spectral.transfer_matrix
 
-        def counting(pot, lams, grid, lift=False):
+        def counting(pot, lams, lift=False):
             seen[0] += np.size(lams)
-            return real(pot, lams, grid, lift)
+            return real(pot, lams, lift)
 
         monkeypatch.setattr(spectral, "transfer_matrix", counting)
         return seen
@@ -671,9 +684,9 @@ class TestIndexBrackets:
     def test_contradicting_signs_raise(self, bc, monkeypatch):
         real = spectral.char_values
 
-        def positive_for_bc(pot, kind, lams, grid=None, count=False):
-            out = real(pot, kind, lams, grid, count)
-            return np.abs(out) + 1.0 if kind is bc and not count else out
+        def positive_for_bc(pot, kind, lams):
+            out = real(pot, kind, lams)
+            return np.abs(out) + 1.0 if kind is bc else out
 
         monkeypatch.setattr(spectral, "char_values", positive_for_bc)
         with pytest.raises(BracketingFailure):
@@ -683,8 +696,8 @@ class TestIndexBrackets:
     def test_decreasing_count_raises(self, bc, monkeypatch):
         real = spectral._counted
 
-        def reversed_count(pot, kind, lams, grid):
-            out, f = real(pot, kind, lams, grid)
+        def reversed_count(pot, kind, lams):
+            out, f = real(pot, kind, lams)
             return 100 - out, f
 
         monkeypatch.setattr(spectral, "_counted", reversed_count)
@@ -695,8 +708,8 @@ class TestIndexBrackets:
     def test_count_that_never_separates_raises(self, monkeypatch):
         real = spectral._counted
 
-        def no_eigenvalues(pot, kind, lams, grid):
-            out, f = real(pot, kind, lams, grid)
+        def no_eigenvalues(pot, kind, lams):
+            out, f = real(pot, kind, lams)
             return 0 * out, f
 
         monkeypatch.setattr(spectral, "_counted", no_eigenvalues)
@@ -724,12 +737,12 @@ class TestWideWindows:
     @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN,
                                     BoundaryKind.PERIODIC])
     def test_many_eigenvalues_on_a_coarse_grid(self, bc):
-        pot = wavy(101)
-        vals = np.array([r.value for r in smallest_eigenvalues(pot, bc, 30, 101)])
+        pot = replace(wavy(101), grid_size=101)
+        vals = np.array([r.value for r in smallest_eigenvalues(pot, bc, 30)])
         assert np.all(np.diff(vals) >= 0)
         if bc is not BoundaryKind.PERIODIC:
-            below = char_values(pot, bc, vals - 1e-6 * np.abs(vals), 101, count=True)
-            above = char_values(pot, bc, vals + 1e-6 * np.abs(vals), 101, count=True)
+            below = spectral._counted(pot, bc, vals - 1e-6 * np.abs(vals))[0]
+            above = spectral._counted(pot, bc, vals + 1e-6 * np.abs(vals))[0]
             assert np.array_equal(below, np.arange(30))
             assert np.array_equal(above, np.arange(1, 31))
 
@@ -852,9 +865,9 @@ class TestSignVerdict:
         calls = []
         transfer_matrix = spectral.transfer_matrix
 
-        def recording(potential, lam, grid_size, lift=False):
+        def recording(potential, lam, lift=False):
             calls.append((np.array(lam).tolist(), lift))
-            return transfer_matrix(potential, lam, grid_size, lift)
+            return transfer_matrix(potential, lam, lift)
 
         def no_search(*args):
             raise AssertionError("an ITP search was started")
