@@ -9,8 +9,10 @@ root with its own ``src/``, one subprocess per tree.  For every call whose
 output differs it prints the structure check, that the two outputs are the
 same text once every number in them is masked, and then how many numbers
 differ, max |delta| over them, max |value| over both outputs, and their
-ratio.  A changed exit code is printed as such.  Exits 1 when any output
-differs, 0 otherwise.
+ratio.  Integers that moved, such as a step count, are left out of max
+|delta| and listed on a line of their own, each after the name it follows
+in the output.  A changed exit code is printed as such.  Exits 1 when any
+output differs, 0 otherwise.
 """
 import json
 import os
@@ -22,6 +24,9 @@ import tempfile
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+INTEGER = re.compile(r"[-+]?\d+")
+#: the name an integer follows, as in '"iterations": 65' or 'iterations=65'
+NAME = re.compile(r"([A-Za-z_]\w*)\W{0,3}$")
 
 
 def dump() -> None:
@@ -52,17 +57,29 @@ def outputs(tree: pathlib.Path) -> list:
 
 
 def compare(old: str, new: str) -> str:
-    """The structure check and the size of the numeric change from old to new."""
+    """The structure check and the size of the numeric change from old to
+    new, with the integers that moved on a line of their own."""
     if NUMBER.sub("#", old) != NUMBER.sub("#", new):
         return "structure differs"
     a = [float(x) for x in NUMBER.findall(old)]
     b = [float(x) for x in NUMBER.findall(new)]
-    # a number can change its spelling and keep its value ("1.0", "1.00")
-    deltas = [abs(x - y) for x, y in zip(a, b) if x != y]
+    deltas, moved = [], []
+    for x, y, u, v in zip(NUMBER.finditer(old), NUMBER.finditer(new), a, b):
+        # a number can change its spelling and keep its value ("1.0", "1.00")
+        if u == v:
+            continue
+        if INTEGER.fullmatch(x[0]) and INTEGER.fullmatch(y[0]):
+            name = NAME.search(old[max(0, x.start() - 40):x.start()])
+            moved.append(f"{name[1] + ' ' if name else ''}{x[0]} -> {y[0]}")
+        else:
+            deltas.append(abs(u - v))
     delta, scale = max(deltas, default=0.0), max(map(abs, a + b), default=0.0)
-    return (f"structure same, {len(deltas)} of {len(a)} numbers differ, "
-            f"max|delta| {delta:.2e} / max|value| {scale:.2e} = "
-            f"{delta / scale if scale else 0.0:.1e}")
+    out = (f"structure same, {len(deltas) + len(moved)} of {len(a)} numbers differ, "
+           f"max|delta| {delta:.2e} / max|value| {scale:.2e} = "
+           f"{delta / scale if scale else 0.0:.1e}")
+    if moved:
+        out += "\n    integers moved: " + ", ".join(moved)
+    return out
 
 
 def main(argv: list) -> int:

@@ -25,17 +25,26 @@ steps, all blocks at once, carry Phi over the block starts, and each block
 is stepped from its start, all blocks at once.  Between nodes the pair is
 its cubic Hermite interpolant, on which the zeros of a slice
 alpha u1 + beta u2 are refined by safeguarded Newton steps (place).
+
+A quadrature table reads the pair at the Gauss nodes of its cells through
+cell_pair.  On a whole grid cell the Hermite values there are the cell's
+end data times one basis matrix, evaluated once at the rule's reference
+nodes; the exact pair of a constant potential (ConstantPair) turns cos and
+sin at each cell's middle by the angles of the reference nodes, which
+cells of one length share.  Any other cell is read point by point
+(eval_pair).
 """
 from __future__ import annotations
 
 import math
 from array import array
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import IntegratorFailure
 from .potentials import ConstantPotential, Potential
+from .quadrature import gauss_nodes, one_length
 
 #: step entries per array in one block of shifts of transfer_matrix: a block
 #: bounds the product tree's working set (about 2 MB), which the allocator
@@ -246,6 +255,17 @@ def _newton(y0, y1, d0, d1, up, x):
     return x, rounds
 
 
+@cache
+def _hermite_basis(order: int) -> np.ndarray:
+    """The cubic Hermite basis at the reference nodes (1 + x_k) / 2 of the
+    order-point Gauss rule, shape (4, order), one row per end datum
+    (y0, h y0', y1, h y1')."""
+    xi = 0.5 * (1.0 + gauss_nodes(order)[0])
+    left, right = (1.0 - xi) ** 2, xi * xi
+    return np.stack([(1.0 + 2.0 * xi) * left, xi * left,
+                     right * (3.0 - 2.0 * xi), right * (xi - 1.0)])
+
+
 class FundamentalSolutions:
     """Node samples of the normalized fundamental pair of u'' + (a + lam) u = 0.
 
@@ -292,6 +312,25 @@ class FundamentalSolutions:
         h11 = right * (xi - 1.0) * self.h
         return tuple(h00 * y[i] + h10 * dy[i] + h01 * y[j] + h11 * dy[j]
                      for y, dy in ((self.u1, self.p1), (self.u2, self.p2)))
+
+    def cell_pair(self, edges, xs) -> np.ndarray:
+        """(u1, u2) at the Gauss nodes xs, shape (cells, order), of the
+        cells between consecutive edges, shape (2, cells, order).  On a
+        whole grid cell, whose edges are two consecutive nodes exactly, the
+        values are the cell's end data times the Hermite basis at the
+        rule's reference nodes (_hermite_basis); eval_pair gives them on
+        any other cell."""
+        ts = self.ts
+        i = np.minimum(ts.searchsorted(edges[:-1]), len(ts) - 2)
+        whole = (ts[i] == edges[:-1]) & (ts[i + 1] == edges[1:])
+        # (u, h u') at every node, one row per solution: the end data of
+        # grid cell i are entries 2 i .. 2 i + 3 of a row
+        ends = np.stack([np.column_stack([y, self.h * dy]).ravel()
+                         for y, dy in ((self.u1, self.p1), (self.u2, self.p2))])
+        out = ends[:, 2 * i[:, None] + np.arange(4)] @ _hermite_basis(xs.shape[1])
+        if not whole.all():
+            out[:, ~whole] = self.eval_pair(xs[~whole])
+        return out
 
     @cached_property
     def angles(self) -> np.ndarray:
@@ -350,8 +389,8 @@ class ConstantPair:
     theta = atan2(-rho alpha, beta) modulo pi, at t = theta / rho, with no
     search (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).
     It gives what a kernel reads of FundamentalSolutions: phi, sups, ts,
-    eval_pair and the angle hooks angles, target and place; and what an
-    eigenfunction reads: ts, the node samples u1 and u2 there, and
+    eval_pair, cell_pair and the angle hooks angles, target and place; and
+    what an eigenfunction reads: ts, the node samples u1 and u2 there, and
     eval_pair.  Only its two nodes 0 and T are break points.
     """
 
@@ -375,6 +414,23 @@ class ConstantPair:
             return np.ones_like(x), x.copy()
         x = self.rho * x
         return np.cos(x), np.sin(x) / self.rho
+
+    def cell_pair(self, edges, xs) -> np.ndarray:
+        """(u1, u2) at the Gauss nodes xs, shape (cells, order), of the
+        cells between consecutive edges, shape (2, cells, order).  On cells
+        of one length (quadrature.one_length) they come by angle addition:
+        cos and sin of rho times each cell's middle, turned by the angles
+        rho half x_k of the rule's nodes x_k, which all cells share;
+        eval_pair gives them on any other layout, and at rho = 0."""
+        if not (self.rho and one_length(edges)):
+            return np.stack(self.eval_pair(xs))
+        a = self.rho * (0.5 * (edges[:-1] + edges[1:]))
+        b = (0.5 * self.rho * (edges[-1] - edges[0]) / (len(edges) - 1)
+             * gauss_nodes(xs.shape[1])[0])
+        cb, sb = np.cos(b), np.sin(b)
+        # (cos, sin) at a + b: (cos a, sin a) times a rotation per solution
+        turns = np.stack([np.stack([cb, -sb]), np.stack([sb, cb]) / self.rho])
+        return np.stack([np.cos(a), np.sin(a)], axis=1) @ turns
 
     def target(self, alpha, beta):
         return np.arctan2(-self.rho * alpha, beta)

@@ -12,7 +12,12 @@ a point the caller reads at, so a low-order rule per cell is exact for a
 piecewise-polynomial g aligned to those points, and a read is an index
 into the sums.  The solver integrates through it with its own rule order
 and length cap (see solver); the sign-ratio constant and the t-integrals
-of the cone share one table recipe, slice_sums (see gamma and cone).
+of the cone share one table recipe, slice_sums (see gamma and cone).  The
+pair's values at the Gauss nodes come from one small matrix per cell shape
+on the cells that repeat, the whole grid cells of a numeric pair and cells
+of one length (one_length) under an exact one, and point by point on the
+rest (fundamental's cell_pair): the cells that gamma edges at the zeros of
+its slices differ in length, so an exact pair reads them point by point.
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_many, one
 array per slice, which gives none for a slice the boundary condition pins
@@ -44,11 +49,22 @@ CANCELLATION_LIMIT = 1e8
 #: weight turn by at most pi / 16 in a cell.
 SLICE_ORDER, SLICE_CELLS_PER_PANEL = 4, 16
 
+#: Cells count as one length when their lengths differ by at most this many
+#: roundings of the length of their span
+ONE_LENGTH_ULPS = 8
+
 
 @functools.cache
 def gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of the order-point rule on [-1, 1], cached."""
     return np.polynomial.legendre.leggauss(order)
+
+
+def one_length(edges) -> bool:
+    """Whether the cells between consecutive edges have one length, to the
+    rounding of the edges."""
+    tol = ONE_LENGTH_ULPS * np.finfo(float).eps * abs(edges[-1] - edges[0])
+    return float(np.ptp(np.diff(edges))) <= tol
 
 
 def build_edges(a: float, b: float, points=(), max_len: float | None = None) -> np.ndarray:
@@ -100,6 +116,9 @@ class CellSums:
     cell_edges(kernel, points, max_len), and q, the pair there times the
     half-width of each cell and the rule's weights, shape (2, cells,
     order).  Every point is an edge, so a read is an index into the sums.
+    The pair's values at the nodes come from its cell_pair, which reads
+    them off one small matrix per cell shape where the cells repeat (see
+    fundamental).  The nodes are interior, so no pinned end is among them.
     """
 
     def __init__(self, kernel, points, max_len: float, order: int):
@@ -109,7 +128,8 @@ class CellSums:
         half = 0.5 * (e[1:] - e[:-1])
         xs = (0.5 * (e[:-1] + e[1:]))[:, None] + half[:, None] * nodes
         self.xs = xs.ravel()
-        self.q = np.stack(kernel._pair(xs)) * (half[:, None] * gw)
+        self.q = kernel.fs.cell_pair(e, xs)
+        self.q *= half[:, None] * gw
 
     def index(self, x) -> np.ndarray:
         """Where the points x, clipped to [0, T], stand among the edges:

@@ -21,6 +21,15 @@ exactly.  Its fine check takes more points per cell and a 6-point
 stencil: on one cell the 4-point stencil is one cubic, which a finer rule
 alone would integrate exactly and so could not fault.
 
+Where the cells repeat, the Gauss-node values come from one small matrix
+per cell shape, evaluated once at the rule's reference nodes: the pair's
+from its cell_pair (see fundamental), and u's, where the table's cells are
+the cells of a uniform output grid, from one Lagrange matrix per place of
+the cell in its window (_CellStencil).  Any other grid keeps the stencil
+built point by point (_Stencil): an uneven one, and one whose cells the
+table cuts, at the length cap or at the nodes of a numeric kernel's grid
+that lie between the output nodes.
+
 Where the pair grows fast (a strongly negative potential) the terms of the
 sum cancel, as the products in a pointwise G do; a sum whose terms exceed
 max |u| by more than quadrature.CANCELLATION_LIMIT raises QuadratureFailure
@@ -30,13 +39,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cone import cone_membership
-from .errors import EvaluationFailure, ExpressionError, QuadratureFailure
+from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import CellSums, default_max_len, require_no_cancellation
+from .quadrature import (CellSums, default_max_len, gauss_nodes, one_length,
+                         require_no_cancellation)
 
 POSITIVITY_TOL = 1e-9
 DIVERGENCE_CAP = 1e12
@@ -162,6 +174,48 @@ class _Stencil:
         return out
 
 
+class _CellStencil:
+    """_Stencil from the nodes of a uniform grid to the order Gauss nodes
+    of each of its cells.  A cell's window starts where _Stencil's does, so
+    the cell takes place c = width // 2 - 1 in it, except the first c
+    cells and the last width - 2 - c, which the window's clip at the ends
+    moves to the places before and after; each place has one (order x
+    width) Lagrange matrix, evaluated once on the reference nodes 0 ..
+    width - 1 at place + (1 + x_k) / 2, and applied to the windows of us.
+    Built once per (order, width) and shared (_cell_stencil)."""
+
+    def __init__(self, order: int, width: int):
+        y = np.arange(width - 1)[:, None] + 0.5 * (1.0 + gauss_nodes(order)[0])
+        self.w = np.ones((width - 1, order, width))
+        for k in range(width):
+            for l in range(width):
+                if l != k:
+                    self.w[..., k] *= (y - l) / (k - l)
+        self.w.flags.writeable = False
+        self.c = width // 2 - 1
+
+    def __call__(self, us: np.ndarray) -> np.ndarray:
+        c, width = self.c, self.w.shape[-1]
+        inner = c + len(us) - width + 1
+        out = np.empty((len(us) - 1, self.w.shape[1]))
+        np.matmul(self.w[:c], us[:width], out=out[:c])
+        np.matmul(sliding_window_view(us, width), self.w[c].T, out=out[c:inner])
+        np.matmul(self.w[c + 1:], us[-width:], out=out[inner:])
+        return out.ravel()
+
+
+_cell_stencil = cache(_CellStencil)
+
+
+def _stencil(ts: np.ndarray, quad: CellSums, width: int):
+    """The width-point stencil from the nodes ts to the Gauss nodes of
+    quad: _CellStencil where quad's cells are those of a uniform ts,
+    _Stencil otherwise."""
+    if np.array_equal(quad.edges, ts) and one_length(ts):
+        return _cell_stencil(quad.q.shape[2], width)
+    return _Stencil(ts, quad.xs, width)
+
+
 def _classify_positivity(us: np.ndarray, bc: BoundaryKind) -> Positivity:
     """Sign verdict on the samples that the condition leaves free."""
     lo = float(np.min(us[bc.unpinned]))
@@ -242,9 +296,11 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ts = _as_grid(kernel, grid)
     quad = _Cumulative(kernel, ts)
-    stencil = _Stencil(ts, quad.xs)
+    stencil = _stencil(ts, quad, 4)
 
     def image(us: np.ndarray) -> np.ndarray:
         fx = np.asarray(f(quad.xs, stencil(us)), dtype=float)
@@ -281,7 +337,7 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
     fp_resid = None
     if converged:
         fine = _Cumulative(kernel, ts, FINE_CELL_ORDER)
-        ux = _Stencil(ts, fine.xs, min(FINE_STENCIL_WIDTH, len(ts)))(us)
+        ux = _stencil(ts, fine, min(FINE_STENCIL_WIDTH, len(ts)))(us)
         fp_resid = float(np.max(np.abs(fine.apply(f(fine.xs, ux)) - us)))
         if fp_resid > 10.0 * tol:
             converged = False
@@ -296,14 +352,12 @@ def verify_solution(profile: SolutionProfile, potential, rhs,
                     cone=None) -> VerificationRecord:
     """Independent residual, boundary, and positivity check of a profile.
 
-    rhs may be sigma(t) or f(t, x); with a cone given, membership of the
-    profile in that cone is checked as well.
+    rhs is f(t, x) for the profile of a fixed-point solve, which took at
+    least one step, and sigma(t) for that of a linear solve; with a cone
+    given, membership of the profile in that cone is checked as well.
     """
     ts, us = profile.grid, profile.values
-    try:
-        rhs_vals = rhs(ts, us)
-    except (TypeError, ExpressionError):  # a one-variable sigma(t)
-        rhs_vals = rhs(ts)
+    rhs_vals = rhs(ts, us) if profile.iterations else rhs(ts)
     cone_ok = None if cone is None else cone_membership(ts, us, cone)
     return VerificationRecord(cone_ok=cone_ok,
                               **_checks(ts, us, potential, rhs_vals, profile.bc))

@@ -330,7 +330,9 @@ class Cumulative:
         self.at = np.searchsorted(edges, ts)
         xs, half = cell_nodes(edges[:-1], edges[1:], order)
         self.xs = xs.ravel()
-        self.q = np.stack(kernel._pair(xs)) * (half[:, None] * gauss_nodes(order)[1])
+        # the pair at the Gauss nodes from CellSums' own evaluation, whose
+        # reference-cell values the pair's tests check against eval_pair
+        self.q = kernel.fs.cell_pair(edges, xs) * (half[:, None] * gauss_nodes(order)[1])
         self.pt = kernel._pair(ts)
         self.C = kernel._C
         self.d = kernel._d

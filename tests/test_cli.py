@@ -301,6 +301,35 @@ class TestSolve:
                           "--rhs", "t", "--f", "x"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("bc,f", [("dirichlet", "t*(1-t) + 5*x"),
+                                      ("periodic", "1 + 41*x")])
+    def test_closed_form_solve_reads_reference_cells(self, capsys, monkeypatch, bc, f):
+        # on the default grid the table's cells are the grid's, of one
+        # length: the pair at their Gauss nodes comes by angle addition and
+        # u there from one Lagrange matrix per place in the window, so
+        # eval_pair sees grid nodes only and no per-point stencil is built
+        from greensign import solver
+        from greensign.fundamental import ConstantPair
+        seen, stencils = [], []
+        eval_pair, init = ConstantPair.eval_pair, solver._Stencil.__init__
+
+        def counted_pair(self, x):
+            seen.append(np.asarray(x))
+            return eval_pair(self, x)
+
+        def counted_init(self, *args):
+            stencils.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ConstantPair, "eval_pair", counted_pair)
+        monkeypatch.setattr(solver._Stencil, "__init__", counted_init)
+        argv = ["solve", "--bc", bc, "--rho", "7.5", "--f", f, "--format", "json"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["converged"]
+        grid = np.linspace(0.0, 1.0, 2001)
+        assert seen and all(np.isin(x, grid).all() for x in seen)
+        assert stencils == []
+
 
 class TestErrorsAndEnv:
     def test_resonance_exits_3(self, capsys):
@@ -741,6 +770,18 @@ def test_golden_diff_measures_moved_numbers():
     assert compare("0.0,1.0\n", "0,1.00\n").startswith("structure same, 0 of 2 ")
     assert compare("ok 1\n", "failed 1\n") == "structure differs"
     assert compare("1,2\n", "1,2,3\n") == "structure differs"
+
+
+def test_golden_diff_lists_moved_integers_apart():
+    # a step count that moves stays out of max|delta|, on its own line
+    compare = load_golden_diff().compare
+    old = '{"iterations": 65, "u": [0.5, 2]}'
+    assert compare(old, '{"iterations": 58, "u": [0.5, 3]}') == (
+        "structure same, 2 of 3 numbers differ, max|delta| 0.00e+00 / "
+        "max|value| 6.50e+01 = 0.0e+00\n    integers moved: iterations 65 -> 58, 2 -> 3")
+    assert compare("iterations=10, u=0.25\n", "iterations=10, u=0.5\n") == (
+        "structure same, 1 of 2 numbers differ, max|delta| 2.50e-01 / "
+        "max|value| 1.00e+01 = 2.5e-02")
 
 
 def test_golden_diff_of_a_tree_with_itself(capsys):

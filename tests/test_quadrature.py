@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from greensign.fundamental import ConstantPair
 from greensign.greens import NumericKernel, PeriodicConstantKernel, build_kernel
 from greensign.potentials import BoundaryKind, constant, sampled
 from greensign.quadrature import (MAX_SHARED_BREAKS, CellSums, build_edges,
-                                  default_max_len, gauss_nodes)
+                                  default_max_len, gauss_nodes, one_length)
 from slice_oracle import panel_plan, slice_panels
 
 
@@ -169,3 +170,71 @@ def test_every_read_point_is_an_edge(kernel):
     assert list(left) == [True, False]
     assert np.all(S == 0.0)
     assert np.all(total != 0.0)
+
+
+def per_point_q(kernel, sums):
+    """The table's q with the pair read at every Gauss node by the kernel's
+    own pointwise read, as CellSums read it before its cells had shapes."""
+    e = sums.edges
+    half = 0.5 * (e[1:] - e[:-1])
+    xs = sums.xs.reshape(len(half), -1)
+    return np.stack(kernel._pair(xs)) * (half[:, None] * gauss_nodes(xs.shape[1])[1])
+
+
+def assert_within_ulps(got, want, ulps):
+    """got matches want to ulps roundings of max |want|, per solution."""
+    scale = np.max(np.abs(want), axis=tuple(range(1, want.ndim)))
+    err = np.max(np.abs(got - want), axis=tuple(range(1, want.ndim)))
+    assert np.all(err <= ulps * np.finfo(float).eps * scale), err / scale
+
+
+class TestCellPair:
+    """The pair at the Gauss nodes of a table, from one small matrix per
+    cell shape (the pair's cell_pair), against its values point by point."""
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_hermite_cells_match_eval_pair(self, bc, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 2001)
+        k = build_kernel(sampled(grid, 60 + 10 * np.sin(2 * np.pi * grid)), bc)
+        # uneven read points split some grid cells; the others stay whole
+        ts = np.linspace(0.0, 1.0, 57) ** 1.3
+        seen = []
+        eval_pair = k.fs.eval_pair
+        monkeypatch.setattr(k.fs, "eval_pair", lambda x: seen.append(x.size) or eval_pair(x))
+        sums = CellSums(k, ts, default_max_len(k.potential), 8)
+        monkeypatch.undo()
+        # every grid node is an edge, so a cell between two is a grid cell
+        on_grid = np.isin(sums.edges, k.fs.ts)
+        whole = on_grid[:-1] & on_grid[1:]
+        assert 1000 < whole.sum() < len(whole)
+        # eval_pair reads the nodes of the split cells only
+        assert seen == [8 * int((~whole).sum())]
+        assert_within_ulps(sums.q, per_point_q(k, sums), 8)
+
+    @pytest.mark.parametrize("rho,T", [(7.5, 1.0), (12.0, 2.5), (250.0, 1.0)])
+    def test_angle_addition_matches_eval_pair(self, rho, T):
+        # both read cos and sin at arguments up to rho T, whose rounding
+        # sets how closely they agree
+        k = build_kernel(constant(rho, T), BoundaryKind.DIRICHLET)
+        for n in (5, 101, 2001):
+            sums = CellSums(k, np.linspace(0.0, T, n), default_max_len(k.potential), 8)
+            assert one_length(sums.edges)
+            assert_within_ulps(sums.q, per_point_q(k, sums), 4 * max(1.0, rho * T))
+
+    def test_constant_pair_falls_back(self):
+        # at rho = 0 (u1 = 1, u2 = t), and on cells of unequal lengths, the
+        # values are eval_pair's, bit for bit
+        nodes = gauss_nodes(8)[0]
+        for rho, e in ((0.0, np.linspace(0.0, 1.0, 101)),
+                       (7.5, np.linspace(0.0, 1.0, 101) ** 1.2)):
+            pair = ConstantPair(rho, 1.0)
+            half = 0.5 * np.diff(e)
+            xs = (0.5 * (e[:-1] + e[1:]))[:, None] + half[:, None] * nodes
+            assert np.array_equal(pair.cell_pair(e, xs), np.stack(pair.eval_pair(xs)))
+
+    def test_one_length_to_rounding(self):
+        assert one_length(np.linspace(0.0, 1.0, 2001))
+        assert one_length(np.linspace(0.0, 2.0 * np.pi, 3))
+        e = np.linspace(0.0, 1.0, 11)
+        e[5] += 1e-12
+        assert not one_length(e)

@@ -9,11 +9,14 @@ from greensign.expressions import Expression
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
-from greensign.quadrature import default_max_len, shared_breaks
+from greensign.fundamental import ConstantPair
+from greensign.quadrature import default_max_len, gauss_nodes, shared_breaks
 from slice_oracle import GAUSS_ORDER, Cumulative, slice_panels
-from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, Positivity,
-                              _classify_positivity, _Cumulative, _Stencil,
-                              solve_linear, solve_nonlinear, verify_solution)
+from greensign import solver
+from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, FINE_STENCIL_WIDTH,
+                              Positivity, _CellStencil, _classify_positivity,
+                              _Cumulative, _Stencil, _stencil, solve_linear,
+                              solve_nonlinear, verify_solution)
 
 RHO_D = math.sqrt(60.0)
 RHO_P = 1.5 * math.pi
@@ -104,6 +107,71 @@ def test_cubic_interp_matches_index_table_form():
     assert stencil.j.dtype == np.intp
     for vs in (us, rng.normal(size=ts.shape), np.zeros_like(ts)):
         assert np.array_equal(stencil(vs), cubic_interp_2d(ts, vs, xs))
+
+
+def cell_gauss_nodes(ts, order):
+    """The order Gauss nodes of every cell between consecutive ts, flat, as
+    CellSums places them."""
+    half = 0.5 * np.diff(ts)
+    return ((0.5 * (ts[:-1] + ts[1:]))[:, None] + half[:, None] * gauss_nodes(order)[0]).ravel()
+
+
+class TestCellStencil:
+    """The stencil from a uniform grid to the Gauss nodes of its own cells,
+    one Lagrange matrix per place of the cell in its window, against the
+    stencil built point by point.  The two interpolate at nodes that differ
+    by their rounding, eps T, so they agree to a few ulp of max |u| on a
+    smooth u; on a rough one the difference grows with its slope."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 9, 41, 2001])
+    @pytest.mark.parametrize("order,width", [(CELL_ORDER, 4),
+                                             (FINE_CELL_ORDER, FINE_STENCIL_WIDTH)])
+    def test_matches_the_per_point_stencil(self, n, order, width):
+        # every cell, the first and last ones, whose window the clip at the
+        # ends shifts, included; width min(6, n) on the 5-node grid
+        width = min(width, n)
+        ts = np.linspace(0.0, 1.0, n)
+        xs = cell_gauss_nodes(ts, order)
+        us = np.sin(3.0 * ts + 0.3) + ts * ts
+        got = _CellStencil(order, width)(us)
+        want = _Stencil(ts, xs, width)(us)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(us))
+
+    def test_reproduces_a_polynomial_of_its_degree(self):
+        ts = np.linspace(0.0, 2.0, 11)
+        xs = cell_gauss_nodes(ts, CELL_ORDER)
+        got = _CellStencil(CELL_ORDER, 4)(ts**3 - ts)
+        assert np.max(np.abs(got - (xs**3 - xs))) <= 1e-14
+
+    def test_taken_where_the_cells_are_the_grids(self):
+        k = DirichletConstantKernel(RHO_D)
+        ts = np.linspace(0.0, 1.0, 2001)
+        assert isinstance(_stencil(ts, _Cumulative(k, ts), 4), _CellStencil)
+        # 5 nodes: the length cap T / 8 cuts every cell in two
+        ts = np.linspace(0.0, 1.0, 5)
+        assert isinstance(_stencil(ts, _Cumulative(k, ts), 4), _Stencil)
+        # uneven nodes
+        ts = np.linspace(0.0, 1.0, 2001) ** 1.1
+        assert isinstance(_stencil(ts, _Cumulative(k, ts), 4), _Stencil)
+
+    @pytest.mark.parametrize("kernel,f", [
+        (DirichletConstantKernel(RHO_D), lambda s, x: s * (1.0 - s) + 5.0 * x),
+        (PeriodicConstantKernel(7.5), lambda s, x: 1.0 + 41.0 * x)],
+        ids=["dirichlet", "periodic-non-contractive"])
+    def test_solve_matches_the_per_point_paths(self, monkeypatch, kernel, f):
+        got = solve_nonlinear(kernel, f, 2001)
+        # the pair at every Gauss node by eval_pair, and u there by the
+        # stencil built point by point
+        with monkeypatch.context() as m:
+            m.setattr(ConstantPair, "cell_pair",
+                      lambda self, edges, xs: np.stack(self.eval_pair(xs)))
+            m.setattr(solver, "_stencil",
+                      lambda ts, quad, width: _Stencil(ts, quad.xs, width))
+            want = solve_nonlinear(kernel, f, 2001)
+        assert got.converged and want.converged
+        assert got.iterations == want.iterations
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +530,12 @@ class TestNonlinear:
         with pytest.raises(ValueError):
             solve_nonlinear(k, lambda s, x: 0.0 * s, 101, damping=1.5)
 
+    def test_max_iter_validation(self):
+        # a fixed-point profile has taken at least one step
+        with pytest.raises(ValueError):
+            solve_nonlinear(PeriodicConstantKernel(RHO_P), lambda s, x: 0.0 * s, 101,
+                            max_iter=0)
+
 
 class TestVerification:
     def test_constant_solution_record(self):
@@ -480,6 +554,18 @@ class TestVerification:
                               lambda s, x: s * (1.0 - s) + 0.0 * x)
         assert rec.residual_norm <= 1e-5
         assert rec.bc_error <= 1e-9
+
+    def test_error_inside_a_two_variable_f_propagates(self):
+        # the profile of a fixed-point solve calls f(t, x): a TypeError
+        # raised inside f is not taken for a one-variable sigma
+        k = DirichletConstantKernel(RHO_D)
+        p = solve_nonlinear(k, lambda s, x: s * (1.0 - s) + 0.0 * x, 101)
+        f = lambda t, x: t + "a"
+        with pytest.raises(TypeError) as raised:
+            f(p.grid, p.values)
+        with pytest.raises(type(raised.value)) as got:
+            verify_solution(p, constant(RHO_D), f)
+        assert str(got.value) == str(raised.value)
 
     def test_one_variable_expression_accepted(self):
         # the library's own Expression refuses a wrong argument count with
