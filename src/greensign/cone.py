@@ -185,9 +185,9 @@ def compute_cone_constants(kernel, subinterval: Subinterval,
                            grid: int = 201) -> ConeConstants:
     """eta, max G, and sigma = eta / max G for the given subinterval."""
     c, d = subinterval.c, subinterval.d
-    w = _t_integrals(kernel, _samples(c, d, grid), c, d)
     if d <= c:
         raise NonpositiveEta(f"degenerate subinterval [{c}, {d}]")
+    w = _t_integrals(kernel, _samples(c, d, grid), c, d)
     eta = float(np.min(w))
     if eta <= 0:
         raise NonpositiveEta(

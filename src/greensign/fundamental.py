@@ -23,22 +23,19 @@ Fundamental solutions at the nodes come from the cumulative product, carried
 block by block (cumulative_products): the products of fixed-size blocks of
 steps, all blocks at once, carry Phi over the block starts, and each block
 is stepped from its start, all blocks at once.  Between nodes the pair is
-its cubic Hermite interpolant, on which the zeros of a slice
-alpha u1 + beta u2 are refined by safeguarded Newton steps (place).
-
-A quadrature table reads the pair at the Gauss nodes of its cells through
-cell_pair.  On a whole grid cell the Hermite values there are the cell's
-end data times one basis matrix, evaluated once at the rule's reference
-nodes; the exact pair of a constant potential (ConstantPair) turns cos and
-sin at each cell's middle by the angles of the reference nodes, which
-cells of one length share.  Any other cell is read point by point
-(eval_pair).
+its cubic Hermite interpolant, kept as one table of monomial coefficients
+per grid cell (FundamentalSolutions.cubics), which every read between nodes
+evaluates: eval_pair by Horner's rule, cell_pair by re-expanding a cell's
+cubics on the quadrature cells inside it, and place by safeguarded Newton
+steps on the cubic of a slice alpha u1 + beta u2.  The exact pair of a
+constant potential (ConstantPair) reads cells of one length by angle
+addition and any other cell point by point.
 """
 from __future__ import annotations
 
 import math
 from array import array
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -226,23 +223,22 @@ def cumulative_products(m11, m12, m21, m22) -> np.ndarray:
     return nodes.transpose(0, 2, 1).reshape(4, -1)[:, :n + 1].copy()
 
 
-def _newton(y0, y1, d0, d1, up, x):
-    """Zeros in [0, 1] of the cubics of end values y0, y1 and end slopes
-    d0, d1, from the start x, and the rounds taken.  A zero is where the
-    cubic's sign turns to the one up marks (positive where up is true); a
-    point is past it where the cubic has that sign.  Every round evaluates
-    each cubic at its x, shrinks its bracket to the side of x that holds
-    the zero, and steps to the Newton iterate where it lies in the bracket
-    (ends included), to the bracket's middle elsewhere; the rounds stop
-    when every step is at most ROOT_TOL, or after ROOT_HALVINGS."""
+def _newton(c, up, x):
+    """Zeros in [0, 1] of the cubics of monomial coefficients c, shape
+    (4, cubics), from the start x, and the rounds taken.  A zero is where
+    the cubic's sign turns to the one up marks (positive where up is true);
+    a point is past it where the cubic has that sign.  Every round evaluates
+    each cubic and its slope at its x by Horner's rule, shrinks its bracket
+    to the side of x that holds the zero, and steps to the Newton iterate
+    where it lies in the bracket (ends included), to the bracket's middle
+    elsewhere; the rounds stop when every step is at most ROOT_TOL, or after
+    ROOT_HALVINGS."""
+    c0, c1, c2, c3 = c
     lo, hi = np.zeros(len(x)), np.ones(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         for rounds in range(1, ROOT_HALVINGS + 1):
-            left, right = (1.0 - x) ** 2, x * x
-            y = ((1.0 + 2.0 * x) * left * y0 + x * left * d0
-                 + right * (3.0 - 2.0 * x) * y1 + right * (x - 1.0) * d1)
-            dy = (6.0 * x * (x - 1.0) * (y0 - y1) + (1.0 - x) * (1.0 - 3.0 * x) * d0
-                  + x * (3.0 * x - 2.0) * d1)
+            y = ((c3 * x + c2) * x + c1) * x + c0
+            dy = (3.0 * c3 * x + 2.0 * c2) * x + c1
             past = (y > 0.0) == up
             lo = np.where(past, lo, x)
             hi = np.where(past, x, hi)
@@ -255,23 +251,12 @@ def _newton(y0, y1, d0, d1, up, x):
     return x, rounds
 
 
-@cache
-def _hermite_basis(order: int) -> np.ndarray:
-    """The cubic Hermite basis at the reference nodes (1 + x_k) / 2 of the
-    order-point Gauss rule, shape (4, order), one row per end datum
-    (y0, h y0', y1, h y1')."""
-    xi = 0.5 * (1.0 + gauss_nodes(order)[0])
-    left, right = (1.0 - xi) ** 2, xi * xi
-    return np.stack([(1.0 + 2.0 * xi) * left, xi * left,
-                     right * (3.0 - 2.0 * xi), right * (xi - 1.0)])
-
-
 class FundamentalSolutions:
     """Node samples of the normalized fundamental pair of u'' + (a + lam) u = 0.
 
     u1 solves with u1(0)=1, u1'(0)=0 and u2 with u2(0)=0, u2'(0)=1.  Values and
-    slopes are stored per node; between nodes the pair is evaluated by cubic
-    Hermite interpolation, which keeps the RK4 accuracy order.
+    slopes are stored per node; between nodes the pair is its cubic Hermite
+    interpolant (cubics), which keeps the RK4 accuracy order.
     """
 
     form = "numeric"
@@ -299,38 +284,54 @@ class FundamentalSolutions:
         return np.array([[np.max(np.abs(x)) for x in row]
                          for row in ((self.u1, self.u2), (self.p1, self.p2))])
 
-    def eval_pair(self, x):
-        """(u1(x), u2(x)) with one shared cell lookup and Hermite basis."""
-        x = np.asarray(x, dtype=float)
+    @cached_property
+    def cubics(self) -> np.ndarray:
+        """Row i, for u1 and u2, the coefficients c0..c3 of the Hermite
+        cubic of grid cell i in xi = (x - t_i) / h, shape (nodes, 2, 4):
+        c0 and c1 are the node data (u, h u') at t_i; the last row continues
+        the last cubic from T.  Built on the first request, read-only."""
+        y = np.stack([self.u1, self.u2], axis=-1)
+        d = self.h * np.stack([self.p1, self.p2], axis=-1)
+        rise = y[1:] - y[:-1]
+        c2 = 3.0 * rise - 2.0 * d[:-1] - d[1:]
+        c3 = d[:-1] + d[1:] - 2.0 * rise
+        # about T the last cubic has c2 + 3 c3 and c3 as its upper terms
+        table = np.stack([y, d, np.append(c2, c2[-1:] + 3.0 * c3[-1:], axis=0),
+                          np.append(c3, c3[-1:], axis=0)], axis=-1)
+        table.flags.writeable = False
+        return table
+
+    def _cell(self, x):
+        """(i, xi): the row of cubics that reads each point of x, and x in
+        its coordinate; a node, T too, reads its own row at xi = 0."""
         i = np.clip((x / self.h).astype(int), 0, len(self.ts) - 2)
-        j = i + 1
-        xi = (x - self.ts[i]) / self.h
-        left, right = (1.0 - xi) ** 2, xi * xi
-        h00 = (1.0 + 2.0 * xi) * left
-        h10 = xi * left * self.h
-        h01 = right * (3.0 - 2.0 * xi)
-        h11 = right * (xi - 1.0) * self.h
-        return tuple(h00 * y[i] + h10 * dy[i] + h01 * y[j] + h11 * dy[j]
-                     for y, dy in ((self.u1, self.p1), (self.u2, self.p2)))
+        i = i + (x >= self.ts[i + 1])
+        return i, (x - self.ts[i]) / self.h
+
+    def eval_pair(self, x):
+        """(u1(x), u2(x)): the cubics of x's cell by Horner's rule."""
+        i, xi = self._cell(np.asarray(x, dtype=float))
+        c = self.cubics[i]
+        return tuple(((c[..., k, 3] * xi + c[..., k, 2]) * xi + c[..., k, 1]) * xi
+                     + c[..., k, 0] for k in (0, 1))
 
     def cell_pair(self, edges, xs) -> np.ndarray:
         """(u1, u2) at the Gauss nodes xs, shape (cells, order), of the
-        cells between consecutive edges, shape (2, cells, order).  On a
-        whole grid cell, whose edges are two consecutive nodes exactly, the
-        values are the cell's end data times the Hermite basis at the
-        rule's reference nodes (_hermite_basis); eval_pair gives them on
-        any other cell."""
-        ts = self.ts
-        i = np.minimum(ts.searchsorted(edges[:-1]), len(ts) - 2)
-        whole = (ts[i] == edges[:-1]) & (ts[i + 1] == edges[1:])
-        # (u, h u') at every node, one row per solution: the end data of
-        # grid cell i are entries 2 i .. 2 i + 3 of a row
-        ends = np.stack([np.column_stack([y, self.h * dy]).ravel()
-                         for y, dy in ((self.u1, self.p1), (self.u2, self.p2))])
-        out = ends[:, 2 * i[:, None] + np.arange(4)] @ _hermite_basis(xs.shape[1])
-        if not whole.all():
-            out[:, ~whole] = self.eval_pair(xs[~whole])
-        return out
+        cells between consecutive edges, shape (2, cells, order): the cubics
+        of each cell's grid cell, re-expanded in the rule's coordinate x
+        (xi = s + r x, s the cell's middle, r its half-width over h), times
+        the Vandermonde matrix of the rule's nodes."""
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+        i, s = self._cell(mid)
+        # synthetic division turns c[k], coefficient k of every cubic, into
+        # r**k times its k-th Taylor coefficient at s: pass k scales c[k + 1:]
+        c, r = self.cubics[i].T.copy(), half / self.h
+        for k in range(3):
+            for j in range(2, k - 1, -1):
+                c[j] += s * c[j + 1]
+            c[k + 1:] *= r
+        vander = np.vander(gauss_nodes(xs.shape[1])[0], 4, increasing=True).T
+        return np.matmul(c.transpose(1, 2, 0), vander)
 
     @cached_property
     def angles(self) -> np.ndarray:
@@ -356,23 +357,19 @@ class FundamentalSolutions:
         psi reaches theta = target + k pi, k = k0 + column, at the entries
         keep marks, inf elsewhere.  Each zero is placed in its node cell by
         psi and refined there, from the secant, by safeguarded Newton steps
-        on the slice's Hermite cubic (_newton), all zeros in lockstep."""
+        on the slice's cubic (_newton), all zeros in lockstep."""
         row, col = np.nonzero(keep)
-        a, b = alpha[row], beta[row]
         cell = np.searchsorted(self.angles, theta[keep]) - 1
-        # in the cell coordinate x in [0, 1] the slice is the cubic with end
-        # values y0, y1 and end slopes d0, d1
-        y0 = a * self.u1[cell] + b * self.u2[cell]
-        y1 = a * self.u1[cell + 1] + b * self.u2[cell + 1]
-        d0 = (a * self.p1[cell] + b * self.p2[cell]) * self.h
-        d1 = (a * self.p1[cell + 1] + b * self.p2[cell + 1]) * self.h
+        # the slice's cubic in the cell coordinate x in [0, 1]
+        pair = self.cubics[cell]
+        c = (alpha[row, None] * pair[:, 0] + beta[row, None] * pair[:, 1]).T
         # past the target phi + k pi the slice has the sign of (-1)**k
         up = (k0[row] + col) % 2 == 0
-        # start where the secant crosses zero, or in the middle
+        # start where the secant from c0 to sum c crosses zero, or in the middle
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = y0 / (y0 - y1)
+            x = c[0] / (c[0] - c.sum(axis=0))
         x[~((x >= 0.0) & (x <= 1.0))] = 0.5
-        x, _ = _newton(y0, y1, d0, d1, up, x)
+        x, _ = _newton(c, up, x)
         r = np.full(keep.shape, np.inf)
         # the rounding of x h must not carry a zero past its cell
         r[keep] = np.clip(self.ts[cell] + x * self.h, self.ts[cell], self.ts[cell + 1])

@@ -34,9 +34,9 @@ and the pair's Wronskian is one, so a Pruefer angle of the pair rises
 strictly and the slice vanishes exactly where it meets the pair's target
 for (alpha, beta) modulo pi.  The RK4 pair places each target in its grid
 cell by the lifted node angles of (u1, u2) and refines it there by
-safeguarded Newton steps on the slice's Hermite cubic; the exact pair's
-angle of (u1, rho u2) is rho t, which it inverts in closed form.  No slice
-is sampled.
+safeguarded Newton steps on the slice's cubic, read off the pair's one
+coefficient table; the exact pair's angle of (u1, rho u2) is rho t, which
+it inverts in closed form.  No slice is sampled.
 """
 from __future__ import annotations
 
@@ -136,12 +136,9 @@ class Kernel:
         return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
 
     def pinned(self, ts) -> np.ndarray:
-        """Where a point of ts is an end that the condition pins: 0 where
-        it fixes u(0) = 0, T where it fixes u(T) = 0.  G(t, .) and G(., t)
-        vanish there."""
-        left, right = self.bc.pinned_ends
-        ts = np.asarray(ts, dtype=float)
-        return (left & (ts == 0.0)) | (right & (ts == self.T))
+        """Where a point of ts is an end that the condition pins
+        (BoundaryKind.pinned).  G(t, .) and G(., t) vanish there."""
+        return self.bc.pinned(ts, self.T)
 
     def _sides(self, ts: np.ndarray) -> np.ndarray:
         """(alpha, beta) with G(t, .) = alpha u1 + beta u2 on each side of
@@ -218,8 +215,8 @@ _KernelBase = Kernel
 
 class NumericKernel(Kernel):
     """The kernel on the RK4 pair, sampled on the potential's uniform grid
-    (cubic Hermite between nodes), for any nonresonant potential, a
-    constant one too."""
+    (one cubic per grid cell between nodes), for any nonresonant potential,
+    a constant one too."""
 
     def __init__(self, potential: Potential, bc: BoundaryKind):
         super().__init__(potential, bc, base_solutions(potential))

@@ -41,6 +41,13 @@ class BoundaryKind(enum.Enum):
         return (self in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED2),
                 self in (BoundaryKind.DIRICHLET, BoundaryKind.MIXED1))
 
+    def pinned(self, ts, T: float) -> np.ndarray:
+        """Where a point of ts is an end of [0, T] that the condition pins:
+        0 where it fixes u(0) = 0, T where it fixes u(T) = 0."""
+        left, right = self.pinned_ends
+        ts = np.asarray(ts, dtype=float)
+        return (left & (ts == 0.0)) | (right & (ts == T))
+
     @property
     def multiplier(self) -> int:
         """m: 1 periodic, -1 antiperiodic, 0 for a separated condition."""

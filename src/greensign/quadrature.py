@@ -7,17 +7,17 @@ of G(t, .), and sampled potentials kink at their grid nodes.
 One table serves every caller.  CellSums is one cumulative quadrature of
 p g over [0, T], with p the kernel's fundamental pair, on the cells of
 cell_edges: no cell straddles a numeric kernel's grid node (its pair is
-one Hermite cubic per grid cell), a shared break point of the potential or
-a point the caller reads at, so a low-order rule per cell is exact for a
+one cubic per grid cell), a shared break point of the potential or a point
+the caller reads at, so a low-order rule per cell is exact for a
 piecewise-polynomial g aligned to those points, and a read is an index
 into the sums.  The solver integrates through it with its own rule order
 and length cap (see solver); the sign-ratio constant and the t-integrals
 of the cone share one table recipe, slice_sums (see gamma and cone).  The
-pair's values at the Gauss nodes come from one small matrix per cell shape
-on the cells that repeat, the whole grid cells of a numeric pair and cells
-of one length (one_length) under an exact one, and point by point on the
-rest (fundamental's cell_pair): the cells that gamma edges at the zeros of
-its slices differ in length, so an exact pair reads them point by point.
+pair gives its values at the Gauss nodes through its cell_pair (see
+fundamental): a numeric pair re-expands the cubics of each grid cell on
+every cell inside it; an exact one uses angle addition on cells of one
+length (one_length) and reads the others, such as gamma's cells edged at
+the zeros of its slices, point by point.
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_many, one
 array per slice, which gives none for a slice the boundary condition pins
@@ -116,8 +116,7 @@ class CellSums:
     cell_edges(kernel, points, max_len), and q, the pair there times the
     half-width of each cell and the rule's weights, shape (2, cells,
     order).  Every point is an edge, so a read is an index into the sums.
-    The pair's values at the nodes come from its cell_pair, which reads
-    them off one small matrix per cell shape where the cells repeat (see
+    The pair's values at the nodes come from its cell_pair (see
     fundamental).  The nodes are interior, so no pinned end is among them.
     """
 

@@ -21,11 +21,10 @@ exactly.  Its fine check takes more points per cell and a 6-point
 stencil: on one cell the 4-point stencil is one cubic, which a finer rule
 alone would integrate exactly and so could not fault.
 
-Where the cells repeat, the Gauss-node values come from one small matrix
-per cell shape, evaluated once at the rule's reference nodes: the pair's
-from its cell_pair (see fundamental), and u's, where the table's cells are
-the cells of a uniform output grid, from one Lagrange matrix per place of
-the cell in its window (_CellStencil).  Any other grid keeps the stencil
+The pair's Gauss-node values come from its cell_pair (see fundamental).
+u's come, where the table's cells are those of a uniform output grid, from
+one Lagrange matrix per place of the cell in its window, evaluated once at
+the rule's reference nodes (_CellStencil); any other grid keeps the stencil
 built point by point (_Stencil): an uneven one, and one whose cells the
 table cuts, at the length cap or at the nodes of a numeric kernel's grid
 that lie between the output nodes.

@@ -420,24 +420,24 @@ class Eigenfunction:
         self.bc = bc
         self._pair = pair
         self._c = (c1, c2)
-        self._pinned = [i for i, pin in zip((0, -1), bc.pinned_ends) if pin]
         self.ts = pair.ts
         self.values = c1 * pair.u1 + c2 * pair.u2
-        self.values[self._pinned] = 0.0
+        self.values[bc.pinned(self.ts, self.ts[-1])] = 0.0
 
     @property
     def breakpoints(self) -> np.ndarray:
-        """Interior nodes of the pair, where the RK4 pair's Hermite
-        interpolant passes from one cubic to the next; none on an exact
-        pair."""
+        """Interior nodes of the pair, where the RK4 pair passes from the
+        cubic of one grid cell to the next (FundamentalSolutions.cubics);
+        none on an exact pair."""
         return self.ts[1:-1]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         u1, u2 = self._pair.eval_pair(t)
         out = self._c[0] * u1 + self._c[1] * u2
-        for i in self._pinned:
-            out = np.where(t == self.ts[i], 0.0, out)
+        pinned = self.bc.pinned(t, self.ts[-1])
+        if pinned.any():
+            out = np.where(pinned, 0.0, out)
         return out if np.ndim(out) else float(out)
 
 

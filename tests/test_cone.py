@@ -323,6 +323,14 @@ class TestDirichletConstants:
             compute_cone_constants(DirichletConstantKernel(RHO_D),
                                    Subinterval(0.4, 0.4))
 
+    def test_degenerate_subinterval_builds_no_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(cone_module, "slice_sums", lambda *args: built.append(args))
+        for c in (0.0, 0.4, 1.0):
+            with pytest.raises(NonpositiveEta):
+                compute_cone_constants(DirichletConstantKernel(RHO_D), Subinterval(c, c))
+        assert built == []
+
     def test_subinterval_outside_domain(self):
         with pytest.raises(ValueError):
             compute_cone_constants(DirichletConstantKernel(RHO_D),

@@ -299,7 +299,9 @@ class TestFundamentalSolutions:
         # past 1; the zeros are where the cubics turn to the sign of y1
         y0, y1 = np.array([1.0, -1.0, -1.0]), np.array([-1.0, 1.0, 1.0])
         d0, d1 = np.array([0.0, 0.0, 0.01]), np.array([0.0, 0.01, 0.01])
-        x, rounds = _newton(y0, y1, d0, d1, y1 > 0.0, np.zeros(3))
+        # the cubics of those end values and slopes in monomial form
+        c = np.stack([y0, d0, 3.0 * (y1 - y0) - 2.0 * d0 - d1, 2.0 * (y0 - y1) + d0 + d1])
+        x, rounds = _newton(c, y1 > 0.0, np.zeros(3))
         assert rounds < ROOT_HALVINGS
         assert np.all((x > 0.0) & (x < 1.0))
         left, right = (1.0 - x) ** 2, x * x
@@ -313,6 +315,73 @@ class TestFundamentalSolutions:
         assert out.shape == (4, 3) and out.flags.c_contiguous
         # M1 @ M0 = [[1, 1], [0, 1]] @ [[2, 0], [0, 1]] = [[2, 1], [0, 1]]
         assert out[:, -1].tolist() == [2.0, 1.0, 0.0, 1.0]
+
+
+def random_layout(ts, rng):
+    """Edges of a table over the grid ts: every node, and one to three
+    random points in about half of the cells, which they split."""
+    cuts = [rng.uniform(lo, hi, rng.integers(1, 4))
+            for lo, hi in zip(ts[:-1], ts[1:]) if rng.random() < 0.5]
+    return np.unique(np.concatenate([ts, *cuts]))
+
+
+def layout_q(edges, order, pair):
+    """pair at the Gauss nodes of the cells between edges times the
+    half-widths and weights, as quadrature.CellSums forms its q."""
+    nodes, gw = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    xs = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * nodes
+    return pair(edges, xs) * (half[:, None] * gw)
+
+
+CUBIC_CASES = {"wavy": wavy,
+               "trig-201": lambda: replace(trig(3), grid_size=201),
+               "wavy-T2.5": lambda: sampled(np.linspace(0.0, 2.5, 2001), 60 + 10 * np.sin(
+                   2 * math.pi * np.linspace(0.0, 1.0, 2001)), T=2.5)}
+
+
+class TestCubics:
+    """FundamentalSolutions.cubics, the one coefficient table of the pair
+    between nodes, against the node samples and between its readers."""
+
+    @pytest.mark.parametrize("grid", [41, 251, 333, 2001, 5001])
+    @pytest.mark.parametrize("case", sorted(CUBIC_CASES))
+    def test_nodes_read_their_own_samples(self, case, grid):
+        fs = FundamentalSolutions(replace(CUBIC_CASES[case](), grid_size=grid), 0.3)
+        u1, u2 = fs.eval_pair(fs.ts)
+        assert np.array_equal(u1, fs.u1) and np.array_equal(u2, fs.u2)
+        assert fs.eval_pair(fs.ts[-1]) == (fs.u1[-1], fs.u2[-1])
+
+    @pytest.mark.parametrize("order", [4, 8, 12])
+    @pytest.mark.parametrize("case", sorted(CUBIC_CASES))
+    def test_cell_pair_matches_eval_pair(self, case, order):
+        # on whole and split cells alike, the cubic re-expanded on a cell
+        # against Horner's rule at each node, to 4 (1 + T) roundings of
+        # max |q| per solution: eval_pair reads the nodes as rounded points
+        # of [0, T], cell_pair at the rule's exact reference nodes
+        pot = CUBIC_CASES[case]()
+        fs = FundamentalSolutions(pot, 0.0)
+        ulps = 4 * (1 + pot.interval.T)
+        rng = np.random.default_rng(order)
+        for _ in range(3):
+            edges = random_layout(fs.ts, rng)
+            got = layout_q(edges, order, fs.cell_pair)
+            want = layout_q(edges, order, lambda e, xs: np.stack(fs.eval_pair(xs)))
+            scale = np.max(np.abs(want), axis=(1, 2))
+            err = np.max(np.abs(got - want), axis=(1, 2))
+            assert np.all(err <= ulps * np.finfo(float).eps * scale), err / scale
+
+    def test_cell_pair_reads_no_point(self, monkeypatch):
+        fs = FundamentalSolutions(wavy(), 0.0)
+        monkeypatch.setattr(fs, "eval_pair", lambda x: pytest.fail("eval_pair called"))
+        edges = random_layout(fs.ts, np.random.default_rng(1))
+        for order in (4, 8, 12):
+            assert layout_q(edges, order, fs.cell_pair).shape == (2, len(edges) - 1, order)
+
+    def test_one_read_only_table(self):
+        fs = FundamentalSolutions(wavy(), 0.0)
+        assert fs.cubics is fs.cubics
+        assert fs.cubics.shape == (len(fs.ts), 2, 4) and not fs.cubics.flags.writeable
 
 
 def test_only_the_potential_takes_a_grid():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import spectral
@@ -189,6 +189,21 @@ class TestPrincipalEigenfunction:
         assert [ef(0.0) == 0.0, ef(1.0) == 0.0] == pinned
         assert list(ef(np.array([0.0, 1.0])) == 0.0) == pinned
         assert list(ef.values[[0, -1]] == 0.0) == pinned
+
+    @pytest.mark.parametrize("bc", list(BoundaryKind))
+    def test_one_pinned_end_rule(self, bc):
+        # the kernel and the eigenfunction zero the ends BoundaryKind.pinned
+        # marks: 0 and T exactly, as the condition pins them
+        want = [bc.pinned_ends[0], False, False, False, bc.pinned_ends[1]]
+        for T in (2.5, 1.0):
+            ts = np.array([0.0, 5e-324, 0.5 * T, np.nextafter(T, 0.0), T])
+            assert bc.pinned(ts, T).tolist() == want
+            assert bc.pinned(T, T) == want[-1]
+        # ts now lies on [0, 1], the interval of wavy()
+        if bc is not BoundaryKind.ANTIPERIODIC:
+            assert build_kernel(wavy(), bc).pinned(ts).tolist() == want
+            ef = principal_eigenfunction(wavy(), bc)
+            assert ((ef(ts) == 0.0) == want).tolist() == [True] * 5
 
     def test_satisfies_equation(self):
         # second difference of the eigenfunction reproduces -(a + lam) u
@@ -436,9 +451,18 @@ class TestLockstep:
     def _check(pot, bc, count):
         with pytest.MonkeyPatch.context() as mp:
             calls = record_refinements(mp)
-            smallest_eigenvalues(pot, bc, count)
+            results = smallest_eigenvalues(pot, bc, count)
         for args, got in calls:
             assert got == itp(*args)
+        # every refinement is a result; the others are closed-gap doubles,
+        # reported at the middle of a bracket whose count rises by two
+        refined = [any(r is got for _, got in calls) for r in results]
+        assert len(calls) == refined.count(True)
+        for r in (r for r, ref in zip(results, refined) if not ref):
+            lo, hi = r.bracket
+            assert r.value == 0.5 * (lo + hi)
+            counts = spectral._counted(pot, bc, np.array([lo, hi]))[0]
+            assert counts[1] - counts[0] == 2
         return calls
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
@@ -449,9 +473,12 @@ class TestLockstep:
            st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8),
            st.sampled_from(list(BoundaryKind)), st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
+    @example(0.0, [0.0] * 8, BoundaryKind.ANTIPERIODIC, 1)
+    @example(5.0, [0.0] * 8, BoundaryKind.ANTIPERIODIC, 1)
+    @example(30.0, [0.0] * 8, BoundaryKind.ANTIPERIODIC, 1)
     def test_random_potential_equals_sequential_search(self, mean, coef, bc, count):
         modes = [(k, coef[2 * k - 2], coef[2 * k - 1]) for k in range(1, 5)]
-        assert self._check(trig_samples(mean, modes), bc, count)
+        self._check(trig_samples(mean, modes), bc, count)
 
 
 # ------------------------------------------------- index brackets: oracles
