@@ -234,9 +234,9 @@ def _cmd_green(args) -> int:
         _emit_json({"t": ts.tolist(), "s": ts.tolist(), "value": g.tolist(),
                     "bc": str(kernel.bc), "form": kernel.form}, args.output)
     else:
-        rows = ((ts[i], ts[j], g[i, j])
-                for i in range(len(ts)) for j in range(len(ts)))
-        _emit_csv(["t", "s", "value"], rows, args.output)
+        rows = np.column_stack([np.repeat(ts, len(ts)), np.tile(ts, len(ts)),
+                                g.ravel()])
+        _emit_csv(["t", "s", "value"], rows.tolist(), args.output)
     return 0
 
 
@@ -328,7 +328,8 @@ def _cmd_solve(args) -> int:
     if args.format == "json":
         _emit_json(profile.to_dict(include_values=True), args.output)
     else:
-        _emit_csv(["t", "u"], zip(profile.grid, profile.values), args.output)
+        _emit_csv(["t", "u"], zip(profile.grid.tolist(), profile.values.tolist()),
+                  args.output)
         summary = profile.to_dict()
         print(", ".join(f"{k}={v}" for k, v in summary.items()), file=sys.stderr)
     return 0
@@ -351,14 +352,15 @@ def _cmd_figure(args) -> int:
                                                  BoundaryKind.PERIODIC),
                                     None, t_grid_size=3)
             rows.append((rho, closed.value, quad.value))
-        _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], rows, out)
+        _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], np.array(rows).tolist(), out)
     elif n == 2:
         rho = 10.8
         kernel = build_kernel(constant(rho), BoundaryKind.DIRICHLET)
         weight = principal_eigenfunction(constant(rho), BoundaryKind.DIRICHLET)
         ts = np.linspace(0.005, 0.995, 199)
-        rows = [(t, gamma_dirichlet_t_closed(float(t), rho), quad)
-                for t, quad in zip(ts, pointwise_ratio(kernel, ts, weight).tolist())]
+        quads = pointwise_ratio(kernel, ts, weight).tolist()
+        rows = [(t, gamma_dirichlet_t_closed(t, rho), quad)
+                for t, quad in zip(ts.tolist(), quads)]
         _emit_csv(["t", "gamma_closed", "gamma_quadrature"], rows, out)
     elif n == 3:
         rows = []
@@ -369,12 +371,12 @@ def _cmd_figure(args) -> int:
             kernel = build_kernel(constant(float(rho)), BoundaryKind.DIRICHLET)
             quad = gamma_quadrature(kernel, weight, t_grid_size=101)
             rows.append((rho, closed.value, quad.value))
-        _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], rows, out)
+        _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], np.array(rows).tolist(), out)
     elif n in (4, 5):
         kernel = build_kernel(constant(math.sqrt(60.0)), BoundaryKind.DIRICHLET)
         rhs = (lambda s: s * (1.0 - s)) if n == 4 else (lambda s: s)
         profile = solve_linear(kernel, rhs, 2001)
-        _emit_csv(["t", "u"], zip(profile.grid, profile.values), out)
+        _emit_csv(["t", "u"], zip(profile.grid.tolist(), profile.values.tolist()), out)
     else:
         raise GreensignError(f"no figure {n}")
     print(f"wrote {out}", file=sys.stderr)

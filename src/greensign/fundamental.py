@@ -155,19 +155,30 @@ def transfer_matrix(potential: Potential, lam, lift: bool = False):
     per shift: the continuous angle of (u, u') measured as atan2(u, u'),
     from pi / 2 for u1 and 0 for u2, which passes each multiple of pi
     upward at a zero of u.  Returns (Phi(T), theta(T)) then.
+
+    The shifts go through the product tree in blocks of at most
+    TRANSFER_BLOCK_ENTRIES step entries per array, one loop over the blocks
+    writing each block's Phi(T) (and angle) into the arrays returned; a
+    batch that fits one block takes one pass.  Each shift's product depends
+    only on that shift, so its bits do not depend on the batch or the block
+    it shares, nor on lift.
     """
     table = _step_table(potential)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     width = 1 << (len(table.ts) - 2).bit_length()
-    blocks = max(1, -(-len(lams) * width // TRANSFER_BLOCK_ENTRIES))
-    parts = [_product(table, part, width, lift)
-             for part in np.array_split(lams, blocks)]
-    phi = np.moveaxis(np.concatenate([p[0] for p in parts], axis=-1), -1, 0)
+    size = max(1, TRANSFER_BLOCK_ENTRIES // width)
+    phi = np.empty((len(lams), 2, 2))
+    theta2 = np.empty(len(lams))
+    for start in range(0, len(lams), size):
+        block = slice(start, start + size)
+        m, theta = _product(table, lams[block], width, lift)
+        phi[block] = m.transpose(2, 0, 1)
+        if lift:
+            theta2[block] = theta
     if not np.all(np.isfinite(phi)):
         raise IntegratorFailure("fundamental system overflowed; potential scale too large")
     if not lift:
         return phi if np.ndim(lam) else phi[0]
-    theta2 = np.concatenate([p[1] for p in parts])
     # u1 starts a quarter turn ahead of u2 and stays less than half a turn
     # ahead, since det Phi > 0 keeps the turn from u2 to u1 in (0, pi).  Where
     # the entries are large, rounding can leave the computed det negative; its

@@ -6,6 +6,9 @@ condition: closed-form for a = rho**2, otherwise bracketed from its index
 (no scan over lam) and refined by the ITP method on the characteristic
 function, all brackets of one request together: one evaluation per round
 serves every open bracket, and each takes the steps it would take alone.
+Each shift of a request is evaluated once: the ends of a bracket read the
+characteristic values of the pass that counted them, which are the bits a
+plain pass gives, and only ends counted by the windows alone are evaluated.
 The characteristic function comes from the monodromy matrix Phi(T) by the
 rule of potentials.BoundaryKind: the entry BoundaryKind.entry of Phi(T) for
 a separated condition, its trace against the multiplier for a paired one.
@@ -151,7 +154,10 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind,
     and i + 1 eigenvalues below them (_split places them).  A paired
     bracket whose count rises by two holds a double eigenvalue, a closed
     gap, once it is as narrow as _itp's stop width; it is reported at its
-    middle.
+    middle.  The ends of the other brackets read the characteristic values
+    stored with their counts; ends whose count the windows gave, which
+    carry none, are evaluated in one char_values call, and none is made
+    when there are no such ends.  No shift is evaluated twice.
     """
     if isinstance(potential, ConstantPotential):
         shift = potential.rho * potential.rho
@@ -194,16 +200,20 @@ def _eigenvalues(potential: Potential, bc: BoundaryKind,
     else:
         raise BracketingFailure(f"{bc} eigenvalues not apart after {MAX_COUNT_STEPS} counts")
 
-    single, lo, hi = (rise == 1).tolist(), lo.tolist(), hi.tolist()
-    ends = sorted({x for i in wanted[single] for x in (lo[i], hi[i])})
-    f = dict(zip(ends, char_values(potential, bc, ends).tolist() if ends else []))
+    single, fs = rise == 1, pts[2]
+    end = np.zeros(len(xs), dtype=bool)
+    end[inner[single] - 1] = end[inner[single]] = True
+    missing = np.flatnonzero(end & np.isnan(fs))
+    if len(missing):
+        fs[missing] = char_values(potential, bc, xs[missing])
+    lo, hi, flo, fhi = lo.tolist(), hi.tolist(), fs[inner - 1].tolist(), fs[inner].tolist()
     brackets = []
     for i in wanted[single].tolist():
         # sign (-1)**i between eigenvalues i - 1 and i
-        if not (f[lo[i]] * (-1) ** i > 0 and f[hi[i]] * (-1) ** i <= 0):
+        if not (flo[i] * (-1) ** i > 0 and fhi[i] * (-1) ** i <= 0):
             raise BracketingFailure(f"{bc} characteristic function has the wrong "
                                     f"sign at an end of [{lo[i]:.9g}, {hi[i]:.9g}]")
-        brackets.append((lo[i], hi[i], f[lo[i]], f[hi[i]]))
+        brackets.append((lo[i], hi[i], flo[i], fhi[i]))
     refined = iter(_refine_all(potential, bc, brackets))
     return [next(refined) if s else EigenResult(0.5 * (l + h), bc, "shooting", 0, (l, h))
             for s, l, h in zip(single, lo, hi)]

@@ -801,3 +801,23 @@ def test_console_script_runs():
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("lambda_1 = -1 ")
+
+
+def test_eigenvalue_search_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique, np.union1d and np.isin import numpy.ma on their first call,
+    # about 20 ms and 1 MB that every fresh process would pay
+    ts = np.linspace(0.0, 1.0, 2001)
+    path = tmp_path / "wavy.csv"
+    path.write_text("t,a\n" + "\n".join(
+        f"{float(t)!r},{float(60 + 10 * np.sin(2 * np.pi * t))!r}" for t in ts))
+    src = str(Path(greensign.__file__).resolve().parents[1])
+    path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = ("import sys\n"
+             "from greensign.cli import main\n"
+             f"main(['eigen', '--bc', 'periodic', '--samples', {str(path)!r}])\n"
+             f"main(['classify', '--bc', 'neumann', '--samples', {str(path)!r}])\n"
+             "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path_env})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

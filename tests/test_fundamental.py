@@ -122,6 +122,15 @@ class TestTransferMatrix:
         batched = transfer_matrix(pot, lams)
         assert np.array_equal(batched,
                               np.stack([transfer_matrix(pot, lam) for lam in lams]))
+        # the lifted pass gives the plain pass's Phi, in one block and in
+        # several, and each shift's angles as that shift alone gets them;
+        # the eigenvalue search reads bracket ends off the lifted pass
+        assert len(lams[:5]) * 2048 <= TRANSFER_BLOCK_ENTRIES < len(lams) * 2048
+        for part in (lams[:5], lams):
+            phi, theta = transfer_matrix(pot, part, lift=True)
+            assert np.array_equal(phi, transfer_matrix(pot, part))
+            assert np.array_equal(theta, np.stack(
+                [transfer_matrix(pot, lam, lift=True)[1] for lam in part]))
         assert transfer_matrix(pot, lams[:1]).shape == (1, 2, 2)
         assert transfer_matrix(pot, lams[:0]).shape == (0, 2, 2)
 

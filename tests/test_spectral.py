@@ -673,30 +673,31 @@ class TestPairedCounts:
         assert_allclose(got, want, rtol=1e-6, atol=1e-6)
 
 
+def record_shifts(monkeypatch):
+    """A list that fills with every shift of every monodromy pass, plain or
+    lifted, from the patch on."""
+    seen = []
+    real = spectral.transfer_matrix
+
+    def recording(pot, lams, lift=False):
+        seen.extend(np.atleast_1d(lams).tolist())
+        return real(pot, lams, lift)
+
+    monkeypatch.setattr(spectral, "transfer_matrix", recording)
+    return seen
+
+
 class TestIndexBrackets:
-    def _counting(self, monkeypatch):
-        """A list whose one entry sums the shifts of every monodromy pass,
-        plain or lifted, from the patch on."""
-        seen = [0]
-        real = spectral.transfer_matrix
-
-        def counting(pot, lams, lift=False):
-            seen[0] += np.size(lams)
-            return real(pot, lams, lift)
-
-        monkeypatch.setattr(spectral, "transfer_matrix", counting)
-        return seen
-
     @pytest.mark.parametrize("bc", list(BoundaryKind))
     def test_lam_evaluations_are_bounded(self, bc, monkeypatch):
         pot = wavy()
         spectral.char_values(pot, bc, 0.0)        # build the step table
-        seen = self._counting(monkeypatch)
+        seen = record_shifts(monkeypatch)
         smallest_eigenvalues(pot, bc, 6)
-        assert seen[0] <= 150
-        seen[0] = 0
+        assert len(seen) <= 150
+        seen.clear()
         smallest_eigenvalue(pot, bc)
-        assert seen[0] <= 50
+        assert len(seen) <= 50
 
     def test_large_entries_keep_trace_finite(self):
         # at lam = -sup - 1 the entries of Phi(T) reach about 5e13 for this
@@ -716,6 +717,21 @@ class TestIndexBrackets:
             return np.abs(out) + 1.0 if kind is bc else out
 
         monkeypatch.setattr(spectral, "char_values", positive_for_bc)
+        with pytest.raises(BracketingFailure):
+            smallest_eigenvalues(wavy(), bc, 6)
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN,
+                                    BoundaryKind.PERIODIC])
+    def test_contradicting_counted_signs_raise(self, bc, monkeypatch):
+        # the ends that a count pass added carry that pass's values, which
+        # the sign check reads as it reads char_values at the others
+        real = spectral._counted
+
+        def positive_for_bc(pot, kind, lams):
+            out, f = real(pot, kind, lams)
+            return out, np.abs(f) + 1.0 if kind is bc else f
+
+        monkeypatch.setattr(spectral, "_counted", positive_for_bc)
         with pytest.raises(BracketingFailure):
             smallest_eigenvalues(wavy(), bc, 6)
 
@@ -743,6 +759,27 @@ class TestIndexBrackets:
         with pytest.raises(BracketingFailure):
             smallest_eigenvalues(trig_samples(0.0, [(1, 0.0, 2000.0)]),
                                  BoundaryKind.DIRICHLET, 3)
+
+
+class TestEachShiftOnce:
+    """No shift reaches the monodromy pass twice in one request: bracket
+    ends read the characteristic values their count pass left."""
+
+    POTENTIALS = {"trig-1": lambda: trig_potential(1),
+                  "trig-2": lambda: trig_potential(2),
+                  "trig-3": lambda: trig_potential(3),
+                  "half-period": lambda: trig_samples(*HALF_PERIOD)}
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_no_shift_is_evaluated_twice(self, name, monkeypatch):
+        pot = self.POTENTIALS[name]()
+        seen = record_shifts(monkeypatch)
+        requests = [(smallest_eigenvalues, bc, 6) for bc in BoundaryKind]
+        requests += [(smallest_eigenvalue, bc) for bc in KERNEL_KINDS]
+        for find, *args in requests:
+            seen.clear()
+            find(pot, *args)
+            assert seen and len(set(seen)) == len(seen)
 
 
 class TestWideWindows:
