@@ -9,8 +9,10 @@ Grammar, loosest binding first:
     atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 Names resolve to the call variables (typically t, or t and x), the constants
-pi and T, or one of the functions sin, cos, exp, sqrt, abs, pow.  Everything
-evaluates through numpy, so compiled expressions broadcast over arrays.
+pi and T, or one of the functions sin, cos, exp, sqrt, abs, pow.  A formula
+parses to a tree of floats, variable names and tuples (numpy ufunc, operand,
+...), which `_value` evaluates.  Operations on floats only are folded while
+parsing, in the same IEEE arithmetic, so 1/0 is inf as 1/t is at t = 0.
 """
 from __future__ import annotations
 
@@ -21,14 +23,13 @@ import numpy as np
 
 from .errors import ExpressionError
 
-FUNCTIONS = {
-    "sin": (np.sin, 1),
-    "cos": (np.cos, 1),
-    "exp": (np.exp, 1),
-    "sqrt": (np.sqrt, 1),
-    "abs": (np.abs, 1),
-    "pow": (np.power, 2),
-}
+MAX_DEPTH = 100         # the formula, plus one per parenthesis, minus or '^' nested
+
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+             "abs": np.abs, "pow": np.power}
+
+# the binary operators by binding level, loosest first
+_BINARY = ({"+": np.add, "-": np.subtract}, {"*": np.multiply, "/": np.divide})
 
 _TOKEN = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -54,12 +55,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, variables, constants):
+    def __init__(self, text: str, variables, T: float | None):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.variables = tuple(variables)
-        self.constants = dict(constants)
+        self.constants = {"pi": math.pi, **({} if T is None else {"T": float(T)})}
+        self.depth = 0          # unary() calls open
 
     def peek(self):
         return self.toks[self.i]
@@ -80,40 +82,39 @@ class _Parser:
                 f"unexpected {val!r} at position {pos} in {self.text!r}")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            lhs = node
-            node = ((lambda a, b: lambda env: a(env) + b(env)) if op == "+"
-                    else (lambda a, b: lambda env: a(env) - b(env)))(lhs, rhs)
-        return node
+    @staticmethod
+    def apply(fn, *args):
+        """The node fn(*args), folded to its float if every operand is one."""
+        if all(type(a) is float for a in args):
+            with np.errstate(all="ignore"):
+                return float(fn(*args))
+        return (fn, *args)
 
-    def term(self):
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            lhs = node
-            node = ((lambda a, b: lambda env: a(env) * b(env)) if op == "*"
-                    else (lambda a, b: lambda env: a(env) / b(env)))(lhs, rhs)
+    def expr(self, level=0):
+        if level == len(_BINARY):
+            return self.unary()
+        ops = _BINARY[level]
+        node = self.expr(level + 1)
+        while self.peek()[1] in ops:
+            node = self.apply(ops[self.take()[1]], node, self.expr(level + 1))
         return node
 
     def unary(self):
+        """A unary minus, or an atom with an optional '^' exponent."""
+        self.depth += 1         # every nesting of the text passes through here
+        if self.depth > MAX_DEPTH:
+            raise ExpressionError(
+                f"nesting deeper than {MAX_DEPTH} levels at position {self.peek()[2]}")
         if self.peek()[1] == "-":
             self.take()
-            inner = self.unary()
-            return lambda env: -inner(env)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.take()
-            expo = self.unary()
-            return lambda env: np.power(base(env), expo(env))
-        return base
+            node = self.apply(np.negative, self.unary())
+        else:
+            node = self.atom()
+            if self.peek()[1] == "^":
+                self.take()
+                node = self.apply(np.power, node, self.unary())
+        self.depth -= 1
+        return node
 
     def atom(self):
         kind, val, pos = self.take()
@@ -122,35 +123,28 @@ class _Parser:
             self.take(")")
             return node
         if kind == "num":
-            x = float(val)
-            return lambda env: x
+            return float(val)
         if kind == "name":
             if self.peek()[1] == "(":
                 if val not in FUNCTIONS:
                     raise ExpressionError(
                         f"unknown function {val!r} at position {pos}; "
                         f"known: {', '.join(sorted(FUNCTIONS))}")
-                fn, arity = FUNCTIONS[val]
-                self.take("(")
-                args = [self.expr()]
-                while self.peek()[1] == ",":
-                    self.take()
+                fn = FUNCTIONS[val]
+                args = []
+                while not args or self.peek()[1] == ",":
+                    self.take()         # '(' or ','
                     args.append(self.expr())
                 self.take(")")
-                if len(args) != arity:
+                if len(args) != fn.nin:
                     raise ExpressionError(
-                        f"{val} takes {arity} argument(s), got {len(args)} "
+                        f"{val} takes {fn.nin} argument(s), got {len(args)} "
                         f"at position {pos}")
-                if arity == 1:
-                    a, = args
-                    return lambda env: fn(a(env))
-                a, b = args
-                return lambda env: fn(a(env), b(env))
+                return self.apply(fn, *args)
             if val in self.variables:
-                return lambda env: env[val]
+                return val
             if val in self.constants:
-                c = self.constants[val]
-                return lambda env: c
+                return self.constants[val]
             raise ExpressionError(
                 f"unknown name {val!r} at position {pos}; variables: "
                 f"{', '.join(self.variables) or 'none'}; constants: "
@@ -160,18 +154,24 @@ class _Parser:
             f"in {self.text!r}")
 
 
+def _value(node, env):
+    """Value of a tree, with env mapping each variable's name to its array."""
+    if type(node) is tuple:
+        if len(node) == 2:
+            return node[0](_value(node[1], env))
+        return node[0](_value(node[1], env), _value(node[2], env))
+    return env[node] if type(node) is str else node
+
+
 class Expression:
     """Compiled expression; calling it broadcasts over numpy arrays."""
 
     __slots__ = ("text", "variables", "_node")
 
     def __init__(self, text: str, variables=("t",), T: float | None = None):
-        constants = {"pi": math.pi}
-        if T is not None:
-            constants["T"] = float(T)
         self.text = text
         self.variables = tuple(variables)
-        self._node = _Parser(text, self.variables, constants).parse()
+        self._node = _Parser(text, self.variables, T).parse()
 
     def __call__(self, *args):
         if len(args) != len(self.variables):
@@ -182,8 +182,7 @@ class Expression:
         env = {name: np.asarray(a, dtype=float)
                for name, a in zip(self.variables, args)}
         with np.errstate(all="ignore"):
-            out = self._node(env)
-        out = np.asarray(out, dtype=float)
+            out = np.asarray(_value(self._node, env), dtype=float)
         if scalar:
             return float(out)
         shape = np.broadcast_shapes(*(np.shape(a) for a in args))
@@ -195,4 +194,4 @@ class Expression:
 
 def evaluate_scalar(text: str, T: float | None = None) -> float:
     """Evaluate a closed expression like 'sqrt(60)' or '3*pi/2'."""
-    return Expression(text, variables=(), T=T)()
+    return _Parser(text, (), T).parse()

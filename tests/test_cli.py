@@ -426,6 +426,30 @@ class TestErrorsAndEnv:
         assert code == 1
         assert err.startswith("error: ExpressionError:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eigen", "--bc", "periodic", "--rho", "3", "--T", "1/0"],
+         "ValueError: interval length must be positive and finite, got inf"),
+        (["solve", "--bc", "dirichlet", "--rho", "7.5", "--rhs", "1/0",
+          "--solve-grid", "11"],
+         "QuadratureFailure: non-finite integrand in the solve"),
+        (["solve", "--bc", "dirichlet", "--rho", "7.5", "--f", "x + 1/0"],
+         "EvaluationFailure: f returned a non-finite value"),
+        (["check", "--bc", "dirichlet", "--rho", "7.5", "--f", "x + 1/0"],
+         "EvaluationFailure: f is not finite at (t, x) = (0, 0)"),
+    ])
+    def test_constant_division_by_zero_exits_1(self, argv, message, capsys):
+        # 1/0 reads inf, as 1/t does at t = 0, and the input checks report it
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rho", ["(" * 400 + "8" + ")" * 400, "-" * 1200 + "8",
+                                     "^".join(["2"] * 300)])
+    def test_deep_nesting_exits_1(self, rho, capsys):
+        code, out, err = run(["classify", "--bc", "dirichlet", f"--rho={rho}"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ExpressionError: nesting deeper than")
+
     def test_missing_potential_exits_1(self, capsys):
         code, _, err = run(["classify", "--bc", "dirichlet"], capsys)
         assert code == 1
@@ -821,3 +845,26 @@ def test_eigenvalue_search_leaves_numpy_ma_unimported(tmp_path):
                           env={**os.environ, "PYTHONPATH": path_env})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_numeric_paths_leave_numpy_ma_unimported(tmp_path):
+    # the same guard for gamma, check and both solves, on samples and on --rho
+    ts = np.linspace(0.0, 1.0, 2001)
+    path = tmp_path / "wavy.csv"
+    path.write_text("t,a\n" + "\n".join(
+        f"{float(t)!r},{float(60 + 10 * np.sin(2 * np.pi * t))!r}" for t in ts))
+    calls = []
+    for pot in (["--bc", "periodic", "--samples", str(path)],
+                ["--bc", "dirichlet", "--rho", "sqrt(60)"]):
+        calls += [["gamma", *pot], ["check", *pot, "--f", "1 + x/(1+x)"],
+                  ["solve", *pot, "--rhs", "1"], ["solve", *pot, "--f", "1 + x/(1+x)"]]
+    src = str(Path(greensign.__file__).resolve().parents[1])
+    path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = ("import sys\n"
+             "from greensign.cli import main\n"
+             f"print([main(argv) for argv in {calls!r}])\n"
+             "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path_env})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [str([0] * 8), "False"]

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from greensign.errors import ExpressionError
-from greensign.expressions import Expression, evaluate_scalar
+from greensign.expressions import MAX_DEPTH, Expression, evaluate_scalar
 
 
 class TestScalars:
@@ -68,6 +68,13 @@ class TestVectorized:
         out = f(np.array([0.0, 2.0]))
         assert math.isinf(out[0]) and out[1] == 0.5
 
+    def test_constant_division_by_zero_is_silent_inf_or_nan(self):
+        assert evaluate_scalar("1/0") == math.inf
+        assert evaluate_scalar("-1/0") == -math.inf
+        assert math.isnan(evaluate_scalar("0/0"))
+        f = Expression("x + 1/0", variables=("t", "x"))
+        assert np.array_equal(f(np.zeros(3), 1.0), np.full(3, math.inf))
+
     @given(st.floats(min_value=-10, max_value=10),
            st.floats(min_value=-10, max_value=10))
     def test_matches_python_eval(self, t, x):
@@ -101,3 +108,100 @@ class TestErrors:
         f = Expression("t", variables=("t",))
         with pytest.raises(ExpressionError):
             f(1.0, 2.0)
+
+
+class TestNesting:
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "8" + ")" * 400,
+        "-" * 1200 + "8",
+        "-" * 1200 + "t",
+        "^".join(["2"] * 300),
+        "^".join(["t"] * 300),
+        "sin(" * 200 + "t" + ")" * 200,
+    ])
+    def test_too_deep_is_an_expression_error(self, text):
+        with pytest.raises(ExpressionError, match=f"deeper than {MAX_DEPTH} levels"):
+            Expression(text, variables=("t",))
+
+    def test_deepest_nesting_parses_and_evaluates(self):
+        # the formula is one level, and each parenthesis, minus or '^' one more
+        n = MAX_DEPTH - 1
+        assert evaluate_scalar("(" * n + "8" + ")" * n) == 8.0
+        assert evaluate_scalar("-" * n + "8") == -8.0
+        f = Expression("-" * n + "t", variables=("t",))
+        assert np.array_equal(f(np.array([1.0, 2.0])), [-1.0, -2.0])
+        g = Expression("^".join(["t"] * (n + 1)), variables=("t",))
+        assert g(1.0) == 1.0
+        # a long sum is one level, however many terms it has
+        h = Expression(" + ".join(["t"] * 3 * MAX_DEPTH), variables=("t",))
+        assert h(2.0) == 6.0 * MAX_DEPTH
+        # the error points at the first token one level too deep
+        with pytest.raises(ExpressionError, match=f"at position {n + 1}$"):
+            evaluate_scalar("(" * (n + 1) + "8" + ")" * (n + 1))
+
+
+# the grammar built twice: as text, and as the numpy calls it stands for
+BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+          "^": np.power, "**": np.power}
+UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _binary(args):
+    op, (ta, fa), (tb, fb) = args
+    return f"({ta} {op} {tb})", lambda env: BINARY[op](fa(env), fb(env))
+
+
+def _negative(arg):
+    ta, fa = arg
+    return f"(-{ta})", lambda env: np.negative(fa(env))
+
+
+def _call(args):
+    name, (ta, fa) = args
+    return f"{name}({ta})", lambda env: UNARY[name](fa(env))
+
+
+def _pow(args):
+    (ta, fa), (tb, fb) = args
+    return f"pow({ta}, {tb})", lambda env: np.power(fa(env), fb(env))
+
+
+def formulas(depth):
+    """(text, fn) pairs, nested up to depth levels; fn(env) is the formula
+    computed by numpy calls on env's arrays."""
+    leaves = st.one_of(
+        st.floats(min_value=0.0, allow_infinity=False).map(
+            lambda v: (repr(v), lambda env: v)),
+        st.sampled_from(["t", "x"]).map(lambda n: (n, lambda env: env[n])),
+        st.just(("pi", lambda env: math.pi)))
+    if depth == 0:
+        return leaves
+    sub = formulas(depth - 1)
+    return st.one_of(
+        leaves,
+        st.tuples(st.sampled_from(sorted(BINARY)), sub, sub).map(_binary),
+        sub.map(_negative),
+        st.tuples(st.sampled_from(sorted(UNARY)), sub).map(_call),
+        st.tuples(sub, sub).map(_pow))
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBitIdentity:
+    @settings(max_examples=300)
+    @given(formulas(6), st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=6))
+    def test_tree_matches_numpy_calls(self, formula, points):
+        text, fn = formula
+        f = Expression(text, variables=("t", "x"))
+        t, x = np.array(points).T
+        with np.errstate(all="ignore"):
+            want = fn({"t": t, "x": x})
+            assert_same_bits(f(t, x), np.broadcast_to(want, t.shape))
+            for ti, xi in points:
+                want = fn({"t": np.asarray(ti), "x": np.asarray(xi)})
+                got = f(ti, xi)
+                assert isinstance(got, float)
+                assert_same_bits(got, want)
