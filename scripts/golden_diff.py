@@ -8,11 +8,14 @@ on the greensign of this tree and once on that of OTHER_TREE, a checkout
 root with its own ``src/``, one subprocess per tree.  For every call whose
 output differs it prints the structure check, that the two outputs are the
 same text once every number in them is masked, and then how many numbers
-differ, max |delta| over them, max |value| over both outputs, and their
-ratio.  Integers that moved, such as a step count, are left out of max
-|delta| and listed on a line of their own, each after the name it follows
-in the output.  A changed exit code is printed as such.  Exits 1 when any
-output differs, 0 otherwise.
+differ, max |delta| over them, max |value| over both outputs, their
+ratio, and the largest change of one number relative to its own size,
+|delta| / max(1, |old value|), which reads directly against a relative
+tolerance such as the eigenvalue search's stop width.  Integers that
+moved, such as a step count, are left out of both maxima and listed on a
+line of their own, each after the name it follows in the output.  A
+changed exit code is printed as such.  Exits 1 when any output differs, 0
+otherwise.
 """
 import json
 import os
@@ -63,7 +66,7 @@ def compare(old: str, new: str) -> str:
         return "structure differs"
     a = [float(x) for x in NUMBER.findall(old)]
     b = [float(x) for x in NUMBER.findall(new)]
-    deltas, moved = [], []
+    deltas, rels, moved = [], [], []
     for x, y, u, v in zip(NUMBER.finditer(old), NUMBER.finditer(new), a, b):
         # a number can change its spelling and keep its value ("1.0", "1.00")
         if u == v:
@@ -73,10 +76,12 @@ def compare(old: str, new: str) -> str:
             moved.append(f"{name[1] + ' ' if name else ''}{x[0]} -> {y[0]}")
         else:
             deltas.append(abs(u - v))
+            rels.append(abs(u - v) / max(1.0, abs(u)))
     delta, scale = max(deltas, default=0.0), max(map(abs, a + b), default=0.0)
     out = (f"structure same, {len(deltas) + len(moved)} of {len(a)} numbers differ, "
            f"max|delta| {delta:.2e} / max|value| {scale:.2e} = "
-           f"{delta / scale if scale else 0.0:.1e}")
+           f"{delta / scale if scale else 0.0:.1e}, "
+           f"max|delta|/max(1, |value|) {max(rels, default=0.0):.1e}")
     if moved:
         out += "\n    integers moved: " + ", ".join(moved)
     return out

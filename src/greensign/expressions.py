@@ -155,12 +155,20 @@ class _Parser:
 
 
 def _value(node, env):
-    """Value of a tree, with env mapping each variable's name to its array."""
-    if type(node) is tuple:
-        if len(node) == 2:
-            return node[0](_value(node[1], env))
-        return node[0](_value(node[1], env), _value(node[2], env))
-    return env[node] if type(node) is str else node
+    """Value of a tree, with env mapping each variable's name to its array.
+
+    The first operands are followed down in a loop and the operations
+    applied on the way back up, so a long chain such as a + b + ... + z,
+    which nests to the left one node per operator, costs no recursion."""
+    if type(node) is not tuple:
+        return env[node] if type(node) is str else node
+    spine = [node]
+    while type(node := node[1]) is tuple:
+        spine.append(node)
+    x = _value(node, env)
+    for op in reversed(spine):
+        x = op[0](x) if len(op) == 2 else op[0](x, _value(op[2], env))
+    return x
 
 
 class Expression:

@@ -54,6 +54,8 @@ PRODUCT_BLOCK = 16
 ROOT_HALVINGS = 52
 #: a Newton step of place, in units of the cell, at rounding level
 ROOT_TOL = 4.0 * np.finfo(float).eps
+#: the 2x2 identity, shaped to pad the steps of _product
+_IDENTITY = np.eye(2)[:, :, None, None]
 
 
 class _StepTable:
@@ -113,7 +115,7 @@ def _product(table: _StepTable, lams: np.ndarray, width: int, lift: bool):
     n = len(table.ts) - 1
     # m[i, j] holds entry (i, j) of every step at every shift
     m = np.empty((2, 2, len(lams), width))
-    m[..., n:] = np.eye(2)[:, :, None, None]
+    m[..., n:] = _IDENTITY
     table.entries(lams, m.reshape(4, len(lams), width)[..., :n])
     theta = None
     if lift:

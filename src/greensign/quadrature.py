@@ -139,11 +139,13 @@ class CellSums:
         g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
         return np.einsum("kij,ij->ki", self.q, g.reshape(self.q.shape[1:]))
 
-    def up(self, g) -> np.ndarray:
+    def up(self, cells) -> np.ndarray:
         """P[:, j], the integral of p g over [0, edges[j]], shape
-        (2, cells + 1)."""
+        (2, cells + 1), from the cell sums _cells(g).  Finite sums that
+        overflow leave inf quietly, for the caller to refuse."""
         P = np.zeros((2, self.q.shape[1] + 1))
-        np.cumsum(self._cells(g), axis=1, out=P[:, 1:])
+        with np.errstate(over="ignore"):
+            np.cumsum(cells, axis=1, out=P[:, 1:])
         return P
 
     def both(self, g, x):

@@ -137,7 +137,11 @@ class _Cumulative(CellSums):
         self.C, self.d = kernel._C, kernel._d
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        P = self.up(g)
+        # checked before the sums: inf - inf in them would warn
+        cells = self._cells(g)
+        if not np.all(np.isfinite(cells)):
+            raise QuadratureFailure("non-finite integrand in the solve")
+        P = self.up(cells)
         if not np.all(np.isfinite(P)):
             raise QuadratureFailure("non-finite integrand in the solve")
         u1, u2 = self.pt

@@ -4,8 +4,11 @@ classification they determine.
 lam is an eigenvalue of u'' + (a(t) + lam) u = 0 under the boundary
 condition: closed-form for a = rho**2, otherwise bracketed from its index
 (no scan over lam) and refined by the ITP method on the characteristic
-function, all brackets of one request together: one evaluation per round
-serves every open bracket, and each takes the steps it would take alone.
+function, its estimate the inverse quadratic interpolant through the ends
+and the end last replaced, kept half a stop width inside the ends, so
+that a search that has an end by the root closes on it in a step or two;
+all brackets of one request together: one evaluation per round serves
+every open bracket, and each takes the steps it would take alone.
 Each shift of a request is evaluated once: the ends of a bracket read the
 characteristic values of the pass that counted them, which are the bits a
 plain pass gives, and only ends counted by the windows alone are evaluated.
@@ -107,10 +110,9 @@ def _counts(theta: np.ndarray, f: np.ndarray, bc: BoundaryKind) -> np.ndarray:
 def _char_of(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
     """Characteristic value of the condition at each shift, from Phi(T)
     there, shape (shifts, 2, 2)."""
-    phi = np.moveaxis(phi, 0, -1)
     m = bc.multiplier
     if m:
-        (u1T, u2T), (p1T, p2T) = phi
+        u1T, u2T, p1T, p2T = phi[:, 0, 0], phi[:, 0, 1], phi[:, 1, 0], phi[:, 1, 1]
         # RK4's det Phi(T) falls below one by about T h**5 (lam + a)**3 / 72,
         # which would pull |trace| below 2 and shrink narrow gaps; the trace
         # Delta of Phi(T) / sqrt(det Phi(T)) keeps Hill's theory exact.  Where
@@ -126,7 +128,7 @@ def _char_of(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
         disc = ((u1T - p2T) ** 2 + 4.0 * u2T * p1T) / scale
         return np.where(exact & (m * delta > 0.0),
                         m * disc / (np.abs(delta) + 2.0), delta - 2.0 * m)
-    return phi[bc.entry]
+    return phi[(slice(None), *bc.entry)]
 
 
 def smallest_eigenvalue(potential: Potential, bc: BoundaryKind) -> EigenResult:
@@ -307,12 +309,19 @@ def _refine_all(potential, bc, brackets) -> list[EigenResult]:
 
 def _itp(bc: BoundaryKind, lo: float, hi: float, flo: float, fhi: float):
     """ITP search for the root in one sign-change bracket (Oliveira &
-    Takahashi, ACM TOMS 47, 2020): regula falsi, truncated toward the
+    Takahashi, ACM TOMS 47, 2020), its estimate truncated toward the
     midpoint and projected into the interval about it that the step budget
     allows.  The budget is the fewest steps bisection from the first bracket
     could take with the root anywhere in the present one, so the search
     never takes more.  It stops at hi - lo <= BISECT_REL_WIDTH * max(1, |lo|),
     or at an exact zero.
+
+    The estimate is the inverse quadratic interpolant through the two ends
+    and the end the last step replaced, or regula falsi where there is no
+    such end, two of the values repeat or the interpolant leaves (lo, hi).
+    It is kept half a stop width inside the ends, so that once an end sits
+    by the root the next point straddles it and the bracket closes, where
+    an estimate rounded onto that end would leave it to the midpoint.
 
     A generator: it yields each point and is sent the characteristic value
     there, and returns the EigenResult.
@@ -322,7 +331,8 @@ def _itp(bc: BoundaryKind, lo: float, hi: float, flo: float, fhi: float):
     width0 = hi - lo
     kappa1 = 0.2 / width0
     iterations = 0
-    while hi - lo > BISECT_REL_WIDTH * max(1.0, abs(lo)):
+    old = None
+    while hi - lo > (tol := BISECT_REL_WIDTH * max(1.0, abs(lo))):
         # anywhere in [lo, hi], bisection stops at a width of at most
         # `large`, and this search at one of at least `small`
         large = BISECT_REL_WIDTH * max(1.0, abs(lo), abs(hi)) * (1.0 + 1e-12)
@@ -334,9 +344,10 @@ def _itp(bc: BoundaryKind, lo: float, hi: float, flo: float, fhi: float):
         radius = max(0.0, small * 2.0 ** (budget - iterations - 1) - 0.5 * (hi - lo)
                      - 4.0 * math.ulp(max(abs(lo), abs(hi))))
         delta = kappa1 * (hi - lo) ** 2
-        falsi = (fhi * lo - flo * hi) / (fhi - flo)
-        side = math.copysign(1.0, mid - falsi)
-        x = falsi + side * delta if delta <= abs(mid - falsi) else mid
+        est = _estimate(lo, hi, flo, fhi, old)
+        est = min(max(est, lo + 0.5 * tol), hi - 0.5 * tol)
+        side = math.copysign(1.0, mid - est)
+        x = est + side * delta if delta <= abs(mid - est) else mid
         if abs(x - mid) > radius:
             x = mid - side * radius
         if not lo < x < hi:
@@ -346,12 +357,27 @@ def _itp(bc: BoundaryKind, lo: float, hi: float, flo: float, fhi: float):
         if fx == 0.0:
             return EigenResult(x, bc, "shooting", iterations, (x, x))
         if (fx > 0) == (flo > 0):
-            lo, flo = x, fx
+            old, lo, flo = (lo, flo), x, fx
         else:
-            hi, fhi = x, fx
+            old, hi, fhi = (hi, fhi), x, fx
         if iterations > 200:
             break
     return EigenResult(0.5 * (lo + hi), bc, "shooting", iterations, (lo, hi))
+
+
+def _estimate(lo: float, hi: float, flo: float, fhi: float, old) -> float:
+    """The root of the inverse quadratic through (lo, flo), (hi, fhi) and
+    old, a point (x, f) or None; regula falsi where old is None, two values
+    repeat, or the root found is not inside (lo, hi)."""
+    if old is not None:
+        c, fc = old
+        if fc != flo and fc != fhi:
+            x = (lo * fhi * fc / ((flo - fhi) * (flo - fc))
+                 + hi * flo * fc / ((fhi - flo) * (fhi - fc))
+                 + c * flo * fhi / ((fc - flo) * (fc - fhi)))
+            if lo < x < hi:
+                return x
+    return (fhi * lo - flo * hi) / (fhi - flo)
 
 
 #: the spectra, besides its own, that decide a kernel's sign class

@@ -362,6 +362,18 @@ class TestErrorsAndEnv:
         assert err == ("error: IntegratorFailure: fundamental system overflowed; "
                        "potential scale too large\n")
 
+    @pytest.mark.parametrize("rhs", ["1/0", "1e308*10"])
+    def test_infinite_rhs_is_one_error_line(self, rhs, capsys):
+        # the cell sums are refused before their running sum, where
+        # inf - inf would warn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["solve", "--bc", "dirichlet", "--rho", "7.5",
+                                  "--rhs", rhs, "--solve-grid", "11"], capsys)
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (1, "")
+        assert err == "error: QuadratureFailure: non-finite integrand in the solve\n"
+
     def test_undetermined_sign_names_kind_and_tolerance(self, capsys):
         code, _, err = run(["classify", "--bc", "periodic", "--rho", "1e-5"], capsys)
         assert code == 1
@@ -789,7 +801,10 @@ def test_golden_diff_measures_moved_numbers():
     compare = load_golden_diff().compare
     assert compare("gamma = 1.25 (n = 3)\n", "gamma = 1.2500000001 (n = 3)\n") == (
         "structure same, 1 of 2 numbers differ, max|delta| 1.00e-10 / "
-        "max|value| 3.00e+00 = 3.3e-11")
+        "max|value| 3.00e+00 = 3.3e-11, max|delta|/max(1, |value|) 8.0e-11")
+    # relative to each number's own size, and to 1 below it
+    assert compare("x 1000.0 y 0.001\n", "x 1000.0000001 y 0.0015\n").endswith(
+        "max|delta|/max(1, |value|) 5.0e-04")
     assert compare("u,1e-3\n", "u,-2\n").startswith("structure same, 1 of 1 ")
     assert compare("0.0,1.0\n", "0,1.00\n").startswith("structure same, 0 of 2 ")
     assert compare("ok 1\n", "failed 1\n") == "structure differs"
@@ -802,10 +817,11 @@ def test_golden_diff_lists_moved_integers_apart():
     old = '{"iterations": 65, "u": [0.5, 2]}'
     assert compare(old, '{"iterations": 58, "u": [0.5, 3]}') == (
         "structure same, 2 of 3 numbers differ, max|delta| 0.00e+00 / "
-        "max|value| 6.50e+01 = 0.0e+00\n    integers moved: iterations 65 -> 58, 2 -> 3")
+        "max|value| 6.50e+01 = 0.0e+00, max|delta|/max(1, |value|) 0.0e+00\n"
+        "    integers moved: iterations 65 -> 58, 2 -> 3")
     assert compare("iterations=10, u=0.25\n", "iterations=10, u=0.5\n") == (
         "structure same, 1 of 2 numbers differ, max|delta| 2.50e-01 / "
-        "max|value| 1.00e+01 = 2.5e-02")
+        "max|value| 1.00e+01 = 2.5e-02, max|delta|/max(1, |value|) 2.5e-01")
 
 
 def test_golden_diff_of_a_tree_with_itself(capsys):

@@ -139,6 +139,27 @@ class TestNesting:
         with pytest.raises(ExpressionError, match=f"at position {n + 1}$"):
             evaluate_scalar("(" * (n + 1) + "8" + ")" * (n + 1))
 
+    @pytest.mark.parametrize("terms", [1500, 5000])
+    @pytest.mark.parametrize("level", [{"+": np.add, "-": np.subtract},
+                                       {"*": np.multiply, "/": np.divide}])
+    def test_long_flat_chain_evaluates_left_to_right(self, terms, level):
+        # a flat chain nests one tree node per operator, to the left; it is
+        # evaluated without recursion, one operation at a time from the left
+        rng = np.random.default_rng(terms)
+        ops = rng.choice(sorted(level), terms - 1).tolist()
+        operands = ["x" if i % 2 else repr(1.0 + (i % 7 - 3) / 1000.0)
+                    for i in range(1, terms)]
+        text = "x" + "".join(f" {op} {a}" for op, a in zip(ops, operands))
+        f = Expression(text, variables=("x",))
+        for x in (1.0, np.array([1.0, 0.999, 1.001, -1.0, 0.0])):
+            want = np.asarray(x)
+            with np.errstate(all="ignore"):
+                for op, a in zip(ops, operands):
+                    want = level[op](want, x if a == "x" else float(a))
+            got = f(x)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.ndim(got) == np.ndim(x)
+
 
 # the grammar built twice: as text, and as the numpy calls it stands for
 BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
