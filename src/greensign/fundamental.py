@@ -15,21 +15,24 @@ depend only on the potential and its grid of potential.grid_size nodes, so
 they are tabulated once per potential and cached on it; a call at any batch
 of shifts then only evaluates the polynomials.  Transfer matrices are assembled
 by a pairwise product tree that works on the four entries as separate
-(batch, steps) arrays.  On request the tree also carries each subtree's
-lifted (Pruefer) angle, which composes exactly, so the number of zeros of a
-solution on [0, T] comes out of the same pass.
+(batch, steps) arrays.  On request the same pass gives the lifted (Pruefer)
+angle of u2, and with it the number of zeros of a solution on [0, T].  A
+subtree that keeps u > 0 at its end, as do all subtrees below it, turns e2
+by less than half a turn, so its angle is its column's arctan2; the tree
+carries angles, which compose exactly, only from the first level where a
+subtree of the shift can pass a zero.
 
 Fundamental solutions at the nodes come from the cumulative product, carried
 block by block (cumulative_products): the products of fixed-size blocks of
 steps, all blocks at once, carry Phi over the block starts, and each block
-is stepped from its start, all blocks at once.  Between nodes the pair is
-its cubic Hermite interpolant, kept as one table of monomial coefficients
-per grid cell (FundamentalSolutions.cubics), which every read between nodes
-evaluates: eval_pair by Horner's rule, cell_pair by re-expanding a cell's
-cubics on the quadrature cells inside it, and place by safeguarded Newton
-steps on the cubic of a slice alpha u1 + beta u2.  The exact pair of a
-constant potential (ConstantPair) reads cells of one length by angle
-addition and any other cell point by point.
+is stepped from its start, all blocks at once, by whole 2x2 matrices.
+Between nodes the pair is its cubic Hermite interpolant, kept as one table
+of monomial coefficients per grid cell (FundamentalSolutions.cubics), which
+every read between nodes evaluates: eval_pair by Horner's rule, cell_pair
+by re-expanding a cell's cubics on the quadrature cells inside it, and
+place by safeguarded Newton steps on the cubic of a slice alpha u1 +
+beta u2.  The exact pair of a constant potential (ConstantPair) reads cells
+of one length by angle addition and any other cell point by point.
 """
 from __future__ import annotations
 
@@ -54,7 +57,8 @@ PRODUCT_BLOCK = 16
 ROOT_HALVINGS = 52
 #: a Newton step of place, in units of the cell, at rounding level
 ROOT_TOL = 4.0 * np.finfo(float).eps
-#: the 2x2 identity, shaped to pad the steps of _product
+#: the 2x2 identity, shaped to pad the steps of _product; cumulative_products
+#: steps every block from it
 _IDENTITY = np.eye(2)[:, :, None, None]
 
 
@@ -110,7 +114,15 @@ def _product(table: _StepTable, lams: np.ndarray, width: int, lift: bool):
     and with lift the Pruefer angle of its second column, or None.
 
     Steps are padded with identities on the late side to width, a power of
-    two, and reduced pairwise.
+    two, and reduced pairwise.  A subtree all of whose subtrees, itself
+    included, take e2 into the open upper half-plane (u > 0) turns e2 by
+    less than half a turn, so its lifted angle is its column's arctan2.  So
+    a shift is reduced with no angle while every subtree of a level ends
+    with u > 0 (the identity pads past the n steps aside); at the first
+    level where one does not, its angles are seeded with arctan2 of the
+    level below and composed upward by _turn.  That level is chosen per
+    shift, and the rows of shifts not yet lifted hold NaN, so no shift's
+    angle depends on the batch.
     """
     n = len(table.ts) - 1
     # m[i, j] holds entry (i, j) of every step at every shift
@@ -122,18 +134,36 @@ def _product(table: _StepTable, lams: np.ndarray, width: int, lift: bool):
         if not np.all(m[0, 1, :, :n] > 0.0):
             raise IntegratorFailure("an RK4 step turns the solution by half a "
                                     "turn or more; the grid is too coarse")
-        theta = np.arctan2(m[0, 1], m[1, 1])
+        lifted = np.zeros(len(lams), dtype=bool)
+    # whether a shift is still reduced with no angle
+    pending = lift
     # an overflow leaves inf or nan, which transfer_matrix refuses
     with np.errstate(over="ignore", invalid="ignore"):
         while m.shape[-1] > 1:
             # each later step (odd index) left-multiplies the earlier one:
             # (R L)[i, j] = R[i, 0] L[0, j] + R[i, 1] L[1, j]
             left, right = m[..., 0::2], m[..., 1::2]
-            m = right[:, :1] * left[:1]
-            m += right[:, 1:] * left[1:]
-            if lift:
-                theta = theta[..., 1::2] + _turn(right[:, 1], m[:, 1], theta[..., 0::2])
-    return m[..., 0], None if theta is None else theta[..., 0]
+            product = right[:, :1] * left[:1]
+            product += right[:, 1:] * left[1:]
+            if pending:
+                # u of e2 on the subtrees of this level that hold a step
+                n = -(-n // 2)
+                u = product[0, 1, :, :n]
+                if not u.min() > 0.0:
+                    start = ~(lifted | (u.min(axis=-1) > 0.0))
+                    if theta is None:
+                        theta = np.full(m.shape[2:], np.nan)
+                    theta[start] = np.arctan2(m[0, 1, start], m[1, 1, start])
+                    lifted |= start
+                    pending = not lifted.all()
+            if theta is not None:
+                theta = theta[..., 1::2] + _turn(right[:, 1], product[:, 1],
+                                                 theta[..., 0::2])
+            m = product
+        if lift:
+            root = np.arctan2(m[0, 1, :, 0], m[1, 1, :, 0])
+            theta = root if theta is None else np.where(lifted, theta[:, 0], root)
+    return m[..., 0], theta
 
 
 def _turn(r, rl, theta_l):
@@ -162,8 +192,9 @@ def transfer_matrix(potential: Potential, lam, lift: bool = False):
     TRANSFER_BLOCK_ENTRIES step entries per array, one loop over the blocks
     writing each block's Phi(T) (and angle) into the arrays returned; a
     batch that fits one block takes one pass.  Each shift's product depends
-    only on that shift, so its bits do not depend on the batch or the block
-    it shares, nor on lift.
+    only on that shift, and so does the level at which _product starts to
+    carry its angle: neither Phi's bits nor the angle's depend on the batch
+    or the block the shift shares, and Phi's do not depend on lift.
     """
     table = _step_table(potential)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -191,12 +222,17 @@ def transfer_matrix(potential: Potential, lam, lift: bool = False):
     return (phi, theta) if np.ndim(lam) else (phi[0], theta[0])
 
 
-def _steps(m, a, b, c, d, out):
-    """Step the nodes (a, b, c, d), one per block, by the steps m of shape
-    (4, steps, blocks) in turn, writing the node after step i to out[:, i]."""
-    for node, (e, f, g, k) in zip(out.transpose(1, 0, 2), m.transpose(1, 0, 2)):
-        a, b, c, d = e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d
-        node[:] = a, b, c, d
+def _steps(m, x, out):
+    """Step the nodes x, shape (2, 2, blocks), one per block, by the steps m
+    of shape (steps, 2, 2, blocks) in turn, writing the node after step i
+    to out[i]: each entry e a + f c of a step [[e, f], [g, k]] of the node
+    [[a, b], [c, d]] takes three ufunc calls for the whole matrix."""
+    t = np.empty(m.shape[1:])
+    for step, node in zip(m, out):
+        np.multiply(step[:, :1], x[:1], out=t)
+        np.multiply(step[:, 1:], x[1:], out=node)
+        np.add(t, node, out=node)
+        x = node
 
 
 def cumulative_products(m11, m12, m21, m22) -> np.ndarray:
@@ -205,10 +241,11 @@ def cumulative_products(m11, m12, m21, m22) -> np.ndarray:
     Phi21, Phi22 at every node.
 
     The steps are split into blocks of PRODUCT_BLOCK, the last one padded
-    with identities.  Every block's product is formed from the identity,
-    all blocks at once, and Phi is carried over the block starts by the
-    scalar recurrence of those products.  Each block is then stepped from
-    its start, all blocks at once, so every node inside a block is the
+    with identities, and laid out as whole 2x2 matrices, (steps, 2, 2,
+    blocks).  Every block's product is formed from the identity, all
+    blocks at once, and Phi is carried over the block starts by the scalar
+    recurrence of those products.  Each block is then stepped from its
+    start, all blocks at once, so every node inside a block is the
     sequential step (e a + f c, ...) of the node before it, bit for bit,
     and nodes 0..PRODUCT_BLOCK are the sequential product's own.
     """
@@ -216,24 +253,24 @@ def cumulative_products(m11, m12, m21, m22) -> np.ndarray:
     n = steps.shape[1]
     blocks = -(-n // PRODUCT_BLOCK)
     eye = np.array([1.0, 0.0, 0.0, 1.0])
-    # m[:, i, j] holds the entries of step i of block j
+    # m[i, :, :, j] is step i of block j
     m = np.empty((4, blocks * PRODUCT_BLOCK))
     m[:, :n] = steps
     m[:, n:] = eye[:, None]
-    m = m.reshape(4, blocks, PRODUCT_BLOCK).transpose(0, 2, 1).copy()
-    # nodes[:, i, j] is node i of block j; a last column holds the end
-    nodes = np.empty((4, PRODUCT_BLOCK, blocks + 1))
+    m = m.reshape(2, 2, blocks, PRODUCT_BLOCK).transpose(3, 0, 1, 2).copy()
+    # nodes[i, :, :, j] is node i of block j; a last column holds the end
+    nodes = np.empty((PRODUCT_BLOCK, 2, 2, blocks + 1))
     # an overflow leaves inf or nan, which FundamentalSolutions refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        _steps(m, *eye[:, None].repeat(blocks, axis=1), out=nodes[:, :, :blocks])
+        _steps(m, _IDENTITY[..., 0], out=nodes[..., :blocks])
         a, b, c, d = eye.tolist()
         starts = array("d", (a, b, c, d))
-        for e, f, g, k in nodes[:, -1, :blocks].T.tolist():
+        for e, f, g, k in nodes[-1, ..., :blocks].reshape(4, -1).T.tolist():
             a, b, c, d = e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d
             starts.extend((a, b, c, d))
-        nodes[:, 0] = np.frombuffer(starts).reshape(-1, 4).T
-        _steps(m[:, :-1], *nodes[:, 0, :blocks], out=nodes[:, 1:, :blocks])
-    return nodes.transpose(0, 2, 1).reshape(4, -1)[:, :n + 1].copy()
+        nodes[0] = np.frombuffer(starts).reshape(-1, 4).T.reshape(2, 2, -1)
+        _steps(m[:-1], nodes[0, ..., :blocks], out=nodes[1:, ..., :blocks])
+    return nodes.transpose(1, 2, 3, 0).reshape(4, -1)[:, :n + 1].copy()
 
 
 def _newton(c, up, x):

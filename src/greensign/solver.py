@@ -36,6 +36,7 @@ max |u| by more than quadrature.CANCELLATION_LIMIT raises QuadratureFailure
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -261,10 +262,19 @@ def _second_difference_residual(ts: np.ndarray, us: np.ndarray, potential,
 def _checks(ts: np.ndarray, us: np.ndarray, potential, rhs_vals,
             bc: BoundaryKind) -> dict:
     """residual_norm, bc_error and positivity of the profile us on ts, for
-    the right-hand side with values rhs_vals at ts."""
+    the right-hand side with values rhs_vals at ts.
+
+    The differences of a profile near the largest float overflow, so the
+    residual and the end stencils read us and rhs_vals divided by the power
+    of two that brings the largest of them below 2, if it is larger, and
+    scale their results back.  Dividing by a power of two is exact, so the
+    outputs keep their bits wherever the values stay in the normal range."""
     rhs_vals = np.broadcast_to(np.asarray(rhs_vals, dtype=float), ts.shape)
-    return {"residual_norm": _second_difference_residual(ts, us, potential, rhs_vals),
-            "bc_error": _bc_error(ts, us, bc),
+    top = max(np.max(np.abs(us)), np.max(np.abs(rhs_vals)))
+    scale = math.ldexp(1.0, max(math.frexp(top)[1] - 1, 0))
+    return {"residual_norm": scale * _second_difference_residual(
+                ts, us / scale, potential, rhs_vals / scale),
+            "bc_error": scale * _bc_error(ts, us / scale, bc),
             "positivity": _classify_positivity(us, bc)}
 
 

@@ -13,13 +13,14 @@ t_integrals and cell_integral_table are the panel t-integrals of G(., s)
 that cone read its windows from.
 
 At an end that the boundary condition pins, G(t, .) vanishes and gamma
-reads the limit slice G(t, .) / |t - end|; the panels read the slice
-PINNED_STEP T inside that end instead (inside_pinned_ends).  Its ratio meets
-the limit's to rounding under a weight that vanishes at that end, as the
-principal eigenfunction does; under the weight one it is off by
-O(PINNED_STEP), since the piece between the end and t then counts to first
-order.  boundary_nodes and neville_to_zero are the extrapolation to that
-limit which gamma used before it read the limit slice.
+reads the limit slice G(t, .) / |t - end|.  The slice PINNED_STEP T inside
+that end (inside_pinned_ends) has the limit's ratio to rounding under a
+weight that vanishes at that end, as the principal eigenfunction does;
+under the weight one it is off by O(PINNED_STEP), since the piece between
+the end and t then counts to first order.  So panel_slice_parts reads such
+an end from the slices PINNED_STEP T and twice that inside it, by one
+Richardson step.  boundary_nodes and neville_to_zero are the extrapolation
+to that limit which gamma used before it read the limit slice.
 
 bisect_place is the root refinement of FundamentalSolutions.place before
 it took Newton steps: ROOT_HALVINGS halvings of each zero's node cell,
@@ -215,11 +216,11 @@ def split_roots(roots) -> list:
     return np.split(flat, np.cumsum(counts)[:-1])
 
 
-def inside_pinned_ends(kernel, ts) -> np.ndarray:
-    """ts with every end that the condition pins moved PINNED_STEP T
-    inside [0, T], where a slice stands for the limit slice at that end."""
+def inside_pinned_ends(kernel, ts, step: float = PINNED_STEP) -> np.ndarray:
+    """ts with every end that the condition pins moved step T inside
+    [0, T], where a slice stands for the limit slice at that end."""
     ts = np.asarray(ts, dtype=float)
-    h = PINNED_STEP * kernel.T
+    h = step * kernel.T
     return np.where(kernel.pinned(ts), np.where(ts == 0.0, h, kernel.T - h), ts)
 
 
@@ -227,16 +228,28 @@ def panel_slice_parts(breaks=None):
     """A stand-in for gamma._slice_parts, with its arguments, that integrates
     on the panels of slice_parts, GAUSS_ORDER points each, capped at
     default_max_len, and broken at breaks in place of the potential's
-    shared break points when given.  A row at a pinned end is read at
-    inside_pinned_ends, with the zeros of that slice."""
+    shared break points when given.
+
+    A row at a pinned end is read off the slices at the distances h =
+    PINNED_STEP T and 2h inside it (inside_pinned_ends), with their zeros:
+    with r(d) the parts of the slice at distance d divided by d, which meet
+    the limit slice's to O(d), the row is 2 r(h) - r(2h), which meets them
+    to O(h**2) under any weight."""
     def parts(kernel, ts, roots, weight):
-        near = inside_pinned_ends(kernel, ts)
-        moved = near != ts
-        roots = split_roots(roots)
-        for i in np.flatnonzero(moved):
+        n = len(ts)
+        pinned = np.flatnonzero(kernel.pinned(ts))
+        near = np.concatenate([inside_pinned_ends(kernel, ts),
+                               inside_pinned_ends(kernel, ts[pinned], 2.0 * PINNED_STEP)])
+        roots = split_roots(roots) + [None] * len(pinned)
+        for i in [*pinned, *range(n, len(near))]:
             roots[i] = kernel.s_roots(near[i])
-        return slice_parts(kernel, near, roots, weight, GAUSS_ORDER,
-                           default_max_len(kernel.potential), breaks=breaks)
+        pos, neg = slice_parts(kernel, near, roots, weight, GAUSS_ORDER,
+                               default_max_len(kernel.potential), breaks=breaks)
+        ends = ts[pinned]
+        h, h2 = np.abs(near[pinned] - ends), np.abs(near[n:] - ends)
+        for part in (pos, neg):
+            part[pinned] = 2.0 * part[pinned] / h - part[n:] / h2
+        return pos[:n], neg[:n]
     return parts
 
 

@@ -374,6 +374,20 @@ class TestErrorsAndEnv:
         assert (code, out) == (1, "")
         assert err == "error: QuadratureFailure: non-finite integrand in the solve\n"
 
+    @pytest.mark.parametrize("argv", [["--bc", "dirichlet", "--solve-grid", "11"],
+                                      ["--bc", "neumann"]])
+    def test_huge_finite_rhs_has_finite_checks(self, argv, capsys):
+        # the profile reaches about 4e306, where its second differences
+        # overflow unless the checks read it scaled down
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["solve", *argv, "--rho", "7.5", "--rhs", "1e308",
+                                  "--format", "json"], capsys)
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert math.isfinite(report["residual_norm"]) and math.isfinite(report["bc_error"])
+
     def test_undetermined_sign_names_kind_and_tolerance(self, capsys):
         code, _, err = run(["classify", "--bc", "periodic", "--rho", "1e-5"], capsys)
         assert code == 1

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import greensign
+from greensign import fundamental
 from greensign.errors import IntegratorFailure
 from greensign.fundamental import (PRODUCT_BLOCK, ROOT_HALVINGS, TRANSFER_BLOCK_ENTRIES,
                                    FundamentalSolutions, _newton, _step_table,
                                    cumulative_products, transfer_matrix)
-from greensign.potentials import constant, sampled
+from greensign.potentials import BoundaryKind, constant, sampled
+from greensign.spectral import _char_of, _counts
 
 
 def rk4_step_matrices(q0, qm, q1, h):
@@ -208,6 +210,110 @@ class TestTransferMatrix:
         transfer_matrix(a, 0.0)
         assert a == b and hash(a) == hash(b)
         assert "cache" not in repr(a)
+
+
+def leaf_up_lift(potential, lams):
+    """Phi(T) and the Pruefer angles theta(T) of u1 and u2, shape
+    (shifts, 2), by the product tree of transfer_matrix with the angle of
+    u2 carried from every step up through every level; oracle."""
+    table = _step_table(potential)
+    n = len(table.ts) - 1
+    width = 1 << (n - 1).bit_length()
+    m = np.empty((2, 2, len(lams), width))
+    m[..., n:] = np.eye(2)[:, :, None, None]
+    table.entries(lams, m.reshape(4, len(lams), width)[..., :n])
+    theta = np.arctan2(m[0, 1], m[1, 1])
+    while m.shape[-1] > 1:
+        left, right = m[..., 0::2], m[..., 1::2]
+        product = right[:, :1] * left[:1] + right[:, 1:] * left[1:]
+        r, rl, theta_l = right[:, 1], product[:, 1], theta[..., 0::2]
+        # the turn of R on L e2 lies in [k pi, (k + 1) pi), k = floor(theta_l / pi)
+        delta = np.arctan2(r[1] * rl[0] - r[0] * rl[1], r[0] * rl[0] + r[1] * rl[1])
+        mid = (np.floor(theta_l / np.pi) + 0.5) * np.pi
+        theta = theta[..., 1::2] + (delta + 2.0 * np.pi * np.round((mid - delta) / (2.0 * np.pi)))
+        m = product
+    phi = m[..., 0].transpose(2, 0, 1)
+    theta2 = theta[:, 0]
+    theta1 = theta2 + np.arctan2(
+        np.abs(phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 0, 1] * phi[:, 1, 0]),
+        phi[:, 0, 0] * phi[:, 0, 1] + phi[:, 1, 0] * phi[:, 1, 1])
+    return phi, np.stack([theta1, theta2], axis=-1)
+
+
+def random_trig(rng):
+    """A trigonometric potential of mean in [-300, 300] and amplitude in
+    [4, 2000], sampled on 2001 nodes."""
+    g = np.linspace(0.0, 1.0, 2001)
+    k = np.arange(1, 5)[:, None]
+    coef = rng.uniform(-1.0, 1.0, (2, 4, 1))
+    wave = np.sum(coef[0] * np.cos(2 * math.pi * k * g) + coef[1] * np.sin(2 * math.pi * k * g),
+                  axis=0)
+    amp = rng.uniform(4.0, 2000.0)
+    return sampled(g, rng.uniform(-300.0, 300.0) + amp * wave / np.max(np.abs(wave)))
+
+
+def assert_same_lift(pot, lams):
+    """transfer_matrix's lift against leaf_up_lift: Phi bit for bit, theta
+    to 1e-15 max(1, |theta|), and the same eigenvalue counts under every
+    condition."""
+    phi, theta = transfer_matrix(pot, lams, lift=True)
+    want_phi, want_theta = leaf_up_lift(pot, lams)
+    assert np.array_equal(phi, want_phi)
+    assert np.all(np.abs(theta - want_theta) <= 1e-15 * np.maximum(1.0, np.abs(want_theta)))
+    for bc in BoundaryKind:
+        f = _char_of(phi, bc)
+        assert np.array_equal(_counts(theta, f, bc), _counts(want_theta, f, bc))
+    return phi, theta
+
+
+class TestLiftStart:
+    """The lift starts, per shift, at the first level of the product tree
+    where a subtree can pass a zero; below it each subtree's angle is its
+    column's arctan2."""
+
+    @pytest.mark.parametrize("grid", [2001, 10, 9])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_leaf_up_lift(self, seed, grid):
+        rng = np.random.default_rng(seed)
+        pot = replace(random_trig(rng), grid_size=grid)
+        lams = rng.uniform(-2000.0, 3000.0, 64)
+        # a coarse grid refuses the shifts whose steps turn by half a turn
+        steps = np.empty((4, len(lams), grid - 1))
+        _step_table(pot).entries(lams, steps)
+        fine = np.all(steps[1] > 0.0, axis=1)
+        if not fine.all():
+            with pytest.raises(IntegratorFailure):
+                transfer_matrix(pot, lams, lift=True)
+        assert_same_lift(pot, lams[fine])
+        # each shift's angles are its own, whatever batch it shares
+        _, theta = transfer_matrix(pot, lams[fine], lift=True)
+        for i in np.flatnonzero(fine)[:4]:
+            one = transfer_matrix(pot, lams[i], lift=True)[1]
+            assert np.array_equal(one, theta[np.count_nonzero(fine[:i])])
+
+    @pytest.mark.parametrize("grid", [2001, 10, 9])
+    def test_no_start_reads_the_root_column(self, grid, monkeypatch):
+        # a + lam < 0 everywhere: no subtree of u2 reaches a zero
+        pot = replace(flat(-400.0), grid_size=grid)
+        lams = np.linspace(-2000.0, 300.0, 17)
+        monkeypatch.setattr(fundamental, "_turn", lambda *_: pytest.fail("lift started"))
+        phi, theta = assert_same_lift(pot, lams)
+        assert np.array_equal(theta[:, 1], np.arctan2(phi[:, 0, 1], phi[:, 1, 1]))
+
+    def test_start_at_the_first_level(self, monkeypatch):
+        # h**2 (a + lam) just under 6: each step turns by just under half a
+        # turn, so a pair of steps passes a zero and the lift starts at
+        # level 1, seeded by the steps' own angles, as the oracle's
+        pot = flat(60.0)
+        lams = 6.0 * 2000**2 * (1.0 - np.array([1e-3, 1e-6, 1e-9])) - 60.0
+        levels = []
+        turn = fundamental._turn
+        monkeypatch.setattr(fundamental, "_turn",
+                            lambda *args: levels.append(1) or turn(*args))
+        phi, theta = transfer_matrix(pot, lams, lift=True)
+        assert len(levels) == (2000 - 1).bit_length()
+        want_phi, want_theta = leaf_up_lift(pot, lams)
+        assert np.array_equal(phi, want_phi) and np.array_equal(theta, want_theta)
 
 
 def longdouble_cumulative(mats):

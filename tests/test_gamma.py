@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import gamma as gamma_module, quadrature
@@ -19,8 +19,9 @@ from greensign.greens import NumericKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 from greensign.spectral import principal_eigenfunction
-from slice_oracle import (antiderivative, boundary_nodes, inside_pinned_ends,
-                          neville_to_zero, panel_slice_parts, slice_parts)
+from slice_oracle import (PINNED_STEP, antiderivative, boundary_nodes,
+                          inside_pinned_ends, neville_to_zero, panel_slice_parts,
+                          slice_parts)
 
 SIN_WEIGHT = lambda s: np.sin(np.pi * np.asarray(s))
 
@@ -327,13 +328,22 @@ def slice_parts_one_t(kernel, t, roots, weight, order, max_len):
 
 def gamma_by_slice_loop(kernel, weight, t_grid_size, order=16):
     """(value, argmin) of the gamma_quadrature loop over slice_parts_one_t,
-    which reads a pinned end at inside_pinned_ends."""
+    which reads a pinned end from the slices at inside_pinned_ends, PINNED_STEP
+    T and twice that inside it, by the Richardson step of panel_slice_parts."""
     max_len = default_max_len(kernel.potential)
     ts = np.linspace(0.0, kernel.T, t_grid_size)
-    near = inside_pinned_ends(kernel, ts)
-    ratios = np.array([_ratio(*slice_parts_one_t(
-        kernel, float(u), kernel.s_roots(u), weight, order, max_len))
-        for u in near])
+
+    def parts(u):
+        return np.array(slice_parts_one_t(kernel, float(u), kernel.s_roots(u), weight,
+                                          order, max_len))
+    ratios = []
+    for t, u, v in zip(ts, inside_pinned_ends(kernel, ts),
+                       inside_pinned_ends(kernel, ts, 2.0 * PINNED_STEP)):
+        pos_neg = parts(u)
+        if u != t:
+            pos_neg = 2.0 * pos_neg / abs(u - t) - parts(v) / abs(v - t)
+        ratios.append(_ratio(*pos_neg))
+    ratios = np.array(ratios)
     vmin = float(np.min(ratios))
     if math.isinf(vmin):
         return math.inf, 0.0
@@ -526,6 +536,8 @@ class TestSeparableSlices:
            bc=st.sampled_from(KERNEL_KINDS),
            eigen_weight=st.booleans())
     @settings(max_examples=15, deadline=None)
+    # argmin at the pinned end t = 0, under the weight one
+    @example(mean=45.0, modes=[(2.0, 0.0)], bc=BoundaryKind.DIRICHLET, eigen_weight=False)
     def test_gamma_matches_panels_on_random_potentials(self, mean, modes, bc,
                                                        eigen_weight):
         pot = trig_potential(mean, modes)
