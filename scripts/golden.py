@@ -65,11 +65,12 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
                 "--f", "t*(1-t)"])
     # fixed-point solves: a contraction, and a periodic f whose damped
     # Picard map is not contractive, which the Anderson-mixed steps solve
-    # (u = 1/15.25)
+    # (u = 1/15.25); JSON carries their converged flag and step count, which
+    # CSV leaves to stderr
     out.append(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
-                "--f", "t*(1-t) + 5*x"])
+                "--f", "t*(1-t) + 5*x", "--format", "json"])
     out.append(["solve", "--bc", "periodic", "--rho", "7.5",
-                "--f", "1 + 41*x"])
+                "--f", "1 + 41*x", "--format", "json"])
     # a narrow antiperiodic gap, which decides the periodic sign class
     for bc in ("periodic", "antiperiodic"):
         out.append(["eigen", "--bc", bc, "--samples", repro_a, "--count", "6"])
@@ -99,7 +100,7 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
     # a non-contractive Dirichlet solve, u'' + 10 u = 1 written as
     # u'' + 60 u = 1 + 50 u, on which damped Picard steps diverge
     out.append(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
-                "--f", "1+50*x"])
+                "--f", "1+50*x", "--format", "json"])
     # eigenvalues at full precision (JSON prints every digit; the text lines
     # above round to 12), on the narrow-gap potential under every condition
     for bc in ("periodic", "antiperiodic", "dirichlet", "neumann", "mixed1",

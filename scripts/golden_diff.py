@@ -7,13 +7,14 @@ Runs every call of ``golden.calls`` (scripts/golden.py of this tree) once
 on the greensign of this tree and once on that of OTHER_TREE, a checkout
 root with its own ``src/``, one subprocess per tree.  For every call whose
 output differs it prints the structure check, that the two outputs are the
-same text once every number in them is masked, and then how many numbers
-differ, max |delta| over them, max |value| over both outputs, their
-ratio, and the largest change of one number relative to its own size,
+same text once every number and word in them is masked, and then how many
+numbers differ, max |delta| over them, max |value| over both outputs,
+their ratio, and the largest change of one number relative to its own size,
 |delta| / max(1, |old value|), which reads directly against a relative
 tolerance such as the eigenvalue search's stop width.  Integers that
 moved, such as a step count, are left out of both maxima and listed on a
-line of their own, each after the name it follows in the output.  A
+line of their own, each after the name it follows in the output, and so
+are words that moved, such as a converged flag or a sign verdict.  A
 changed exit code is printed as such.  Exits 1 when any output differs, 0
 otherwise.
 """
@@ -28,8 +29,10 @@ import tempfile
 SCRIPTS = pathlib.Path(__file__).resolve().parent
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 INTEGER = re.compile(r"[-+]?\d+")
-#: the name an integer follows, as in '"iterations": 65' or 'iterations=65'
-NAME = re.compile(r"([A-Za-z_]\w*)\W{0,3}$")
+WORD = re.compile(r"[A-Za-z_]\w*")
+#: the name an integer or a word follows, as in '"iterations": 65',
+#: 'converged=True' or '"positivity": "Positive"'
+NAME = re.compile(r"([A-Za-z_]\w*)\W{0,4}$")
 
 
 def dump() -> None:
@@ -61,8 +64,9 @@ def outputs(tree: pathlib.Path) -> list:
 
 def compare(old: str, new: str) -> str:
     """The structure check and the size of the numeric change from old to
-    new, with the integers that moved on a line of their own."""
-    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+    new, with the integers and the words that moved on lines of their own."""
+    old_text, new_text = NUMBER.sub("#", old), NUMBER.sub("#", new)
+    if WORD.sub("@", old_text) != WORD.sub("@", new_text):
         return "structure differs"
     a = [float(x) for x in NUMBER.findall(old)]
     b = [float(x) for x in NUMBER.findall(new)]
@@ -72,11 +76,12 @@ def compare(old: str, new: str) -> str:
         if u == v:
             continue
         if INTEGER.fullmatch(x[0]) and INTEGER.fullmatch(y[0]):
-            name = NAME.search(old[max(0, x.start() - 40):x.start()])
-            moved.append(f"{name[1] + ' ' if name else ''}{x[0]} -> {y[0]}")
+            moved.append(_named(old, x, y[0]))
         else:
             deltas.append(abs(u - v))
             rels.append(abs(u - v) / max(1.0, abs(u)))
+    words = [_named(old_text, x, y[0])
+             for x, y in zip(WORD.finditer(old_text), WORD.finditer(new_text)) if x[0] != y[0]]
     delta, scale = max(deltas, default=0.0), max(map(abs, a + b), default=0.0)
     out = (f"structure same, {len(deltas) + len(moved)} of {len(a)} numbers differ, "
            f"max|delta| {delta:.2e} / max|value| {scale:.2e} = "
@@ -84,7 +89,15 @@ def compare(old: str, new: str) -> str:
            f"max|delta|/max(1, |value|) {max(rels, default=0.0):.1e}")
     if moved:
         out += "\n    integers moved: " + ", ".join(moved)
+    if words:
+        out += "\n    words moved: " + ", ".join(words)
     return out
+
+
+def _named(text: str, x: re.Match, now: str) -> str:
+    """'name old -> now' for the match x in text, after the name it follows."""
+    name = NAME.search(text[max(0, x.start() - 40):x.start()])
+    return f"{name[1] + ' ' if name else ''}{x[0]} -> {now}"
 
 
 def main(argv: list) -> int:

@@ -28,11 +28,12 @@ steps, all blocks at once, carry Phi over the block starts, and each block
 is stepped from its start, all blocks at once, by whole 2x2 matrices.
 Between nodes the pair is its cubic Hermite interpolant, kept as one table
 of monomial coefficients per grid cell (FundamentalSolutions.cubics), which
-every read between nodes evaluates: eval_pair by Horner's rule, cell_pair
-by re-expanding a cell's cubics on the quadrature cells inside it, and
-place by safeguarded Newton steps on the cubic of a slice alpha u1 +
-beta u2.  The exact pair of a constant potential (ConstantPair) reads cells
-of one length by angle addition and any other cell point by point.
+every read between nodes evaluates: eval_pair by Horner's rule, eval_slope
+by its derivative, cell_pair by re-expanding a cell's cubics on the
+quadrature cells inside it, and place by safeguarded Newton steps on the
+cubic of a slice alpha u1 + beta u2.  The exact pair of a constant
+potential (ConstantPair) reads cells of one length by angle addition and
+any other cell point by point.
 """
 from __future__ import annotations
 
@@ -365,6 +366,14 @@ class FundamentalSolutions:
         return tuple(((c[..., k, 3] * xi + c[..., k, 2]) * xi + c[..., k, 1]) * xi
                      + c[..., k, 0] for k in (0, 1))
 
+    def eval_slope(self, x):
+        """(u1'(x), u2'(x)): the derivative of the cubics of x's cell, whose
+        value at a node is that node's slope p1 or p2, bit for bit."""
+        i, xi = self._cell(np.asarray(x, dtype=float))
+        c = self.cubics[i]
+        return tuple(p[i] + xi * (2.0 * c[..., k, 2] + 3.0 * c[..., k, 3] * xi) / self.h
+                     for k, p in enumerate((self.p1, self.p2)))
+
     def cell_pair(self, edges, xs) -> np.ndarray:
         """(u1, u2) at the Gauss nodes xs, shape (cells, order), of the
         cells between consecutive edges, shape (2, cells, order): the cubics
@@ -436,9 +445,9 @@ class ConstantPair:
     theta = atan2(-rho alpha, beta) modulo pi, at t = theta / rho, with no
     search (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993).
     It gives what a kernel reads of FundamentalSolutions: phi, sups, ts,
-    eval_pair, cell_pair and the angle hooks angles, target and place; and
-    what an eigenfunction reads: ts, the node samples u1 and u2 there, and
-    eval_pair.  Only its two nodes 0 and T are break points.
+    eval_pair, eval_slope, cell_pair and the angle hooks angles, target and
+    place; and what an eigenfunction reads: ts, the node samples u1 and u2
+    there, and eval_pair.  Only its two nodes 0 and T are break points.
     """
 
     form = "closed"
@@ -461,6 +470,10 @@ class ConstantPair:
             return np.ones_like(x), x.copy()
         x = self.rho * x
         return np.cos(x), np.sin(x) / self.rho
+
+    def eval_slope(self, x):
+        x = self.rho * np.asarray(x, dtype=float)
+        return -self.rho * np.sin(x), np.cos(x)
 
     def cell_pair(self, edges, xs) -> np.ndarray:
         """(u1, u2) at the Gauss nodes xs, shape (cells, order), of the

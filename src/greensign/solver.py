@@ -12,22 +12,22 @@ So every output node is read off one cumulative Gauss quadrature of p g
 between consecutive output nodes, the nodes of a numeric kernel's grid and
 the potential's break points, capped in length, so no cell straddles the
 diagonal kink or a kink of the sampled pair, no slice is split at its
-zeros, and every output node is an edge.  The nonlinear problem u = integral
-of G(t, s) f(s, u(s)) ds runs an Anderson-accelerated fixed-point iteration
-through the same sum, with u between the nodes from a local 4-point
-Lagrange stencil, so a fixed point of the iteration is a fixed point of the
-reported operator, and an x-independent f reproduces the linear solve
-exactly.  Its fine check takes more points per cell and a 6-point
-stencil: on one cell the 4-point stencil is one cubic, which a finer rule
-alone would integrate exactly and so could not fault.
+zeros, and every output node is an edge.
 
-The pair's Gauss-node values come from its cell_pair (see fundamental).
-u's come, where the table's cells are those of a uniform output grid, from
-one Lagrange matrix per place of the cell in its window, evaluated once at
-the rule's reference nodes (_CellStencil); any other grid keeps the stencil
-built point by point (_Stencil): an uneven one, and one whose cells the
-table cuts, at the length cap or at the nodes of a numeric kernel's grid
-that lie between the output nodes.
+The nonlinear problem u = integral of G(t, s) f(s, u(s)) ds runs an
+Anderson-accelerated fixed-point iteration through the same sum, on u at
+every edge of the table, and reports u at the output nodes.  Between a
+cell's two edges u is the Lidstone cubic through u and h^2 u'' there, with
+u'' = f(t, u) - a(t) u from the equation, by one reference matrix for
+every cell of every layout (_end_data).  So a fixed point of the iteration
+is one of the reported operator, and an x-independent f reproduces the
+linear solve exactly.  Its fine check takes more points per cell, and u
+there from the quintic Hermite interpolant of u, h u' and h^2 u'' at the
+edges: a finer rule alone would integrate the cubic exactly and so could
+not fault it.  u' is the derivative of the separable form, whose terms in
+g cancel: p'(t)^T C P(T) + d [u2'(t) P1(t) - u1'(t) P2(t)], with the
+pair's slopes p' from its eval_slope and its Gauss-node values from its
+cell_pair (see fundamental).
 
 Where the pair grows fast (a strongly negative potential) the terms of the
 sum cancel, as the products in a pointwise G do; a sum whose terms exceed
@@ -42,12 +42,11 @@ from enum import Enum
 from functools import cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
 from .potentials import BoundaryKind
-from .quadrature import (CellSums, default_max_len, gauss_nodes, one_length,
+from .quadrature import (CellSums, default_max_len, gauss_nodes,
                          require_no_cancellation)
 
 POSITIVITY_TOL = 1e-9
@@ -57,8 +56,6 @@ ANDERSON_DEPTH = 5
 #: Gauss points per cell of the cumulative quadrature, and of its fine check
 CELL_ORDER = 8
 FINE_CELL_ORDER = 12
-#: Lagrange stencil width of the fine check (the image map's is 4)
-FINE_STENCIL_WIDTH = 6
 
 # one-sided five-point first-derivative stencil, O(h^4)
 _D5 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -125,19 +122,24 @@ def _as_grid(kernel, grid) -> np.ndarray:
 
 
 class _Cumulative(CellSums):
-    """The integrals of G(t_i, s) g(s) ds at the output nodes t_i, for any
-    g sampled at the Gauss nodes xs, through the separable form (see the
-    module docstring): the table's sums from 0, read at the nodes."""
+    """The integrals of G(t, s) g(s) ds, for any g sampled at the Gauss
+    nodes xs, through the separable form (see the module docstring): the
+    table's sums from 0, read at the points, the output nodes ts or, with
+    every_edge, every edge of the table."""
 
-    def __init__(self, kernel, ts: np.ndarray, order: int = CELL_ORDER):
+    def __init__(self, kernel, ts: np.ndarray, order: int = CELL_ORDER,
+                 every_edge: bool = False):
         ts = np.clip(ts, 0.0, kernel.T)
         super().__init__(kernel, ts, default_max_len(kernel.potential), order)
         self.at = self.index(ts)
+        self.points = self.edges if every_edge else ts
+        self._cols = slice(None) if every_edge else self.at
         # exactly zero where the condition pins t, not the sum's rounding
-        self.pt = kernel._pair(ts)
-        self.C, self.d = kernel._C, kernel._d
+        self.pt = kernel._pair(self.points)
+        self.fs, self.C, self.d = kernel.fs, kernel._C, kernel._d
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
+    def sums(self, g: np.ndarray) -> np.ndarray:
+        """P, the integrals of p g from 0 to every edge (CellSums.up)."""
         # checked before the sums: inf - inf in them would warn
         cells = self._cells(g)
         if not np.all(np.isfinite(cells)):
@@ -145,79 +147,52 @@ class _Cumulative(CellSums):
         P = self.up(cells)
         if not np.all(np.isfinite(P)):
             raise QuadratureFailure("non-finite integrand in the solve")
-        u1, u2 = self.pt
+        return P
+
+    def _terms(self, P: np.ndarray, p) -> tuple:
         c1, c2 = self.C @ P[:, -1]
-        P1, P2 = self.d * P[:, self.at]
-        terms = u1 * c1, u2 * c2, u2 * P1, -u1 * P2
+        P1, P2 = self.d * P[:, self._cols]
+        return p[0] * c1, p[1] * c2, p[1] * P1, -p[0] * P2
+
+    def values(self, P: np.ndarray) -> np.ndarray:
+        """u at the points from the sums P."""
+        terms = self._terms(P, self.pt)
         us = sum(terms)
         require_no_cancellation(sum(np.abs(x) for x in terms), us, "u",
                                 "a solve on this potential")
         return us
 
+    def slopes(self, P: np.ndarray) -> np.ndarray:
+        """u' at the points from the sums P, through the pair's slopes."""
+        return sum(self._terms(P, self.fs.eval_slope(self.points)))
 
-class _Stencil:
-    """Local Lagrange interpolation on width consecutive nodes, from the
-    nodes ts to fixed points xs; its cells and weights are built once for
-    the many us of a fixed-point iteration."""
-
-    def __init__(self, ts: np.ndarray, xs: np.ndarray, width: int = 4):
-        j = np.searchsorted(ts, xs, side="right") - 1
-        self.j = np.clip(j - (width // 2 - 1), 0, len(ts) - width)
-        self.w = np.ones((width, len(xs)))
-        for k in range(width):
-            tk = ts[k:][self.j]
-            for l in range(width):
-                if l != k:
-                    tl = ts[l:][self.j]
-                    self.w[k] *= (xs - tl) / (tk - tl)
-
-    def __call__(self, us: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(self.j))
-        for k in range(len(self.w)):
-            out += self.w[k] * us[k:][self.j]
-        return out
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        return self.values(self.sums(g))
 
 
-class _CellStencil:
-    """_Stencil from the nodes of a uniform grid to the order Gauss nodes
-    of each of its cells.  A cell's window starts where _Stencil's does, so
-    the cell takes place c = width // 2 - 1 in it, except the first c
-    cells and the last width - 2 - c, which the window's clip at the ends
-    moves to the places before and after; each place has one (order x
-    width) Lagrange matrix, evaluated once on the reference nodes 0 ..
-    width - 1 at place + (1 + x_k) / 2, and applied to the windows of us.
-    Built once per (order, width) and shared (_cell_stencil)."""
-
-    def __init__(self, order: int, width: int):
-        y = np.arange(width - 1)[:, None] + 0.5 * (1.0 + gauss_nodes(order)[0])
-        self.w = np.ones((width - 1, order, width))
-        for k in range(width):
-            for l in range(width):
-                if l != k:
-                    self.w[..., k] *= (y - l) / (k - l)
-        self.w.flags.writeable = False
-        self.c = width // 2 - 1
-
-    def __call__(self, us: np.ndarray) -> np.ndarray:
-        c, width = self.c, self.w.shape[-1]
-        inner = c + len(us) - width + 1
-        out = np.empty((len(us) - 1, self.w.shape[1]))
-        np.matmul(self.w[:c], us[:width], out=out[:c])
-        np.matmul(sliding_window_view(us, width), self.w[c].T, out=out[c:inner])
-        np.matmul(self.w[c + 1:], us[-width:], out=out[inner:])
-        return out.ravel()
+@cache
+def _end_data(order: int, derivs: tuple[int, ...]) -> np.ndarray:
+    """The (2 len(derivs) x order) matrix from a cell's end data, h**k
+    u^(k) for k in derivs at its left end, then at its right end, to the
+    polynomial that takes them at the order Gauss nodes: the Lidstone cubic
+    for derivs (0, 2), the quintic Hermite for (0, 1, 2).  h**k u^(k) is
+    the k-th derivative in y = (t - left) / h, so every cell shares it."""
+    powers = range(2 * len(derivs))
+    ends = np.array([[math.perm(p, k) * y ** (p - k) if p >= k else 0.0
+                      for p in powers] for y in (0.0, 1.0) for k in derivs])
+    y = 0.5 * (1.0 + gauss_nodes(order)[0])
+    w = np.linalg.solve(ends.T, np.power.outer(y, powers).T)
+    w.flags.writeable = False
+    return w
 
 
-_cell_stencil = cache(_CellStencil)
-
-
-def _stencil(ts: np.ndarray, quad: CellSums, width: int):
-    """The width-point stencil from the nodes ts to the Gauss nodes of
-    quad: _CellStencil where quad's cells are those of a uniform ts,
-    _Stencil otherwise."""
-    if np.array_equal(quad.edges, ts) and one_length(ts):
-        return _cell_stencil(quad.q.shape[2], width)
-    return _Stencil(ts, quad.xs, width)
+def _cell_values(order: int, h: np.ndarray, ders: dict) -> np.ndarray:
+    """u at the order Gauss nodes of every cell, flat, from the cells'
+    lengths h and ders, which maps each k to u^(k) at the edges, through
+    the matrix _end_data(order, tuple(ders))."""
+    left = [d[:-1] * h ** k for k, d in ders.items()]
+    right = [d[1:] * h ** k for k, d in ders.items()]
+    return (np.stack(left + right, axis=1) @ _end_data(order, tuple(ders))).ravel()
 
 
 def _classify_positivity(us: np.ndarray, bc: BoundaryKind) -> Positivity:
@@ -312,16 +287,24 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     ts = _as_grid(kernel, grid)
-    quad = _Cumulative(kernel, ts)
-    stencil = _stencil(ts, quad, 4)
+    quad = _Cumulative(kernel, ts, every_edge=True)
+    edges, h = quad.edges, np.diff(quad.edges)
+    a = np.asarray(kernel.potential(edges), dtype=float)
+    sums = []                    # those of the last image, for the fine check
+
+    def fx(t: np.ndarray, us: np.ndarray) -> np.ndarray:
+        out = np.asarray(f(t, us), dtype=float)
+        if np.any(~np.isfinite(out)):
+            raise EvaluationFailure("f returned a non-finite value")
+        return out
 
     def image(us: np.ndarray) -> np.ndarray:
-        fx = np.asarray(f(quad.xs, stencil(us)), dtype=float)
-        if np.any(~np.isfinite(fx)):
-            raise EvaluationFailure("f returned a non-finite value")
-        return quad.apply(fx)
+        # u'' from the equation u'' + a u = f(t, u)
+        ux = _cell_values(CELL_ORDER, h, {0: us, 2: fx(edges, us) - a * us})
+        sums[:] = [quad.sums(fx(quad.xs, ux))]
+        return quad.values(sums[0])
 
-    us = image(np.zeros_like(ts))
+    us = image(np.zeros_like(edges))
     iterations = 0
     converged = False
     d_us, d_rs = [], []          # the last ANDERSON_DEPTH differences
@@ -349,12 +332,14 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
 
     fp_resid = None
     if converged:
-        fine = _Cumulative(kernel, ts, FINE_CELL_ORDER)
-        ux = _stencil(ts, fine, min(FINE_STENCIL_WIDTH, len(ts)))(us)
+        fine = _Cumulative(kernel, ts, FINE_CELL_ORDER, every_edge=True)
+        ux = _cell_values(FINE_CELL_ORDER, h, {0: us, 1: quad.slopes(sums[0]),
+                                               2: fx(edges, us) - a * us})
         fp_resid = float(np.max(np.abs(fine.apply(f(fine.xs, ux)) - us)))
         if fp_resid > 10.0 * tol:
             converged = False
 
+    us = us[quad.at]
     return SolutionProfile(grid=ts, values=us, bc=kernel.bc,
                            iterations=iterations, converged=converged,
                            fixed_point_residual=fp_resid,

@@ -306,29 +306,29 @@ class TestSolve:
     def test_closed_form_solve_reads_reference_cells(self, capsys, monkeypatch, bc, f):
         # on the default grid the table's cells are the grid's, of one
         # length: the pair at their Gauss nodes comes by angle addition and
-        # u there from one Lagrange matrix per place in the window, so
-        # eval_pair sees grid nodes only and no per-point stencil is built
-        from greensign import solver
+        # u there from the end data at the cell edges, so eval_pair sees
+        # grid nodes only
         from greensign.fundamental import ConstantPair
-        seen, stencils = [], []
-        eval_pair, init = ConstantPair.eval_pair, solver._Stencil.__init__
+        seen = []
+        eval_pair = ConstantPair.eval_pair
 
         def counted_pair(self, x):
             seen.append(np.asarray(x))
             return eval_pair(self, x)
 
-        def counted_init(self, *args):
-            stencils.append(args)
-            init(self, *args)
-
         monkeypatch.setattr(ConstantPair, "eval_pair", counted_pair)
-        monkeypatch.setattr(solver._Stencil, "__init__", counted_init)
         argv = ["solve", "--bc", bc, "--rho", "7.5", "--f", f, "--format", "json"]
         code, out, _ = run(argv, capsys)
         assert code == 0 and json.loads(out)["converged"]
         grid = np.linspace(0.0, 1.0, 2001)
         assert seen and all(np.isin(x, grid).all() for x in seen)
-        assert stencils == []
+
+    def test_f_not_finite_at_an_edge_exits_1(self, capsys):
+        # the image map reads f at the cell edges, t = 0 among them
+        code, out, err = run(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
+                              "--f", "x + 1/t", "--format", "json"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: EvaluationFailure: f returned a non-finite value\n"
 
 
 class TestErrorsAndEnv:
@@ -800,7 +800,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 29
+        assert n_json == 32
 
 
 def load_golden_diff():
@@ -821,7 +821,7 @@ def test_golden_diff_measures_moved_numbers():
         "max|delta|/max(1, |value|) 5.0e-04")
     assert compare("u,1e-3\n", "u,-2\n").startswith("structure same, 1 of 1 ")
     assert compare("0.0,1.0\n", "0,1.00\n").startswith("structure same, 0 of 2 ")
-    assert compare("ok 1\n", "failed 1\n") == "structure differs"
+    assert compare("ok 1\n", "failed 1\n").endswith("\n    words moved: ok -> failed")
     assert compare("1,2\n", "1,2,3\n") == "structure differs"
 
 
@@ -836,6 +836,23 @@ def test_golden_diff_lists_moved_integers_apart():
     assert compare("iterations=10, u=0.25\n", "iterations=10, u=0.5\n") == (
         "structure same, 1 of 2 numbers differ, max|delta| 2.50e-01 / "
         "max|value| 1.00e+01 = 2.5e-02, max|delta|/max(1, |value|) 2.5e-01")
+
+
+def test_golden_diff_lists_moved_words_apart():
+    # a flag or a verdict that flips keeps the numeric summary, and is
+    # listed after the name it follows; a word for a number is structure
+    compare = load_golden_diff().compare
+    old = '{"converged": true, "positivity": "Positive", "u": [0.5]}'
+    assert compare(old, '{"converged": false, "positivity": "ChangesSign", "u": [0.25]}') == (
+        "structure same, 1 of 1 numbers differ, max|delta| 2.50e-01 / "
+        "max|value| 5.00e-01 = 5.0e-01, max|delta|/max(1, |value|) 2.5e-01\n"
+        "    words moved: converged true -> false, positivity Positive -> ChangesSign")
+    assert compare("iterations=65, converged=True\n", "iterations=58, converged=False\n") == (
+        "structure same, 1 of 1 numbers differ, max|delta| 0.00e+00 / "
+        "max|value| 6.50e+01 = 0.0e+00, max|delta|/max(1, |value|) 0.0e+00\n"
+        "    integers moved: iterations 65 -> 58\n"
+        "    words moved: converged True -> False")
+    assert compare('{"r": null}', '{"r": 1e-12}') == "structure differs"
 
 
 def test_golden_diff_of_a_tree_with_itself(capsys):

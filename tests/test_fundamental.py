@@ -11,8 +11,8 @@ import greensign
 from greensign import fundamental
 from greensign.errors import IntegratorFailure
 from greensign.fundamental import (PRODUCT_BLOCK, ROOT_HALVINGS, TRANSFER_BLOCK_ENTRIES,
-                                   FundamentalSolutions, _newton, _step_table,
-                                   cumulative_products, transfer_matrix)
+                                   ConstantPair, FundamentalSolutions, _newton,
+                                   _step_table, cumulative_products, transfer_matrix)
 from greensign.potentials import BoundaryKind, constant, sampled
 from greensign.spectral import _char_of, _counts
 
@@ -497,6 +497,36 @@ class TestCubics:
         fs = FundamentalSolutions(wavy(), 0.0)
         assert fs.cubics is fs.cubics
         assert fs.cubics.shape == (len(fs.ts), 2, 4) and not fs.cubics.flags.writeable
+
+    @pytest.mark.parametrize("case", sorted(CUBIC_CASES))
+    def test_eval_slope_is_the_cubics_derivative(self, case):
+        # the node slopes bit for bit at the nodes, T too; between them the
+        # derivative of each cell's cubic in its monomial coefficients, to a
+        # few roundings of max |slope|
+        fs = FundamentalSolutions(CUBIC_CASES[case](), 0.3)
+        q1, q2 = fs.eval_slope(fs.ts)
+        assert np.array_equal(q1, fs.p1) and np.array_equal(q2, fs.p2)
+        assert fs.eval_slope(fs.ts[-1]) == (fs.p1[-1], fs.p2[-1])
+        rng = np.random.default_rng(3)
+        i = rng.integers(0, len(fs.ts) - 1, 500)
+        y = rng.uniform(0.0, 1.0, 500)
+        c = fs.cubics[i]
+        want = (c[..., 1] + 2.0 * c[..., 2] * y[:, None]
+                + 3.0 * c[..., 3] * y[:, None] ** 2) / fs.h
+        got = np.stack(fs.eval_slope(fs.ts[i] + y * fs.h), axis=1)
+        scale = np.max(np.abs([fs.p1, fs.p2]))
+        assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("rho", [0.0, 1.5, 7.5])
+    def test_constant_pair_slope_is_the_closed_form(self, rho):
+        pair = ConstantPair(rho, 1.0)
+        x = np.linspace(0.0, 1.0, 41)
+        q1, q2 = pair.eval_slope(x)
+        assert np.array_equal(q1, -rho * np.sin(rho * x))
+        assert np.array_equal(q2, np.cos(rho * x))
+        # the Wronskian u1 u2' - u2 u1' of the pair is one
+        u1, u2 = pair.eval_pair(x)
+        assert np.max(np.abs(u1 * q2 - u2 * q1 - 1.0)) <= 4 * np.finfo(float).eps
 
 
 def test_only_the_potential_takes_a_grid():

@@ -12,11 +12,9 @@ from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.fundamental import ConstantPair
 from greensign.quadrature import default_max_len, gauss_nodes, shared_breaks
 from slice_oracle import GAUSS_ORDER, Cumulative, slice_panels
-from greensign import solver
-from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, FINE_STENCIL_WIDTH,
-                              Positivity, _CellStencil, _classify_positivity,
-                              _Cumulative, _Stencil, _stencil, solve_linear,
-                              solve_nonlinear, verify_solution)
+from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, Positivity,
+                              _cell_values, _classify_positivity, _Cumulative,
+                              solve_linear, solve_nonlinear, verify_solution)
 
 RHO_D = math.sqrt(60.0)
 RHO_P = 1.5 * math.pi
@@ -81,34 +79,6 @@ def const_sigma(value):
     return lambda s: np.full_like(np.asarray(s, dtype=float), value)
 
 
-def cubic_interp_2d(ts, us, xs):
-    """The interpolation before it dropped its (n, 4) index tables; oracle."""
-    j = np.searchsorted(ts, xs, side="right") - 1
-    j = np.clip(j, 1, len(ts) - 3)
-    idx = j[:, None] + np.arange(-1, 3)[None, :]
-    tn = ts[idx]
-    out = np.zeros_like(xs)
-    for k in range(4):
-        w = np.ones_like(xs)
-        for l in range(4):
-            if l != k:
-                w *= (xs - tn[:, l]) / (tn[:, k] - tn[:, l])
-        out += w * us[idx[:, k]]
-    return out
-
-
-def test_cubic_interp_matches_index_table_form():
-    rng = np.random.default_rng(5)
-    ts = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 40)]))
-    us = rng.normal(size=ts.shape)
-    xs = np.concatenate([ts, rng.uniform(0.0, 1.0, 500)])
-    # the stencil a Picard iteration builds once gives the same bits
-    stencil = _Stencil(ts, xs)
-    assert stencil.j.dtype == np.intp
-    for vs in (us, rng.normal(size=ts.shape), np.zeros_like(ts)):
-        assert np.array_equal(stencil(vs), cubic_interp_2d(ts, vs, xs))
-
-
 def cell_gauss_nodes(ts, order):
     """The order Gauss nodes of every cell between consecutive ts, flat, as
     CellSums places them."""
@@ -116,44 +86,65 @@ def cell_gauss_nodes(ts, order):
     return ((0.5 * (ts[:-1] + ts[1:]))[:, None] + half[:, None] * gauss_nodes(order)[0]).ravel()
 
 
+def end_data_interp(ts, ders, xs):
+    """The cell-local interpolant point by point; oracle.  Each x is placed
+    in its cell [t_i, t_i + h] at y = (x - t_i) / h, and u there is the sum
+    of the end data times the closed-form basis of the Lidstone cubic (ders
+    u and u'') or of the quintic Hermite interpolant (u, u' and u'')."""
+    i = np.clip(np.searchsorted(ts, xs, side="right") - 1, 0, len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    y = (xs - ts[i]) / h
+    z = 1.0 - y
+    if len(ders) == 2:
+        u, upp = ders
+        lid = lambda y: (y**3 - y) / 6.0
+        return u[i] * z + u[i + 1] * y + h * h * (upp[i] * lid(z) + upp[i + 1] * lid(y))
+    u, up, upp = ders
+    return (u[i] * (1 - 10 * y**3 + 15 * y**4 - 6 * y**5)
+            + h * up[i] * (y - 6 * y**3 + 8 * y**4 - 3 * y**5)
+            + h * h * upp[i] * (y**2 - 3 * y**3 + 3 * y**4 - y**5) / 2
+            + u[i + 1] * (10 * y**3 - 15 * y**4 + 6 * y**5)
+            + h * up[i + 1] * (-4 * y**3 + 7 * y**4 - 3 * y**5)
+            + h * h * upp[i + 1] * (y**3 - 2 * y**4 + y**5) / 2)
+
+
+#: the end data of each width, as _cell_values takes them
+END_DATA = {4: (0, 2), 6: (0, 1, 2)}
+
+
 class TestCellStencil:
-    """The stencil from a uniform grid to the Gauss nodes of its own cells,
-    one Lagrange matrix per place of the cell in its window, against the
-    stencil built point by point.  The two interpolate at nodes that differ
-    by their rounding, eps T, so they agree to a few ulp of max |u| on a
-    smooth u; on a rough one the difference grows with its slope."""
+    """The cell-local stencil of the fixed-point solve: u at the Gauss nodes
+    of a cell from the end data of that cell alone, the Lidstone cubic
+    through u and h^2 u'' at the two edges (width 4) for the image map and
+    the quintic Hermite interpolant of u, h u' and h^2 u'' (width 6) for its
+    fine check, one reference matrix per rule for every cell."""
 
     @pytest.mark.parametrize("n", [5, 6, 7, 9, 41, 2001])
-    @pytest.mark.parametrize("order,width", [(CELL_ORDER, 4),
-                                             (FINE_CELL_ORDER, FINE_STENCIL_WIDTH)])
+    @pytest.mark.parametrize("order,width", [(CELL_ORDER, 4), (FINE_CELL_ORDER, 6)])
     def test_matches_the_per_point_stencil(self, n, order, width):
-        # every cell, the first and last ones, whose window the clip at the
-        # ends shifts, included; width min(6, n) on the 5-node grid
-        width = min(width, n)
-        ts = np.linspace(0.0, 1.0, n)
+        # uneven cells: one matrix serves every cell length.  The two read
+        # at nodes that differ by their rounding, so they agree to a few ulp
+        # of the largest datum
+        ts = np.linspace(0.0, 1.0, n) ** 1.3
         xs = cell_gauss_nodes(ts, order)
-        us = np.sin(3.0 * ts + 0.3) + ts * ts
-        got = _CellStencil(order, width)(us)
-        want = _Stencil(ts, xs, width)(us)
+        u = [np.sin(3.0 * ts + 0.3) + ts * ts, 3.0 * np.cos(3.0 * ts + 0.3) + 2.0 * ts,
+             -9.0 * np.sin(3.0 * ts + 0.3) + 2.0]
+        ders = {k: u[k] for k in END_DATA[width]}
+        got = _cell_values(order, np.diff(ts), ders)
+        want = end_data_interp(ts, list(ders.values()), xs)
         assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(us))
+        scale = max(np.max(np.abs(d)) for d in ders.values())
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * scale
 
     def test_reproduces_a_polynomial_of_its_degree(self):
-        ts = np.linspace(0.0, 2.0, 11)
-        xs = cell_gauss_nodes(ts, CELL_ORDER)
-        got = _CellStencil(CELL_ORDER, 4)(ts**3 - ts)
-        assert np.max(np.abs(got - (xs**3 - xs))) <= 1e-14
-
-    def test_taken_where_the_cells_are_the_grids(self):
-        k = DirichletConstantKernel(RHO_D)
-        ts = np.linspace(0.0, 1.0, 2001)
-        assert isinstance(_stencil(ts, _Cumulative(k, ts), 4), _CellStencil)
-        # 5 nodes: the length cap T / 8 cuts every cell in two
-        ts = np.linspace(0.0, 1.0, 5)
-        assert isinstance(_stencil(ts, _Cumulative(k, ts), 4), _Stencil)
-        # uneven nodes
-        ts = np.linspace(0.0, 1.0, 2001) ** 1.1
-        assert isinstance(_stencil(ts, _Cumulative(k, ts), 4), _Stencil)
+        # a cubic from u and u'', a quintic from u, u' and u''
+        ts = np.linspace(0.0, 2.0, 11) ** 1.2
+        for order, width in ((CELL_ORDER, 4), (FINE_CELL_ORDER, 6)):
+            xs = cell_gauss_nodes(ts, order)
+            poly = np.polynomial.Polynomial([0.3, -1.0, 0.5, 1.0, -0.4, 0.2][:width])
+            ders = {k: poly.deriv(k)(ts) for k in END_DATA[width]}
+            got = _cell_values(order, np.diff(ts), ders)
+            assert np.max(np.abs(got - poly(xs))) <= 1e-14 * np.max(np.abs(poly(xs)))
 
     @pytest.mark.parametrize("kernel,f", [
         (DirichletConstantKernel(RHO_D), lambda s, x: s * (1.0 - s) + 5.0 * x),
@@ -161,13 +152,10 @@ class TestCellStencil:
         ids=["dirichlet", "periodic-non-contractive"])
     def test_solve_matches_the_per_point_paths(self, monkeypatch, kernel, f):
         got = solve_nonlinear(kernel, f, 2001)
-        # the pair at every Gauss node by eval_pair, and u there by the
-        # stencil built point by point
+        # the pair at every Gauss node by eval_pair, not by angle addition
         with monkeypatch.context() as m:
             m.setattr(ConstantPair, "cell_pair",
                       lambda self, edges, xs: np.stack(self.eval_pair(xs)))
-            m.setattr(solver, "_stencil",
-                      lambda ts, quad, width: _Stencil(ts, quad.xs, width))
             want = solve_nonlinear(kernel, f, 2001)
         assert got.converged and want.converged
         assert got.iterations == want.iterations
@@ -438,6 +426,36 @@ class TestNonlinear:
                             lambda s, x: 1.0 + 50.0 * x, n)
         assert p.fixed_point_residual is not None
         assert p.converged is converged
+
+    @pytest.mark.parametrize("grid,stencil_error", [
+        (101, 5.78e-6), (201, 3.61e-7), (401, 2.26e-8),
+        (np.linspace(0.0, 1.0, 2001) ** 1.1, 4.20e-10), (5, 0.498)],
+        ids=["101", "201", "401", "uneven-2001", "capped-5"])
+    def test_non_contractive_dirichlet_against_the_closed_form(self, grid, stencil_error):
+        # u'' + 10 u = 1, u(0) = u(1) = 0, written as u'' + 60 u = 1 + 50 u.
+        # stencil_error is the error over max |u| with u between the output
+        # nodes from a 4-point Lagrange stencil; the cell-local cubic is
+        # held to 0.6 of it on uniform and uneven nodes and on 5 nodes,
+        # whose cells the length cap cuts in two
+        r = math.sqrt(10.0)
+        p = solve_nonlinear(DirichletConstantKernel(RHO_D), lambda s, x: 1.0 + 50.0 * x, grid)
+        t = p.grid
+        exact = (1.0 - np.cos(r * t) - (1.0 - math.cos(r)) / math.sin(r) * np.sin(r * t)) / 10.0
+        err = np.max(np.abs(p.values - exact)) / np.max(np.abs(exact))
+        assert err <= 0.6 * stencil_error
+
+    def test_coarse_numeric_solve_is_the_fine_one_at_its_nodes(self):
+        # the iterate lives on every edge of the table, the nodes of a
+        # numeric kernel's RK4 grid among them, so the 101-node solve of
+        # the wavy potential iterates on the 2001-node one's unknowns
+        grid = np.linspace(0.0, 1.0, 2001)
+        k = build_kernel(sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid)),
+                         BoundaryKind.PERIODIC)
+        f = lambda s, x: 1.0 + x / (1.0 + x)
+        coarse, fine = solve_nonlinear(k, f, 101), solve_nonlinear(k, f, 2001)
+        assert coarse.converged and fine.converged
+        scale = np.max(np.abs(fine.values))
+        assert np.max(np.abs(coarse.values - fine.values[::20])) <= 1e-12 * scale
 
     def test_problem_without_solution_reports_not_raises(self):
         # f = 1 + rho^2 x turns the problem into u'' = 1, which has no
