@@ -14,9 +14,12 @@ their ratio, and the largest change of one number relative to its own size,
 tolerance such as the eigenvalue search's stop width.  Integers that
 moved, such as a step count, are left out of both maxima and listed on a
 line of their own, each after the name it follows in the output, and so
-are words that moved, such as a converged flag or a sign verdict.  A
-changed exit code is printed as such.  Exits 1 when any output differs, 0
-otherwise.
+are words that moved, such as a converged flag or a sign verdict.  For
+an output that is a JSON object whose numbers moved under more than one
+top-level key it then prints max |delta| under each of those keys, so
+that a residual, which the second difference amplifies by 1/h^2, is told
+apart from the values it is measured on.  A changed exit code is printed as such.  Exits 1 when any
+output differs, 0 otherwise.
 """
 import json
 import os
@@ -91,7 +94,39 @@ def compare(old: str, new: str) -> str:
         out += "\n    integers moved: " + ", ".join(moved)
     if words:
         out += "\n    words moved: " + ", ".join(words)
+    keys = _by_key(old, new)
+    if len(keys) > 1:
+        out += "\n    max|delta| by key: " + ", ".join(f"{k} {d:.2e}" for k, d in keys.items())
     return out
+
+
+def _by_key(old: str, new: str) -> dict:
+    """max |delta| of the numbers under each top-level key of old and new,
+    both JSON objects of one structure, for the keys whose numbers moved,
+    integers that stay integers left out; empty for any other output."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+    except ValueError:
+        return {}
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return {}
+    out = {}
+    for key in a:
+        deltas = [abs(u - v) for u, v in zip(_numbers(a[key]), _numbers(b[key]))
+                  if u != v and not (type(u) is int and type(v) is int)]
+        if deltas:
+            out[key] = max(deltas)
+    return out
+
+
+def _numbers(value) -> list:
+    """The numbers in a parsed JSON value, in order; true and false are
+    words, not numbers."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if type(value) in (int, float) else []
 
 
 def _named(text: str, x: re.Match, now: str) -> str:

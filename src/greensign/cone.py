@@ -8,8 +8,9 @@ with M/m within the sign-ratio constant.  Everything here reports sampled
 evidence, not proofs: the report says so explicitly.
 
 Every t-integral of G is read off one antiderivative of the kernel's pair
-(quadrature.slice_sums) through its separable form p(min)^T C p(max)
-(_t_prefix); no window is cut into panels.
+(quadrature.slice_sums) through its separable form p(min)^T C p(max), as
+the solver reads it (greens.separable_read, in _t_prefix); no window is
+cut into panels.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
                      NonpositiveWeightedIntegral)
 from .gamma import GammaResult, gamma_closed, gamma_quadrature, gamma_star
-from .greens import build_kernel
+from .greens import build_kernel, separable_read
 from .potentials import BoundaryKind
 from .quadrature import require_no_cancellation, slice_sums
 from .spectral import principal_eigenfunction
@@ -104,33 +105,25 @@ class H2Verdict:
 
 
 def _t_prefix(kernel, xs, ss):
-    """(P, B): P[i, j] = integral over t in [0, xs[i]] of G(t, ss[j]), shape
-    (len(xs), len(ss)), read off the kernel's separable form (see greens),
-    and B the sum of the absolute values of its terms, which the readers of
-    P hold against P (quadrature.require_no_cancellation).
-
-    With U(x) the integral of the pair p = (u1, u2) over [0, x], read from
-    one slice_sums table edged at every x and s, from the nearer end:
-    G(t, s) is p(t)^T C p(s) for t <= s and p(s)^T C p(t) past s, so
-
-        P = U(x)^T C p(s) + d [u1(s) (U2(x) - U2(s)) - u2(s) (U1(x) - U1(s))] 1{s < x}
-
-    with d = C[0, 1] - C[1, 0] (see greens).  The pair is zero at an s the
-    condition pins, where G(., s) vanishes, so those columns read exactly
-    zero.
-    """
+    """(P, B): P[i, j] = integral over t in [0, xs[i]] of G(t, ss[j]), and B
+    the bulk of its terms, for quadrature.require_no_cancellation.  G is
+    symmetric, so P is the separable read at s of U(min(x, s)) and, past s,
+    U(x) - U(s), with U(x) the integral of the pair over [0, x], read from
+    one slice_sums table edged at every x and s, from the nearer end.  At an
+    s the condition pins the pair is zero, and so is the column of P."""
     xs = np.asarray(xs, dtype=float)
     ss = np.asarray(ss, dtype=float)
     x = np.concatenate([xs, ss])
     S, left, total = slice_sums(kernel, x).both(1.0, x)
     U = S + np.where(left, 0.0, total[:, None])
-    Ux, Us = U[:, :len(xs)], U[:, len(xs):]
-    u1, u2 = p = np.array(kernel._pair(ss))
-    Cp = kernel._C @ p
-    below = ss < xs[:, None]
-    a, b = u1 * (Ux[1, :, None] - Us[1]), u2 * (Ux[0, :, None] - Us[0])
-    return (Ux.T @ Cp + np.where(below, kernel._d * (a - b), 0.0),
-            np.abs(Ux.T) @ np.abs(Cp) + np.where(below, np.abs(a) + np.abs(b), 0.0))
+    Ux, Us = U[:, :len(xs), None], U[:, None, len(xs):]
+    past = ss < xs[:, None]
+    parts = np.empty((4, len(xs), len(ss)))
+    parts[:2] = Ux
+    np.copyto(parts[:2], Us, where=past)
+    np.subtract(Ux, Us, out=parts[2:])
+    np.copyto(parts[2:], 0.0, where=~past)
+    return separable_read(kernel._coefficients(kernel._pair(ss)), parts)
 
 
 def _t_integrals(kernel, ss, c: float, d: float) -> np.ndarray:

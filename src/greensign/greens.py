@@ -22,11 +22,14 @@ BoundaryKind.entry of Phi(T) must not, and C is zero but for its row c,
 filled from row r of Phi(T).  That is the one resonance rule
 (_boundary_matrix).  On a separated condition G is thus u_c(min)
 phi_R(max), with phi_R = C[c] p the solution that meets the condition at
-T (Greengard & Rokhlin 1991).  The two sides of the diagonal differ by d
-times the Cauchy kernel u1(s) u2(t) - u1(t) u2(s), d = C[0, 1] - C[1, 0]
-(_d): exactly one on a separated condition, and on a paired one one to
-rounding on the exact pair and to RK4's error on the other.  The pair,
-and so G, is exactly zero at an end that the condition pins.
+T (Greengard & Rokhlin 1991).  The pair, and so G, is exactly zero at an
+end that the condition pins.
+
+Slice coefficients (_slices): with p the pair at t, G(t, .) is (C p(t)) . p
+on s <= t and (C^T p(t)) . p past t, so separable_read, with below and
+above the integrals of p g on either side of t, gives the integral of
+G(t, s) g(s) ds as (C p) . below + (C^T p) . above and the bulk of its
+terms, C p taken apart (|C| |p|), for quadrature.require_no_cancellation.
 
 Zeros of the slices, one rule for every kernel: on either side of the
 diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha, beta),
@@ -91,6 +94,22 @@ def _times(C, p) -> tuple[np.ndarray, np.ndarray]:
     return C[0, 0] * p[0] + C[0, 1] * p[1], C[1, 0] * p[0] + C[1, 1] * p[1]
 
 
+def _slices(C, p) -> np.ndarray:
+    """(C p, C^T p), shape (2, 2, n), entry by entry as _times: for p the
+    pair at t, the coefficients of p(s) in G(t, s) on each side of t."""
+    M = np.concatenate([C, C.T])
+    return (M[:, :1] * p[0] + M[:, 1:] * p[1]).reshape(2, 2, -1)
+
+
+def separable_read(coefficients, parts) -> tuple[np.ndarray, np.ndarray]:
+    """(value, bulk) at read points from their Kernel._coefficients and
+    parts, the integrals of p g below each, then above it, shape (4, ...),
+    which the bulk overwrites by their absolute values."""
+    sides, sizes = coefficients.reshape(2, 4, *coefficients.shape[3:])
+    value = np.einsum("k...,k...->...", sides, parts)
+    return value, np.einsum("k...,k...->...", sizes, np.abs(parts, out=parts))
+
+
 class Kernel:
     """G(t, s) of (potential, bc) from a fundamental pair: the RK4
     FundamentalSolutions of any potential, or the exact ConstantPair of a
@@ -105,7 +124,6 @@ class Kernel:
         self.fs = pair
         self.form = pair.form  # "closed" on an exact pair, "numeric" on RK4
         self._C = _coupling(_boundary_matrix(pair, bc), bc)
-        self._d = float(self._C[0, 1] - self._C[1, 0])
         # _roots_flat on the uniform t-grid of each size: the zeros of the
         # slices do not depend on the weight (gamma_quadrature)
         self._grid_roots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -142,8 +160,8 @@ class Kernel:
 
     def _sides(self, ts: np.ndarray) -> np.ndarray:
         """(alpha, beta) with G(t, .) = alpha u1 + beta u2 on each side of
-        the diagonal, shape (2, 2 len(ts)): C p(t), the sides s <= t of
-        every t in ts, first, then C^T p(t), the sides s > t.
+        the diagonal, shape (2, 2 len(ts)): the _slices of every t in ts,
+        its sides s <= t first, then its sides s > t.
 
         At a pinned end t, where G(t, .) vanishes, they are the sides of
         the limit slice G(t', .) / |t' - t| as t' tends to t: p'(0) = (0, 1)
@@ -156,7 +174,11 @@ class Kernel:
         if pinned.any():
             p[:, pinned] = np.where(ts[pinned] == 0.0, [[0.0], [1.0]],
                                     -self.fs.phi[1][:, None])
-        return np.concatenate([_times(self._C, p), _times(self._C.T, p)], axis=1)
+        return np.concatenate(_slices(self._C, p), axis=1)
+
+    def _coefficients(self, p) -> np.ndarray:
+        """separable_read's coefficients at p: _slices of C and p, then of |C| and |p|."""
+        return np.array([_slices(self._C, p), _slices(np.abs(self._C), np.abs(p))])
 
     def s_roots(self, t: float) -> np.ndarray:
         """Interior zeros of G(t, .), sorted."""

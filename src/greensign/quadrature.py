@@ -2,30 +2,25 @@
 
 Integrands here are piecewise smooth: kernels are C^1 away from the diagonal
 t = s, their positive/negative parts additionally kink at the interior zeros
-of G(t, .), and sampled potentials kink at their grid nodes.
+of G(t, .), and a numeric kernel's pair kinks at its grid nodes.
 
 One table serves every caller.  CellSums is one cumulative quadrature of
 p g over [0, T], with p the kernel's fundamental pair, on the cells of
 cell_edges: no cell straddles a numeric kernel's grid node (its pair is
-one cubic per grid cell), a shared break point of the potential or a point
-the caller reads at, so a low-order rule per cell is exact for a
-piecewise-polynomial g aligned to those points, and a read is an index
-into the sums.  The solver integrates through it with its own rule order
-and length cap (see solver); the sign-ratio constant and the t-integrals
-of the cone share one table recipe, slice_sums (see gamma and cone).  The
-pair gives its values at the Gauss nodes through its cell_pair (see
-fundamental): a numeric pair re-expands the cubics of each grid cell on
-every cell inside it; an exact one uses angle addition on cells of one
-length (one_length) and reads the others, such as gamma's cells edged at
-the zeros of its slices, point by point.
+one cubic per grid cell) or a point the caller reads at, so a low-order
+rule per cell is exact for a piecewise-polynomial g aligned to those
+points (gamma adds its weight's break points to them), and a read is an
+index into the sums.  The solver integrates through it with its own rule
+order and length cap (see solver); the sign-ratio constant and the
+t-integrals of the cone share one table recipe, slice_sums (see gamma and
+cone).  The pair gives its values at the Gauss nodes through its
+cell_pair (see fundamental): a numeric pair re-expands the cubics of each
+grid cell on every cell inside it; an exact one uses angle addition on
+cells of one length (one_length) and reads the others, such as gamma's
+cells edged at the zeros of its slices, point by point.
 
-The zeros of the slices G(t, .) come from the kernel's s_roots_many, one
-array per slice, which gives none for a slice the boundary condition pins
-to zero (gamma reads the zeros of the limit slice there): every kernel
-places each zero at the angle of its fundamental pair where the slice
-vanishes, in closed form on an exact pair and by safeguarded Newton steps
-in one grid cell on the RK4 pair (see greens).
-No slice is sampled to find them.
+The zeros of the slices G(t, .) come from the kernel's s_roots_many, at
+the angles of its pair (see greens); no slice is sampled to find them.
 """
 from __future__ import annotations
 
@@ -35,10 +30,6 @@ import math
 import numpy as np
 
 from .errors import QuadratureFailure
-
-#: Most break points of a potential that every cell layout is broken at; a
-#: finely sampled potential is left to the length cap instead.
-MAX_SHARED_BREAKS = 64
 
 #: The most that the terms of a separable sum may exceed its values by
 CANCELLATION_LIMIT = 1e8
@@ -85,22 +76,14 @@ def build_edges(a: float, b: float, points=(), max_len: float | None = None) -> 
     return np.concatenate(pieces)
 
 
-def shared_breaks(potential) -> np.ndarray:
-    """The potential's break points, which every cell layout is broken at
-    when there are at most MAX_SHARED_BREAKS of them; none otherwise."""
-    bps = np.asarray(potential.breakpoints, dtype=float)
-    return bps if len(bps) <= MAX_SHARED_BREAKS else bps[:0]
-
-
 def cell_edges(kernel, points, max_len: float) -> np.ndarray:
     """Sorted edges of the cells of [0, T] that a cumulative quadrature
-    sums over: 0, T, the points (clipped to [0, T]), the nodes of the
-    kernel's pair (a numeric kernel's grid; only 0 and T for an exact pair)
-    and shared_breaks(kernel.potential), with each cell between them cut
-    into equal parts no longer than max_len."""
+    sums over: 0, T, the points (clipped to [0, T]) and the nodes of the
+    kernel's pair (a numeric kernel's grid; only 0 and T for an exact pair),
+    with each cell between them cut into equal parts no longer than
+    max_len."""
     T = kernel.T
-    edges = np.sort(np.concatenate([(0.0, T), points, shared_breaks(kernel.potential),
-                                    kernel.fs.ts]).clip(0.0, T))
+    edges = np.sort(np.concatenate([(0.0, T), points, kernel.fs.ts]).clip(0.0, T))
     # np.unique would import numpy.ma on its first call
     edges = edges[np.concatenate([[True], edges[1:] > edges[:-1]])]
     # the edges interpolated at integer knots cut each cell into equal parts

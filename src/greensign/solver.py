@@ -4,15 +4,15 @@ Every kernel here is semiseparable: with p = (u1, u2) its fundamental pair
 and C its coupling matrix, G(t, s) = p(min(t, s))^T C p(max(t, s)) (see
 greens), so for any integrand g
 
-    integral of G(t, s) g(s) ds = p(t)^T C P(T) + d [u2(t) P1(t) - u1(t) P2(t)],
+    integral of G(t, s) g(s) ds = (C p(t)) . P(t) + (C^T p(t)) . (P(T) - P(t)),
 
-where P(x) is the integral of p g over [0, x] and d = C[0, 1] - C[1, 0].
-So every output node is read off one cumulative Gauss quadrature of p g
-(Greengard & Rokhlin 1991), quadrature.CellSums read from 0: its cells lie
-between consecutive output nodes, the nodes of a numeric kernel's grid and
-the potential's break points, capped in length, so no cell straddles the
-diagonal kink or a kink of the sampled pair, no slice is split at its
-zeros, and every output node is an edge.
+where P(x) is the integral of p g over [0, x] (greens.separable_read, on
+coefficients built once per solve).  So every output node is read off one
+cumulative Gauss quadrature of p g (Greengard & Rokhlin 1991),
+quadrature.CellSums read from 0: its cells lie between consecutive output
+nodes and the nodes of a numeric kernel's grid, capped in length, so no
+cell straddles the diagonal kink or a kink of the sampled pair, no slice
+is split at its zeros, and every output node is an edge.
 
 The nonlinear problem u = integral of G(t, s) f(s, u(s)) ds runs an
 Anderson-accelerated fixed-point iteration through the same sum, on u at
@@ -21,13 +21,11 @@ cell's two edges u is the Lidstone cubic through u and h^2 u'' there, with
 u'' = f(t, u) - a(t) u from the equation, by one reference matrix for
 every cell of every layout (_end_data).  So a fixed point of the iteration
 is one of the reported operator, and an x-independent f reproduces the
-linear solve exactly.  Its fine check takes more points per cell, and u
-there from the quintic Hermite interpolant of u, h u' and h^2 u'' at the
-edges: a finer rule alone would integrate the cubic exactly and so could
-not fault it.  u' is the derivative of the separable form, whose terms in
-g cancel: p'(t)^T C P(T) + d [u2'(t) P1(t) - u1'(t) P2(t)], with the
-pair's slopes p' from its eval_slope and its Gauss-node values from its
-cell_pair (see fundamental).
+linear solve exactly.  Its fine check takes more points on the same
+cells, and u there from the quintic Hermite interpolant of u, h u' and
+h^2 u'' at the edges: a finer rule alone would integrate the cubic
+exactly and so could not fault it.  u' is the same read with the pair's
+slopes p' (eval_slope) in place of p, since its terms in g cancel.
 
 Where the pair grows fast (a strongly negative potential) the terms of the
 sum cancel, as the products in a pointwise G do; a sum whose terms exceed
@@ -39,12 +37,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .cone import cone_membership
 from .errors import EvaluationFailure, QuadratureFailure
+from .greens import separable_read
 from .potentials import BoundaryKind
 from .quadrature import (CellSums, default_max_len, gauss_nodes,
                          require_no_cancellation)
@@ -123,9 +122,8 @@ def _as_grid(kernel, grid) -> np.ndarray:
 
 class _Cumulative(CellSums):
     """The integrals of G(t, s) g(s) ds, for any g sampled at the Gauss
-    nodes xs, through the separable form (see the module docstring): the
-    table's sums from 0, read at the points, the output nodes ts or, with
-    every_edge, every edge of the table."""
+    nodes xs, read off the table's sums from 0 (see the module docstring)
+    at the points: the output nodes ts or, with every_edge, every edge."""
 
     def __init__(self, kernel, ts: np.ndarray, order: int = CELL_ORDER,
                  every_edge: bool = False):
@@ -134,9 +132,13 @@ class _Cumulative(CellSums):
         self.at = self.index(ts)
         self.points = self.edges if every_edge else ts
         self._cols = slice(None) if every_edge else self.at
-        # exactly zero where the condition pins t, not the sum's rounding
-        self.pt = kernel._pair(self.points)
-        self.fs, self.C, self.d = kernel.fs, kernel._C, kernel._d
+        self.kernel = kernel
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Kernel._coefficients of the points, built on their first read."""
+        # the pair exactly zero where the condition pins t, not the sum's rounding
+        return self.kernel._coefficients(self.kernel._pair(self.points))
 
     def sums(self, g: np.ndarray) -> np.ndarray:
         """P, the integrals of p g from 0 to every edge (CellSums.up)."""
@@ -149,22 +151,20 @@ class _Cumulative(CellSums):
             raise QuadratureFailure("non-finite integrand in the solve")
         return P
 
-    def _terms(self, P: np.ndarray, p) -> tuple:
-        c1, c2 = self.C @ P[:, -1]
-        P1, P2 = self.d * P[:, self._cols]
-        return p[0] * c1, p[1] * c2, p[1] * P1, -p[0] * P2
+    def _read(self, P: np.ndarray, coefficients) -> tuple:
+        below = P[:, self._cols]
+        return separable_read(coefficients, np.concatenate([below, P[:, -1:] - below]))
 
     def values(self, P: np.ndarray) -> np.ndarray:
         """u at the points from the sums P."""
-        terms = self._terms(P, self.pt)
-        us = sum(terms)
-        require_no_cancellation(sum(np.abs(x) for x in terms), us, "u",
-                                "a solve on this potential")
+        us, bulk = self._read(P, self.coefficients)
+        require_no_cancellation(bulk, us, "u", "a solve on this potential")
         return us
 
     def slopes(self, P: np.ndarray) -> np.ndarray:
         """u' at the points from the sums P, through the pair's slopes."""
-        return sum(self._terms(P, self.fs.eval_slope(self.points)))
+        slopes = self.kernel.fs.eval_slope(self.points)
+        return self._read(P, self.kernel._coefficients(slopes))[0]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         return self.values(self.sums(g))
@@ -333,6 +333,7 @@ def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
     fp_resid = None
     if converged:
         fine = _Cumulative(kernel, ts, FINE_CELL_ORDER, every_edge=True)
+        fine.coefficients = quad.coefficients    # the same cells and read points
         ux = _cell_values(FINE_CELL_ORDER, h, {0: us, 1: quad.slopes(sums[0]),
                                                2: fx(edges, us) - a * us})
         fp_resid = float(np.max(np.abs(fine.apply(f(fine.xs, ux)) - us)))

@@ -41,9 +41,13 @@ from greensign.cone import N_CELLS
 from greensign.errors import QuadratureFailure
 from greensign.fundamental import ROOT_HALVINGS
 from greensign.quadrature import (cell_edges, default_max_len, gauss_nodes,
-                                  require_no_cancellation, shared_breaks)
+                                  require_no_cancellation)
 
 GAUSS_ORDER = 16
+
+#: Most break points of a potential that the panels of every slice are
+#: broken at; a finely sampled potential is left to the length cap instead.
+MAX_SHARED_BREAKS = 64
 
 #: Gauss nodes per block of slices in slice_parts; bounds its memory.
 SLICE_BLOCK_NODES = 1 << 17
@@ -54,6 +58,14 @@ PINNED_STEP = 1e-8
 
 #: Slices behind the extrapolation of boundary_nodes.
 BOUNDARY_SLICES = 6
+
+
+def shared_breaks(potential) -> np.ndarray:
+    """The potential's break points, which the panels of every slice are
+    broken at when there are at most MAX_SHARED_BREAKS of them; none
+    otherwise."""
+    bps = np.asarray(potential.breakpoints, dtype=float)
+    return bps if len(bps) <= MAX_SHARED_BREAKS else bps[:0]
 
 
 class PanelPlan(NamedTuple):
@@ -332,9 +344,10 @@ def antiderivative(kernel, weight, x: np.ndarray, order: int = 4,
 
 
 class Cumulative:
-    """solver._Cumulative as it built its own cells: the integrals of
-    G(t_i, s) g(s) ds at the output nodes t_i, for any g sampled at the
-    Gauss nodes xs, read off prefix sums at cell edges."""
+    """solver._Cumulative as it built its own cells and read them through
+    the one-sided Cauchy form: the integrals of G(t_i, s) g(s) ds at the
+    output nodes t_i, for any g sampled at the Gauss nodes xs, read off
+    prefix sums at cell edges."""
 
     def __init__(self, kernel, ts: np.ndarray, order: int = 8):
         T = kernel.T
@@ -348,15 +361,23 @@ class Cumulative:
         self.q = kernel.fs.cell_pair(edges, xs) * (half[:, None] * gauss_nodes(order)[1])
         self.pt = kernel._pair(ts)
         self.C = kernel._C
-        self.d = kernel._d
+        self.d = self.C[0, 1] - self.C[1, 0]
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
+    def sums(self, g: np.ndarray) -> np.ndarray:
+        """P, the integrals of p g from 0 to every edge."""
         g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
         P = np.zeros((2, self.q.shape[1] + 1))
         np.cumsum(np.einsum("kij,ij->ki", self.q, g.reshape(self.q.shape[1:])),
                   axis=1, out=P[:, 1:])
         if not np.all(np.isfinite(P)):
             raise QuadratureFailure("non-finite integrand in the solve")
+        return P
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """u at the output nodes through the Cauchy form of the separable
+        sum: p(t)^T C P(T) + d [u2(t) P1(t) - u1(t) P2(t)], with
+        d = C[0, 1] - C[1, 0]."""
+        P = self.sums(g)
         u1, u2 = self.pt
         c1, c2 = self.C @ P[:, -1]
         P1, P2 = self.d * P[:, self.at]

@@ -855,6 +855,25 @@ def test_golden_diff_lists_moved_words_apart():
     assert compare('{"r": null}', '{"r": 1e-12}') == "structure differs"
 
 
+def test_golden_diff_lists_json_moves_by_key():
+    # the second difference amplifies a move of u by 1/h^2 in residual_norm,
+    # so a JSON object whose numbers moved under more than one key gives
+    # max|delta| under each; integers and words are left to their lines
+    compare = load_golden_diff().compare
+    old = '{"residual_norm": 2e-06, "iterations": 16, "converged": true, "u": [0.0, 0.0625]}'
+    new = ('{"residual_norm": 2.0000582e-06, "iterations": 15, "converged": true, '
+           '"u": [0.0, 0.06250000000000025]}')
+    assert compare(old, new) == (
+        "structure same, 3 of 4 numbers differ, max|delta| 5.82e-11 / "
+        "max|value| 1.60e+01 = 3.6e-12, max|delta|/max(1, |value|) 5.8e-11\n"
+        "    integers moved: iterations 16 -> 15\n"
+        "    max|delta| by key: residual_norm 5.82e-11, u 2.50e-16")
+    assert compare('{"n": 2, "u": [1, 2.5]}', '{"n": 3, "u": [1, 2.5]}') == (
+        "structure same, 1 of 3 numbers differ, max|delta| 0.00e+00 / "
+        "max|value| 3.00e+00 = 0.0e+00, max|delta|/max(1, |value|) 0.0e+00\n"
+        "    integers moved: n 2 -> 3")
+
+
 def test_golden_diff_of_a_tree_with_itself(capsys):
     golden_diff = load_golden_diff()
     assert golden_diff.main([str(GOLDEN.parents[1])]) == 0

@@ -239,11 +239,12 @@ class TestSeparableTIntegrals:
         panels = np.max(np.abs(panel_prefix(kernel, ss) - exact))
         assert got <= 2.0 * panels
 
-    @pytest.mark.parametrize("k, cancels", [(10, False), (14, True)])
+    @pytest.mark.parametrize("k, cancels", [(9, False), (10, True), (14, True)])
     def test_check_refuses_a_cancelling_prefix(self, k, cancels):
-        # the terms of the t-integrals exceed their values by 6e7 at k = 10
-        # and by 2e11 at k = 14, past CANCELLATION_LIMIT, where the table
-        # is off by 2e-4 of its largest value (above)
+        # the terms of the t-integrals, with C p taken apart, exceed their
+        # values by 3.2e7 at k = 9, and past CANCELLATION_LIMIT by 2.3e8 at
+        # k = 10 and by 6.8e11 at k = 14, where the table is off by 2e-4 of
+        # its largest value (above)
         grid = np.linspace(0.0, 1.0, 2001)
         pot = sampled(grid, np.full(2001, -k * k))
         kernel = build_kernel(pot, BoundaryKind.DIRICHLET)

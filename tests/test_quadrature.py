@@ -6,9 +6,9 @@ import pytest
 from greensign.fundamental import ConstantPair
 from greensign.greens import NumericKernel, PeriodicConstantKernel, build_kernel
 from greensign.potentials import BoundaryKind, constant, sampled
-from greensign.quadrature import (MAX_SHARED_BREAKS, CellSums, build_edges,
-                                  default_max_len, gauss_nodes, one_length)
-from slice_oracle import panel_plan, slice_panels
+from greensign.quadrature import (CellSums, build_edges, default_max_len,
+                                  gauss_nodes, one_length)
+from slice_oracle import MAX_SHARED_BREAKS, panel_plan, slice_panels
 
 
 def per_row_panels(lo, hi, rows, points, max_len, order=16):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from greensign.cone import _t_prefix, find_subinterval
 from greensign.errors import EvaluationFailure, QuadratureFailure
 from greensign.expressions import Expression
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.fundamental import ConstantPair
-from greensign.quadrature import default_max_len, gauss_nodes, shared_breaks
-from slice_oracle import GAUSS_ORDER, Cumulative, slice_panels
+from greensign.quadrature import default_max_len, gauss_nodes
+from slice_oracle import GAUSS_ORDER, Cumulative, shared_breaks, slice_panels
 from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, Positivity,
                               _cell_values, _classify_positivity, _Cumulative,
                               solve_linear, solve_nonlinear, verify_solution)
@@ -290,7 +291,8 @@ class TestSeparableAgainstOracle:
 class TestCellSumsRead:
     """The solver's read of quadrature.CellSums against the prefix table
     that built its own cells (slice_oracle.Cumulative): the same nodes and
-    the same sums, bit for bit."""
+    the same sums, bit for bit, and u to rounding, from the kernel's
+    separable read here and the Cauchy form there."""
 
     @pytest.mark.parametrize("bc", list(BoundaryKind))
     @pytest.mark.parametrize("numeric", [True, False])
@@ -308,8 +310,11 @@ class TestCellSumsRead:
         assert np.array_equal(got.xs, want.xs)
         assert np.array_equal(got.at, want.at)
         g = wavy_rhs(got.xs) + np.sin(9.0 * got.xs)
-        assert np.array_equal(got.apply(g), want.apply(g))
-        assert np.array_equal(got.apply(1.5), want.apply(1.5))
+        for x in (g, 1.5):
+            assert np.array_equal(got.sums(x), want.sums(x))
+            u = want.apply(x)
+            err = np.max(np.abs(got.apply(x) - u))
+            assert err <= 4.0 * np.finfo(float).eps * np.max(np.abs(u))
 
 
 class TestCancellationGuard:
@@ -330,6 +335,30 @@ class TestCancellationGuard:
             solve_linear(k, const_sigma(1.0), 2001)
         with pytest.raises(QuadratureFailure):
             solve_nonlinear(k, lambda s, x: 1.0 + 0.0 * x, 2001)
+
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.PERIODIC,
+                                    BoundaryKind.NEUMANN])
+    def test_solve_and_cone_share_one_guard(self, bc):
+        # one read of a separable integral, one bulk: its terms exceed the
+        # values by 3.3e7 at a = -81 and by 2.4e8 at a = -100, in the solve
+        # and in the cone's t-integrals alike.  By the symmetry of G the
+        # t-integral of G(., s) over [0, T] is u(s) for sigma = 1.
+        k = 9.0
+        t = np.linspace(0.0, 1.0, 2001)
+        exact = (np.full_like(t, -1.0 / k**2) if bc.keeps_constants
+                 else (np.cosh(k * t) - 1.0 + (1.0 - math.cosh(k)) / math.sinh(k)
+                       * np.sinh(k * t)) / k**2)
+        kernel = self.kernel(-k * k, bc)
+        u = solve_linear(kernel, const_sigma(1.0), t).values
+        assert np.max(np.abs(u - exact)) <= 2e-8 * np.max(np.abs(exact))
+        whole = _t_prefix(kernel, [1.0], t[::10])[0][0]
+        assert np.max(np.abs(whole - exact[::10])) <= 2e-8 * np.max(np.abs(exact))
+        find_subinterval(kernel)
+        kernel = self.kernel(-100.0, bc)
+        with pytest.raises(QuadratureFailure, match="grows too fast"):
+            solve_linear(kernel, const_sigma(1.0), t)
+        with pytest.raises(QuadratureFailure, match="grows too fast"):
+            find_subinterval(kernel)
 
     def test_moderate_pair_matches_exact_solution(self):
         # u'' - 50 u = 1, u(0) = u(1) = 0
