@@ -377,8 +377,6 @@ def _cmd_figure(args) -> int:
         rhs = (lambda s: s * (1.0 - s)) if n == 4 else (lambda s: s)
         profile = solve_linear(kernel, rhs, 2001)
         _emit_csv(["t", "u"], zip(profile.grid.tolist(), profile.values.tolist()), out)
-    else:
-        raise GreensignError(f"no figure {n}")
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
@@ -469,10 +467,7 @@ def main(argv=None) -> int:
     except ResonantPotential as exc:
         print(f"error: ResonantPotential: {exc}", file=sys.stderr)
         return 3
-    except GreensignError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (GreensignError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

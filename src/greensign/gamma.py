@@ -12,13 +12,14 @@ the diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha,
 beta), C p(t) left of t and C^T p(t) right of it, so between two of its
 zeros its weighted integral is alpha dW1 + beta dW2, with W the
 antiderivative of p w.  W is one cumulative Gauss sum per (kernel,
-weight), quadrature.slice_sums, on cells aligned to every kink
-of p w and edged at each slice's zeros and its diagonal t, read there from
-the nearer end; no slice is evaluated on panels of its own.  On a constant
-potential p and the principal-eigenfunction weight are both exact (see
-spectral.principal_eigenfunction), with no grid kinks, so neither adds a
-cell.  A piece
-counts as positive or negative by the sign of its own weighted integral.
+weight), quadrature.slice_sums, edged at each slice's zeros and its
+diagonal t and read there from the nearer end (a read from 0 cancels
+next to T); no slice is evaluated on panels of its own.  Its cells break
+at the kernel's grid nodes, which are a numeric eigenfunction weight's
+too, and at a weight's own breakpoints (gamma_star's sampled
+coefficient); a constant potential's exact pair and weight add none.  A
+piece counts as positive or negative by the sign of its own weighted
+integral.
 The zeros of the slices do not depend on the weight: the kernel keeps
 those of each t-grid (Kernel._grid_roots), and every weight read on that
 grid shares them.

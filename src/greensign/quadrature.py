@@ -9,15 +9,17 @@ p g over [0, T], with p the kernel's fundamental pair, on the cells of
 cell_edges: no cell straddles a numeric kernel's grid node (its pair is
 one cubic per grid cell) or a point the caller reads at, so a low-order
 rule per cell is exact for a piecewise-polynomial g aligned to those
-points (gamma adds its weight's break points to them), and a read is an
-index into the sums.  The solver integrates through it with its own rule
-order and length cap (see solver); the sign-ratio constant and the
-t-integrals of the cone share one table recipe, slice_sums (see gamma and
-cone).  The pair gives its values at the Gauss nodes through its
-cell_pair (see fundamental): a numeric pair re-expands the cubics of each
-grid cell on every cell inside it; an exact one uses angle addition on
-cells of one length (one_length) and reads the others, such as gamma's
-cells edged at the zeros of its slices, point by point.
+points (gamma adds a weight's own kinks to them), and a read is an index
+into the sums.  Its one read, both, takes each point from the nearer end
+for the sign-ratio constant and the t-integrals of the cone, which share
+one table recipe, slice_sums; read from 0, their sums next to T lose
+digits.  The solver sums the cells from 0 itself, with its own rule
+order and length cap (see solver).  The pair gives its values at the
+Gauss nodes through its cell_pair (see fundamental): a numeric pair
+re-expands the cubics of each grid cell on every cell inside it; an
+exact one uses angle addition on cells of one length (one_length) and
+reads the others, such as gamma's cells edged at the zeros of its
+slices, point by point.
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_many, at
 the angles of its pair (see greens); no slice is sampled to find them.
@@ -121,15 +123,6 @@ class CellSums:
     def _cells(self, g) -> np.ndarray:
         g = np.broadcast_to(np.asarray(g, dtype=float), self.xs.shape)
         return np.einsum("kij,ij->ki", self.q, g.reshape(self.q.shape[1:]))
-
-    def up(self, cells) -> np.ndarray:
-        """P[:, j], the integral of p g over [0, edges[j]], shape
-        (2, cells + 1), from the cell sums _cells(g).  Finite sums that
-        overflow leave inf quietly, for the caller to refuse."""
-        P = np.zeros((2, self.q.shape[1] + 1))
-        with np.errstate(over="ignore"):
-            np.cumsum(cells, axis=1, out=P[:, 1:])
-        return P
 
     def both(self, g, x):
         """(S, left, total) at the points x: total is the integral of p g

@@ -8,11 +8,13 @@ greens), so for any integrand g
 
 where P(x) is the integral of p g over [0, x] (greens.separable_read, on
 coefficients built once per solve).  So every output node is read off one
-cumulative Gauss quadrature of p g (Greengard & Rokhlin 1991),
-quadrature.CellSums read from 0: its cells lie between consecutive output
-nodes and the nodes of a numeric kernel's grid, capped in length, so no
-cell straddles the diagonal kink or a kink of the sampled pair, no slice
-is split at its zeros, and every output node is an edge.
+cumulative Gauss quadrature of p g (Greengard & Rokhlin 1991): the cells
+of quadrature.CellSums, summed from 0 here (_Cumulative.sums), since
+reading P(T) - P(t) from T instead leaves the Cauchy form by up to 22
+roundings of max |u|.  Its cells lie between consecutive output nodes
+and the nodes of a numeric kernel's grid, capped in length, so no cell
+straddles the diagonal kink or a kink of the sampled pair, no slice is
+split at its zeros, and every output node is an edge.
 
 The nonlinear problem u = integral of G(t, s) f(s, u(s)) ds runs an
 Anderson-accelerated fixed-point iteration through the same sum, on u at
@@ -141,12 +143,15 @@ class _Cumulative(CellSums):
         return self.kernel._coefficients(self.kernel._pair(self.points))
 
     def sums(self, g: np.ndarray) -> np.ndarray:
-        """P, the integrals of p g from 0 to every edge (CellSums.up)."""
+        """P, the integrals of p g from 0 to every edge, shape (2, edges)."""
         # checked before the sums: inf - inf in them would warn
         cells = self._cells(g)
         if not np.all(np.isfinite(cells)):
             raise QuadratureFailure("non-finite integrand in the solve")
-        P = self.up(cells)
+        P = np.zeros((2, cells.shape[1] + 1))
+        # finite cells whose sum overflows leave inf quietly, refused here
+        with np.errstate(over="ignore"):
+            np.cumsum(cells, axis=1, out=P[:, 1:])
         if not np.all(np.isfinite(P)):
             raise QuadratureFailure("non-finite integrand in the solve")
         return P

@@ -460,13 +460,6 @@ class Eigenfunction:
         self.values = c1 * pair.u1 + c2 * pair.u2
         self.values[bc.pinned(self.ts, self.ts[-1])] = 0.0
 
-    @property
-    def breakpoints(self) -> np.ndarray:
-        """Interior nodes of the pair, where the RK4 pair passes from the
-        cubic of one grid cell to the next (FundamentalSolutions.cubics);
-        none on an exact pair."""
-        return self.ts[1:-1]
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         u1, u2 = self._pair.eval_pair(t)

@@ -16,6 +16,7 @@ import greensign
 from greensign import cli
 from greensign.cli import _load_samples, main
 from greensign.errors import GreensignError
+from greensign.gamma import gamma_dirichlet_closed
 from json_oracle import jsonable
 
 GOLDEN = Path(__file__).resolve().parents[1] / "scripts" / "golden.py"
@@ -187,6 +188,12 @@ class TestClassify:
                            capsys)
         assert code == 0
         assert out.strip() == want
+
+    def test_json_names_condition_and_class(self, capsys):
+        code, out, _ = run(["classify", "--bc", "dirichlet", "--rho", "sqrt(60)",
+                            "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"bc": "dirichlet", "classification": "changes_sign"}
 
 
 class TestCheck:
@@ -708,6 +715,16 @@ class TestFigures:
         quad = np.array([float(r[2]) for r in rows[1:]])
         assert np.max(np.abs(closed - quad)) < 1e-6
         assert np.all(closed > 1.0)
+
+    def test_figure3_matches_the_closed_form(self, capsys, tmp_path):
+        path = tmp_path / "f3.csv"
+        assert run(["figure", "3", "--output", str(path)], capsys)[0] == 0
+        rows = rows_of(path.read_text())
+        assert rows[0] == ["rho", "gamma_closed", "gamma_quadrature"]
+        assert len(rows) == 201
+        for rho, closed, quad in (map(float, r) for r in rows[1:]):
+            assert closed == gamma_dirichlet_closed(rho).value
+            assert quad == pytest.approx(closed, rel=1e-10)
 
     def test_figures_4_and_5_profiles(self, capsys, tmp_path):
         p4, p5 = tmp_path / "f4.csv", tmp_path / "f5.csv"

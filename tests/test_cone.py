@@ -537,6 +537,12 @@ class TestCheckH2:
             check_H2(parabola, lambda t: 0.0 * np.asarray(t, dtype=float),
                      GAMMA_43)
 
+    @pytest.mark.parametrize("bad", [-1e-3, math.inf, math.nan])
+    def test_negative_or_non_finite_weight_raises(self, bad):
+        weight = lambda t: np.where(np.asarray(t) == 0.5, bad, sin_weight(t))
+        with pytest.raises(EvaluationFailure, match="finite and nonnegative"):
+            check_H2(parabola, weight, GAMMA_43)
+
 
 @pytest.fixture(scope="module")
 def cone():

@@ -158,6 +158,24 @@ class TestTransferMatrix:
             sampled(pot.grid, pot.values, grid_size=grid)
         assert transfer_matrix(replace(pot, grid_size=9), 0.0).shape == (2, 2)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.inf, math.nan])
+    def test_constant_refuses_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            constant(rho)
+
+    @pytest.mark.parametrize("grid, values, message", [
+        ([0.0, 0.5, 1.0], [1.0, 2.0], "matching 1-d arrays"),
+        ([0.0, 0.6, 0.6, 1.0], [1.0] * 4, "strictly increasing"),
+        ([0.0, 0.7, 0.5, 1.0], [1.0] * 4, "strictly increasing"),
+        ([0.1, 0.5, 1.0], [1.0] * 3, "span"),
+        ([0.0, 0.5, 0.9], [1.0] * 3, "span"),
+        ([0.0, 0.5, 1.0], [1.0, math.inf, 1.0], "must be finite"),
+        ([0.0, 0.5, 1.0], [1.0, math.nan, 1.0], "must be finite"),
+    ])
+    def test_sampled_refuses_samples(self, grid, values, message):
+        with pytest.raises(ValueError, match=message):
+            sampled(grid, values, T=1.0)
+
     def test_grid_must_be_an_integer(self):
         # refused where the potential is made, not at its first RK4 table
         for grid in (101.0, "101"):

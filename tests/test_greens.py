@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import fundamental
-from greensign.errors import IntegratorFailure, ResonantPotential
+from greensign.errors import (IntegratorFailure, ResonantPotential,
+                              UnsupportedBoundaryKind)
 from greensign.fundamental import ROOT_HALVINGS, FundamentalSolutions
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel, require_kernel)
@@ -352,6 +353,10 @@ class TestKernelSurface:
         grid = k.grid_eval(tt, ss)
         loop = np.array([[k(float(a), float(b)) for b in ss] for a in tt])
         assert_allclose(grid, loop, atol=1e-14)
+
+    def test_condition_by_name_refused(self):
+        with pytest.raises(UnsupportedBoundaryKind):
+            build_kernel(constant(2.0), "periodic")
 
 
 # the mean of each condition's potential sits between two resonances

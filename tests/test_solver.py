@@ -369,6 +369,15 @@ class TestCancellationGuard:
                  + (1.0 - math.cosh(r)) / math.sinh(r) * np.sinh(r * t)) / 50.0
         assert np.max(np.abs(p.values - exact)) <= 1e-9 * np.max(np.abs(exact))
 
+    def test_overflowing_sum_from_zero_refuses(self):
+        # every cell sum is finite (the largest 2.9e307), so it is the sum
+        # from 0 that overflows; it refuses without a RuntimeWarning
+        kernel = self.kernel(-50.0)
+        quad = _Cumulative(kernel, np.linspace(0.0, 1.0, 2001))
+        assert np.all(np.isfinite(quad._cells(1e308)))
+        with pytest.raises(QuadratureFailure, match="non-finite integrand in the solve"):
+            solve_linear(kernel, const_sigma(1e308), 2001)
+
 
 class TestLinearPeriodic:
     def test_sigma_a_gives_one_closed(self):

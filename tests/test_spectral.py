@@ -165,12 +165,12 @@ class TestPrincipalEigenfunction:
         (BoundaryKind.MIXED2, lambda t: np.sin(np.pi * t / 2)),
     ])
     def test_constant_closed_forms(self, bc, closed):
-        # the exact pair: no grid, so no break points for a quadrature
+        # the exact pair: no grid, so its only nodes are the ends
         for T in (1.0, 2.0):
             ef = principal_eigenfunction(constant(2.0, T), bc)
             tt = np.linspace(0.0, T, 301)
             assert np.max(np.abs(ef(tt) - closed(tt / T))) <= 1e-15
-            assert len(ef.breakpoints) == 0
+            assert list(ef.ts) == [0.0, T]
 
     def test_constant_antiperiodic_is_not_positive(self):
         with pytest.raises(NotPositive):
