@@ -159,6 +159,19 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
     # subcommand, runs on the grid that --grid gives the potential
     out.append(["check", "--bc", "dirichlet", "--samples", wavy, "--grid", "251",
                 "--f", WAVY_F])
+    # the closed-form read of an exact pair and weight, in full: the
+    # eigenfunction weights of Neumann and mixed conditions, the weight one,
+    # the coefficient of gamma_star, and a weight of the kernel's own
+    # frequency but for 1e-6 of it; then the periodic cone and gamma_star of
+    # a check
+    for bc, rho in (("neumann", "8.5"), ("mixed1", "5.5"), ("mixed2", "7")):
+        out.append(["gamma", "--bc", bc, "--rho", rho, "--format", "json"])
+    out.append(["gamma", "--bc", "neumann", "--rho", "8.5", "--weight", "one",
+                "--format", "json"])
+    out.append(["gamma", "--bc", "periodic", "--rho", "7.5", "--weight", "coefficient",
+                "--format", "json"])
+    out.append(["gamma", "--bc", "dirichlet", "--rho", "pi*(1+1e-6)", "--format", "json"])
+    out.append(["check", "--bc", "periodic", "--rho", "7.5", "--f", "1+x"])
     return out
 
 

@@ -8,9 +8,10 @@ with M/m within the sign-ratio constant.  Everything here reports sampled
 evidence, not proofs: the report says so explicitly.
 
 Every t-integral of G is read off one antiderivative of the kernel's pair
-(quadrature.slice_sums) through its separable form p(min)^T C p(max), as
-the solver reads it (greens.separable_read, in _t_prefix); no window is
-cut into panels.
+(quadrature.read_both, in closed form on a constant potential's exact
+pair, off one cumulative table on any other) through its separable form
+p(min)^T C p(max), as the solver reads it (greens.separable_read, in
+_t_prefix); no window is cut into panels.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
 from .gamma import GammaResult, gamma_closed, gamma_quadrature, gamma_star
 from .greens import build_kernel, separable_read
 from .potentials import BoundaryKind
-from .quadrature import require_no_cancellation, slice_sums
+from .quadrature import read_both, require_no_cancellation
 from .spectral import principal_eigenfunction
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -108,13 +109,14 @@ def _t_prefix(kernel, xs, ss):
     """(P, B): P[i, j] = integral over t in [0, xs[i]] of G(t, ss[j]), and B
     the bulk of its terms, for quadrature.require_no_cancellation.  G is
     symmetric, so P is the separable read at s of U(min(x, s)) and, past s,
-    U(x) - U(s), with U(x) the integral of the pair over [0, x], read from
-    one slice_sums table edged at every x and s, from the nearer end.  At an
-    s the condition pins the pair is zero, and so is the column of P."""
+    U(x) - U(s), with U(x) the integral of the pair over [0, x], read at
+    every x and s from the nearer end (quadrature.read_both, weight one).
+    At an s the condition pins the pair is zero, and so is the column of
+    P."""
     xs = np.asarray(xs, dtype=float)
     ss = np.asarray(ss, dtype=float)
     x = np.concatenate([xs, ss])
-    S, left, total = slice_sums(kernel, x).both(1.0, x)
+    S, left, total = read_both(kernel, None, x)
     U = S + np.where(left, 0.0, total[:, None])
     Ux, Us = U[:, :len(xs), None], U[:, None, len(xs):]
     past = ss < xs[:, None]
@@ -351,8 +353,11 @@ def build_report(potential, bc: BoundaryKind, f, grid: int = 201,
     admissible weight, against the coefficient, the subinterval search with
     its trace, the positivity certificate on the found subinterval, and the
     cone constants.  Failures of individual
-    stages are recorded as notes instead of aborting the report.
+    stages are recorded as notes instead of aborting the report.  Raises
+    ValueError where gamma_t_grid is below 1.
     """
+    if gamma_t_grid < 1:
+        raise ValueError(f"gamma_t_grid needs at least 1 node, got {gamma_t_grid}")
     kernel = build_kernel(potential, bc)
     report = HypothesisReport()
     T = kernel.T

@@ -33,7 +33,8 @@ by its derivative, cell_pair by re-expanding a cell's cubics on the
 quadrature cells inside it, and place by safeguarded Newton steps on the
 cubic of a slice alpha u1 + beta u2.  The exact pair of a constant
 potential (ConstantPair) reads cells of one length by angle addition and
-any other cell point by point.
+any other cell point by point, and integrates itself times a weight of
+another exact pair in closed form (ConstantPair.both).
 """
 from __future__ import annotations
 
@@ -448,6 +449,8 @@ class ConstantPair:
     eval_pair, eval_slope, cell_pair and the angle hooks angles, target and
     place; and what an eigenfunction reads: ts, the node samples u1 and u2
     there, and eval_pair.  Only its two nodes 0 and T are break points.
+    Its products with the pair of another ConstantPair (one, a constant,
+    an exact eigenfunction) it integrates in closed form (both).
     """
 
     form = "closed"
@@ -491,6 +494,51 @@ class ConstantPair:
         # (cos, sin) at a + b: (cos a, sin a) times a rotation per solution
         turns = np.stack([np.stack([cb, -sb]), np.stack([sb, cb]) / self.rho])
         return np.stack([np.cos(a), np.sin(a)], axis=1) @ turns
+
+    def both(self, omega: float, c, x):
+        """(S, left, total) as CellSums.both reads them, in closed form,
+        for p w with the weight w = c[0] v1 + c[1] v2, where (v1, v2) =
+        (cos(omega s), sin(omega s) / omega) is the exact pair at omega
+        (w = c[0] at omega = 0): each point x, clipped to [0, T], is read
+        over [0, x] where x <= T - x, else as minus the integral over
+        [x, T], and total is the integral over [0, T].
+
+        Product to sum turns u v into waves of k = rho - omega and
+        rho + omega.  By sum to product the integral of (cos, sin)(k s)
+        over a span of half-width h and middle m is 2 h sinc(k h)
+        (cos, sin)(k m): exact at k = 0 (rho = omega), and nothing cancels.
+        From 0 the sine one is 2 sin^2(k x / 2) / k, not (1 - cos k x) / k,
+        and over [x, T] neither is a difference of integrals from 0.  k m
+        is k h from 0 and k T - k h to T, so every wave comes from the sine
+        and cosine of k h by angle addition."""
+        T = self.ts[-1]
+        x = np.clip(x, 0.0, T)
+        left = x <= T - x
+        # the half-width of each span, exact, and [0, T] last for the total
+        half = 0.5 * np.append(np.where(left, x, T - x), T)
+        to_T = np.append(~left, False)
+
+        def waves(k):
+            h = k * half
+            sin, cos = np.sin(h), np.cos(h)
+            amp = 2.0 * half
+            np.divide(amp * sin, h, out=amp, where=h != 0.0)
+            cT, sT = math.cos(k * T), math.sin(k * T)
+            return (amp * np.where(to_T, cT * cos + sT * sin, cos),
+                    amp * np.where(to_T, sT * cos - cT * sin, sin))
+
+        rho = self.rho
+        if omega:
+            (cd, sd), (cs, ss) = waves(rho - omega), waves(rho + omega)
+            c1, c2 = 0.5 * c[0], 0.5 * c[1]
+            W = np.stack([c1 * (cd + cs) + c2 * (ss - sd) / omega,
+                          (c1 * (ss + sd) + c2 * (cd - cs) / omega) / rho])
+        else:
+            cos, sin = waves(rho)
+            W = c[0] * np.stack([cos, sin / rho])
+        S = W[:, :-1]
+        np.negative(S, out=S, where=~left)
+        return S, left, W[:, -1]
 
     def target(self, alpha, beta):
         return np.arctan2(-self.rho * alpha, beta)

@@ -11,15 +11,17 @@ G(t, s) = p(min(t, s))^T C p(max(t, s)) (see greens): on either side of
 the diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha,
 beta), C p(t) left of t and C^T p(t) right of it, so between two of its
 zeros its weighted integral is alpha dW1 + beta dW2, with W the
-antiderivative of p w.  W is one cumulative Gauss sum per (kernel,
-weight), quadrature.slice_sums, edged at each slice's zeros and its
-diagonal t and read there from the nearer end (a read from 0 cancels
-next to T); no slice is evaluated on panels of its own.  Its cells break
-at the kernel's grid nodes, which are a numeric eigenfunction weight's
-too, and at a weight's own breakpoints (gamma_star's sampled
-coefficient); a constant potential's exact pair and weight add none.  A
-piece counts as positive or negative by the sign of its own weighted
-integral.
+antiderivative of p w.  W is read once per (kernel, weight) by
+quadrature.read_both at each slice's zeros and its diagonal t, from the
+nearer end (a read from 0 cancels next to T); no slice is evaluated on
+panels of its own.  On a constant potential's exact pair with an exact
+weight (one, the coefficient, or the principal eigenfunction, a cos or
+sin) W is elementary and read_both takes it in closed form.  Any other
+pair or weight reads one cumulative Gauss sum edged at those points,
+whose cells break at the kernel's grid nodes, which are a numeric
+eigenfunction weight's too, and at a weight's own breakpoints
+(gamma_star's sampled coefficient).  A piece counts as positive or
+negative by the sign of its own weighted integral.
 The zeros of the slices do not depend on the weight: the kernel keeps
 those of each t-grid (Kernel._grid_roots), and every weight read on that
 grid shares them.
@@ -34,7 +36,8 @@ angle rule.
 Closed forms cover the constant-potential periodic case (all rho > pi/T) and
 the constant-potential Dirichlet case on the unit interval (pi < rho < 6 pi,
 weight sin(pi s)); everything else goes through the quadrature path, which is
-also the independent oracle for the closed forms.
+also the independent oracle for the closed forms: it sums the elementary
+integrals of each slice's pieces, not the published ratios.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      QuadratureFailure, InvalidWeight, UnsupportedBoundaryKind)
 from .greens import require_kernel
 from .potentials import BoundaryKind, ConstantPotential, Potential, constant
-from .quadrature import slice_sums
+from .quadrature import read_both
 
 T_GRID_SIZE = 1001
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
@@ -81,7 +84,7 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     order, and T; each piece between neighbours has one sign, and its
     integral is alpha dW1 + beta dW2 with (alpha, beta) of its side of t (kernel._sides) and dW
     the difference across it of W, read from the nearer end at every
-    point of every row (CellSums.both, which edges its cells there), plus
+    point of every row (quadrature.read_both), plus
     the whole integral for the one piece that spans the middle of [0, T].
     A piece counts as positive or negative by the sign of its own weighted
     integral (zero counts as positive); one np.bincount per sign sums the
@@ -99,11 +102,9 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     at = np.concatenate([np.arange(len(flat)) + 3 * root_row + 1 + past, at_t,
                          start, start + k + 2])
     x = np.concatenate([flat, ts, np.zeros(n), np.full(n, kernel.T)])
-    sums = slice_sums(kernel, np.concatenate([getattr(weight, "breakpoints", ()), x]))
-    g = 1.0 if weight is None else weight(sums.xs)
     S = np.empty((2, len(x)))
     left = np.empty(len(x), dtype=bool)
-    S[:, at], left[at], total = sums.both(g, x)
+    S[:, at], left[at], total = read_both(kernel, weight, x)
     # piece j of row i runs from point a = i + j to b = a + 1
     row = rows.repeat(k + 2)
     a = np.arange(len(row)) + row
@@ -174,7 +175,10 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE) -> Gam
     kernel's separable form gives exactly (kernel._sides); its weighted
     integral need not be positive.  The zeros of the slices do not depend
     on the weight: the kernel keeps them per t_grid_size for later calls.
+    Raises ValueError where t_grid_size is below 1.
     """
+    if t_grid_size < 1:
+        raise ValueError(f"t_grid_size needs at least 1 node, got {t_grid_size}")
     label = "One" if weight is None else "PrincipalEigenfunction"
     ts = np.linspace(0.0, kernel.T, t_grid_size)
     found = kernel._grid_roots.get(t_grid_size)

@@ -4,22 +4,28 @@ Integrands here are piecewise smooth: kernels are C^1 away from the diagonal
 t = s, their positive/negative parts additionally kink at the interior zeros
 of G(t, .), and a numeric kernel's pair kinks at its grid nodes.
 
-One table serves every caller.  CellSums is one cumulative quadrature of
-p g over [0, T], with p the kernel's fundamental pair, on the cells of
+The sign-ratio constant and the t-integrals of the cone read the
+integrals of p w, with p the kernel's fundamental pair and w a weight,
+through one entry, read_both: at each point from the nearer end, since
+read from 0 the sums next to T lose digits.  Where the pair is exact (a
+constant potential's ConstantPair) and so is the weight (one, a
+constant coefficient, or an eigenfunction on an exact pair;
+exact_weight), the integrals are elementary, and read_both takes them in
+closed form (ConstantPair.both).  Every other pair or weight reads
+one table, CellSums, built by one recipe, slice_sums.
+
+CellSums is one cumulative quadrature of p g over [0, T] on the cells of
 cell_edges: no cell straddles a numeric kernel's grid node (its pair is
 one cubic per grid cell) or a point the caller reads at, so a low-order
 rule per cell is exact for a piecewise-polynomial g aligned to those
-points (gamma adds a weight's own kinks to them), and a read is an index
-into the sums.  Its one read, both, takes each point from the nearer end
-for the sign-ratio constant and the t-integrals of the cone, which share
-one table recipe, slice_sums; read from 0, their sums next to T lose
-digits.  The solver sums the cells from 0 itself, with its own rule
-order and length cap (see solver).  The pair gives its values at the
-Gauss nodes through its cell_pair (see fundamental): a numeric pair
-re-expands the cubics of each grid cell on every cell inside it; an
-exact one uses angle addition on cells of one length (one_length) and
-reads the others, such as gamma's cells edged at the zeros of its
-slices, point by point.
+points (read_both adds a weight's own kinks to them), and a read is an
+index into the sums.  Its one read, both, takes each point from the
+nearer end.  The solver keeps its own table and sums the cells from 0
+itself, with its own rule order and length cap (see solver).  The pair
+gives its values at the Gauss nodes through its cell_pair (see
+fundamental): a numeric pair re-expands the cubics of each grid cell on
+every cell inside it; an exact one uses angle addition on cells of one
+length (one_length) and reads the others point by point.
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_many, at
 the angles of its pair (see greens); no slice is sampled to find them.
@@ -32,6 +38,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureFailure
+from .potentials import ConstantPotential
 
 #: The most that the terms of a separable sum may exceed its values by
 CANCELLATION_LIMIT = 1e8
@@ -160,10 +167,41 @@ def default_max_len(potential) -> float:
 
 
 def slice_sums(kernel, points) -> CellSums:
-    """The CellSums edged at points that gamma reads its slices from and
-    the cone its t-integrals."""
+    """The CellSums edged at points that read_both reads where no closed
+    form serves."""
     return CellSums(kernel, points, default_max_len(kernel.potential) / SLICE_CELLS_PER_PANEL,
                     SLICE_ORDER)
+
+
+def exact_weight(weight):
+    """(omega, (c1, c2)) where the weight is exactly c1 v1 + c2 v2, with
+    (v1, v2) = (cos(omega s), sin(omega s) / omega) the pair of
+    ConstantPair(omega), or the constant c1 at omega = 0: None (one), a
+    constant coefficient, or an eigenfunction on an exact pair
+    (spectral.Eigenfunction on a ConstantPair).  None for any other."""
+    if weight is None:
+        return 0.0, (1.0, 0.0)
+    if isinstance(weight, ConstantPotential):
+        return 0.0, (weight.rho**2, 0.0)
+    pair = getattr(weight, "pair", None)
+    if getattr(pair, "form", None) == "closed" and (pair.rho or not weight.coefficients[1]):
+        return pair.rho, weight.coefficients
+    return None
+
+
+def read_both(kernel, weight, x):
+    """(S, left, total) of CellSums.both for p w at the points x, w the
+    weight: None for one, or a function of s.  An exact pair
+    (form "closed") with an exact weight (exact_weight) integrates in
+    closed form (ConstantPair.both); any other pair or weight reads the
+    slice_sums table edged at x and at the weight's break points."""
+    x = np.asarray(x, dtype=float)
+    exact = exact_weight(weight) if kernel.form == "closed" else None
+    if exact is not None:
+        return kernel.fs.both(*exact, x)
+    sums = slice_sums(kernel, np.concatenate([getattr(weight, "breakpoints", ()), x]))
+    g = 1.0 if weight is None else weight(sums.xs)
+    return sums.both(g, x)
 
 
 def scan_kernel_roots(kernel, t: float) -> np.ndarray:

@@ -445,7 +445,9 @@ def _sign(above: dict, kinds) -> int:
 class Eigenfunction:
     """Principal eigenfunction c1 u1 + c2 u2 of a fundamental pair at lam,
     normalized to maximum value one, with its samples values at the
-    pair's nodes ts.
+    pair's nodes ts.  On an exact pair (a ConstantPair) it is exactly
+    c1 cos(w t) + c2 sin(w t) / w, which quadrature.exact_weight reads off
+    pair and coefficients = (c1, c2).
 
     At an endpoint the boundary condition pins, values and calls give
     exactly 0.0, not the integrator's rounding residue there.
@@ -454,16 +456,16 @@ class Eigenfunction:
     def __init__(self, pair, c1: float, c2: float, lam: float, bc: BoundaryKind):
         self.lam = lam
         self.bc = bc
-        self._pair = pair
-        self._c = (c1, c2)
+        self.pair = pair
+        self.coefficients = (c1, c2)
         self.ts = pair.ts
         self.values = c1 * pair.u1 + c2 * pair.u2
         self.values[bc.pinned(self.ts, self.ts[-1])] = 0.0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        u1, u2 = self._pair.eval_pair(t)
-        out = self._c[0] * u1 + self._c[1] * u2
+        u1, u2 = self.pair.eval_pair(t)
+        out = self.coefficients[0] * u1 + self.coefficients[1] * u2
         pinned = self.bc.pinned(t, self.ts[-1])
         if pinned.any():
             out = np.where(pinned, 0.0, out)

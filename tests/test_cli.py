@@ -122,19 +122,25 @@ class TestGamma:
         assert builds == []
 
     def test_constant_weight_adds_no_cells(self, capsys, monkeypatch):
-        # 7000 cells of four Gauss nodes; the break points of an RK4 weight
-        # on 2001 nodes added 1000 cells more
-        from greensign import gamma
+        # the exact pair and weight of a constant potential integrate in
+        # closed form, on no table; a weight read by its samples builds the
+        # table, 7000 cells of four Gauss nodes (the break points of an RK4
+        # weight on 2001 nodes added 1000 cells more)
+        from greensign import quadrature
+        from greensign.gamma import gamma_quadrature
+        from greensign.greens import PeriodicConstantKernel
         sizes = []
-        slice_sums = gamma.slice_sums
+        slice_sums = quadrature.slice_sums
 
         def counted(kernel, points):
             sums = slice_sums(kernel, points)
             sizes.append(len(sums.xs))
             return sums
 
-        monkeypatch.setattr(gamma, "slice_sums", counted)
+        monkeypatch.setattr(quadrature, "slice_sums", counted)
         assert run(["gamma", "--bc", "periodic", "--rho", "17.3"], capsys)[0] == 0
+        assert sizes == []
+        gamma_quadrature(PeriodicConstantKernel(17.3), lambda s: np.ones_like(s))
         assert sizes == [28_000]
 
 
@@ -817,7 +823,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 32
+        assert n_json == 39
 
 
 def load_golden_diff():
@@ -894,7 +900,7 @@ def test_golden_diff_lists_json_moves_by_key():
 def test_golden_diff_of_a_tree_with_itself(capsys):
     golden_diff = load_golden_diff()
     assert golden_diff.main([str(GOLDEN.parents[1])]) == 0
-    assert capsys.readouterr().out == "0 of 72 outputs differ\n"
+    assert capsys.readouterr().out == "0 of 79 outputs differ\n"
 
 
 def test_console_script_runs():

@@ -326,7 +326,7 @@ class TestDirichletConstants:
 
     def test_degenerate_subinterval_builds_no_table(self, monkeypatch):
         built = []
-        monkeypatch.setattr(cone_module, "slice_sums", lambda *args: built.append(args))
+        monkeypatch.setattr(cone_module, "read_both", lambda *args: built.append(args))
         for c in (0.0, 0.4, 1.0):
             with pytest.raises(NonpositiveEta):
                 compute_cone_constants(DirichletConstantKernel(RHO_D), Subinterval(c, c))
@@ -611,6 +611,14 @@ class TestBuildReport:
         rep = build_report(pot, BoundaryKind.DIRICHLET, f, gamma_t_grid=41)
         assert rep.h2 is not None
         assert rep.gamma_used.weight == "PrincipalEigenfunction"
+
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.PERIODIC])
+    def test_t_grid_below_one_refused(self, bc, size):
+        # refused before any stage runs: with a closed form gamma_quadrature,
+        # which also refuses it, would not run at all
+        with pytest.raises(ValueError, match=f"gamma_t_grid .* got {size}"):
+            build_report(constant(RHO_D), bc, parabola, gamma_t_grid=size)
 
     def test_failing_f_reported_not_raised(self):
         rep = build_report(constant(RHO_D), BoundaryKind.DIRICHLET,

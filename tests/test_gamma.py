@@ -265,6 +265,51 @@ class TestQuadrature:
         assert abs(res.value - gamma_periodic_closed(3 * math.pi / 2).value) < 1e-6
 
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_t_grid_below_one_refused(self, size):
+        with pytest.raises(ValueError, match=f"t_grid_size .* got {size}"):
+            gamma_quadrature(dirichlet_kernel(10.8), SIN_WEIGHT, t_grid_size=size)
+        with pytest.raises(ValueError, match=f"t_grid_size .* got {size}"):
+            gamma_star(periodic_kernel(7.5), constant(7.5), t_grid_size=size)
+
+    def test_one_t_node(self):
+        res = gamma_quadrature(periodic_kernel(7.5), t_grid_size=1)
+        assert res.argmin_t == 0.0
+        assert res.value == pytest.approx(gamma_periodic_closed(7.5).value, rel=1e-13)
+
+
+RESCALE_WEIGHTS = {"eigen": lambda pot, bc: principal_eigenfunction(pot, bc),
+                   "one": lambda pot, bc: None,
+                   "coefficient": lambda pot, bc: pot}
+# rho on [0, 2] where the kernel changes sign and the weighted integral
+# stays positive under both the eigenfunction and the weight one
+RESCALE_RHO = {BoundaryKind.PERIODIC: 3.7, BoundaryKind.NEUMANN: 3.7,
+               BoundaryKind.DIRICHLET: 2.5, BoundaryKind.MIXED1: 1.5,
+               BoundaryKind.MIXED2: 1.5}
+
+
+@pytest.mark.parametrize("bc, weight", [
+    *[(bc, w) for bc in KERNEL_KINDS for w in ("eigen", "one")],
+    (BoundaryKind.PERIODIC, "coefficient"), (BoundaryKind.NEUMANN, "coefficient")])
+def test_rescaled_interval_keeps_gamma(bc, weight):
+    # t -> 2 t takes a = rho^2 on [0, 1] to a = (rho / 2)^2 on [0, 2], its
+    # kernel to twice itself at the doubled points and its weights to
+    # themselves there (the coefficient to a quarter of itself), and
+    # doubles the t-grid exactly: gamma(rho, T = 2) = gamma(2 rho, T = 1)
+    results = []
+    base = RESCALE_RHO[bc]
+    for rho, T in ((base, 2.0), (2.0 * base, 1.0)):
+        pot = constant(rho, T)
+        kernel = build_kernel(pot, bc)
+        w = RESCALE_WEIGHTS[weight](pot, bc)
+        results.append(gamma_star(kernel, pot, 201) if weight == "coefficient"
+                       else gamma_quadrature(kernel, w, 201))
+    wide, unit = results
+    assert 1.0 < unit.value < math.inf
+    assert wide.argmin_t == 2.0 * unit.argmin_t
+    assert wide.value == pytest.approx(unit.value, rel=1e-13)
+
+
 class TestGammaStar:
     def test_constant_coefficient_equals_plain_ratio(self):
         k = periodic_kernel(3 * math.pi / 2)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from greensign.errors import ResonantPotential
 from greensign.fundamental import ConstantPair
 from greensign.greens import NumericKernel, PeriodicConstantKernel, build_kernel
-from greensign.potentials import BoundaryKind, constant, sampled
-from greensign.quadrature import (CellSums, build_edges, default_max_len,
-                                  gauss_nodes, one_length)
+from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
+from greensign.quadrature import (SLICE_CELLS_PER_PANEL, SLICE_ORDER, CellSums,
+                                  build_edges, default_max_len, exact_weight,
+                                  gauss_nodes, one_length, read_both)
+from greensign.spectral import principal_eigenfunction
 from slice_oracle import MAX_SHARED_BREAKS, panel_plan, slice_panels
 
 
@@ -239,3 +243,98 @@ class TestCellPair:
         e = np.linspace(0.0, 1.0, 11)
         e[5] += 1e-12
         assert not one_length(e)
+
+
+#: the most that read_both's closed form strays from the table, in units of
+#: max |W| per solution, W the antiderivative of p w: measured at most
+#: 1.3e-14 over 4000 draws as test_closed_read_matches_table makes them, and
+#: 8.9e-16 on test_near_equal_frequencies.  The closed form is the closer to
+#: the exact integral: at rho = 50.29 the table is 2.4e-13 of max |W| off it
+CLOSED_READ_TOL = 4e-14
+
+
+def closed_read_weight(name, pot, bc):
+    """The weights of the closed read: None (one), the coefficient, the
+    exact principal eigenfunction, or sin(pi t), the Dirichlet one on
+    [0, 1], on any kernel."""
+    if name == "one":
+        return None
+    if name == "coefficient":
+        return pot
+    if name == "eigen":
+        return principal_eigenfunction(pot, bc)
+    return principal_eigenfunction(constant(2.0), BoundaryKind.DIRICHLET)
+
+
+def assert_closed_read_matches_table(kernel, weight, x):
+    """read_both at x, through its closed form, against the table of
+    CellSums built on x by slice_sums' recipe and read by both, per
+    solution to CLOSED_READ_TOL of max |W|."""
+    assert kernel.form == "closed" and exact_weight(weight) is not None
+    S, left, total = read_both(kernel, weight, x)
+    sums = CellSums(kernel, x, default_max_len(kernel.potential) / SLICE_CELLS_PER_PANEL,
+                    SLICE_ORDER)
+    want, want_left, want_total = sums.both(1.0 if weight is None else weight(sums.xs), x)
+    assert np.array_equal(left, want_left)
+    W = np.concatenate([want + np.where(want_left, 0.0, want_total[:, None]),
+                        want_total[:, None]], axis=1)
+    scale = np.max(np.abs(W), axis=1)
+    err = np.maximum(np.max(np.abs(S - want), axis=1), np.abs(total - want_total))
+    assert np.all(err <= CLOSED_READ_TOL * scale), err / scale
+
+
+def closed_read_points(T, inner):
+    """0, T, T / 2 and its float neighbours, points within 1e-12 T of T,
+    the inner points in units of T, and 33 equally spaced points, on which
+    max |W| is taken."""
+    half = 0.5 * T
+    return np.concatenate([[0.0, T, half, np.nextafter(half, 0.0), np.nextafter(half, T),
+                            T - 1e-12 * T, np.nextafter(T, 0.0)], T * np.asarray(inner),
+                           np.linspace(0.0, T, 33)])
+
+
+class TestClosedRead:
+    """read_both on an exact pair and weight integrates in closed form
+    (ConstantPair.both) what the table sums on its Gauss cells."""
+
+    @given(bc=st.sampled_from(KERNEL_KINDS), T=st.sampled_from([1.0, 2.0]),
+           rho_T=st.floats(0.3, 60.0),
+           weight=st.sampled_from(["one", "coefficient", "eigen"]),
+           inner=st.lists(st.floats(0.0, 1.0), max_size=20))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_read_matches_table(self, bc, T, rho_T, weight, inner):
+        pot = constant(rho_T / T, T)
+        try:
+            kernel = build_kernel(pot, bc)
+        except ResonantPotential:
+            assume(False)
+        assert_closed_read_matches_table(kernel, closed_read_weight(weight, pot, bc),
+                                         closed_read_points(T, inner))
+
+    @pytest.mark.parametrize("bc, rho, weight", [
+        # rho = omega exactly: the difference wave has k = 0
+        (BoundaryKind.PERIODIC, math.pi, "sine"),
+        # rho - omega = 1e-6 omega, where 1 - cos y cancels
+        (BoundaryKind.DIRICHLET, math.pi * (1 + 1e-6), "eigen"),
+        (BoundaryKind.MIXED1, 0.5 * math.pi * (1 + 1e-6), "eigen"),
+        (BoundaryKind.MIXED2, 0.5 * math.pi * (1 + 1e-6), "eigen")])
+    def test_near_equal_frequencies(self, bc, rho, weight):
+        pot = constant(rho)
+        kernel = build_kernel(pot, bc)
+        w = closed_read_weight(weight, pot, bc)
+        assert exact_weight(w)[0] == pytest.approx(rho, rel=2e-6)
+        assert_closed_read_matches_table(kernel, w, closed_read_points(
+            1.0, np.random.default_rng(5).uniform(0.0, 1.0, 50)))
+
+    def test_other_weights_and_pairs_read_the_table(self):
+        # a sampled weight on an exact pair, and an exact weight on the RK4
+        # pair of the same potential, both go through CellSums
+        pot = constant(7.5)
+        for kernel, weight in ((build_kernel(pot, BoundaryKind.DIRICHLET), np.cos),
+                               (NumericKernel(pot, BoundaryKind.DIRICHLET),
+                                principal_eigenfunction(pot, BoundaryKind.DIRICHLET))):
+            x = np.linspace(0.0, 1.0, 11)
+            sums = CellSums(kernel, x, default_max_len(pot) / SLICE_CELLS_PER_PANEL,
+                            SLICE_ORDER)
+            for got, want in zip(read_both(kernel, weight, x), sums.both(weight(sums.xs), x)):
+                assert np.array_equal(got, want)
