@@ -2,10 +2,11 @@
 """Print one SHA-256 per output of a fixed list of CLI calls.
 
 Runs every call in-process through ``greensign.cli.main`` and hashes what it
-writes: the CSV file for ``figure N``, stdout for everything else.  Two
-trees that print the same lines produce byte-identical outputs on these
-calls, so comparing the lines of two checkouts checks that a change kept
-the outputs:
+writes: the CSV file for ``figure N``, stdout for everything else.  An
+exception that escapes ``main`` is printed as ``exit=uncaught <Type>`` and
+its message is hashed.  Two trees that print the same lines produce
+byte-identical outputs on these calls, so comparing the lines of two
+checkouts checks that a change kept the outputs:
 
     PYTHONPATH=src python scripts/golden.py > golden.txt
 
@@ -172,18 +173,29 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
                 "--format", "json"])
     out.append(["gamma", "--bc", "dirichlet", "--rho", "pi*(1+1e-6)", "--format", "json"])
     out.append(["check", "--bc", "periodic", "--rho", "7.5", "--f", "1+x"])
+    # the closed forms as text: the periodic case-2b note, and the Dirichlet
+    # form beside the quadrature; then periodic rho*T just above pi, where
+    # 1 - sin(rho*T/2) rounds to 0 unless it is written as a square of a sine
+    out.append(["gamma", "--bc", "periodic", "--rho", "5*pi/2"])
+    out.append(["gamma", "--bc", "dirichlet", "--rho", "sqrt(60)"])
+    out.append(["gamma", "--bc", "periodic", "--rho", "pi*(1+1e-9)", "--format", "json"])
+    out.append(["check", "--bc", "periodic", "--rho", "pi*(1+1e-9)", "--f", "1"])
     return out
 
 
 def run(argv: list, workdir: pathlib.Path) -> tuple:
-    """(exit code, bytes written) of one CLI call."""
+    """(exit code, bytes written) of one CLI call; for an exception that
+    escapes main, ("uncaught <Type>", its message)."""
     stdout = io.StringIO()
     target = None
     if argv[0] == "figure":
         target = workdir / f"figure{argv[1]}.csv"
         argv = argv + ["--output", str(target)]
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(argv)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(argv)
+    except Exception as exc:
+        return f"uncaught {type(exc).__name__}", str(exc).encode()
     data = target.read_bytes() if target is not None else stdout.getvalue().encode()
     return code, data
 

@@ -8,12 +8,19 @@ eigen (leading eigenvalues), classify (kernel sign class), gamma
 error, 2 usage error, 3 resonant potential, 4 failed hypothesis check
 under --strict.
 
+Every command writes through one function, _write, once its result is
+computed: it hands over its JSON document and its text or CSV rendering,
+and --format picks one, so a failed command opens no --output file.  A
+default that the library also states (--t-grid, --cone-grid, --count,
+--damping, --max-iter, --tol) is read from the library.
+
 main(argv) may be called again and again in one process: it builds its
 parser on the first call and reuses it, and reads GREENSIGN_GRID on every
-call.  JSON output has two-space indent and sorted keys, escapes every
-non-ASCII character, and writes inf, -inf and nan as the strings "inf",
-"-inf" and "nan", so json.loads then json.dumps(indent=2, sort_keys=True)
-gives back the same text.
+call.  Errors, file errors among them, print one line "error: <Type>:
+<message>" on stderr.  JSON output has two-space indent and sorted keys,
+escapes every non-ASCII character, and writes inf, -inf and nan as the
+strings "inf", "-inf" and "nan", so json.loads then json.dumps(indent=2,
+sort_keys=True) gives back the same text.
 """
 from __future__ import annotations
 
@@ -25,16 +32,18 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import cone, solver, spectral
 from .cone import build_report
 from .errors import GreensignError, ResonantPotential
 from .expressions import Expression, evaluate_scalar
-from .gamma import (gamma_closed, gamma_dirichlet_closed, gamma_dirichlet_t_closed,
-                    gamma_periodic_closed, gamma_quadrature, gamma_star,
-                    pointwise_ratio)
+from .gamma import (T_GRID_SIZE, gamma_closed, gamma_dirichlet_closed,
+                    gamma_dirichlet_t_closed, gamma_periodic_closed,
+                    gamma_quadrature, gamma_star, pointwise_ratio)
 from .greens import build_kernel
 from .potentials import DEFAULT_GRID, MIN_GRID, BoundaryKind, constant, sampled
 from .solver import solve_linear, solve_nonlinear
@@ -87,26 +96,21 @@ def _json_text(obj, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-@contextlib.contextmanager
-def _open_out(path):
-    """stdout for no path or "-", else the file, closed on the way out."""
-    if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="") as out:
-            yield out
-
-
-def _emit_json(obj, path):
-    with _open_out(path) as out:
-        out.write(_json_text(obj) + "\n")
-
-
-def _emit_csv(header, rows, path):
-    with _open_out(path) as out:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write(args, document, rendering=(), path=None):
+    """The one writer of every command, called once its output is computed:
+    document as JSON under --format json, else rendering, CSV rows under
+    --format csv and text lines under --format text.  It writes to path,
+    else --output, and to stdout where that is None or "-"; nothing opens
+    the file before this call."""
+    path = path or args.output
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w", newline="")) as out:
+        if args.format == "json":
+            out.write(_json_text(document) + "\n")
+        elif args.format == "csv":
+            csv.writer(out).writerows(rendering)
+        else:
+            out.writelines(rendering)
 
 
 def _default_grid() -> int:
@@ -192,6 +196,16 @@ def _bc(args) -> BoundaryKind:
     return BoundaryKind(args.bc)
 
 
+def _add_output_args(p, formats=("json",), help="file path (default stdout)"):
+    """--format choosing among formats, the first the default, where there
+    is a choice, and --output."""
+    if len(formats) > 1:
+        p.add_argument("--format", choices=list(formats), default=formats[0])
+    else:
+        p.set_defaults(format=formats[0])
+    p.add_argument("--output", help=help)
+
+
 def _add_potential_args(p, bc_required=True):
     p.add_argument("--rho", help="constant potential a = rho^2; expression, e.g. sqrt(60)")
     p.add_argument("--samples", help="CSV of t,a rows defining a sampled potential")
@@ -229,38 +243,26 @@ def _cmd_green(args) -> int:
     pot = _potential(args)
     kernel = build_kernel(pot, _bc(args))
     ts = np.linspace(0.0, kernel.T, args.nodes)
-    g = kernel.grid_eval(ts, ts)
-    if args.format == "json":
-        _emit_json({"t": ts.tolist(), "s": ts.tolist(), "value": g.tolist(),
-                    "bc": str(kernel.bc), "form": kernel.form}, args.output)
-    else:
-        rows = np.column_stack([np.repeat(ts, len(ts)), np.tile(ts, len(ts)),
-                                g.ravel()])
-        _emit_csv(["t", "s", "value"], rows.tolist(), args.output)
+    t, g = ts.tolist(), kernel.grid_eval(ts, ts).tolist()
+    _write(args, {"t": t, "s": t, "value": g, "bc": str(kernel.bc), "form": kernel.form},
+           chain([("t", "s", "value")],
+                 ((ti, si, v) for ti, row in zip(t, g) for si, v in zip(t, row))))
     return 0
 
 
 def _cmd_eigen(args) -> int:
     pot = _potential(args)
     results = smallest_eigenvalues(pot, _bc(args), args.count)
-    if args.format == "json":
-        _emit_json([{"value": r.value, "bc": str(r.bc), "method": r.method}
-                    for r in results], args.output)
-    else:
-        with _open_out(args.output) as out:
-            for i, r in enumerate(results, 1):
-                out.write(f"lambda_{i} = {r.value:.12g} ({r.bc}, {r.method})\n")
+    _write(args, [{"value": r.value, "bc": str(r.bc), "method": r.method} for r in results],
+           (f"lambda_{i} = {r.value:.12g} ({r.bc}, {r.method})\n"
+            for i, r in enumerate(results, 1)))
     return 0
 
 
 def _cmd_classify(args) -> int:
     pot = _potential(args)
     cls = classify_sign(pot, _bc(args))
-    if args.format == "json":
-        _emit_json({"bc": args.bc, "classification": str(cls)}, args.output)
-    else:
-        with _open_out(args.output) as out:
-            out.write(f"{cls}\n")
+    _write(args, {"bc": args.bc, "classification": str(cls)}, [f"{cls}\n"])
     return 0
 
 
@@ -282,21 +284,18 @@ def _cmd_gamma(args) -> int:
                   if args.weight == "eigenfunction" else None)
         quad = gamma_quadrature(kernel, weight, t_grid_size=args.t_grid)
     cls = classify_sign(pot, bc)
-    if args.format == "json":
-        _emit_json({"closed": closed.to_dict() if closed else None,
-                    "quadrature": quad.to_dict(),
-                    "classification": str(cls)}, args.output)
-    else:
-        with _open_out(args.output) as out:
-            if closed is not None:
-                case = f", case {closed.case}" if closed.case else ""
-                out.write(f"gamma_closed     = {_fmt_value(closed.value)}"
-                          f" ({closed.method}{case})\n")
-                if closed.note:
-                    out.write(f"note: {closed.note}\n")
-            out.write(f"gamma_quadrature = {_fmt_value(quad.value)}"
-                      f" (argmin t = {quad.argmin_t:.6g}, weight {quad.weight})\n")
-            out.write(f"classification   = {cls}\n")
+    lines = []
+    if closed is not None:
+        case = f", case {closed.case}" if closed.case else ""
+        lines.append(f"gamma_closed     = {_fmt_value(closed.value)}"
+                     f" ({closed.method}{case})\n")
+        if closed.note:
+            lines.append(f"note: {closed.note}\n")
+    lines += [f"gamma_quadrature = {_fmt_value(quad.value)}"
+              f" (argmin t = {quad.argmin_t:.6g}, weight {quad.weight})\n",
+              f"classification   = {cls}\n"]
+    _write(args, {"closed": closed.to_dict() if closed else None,
+                  "quadrature": quad.to_dict(), "classification": str(cls)}, lines)
     return 0
 
 
@@ -305,7 +304,7 @@ def _cmd_check(args) -> int:
     f = Expression(args.f, variables=("t", "x"), T=pot.interval.T)
     report = build_report(pot, _bc(args), f, grid=args.cone_grid,
                           gamma_t_grid=args.t_grid)
-    _emit_json(report.to_dict(), args.output)
+    _write(args, report.to_dict())
     if args.strict and not report.all_passed:
         print("error: hypothesis check failed", file=sys.stderr)
         return 4
@@ -325,13 +324,10 @@ def _cmd_solve(args) -> int:
         profile = solve_nonlinear(kernel, f, args.solve_grid,
                                   damping=args.damping,
                                   max_iter=args.max_iter, tol=args.tol)
-    if args.format == "json":
-        _emit_json(profile.to_dict(include_values=True), args.output)
-    else:
-        _emit_csv(["t", "u"], zip(profile.grid.tolist(), profile.values.tolist()),
-                  args.output)
-        summary = profile.to_dict()
-        print(", ".join(f"{k}={v}" for k, v in summary.items()), file=sys.stderr)
+    document = profile.to_dict(include_values=True)
+    _write(args, document, chain([("t", "u")], zip(document["t"], document["u"])))
+    if args.format == "csv":
+        print(", ".join(f"{k}={v}" for k, v in profile.to_dict().items()), file=sys.stderr)
     return 0
 
 
@@ -343,6 +339,7 @@ FIGURE_HELP = ("1: periodic gamma(rho) sweep; 2: clamped gamma(t) at rho=10.8; "
 def _cmd_figure(args) -> int:
     n = args.number
     out = args.output or f"figure{n}.csv"
+    header = ("rho", "gamma_closed", "gamma_quadrature")
     if n == 1:
         rhos = math.pi * np.linspace(1.02, 6.98, 300)
         rows = []
@@ -352,8 +349,9 @@ def _cmd_figure(args) -> int:
                                                  BoundaryKind.PERIODIC),
                                     None, t_grid_size=3)
             rows.append((rho, closed.value, quad.value))
-        _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], np.array(rows).tolist(), out)
+        rows = np.array(rows).tolist()
     elif n == 2:
+        header = ("t", "gamma_closed", "gamma_quadrature")
         rho = 10.8
         kernel = build_kernel(constant(rho), BoundaryKind.DIRICHLET)
         weight = principal_eigenfunction(constant(rho), BoundaryKind.DIRICHLET)
@@ -361,7 +359,6 @@ def _cmd_figure(args) -> int:
         quads = pointwise_ratio(kernel, ts, weight).tolist()
         rows = [(t, gamma_dirichlet_t_closed(t, rho), quad)
                 for t, quad in zip(ts.tolist(), quads)]
-        _emit_csv(["t", "gamma_closed", "gamma_quadrature"], rows, out)
     elif n == 3:
         rows = []
         # the principal clamped eigenfunction is sin(pi t) for every rho
@@ -371,12 +368,14 @@ def _cmd_figure(args) -> int:
             kernel = build_kernel(constant(float(rho)), BoundaryKind.DIRICHLET)
             quad = gamma_quadrature(kernel, weight, t_grid_size=101)
             rows.append((rho, closed.value, quad.value))
-        _emit_csv(["rho", "gamma_closed", "gamma_quadrature"], np.array(rows).tolist(), out)
+        rows = np.array(rows).tolist()
     elif n in (4, 5):
         kernel = build_kernel(constant(math.sqrt(60.0)), BoundaryKind.DIRICHLET)
         rhs = (lambda s: s * (1.0 - s)) if n == 4 else (lambda s: s)
         profile = solve_linear(kernel, rhs, 2001)
-        _emit_csv(["t", "u"], zip(profile.grid.tolist(), profile.values.tolist()), out)
+        header = ("t", "u")
+        rows = zip(profile.grid.tolist(), profile.values.tolist())
+    _write(args, None, chain([header], rows), path=out)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
@@ -391,21 +390,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("green", help="tabulate G(t,s) on a square lattice")
     _add_potential_args(p)
     p.add_argument("--nodes", type=_int_at_least(1), default=101, help="lattice size per axis")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", help="file path (default stdout)")
+    _add_output_args(p, ("csv", "json"))
     p.set_defaults(func=_cmd_green)
 
     p = sub.add_parser("eigen", help="smallest eigenvalues under the boundary condition")
     _add_potential_args(p)
-    p.add_argument("--count", type=_int_at_least(1), default=6)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--output", help="file path (default stdout)")
+    p.add_argument("--count", type=_int_at_least(1), default=spectral.COUNT)
+    _add_output_args(p, ("text", "json"))
     p.set_defaults(func=_cmd_eigen)
 
     p = sub.add_parser("classify", help="sign class of the Green's function")
     _add_potential_args(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--output", help="file path (default stdout)")
+    _add_output_args(p, ("text", "json"))
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("gamma", help="sign-ratio constant")
@@ -413,22 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", choices=["eigenfunction", "coefficient", "one"],
                    default="eigenfunction",
                    help="weight in the part-integral ratio")
-    p.add_argument("--t-grid", type=_int_at_least(1), default=1001, dest="t_grid",
+    p.add_argument("--t-grid", type=_int_at_least(1), default=T_GRID_SIZE, dest="t_grid",
                    help="t-nodes for the quadrature infimum")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--output", help="file path (default stdout)")
+    _add_output_args(p, ("text", "json"))
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("check", help="existence-hypothesis report (JSON)")
     _add_potential_args(p)
     p.add_argument("--f", required=True,
                    help="nonlinearity f(t,x) as an expression")
-    p.add_argument("--t-grid", type=_int_at_least(1), default=1001, dest="t_grid")
-    p.add_argument("--cone-grid", type=_int_at_least(2), default=201, dest="cone_grid",
+    p.add_argument("--t-grid", type=_int_at_least(1), default=T_GRID_SIZE, dest="t_grid")
+    p.add_argument("--cone-grid", type=_int_at_least(2), default=cone.GRID, dest="cone_grid",
                    help="s-samples of H3 and eta, and side of the coarse max-G lattice")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 when any hypothesis fails")
-    p.add_argument("--output", help="file path (default stdout)")
+    _add_output_args(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("solve", help="solve the boundary value problem")
@@ -437,18 +432,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="nonlinearity f(t,x) for the fixed-point solve")
     p.add_argument("--solve-grid", type=_int_at_least(5), default=2001, dest="solve_grid",
                    help="output grid size")
-    p.add_argument("--damping", default=0.5,
+    p.add_argument("--damping", default=solver.DAMPING,
                    type=_arg_type(float, lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"))
-    p.add_argument("--max-iter", type=_int_at_least(1), default=200, dest="max_iter")
-    p.add_argument("--tol", default=1e-10, type=_arg_type(
+    p.add_argument("--max-iter", type=_int_at_least(1), default=solver.MAX_ITER, dest="max_iter")
+    p.add_argument("--tol", default=solver.TOL, type=_arg_type(
         float, lambda x: 0.0 < x < math.inf, "must be positive and finite"))
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--output", help="file path (default stdout)")
+    _add_output_args(p, ("csv", "json"))
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("figure", help="regenerate a reference dataset: " + FIGURE_HELP)
     p.add_argument("number", type=int, choices=[1, 2, 3, 4, 5])
-    p.add_argument("--output", help="CSV path (default figureN.csv)")
+    _add_output_args(p, ("csv",), help="CSV path (default figureN.csv)")
     p.set_defaults(func=_cmd_figure)
 
     return parser
@@ -467,7 +461,7 @@ def main(argv=None) -> int:
     except ResonantPotential as exc:
         print(f"error: ResonantPotential: {exc}", file=sys.stderr)
         return 3
-    except (GreensignError, ValueError) as exc:
+    except (GreensignError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (EvaluationFailure, InvalidWeight, NonpositiveEta,
                      NonpositiveWeightedIntegral)
-from .gamma import GammaResult, gamma_closed, gamma_quadrature, gamma_star
+from .gamma import (T_GRID_SIZE, GammaResult, gamma_closed, gamma_quadrature,
+                    gamma_star)
 from .greens import build_kernel, separable_read
 from .potentials import BoundaryKind
 from .quadrature import read_both, require_no_cancellation
@@ -37,6 +38,7 @@ N_CELLS = 64          # dyadic partition underlying the subinterval search
 MIN_WIDTH_CELLS = 1   # narrowest candidate: T / 64
 ZOOM_STARTS = 8       # lattice maxima the max-G search refines
 ZOOM_ROUNDS = 12      # kernel calls of that refinement
+GRID = 201            # s-samples of H3 and eta, side of the coarse max-G lattice
 
 DEFAULT_X_SAMPLES = (0.0, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 
@@ -146,7 +148,7 @@ def _samples(lo: float, hi: float, grid: int) -> np.ndarray:
     return np.linspace(lo, hi, grid)
 
 
-def max_kernel_value(kernel, grid: int = 201) -> float:
+def max_kernel_value(kernel, grid: int = GRID) -> float:
     """max over the square of G: a grid x grid lattice, then a zoom on its
     ZOOM_STARTS largest local maxima (points no neighbour beats), all
     refined together.  Each of ZOOM_ROUNDS rounds evaluates G once, on a
@@ -177,7 +179,7 @@ def max_kernel_value(kernel, grid: int = 201) -> float:
 
 
 def compute_cone_constants(kernel, subinterval: Subinterval,
-                           grid: int = 201) -> ConeConstants:
+                           grid: int = GRID) -> ConeConstants:
     """eta, max G, and sigma = eta / max G for the given subinterval."""
     c, d = subinterval.c, subinterval.d
     if d <= c:
@@ -205,7 +207,7 @@ def _h3_rule(ss, w, c, d):
     return filled & ~bad.any(axis=-1), np.min(w, axis=-1), min_sub, witness
 
 
-def find_subinterval(kernel, grid: int = 201,
+def find_subinterval(kernel, grid: int = GRID,
                      with_trace: bool = False):
     """Widest window [c, d] that passes H3 (`_h3_rule`) on grid s-samples,
     or None when none of width >= T/64 does.  The candidates are the aligned
@@ -233,7 +235,7 @@ def find_subinterval(kernel, grid: int = 201,
     return (None, trace) if with_trace else None
 
 
-def check_H3(kernel, subinterval: Subinterval, grid: int = 201) -> H3Verdict:
+def check_H3(kernel, subinterval: Subinterval, grid: int = GRID) -> H3Verdict:
     """H3 (`_h3_rule`) for one window, on grid s-samples of [0, T].
     Raises ValueError where the window leaves [0, T]."""
     c, d = subinterval.c, subinterval.d
@@ -343,8 +345,8 @@ class HypothesisReport:
                 "notes": list(self.notes)}
 
 
-def build_report(potential, bc: BoundaryKind, f, grid: int = 201,
-                 gamma_t_grid: int = 1001) -> HypothesisReport:
+def build_report(potential, bc: BoundaryKind, f, grid: int = GRID,
+                 gamma_t_grid: int = T_GRID_SIZE) -> HypothesisReport:
     """Run the whole hypothesis pipeline for one problem.
 
     Collects the sign-ratio constant with the principal eigenfunction as

@@ -53,6 +53,7 @@ from .potentials import BoundaryKind, ConstantPotential, Potential, constant
 from .quadrature import read_both
 
 T_GRID_SIZE = 1001
+PI_LO = 1.2246467991473532e-16   # pi - math.pi: rho - pi is (rho - math.pi) - PI_LO
 NEG_PART_REL_TOL = 1e-11     # below this (relative to N) the negative part
                              # counts as absent and the ratio as +inf
 
@@ -199,7 +200,9 @@ def gamma_periodic_closed(rho: float, T: float = 1.0) -> GammaResult:
     """Piecewise closed form for the periodic constant-potential ratio.
 
     The ratio is t-independent there; the reported argmin is 0.  Values at
-    odd multiples of pi/T are the (continuous) one-sided limits.
+    odd multiples of pi/T are the (continuous) one-sided limits.  For
+    rho*T/pi in (1, 2) the denominator 1 - sin(rho*T/2), which cancels as
+    rho*T nears pi, is taken as 2 sin^2((rho*T - pi)/4).
     """
     x = rho * T / math.pi
     if x <= 1.0:
@@ -211,7 +214,10 @@ def gamma_periodic_closed(rho: float, T: float = 1.0) -> GammaResult:
     note = None
     if m % 4 == 1:
         k = (m - 1) // 4
-        value = (2 * k + 1) / (2 * k + 1 - sn)
+        if m == 1:
+            value = 0.5 / math.sin(((rho * T - math.pi) - PI_LO) / 4) ** 2
+        else:
+            value = (2 * k + 1) / (2 * k + 1 - sn)
     elif m % 4 == 2:
         k = (m - 2) // 4
         value = (2 * k + 1 - sn) / (2 * k + 1)
@@ -273,12 +279,32 @@ def gamma_dirichlet_t_closed(t: float, rho: float) -> float:
 
 
 def gamma_dirichlet_closed(rho: float) -> GammaResult:
-    """Boundary limit of the Dirichlet ratio on T = 1, where its infimum sits."""
+    """Boundary limit of the Dirichlet ratio on T = 1, where its infimum sits.
+
+    For pi < rho < 2 pi the ratio is rho sin a / (rho sin a - pi sin b) with
+    a = pi d / rho and b = d = rho - pi, whose denominator cancels as rho
+    nears pi.  It is pi d (sinc a - sinc b), summed as the power series
+    (b^2 - a^2) sum_n (-1)^(n+1) h_(n-1)(a^2, b^2) / (2n+1)!, where h_k is
+    the sum of the k + 1 products a^(2j) b^(2(k-j)) and b^2 - a^2 = d^3 (rho +
+    pi) / rho^2 carries the cancellation exactly.
+    """
     _dirichlet_domain_check(rho)
     m = int(math.floor(rho / math.pi))
-    total = sum(math.sin(i * math.pi**2 / rho) for i in range(1, m + 1))
-    sgn = 1.0 if m % 2 == 1 else -1.0
-    value = rho * total / (rho * total + sgn * math.pi * math.sin(rho))
+    if m == 1:
+        d = (rho - math.pi) - PI_LO
+        a = math.pi * d / rho
+        # for every d < pi the 15th term is below 1e-18 of the sum
+        series, h, a2n, c = 0.0, 1.0, 1.0, 1.0 / 6.0
+        for n in range(1, 16):
+            series += (-1) ** (n + 1) * h * c
+            a2n *= a * a
+            h = d * d * h + a2n
+            c /= (2 * n + 2) * (2 * n + 3)
+        value = rho * math.sin(a) / (math.pi * d**4 * (rho + math.pi) / rho**2 * series)
+    else:
+        total = sum(math.sin(i * math.pi**2 / rho) for i in range(1, m + 1))
+        sgn = 1.0 if m % 2 == 1 else -1.0
+        value = rho * total / (rho * total + sgn * math.pi * math.sin(rho))
     return GammaResult(value, 0.0, "ClosedFormDirichletT1", "PrincipalEigenfunction")
 
 

@@ -57,6 +57,10 @@ ANDERSON_DEPTH = 5
 #: Gauss points per cell of the cumulative quadrature, and of its fine check
 CELL_ORDER = 8
 FINE_CELL_ORDER = 12
+#: defaults of solve_nonlinear: step weight, step cap, and step tolerance
+DAMPING = 0.5
+MAX_ITER = 200
+TOL = 1e-10
 
 # one-sided five-point first-derivative stencil, O(h^4)
 _D5 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
@@ -267,8 +271,8 @@ def solve_linear(kernel, sigma, grid) -> SolutionProfile:
                            **_checks(ts, us, kernel.potential, sigma(ts), kernel.bc))
 
 
-def solve_nonlinear(kernel, f, grid, damping: float = 0.5,
-                    max_iter: int = 200, tol: float = 1e-10) -> SolutionProfile:
+def solve_nonlinear(kernel, f, grid, damping: float = DAMPING,
+                    max_iter: int = MAX_ITER, tol: float = TOL) -> SolutionProfile:
     """Fixed-point iteration for u = integral of G(t, s) f(s, u(s)) ds.
 
     Starts from the image of the zero function and takes Anderson-mixed

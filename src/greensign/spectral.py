@@ -52,6 +52,8 @@ SIGN_SHIFTS = np.array([-SIGN_DECISION_TOL, SIGN_DECISION_TOL])
 BISECT_REL_WIDTH = 1e-13
 #: rounds of counting eigenvalues at new points before failing
 MAX_COUNT_STEPS = 64
+#: eigenvalues smallest_eigenvalues gives by default
+COUNT = 6
 
 
 class SignClass(Enum):
@@ -137,7 +139,7 @@ def smallest_eigenvalue(potential: Potential, bc: BoundaryKind) -> EigenResult:
 
 
 def smallest_eigenvalues(potential: Potential, bc: BoundaryKind,
-                         count: int = 6) -> list[EigenResult]:
+                         count: int = COUNT) -> list[EigenResult]:
     """The count smallest eigenvalues, repeated according to multiplicity.
 
     Periodic and antiperiodic spectra come in pairs that may collapse to a

@@ -50,6 +50,13 @@ class TestGamma:
         assert vals[0] == pytest.approx(1.362541473923, abs=1e-9)
         assert vals[1] == pytest.approx(vals[0], abs=1e-5)
 
+    @pytest.mark.parametrize("argv", [["gamma"], ["check", "--f", "1"]])
+    def test_periodic_just_above_pi(self, argv, capsys):
+        # 1 - sin(rho/2) rounds to 0 here; the closed form reads about 8.1e17
+        code, out, err = run([*argv, "--bc", "periodic", "--rho", "pi*(1+1e-9)"], capsys)
+        assert (code, err) == (0, "")
+        assert "8.10569475508" in out
+
     def test_flagged_interval_prints_note(self, capsys):
         code, out, _ = run(["gamma", "--bc", "periodic", "--rho", "2.5*pi",
                             "--t-grid", "31"], capsys)
@@ -489,6 +496,35 @@ class TestErrorsAndEnv:
         assert (code, out) == (1, "")
         assert err.startswith("error: ExpressionError: nesting deeper than")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gamma", "--bc", "periodic", "--samples", "/nonexistent.csv"],
+         "FileNotFoundError: [Errno 2] No such file or directory: '/nonexistent.csv'"),
+        (["gamma", "--bc", "periodic", "--samples", "{tmp}"],
+         "IsADirectoryError: [Errno 21] Is a directory: '{tmp}'"),
+        (["gamma", "--bc", "periodic", "--rho", "7", "--t-grid", "11",
+          "--output", "/nonexistent/dir/x"],
+         "FileNotFoundError: [Errno 2] No such file or directory: '/nonexistent/dir/x'"),
+        (["figure", "4", "--output", "/nonexistent/dir/f.csv"],
+         "FileNotFoundError: [Errno 2] No such file or directory: '/nonexistent/dir/f.csv'"),
+    ], ids=["missing-samples", "samples-directory", "missing-output-dir", "figure-output"])
+    def test_file_error_is_one_error_line(self, argv, message, capsys, tmp_path):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message.format(tmp=tmp_path)}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--bc", "periodic", "--samples", "/nonexistent.csv"],
+        ["classify", "--bc", "periodic", "--rho", "2*pi"],
+        ["solve", "--bc", "dirichlet", "--rho", "7.5", "--rhs", "1/0", "--solve-grid", "11"],
+        ["check", "--bc", "dirichlet", "--rho", "7.5", "--f", "x + 1/0"],
+    ])
+    def test_failed_command_leaves_no_output_file(self, argv, capsys, tmp_path):
+        path = tmp_path / "out"
+        code, _, _ = run([*argv, "--output", str(path)], capsys)
+        assert code in (1, 3)
+        assert not path.exists()
+
     def test_missing_potential_exits_1(self, capsys):
         code, _, err = run(["classify", "--bc", "dirichlet"], capsys)
         assert code == 1
@@ -810,9 +846,9 @@ class TestJsonWriter:
             files.append(str(tmp_path / f"{name}.csv"))
             golden.write_samples(tmp_path / f"{name}.csv", a)
         emitted = []
-        emit = cli._emit_json
-        monkeypatch.setattr(cli, "_emit_json",
-                            lambda obj, path: (emitted.append(obj), emit(obj, path)))
+        write = cli._write
+        monkeypatch.setattr(cli, "_write", lambda args, document, *rest, **kw: (
+            emitted.append(document), write(args, document, *rest, **kw)))
         n_json = 0
         for argv in golden.calls(*files):
             if argv[0] != "check" and "json" not in argv:
@@ -823,7 +859,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 39
+        assert n_json == 41
 
 
 def load_golden_diff():
@@ -900,7 +936,7 @@ def test_golden_diff_lists_json_moves_by_key():
 def test_golden_diff_of_a_tree_with_itself(capsys):
     golden_diff = load_golden_diff()
     assert golden_diff.main([str(GOLDEN.parents[1])]) == 0
-    assert capsys.readouterr().out == "0 of 79 outputs differ\n"
+    assert capsys.readouterr().out == "0 of 83 outputs differ\n"
 
 
 def test_console_script_runs():

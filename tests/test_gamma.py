@@ -161,6 +161,63 @@ class TestDirichletClosed:
             gamma_dirichlet_closed(3 * math.pi)
 
 
+# Both closed forms just above rho*T = pi, at the doubles rho*T = pi (1 + 10^-k)
+# (halving rho for T = 2 is exact, so both T read one table), in 50 digits:
+#
+#   python -c "
+#   import math, mpmath
+#   mpmath.mp.dps = 60
+#   for k in range(1, 13):
+#       r = mpmath.mpf(math.pi * (1 + 10.0**-k))
+#       print(k, mpmath.nstr(1 / (1 - mpmath.sin(r / 2)), 50))
+#   for k in range(1, 9):
+#       r, pi = mpmath.mpf(math.pi * (1 + 10.0**-k)), mpmath.pi
+#       s = r * mpmath.sin(pi**2 / r)
+#       print(k, mpmath.nstr(s / (s + pi * mpmath.sin(r)), 50))"
+PERIODIC_NEAR_PI = {
+    1: "81.223819398794088202427421031760850254813599119779",
+    2: "8105.8613601100315895150651462976900249112234715426",
+    3: "810569.63580555348868322859473892135011660863263682",
+    4: "81056947.080564336022449624443812638007777724819289",
+    5: "8105694691.4528962304380356871926963870770648783892",
+    6: "810569469437.74195503318743350469158059636506442125",
+    7: "81056946794388.157361646407649362980166008953257803",
+    8: "8105694873810666.6660225176750994814541017946938893",
+    9: "810569475508089165.98329867982933343702624981706766",
+    10: "81056958593926470009.824775388584318044130885065131",
+    11: "8105844401143656321087.9336160696831822268610261641",
+    12: "810457997960856595550957.76544768494061991829800059",
+}
+DIRICHLET_NEAR_PI = {
+    1: "348.67178658262892598232658047192573202563234965217",
+    2: "308510.96441473317055253721221451078761074171126005",
+    3: "304419372.60630115821187492687978596563697667704698",
+    4: "304009144220.0776723766554307257884071704513982806",
+    5: "303968110362207.05507728647045262231790545683306402",
+    6: "303964007040331992.44165873257897047726047524854011",
+    7: "303963595849457122493.59998865683902821051266672192",
+    8: "303963565747796745274922.04675577966909583300661409",
+}
+
+
+class TestClosedFormsNearPi:
+    """1 - sin(rho*T/2) and the Dirichlet denominator cancel as rho*T
+    nears pi; both forms keep their digits there."""
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("k", sorted(PERIODIC_NEAR_PI))
+    def test_periodic(self, k, T):
+        res = gamma_periodic_closed(math.pi * (1 + 10.0**-k) / T, T)
+        assert res.value == pytest.approx(float(PERIODIC_NEAR_PI[k]), rel=1e-13, abs=0.0)
+        assert res.case == "rho*T/pi in (1,2), k=0"
+        assert res.note is None
+
+    @pytest.mark.parametrize("k", sorted(DIRICHLET_NEAR_PI))
+    def test_dirichlet(self, k):
+        res = gamma_dirichlet_closed(math.pi * (1 + 10.0**-k))
+        assert res.value == pytest.approx(float(DIRICHLET_NEAR_PI[k]), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("bc, rho, closed", [
     (BoundaryKind.PERIODIC, 2 * math.pi, gamma_periodic_closed),
     (BoundaryKind.PERIODIC, 4 * math.pi * (1 + 1e-12), gamma_periodic_closed),
