@@ -12,19 +12,22 @@ the diagonal a slice G(t, .) is alpha u1 + beta u2 for a fixed (alpha,
 beta), C p(t) left of t and C^T p(t) right of it, so between two of its
 zeros its weighted integral is alpha dW1 + beta dW2, with W the
 antiderivative of p w.  W is read once per (kernel, weight) by
-quadrature.read_both at each slice's zeros and its diagonal t, from the
-nearer end (a read from 0 cancels next to T); no slice is evaluated on
-panels of its own.  On a constant potential's exact pair with an exact
-weight (one, the coefficient, or the principal eigenfunction, a cos or
-sin) W is elementary and read_both takes it in closed form.  Any other
-pair or weight reads one cumulative Gauss sum edged at those points,
-whose cells break at the kernel's grid nodes, which are a numeric
-eigenfunction weight's too, and at a weight's own breakpoints
-(gamma_star's sampled coefficient).  A piece counts as positive or
+quadrature.read_both, from the nearer end (a read from 0 cancels next to
+T), at each distinct zero of the slices (a separated kernel's zeros are
+the same in every slice, see greens) and at each diagonal t; at 0 and T it
+is exactly 0 from its own end.  The pieces of every slice lie on one
+contiguous row layout, so they are differences of neighbours.  No slice
+is evaluated on panels of its own.  On a constant potential's exact pair
+with an exact weight (one, the coefficient, or the principal
+eigenfunction, a cos or sin) W is elementary and read_both takes it in
+closed form.  Any other pair or weight reads one cumulative Gauss sum
+edged at those points, whose cells break at the kernel's grid nodes,
+which are a numeric eigenfunction weight's too, and at a weight's own
+breakpoints (gamma_star's sampled coefficient).  A piece counts as positive or
 negative by the sign of its own weighted integral.
-The zeros of the slices do not depend on the weight: the kernel keeps
-those of each t-grid (Kernel._grid_roots), and every weight read on that
-grid shares them.
+The zeros and the sides (alpha, beta) of the slices do not depend on the
+weight: the kernel keeps those of each t-grid (Kernel._grid_roots), and
+every weight read on that grid shares them.
 
 Where the boundary condition pins an end, G(t, .) vanishes there and only
 the limit t -> end means anything.  That limit is a slice of the same
@@ -80,40 +83,57 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     """(N, D) at every t in ts: weighted integrals of the positive and
     negative parts of G(t, .), non-finite where the quadrature failed.
 
-    roots are the interior zeros of the slices as (flat, counts), as
-    kernel._roots_flat gives them.  Row i lays out 0, its zeros and t in
-    order, and T; each piece between neighbours has one sign, and its
-    integral is alpha dW1 + beta dW2 with (alpha, beta) of its side of t (kernel._sides) and dW
-    the difference across it of W, read from the nearer end at every
-    point of every row (quadrature.read_both), plus
-    the whole integral for the one piece that spans the middle of [0, T].
-    A piece counts as positive or negative by the sign of its own weighted
-    integral (zero counts as positive); one np.bincount per sign sums the
-    pieces of every slice.
+    roots are the zeros of the slices and their sides as (flat, counts,
+    sides), as kernel._roots_flat gives them.  Row i lays out 0, its zeros
+    and t in order, and T, one row after another; each piece between
+    neighbours has one sign, and its integral is alpha dW1 + beta dW2 with
+    (alpha, beta) of its side of t and dW the difference across it of W,
+    read from the nearer end (quadrature.read_both), plus the whole
+    integral for the one piece that spans the middle of [0, T].  W is read
+    once at each zero (a separated kernel's are its _fixed_zeros, the same
+    in every row), at each t, and at 0 and T, where it is exactly 0 from
+    its own end.  A piece counts as positive or negative by the sign
+    of its own weighted integral (zero counts as positive); one
+    np.bincount per sign sums the pieces of every slice.
     """
-    flat, k = roots
+    flat, k, sides = roots
     n = len(ts)
     rows = np.arange(n)
     root_row = rows.repeat(k)
     past = flat > ts[root_row]
+    before = k - np.bincount(root_row[past], minlength=n)
+    fixed = kernel._fixed_zeros
+    if fixed is None:
+        zeros, at_zero = flat, np.arange(len(flat))
+    else:
+        zeros = np.sort(np.concatenate(fixed))
+        at_zero = zeros.searchsorted(flat)
+    # every row's 0 and T are read once: W is exactly 0 from its own end
+    x = np.concatenate([zeros, ts, (0.0, kernel.T)])
+    S, left, total = read_both(kernel, weight, x)
     # row i holds k[i] + 3 points from start[i]: 0, the zeros left of t,
     # t, the zeros right of t, and T
     start = k.cumsum() - k + 3 * rows
-    at_t = start + k + 1 - np.bincount(root_row[past], minlength=n)
-    at = np.concatenate([np.arange(len(flat)) + 3 * root_row + 1 + past, at_t,
-                         start, start + k + 2])
-    x = np.concatenate([flat, ts, np.zeros(n), np.full(n, kernel.T)])
-    S = np.empty((2, len(x)))
-    left = np.empty(len(x), dtype=bool)
-    S[:, at], left[at], total = read_both(kernel, weight, x)
-    # piece j of row i runs from point a = i + j to b = a + 1
-    row = rows.repeat(k + 2)
-    a = np.arange(len(row)) + row
-    b = a + 1
-    dW = S[:, b] - S[:, a]
-    dW += total[:, None] * (left[a] > left[b])
-    alpha, beta = kernel._sides(ts)[:, np.where(b <= at_t[row], row, row + n)]
+    at = np.empty(len(flat) + 3 * n, dtype=np.intp)
+    at[start] = len(x) - 2
+    at[start + k + 2] = len(x) - 1
+    at[start + before + 1] = len(zeros) + rows
+    at[np.arange(len(flat)) + 3 * root_row + 1 + past] = at_zero
+    S, left = np.take(S, at, axis=1), left[at]
+    # piece j runs from point j to j + 1: row i has before[i] + 1 pieces
+    # on its side s <= t, k[i] - before[i] + 1 past t, then the one from
+    # its T to the next row's 0, which reads 0 and weighs nothing
+    dW = np.diff(S, axis=1)
+    dW += total[:, None] * (left[:-1] > left[1:])
+    pieces = np.ones((n, 3), dtype=np.intp)
+    pieces[:, 0] = before + 1
+    pieces[:, 1] = k - before + 1
+    coefficients = np.zeros((2, n, 3))
+    coefficients[:, :, 0] = sides[:, :n]
+    coefficients[:, :, 1] = sides[:, n:]
+    alpha, beta = np.repeat(coefficients.reshape(2, -1), pieces.ravel(), axis=1)[:, :-1]
     piece = alpha * dW[0] + beta * dW[1]
+    row = rows.repeat(k + 3)[:-1]
     return (np.bincount(row, np.maximum(piece, 0.0), minlength=n),
             -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
 
@@ -184,7 +204,8 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE) -> Gam
     ts = np.linspace(0.0, kernel.T, t_grid_size)
     found = kernel._grid_roots.get(t_grid_size)
     if found is None:
-        # the zeros of the limit slices at pinned ends included
+        # the zeros of the limit slices at pinned ends included, and the
+        # sides of every slice
         found = kernel._grid_roots[t_grid_size] = kernel._roots_flat(ts)
     ratios = _slice_ratios(kernel, ts, found, weight, need_positive=~kernel.pinned(ts))
     vmin = float(np.min(ratios))

@@ -39,10 +39,18 @@ for (alpha, beta) modulo pi.  The RK4 pair places each target in its grid
 cell by the lifted node angles of (u1, u2) and refines it there by
 safeguarded Newton steps on the slice's cubic, read off the pair's one
 coefficient table; the exact pair's angle of (u1, rho u2) is rho t, which
-it inverts in closed form.  No slice is sampled.
+it inverts in closed form.  No slice is sampled.  On a separated condition
+G(t, s) = u_c(min(t, s)) phi_R(max(t, s)), so every slice has the zeros of
+u_c left of t and those of phi_R right of it (Coddington & Levinson 1955,
+ch. 7): the kernel finds them once, on the limit rows t = T and t = 0
+(_fixed_zeros), and each slice takes those of u_c up to t and those of
+phi_R past it.  A paired condition's zeros move with t, and every slice
+is searched.  A square grid_eval, such as the max-G lattice of cone, is
+one branch of the symmetric form and its mirror.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -124,9 +132,9 @@ class Kernel:
         self.fs = pair
         self.form = pair.form  # "closed" on an exact pair, "numeric" on RK4
         self._C = _coupling(_boundary_matrix(pair, bc), bc)
-        # _roots_flat on the uniform t-grid of each size: the zeros of the
-        # slices do not depend on the weight (gamma_quadrature)
-        self._grid_roots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # _roots_flat on the uniform t-grid of each size: the zeros and the
+        # sides of the slices do not depend on the weight (gamma_quadrature)
+        self._grid_roots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _pair(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(u1, u2) at x, exactly zero at an end that the condition pins."""
@@ -150,8 +158,19 @@ class Kernel:
         return g if g.ndim else float(g)
 
     def grid_eval(self, ts, ss) -> np.ndarray:
-        """G on the outer grid, shape (len(ts), len(ss))."""
-        return self(np.asarray(ts, dtype=float)[:, None], np.asarray(ss, dtype=float)[None, :])
+        """G on the outer grid, shape (len(ts), len(ss)).  On a square one
+        (ss is ts, as in cone.max_kernel_value) it is, bit for bit, one
+        branch of the symmetric form and its mirror: M[i, j] = (C p(t_i)) .
+        p(t_j) is G where t_j <= t_i, and M[j, i] elsewhere."""
+        square = ss is ts
+        ts = np.asarray(ts, dtype=float)
+        if not square:
+            return self(ts[:, None], np.asarray(ss, dtype=float)[None, :])
+        p = self._pair(ts)
+        c1, c2 = _times(self._C, p)
+        g = c1[:, None] * p[0]
+        g += c2[:, None] * p[1]
+        return np.where(ts <= ts[:, None], g, g.T)
 
     def pinned(self, ts) -> np.ndarray:
         """Where a point of ts is an end that the condition pins
@@ -194,21 +213,59 @@ class Kernel:
         pinned end, the target that is that end is dropped by its index."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         pinned = self.pinned(ts)
-        flat, live = self._roots_flat(ts[~pinned])
+        flat, live, _ = self._roots_flat(ts[~pinned])
         counts = np.zeros(len(ts), dtype=int)
         counts[~pinned] = live
         ends = np.cumsum(counts)
         return [flat[b - c:b] for b, c in zip(ends.tolist(), counts.tolist())]
 
-    def _roots_flat(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """s_roots_many as (flat, counts), the zeros one slice after
-        another and their number per slice; but a row at a pinned end has
-        the zeros of its limit slice (see _sides), on its nonempty side."""
+    def _roots_flat(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """s_roots_many as (flat, counts, sides): the zeros one slice after
+        another, their number per slice, and the _sides of ts that place
+        them; but a row at a pinned end has the zeros of its limit slice
+        (see _sides), on its nonempty side.
+
+        A paired condition searches every row (_search_rows).  On a
+        separated one every slice has the zeros of u_c left of t and those
+        of phi_R right of it (_fixed_zeros): row t takes those of u_c in
+        (0, t] and those of phi_R in (t, T)."""
+        sides = self._sides(ts)
+        fixed = self._fixed_zeros
+        if fixed is None:
+            return (*self._search_rows(ts, sides), sides)
+        left, right = fixed
+        below = left.searchsorted(ts, "right")
+        above = right.searchsorted(ts, "right")
+        counts = below + len(right) - above
+        # entry j of row i is left[j] while j < below[i], then
+        # right[j - below[i] + above[i]]
+        jump = np.repeat(len(left) + above - below, counts)
+        j = np.arange(len(jump)) - np.repeat(counts.cumsum() - counts, counts)
+        return (np.concatenate(fixed)[np.where(j < np.repeat(below, counts), j, j + jump)],
+                counts, sides)
+
+    @functools.cached_property
+    def _fixed_zeros(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """On a separated condition, the zeros of u_c in (0, T) and those
+        of phi_R, each sorted: G(t, .) is phi_R(t) u_c left of t and u_c(t)
+        phi_R right of it, so they are those of the limit rows t = T (whose
+        slice left of T is a multiple of u_c, see _sides) and t = 0 (phi_R
+        right of 0), from _search_rows once per kernel.  None on a paired
+        condition, whose zeros move with t."""
+        if self.bc.multiplier:
+            return None
+        ends = np.array([0.0, self.T])
+        flat, (right, _) = self._search_rows(ends, self._sides(ends))
+        return flat[right:], flat[:right]
+
+    def _search_rows(self, ts: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, counts) of _roots_flat by a search of every row, sides
+        the _sides of ts."""
         n = len(ts)
         pair = self.fs
         psi = pair.angles
         # rows 0..n-1 are the sides s <= t, rows n..2n-1 the sides s > t
-        alpha, beta = self._sides(ts)
+        alpha, beta = sides
         phi = pair.target(alpha, beta)
         # theta = phi + k pi at k = k0 + j, column j, from the last target
         # at or below psi[0] to the first past psi[-1]

@@ -29,6 +29,8 @@ length (one_length) and reads the others point by point.
 
 The zeros of the slices G(t, .) come from the kernel's s_roots_many, at
 the angles of its pair (see greens); no slice is sampled to find them.
+gamma reads W once at each distinct point: a separated kernel's zeros are
+the same in every slice, and 0 and T read exactly 0 from their own end.
 """
 from __future__ import annotations
 

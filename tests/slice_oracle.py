@@ -22,6 +22,11 @@ an end from the slices PINNED_STEP T and twice that inside it, by one
 Richardson step.  boundary_nodes and neville_to_zero are the extrapolation
 to that limit which gamma used before it read the limit slice.
 
+row_roots is the root search of every slice on its own, which a
+separated kernel runs on its two limit rows only.  scattered_slice_parts
+is gamma's slice integration before its one row layout, which read every
+point of every row.
+
 bisect_place is the root refinement of FundamentalSolutions.place before
 it took Newton steps: ROOT_HALVINGS halvings of each zero's node cell,
 with one eval_pair per halving.
@@ -41,7 +46,7 @@ from greensign.cone import N_CELLS
 from greensign.errors import QuadratureFailure
 from greensign.fundamental import ROOT_HALVINGS
 from greensign.quadrature import (cell_edges, default_max_len, gauss_nodes,
-                                  require_no_cancellation)
+                                  read_both, require_no_cancellation)
 
 GAUSS_ORDER = 16
 
@@ -222,10 +227,51 @@ def slice_parts(kernel, ts, roots: list, weight, order: int, max_len: float,
 
 
 def split_roots(roots) -> list:
-    """The (flat, counts) zeros of kernel._roots_flat as one array per
-    slice, as kernel.s_roots_many gives them."""
-    flat, counts = roots
+    """The zeros (flat, counts, ...) of kernel._roots_flat or row_roots as
+    one array per slice, as kernel.s_roots_many gives them."""
+    flat, counts = roots[:2]
     return np.split(flat, np.cumsum(counts)[:-1])
+
+
+def row_roots(kernel, ts):
+    """(flat, counts) of the zeros of every slice G(t, .), t in ts, each
+    row searched on its own (Kernel._search_rows), as kernel._roots_flat
+    found them under every condition before a separated kernel found its
+    zeros once, on the limit rows (Kernel._fixed_zeros)."""
+    ts = np.asarray(ts, dtype=float)
+    return kernel._search_rows(ts, kernel._sides(ts))
+
+
+def scattered_slice_parts(kernel, ts, roots, weight):
+    """gamma._slice_parts before its one row layout: every row reads W at
+    0, at each of its zeros, at t and at T (quadrature.read_both), a point
+    as often as rows hold it, scattered into the rows' points; each piece
+    takes its ends, and its sides (kernel._sides), by gathers."""
+    flat, k = roots[:2]
+    n = len(ts)
+    rows = np.arange(n)
+    root_row = rows.repeat(k)
+    past = flat > ts[root_row]
+    # row i holds k[i] + 3 points from start[i]: 0, the zeros left of t,
+    # t, the zeros right of t, and T
+    start = k.cumsum() - k + 3 * rows
+    at_t = start + k + 1 - np.bincount(root_row[past], minlength=n)
+    at = np.concatenate([np.arange(len(flat)) + 3 * root_row + 1 + past, at_t,
+                         start, start + k + 2])
+    x = np.concatenate([flat, ts, np.zeros(n), np.full(n, kernel.T)])
+    S = np.empty((2, len(x)))
+    left = np.empty(len(x), dtype=bool)
+    S[:, at], left[at], total = read_both(kernel, weight, x)
+    # piece j of row i runs from point a = i + j to b = a + 1
+    row = rows.repeat(k + 2)
+    a = np.arange(len(row)) + row
+    b = a + 1
+    dW = S[:, b] - S[:, a]
+    dW += total[:, None] * (left[a] > left[b])
+    alpha, beta = kernel._sides(ts)[:, np.where(b <= at_t[row], row, row + n)]
+    piece = alpha * dW[0] + beta * dW[1]
+    return (np.bincount(row, np.maximum(piece, 0.0), minlength=n),
+            -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
 
 
 def inside_pinned_ends(kernel, ts, step: float = PINNED_STEP) -> np.ndarray:

@@ -15,13 +15,13 @@ from greensign.gamma import (CASE_2B_NOTE, GammaResult, _ratio,
                              gamma_closed, gamma_dirichlet_closed,
                              gamma_dirichlet_t_closed, gamma_periodic_closed,
                              gamma_quadrature, gamma_star, pointwise_ratio)
-from greensign.greens import NumericKernel, build_kernel
+from greensign.greens import Kernel, NumericKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 from greensign.spectral import principal_eigenfunction
 from slice_oracle import (PINNED_STEP, antiderivative, boundary_nodes,
                           inside_pinned_ends, neville_to_zero, panel_slice_parts,
-                          slice_parts)
+                          scattered_slice_parts, slice_parts)
 
 SIN_WEIGHT = lambda s: np.sin(np.pi * np.asarray(s))
 
@@ -794,3 +794,92 @@ class TestPinnedEndLimit:
             else:
                 assert (alpha, beta)[1 - c][i] == 0.0
                 assert (alpha, beta)[c][i] != 0.0
+
+
+# (potential, condition, weight) of TestRowLayout: exact and RK4 pairs,
+# pinned ends, T = 2, and Dirichlet rho = 4 and a low trig potential, whose
+# slices about t = 1/2 have no zero
+LAYOUT_CASES = {
+    "dirichlet-closed": (constant(10.8, 1.0), BoundaryKind.DIRICHLET, SIN_WEIGHT),
+    "dirichlet-closed-4": (constant(4.0, 1.0), BoundaryKind.DIRICHLET, "eigen"),
+    "periodic-closed": (constant(4.5 * math.pi, 1.0), BoundaryKind.PERIODIC, None),
+    "neumann-closed-T2": (constant(8.65, 2.0), BoundaryKind.NEUMANN, "eigen"),
+    "mixed2-closed": (constant(17.3, 1.0), BoundaryKind.MIXED2, "eigen"),
+    **{f"{bc}-wavy": (coarse_wavy(2001), bc, "eigen") for bc in KERNEL_KINDS},
+    "dirichlet-low": (trig_potential(16.0, [(1.0, 0.5)]), BoundaryKind.DIRICHLET, "eigen"),
+    "mixed1-coarse": (coarse_wavy(41), BoundaryKind.MIXED1, None),
+    "neumann-coarse": (coarse_wavy(41), BoundaryKind.NEUMANN, "potential"),
+}
+
+
+def layout_case(name):
+    """(kernel, weight) of LAYOUT_CASES[name]."""
+    pot, bc, weight = LAYOUT_CASES[name]
+    if weight == "eigen":
+        weight = principal_eigenfunction(pot, bc)
+    elif weight == "potential":
+        weight = pot
+    return build_kernel(pot, bc), weight
+
+
+def layout_grids(kernel):
+    """t-grids of TestRowLayout: 1001 and 3 uniform nodes, pinned ends
+    among them, and t on zeros: a separated kernel's fixed ones, or the
+    zeros of a paired kernel's slices at 0.3 T and 0.7 T."""
+    T = kernel.T
+    if kernel._fixed_zeros is None:
+        zeros = np.concatenate(kernel.s_roots_many([0.3 * T, 0.7 * T]))
+    else:
+        zeros = np.sort(np.concatenate(kernel._fixed_zeros))
+    return [np.linspace(0.0, T, 1001), np.linspace(0.0, T, 3), zeros]
+
+
+class TestRowLayout:
+    """gamma._slice_parts reads each distinct point once and sums its
+    pieces on one contiguous row layout: bit for bit what the scattered
+    layout it replaced (slice_oracle.scattered_slice_parts) gives on the
+    same zeros."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+    def test_matches_scattered_layout_bit_for_bit(self, name):
+        kernel, weight = layout_case(name)
+        for ts in layout_grids(kernel):
+            roots = kernel._roots_flat(ts)
+            got = gamma_module._slice_parts(kernel, ts, roots, weight)
+            want = scattered_slice_parts(kernel, ts, roots, weight)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("name", ["dirichlet-closed-4", "dirichlet-low"])
+    def test_rows_with_no_zero(self, name):
+        kernel, _ = layout_case(name)
+        counts = kernel._roots_flat(np.linspace(0.0, 1.0, 1001))[1]
+        assert np.any(counts == 0) and np.any(counts > 0)
+
+    @pytest.mark.parametrize("name", ["dirichlet-closed", "dirichlet-closed-4",
+                                      "periodic-closed", "mixed2-closed", "dirichlet-wavy",
+                                      "periodic-wavy", "neumann-coarse"])
+    def test_gamma_at_three_nodes_matches_panels(self, name):
+        # figure 1's t-grid: the ends and the middle
+        kernel, weight = layout_case(name)
+        assert_same_gamma(kernel, weight, 3)
+
+    @pytest.mark.parametrize("pot", [constant(17.3, 1.0), coarse_wavy(2001)],
+                             ids=["closed", "wavy"])
+    @pytest.mark.parametrize("bc", KERNEL_KINDS, ids=str)
+    def test_separated_gamma_searches_two_rows(self, bc, pot, monkeypatch):
+        # a separated kernel searches its limit rows t = 0 and T, once; a
+        # paired one every row of the t-grid, once per grid
+        searched = []
+        search = Kernel._search_rows
+
+        def counted(self, ts, sides):
+            searched.append(len(ts))
+            return search(self, ts, sides)
+
+        monkeypatch.setattr(Kernel, "_search_rows", counted)
+        kernel = build_kernel(pot, bc)
+        weight = principal_eigenfunction(pot, bc)
+        for _ in range(2):
+            gamma_quadrature(kernel, weight, 1001)
+        assert searched == ([1001] if bc.multiplier else [2])

@@ -20,7 +20,7 @@ from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import default_max_len, scan_kernel_roots
 from closed_oracle import (closed_roots_many, dirichlet_green, periodic_green,
                            require_nonresonant)
-from slice_oracle import bisect_place, slice_panels
+from slice_oracle import bisect_place, row_roots, slice_panels, split_roots
 
 RHO = 3 * math.pi / 2
 
@@ -476,10 +476,10 @@ class TestNewtonRootsAgainstBisection:
 
     @staticmethod
     def assert_matches_bisection(k, ts, monkeypatch):
-        got = k._roots_flat(ts)
+        got = row_roots(k, ts)
         with monkeypatch.context() as m:
             m.setattr(FundamentalSolutions, "place", bisect_place)
-            want = k._roots_flat(ts)
+            want = row_roots(k, ts)
         assert np.array_equal(got[1], want[1])
         assert np.all(np.abs(got[0] - want[0]) <= 4 * np.finfo(float).eps * k.T)
 
@@ -522,7 +522,7 @@ class TestNewtonRootsAgainstBisection:
             return placed[-1][0]
 
         monkeypatch.setattr(FundamentalSolutions, "place", recording)
-        k.s_roots_many(np.linspace(0.0, 1.0, 201))
+        row_roots(k, np.linspace(0.0, 1.0, 201))
         (r, alpha, beta), = placed
         row, col = np.nonzero(np.isfinite(r))
         assert len(row) > 500
@@ -531,6 +531,94 @@ class TestNewtonRootsAgainstBisection:
         u1r, u2r = fs.eval_pair(r[row, col])
         residual = np.abs(alpha[row] * u1r + beta[row] * u2r)
         assert np.all(residual <= 4 * np.finfo(float).eps * (a * u1 + b * u2))
+
+
+SEPARATED = [bc for bc in KERNEL_KINDS if not bc.multiplier]
+
+
+def fixed_zero_grids(k):
+    """(ts, on_zeros) for TestFixedZeros: 1001 and 3 uniform nodes with the
+    ends (pinned ones among them), then every fixed zero and the floats
+    next to each."""
+    zeros = np.sort(np.concatenate(k._fixed_zeros))
+    return [(np.linspace(0.0, k.T, 1001), False), (np.linspace(0.0, k.T, 3), False),
+            (zeros, True), (np.nextafter(zeros, 0.0), True), (np.nextafter(zeros, k.T), True)]
+
+
+class TestFixedZeros:
+    """On a separated condition every slice has the zeros of u_c left of t
+    and those of phi_R right of it, which the kernel finds once, on its
+    limit rows (Kernel._fixed_zeros); _roots_flat against the search of
+    every row on its own (slice_oracle.row_roots): the same counts, and
+    zeros within 4 roundings of T.
+
+    Where t is on a zero, a row's own search leaves two things undefined:
+    a zero within rounding of t may fall on either side of it, and the
+    slice on one side may read exactly zero (its coefficient is u_c(t) or
+    phi_R(t)), so that the search has nothing to place.  There the zeros
+    within 4 roundings of t, and those of a side whose coefficients are
+    zero, are left out."""
+
+    @staticmethod
+    def assert_matches_rows(k, ts, on_zeros):
+        tol = 4 * np.finfo(float).eps * k.T
+        got, want = k._roots_flat(ts), row_roots(k, ts)
+        assert np.array_equal(got[2], k._sides(ts))
+        if not on_zeros:
+            assert np.array_equal(got[1], want[1])
+        live = np.any(got[2] != 0.0, axis=0).reshape(2, -1).T
+        for t, (left, right), g, w in zip(ts, live, split_roots(got), split_roots(want)):
+            g, w = ([z for z in r if (left and z < t - tol) or (right and z > t + tol)]
+                    for r in (g, w))
+            assert len(g) == len(w), t
+            assert np.all(np.abs(np.subtract(g, w)) <= tol), t
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("bc", SEPARATED, ids=str)
+    def test_constant_potentials(self, bc, T):
+        for rho in (11.0, math.sqrt(60), 17.3):
+            k = build_kernel(constant(rho, T), bc)
+            assert k.form == "closed"
+            for ts, on_zeros in fixed_zero_grids(k):
+                self.assert_matches_rows(k, ts, on_zeros)
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    @pytest.mark.parametrize("bc", SEPARATED, ids=str)
+    def test_wavy(self, bc, T):
+        k = NumericKernel(wavy(T=T), bc)
+        for ts, on_zeros in fixed_zero_grids(k):
+            self.assert_matches_rows(k, ts, on_zeros)
+
+    @given(mean=st.floats(45.0, 75.0),
+           modes=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                          min_size=1, max_size=3),
+           bc=st.sampled_from(SEPARATED),
+           T=st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_trig_draws(self, mean, modes, bc, T):
+        g = np.linspace(0.0, T, 2001)
+        a = np.full(len(g), mean / T**2)
+        for j, (alpha, beta) in enumerate(modes, 1):
+            a += alpha * np.cos(2 * np.pi * j * g / T) + beta * np.sin(2 * np.pi * j * g / T)
+        k = NumericKernel(sampled(g, a, T=T), bc)
+        for ts, on_zeros in fixed_zero_grids(k):
+            self.assert_matches_rows(k, ts, on_zeros)
+
+    @pytest.mark.parametrize("bc", SEPARATED, ids=str)
+    def test_limit_rows_are_the_fixed_zeros(self, bc):
+        # t = 0 has phi_R's zeros and t = T those of u_c; both ends are
+        # limit slices where the condition pins them
+        k = NumericKernel(wavy(), bc)
+        left, right = k._fixed_zeros
+        assert len(left) and len(right)
+        assert np.all(np.diff(left) > 0.0) and np.all(np.diff(right) > 0.0)
+        flat, counts, _ = k._roots_flat(np.array([0.0, k.T]))
+        assert np.array_equal(flat, np.concatenate([right, left]))
+        assert counts.tolist() == [len(right), len(left)]
+
+    def test_paired_conditions_have_none(self):
+        for bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC):
+            assert NumericKernel(wavy(), bc)._fixed_zeros is None
 
 
 def periodic_roots_one_t(rho, T, t):
@@ -739,6 +827,15 @@ class TestSingleEvaluationPath:
         assert np.array_equal(got, k(tt, ss))
         if isinstance(k, NumericKernel):
             assert np.array_equal(got, grid_by_outer(k, x, x[::-1]))
+
+    @pytest.mark.parametrize("k", single_path_kernels())
+    def test_square_grid_matches_outer_grid(self, k):
+        # grid_eval(x, x) is one branch of the symmetric form and its
+        # mirror: bit for bit the outer grid of x and a copy of it, signed
+        # zeros too, on unsorted points with repeats
+        x = awkward_points(60)
+        got = k.grid_eval(x, x)
+        assert np.array_equal(got.view(np.int64), k.grid_eval(x, x.copy()).view(np.int64))
 
     def test_eval_pair_matches_per_solution_basis(self):
         # the monomial cubics round otherwise than the Hermite basis: they
