@@ -183,6 +183,10 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
     # a separated kernel's slice zeros, found once on its limit rows, where
     # a search of every row placed them a rounding apart from row to row
     out.append(["gamma", "--bc", "neumann", "--rho", "17.3", "--format", "json"])
+    # a constant periodic kernel under the weight one, whose ratio does not
+    # depend on t: the slice at t = 0 alone, in full
+    out.append(["gamma", "--bc", "periodic", "--rho", "11", "--T", "2", "--weight", "one",
+                "--format", "json"])
     return out
 
 

@@ -13,11 +13,18 @@ beta), C p(t) left of t and C^T p(t) right of it, so between two of its
 zeros its weighted integral is alpha dW1 + beta dW2, with W the
 antiderivative of p w.  W is read once per (kernel, weight) by
 quadrature.read_both, from the nearer end (a read from 0 cancels next to
-T), at each distinct zero of the slices (a separated kernel's zeros are
-the same in every slice, see greens) and at each diagonal t; at 0 and T it
-is exactly 0 from its own end.  The pieces of every slice lie on one
-contiguous row layout, so they are differences of neighbours.  No slice
-is evaluated on panels of its own.  On a constant potential's exact pair
+T), at each distinct zero of the slices and at each diagonal t; at 0 and T
+it is exactly 0 from its own end.  Under a separated condition a slice is
+phi_R(t) u_c left of t and u_c(t) phi_R right of it (see greens), so its
+zeros are the same in every slice and so are its pieces between them, but
+for that factor: their integrals are summed once per kernel, by sign, from
+0 and from T, and each slice adds its two partial pieces, next to t.  A
+paired condition's zeros move with t; the pieces of its slices lie on one
+contiguous row layout, so they are differences of neighbours.  On a
+constant potential under periodic conditions G(t, s) is g(t - s) on the
+circle, so against a constant weight the ratio is the same at every t and
+gamma_quadrature reads the slice at t = 0 alone.  No slice is evaluated
+on panels of its own.  On a constant potential's exact pair
 with an exact weight (one, the coefficient, or the principal
 eigenfunction, a cos or sin) W is elementary and read_both takes it in
 closed form.  Any other pair or weight reads one cumulative Gauss sum
@@ -26,8 +33,9 @@ which are a numeric eigenfunction weight's too, and at a weight's own
 breakpoints (gamma_star's sampled coefficient).  A piece counts as positive or
 negative by the sign of its own weighted integral.
 The zeros and the sides (alpha, beta) of the slices do not depend on the
-weight: the kernel keeps those of each t-grid (Kernel._grid_roots), and
-every weight read on that grid shares them.
+weight: the kernel keeps what gamma reads of them on each t-grid
+(Kernel._grid_roots, from _slice_rows), and every weight read on that grid
+shares it.
 
 Where the boundary condition pins an end, G(t, .) vanishes there and only
 the limit t -> end means anything.  That limit is a slice of the same
@@ -53,7 +61,7 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      QuadratureFailure, InvalidWeight, UnsupportedBoundaryKind)
 from .greens import require_kernel
 from .potentials import BoundaryKind, ConstantPotential, Potential, constant
-from .quadrature import read_both
+from .quadrature import exact_weight, read_both
 
 T_GRID_SIZE = 1001
 PI_LO = 1.2246467991473532e-16   # pi - math.pi: rho - pi is (rho - math.pi) - PI_LO
@@ -79,37 +87,47 @@ class GammaResult:
         return asdict(self)
 
 
+def _slice_rows(kernel, ts):
+    """What _slice_parts reads of the slices at ts, which the kernel keeps
+    per t-grid (Kernel._grid_roots): the (flat, counts, sides) of
+    kernel._roots_flat on a paired condition; on a separated one, whose
+    zeros are its _fixed_zeros, only the _sides of ts."""
+    if kernel._fixed_zeros is None:
+        return kernel._roots_flat(ts)
+    return kernel._sides(ts)
+
+
 def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     """(N, D) at every t in ts: weighted integrals of the positive and
     negative parts of G(t, .), non-finite where the quadrature failed.
 
-    roots are the zeros of the slices and their sides as (flat, counts,
-    sides), as kernel._roots_flat gives them.  Row i lays out 0, its zeros
-    and t in order, and T, one row after another; each piece between
-    neighbours has one sign, and its integral is alpha dW1 + beta dW2 with
-    (alpha, beta) of its side of t and dW the difference across it of W,
-    read from the nearer end (quadrature.read_both), plus the whole
-    integral for the one piece that spans the middle of [0, T].  W is read
-    once at each zero (a separated kernel's are its _fixed_zeros, the same
-    in every row), at each t, and at 0 and T, where it is exactly 0 from
-    its own end.  A piece counts as positive or negative by the sign
-    of its own weighted integral (zero counts as positive); one
-    np.bincount per sign sums the pieces of every slice.
+    roots is what _slice_rows gives for ts.  W, the antiderivative of p w,
+    is read once per point from the nearer end (quadrature.read_both): at
+    each zero, at each t, and at 0 and T, where it is exactly 0 from its
+    own end.  The integral of a piece between two points is alpha dW1 +
+    beta dW2, with (alpha, beta) of its side of t and dW the difference of
+    W across it, plus the whole integral for the one piece that spans the
+    middle of [0, T].  A piece counts as positive or negative by the sign
+    of its own weighted integral (zero counts as positive).
     """
+    if kernel._fixed_zeros is None:
+        return _row_parts(kernel, ts, roots, weight)
+    return _fixed_parts(kernel, ts, roots, weight)
+
+
+def _row_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
+    """_slice_parts on a paired kernel, whose zeros move with t: roots is
+    (flat, counts, sides).  Row i lays out 0, its zeros and t in order,
+    and T, one row after another; one np.bincount per sign sums the pieces
+    of every slice."""
     flat, k, sides = roots
     n = len(ts)
     rows = np.arange(n)
     root_row = rows.repeat(k)
     past = flat > ts[root_row]
     before = k - np.bincount(root_row[past], minlength=n)
-    fixed = kernel._fixed_zeros
-    if fixed is None:
-        zeros, at_zero = flat, np.arange(len(flat))
-    else:
-        zeros = np.sort(np.concatenate(fixed))
-        at_zero = zeros.searchsorted(flat)
     # every row's 0 and T are read once: W is exactly 0 from its own end
-    x = np.concatenate([zeros, ts, (0.0, kernel.T)])
+    x = np.concatenate([flat, ts, (0.0, kernel.T)])
     S, left, total = read_both(kernel, weight, x)
     # row i holds k[i] + 3 points from start[i]: 0, the zeros left of t,
     # t, the zeros right of t, and T
@@ -117,8 +135,8 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     at = np.empty(len(flat) + 3 * n, dtype=np.intp)
     at[start] = len(x) - 2
     at[start + k + 2] = len(x) - 1
-    at[start + before + 1] = len(zeros) + rows
-    at[np.arange(len(flat)) + 3 * root_row + 1 + past] = at_zero
+    at[start + before + 1] = len(flat) + rows
+    at[np.arange(len(flat)) + 3 * root_row + 1 + past] = np.arange(len(flat))
     S, left = np.take(S, at, axis=1), left[at]
     # piece j runs from point j to j + 1: row i has before[i] + 1 pieces
     # on its side s <= t, k[i] - before[i] + 1 past t, then the one from
@@ -136,6 +154,59 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     row = rows.repeat(k + 3)[:-1]
     return (np.bincount(row, np.maximum(piece, 0.0), minlength=n),
             -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
+
+
+def _signed_sums(pieces) -> np.ndarray:
+    """The sums of the positive and of the negative pieces among the first
+    j, for j from 0 to len(pieces), shape (2, len(pieces) + 1)."""
+    sums = np.zeros((2, len(pieces) + 1))
+    np.cumsum(np.maximum(pieces, 0.0), out=sums[0, 1:])
+    np.cumsum(np.minimum(pieces, 0.0), out=sums[1, 1:])
+    return sums
+
+
+def _fixed_parts(kernel, ts, sides, weight) -> tuple[np.ndarray, np.ndarray]:
+    """_slice_parts on a separated kernel, sides the _sides of ts.
+
+    G(t, .) is phi_R(t) u_c left of t and u_c(t) phi_R right of it
+    (Kernel._separated_factors), so the pieces from 0 between the zeros of
+    u_c, and those between the zeros of phi_R up to T, are those of every
+    slice times its factor.  Their integrals are summed once, by sign, from
+    0 and from T.  Each row takes the sums of the pieces it holds, the
+    positive ones as its positive part where its factor is positive and as
+    its negative part where it is negative, and adds its two partial
+    pieces: from the last zero of u_c at or below t (or 0) to t, and from t
+    to the first zero of phi_R past it (or T).
+    """
+    u_zeros, phi_zeros = kernel._fixed_zeros
+    m, r, n = len(u_zeros), len(phi_zeros), len(ts)
+    # 0 and the zeros of u_c, the zeros of phi_R and T, then every t
+    x = np.concatenate([(0.0,), u_zeros, phi_zeros, (kernel.T,), ts])
+    S, left, total = read_both(kernel, weight, x)
+    u_at, phi_at = np.arange(m + 1), np.arange(m + 1, m + r + 2)
+    at_t = np.arange(m + r + 2, len(x))
+    below = u_zeros.searchsorted(ts, "right")
+    past = phi_zeros.searchsorted(ts, "right")
+    # every piece from point a to point b: those of u_c from 0, those of
+    # phi_R up to T, then each row's partial ones, below t and past it
+    a = np.concatenate([u_at[:-1], phi_at[:-1], below, at_t])
+    b = np.concatenate([u_at[1:], phi_at[1:], at_t, phi_at[past]])
+    dW = np.take(S, b, axis=1) - np.take(S, a, axis=1)
+    dW += total[:, None] * (left[a] > left[b])
+    c = kernel.bc.entry[1]
+    u_w = dW[c]
+    phi_w = kernel._C[c] @ dW
+    # the positive and negative sums of the pieces each row holds: below t
+    # from 0, past t from T
+    held = np.array([np.take(_signed_sums(u_w[:m]), below, axis=1),
+                     np.take(_signed_sums(phi_w[m:m + r][::-1]), r - past, axis=1)])
+    factor = np.array(kernel._separated_factors(sides))
+    pos, neg = (np.where(factor[:, None] >= 0.0, held, held[:, ::-1])
+                * factor[:, None]).sum(axis=0)
+    part = factor * [u_w[m + r:m + r + n], phi_w[m + r + n:]]
+    pos += np.maximum(part, 0.0).sum(axis=0)
+    neg += np.minimum(part, 0.0).sum(axis=0)
+    return pos, -neg
 
 
 def _slice_ratios(kernel, ts, roots, weight, need_positive) -> np.ndarray:
@@ -182,8 +253,19 @@ def pointwise_ratio(kernel, t, weight=None):
         if pinned:
             raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {u:.6g} "
                              f"to zero")
-    rs = _slice_ratios(kernel, ts, kernel._roots_flat(ts), weight, need_positive=False)
+    rs = _slice_ratios(kernel, ts, _slice_rows(kernel, ts), weight, need_positive=False)
     return float(rs[0]) if t.ndim == 0 else rs.reshape(t.shape)
+
+
+def _t_independent(kernel, weight) -> bool:
+    """Whether N(t) and D(t) are the same at every t: on a constant
+    potential's exact pair under periodic conditions G(t, s) is g(t - s) on
+    the circle, so every slice is a translate of one, and a constant weight
+    (exact_weight at omega 0) weighs each alike."""
+    if kernel.form != "closed" or kernel.bc.multiplier != 1:
+        return False
+    exact = exact_weight(weight)
+    return exact is not None and exact[0] == 0.0
 
 
 def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE) -> GammaResult:
@@ -196,17 +278,22 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE) -> Gam
     kernel's separable form gives exactly (kernel._sides); its weighted
     integral need not be positive.  The zeros of the slices do not depend
     on the weight: the kernel keeps them per t_grid_size for later calls.
-    Raises ValueError where t_grid_size is below 1.
+    Where the ratio does not depend on t (_t_independent) only the slice
+    at t = 0 is read, whatever t_grid_size.  Raises ValueError where
+    t_grid_size is below 1.
     """
     if t_grid_size < 1:
         raise ValueError(f"t_grid_size needs at least 1 node, got {t_grid_size}")
     label = "One" if weight is None else "PrincipalEigenfunction"
-    ts = np.linspace(0.0, kernel.T, t_grid_size)
-    found = kernel._grid_roots.get(t_grid_size)
+    # every slice of a t-independent ratio reads as the one at t = 0, where
+    # the tie rule puts the minimum
+    size = 1 if _t_independent(kernel, weight) else t_grid_size
+    ts = np.linspace(0.0, kernel.T, size)
+    found = kernel._grid_roots.get(size)
     if found is None:
         # the zeros of the limit slices at pinned ends included, and the
         # sides of every slice
-        found = kernel._grid_roots[t_grid_size] = kernel._roots_flat(ts)
+        found = kernel._grid_roots[size] = _slice_rows(kernel, ts)
     ratios = _slice_ratios(kernel, ts, found, weight, need_positive=~kernel.pinned(ts))
     vmin = float(np.min(ratios))
     if math.isinf(vmin):

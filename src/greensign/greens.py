@@ -44,9 +44,12 @@ G(t, s) = u_c(min(t, s)) phi_R(max(t, s)), so every slice has the zeros of
 u_c left of t and those of phi_R right of it (Coddington & Levinson 1955,
 ch. 7): the kernel finds them once, on the limit rows t = T and t = 0
 (_fixed_zeros), and each slice takes those of u_c up to t and those of
-phi_R past it.  A paired condition's zeros move with t, and every slice
-is searched.  A square grid_eval, such as the max-G lattice of cone, is
-one branch of the symmetric form and its mirror.
+phi_R past it.  Between them the slice is phi_R(t) u_c left of t and
+u_c(t) phi_R right of it, and _separated_factors gives the two factors
+(those of the limit slice at a pinned end), with which gamma sums the
+fixed pieces once per kernel.  A paired condition's zeros move with t,
+and every slice is searched.  A square grid_eval, such as the max-G
+lattice of cone, is one branch of the symmetric form and its mirror.
 """
 from __future__ import annotations
 
@@ -89,7 +92,8 @@ def _coupling(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
         return np.linalg.solve(m * np.eye(2) - phi, phi[:, ::-1] * [1.0, -1.0])
     # for s > t a slice is u_c(t), which meets the condition at 0, times
     # the solution of s that meets it at T: row r weighs the entry's
-    # neighbour against the entry
+    # neighbour against the entry, so C[c] holds +-1 at 1 - c
+    # (Kernel._separated_factors reads u_c(t) off it)
     r, c = bc.entry
     C = np.zeros((2, 2))
     C[c] = ((-phi[r, 1] / phi[r, 0], 1.0) if c == 0
@@ -121,7 +125,11 @@ def separable_read(coefficients, parts) -> tuple[np.ndarray, np.ndarray]:
 class Kernel:
     """G(t, s) of (potential, bc) from a fundamental pair: the RK4
     FundamentalSolutions of any potential, or the exact ConstantPair of a
-    constant one (see the module docstring)."""
+    constant one (see the module docstring).  Under a separated condition
+    it is u_c(min(t, s)) phi_R(max(t, s)): the separated factors of a slice
+    G(t, .) are phi_R(t) left of t and u_c(t) right of it
+    (_separated_factors), and the zeros of u_c and phi_R are the kernel's
+    (_fixed_zeros)."""
 
     def __init__(self, potential: Potential, bc: BoundaryKind, pair):
         if not isinstance(bc, BoundaryKind):
@@ -132,9 +140,9 @@ class Kernel:
         self.fs = pair
         self.form = pair.form  # "closed" on an exact pair, "numeric" on RK4
         self._C = _coupling(_boundary_matrix(pair, bc), bc)
-        # _roots_flat on the uniform t-grid of each size: the zeros and the
-        # sides of the slices do not depend on the weight (gamma_quadrature)
-        self._grid_roots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # gamma's _slice_rows on the uniform t-grid of each size: the zeros
+        # and the sides of the slices do not depend on the weight
+        self._grid_roots: dict[int, tuple | np.ndarray] = {}
 
     def _pair(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(u1, u2) at x, exactly zero at an end that the condition pins."""
@@ -194,6 +202,18 @@ class Kernel:
             p[:, pinned] = np.where(ts[pinned] == 0.0, [[0.0], [1.0]],
                                     -self.fs.phi[1][:, None])
         return np.concatenate(_slices(self._C, p), axis=1)
+
+    def _separated_factors(self, sides) -> tuple[np.ndarray, np.ndarray]:
+        """(phi_R(t), u_c(t)) at every t of sides, the _sides of ts, on a
+        separated condition: G(t, .) is phi_R(t) u_c left of t and u_c(t)
+        phi_R right of it, with u_c = p[c] and phi_R = C[c] p, and at a
+        pinned end these are the factors of the limit slice.  They are read
+        off sides exactly: the side s <= t is phi_R(t) at c and 0 at 1 - c,
+        the side past t is u_c(t) C[c], and C[c] holds +-1 at 1 - c
+        (_coupling)."""
+        c = self.bc.entry[1]
+        n = sides.shape[1] // 2
+        return sides[c, :n], sides[1 - c, n:] * self._C[c, 1 - c]
 
     def _coefficients(self, p) -> np.ndarray:
         """separable_read's coefficients at p: _slices of C and p, then of |C| and |p|."""

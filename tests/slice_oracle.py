@@ -25,7 +25,9 @@ to that limit which gamma used before it read the limit slice.
 row_roots is the root search of every slice on its own, which a
 separated kernel runs on its two limit rows only.  scattered_slice_parts
 is gamma's slice integration before its one row layout, which read every
-point of every row.
+point of every row; row_slice_parts is that row layout as it summed every
+piece of every slice, a separated kernel's too, before a separated kernel
+summed its fixed pieces once.
 
 bisect_place is the root refinement of FundamentalSolutions.place before
 it took Newton steps: ROOT_HALVINGS halvings of each zero's node cell,
@@ -274,6 +276,55 @@ def scattered_slice_parts(kernel, ts, roots, weight):
             -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
 
 
+def row_slice_parts(kernel, ts, roots, weight):
+    """gamma._slice_parts as it summed every slice on one contiguous row
+    layout, separated kernels too, before a separated kernel summed its
+    fixed pieces once: roots is the (flat, counts, sides) of
+    kernel._roots_flat.  Row i lays out 0, its zeros, t and T; W is read
+    once at each distinct zero (a separated kernel's _fixed_zeros), at each
+    t, and at 0 and T, and one np.bincount per sign sums the pieces of
+    every slice."""
+    flat, k, sides = roots
+    n = len(ts)
+    rows = np.arange(n)
+    root_row = rows.repeat(k)
+    past = flat > ts[root_row]
+    before = k - np.bincount(root_row[past], minlength=n)
+    fixed = kernel._fixed_zeros
+    if fixed is None:
+        zeros, at_zero = flat, np.arange(len(flat))
+    else:
+        zeros = np.sort(np.concatenate(fixed))
+        at_zero = zeros.searchsorted(flat)
+    x = np.concatenate([zeros, ts, (0.0, kernel.T)])
+    S, left, total = read_both(kernel, weight, x)
+    # row i holds k[i] + 3 points from start[i]: 0, the zeros left of t,
+    # t, the zeros right of t, and T
+    start = k.cumsum() - k + 3 * rows
+    at = np.empty(len(flat) + 3 * n, dtype=np.intp)
+    at[start] = len(x) - 2
+    at[start + k + 2] = len(x) - 1
+    at[start + before + 1] = len(zeros) + rows
+    at[np.arange(len(flat)) + 3 * root_row + 1 + past] = at_zero
+    S, left = np.take(S, at, axis=1), left[at]
+    # piece j runs from point j to j + 1: row i has before[i] + 1 pieces
+    # on its side s <= t, k[i] - before[i] + 1 past t, then the one from
+    # its T to the next row's 0, which reads 0 and weighs nothing
+    dW = np.diff(S, axis=1)
+    dW += total[:, None] * (left[:-1] > left[1:])
+    pieces = np.ones((n, 3), dtype=np.intp)
+    pieces[:, 0] = before + 1
+    pieces[:, 1] = k - before + 1
+    coefficients = np.zeros((2, n, 3))
+    coefficients[:, :, 0] = sides[:, :n]
+    coefficients[:, :, 1] = sides[:, n:]
+    alpha, beta = np.repeat(coefficients.reshape(2, -1), pieces.ravel(), axis=1)[:, :-1]
+    piece = alpha * dW[0] + beta * dW[1]
+    row = rows.repeat(k + 3)[:-1]
+    return (np.bincount(row, np.maximum(piece, 0.0), minlength=n),
+            -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
+
+
 def inside_pinned_ends(kernel, ts, step: float = PINNED_STEP) -> np.ndarray:
     """ts with every end that the condition pins moved step T inside
     [0, T], where a slice stands for the limit slice at that end."""
@@ -292,17 +343,16 @@ def panel_slice_parts(breaks=None):
     PINNED_STEP T and 2h inside it (inside_pinned_ends), with their zeros:
     with r(d) the parts of the slice at distance d divided by d, which meet
     the limit slice's to O(d), the row is 2 r(h) - r(2h), which meets them
-    to O(h**2) under any weight."""
+    to O(h**2) under any weight.  Every slice takes its zeros from
+    kernel.s_roots_many, not from gamma's rows (roots)."""
     def parts(kernel, ts, roots, weight):
         n = len(ts)
         pinned = np.flatnonzero(kernel.pinned(ts))
         near = np.concatenate([inside_pinned_ends(kernel, ts),
                                inside_pinned_ends(kernel, ts[pinned], 2.0 * PINNED_STEP)])
-        roots = split_roots(roots) + [None] * len(pinned)
-        for i in [*pinned, *range(n, len(near))]:
-            roots[i] = kernel.s_roots(near[i])
-        pos, neg = slice_parts(kernel, near, roots, weight, GAUSS_ORDER,
-                               default_max_len(kernel.potential), breaks=breaks)
+        pos, neg = slice_parts(kernel, near, kernel.s_roots_many(near), weight,
+                               GAUSS_ORDER, default_max_len(kernel.potential),
+                               breaks=breaks)
         ends = ts[pinned]
         h, h2 = np.abs(near[pinned] - ends), np.abs(near[n:] - ends)
         for part in (pos, neg):

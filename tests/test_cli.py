@@ -265,27 +265,36 @@ class TestCheck:
     def test_both_weighted_ratios_share_one_root_search(self, capsys, tmp_path,
                                                         monkeypatch):
         # the zeros of the slices do not depend on the weight: the
-        # eigenfunction- and coefficient-weighted ratios read one set
+        # eigenfunction- and coefficient-weighted ratios read one set, the
+        # fixed zeros of the Neumann kernel, searched on its two limit rows,
+        # and the rows of one t-grid
+        from greensign import gamma
         from greensign.greens import Kernel
         ts = np.linspace(0.0, 1.0, 2001)
         path = tmp_path / "wavy.csv"
         path.write_text("t,a\n" + "\n".join(
             f"{float(t)!r},{float(60 + 10 * np.sin(2 * np.pi * t))!r}" for t in ts))
-        calls = []
-        roots_flat = Kernel._roots_flat
+        searched, rows = [], []
+        search_rows, slice_rows = Kernel._search_rows, gamma._slice_rows
 
-        def counted(self, ts):
-            calls.append(len(ts))
-            return roots_flat(self, ts)
+        def counted_search(self, ts, sides):
+            searched.append(len(ts))
+            return search_rows(self, ts, sides)
 
-        monkeypatch.setattr(Kernel, "_roots_flat", counted)
+        def counted_rows(kernel, ts):
+            rows.append(len(ts))
+            return slice_rows(kernel, ts)
+
+        monkeypatch.setattr(Kernel, "_search_rows", counted_search)
+        monkeypatch.setattr(gamma, "_slice_rows", counted_rows)
         code, out, _ = run(["check", "--bc", "neumann", "--samples", str(path),
                             "--f", "1 + x/(1+x)"], capsys)
         assert code == 0
         obj = json.loads(out)
         assert obj["gamma"]["weight"] == "PrincipalEigenfunction"
         assert obj["h2_star"]["gamma"] > 1.0
-        assert calls == [1001]
+        assert searched == [2]
+        assert rows == [1001]
 
 
 class TestSolve:
@@ -859,7 +868,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 42
+        assert n_json == 43
 
 
 def load_golden_diff():
@@ -936,7 +945,7 @@ def test_golden_diff_lists_json_moves_by_key():
 def test_golden_diff_of_a_tree_with_itself(capsys):
     golden_diff = load_golden_diff()
     assert golden_diff.main([str(GOLDEN.parents[1])]) == 0
-    assert capsys.readouterr().out == "0 of 84 outputs differ\n"
+    assert capsys.readouterr().out == "0 of 85 outputs differ\n"
 
 
 def test_console_script_runs():

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from dataclasses import replace
 
@@ -7,10 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import gamma as gamma_module, quadrature
+from greensign.cli import main as cli_main
 from greensign.cone import _t_prefix
 from greensign.errors import (InvalidWeight, NonpositiveWeightedIntegral,
                               OutOfRange, QuadratureFailure, ResonantPotential,
                               UnsupportedBoundaryKind)
+from greensign.fundamental import ConstantPair
 from greensign.gamma import (CASE_2B_NOTE, GammaResult, _ratio,
                              gamma_closed, gamma_dirichlet_closed,
                              gamma_dirichlet_t_closed, gamma_periodic_closed,
@@ -18,10 +21,10 @@ from greensign.gamma import (CASE_2B_NOTE, GammaResult, _ratio,
 from greensign.greens import Kernel, NumericKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
-from greensign.spectral import principal_eigenfunction
+from greensign.spectral import Eigenfunction, principal_eigenfunction
 from slice_oracle import (PINNED_STEP, antiderivative, boundary_nodes,
                           inside_pinned_ends, neville_to_zero, panel_slice_parts,
-                          scattered_slice_parts, slice_parts)
+                          row_slice_parts, scattered_slice_parts, slice_parts)
 
 SIN_WEIGHT = lambda s: np.sin(np.pi * np.asarray(s))
 
@@ -670,7 +673,7 @@ class TestSeparableSlices:
         ts = np.linspace(0.0, 1.0, 41)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quadrature.CellSums, "both", spy)
-            gamma_module._slice_parts(kernel, ts, kernel._roots_flat(ts), weight)
+            gamma_module._slice_parts(kernel, ts, gamma_module._slice_rows(kernel, ts), weight)
             _t_prefix(kernel, np.linspace(0.0, 1.0, 65), np.linspace(0.0, 1.0, 201))
         (x, (S, left, total)), (y, (U, up_left, U_total)) = reads
         want, want_left, _ = antiderivative(kernel, weight, x)
@@ -767,7 +770,7 @@ class TestPinnedEndLimit:
     def test_end_ratio_is_the_slice_just_inside(self, name):
         kernel, weight = PINNED_CASES[name]()
         ends = np.array([0.0, kernel.T])[list(kernel.bc.pinned_ends)]
-        got = gamma_module._slice_ratios(kernel, ends, kernel._roots_flat(ends),
+        got = gamma_module._slice_ratios(kernel, ends, gamma_module._slice_rows(kernel, ends),
                                          weight, need_positive=False)
         near = pointwise_ratio(kernel, inside_pinned_ends(kernel, ends), weight)
         assert_allclose(got, near, rtol=1e-14)
@@ -834,21 +837,38 @@ def layout_grids(kernel):
     return [np.linspace(0.0, T, 1001), np.linspace(0.0, T, 3), zeros]
 
 
+#: Roundings, relative, by which a separated kernel's parts, summed once
+#: per fixed piece, may stand off those summed piece by piece in every row
+PIECE_ULPS = 4
+
+
+def assert_within_ulps(got, want, ulps=PIECE_ULPS):
+    """Each array of got within ulps roundings of its array of want,
+    relative, elementwise (or equal, as where both are +inf)."""
+    for g, w in zip(got, want):
+        assert np.all((np.abs(g - w) <= ulps * np.finfo(float).eps * np.abs(w))
+                      | (g == w))
+
+
 class TestRowLayout:
-    """gamma._slice_parts reads each distinct point once and sums its
-    pieces on one contiguous row layout: bit for bit what the scattered
-    layout it replaced (slice_oracle.scattered_slice_parts) gives on the
-    same zeros."""
+    """gamma._slice_parts reads each distinct point once.  A paired
+    kernel's slices are summed on one contiguous row layout: bit for bit
+    what the scattered layout it replaced (slice_oracle.scattered_slice_parts)
+    gives on the same zeros.  A separated kernel's fixed pieces are summed
+    once per kernel (TestFixedPieces), within PIECE_ULPS roundings of it."""
 
     @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
     def test_matches_scattered_layout_bit_for_bit(self, name):
         kernel, weight = layout_case(name)
         for ts in layout_grids(kernel):
-            roots = kernel._roots_flat(ts)
-            got = gamma_module._slice_parts(kernel, ts, roots, weight)
-            want = scattered_slice_parts(kernel, ts, roots, weight)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+            got = gamma_module._slice_parts(kernel, ts, gamma_module._slice_rows(kernel, ts),
+                                            weight)
+            want = scattered_slice_parts(kernel, ts, kernel._roots_flat(ts), weight)
+            if kernel._fixed_zeros is None:
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+            else:
+                assert_within_ulps(got, want)
 
     @pytest.mark.parametrize("name", ["dirichlet-closed-4", "dirichlet-low"])
     def test_rows_with_no_zero(self, name):
@@ -869,7 +889,9 @@ class TestRowLayout:
     @pytest.mark.parametrize("bc", KERNEL_KINDS, ids=str)
     def test_separated_gamma_searches_two_rows(self, bc, pot, monkeypatch):
         # a separated kernel searches its limit rows t = 0 and T, once; a
-        # paired one every row of the t-grid, once per grid
+        # paired one every row of the t-grid, once per grid, but a constant
+        # periodic one under a constant weight (its principal eigenfunction)
+        # only the row t = 0 (TestOneSlice)
         searched = []
         search = Kernel._search_rows
 
@@ -882,4 +904,208 @@ class TestRowLayout:
         weight = principal_eigenfunction(pot, bc)
         for _ in range(2):
             gamma_quadrature(kernel, weight, 1001)
-        assert searched == ([1001] if bc.multiplier else [2])
+        one_slice = bc is BoundaryKind.PERIODIC and kernel.form == "closed"
+        assert searched == ([1] if one_slice else [1001] if bc.multiplier else [2])
+
+
+SEPARATED_KINDS = [bc for bc in KERNEL_KINDS if not bc.multiplier]
+
+# (kernel, potential) of TestFixedPieces: exact pairs, T = 2, Dirichlet
+# rho = 4, whose slices about t = 1/2 have no zero, RK4 on a constant, on
+# wavy and on a coarse grid
+FIXED_KERNELS = {
+    "closed-17.3": lambda bc: build_kernel(constant(17.3, 1.0), bc),
+    "closed-4": lambda bc: build_kernel(constant(4.0, 1.0), bc),
+    "closed-T2": lambda bc: build_kernel(constant(8.65, 2.0), bc),
+    "rk4-17.3": lambda bc: NumericKernel(constant(17.3, 1.0), bc),
+    "wavy": lambda bc: build_kernel(coarse_wavy(2001), bc),
+    "wavy-41": lambda bc: build_kernel(coarse_wavy(41), bc),
+}
+
+
+def row_layout_parts(kernel, ts, roots, weight):
+    """A stand-in for gamma._slice_parts that sums every piece of every
+    slice on the row layout (slice_oracle.row_slice_parts), on the
+    kernel's own zeros."""
+    return row_slice_parts(kernel, ts, kernel._roots_flat(ts), weight)
+
+
+def assert_gamma_as_row_layout(kernel, weight, t_grid_size):
+    """gamma_quadrature against itself on the row layout: the same argmin
+    and the value within PIECE_ULPS roundings, or the same error."""
+    def gamma():
+        try:
+            return gamma_quadrature(kernel, weight, t_grid_size)
+        except NonpositiveWeightedIntegral as exc:
+            return str(exc)
+    got = gamma()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gamma_module, "_slice_parts", row_layout_parts)
+        want = gamma()
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.argmin_t == want.argmin_t
+    assert_within_ulps([got.value], [want.value])
+
+
+class TestFixedPieces:
+    """A separated kernel sums the pieces between its fixed zeros once, by
+    sign, from 0 and from T, and each slice adds its two partial pieces
+    (gamma._fixed_parts): within PIECE_ULPS roundings of the row layout
+    that summed every piece of every slice (slice_oracle.row_slice_parts),
+    with the same errors."""
+
+    @pytest.mark.parametrize("eigen_weight", [True, False], ids=["eigen", "one"])
+    @pytest.mark.parametrize("name", sorted(FIXED_KERNELS))
+    @pytest.mark.parametrize("bc", SEPARATED_KINDS, ids=str)
+    def test_parts_match_row_layout(self, bc, name, eigen_weight):
+        kernel = FIXED_KERNELS[name](bc)
+        weight = principal_eigenfunction(kernel.potential, bc) if eigen_weight else None
+        T = kernel.T
+        zeros = np.sort(np.concatenate(kernel._fixed_zeros))
+        # the grids of gamma and figure 1, then t on every fixed zero and
+        # on the floats next to it
+        for ts in (np.linspace(0.0, T, 1001), np.linspace(0.0, T, 3), zeros,
+                   np.nextafter(zeros, 0.0), np.nextafter(zeros, T)):
+            got = gamma_module._slice_parts(kernel, ts, gamma_module._slice_rows(kernel, ts),
+                                            weight)
+            assert_within_ulps(got, row_slice_parts(kernel, ts, kernel._roots_flat(ts),
+                                                    weight))
+        for size in (1001, 3):
+            assert_gamma_as_row_layout(kernel, weight, size)
+
+    def test_cases_meet_nonpositive_rows(self):
+        # under the weight one Dirichlet rho = 17.3 and mixed1 and mixed2
+        # rho = 4 have rows whose weighted integral is not positive, which
+        # the row layout must refuse alike
+        for name, bc in [("closed-17.3", BoundaryKind.DIRICHLET),
+                         ("closed-4", BoundaryKind.MIXED1), ("closed-4", BoundaryKind.MIXED2)]:
+            with pytest.raises(NonpositiveWeightedIntegral):
+                gamma_quadrature(FIXED_KERNELS[name](bc), None, 1001)
+
+    @pytest.mark.parametrize("bc", SEPARATED_KINDS, ids=str)
+    def test_non_finite_weight_raises_as_row_layout(self, bc):
+        # a NaN or an infinite weight past some s makes every row's sums
+        # non-finite, on the row layout and on the fixed pieces alike
+        kernel = FIXED_KERNELS["closed-17.3"](bc)
+        for bad in (lambda s: np.where(np.asarray(s) > 0.7, np.nan, 1.0),
+                    lambda s: np.where(np.asarray(s) > 0.2, np.inf, 1.0)):
+            with pytest.raises(QuadratureFailure) as got, np.errstate(invalid="ignore"):
+                gamma_quadrature(kernel, bad, 11)
+            with (pytest.MonkeyPatch.context() as mp, pytest.raises(QuadratureFailure) as want,
+                  np.errstate(invalid="ignore")):
+                mp.setattr(gamma_module, "_slice_parts", row_layout_parts)
+                gamma_quadrature(kernel, bad, 11)
+            assert str(got.value) == str(want.value)
+
+    @given(mean=st.floats(10.0, 75.0),
+           modes=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                          min_size=1, max_size=3),
+           bc=st.sampled_from(SEPARATED_KINDS),
+           eigen_weight=st.booleans(),
+           size=st.sampled_from([3, 41, 1001]))
+    @settings(max_examples=20, deadline=None)
+    def test_trig_draws_match_row_layout(self, mean, modes, bc, eigen_weight, size):
+        pot = trig_potential(mean, modes)
+        kernel = build_kernel(pot, bc)
+        weight = principal_eigenfunction(pot, bc) if eigen_weight else None
+        ts = np.linspace(0.0, 1.0, size)
+        got = gamma_module._slice_parts(kernel, ts, gamma_module._slice_rows(kernel, ts), weight)
+        assert_within_ulps(got, row_slice_parts(kernel, ts, kernel._roots_flat(ts), weight))
+        assert_gamma_as_row_layout(kernel, weight, size)
+
+
+def full_sweep(fn):
+    """fn() with gamma_quadrature reading every slice of its t-grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gamma_module, "_t_independent", lambda kernel, weight: False)
+        return fn()
+
+
+def constant_weight_gamma(rho, T, weight):
+    """gamma of the periodic kernel of rho**2 on [0, T] under a constant
+    weight: one, its principal eigenfunction, or the coefficient rho**2."""
+    pot = constant(rho, T)
+    kernel = build_kernel(pot, BoundaryKind.PERIODIC)
+    if weight == "coefficient":
+        return gamma_star(kernel, pot)
+    return gamma_quadrature(kernel, None if weight == "one" else
+                            principal_eigenfunction(pot, BoundaryKind.PERIODIC))
+
+
+def search_counts(fn):
+    """The rows of every search of slice zeros (Kernel._search_rows) that
+    fn() makes, whether or not it then finds a weighted integral that is
+    not positive (as the antiperiodic one at t = 0 is under the weight
+    one)."""
+    searched = []
+    search = Kernel._search_rows
+
+    def counted(self, ts, sides):
+        searched.append(len(ts))
+        return search(self, ts, sides)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Kernel, "_search_rows", counted)
+        with contextlib.suppress(NonpositiveWeightedIntegral):
+            fn()
+    return searched
+
+
+class TestOneSlice:
+    """On a constant potential's exact pair under periodic conditions every
+    slice is a translate of one, so under a constant weight N and D do not
+    depend on t: gamma_quadrature reads the slice at t = 0 alone, which the
+    tie rule of the full sweep reports, bit for bit."""
+
+    @pytest.mark.parametrize("weight", ["one", "eigen", "coefficient"])
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_matches_full_sweep_bit_for_bit(self, T, weight):
+        for rho in math.pi * np.linspace(1.05, 6.95, 40):
+            got = constant_weight_gamma(rho, T, weight)
+            want = full_sweep(lambda: constant_weight_gamma(rho, T, weight))
+            assert got == want
+            assert got.argmin_t == 0.0
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_kernel_without_negative_part(self, T):
+        # rho T below pi: G > 0, so the ratio is the +inf sentinel
+        kernel = build_kernel(constant(0.9 * math.pi / T, T), BoundaryKind.PERIODIC)
+        got = gamma_quadrature(kernel)
+        assert got == full_sweep(lambda: gamma_quadrature(kernel))
+        assert (got.value, got.argmin_t) == (math.inf, 0.0)
+        assert search_counts(lambda: gamma_quadrature(
+            build_kernel(constant(0.9 * math.pi / T, T), BoundaryKind.PERIODIC))) == [1]
+
+    def test_nonpositive_weighted_integral(self):
+        # a negative constant weight: the weighted integral is negative at
+        # every t, and both paths refuse it at t = 0
+        kernel = periodic_kernel(11.0)
+        weight = Eigenfunction(ConstantPair(0.0, 1.0), -1.0, 0.0, 0.0, BoundaryKind.PERIODIC)
+        with pytest.raises(NonpositiveWeightedIntegral) as one:
+            gamma_quadrature(kernel, weight)
+        with pytest.raises(NonpositiveWeightedIntegral) as every:
+            full_sweep(lambda: gamma_quadrature(kernel, weight))
+        assert str(one.value) == str(every.value) == (
+            "weighted integral of the kernel is not positive at t = 0.0")
+
+    @pytest.mark.parametrize("make", [
+        lambda: (NumericKernel(constant(11.0, 1.0), BoundaryKind.PERIODIC), None),
+        lambda: (NumericKernel(coarse_wavy(2001), BoundaryKind.PERIODIC), None),
+        lambda: (build_kernel(constant(11.0, 1.0), BoundaryKind.ANTIPERIODIC), None),
+        lambda: (periodic_kernel(11.0), SIN_WEIGHT),
+    ], ids=["rk4-constant", "rk4-wavy", "antiperiodic-closed", "closed-sin-weight"])
+    def test_other_kernels_and_weights_search_every_row(self, make):
+        kernel, weight = make()
+        assert search_counts(lambda: gamma_quadrature(kernel, weight)) == [1001]
+        assert search_counts(lambda: gamma_quadrature(periodic_kernel(11.0))) == [1]
+        assert search_counts(lambda: full_sweep(
+            lambda: gamma_quadrature(periodic_kernel(11.0)))) == [1001]
+
+    def test_figure_1_unchanged(self, tmp_path):
+        # figure 1 reads 300 periodic constant kernels at t-grid 3
+        fast, full = tmp_path / "fast.csv", tmp_path / "full.csv"
+        assert cli_main(["figure", "1", "--output", str(fast)]) == 0
+        assert full_sweep(lambda: cli_main(["figure", "1", "--output", str(full)])) == 0
+        assert fast.read_bytes() == full.read_bytes()
