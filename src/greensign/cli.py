@@ -206,11 +206,11 @@ def _add_output_args(p, formats=("json",), help="file path (default stdout)"):
     p.add_argument("--output", help=help)
 
 
-def _add_potential_args(p, bc_required=True):
+def _add_potential_args(p):
     p.add_argument("--rho", help="constant potential a = rho^2; expression, e.g. sqrt(60)")
     p.add_argument("--samples", help="CSV of t,a rows defining a sampled potential")
     p.add_argument("--T", default=None, help="interval length (expression, default 1)")
-    p.add_argument("--bc", required=bc_required, choices=BC_CHOICES,
+    p.add_argument("--bc", required=True, choices=BC_CHOICES,
                    help="boundary condition")
     p.add_argument("--grid", type=_int_at_least(MIN_GRID), default=None,
                    help=f"fundamental-solution grid size "
@@ -345,9 +345,7 @@ def _cmd_figure(args) -> int:
         rows = []
         for rho in rhos:
             closed = gamma_periodic_closed(rho)
-            quad = gamma_quadrature(build_kernel(constant(rho),
-                                                 BoundaryKind.PERIODIC),
-                                    None, t_grid_size=3)
+            quad = gamma_quadrature(build_kernel(constant(rho), BoundaryKind.PERIODIC))
             rows.append((rho, closed.value, quad.value))
         rows = np.array(rows).tolist()
     elif n == 2:

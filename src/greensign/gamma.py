@@ -15,10 +15,11 @@ antiderivative of p w.  W is read once per (kernel, weight) by
 quadrature.read_both, from the nearer end (a read from 0 cancels next to
 T), at each distinct zero of the slices and at each diagonal t; at 0 and T
 it is exactly 0 from its own end.  Under a separated condition a slice is
-phi_R(t) u_c left of t and u_c(t) phi_R right of it (see greens), so its
-zeros are the same in every slice and so are its pieces between them, but
-for that factor: their integrals are summed once per kernel, by sign, from
-0 and from T, and each slice adds its two partial pieces, next to t.  A
+phi_R(t) u_c left of t and u_c(t) phi_R right of it, so its zeros are
+the same in every slice and so are its pieces between them, but for that
+factor.  The kernel states that form (greens.Kernel._separated, _held):
+the integrals of the pieces are summed once per kernel, by sign, from 0
+and from T, and each slice adds its two partial pieces, next to t.  A
 paired condition's zeros move with t; the pieces of its slices lie on one
 contiguous row layout, so they are differences of neighbours.  On a
 constant potential under periodic conditions G(t, s) is g(t - s) on the
@@ -32,15 +33,15 @@ edged at those points, whose cells break at the kernel's grid nodes,
 which are a numeric eigenfunction weight's too, and at a weight's own
 breakpoints (gamma_star's sampled coefficient).  A piece counts as positive or
 negative by the sign of its own weighted integral.
-The zeros and the sides (alpha, beta) of the slices do not depend on the
-weight: the kernel keeps what gamma reads of them on each t-grid
+The zeros, the sides (alpha, beta) and the factors of the slices do not
+depend on the weight: the kernel keeps what gamma reads of them on each t-grid
 (Kernel._grid_roots, from _slice_rows), and every weight read on that grid
 shares it.
 
 Where the boundary condition pins an end, G(t, .) vanishes there and only
 the limit t -> end means anything.  That limit is a slice of the same
 separable form, G(t, .) / |t - end| with p'(end) in place of p(t) (see
-greens.Kernel._sides), so gamma_quadrature reads it as it reads every
+greens.Kernel._limit_pair), so gamma_quadrature reads it as it reads every
 other node of its t-grid: one slice per node, its zeros from the same
 angle rule.
 
@@ -89,12 +90,14 @@ class GammaResult:
 
 def _slice_rows(kernel, ts):
     """What _slice_parts reads of the slices at ts, which the kernel keeps
-    per t-grid (Kernel._grid_roots): the (flat, counts, sides) of
-    kernel._roots_flat on a paired condition; on a separated one, whose
-    zeros are its _fixed_zeros, only the _sides of ts."""
+    per t-grid (Kernel._grid_roots): on a paired condition (flat, counts,
+    sides), the zeros of every row (Kernel._search_rows) and the _sides of
+    ts; on a separated one, whose zeros are its _fixed_zeros, only the
+    factors (phi_R(t), u_c(t)) of ts (Kernel._separated of _limit_pair)."""
     if kernel._fixed_zeros is None:
-        return kernel._roots_flat(ts)
-    return kernel._sides(ts)
+        sides = kernel._sides(ts)
+        return (*kernel._search_rows(ts, sides), sides)
+    return np.array(kernel._separated(kernel._limit_pair(ts)))
 
 
 def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
@@ -165,11 +168,12 @@ def _signed_sums(pieces) -> np.ndarray:
     return sums
 
 
-def _fixed_parts(kernel, ts, sides, weight) -> tuple[np.ndarray, np.ndarray]:
-    """_slice_parts on a separated kernel, sides the _sides of ts.
+def _fixed_parts(kernel, ts, factor, weight) -> tuple[np.ndarray, np.ndarray]:
+    """_slice_parts on a separated kernel, factor the (phi_R(t), u_c(t))
+    of ts.
 
     G(t, .) is phi_R(t) u_c left of t and u_c(t) phi_R right of it
-    (Kernel._separated_factors), so the pieces from 0 between the zeros of
+    (Kernel._separated), so the pieces from 0 between the zeros of
     u_c, and those between the zeros of phi_R up to T, are those of every
     slice times its factor.  Their integrals are summed once, by sign, from
     0 and from T.  Each row takes the sums of the pieces it holds, the
@@ -185,22 +189,18 @@ def _fixed_parts(kernel, ts, sides, weight) -> tuple[np.ndarray, np.ndarray]:
     S, left, total = read_both(kernel, weight, x)
     u_at, phi_at = np.arange(m + 1), np.arange(m + 1, m + r + 2)
     at_t = np.arange(m + r + 2, len(x))
-    below = u_zeros.searchsorted(ts, "right")
-    past = phi_zeros.searchsorted(ts, "right")
+    below, past = kernel._held(ts)
     # every piece from point a to point b: those of u_c from 0, those of
     # phi_R up to T, then each row's partial ones, below t and past it
     a = np.concatenate([u_at[:-1], phi_at[:-1], below, at_t])
     b = np.concatenate([u_at[1:], phi_at[1:], at_t, phi_at[past]])
     dW = np.take(S, b, axis=1) - np.take(S, a, axis=1)
     dW += total[:, None] * (left[a] > left[b])
-    c = kernel.bc.entry[1]
-    u_w = dW[c]
-    phi_w = kernel._C[c] @ dW
+    phi_w, u_w = kernel._separated(dW)
     # the positive and negative sums of the pieces each row holds: below t
     # from 0, past t from T
     held = np.array([np.take(_signed_sums(u_w[:m]), below, axis=1),
                      np.take(_signed_sums(phi_w[m:m + r][::-1]), r - past, axis=1)])
-    factor = np.array(kernel._separated_factors(sides))
     pos, neg = (np.where(factor[:, None] >= 0.0, held, held[:, ::-1])
                 * factor[:, None]).sum(axis=0)
     part = factor * [u_w[m + r:m + r + n], phi_w[m + r + n:]]
@@ -247,12 +247,11 @@ def pointwise_ratio(kernel, t, weight=None):
     """
     t = np.asarray(t, dtype=float)
     ts = t.reshape(-1)
-    for u, pinned in zip(ts, kernel.pinned(ts)):
-        if not 0.0 <= u <= kernel.T:
-            raise OutOfRange(f"t = {u:.6g} is outside [0, {kernel.T:.6g}]")
-        if pinned:
-            raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = {u:.6g} "
-                             f"to zero")
+    kernel._require_in(ts)
+    pinned = kernel.pinned(ts)
+    if pinned.any():
+        raise OutOfRange(f"{kernel.bc} conditions pin the slice at t = "
+                         f"{ts[pinned.argmax()]:.6g} to zero")
     rs = _slice_ratios(kernel, ts, _slice_rows(kernel, ts), weight, need_positive=False)
     return float(rs[0]) if t.ndim == 0 else rs.reshape(t.shape)
 
@@ -275,7 +274,7 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE) -> Gam
     weight is labelled PrincipalEigenfunction.  At an end where the
     boundary condition forces the whole slice to zero, the ratio is that of
     the limit slice G(t, .) / |t - end| as t tends to the end, which the
-    kernel's separable form gives exactly (kernel._sides); its weighted
+    kernel's separable form gives exactly (Kernel._limit_pair); its weighted
     integral need not be positive.  The zeros of the slices do not depend
     on the weight: the kernel keeps them per t_grid_size for later calls.
     Where the ratio does not depend on t (_t_independent) only the slice

@@ -43,13 +43,14 @@ it inverts in closed form.  No slice is sampled.  On a separated condition
 G(t, s) = u_c(min(t, s)) phi_R(max(t, s)), so every slice has the zeros of
 u_c left of t and those of phi_R right of it (Coddington & Levinson 1955,
 ch. 7): the kernel finds them once, on the limit rows t = T and t = 0
-(_fixed_zeros), and each slice takes those of u_c up to t and those of
-phi_R past it.  Between them the slice is phi_R(t) u_c left of t and
-u_c(t) phi_R right of it, and _separated_factors gives the two factors
-(those of the limit slice at a pinned end), with which gamma sums the
-fixed pieces once per kernel.  A paired condition's zeros move with t,
-and every slice is searched.  A square grid_eval, such as the max-G
-lattice of cone, is one branch of the symmetric form and its mirror.
+(_fixed_zeros), and slice t holds those of u_c up to t and those of
+phi_R past it (_held).  _separated gives the factors phi_R(t) and u_c(t)
+of the pair at t (of p'(end) at a pinned end, _limit_pair), and of the
+integrals of p w over pieces those of phi_R w and u_c w, with which gamma
+sums the fixed pieces once per kernel.  A paired condition's zeros move
+with t, and every slice is searched (_search_rows).  A square grid_eval,
+such as the max-G lattice of cone, is one branch of the symmetric form
+and its mirror.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ import math
 
 import numpy as np
 
-from .errors import ResonantPotential, UnsupportedBoundaryKind
+from .errors import OutOfRange, ResonantPotential, UnsupportedBoundaryKind
 from .fundamental import ConstantPair, base_solutions, fundamental_pair
 from .potentials import BoundaryKind, Potential, constant
 
@@ -93,7 +94,6 @@ def _coupling(phi: np.ndarray, bc: BoundaryKind) -> np.ndarray:
     # for s > t a slice is u_c(t), which meets the condition at 0, times
     # the solution of s that meets it at T: row r weighs the entry's
     # neighbour against the entry, so C[c] holds +-1 at 1 - c
-    # (Kernel._separated_factors reads u_c(t) off it)
     r, c = bc.entry
     C = np.zeros((2, 2))
     C[c] = ((-phi[r, 1] / phi[r, 0], 1.0) if c == 0
@@ -126,10 +126,10 @@ class Kernel:
     """G(t, s) of (potential, bc) from a fundamental pair: the RK4
     FundamentalSolutions of any potential, or the exact ConstantPair of a
     constant one (see the module docstring).  Under a separated condition
-    it is u_c(min(t, s)) phi_R(max(t, s)): the separated factors of a slice
-    G(t, .) are phi_R(t) left of t and u_c(t) right of it
-    (_separated_factors), and the zeros of u_c and phi_R are the kernel's
-    (_fixed_zeros)."""
+    it is u_c(min(t, s)) phi_R(max(t, s)), with u_c = p[c] and phi_R =
+    C[c] p (_separated), and the zeros of u_c and phi_R are the kernel's
+    (_fixed_zeros): slice t holds those of u_c up to t and those of phi_R
+    past it (_held)."""
 
     def __init__(self, potential: Potential, bc: BoundaryKind, pair):
         if not isinstance(bc, BoundaryKind):
@@ -140,8 +140,8 @@ class Kernel:
         self.fs = pair
         self.form = pair.form  # "closed" on an exact pair, "numeric" on RK4
         self._C = _coupling(_boundary_matrix(pair, bc), bc)
-        # gamma's _slice_rows on the uniform t-grid of each size: the zeros
-        # and the sides of the slices do not depend on the weight
+        # gamma's _slice_rows on the uniform t-grid of each size: the zeros,
+        # sides and factors of the slices do not depend on the weight
         self._grid_roots: dict[int, tuple | np.ndarray] = {}
 
     def _pair(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -185,84 +185,79 @@ class Kernel:
         (BoundaryKind.pinned).  G(t, .) and G(., t) vanish there."""
         return self.bc.pinned(ts, self.T)
 
-    def _sides(self, ts: np.ndarray) -> np.ndarray:
-        """(alpha, beta) with G(t, .) = alpha u1 + beta u2 on each side of
-        the diagonal, shape (2, 2 len(ts)): the _slices of every t in ts,
-        its sides s <= t first, then its sides s > t.
-
-        At a pinned end t, where G(t, .) vanishes, they are the sides of
-        the limit slice G(t', .) / |t' - t| as t' tends to t: p'(0) = (0, 1)
-        stands for p(t) at 0 and -p'(T) at T.  C is zero but for its row c,
-        so on the side that is not empty the limit slice is exactly that
-        row at 0, the solution that meets the condition at T, and at T a
-        multiple of u_c, its other coefficient exactly zero."""
+    def _limit_pair(self, ts: np.ndarray) -> np.ndarray:
+        """The pair at every t of ts, shape (2, len(ts)), but p'(0) = (0, 1)
+        at a pinned 0 and -p'(T) at a pinned T.  G(t, .) vanishes at a
+        pinned end t, and the limit slice G(t', .) / |t' - t| as t' tends
+        to it is the slice of these values in place of p(t)."""
         p = np.array(self.fs.eval_pair(ts))
         pinned = self.pinned(ts)
         if pinned.any():
             p[:, pinned] = np.where(ts[pinned] == 0.0, [[0.0], [1.0]],
                                     -self.fs.phi[1][:, None])
-        return np.concatenate(_slices(self._C, p), axis=1)
+        return p
 
-    def _separated_factors(self, sides) -> tuple[np.ndarray, np.ndarray]:
-        """(phi_R(t), u_c(t)) at every t of sides, the _sides of ts, on a
-        separated condition: G(t, .) is phi_R(t) u_c left of t and u_c(t)
-        phi_R right of it, with u_c = p[c] and phi_R = C[c] p, and at a
-        pinned end these are the factors of the limit slice.  They are read
-        off sides exactly: the side s <= t is phi_R(t) at c and 0 at 1 - c,
-        the side past t is u_c(t) C[c], and C[c] holds +-1 at 1 - c
-        (_coupling)."""
+    def _sides(self, ts: np.ndarray) -> np.ndarray:
+        """(alpha, beta) with G(t, .) = alpha u1 + beta u2 on each side of
+        the diagonal, shape (2, 2 len(ts)): the _slices of the _limit_pair
+        of ts, its sides s <= t first, then its sides s > t.  At a pinned
+        end they are those of the limit slice: C is zero but for its row c,
+        so on the side that is not empty that slice is exactly that row at
+        0, the solution that meets the condition at T, and at T a multiple
+        of u_c, its other coefficient exactly zero."""
+        return np.concatenate(_slices(self._C, self._limit_pair(ts)), axis=1)
+
+    def _separated(self, v) -> tuple[np.ndarray, np.ndarray]:
+        """(C[c] . v, v[c]) for values v of the pair, shape (2, ...), on a
+        separated condition, entry by entry as _times: with v = p(t) (or
+        the _limit_pair of t) the factors (phi_R(t), u_c(t)) of G(t, .) =
+        phi_R(t) u_c left of t and u_c(t) phi_R right of it; with v the
+        integrals of p w over pieces, those of phi_R w and of u_c w."""
         c = self.bc.entry[1]
-        n = sides.shape[1] // 2
-        return sides[c, :n], sides[1 - c, n:] * self._C[c, 1 - c]
+        C = self._C[c]
+        return C[0] * v[0] + C[1] * v[1], v[c]
+
+    def _held(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """(below, above) at every t of ts on a separated condition: slice t
+        holds the first below of the zeros of u_c, those in (0, t], and
+        those of phi_R from index above on, those in (t, T) (_fixed_zeros)."""
+        u_zeros, phi_zeros = self._fixed_zeros
+        return u_zeros.searchsorted(ts, "right"), phi_zeros.searchsorted(ts, "right")
 
     def _coefficients(self, p) -> np.ndarray:
         """separable_read's coefficients at p: _slices of C and p, then of |C| and |p|."""
         return np.array([_slices(self._C, p), _slices(np.abs(self._C), np.abs(p))])
+
+    def _require_in(self, ts: np.ndarray) -> None:
+        """Raise OutOfRange at the first t of ts outside [0, T], or NaN."""
+        outside = ~((ts >= 0.0) & (ts <= self.T))
+        if outside.any():
+            raise OutOfRange(f"t = {ts[outside.argmax()]:.6g} is outside [0, {self.T:.6g}]")
 
     def s_roots(self, t: float) -> np.ndarray:
         """Interior zeros of G(t, .), sorted."""
         return self.s_roots_many([t])[0]
 
     def s_roots_many(self, ts) -> list[np.ndarray]:
-        """s_roots at every t in ts.  They lie where the pair's angle meets
-        its targets (see the module docstring); each side's zeros come in
-        the order of their angles, and those left of t before those right
-        of it, so every row is sorted.  A slice that the boundary condition
-        pins to zero (t = 0 or T) has none: it reads exactly zero, and every
-        "root" of it would split its pieces.  On a side that reaches a
-        pinned end, the target that is that end is dropped by its index."""
+        """s_roots at every t in ts, each in [0, T] (OutOfRange otherwise),
+        at the angles of the pair (see the module docstring): on a separated
+        condition the zeros of u_c up to t, then those of phi_R past it
+        (_held); on a paired one those of a search of every row
+        (_search_rows), sorted.  A slice that the condition pins to zero
+        (t = 0 or T) has none: it reads exactly zero, and every "root" of
+        it would split its pieces."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
+        self._require_in(ts)
         pinned = self.pinned(ts)
-        flat, live, _ = self._roots_flat(ts[~pinned])
-        counts = np.zeros(len(ts), dtype=int)
-        counts[~pinned] = live
-        ends = np.cumsum(counts)
-        return [flat[b - c:b] for b, c in zip(ends.tolist(), counts.tolist())]
-
-    def _roots_flat(self, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """s_roots_many as (flat, counts, sides): the zeros one slice after
-        another, their number per slice, and the _sides of ts that place
-        them; but a row at a pinned end has the zeros of its limit slice
-        (see _sides), on its nonempty side.
-
-        A paired condition searches every row (_search_rows).  On a
-        separated one every slice has the zeros of u_c left of t and those
-        of phi_R right of it (_fixed_zeros): row t takes those of u_c in
-        (0, t] and those of phi_R in (t, T)."""
-        sides = self._sides(ts)
-        fixed = self._fixed_zeros
-        if fixed is None:
-            return (*self._search_rows(ts, sides), sides)
-        left, right = fixed
-        below = left.searchsorted(ts, "right")
-        above = right.searchsorted(ts, "right")
-        counts = below + len(right) - above
-        # entry j of row i is left[j] while j < below[i], then
-        # right[j - below[i] + above[i]]
-        jump = np.repeat(len(left) + above - below, counts)
-        j = np.arange(len(jump)) - np.repeat(counts.cumsum() - counts, counts)
-        return (np.concatenate(fixed)[np.where(j < np.repeat(below, counts), j, j + jump)],
-                counts, sides)
+        live = ts[~pinned]
+        if self._fixed_zeros is None:
+            flat, counts = self._search_rows(live, self._sides(live))
+            rows = iter(np.split(flat, counts.cumsum()[:-1]))
+        else:
+            u_zeros, phi_zeros = self._fixed_zeros
+            rows = (np.concatenate([u_zeros[:below], phi_zeros[above:]])
+                    for below, above in zip(*self._held(live)))
+        return [np.zeros(0) if p else next(rows) for p in pinned.tolist()]
 
     @functools.cached_property
     def _fixed_zeros(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -279,8 +274,10 @@ class Kernel:
         return flat[right:], flat[:right]
 
     def _search_rows(self, ts: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(flat, counts) of _roots_flat by a search of every row, sides
-        the _sides of ts."""
+        """(flat, counts) of the slices at ts, sides the _sides of ts, by a
+        search of every row: the zeros one slice after another, and their
+        number per slice; at a pinned end those of the limit slice
+        (_limit_pair), and a side that reaches a pinned end drops it."""
         n = len(ts)
         pair = self.fs
         psi = pair.angles

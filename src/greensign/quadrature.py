@@ -27,10 +27,11 @@ fundamental): a numeric pair re-expands the cubics of each grid cell on
 every cell inside it; an exact one uses angle addition on cells of one
 length (one_length) and reads the others point by point.
 
-The zeros of the slices G(t, .) come from the kernel's s_roots_many, at
-the angles of its pair (see greens); no slice is sampled to find them.
-gamma reads W once at each distinct point: a separated kernel's zeros are
-the same in every slice, and 0 and T read exactly 0 from their own end.
+The zeros of the slices G(t, .) that gamma reads come from the kernel
+(Kernel._fixed_zeros on a separated condition, _search_rows on a paired
+one), at the angles of its pair (see greens); no slice is sampled to find
+them.  gamma reads W once at each distinct point, and 0 and T read
+exactly 0 from their own end.
 """
 from __future__ import annotations
 

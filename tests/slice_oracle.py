@@ -229,19 +229,37 @@ def slice_parts(kernel, ts, roots: list, weight, order: int, max_len: float,
 
 
 def split_roots(roots) -> list:
-    """The zeros (flat, counts, ...) of kernel._roots_flat or row_roots as
-    one array per slice, as kernel.s_roots_many gives them."""
+    """The zeros (flat, counts, ...) of flat_roots or row_roots as one
+    array per slice, as kernel.s_roots_many gives them."""
     flat, counts = roots[:2]
     return np.split(flat, np.cumsum(counts)[:-1])
 
 
 def row_roots(kernel, ts):
     """(flat, counts) of the zeros of every slice G(t, .), t in ts, each
-    row searched on its own (Kernel._search_rows), as kernel._roots_flat
-    found them under every condition before a separated kernel found its
-    zeros once, on the limit rows (Kernel._fixed_zeros)."""
+    row searched on its own (Kernel._search_rows), as the kernel found them
+    under every condition before a separated kernel found its zeros once,
+    on the limit rows (Kernel._fixed_zeros)."""
     ts = np.asarray(ts, dtype=float)
     return kernel._search_rows(ts, kernel._sides(ts))
+
+
+def flat_roots(kernel, ts):
+    """(flat, counts, sides) of the kernel's own zeros of every slice
+    G(t, .), t in ts, one slice after another, and the _sides of ts; a row
+    at a pinned end has the zeros of its limit slice.  A separated kernel's
+    row t takes, row by row, the zeros of u_c in (0, t] and those of phi_R
+    in (t, T) (Kernel._fixed_zeros and _held); a paired kernel's rows are
+    searched (Kernel._search_rows)."""
+    ts = np.asarray(ts, dtype=float)
+    sides = kernel._sides(ts)
+    if kernel._fixed_zeros is None:
+        return (*kernel._search_rows(ts, sides), sides)
+    u_zeros, phi_zeros = kernel._fixed_zeros
+    rows = [np.concatenate([u_zeros[:below], phi_zeros[above:]])
+            for below, above in zip(*kernel._held(ts))]
+    return (np.concatenate([np.zeros(0), *rows]), np.array([len(r) for r in rows], dtype=int),
+            sides)
 
 
 def scattered_slice_parts(kernel, ts, roots, weight):
@@ -279,8 +297,8 @@ def scattered_slice_parts(kernel, ts, roots, weight):
 def row_slice_parts(kernel, ts, roots, weight):
     """gamma._slice_parts as it summed every slice on one contiguous row
     layout, separated kernels too, before a separated kernel summed its
-    fixed pieces once: roots is the (flat, counts, sides) of
-    kernel._roots_flat.  Row i lays out 0, its zeros, t and T; W is read
+    fixed pieces once: roots is the (flat, counts, sides) of flat_roots.
+    Row i lays out 0, its zeros, t and T; W is read
     once at each distinct zero (a separated kernel's _fixed_zeros), at each
     t, and at 0 and T, and one np.bincount per sign sums the pieces of
     every slice."""

@@ -22,7 +22,7 @@ from greensign.greens import Kernel, NumericKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import build_edges, default_max_len, gauss_nodes
 from greensign.spectral import Eigenfunction, principal_eigenfunction
-from slice_oracle import (PINNED_STEP, antiderivative, boundary_nodes,
+from slice_oracle import (PINNED_STEP, antiderivative, boundary_nodes, flat_roots,
                           inside_pinned_ends, neville_to_zero, panel_slice_parts,
                           row_slice_parts, scattered_slice_parts, slice_parts)
 
@@ -863,7 +863,7 @@ class TestRowLayout:
         for ts in layout_grids(kernel):
             got = gamma_module._slice_parts(kernel, ts, gamma_module._slice_rows(kernel, ts),
                                             weight)
-            want = scattered_slice_parts(kernel, ts, kernel._roots_flat(ts), weight)
+            want = scattered_slice_parts(kernel, ts, flat_roots(kernel, ts), weight)
             if kernel._fixed_zeros is None:
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
@@ -873,7 +873,7 @@ class TestRowLayout:
     @pytest.mark.parametrize("name", ["dirichlet-closed-4", "dirichlet-low"])
     def test_rows_with_no_zero(self, name):
         kernel, _ = layout_case(name)
-        counts = kernel._roots_flat(np.linspace(0.0, 1.0, 1001))[1]
+        counts = flat_roots(kernel, np.linspace(0.0, 1.0, 1001))[1]
         assert np.any(counts == 0) and np.any(counts > 0)
 
     @pytest.mark.parametrize("name", ["dirichlet-closed", "dirichlet-closed-4",
@@ -927,7 +927,7 @@ def row_layout_parts(kernel, ts, roots, weight):
     """A stand-in for gamma._slice_parts that sums every piece of every
     slice on the row layout (slice_oracle.row_slice_parts), on the
     kernel's own zeros."""
-    return row_slice_parts(kernel, ts, kernel._roots_flat(ts), weight)
+    return row_slice_parts(kernel, ts, flat_roots(kernel, ts), weight)
 
 
 def assert_gamma_as_row_layout(kernel, weight, t_grid_size):
@@ -970,7 +970,7 @@ class TestFixedPieces:
                    np.nextafter(zeros, 0.0), np.nextafter(zeros, T)):
             got = gamma_module._slice_parts(kernel, ts, gamma_module._slice_rows(kernel, ts),
                                             weight)
-            assert_within_ulps(got, row_slice_parts(kernel, ts, kernel._roots_flat(ts),
+            assert_within_ulps(got, row_slice_parts(kernel, ts, flat_roots(kernel, ts),
                                                     weight))
         for size in (1001, 3):
             assert_gamma_as_row_layout(kernel, weight, size)
@@ -1012,7 +1012,7 @@ class TestFixedPieces:
         weight = principal_eigenfunction(pot, bc) if eigen_weight else None
         ts = np.linspace(0.0, 1.0, size)
         got = gamma_module._slice_parts(kernel, ts, gamma_module._slice_rows(kernel, ts), weight)
-        assert_within_ulps(got, row_slice_parts(kernel, ts, kernel._roots_flat(ts), weight))
+        assert_within_ulps(got, row_slice_parts(kernel, ts, flat_roots(kernel, ts), weight))
         assert_gamma_as_row_layout(kernel, weight, size)
 
 
@@ -1104,7 +1104,8 @@ class TestOneSlice:
             lambda: gamma_quadrature(periodic_kernel(11.0)))) == [1001]
 
     def test_figure_1_unchanged(self, tmp_path):
-        # figure 1 reads 300 periodic constant kernels at t-grid 3
+        # figure 1 reads 300 periodic constant kernels at the default t-grid,
+        # one slice each; the full sweep reads all 1001
         fast, full = tmp_path / "fast.csv", tmp_path / "full.csv"
         assert cli_main(["figure", "1", "--output", str(fast)]) == 0
         assert full_sweep(lambda: cli_main(["figure", "1", "--output", str(full)])) == 0

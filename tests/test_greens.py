@@ -11,16 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import fundamental
-from greensign.errors import (IntegratorFailure, ResonantPotential,
+from greensign.errors import (IntegratorFailure, OutOfRange, ResonantPotential,
                               UnsupportedBoundaryKind)
 from greensign.fundamental import ROOT_HALVINGS, FundamentalSolutions
+from greensign.gamma import pointwise_ratio
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel, require_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import default_max_len, scan_kernel_roots
 from closed_oracle import (closed_roots_many, dirichlet_green, periodic_green,
                            require_nonresonant)
-from slice_oracle import bisect_place, row_roots, slice_panels, split_roots
+from slice_oracle import bisect_place, flat_roots, row_roots, slice_panels, split_roots
 
 RHO = 3 * math.pi / 2
 
@@ -371,6 +372,16 @@ def trig(a):
     return sampled(g, a(g))
 
 
+def trig_draw(mean, modes, T):
+    """mean / T**2 plus the (cos, sin) modes of period T, on 2001 nodes of
+    [0, T]: the potential of a hypothesis draw."""
+    g = np.linspace(0.0, T, 2001)
+    a = np.full(len(g), mean / T**2)
+    for j, (alpha, beta) in enumerate(modes, 1):
+        a += alpha * np.cos(2 * np.pi * j * g / T) + beta * np.sin(2 * np.pi * j * g / T)
+    return sampled(g, a, T=T)
+
+
 def assert_same_roots(got, want, t):
     """Equal root counts, and roots within 1e-12."""
     assert len(got) == len(want), (t, got, want)
@@ -496,7 +507,7 @@ class TestNewtonRootsAgainstBisection:
     def test_pinned_end_rows_on_a_coarse_grid(self, bc, monkeypatch):
         k = NumericKernel(replace(wavy(), grid_size=251), bc)
         ts = np.array([0.0, 1.0])
-        assert np.all(k._roots_flat(ts)[1][k.pinned(ts)] > 0)
+        assert np.all(flat_roots(k, ts)[1][k.pinned(ts)] > 0)
         self.assert_matches_bisection(k, np.linspace(0.0, 1.0, 1001), monkeypatch)
 
     @pytest.mark.parametrize("start", [0.0, 1.0])
@@ -548,8 +559,10 @@ def fixed_zero_grids(k):
 class TestFixedZeros:
     """On a separated condition every slice has the zeros of u_c left of t
     and those of phi_R right of it, which the kernel finds once, on its
-    limit rows (Kernel._fixed_zeros); _roots_flat against the search of
-    every row on its own (slice_oracle.row_roots): the same counts, and
+    limit rows (Kernel._fixed_zeros), and slice t holds those up to t and
+    past it (Kernel._held): those rows (slice_oracle.flat_roots, which
+    s_roots_many gives bit for bit off the pinned ends) against the search
+    of every row on its own (slice_oracle.row_roots): the same counts, and
     zeros within 4 roundings of T.
 
     Where t is on a zero, a row's own search leaves two things undefined:
@@ -562,8 +575,9 @@ class TestFixedZeros:
     @staticmethod
     def assert_matches_rows(k, ts, on_zeros):
         tol = 4 * np.finfo(float).eps * k.T
-        got, want = k._roots_flat(ts), row_roots(k, ts)
-        assert np.array_equal(got[2], k._sides(ts))
+        got, want = flat_roots(k, ts), row_roots(k, ts)
+        for t, r, g in zip(ts, k.s_roots_many(ts), split_roots(got)):
+            assert np.array_equal(r, g[:0] if k.pinned(t) else g)
         if not on_zeros:
             assert np.array_equal(got[1], want[1])
         live = np.any(got[2] != 0.0, axis=0).reshape(2, -1).T
@@ -596,11 +610,7 @@ class TestFixedZeros:
            T=st.sampled_from([1.0, 2.0]))
     @settings(max_examples=20, deadline=None)
     def test_trig_draws(self, mean, modes, bc, T):
-        g = np.linspace(0.0, T, 2001)
-        a = np.full(len(g), mean / T**2)
-        for j, (alpha, beta) in enumerate(modes, 1):
-            a += alpha * np.cos(2 * np.pi * j * g / T) + beta * np.sin(2 * np.pi * j * g / T)
-        k = NumericKernel(sampled(g, a, T=T), bc)
+        k = NumericKernel(trig_draw(mean, modes, T), bc)
         for ts, on_zeros in fixed_zero_grids(k):
             self.assert_matches_rows(k, ts, on_zeros)
 
@@ -612,13 +622,105 @@ class TestFixedZeros:
         left, right = k._fixed_zeros
         assert len(left) and len(right)
         assert np.all(np.diff(left) > 0.0) and np.all(np.diff(right) > 0.0)
-        flat, counts, _ = k._roots_flat(np.array([0.0, k.T]))
+        flat, counts, _ = flat_roots(k, np.array([0.0, k.T]))
         assert np.array_equal(flat, np.concatenate([right, left]))
         assert counts.tolist() == [len(right), len(left)]
 
     def test_paired_conditions_have_none(self):
         for bc in (BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC):
             assert NumericKernel(wavy(), bc)._fixed_zeros is None
+
+
+def assert_factorization(k, ts):
+    """G(t, s) = phi_R(t) u_c(s) for s <= t and u_c(t) phi_R(s) past t, bit
+    for bit, at every t of ts (none of them pinned), with the factors of
+    Kernel._separated: of the pair at t, and of the pair at s, exactly zero
+    at a pinned end (Kernel._pair), as the kernel reads it.  Through
+    Kernel.__call__ and grid_eval, on an outer grid of s and on the square
+    one of ts."""
+    assert not k.pinned(ts).any()
+    phi_t, u_t = k._separated(k._limit_pair(ts))
+    ss = np.unique(np.concatenate([np.linspace(0.0, k.T, 201), ts]))
+    for s, got in [(ss, k(ts[:, None], ss[None, :])), (ss, k.grid_eval(ts, ss)),
+                   (ts, k.grid_eval(ts, ts))]:
+        phi_s, u_s = k._separated(np.array(k._pair(s)))
+        want = np.where(s <= ts[:, None], phi_t[:, None] * u_s, u_t[:, None] * phi_s)
+        assert np.array_equal(got, want)
+    # scalar calls, on the anti-diagonal of the square grid
+    assert np.array_equal([k(t, s) for t, s in zip(ts, ts[::-1])],
+                          np.diag(want[:, ::-1]))
+
+
+class TestSeparatedFactors:
+    """On a separated condition G(t, s) = u_c(min(t, s)) phi_R(max(t, s)),
+    with u_c = p[c] and phi_R = C[c] p, stated once by Kernel._separated."""
+
+    @staticmethod
+    def grids(k):
+        """Interior t: a uniform grid, the fixed zeros and the floats next
+        to them."""
+        zeros = np.sort(np.concatenate(k._fixed_zeros))
+        return [np.linspace(0.0, k.T, 101)[1:-1], zeros, np.nextafter(zeros, 0.0),
+                np.nextafter(zeros, k.T)]
+
+    @pytest.mark.parametrize("make", [
+        lambda bc: build_kernel(constant(17.3, 1.0), bc),
+        lambda bc: build_kernel(constant(8.65, 2.0), bc),
+        lambda bc: NumericKernel(constant(17.3, 1.0), bc),
+        lambda bc: NumericKernel(wavy(), bc),
+        lambda bc: NumericKernel(wavy(T=2.0), bc),
+    ], ids=["closed-17.3", "closed-T2", "rk4-17.3", "wavy", "wavy-T2"])
+    @pytest.mark.parametrize("bc", SEPARATED, ids=str)
+    def test_kernel_is_the_product_of_its_factors(self, bc, make):
+        k = make(bc)
+        for ts in self.grids(k):
+            assert_factorization(k, ts)
+
+    @given(mean=st.floats(10.0, 75.0),
+           modes=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                          min_size=1, max_size=3),
+           bc=st.sampled_from(SEPARATED),
+           T=st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_trig_draws(self, mean, modes, bc, T):
+        k = NumericKernel(trig_draw(mean, modes, T), bc)
+        for ts in self.grids(k):
+            assert_factorization(k, ts)
+
+    @pytest.mark.parametrize("bc", SEPARATED, ids=str)
+    def test_factors_are_those_of_the_sides(self, bc):
+        # at every t, pinned ends too, the factors are what the sides of
+        # the slice hold: phi_R(t) at c left of t, u_c(t) C[c] right of it,
+        # and C[c] holds +-1 at 1 - c
+        c = bc.entry[1]
+        for k in (build_kernel(constant(17.3, 1.0), bc), NumericKernel(wavy(), bc)):
+            ts = np.linspace(0.0, k.T, 1001)
+            sides = k._sides(ts)
+            phi, u = k._separated(k._limit_pair(ts))
+            assert abs(k._C[c, 1 - c]) == 1.0
+            assert np.array_equal(phi, sides[c, :len(ts)])
+            assert np.array_equal(u, sides[1 - c, len(ts):] * k._C[c, 1 - c])
+
+
+@pytest.mark.parametrize("make", [
+    lambda bc: build_kernel(constant(17.3, 1.0), bc),
+    lambda bc: NumericKernel(wavy(), bc),
+], ids=["closed", "rk4"])
+@pytest.mark.parametrize("bc", [BoundaryKind.DIRICHLET, BoundaryKind.NEUMANN,
+                                BoundaryKind.PERIODIC, BoundaryKind.ANTIPERIODIC], ids=str)
+@pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+def test_slice_zeros_only_in_the_interval(t, bc, make):
+    # a t outside [0, T], or NaN, has no slice: s_roots and s_roots_many
+    # refuse it as pointwise_ratio does, before the pair is evaluated there
+    # (a NaN in the RK4 pair's cell index warns)
+    k = make(bc)
+    with pytest.raises(OutOfRange) as want:
+        pointwise_ratio(k, t)
+    for roots in (lambda: k.s_roots(t), lambda: k.s_roots_many([0.5, t, 0.25])):
+        with pytest.raises(OutOfRange) as got:
+            roots()
+        assert str(got.value) == str(want.value)
+    assert str(want.value) == f"t = {t:.6g} is outside [0, 1]"
 
 
 def periodic_roots_one_t(rho, T, t):
