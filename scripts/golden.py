@@ -187,6 +187,9 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
     # depend on t: the slice at t = 0 alone, in full
     out.append(["gamma", "--bc", "periodic", "--rho", "11", "--T", "2", "--weight", "one",
                 "--format", "json"])
+    # a separated exact kernel off the unit interval, whose minimum is the
+    # limit slice at its pinned end T = 2, in full
+    out.append(["gamma", "--bc", "mixed1", "--rho", "9", "--T", "2", "--format", "json"])
     return out
 
 

@@ -448,7 +448,8 @@ class ConstantPair:
     It gives what a kernel reads of FundamentalSolutions: phi, sups, ts,
     eval_pair, eval_slope, cell_pair and the angle hooks angles, target and
     place; and what an eigenfunction reads: ts, the node samples u1 and u2
-    there, and eval_pair.  Only its two nodes 0 and T are break points.
+    there (taken on the first read, which no kernel makes), and eval_pair.
+    Only its two nodes 0 and T are break points.
     Its products with the pair of another ConstantPair (one, a constant,
     an exact eigenfunction) it integrates in closed form (both).
     """
@@ -460,12 +461,20 @@ class ConstantPair:
         x = self.rho * T
         self.ts = np.array([0.0, T])
         self.angles = np.array([0.0, x])
-        self.u1, self.u2 = self.eval_pair(self.ts)
         u2T = math.sin(x) / self.rho if self.rho else T
         self.phi = np.array([[math.cos(x), u2T], [-self.rho * math.sin(x), math.cos(x)]])
         wide = x >= math.pi / 2  # whether sin(rho t) reaches one on [0, T]
         self.sups = np.array([[1.0, 1.0 / self.rho if wide else u2T],
                               [self.rho if wide else self.rho * math.sin(x), 1.0]])
+
+    @cached_property
+    def _node_pair(self) -> np.ndarray:
+        """(u1, u2) at the nodes, which an eigenfunction reads, on its first
+        request: a kernel reads none of them."""
+        return self.eval_pair(self.ts)
+
+    u1 = property(lambda self: self._node_pair[0])
+    u2 = property(lambda self: self._node_pair[1])
 
     def eval_pair(self, x):
         x = np.asarray(x, dtype=float)
@@ -510,35 +519,52 @@ class ConstantPair:
         From 0 the sine one is 2 sin^2(k x / 2) / k, not (1 - cos k x) / k,
         and over [x, T] neither is a difference of integrals from 0.  k m
         is k h from 0 and k T - k h to T, so every wave comes from the sine
-        and cosine of k h by angle addition."""
+        and cosine of k h by angle addition.  Both waves are one array, and
+        so are the cosine and sine parts of each: every step is one pass
+        over all of them."""
         T = self.ts[-1]
-        x = np.clip(x, 0.0, T)
-        left = x <= T - x
-        # the half-width of each span, exact, and [0, T] last for the total
-        half = 0.5 * np.append(np.where(left, x, T - x), T)
-        to_T = np.append(~left, False)
-
-        def waves(k):
-            h = k * half
-            sin, cos = np.sin(h), np.cos(h)
-            amp = 2.0 * half
-            np.divide(amp * sin, h, out=amp, where=h != 0.0)
-            cT, sT = math.cos(k * T), math.sin(k * T)
-            return (amp * np.where(to_T, cT * cos + sT * sin, cos),
-                    amp * np.where(to_T, sT * cos - cT * sin, sin))
-
+        # every point, then T for [0, T], which is read from 0
+        x = np.concatenate([np.minimum(np.maximum(x, 0.0), T), (T,)])
+        back = T - x
+        left = x <= back
+        left[-1] = True
+        # the half-width of each span, exact
+        half = np.where(left, x, back)
+        half *= 0.5
         rho = self.rho
+        ks = (rho - omega, rho + omega) if omega else (rho,)
+        h = np.multiply.outer(ks, half)
+        waves = np.empty((2, *h.shape))
+        cos, sin = waves
+        np.cos(h, out=cos)
+        np.sin(h, out=sin)
+        # 2 h sinc(k h), as 2 h where k h is 0
+        amp = np.empty_like(h)
+        amp[...] = 2.0 * half
+        np.divide(amp * sin, h, out=amp, where=h != 0.0)
+        # k m = k T - k h to T: cos(k T) cos + sin(k T) sin, sin(k T) cos - cos(k T) sin
+        cT = np.array([[math.cos(k * T)] for k in ks])
+        sT = np.array([[math.sin(k * T)] for k in ks])
+        waves = np.where(left, waves, [cT * cos + sT * sin, sT * cos - cT * sin])
+        waves *= amp
         if omega:
-            (cd, sd), (cs, ss) = waves(rho - omega), waves(rho + omega)
+            # waves[j, 0] of k = rho - omega, waves[j, 1] of rho + omega
+            (cd, cs), (sd, ss) = waves
             c1, c2 = 0.5 * c[0], 0.5 * c[1]
-            W = np.stack([c1 * (cd + cs) + c2 * (ss - sd) / omega,
-                          (c1 * (ss + sd) + c2 * (cd - cs) / omega) / rho])
+            odd = np.empty_like(waves[0])
+            np.subtract(ss, sd, out=odd[0])
+            np.subtract(cd, cs, out=odd[1])
+            odd *= c2
+            odd /= omega
+            W = c1 * (waves[:, 0] + waves[:, 1])
+            W += odd
+            W[1] /= rho
         else:
-            cos, sin = waves(rho)
-            W = c[0] * np.stack([cos, sin / rho])
-        S = W[:, :-1]
-        np.negative(S, out=S, where=~left)
-        return S, left, W[:, -1]
+            W = waves[:, 0]
+            W[1] /= rho
+            W *= c[0]
+        W *= np.where(left, 1.0, -1.0)
+        return W[:, :-1], left[:-1], W[:, -1]
 
     def target(self, alpha, beta):
         return np.arctan2(-self.rho * alpha, beta)

@@ -19,7 +19,9 @@ phi_R(t) u_c left of t and u_c(t) phi_R right of it, so its zeros are
 the same in every slice and so are its pieces between them, but for that
 factor.  The kernel states that form (greens.Kernel._separated, _held):
 the integrals of the pieces are summed once per kernel, by sign, from 0
-and from T, and each slice adds its two partial pieces, next to t.  A
+and from T, into one table over the fixed points, and each slice reads it
+at the two fixed points it holds and adds its two partial pieces, next to
+t: every step is one pass over all slices.  A
 paired condition's zeros move with t; the pieces of its slices lie on one
 contiguous row layout, so they are differences of neighbours.  On a
 constant potential under periodic conditions G(t, s) is g(t - s) on the
@@ -54,7 +56,7 @@ integrals of each slice's pieces, not the published ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,7 +87,8 @@ class GammaResult:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"value": self.value, "argmin_t": self.argmin_t, "method": self.method,
+                "weight": self.weight, "case": self.case, "note": self.note}
 
 
 def _slice_rows(kernel, ts):
@@ -140,11 +143,11 @@ def _row_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     at[start + k + 2] = len(x) - 1
     at[start + before + 1] = len(flat) + rows
     at[np.arange(len(flat)) + 3 * root_row + 1 + past] = np.arange(len(flat))
-    S, left = np.take(S, at, axis=1), left[at]
+    S, left = S.take(at, axis=1), left.take(at)
     # piece j runs from point j to j + 1: row i has before[i] + 1 pieces
     # on its side s <= t, k[i] - before[i] + 1 past t, then the one from
     # its T to the next row's 0, which reads 0 and weighs nothing
-    dW = np.diff(S, axis=1)
+    dW = S[:, 1:] - S[:, :-1]
     dW += total[:, None] * (left[:-1] > left[1:])
     pieces = np.ones((n, 3), dtype=np.intp)
     pieces[:, 0] = before + 1
@@ -159,15 +162,6 @@ def _row_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
             -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
 
 
-def _signed_sums(pieces) -> np.ndarray:
-    """The sums of the positive and of the negative pieces among the first
-    j, for j from 0 to len(pieces), shape (2, len(pieces) + 1)."""
-    sums = np.zeros((2, len(pieces) + 1))
-    np.cumsum(np.maximum(pieces, 0.0), out=sums[0, 1:])
-    np.cumsum(np.minimum(pieces, 0.0), out=sums[1, 1:])
-    return sums
-
-
 def _fixed_parts(kernel, ts, factor, weight) -> tuple[np.ndarray, np.ndarray]:
     """_slice_parts on a separated kernel, factor the (phi_R(t), u_c(t))
     of ts.
@@ -176,34 +170,56 @@ def _fixed_parts(kernel, ts, factor, weight) -> tuple[np.ndarray, np.ndarray]:
     (Kernel._separated), so the pieces from 0 between the zeros of
     u_c, and those between the zeros of phi_R up to T, are those of every
     slice times its factor.  Their integrals are summed once, by sign, from
-    0 and from T.  Each row takes the sums of the pieces it holds, the
-    positive ones as its positive part where its factor is positive and as
-    its negative part where it is negative, and adds its two partial
-    pieces: from the last zero of u_c at or below t (or 0) to t, and from t
-    to the first zero of phi_R past it (or T).
+    0 and from T, into one table over the fixed points (0, the zeros and
+    T), with W and its side there.  Each row reads the table at the two
+    fixed points it holds (Kernel._held): takes the sums, the positive ones
+    as its positive part where its factor is positive and as its negative
+    part where it is negative, and adds its two partial pieces: from the
+    last zero of u_c at or below t (or 0) to t, and from t to the first
+    zero of phi_R past it (or T).
     """
     u_zeros, phi_zeros = kernel._fixed_zeros
-    m, r, n = len(u_zeros), len(phi_zeros), len(ts)
-    # 0 and the zeros of u_c, the zeros of phi_R and T, then every t
+    m, f = len(u_zeros), len(u_zeros) + len(phi_zeros) + 2
+    # the fixed points: 0 and the zeros of u_c, the zeros of phi_R and T;
+    # then every t
     x = np.concatenate([(0.0,), u_zeros, phi_zeros, (kernel.T,), ts])
     S, left, total = read_both(kernel, weight, x)
-    u_at, phi_at = np.arange(m + 1), np.arange(m + 1, m + r + 2)
-    at_t = np.arange(m + r + 2, len(x))
-    below, past = kernel._held(ts)
-    # every piece from point a to point b: those of u_c from 0, those of
-    # phi_R up to T, then each row's partial ones, below t and past it
-    a = np.concatenate([u_at[:-1], phi_at[:-1], below, at_t])
-    b = np.concatenate([u_at[1:], phi_at[1:], at_t, phi_at[past]])
-    dW = np.take(S, b, axis=1) - np.take(S, a, axis=1)
-    dW += total[:, None] * (left[a] > left[b])
+    # the piece from each fixed point to the next: those of u_c, one that
+    # no slice holds whole, then those of phi_R
+    dW = S[:, 1:f] - S[:, :f - 1]
+    dW += total[:, None] * (left[:f - 1] > left[1:f])
     phi_w, u_w = kernel._separated(dW)
-    # the positive and negative sums of the pieces each row holds: below t
-    # from 0, past t from T
-    held = np.array([np.take(_signed_sums(u_w[:m]), below, axis=1),
-                     np.take(_signed_sums(phi_w[m:m + r][::-1]), r - past, axis=1)])
-    pos, neg = (np.where(factor[:, None] >= 0.0, held, held[:, ::-1])
-                * factor[:, None]).sum(axis=0)
-    part = factor * [u_w[m + r:m + r + n], phi_w[m + r + n:]]
+    # at each fixed point the positive and negative sums of the pieces a
+    # slice holds with it, of u_c below it from 0 and of phi_R past it to
+    # T (summed from T backwards), then W there and its side
+    table = np.zeros((5, f))
+    table[0, 1:m + 1] = u_w[:m]
+    table[0, f - 2:m:-1] = phi_w[:m:-1]
+    np.minimum(table[0], 0.0, out=table[1])
+    np.maximum(table[0], 0.0, out=table[0])
+    np.add.accumulate(table[:2, 1:m + 1], axis=1, out=table[:2, 1:m + 1])
+    np.add.accumulate(table[:2, f - 2:m:-1], axis=1, out=table[:2, f - 2:m:-1])
+    table[2:4] = S[:, :f]
+    table[4] = left[:f]
+    # each row's fixed points: the last of 0 and the zeros of u_c at or
+    # below t, and the first of the zeros of phi_R and T past it
+    held = kernel._held(ts)
+    held[1] += m + 1
+    # the table there, shape (5, 2, len(ts)): row of table, point, t
+    ends = table.take(held, axis=1)
+    # the partial pieces, from that of u_c to t and from t to that of phi_R
+    St, left_t = S[:, f:], left[f:]
+    part = np.empty((2, 2, len(ts)))
+    np.subtract(St, ends[2:4, 0], out=part[:, 0])
+    np.subtract(ends[2:4, 1], St, out=part[:, 1])
+    across = np.empty((2, len(ts)))
+    np.greater(ends[4, 0], left_t, out=across[0])
+    np.greater(left_t, ends[4, 1], out=across[1])
+    part += total[:, None, None] * across
+    phi_w, u_w = kernel._separated(part)
+    part = factor * (u_w[0], phi_w[1])
+    sums = ends[:2]
+    pos, neg = (np.where(factor >= 0.0, sums, sums[::-1]) * factor).sum(axis=1)
     pos += np.maximum(part, 0.0).sum(axis=0)
     neg += np.minimum(part, 0.0).sum(axis=0)
     return pos, -neg
@@ -218,9 +234,11 @@ def _slice_ratios(kernel, ts, roots, weight, need_positive) -> np.ndarray:
     """
     pos, neg = _slice_parts(kernel, ts, roots, weight)
     net = pos - neg              # finite only where both parts are
-    bad = ~np.isfinite(net) | (need_positive & (net <= 1e-13 * np.maximum(pos, 1e-300)))
-    if bad.any():
-        k = int(np.argmax(bad))
+    # a net that is not finite fails the positive test too: NaN, or an
+    # infinite part, which makes the bound infinite or net -inf
+    ok = np.where(need_positive, net > 1e-13 * np.maximum(pos, 1e-300), np.isfinite(net))
+    if not ok.all():
+        k = int(ok.argmin())
         if not np.isfinite(net[k]):
             raise QuadratureFailure(f"non-finite slice integral at t = {ts[k]}")
         raise NonpositiveWeightedIntegral(
@@ -232,8 +250,7 @@ def _ratio(pos, neg):
     """pos/neg elementwise, +inf where the negative part counts as absent;
     a float for scalar arguments."""
     absent = neg <= NEG_PART_REL_TOL * np.maximum(pos, 1e-300)
-    r = np.divide(pos, neg, out=np.full(np.shape(absent), math.inf),
-                  where=~absent)
+    r = np.where(absent, math.inf, pos / np.where(absent, 1.0, neg))
     return r if r.ndim else float(r)
 
 
@@ -294,12 +311,12 @@ def gamma_quadrature(kernel, weight=None, t_grid_size: int = T_GRID_SIZE) -> Gam
         # sides of every slice
         found = kernel._grid_roots[size] = _slice_rows(kernel, ts)
     ratios = _slice_ratios(kernel, ts, found, weight, need_positive=~kernel.pinned(ts))
-    vmin = float(np.min(ratios))
+    vmin = float(ratios.min())
     if math.isinf(vmin):
         return GammaResult(math.inf, 0.0, "Quadrature", label)
     # ties resolve to the smaller t, counting values within rounding noise of
     # the minimum as tied (symmetric kernels attain it at both endpoints)
-    i = int(np.argmax(ratios <= vmin * (1.0 + 1e-12)))
+    i = int((ratios <= vmin * (1.0 + 1e-12)).argmax())
     return GammaResult(float(ratios[i]), float(ts[i]), "Quadrature", label)
 
 

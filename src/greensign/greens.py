@@ -191,10 +191,11 @@ class Kernel:
         pinned end t, and the limit slice G(t', .) / |t' - t| as t' tends
         to it is the slice of these values in place of p(t)."""
         p = np.array(self.fs.eval_pair(ts))
-        pinned = self.pinned(ts)
-        if pinned.any():
-            p[:, pinned] = np.where(ts[pinned] == 0.0, [[0.0], [1.0]],
-                                    -self.fs.phi[1][:, None])
+        left, right = self.bc.pinned_ends
+        if left:
+            np.copyto(p, ((0.0,), (1.0,)), where=ts == 0.0)
+        if right:
+            np.copyto(p, -self.fs.phi[1][:, None], where=ts == self.T)
         return p
 
     def _sides(self, ts: np.ndarray) -> np.ndarray:
@@ -213,16 +214,22 @@ class Kernel:
         the _limit_pair of t) the factors (phi_R(t), u_c(t)) of G(t, .) =
         phi_R(t) u_c left of t and u_c(t) phi_R right of it; with v the
         integrals of p w over pieces, those of phi_R w and of u_c w."""
-        c = self.bc.entry[1]
-        C = self._C[c]
-        return C[0] * v[0] + C[1] * v[1], v[c]
+        c, (C0, C1) = self._separated_row
+        return C0 * v[0] + C1 * v[1], v[c]
 
-    def _held(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """(below, above) at every t of ts on a separated condition: slice t
-        holds the first below of the zeros of u_c, those in (0, t], and
-        those of phi_R from index above on, those in (t, T) (_fixed_zeros)."""
+    @functools.cached_property
+    def _separated_row(self) -> tuple[int, tuple[float, float]]:
+        """(c, C[c]) of _separated, read once per kernel."""
+        c = self.bc.entry[1]
+        return c, tuple(self._C[c].tolist())
+
+    def _held(self, ts) -> np.ndarray:
+        """(below, above) at every t of ts on a separated condition, shape
+        (2, len(ts)): slice t holds the first below of the zeros of u_c,
+        those in (0, t], and those of phi_R from index above on, those in
+        (t, T) (_fixed_zeros)."""
         u_zeros, phi_zeros = self._fixed_zeros
-        return u_zeros.searchsorted(ts, "right"), phi_zeros.searchsorted(ts, "right")
+        return np.array([u_zeros.searchsorted(ts, "right"), phi_zeros.searchsorted(ts, "right")])
 
     def _coefficients(self, p) -> np.ndarray:
         """separable_read's coefficients at p: _slices of C and p, then of |C| and |p|."""
@@ -280,26 +287,32 @@ class Kernel:
         (_limit_pair), and a side that reaches a pinned end drops it."""
         n = len(ts)
         pair = self.fs
-        psi = pair.angles
+        psi0, psiT = pair.angles[[0, -1]].tolist()
         # rows 0..n-1 are the sides s <= t, rows n..2n-1 the sides s > t
         alpha, beta = sides
         phi = pair.target(alpha, beta)
         # theta = phi + k pi at k = k0 + j, column j, from the last target
-        # at or below psi[0] to the first past psi[-1]
-        k0 = np.floor((psi[0] - phi) / np.pi)
-        j = np.arange(math.ceil((psi[-1] - psi[0]) / np.pi) + 2)
+        # at or below psi0 to the first past psiT
+        k0 = np.floor((psi0 - phi) / np.pi)
+        j = np.arange(math.ceil((psiT - psi0) / np.pi) + 2)
         theta = np.add.outer(k0, j)
         theta *= np.pi
         theta += phi[:, None]
-        keep = theta > psi[0]
-        keep &= theta <= psi[-1]
-        for side, (end_pinned, end) in enumerate(zip(self.bc.pinned_ends, psi[[0, -1]])):
-            if end_pinned:
-                rows = slice(side * n, (side + 1) * n)
-                keep[rows] &= j != (np.round((end - phi[rows]) / np.pi) - k0[rows])[:, None]
-        left, right = np.split(pair.place(theta, keep, alpha, beta, k0), 2)
+        keep = theta > psi0
+        keep &= theta <= psiT
+        left_pinned, right_pinned = self.bc.pinned_ends
+        if left_pinned or right_pinned:
+            # the target at a pinned end is that end: a side that reaches it
+            # drops it (an end that is not pinned stands as NaN, which drops
+            # nothing)
+            ends = np.array([[psi0 if left_pinned else np.nan],
+                             [psiT if right_pinned else np.nan]])
+            end_k = np.rint((ends - phi.reshape(2, n)) / np.pi) - k0.reshape(2, n)
+            keep &= j != end_k.reshape(-1, 1)
+        zeros = pair.place(theta, keep, alpha, beta, k0)
+        left, right = zeros[:n], zeros[n:]
         # a zero left of t lies in (0, t] and below T, one right of it in (t, T)
-        below = np.minimum(ts, np.nextafter(self.T, 0.0))[:, None]
+        below = np.minimum(ts, math.nextafter(self.T, 0.0))[:, None]
         live = np.concatenate([(left > 0.0) & (left <= below),
                                (right > ts[:, None]) & (right < self.T)], axis=1)
         return np.concatenate([left, right], axis=1)[live], live.sum(axis=1)

@@ -46,12 +46,14 @@ class BoundaryKind(enum.Enum):
         0 where it fixes u(0) = 0, T where it fixes u(T) = 0."""
         left, right = self.pinned_ends
         ts = np.asarray(ts, dtype=float)
-        return (left & (ts == 0.0)) | (right & (ts == T))
+        # an end that is not pinned stands as NaN, which no point equals
+        return (ts == (0.0 if left else np.nan)) | (ts == (T if right else np.nan))
 
     @property
     def multiplier(self) -> int:
         """m: 1 periodic, -1 antiperiodic, 0 for a separated condition."""
-        return {BoundaryKind.PERIODIC: 1, BoundaryKind.ANTIPERIODIC: -1}.get(self, 0)
+        return (1 if self is BoundaryKind.PERIODIC
+                else -1 if self is BoundaryKind.ANTIPERIODIC else 0)
 
     @property
     def entry(self) -> tuple[int, int]:

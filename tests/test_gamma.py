@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from greensign import gamma as gamma_module, quadrature
@@ -907,6 +907,34 @@ class TestRowLayout:
         one_slice = bc is BoundaryKind.PERIODIC and kernel.form == "closed"
         assert searched == ([1] if one_slice else [1001] if bc.multiplier else [2])
 
+    @pytest.mark.parametrize("rho", [17.3, 11.0, 8.65])
+    @pytest.mark.parametrize("bc", KERNEL_KINDS, ids=str)
+    def test_one_read_per_gamma(self, bc, rho, monkeypatch):
+        # each gamma_quadrature reads W once: a separated sweep at its m + r
+        # fixed zeros, 0, T and every t; the one slice of a constant periodic
+        # kernel at its k zeros, t = 0, 0 and T
+        reads = []
+        read = gamma_module.read_both
+
+        def counted(kernel, weight, x):
+            reads.append(len(x))
+            return read(kernel, weight, x)
+
+        monkeypatch.setattr(gamma_module, "read_both", counted)
+        pot = constant(rho, 1.0)
+        kernel = build_kernel(pot, bc)
+        weight = principal_eigenfunction(pot, bc)
+        for _ in range(2):
+            with contextlib.suppress(NonpositiveWeightedIntegral):
+                gamma_quadrature(kernel, weight, 1001)
+        if bc.multiplier:
+            points = len(kernel.s_roots(0.0)) + 3
+        else:
+            points = len(np.concatenate(kernel._fixed_zeros)) + 1003
+        assert reads == [points, points]
+        sizes = {(BoundaryKind.DIRICHLET, 17.3): 1013, (BoundaryKind.PERIODIC, 11.0): 7}
+        assert points == sizes.get((bc, rho), points)
+
 
 SEPARATED_KINDS = [bc for bc in KERNEL_KINDS if not bc.multiplier]
 
@@ -998,6 +1026,22 @@ class TestFixedPieces:
                 mp.setattr(gamma_module, "_slice_parts", row_layout_parts)
                 gamma_quadrature(kernel, bad, 11)
             assert str(got.value) == str(want.value)
+
+    @given(rho_T=st.floats(0.5 * math.pi, 6.0 * math.pi, exclude_min=True, exclude_max=True),
+           T=st.sampled_from([1.0, 2.0]),
+           bc=st.sampled_from(SEPARATED_KINDS),
+           eigen_weight=st.booleans(),
+           size=st.sampled_from([1001, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_draws_match_row_layout(self, rho_T, T, bc, eigen_weight, size):
+        # exact pairs at any rho off resonance, rho T in (pi / 2, 6 pi)
+        pot = constant(rho_T / T, T)
+        try:
+            kernel = build_kernel(pot, bc)
+        except ResonantPotential:
+            assume(False)
+        weight = principal_eigenfunction(pot, bc) if eigen_weight else None
+        assert_gamma_as_row_layout(kernel, weight, size)
 
     @given(mean=st.floats(10.0, 75.0),
            modes=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
