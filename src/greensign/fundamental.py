@@ -13,7 +13,11 @@ With q = a + lam each entry is a polynomial in the spectral shift lam:
 quadratic in M11, M21 and M22, linear in M12.  Their per-step coefficients
 depend only on the potential and its grid of potential.grid_size nodes, so
 they are tabulated once per potential and cached on it; a call at any batch
-of shifts then only evaluates the polynomials.  Transfer matrices are assembled
+of shifts then only evaluates the polynomials.  The table keeps those rows
+once, padded to the width of the product tree with the identity step, so a
+pass evaluates every leaf of the tree in one contiguous sweep and then sets
+the pad leaves back to the identity; FundamentalSolutions reads the n step
+columns, views of the same rows.  Transfer matrices are assembled
 by a pairwise product tree that works on the four entries as separate
 (batch, steps) arrays.  On request the same pass gives the lifted (Pruefer)
 angle of u2, and with it the number of zeros of a solution on [0, T].  A
@@ -70,11 +74,21 @@ class _StepTable:
     Entry e (M11, M12, M21, M22) of step i is
     (c2[e] * lam + c1[e, i]) * lam + c0[e, i]; the lam**2 coefficients are
     the same for every step (zero for M12), and so is M12's lam coefficient.
+
+    The lam**0 and lam**1 rows are stored once, as the two (4, width)
+    arrays of padded, width being the leaf count of _product's tree (the n
+    steps rounded up to a power of two, which transfer_matrix's blocks read
+    too): padded[0] holds c0 and the identity (1, 0, 0, 1) past the n
+    steps, padded[1] holds c1 and zeros.  c0 and c1 are views of their
+    first n columns; FundamentalSolutions reads those through entries,
+    while _product evaluates all width columns in one contiguous pass and
+    puts the identity back into the pad columns.
     """
 
     def __init__(self, potential: Potential):
         T = potential.interval.T
-        n = potential.grid_size - 1
+        n = int(potential.grid_size) - 1
+        self.width = 1 << (n - 1).bit_length()
         self.ts = np.linspace(0.0, T, potential.grid_size)
         h = self.ts[1] - self.ts[0]
         self.h = float(h)
@@ -84,23 +98,29 @@ class _StepTable:
         a0, a1 = self.a[:-1], self.a[1:]
         am = potential(self.ts[:-1] + 0.5 * (T / n))
         h2, h3, h4 = h * h, h**3, h**4
-        self.c0 = np.stack([1.0 - h2 * (a0 + 2.0 * am) / 6.0 + h4 * am * a0 / 24.0,
-                            h - h3 * am / 6.0,
-                            -h * (a0 + 4.0 * am + a1) / 6.0 + h3 * am * (a0 + a1) / 12.0,
-                            1.0 - h2 * (2.0 * am + a1) / 6.0 + h4 * a1 * am / 24.0])
-        self.c1 = np.stack([-h2 / 2.0 + h4 * (a0 + am) / 24.0,
-                            np.full(n, -h3 / 6.0),
-                            -h + h3 * (a0 + 2.0 * am + a1) / 12.0,
-                            -h2 / 2.0 + h4 * (am + a1) / 24.0])
+        self.padded = np.zeros((4, self.width)), np.zeros((4, self.width))
+        self.padded[0][(0, 3), n:] = 1.0
+        # row by row into the views, with no stacked (4, n) temporary
+        self.c0, self.c1 = c0, c1 = [rows[:, :n] for rows in self.padded]
+        c0[0] = 1.0 - h2 * (a0 + 2.0 * am) / 6.0 + h4 * am * a0 / 24.0
+        c0[1] = h - h3 * am / 6.0
+        c0[2] = -h * (a0 + 4.0 * am + a1) / 6.0 + h3 * am * (a0 + a1) / 12.0
+        c0[3] = 1.0 - h2 * (2.0 * am + a1) / 6.0 + h4 * a1 * am / 24.0
+        c1[0] = -h2 / 2.0 + h4 * (a0 + am) / 24.0
+        c1[1] = -h3 / 6.0
+        c1[2] = -h + h3 * (a0 + 2.0 * am + a1) / 12.0
+        c1[3] = -h2 / 2.0 + h4 * (am + a1) / 24.0
         self.c2 = np.array([h4 / 24.0, 0.0, h3 / 6.0, h4 / 24.0])
 
     def entries(self, lam: np.ndarray, out: np.ndarray) -> None:
         """Write M11, M12, M21, M22 at each shift of the 1-d batch lam into
-        out, of shape (4, len(lam), steps)."""
+        out, of shape (4, len(lam), columns): the n steps (columns = n), or
+        those and the pad columns of padded (columns = width)."""
+        c0, c1 = (rows[:, None, :out.shape[-1]] for rows in self.padded)
         lam = lam[:, None]
-        np.add(self.c2[:, None, None] * lam, self.c1[:, None, :], out=out)
+        np.add(self.c2[:, None, None] * lam, c1, out=out)
         out *= lam
-        out += self.c0[:, None, :]
+        out += c0
 
 
 def _step_table(potential: Potential) -> _StepTable:
@@ -111,14 +131,14 @@ def _step_table(potential: Potential) -> _StepTable:
     return table
 
 
-def _product(table: _StepTable, lams: np.ndarray, width: int, lift: bool):
+def _product(table: _StepTable, lams: np.ndarray, lift: bool):
     """Ordered product of all steps at each shift, shape (2, 2, len(lams)),
     and with lift the Pruefer angle of its second column, or None.
 
-    Steps are padded with identities on the late side to width, a power of
-    two, and reduced pairwise.  A subtree all of whose subtrees, itself
-    included, take e2 into the open upper half-plane (u > 0) turns e2 by
-    less than half a turn, so its lifted angle is its column's arctan2.  So
+    Steps are padded with identities on the late side to table.width, a
+    power of two, and reduced pairwise.  A subtree all of whose subtrees,
+    itself included, take e2 into the open upper half-plane (u > 0) turns e2
+    by less than half a turn, so its lifted angle is its column's arctan2.  So
     a shift is reduced with no angle while every subtree of a level ends
     with u > 0 (the identity pads past the n steps aside); at the first
     level where one does not, its angles are seeded with arctan2 of the
@@ -127,10 +147,11 @@ def _product(table: _StepTable, lams: np.ndarray, width: int, lift: bool):
     angle depends on the batch.
     """
     n = len(table.ts) - 1
-    # m[i, j] holds entry (i, j) of every step at every shift
-    m = np.empty((2, 2, len(lams), width))
+    # m[i, j] holds entry (i, j) of every step at every shift: all width
+    # columns in one pass, then the identity back in the pad columns
+    m = np.empty((2, 2, len(lams), table.width))
+    table.entries(lams, m.reshape(4, len(lams), table.width))
     m[..., n:] = _IDENTITY
-    table.entries(lams, m.reshape(4, len(lams), width)[..., :n])
     theta = None
     if lift:
         if not np.all(m[0, 1, :, :n] > 0.0):
@@ -200,13 +221,12 @@ def transfer_matrix(potential: Potential, lam, lift: bool = False):
     """
     table = _step_table(potential)
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    width = 1 << (len(table.ts) - 2).bit_length()
-    size = max(1, TRANSFER_BLOCK_ENTRIES // width)
+    size = max(1, TRANSFER_BLOCK_ENTRIES // table.width)
     phi = np.empty((len(lams), 2, 2))
     theta2 = np.empty(len(lams))
     for start in range(0, len(lams), size):
         block = slice(start, start + size)
-        m, theta = _product(table, lams[block], width, lift)
+        m, theta = _product(table, lams[block], lift)
         phi[block] = m.transpose(2, 0, 1)
         if lift:
             theta2[block] = theta
@@ -591,7 +611,11 @@ def base_solutions(potential: Potential) -> FundamentalSolutions:
 
 def fundamental_pair(potential: Potential):
     """The pair a kernel of the potential is built on: the exact
-    ConstantPair of a constant potential, base_solutions otherwise."""
-    if isinstance(potential, ConstantPotential):
-        return ConstantPair(potential.rho, potential.interval.T)
-    return base_solutions(potential)
+    ConstantPair of a constant potential, kept on its cache as
+    base_solutions keeps its pair, base_solutions otherwise."""
+    if not isinstance(potential, ConstantPotential):
+        return base_solutions(potential)
+    pair = potential.cache.get("pair")
+    if pair is None:
+        pair = potential.cache["pair"] = ConstantPair(potential.rho, potential.interval.T)
+    return pair

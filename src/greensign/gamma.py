@@ -328,11 +328,18 @@ def gamma_periodic_closed(rho: float, T: float = 1.0) -> GammaResult:
     rho*T/pi in (1, 2) the denominator 1 - sin(rho*T/2), which cancels as
     rho*T nears pi, is taken as 2 sin^2((rho*T - pi)/4).
     """
+    return _periodic_closed(rho, T)
+
+
+def _periodic_closed(rho: float, T: float, potential=None) -> GammaResult:
+    """gamma_periodic_closed, checked for resonance on potential, the
+    constant one of rho and T, or on a fresh one."""
     x = rho * T / math.pi
     if x <= 1.0:
         raise OutOfRange(
             f"rho*T = {rho * T:.6g} <= pi: the kernel does not change sign")
-    require_kernel(constant(rho, T), BoundaryKind.PERIODIC)
+    require_kernel(constant(rho, T) if potential is None else potential,
+                   BoundaryKind.PERIODIC)
     m = int(math.floor(x))
     sn = math.sin(rho * T / 2)
     note = None
@@ -356,10 +363,14 @@ def gamma_periodic_closed(rho: float, T: float = 1.0) -> GammaResult:
     return GammaResult(value, 0.0, "ClosedFormPeriodic", "One", case, note)
 
 
-def _dirichlet_domain_check(rho: float) -> None:
+def _dirichlet_domain_check(rho: float, potential=None) -> None:
+    """Refuse rho outside the Dirichlet closed forms' domain, then check
+    resonance on potential, the constant one of rho on T = 1, or on a
+    fresh one."""
     if not (math.pi < rho < 6 * math.pi):
         raise OutOfRange(f"closed form requires pi < rho < 6*pi, got {rho:.6g}")
-    require_kernel(constant(rho), BoundaryKind.DIRICHLET)
+    require_kernel(constant(rho) if potential is None else potential,
+                   BoundaryKind.DIRICHLET)
 
 
 def _sine_product_antiderivative(rho: float, u):
@@ -412,7 +423,13 @@ def gamma_dirichlet_closed(rho: float) -> GammaResult:
     the sum of the k + 1 products a^(2j) b^(2(k-j)) and b^2 - a^2 = d^3 (rho +
     pi) / rho^2 carries the cancellation exactly.
     """
-    _dirichlet_domain_check(rho)
+    return _dirichlet_closed(rho)
+
+
+def _dirichlet_closed(rho: float, potential=None) -> GammaResult:
+    """gamma_dirichlet_closed, checked for resonance on potential, the
+    constant one of rho on T = 1, or on a fresh one."""
+    _dirichlet_domain_check(rho, potential)
     m = int(math.floor(rho / math.pi))
     if m == 1:
         d = (rho - math.pi) - PI_LO
@@ -437,18 +454,20 @@ def gamma_closed(potential: Potential, bc: BoundaryKind) -> GammaResult | None:
 
     Both closed forms encode the principal-eigenfunction weight (constant
     for the periodic problem, sin(pi t) for the clamped one), so they can
-    stand in for the quadrature path with that weight.
+    stand in for the quadrature path with that weight.  The resonance check
+    is made on the potential given, whose pair (fundamental_pair) a kernel
+    of it shares.
     """
     if not isinstance(potential, ConstantPotential):
         return None
     rho, T = potential.rho, potential.interval.T
     if bc is BoundaryKind.PERIODIC:
         try:
-            return gamma_periodic_closed(rho, T)
+            return _periodic_closed(rho, T, potential)
         except OutOfRange:
             return None
     if bc is BoundaryKind.DIRICHLET and T == 1.0 and math.pi < rho < 6 * math.pi:
-        return gamma_dirichlet_closed(rho)
+        return _dirichlet_closed(rho, potential)
     return None
 
 

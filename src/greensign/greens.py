@@ -153,14 +153,17 @@ class Kernel:
         return u1, u2
 
     def __call__(self, t, s):
-        """G(t, s) over t and s broadcast together.  The pair and C p are
-        evaluated once on each operand before they broadcast: pass operands
-        shaped per row, not repeated per node.  G is the one product
-        p(min) . C p(max) whichever operand is the larger, so it is exactly
-        symmetric."""
+        """G(t, s) over t and s broadcast together.  The pair is evaluated
+        once, on the points of both operands in one call, and C p once on
+        each operand, before they broadcast: pass operands shaped per row,
+        not repeated per node.  G is the one product p(min) . C p(max)
+        whichever operand is the larger, so it is exactly symmetric."""
         t = np.asarray(t, dtype=float)
         s = np.asarray(s, dtype=float)
-        (u1t, u2t), (u1s, u2s) = pt, ps = self._pair(t), self._pair(s)
+        u1, u2 = self._pair(np.concatenate([t.ravel(), s.ravel()]))
+        k = t.size
+        pt = u1t, u2t = u1[:k].reshape(t.shape), u2[:k].reshape(t.shape)
+        ps = u1s, u2s = u1[k:].reshape(s.shape), u2[k:].reshape(s.shape)
         (c1t, c2t), (c1s, c2s) = _times(self._C, pt), _times(self._C, ps)
         g = np.where(s <= t, u1s * c1t + u2s * c2t, u1t * c1s + u2t * c2s)
         return g if g.ndim else float(g)

@@ -16,6 +16,7 @@ import greensign
 from greensign import cli
 from greensign.cli import _load_samples, main
 from greensign.errors import GreensignError
+from greensign.fundamental import ConstantPair
 from greensign.gamma import gamma_dirichlet_closed
 from json_oracle import jsonable
 
@@ -33,6 +34,19 @@ def rows_of(text):
 
 
 class TestGamma:
+    @pytest.mark.parametrize("bc,rho", [("dirichlet", "12.912377"), ("periodic", "11")])
+    def test_closed_form_job_builds_two_pairs(self, bc, rho, capsys, monkeypatch):
+        # the kernel's pair, on the potential's cache, where gamma_closed
+        # and classify_sign check resonance too, and the weight's
+        built = []
+        init = ConstantPair.__init__
+        monkeypatch.setattr(ConstantPair, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        code, out, _ = run(["gamma", "--bc", bc, "--rho", rho, "--t-grid", "1001",
+                            "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["closed"] is not None
+        assert len(built) == 2 and built[0] == (float(rho), 1.0)
+
     def test_nonnegative_kernel_reports_infinite_ratio(self, capsys):
         code, out, _ = run(["gamma", "--bc", "periodic", "--rho", "0.5",
                             "--T", "1", "--t-grid", "11"], capsys)

@@ -334,6 +334,69 @@ class TestLiftStart:
         assert np.array_equal(phi, want_phi) and np.array_equal(theta, want_theta)
 
 
+class StridedTable:
+    """A step table that _product reads as it read the table before its
+    rows were padded: the pad columns set to the identity first, then the
+    entries written into the strided view of the n step columns; oracle."""
+
+    def __init__(self, table):
+        self.table, self.ts = table, table.ts
+        self.width = 1 << (len(table.ts) - 2).bit_length()
+
+    def entries(self, lams, out):
+        n = len(self.ts) - 1
+        out[..., n:] = np.array([1.0, 0.0, 0.0, 1.0])[:, None, None]
+        self.table.entries(lams, out[..., :n])
+
+
+class TestPaddedTable:
+    """The step table keeps its lam**0 and lam**1 rows once, padded to the
+    product tree's width, and _product evaluates every column in one pass."""
+
+    @pytest.mark.parametrize("lift", [False, True])
+    @pytest.mark.parametrize("grid", [9, 10, 2001, np.int64(10), np.int64(2001)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_strided_entries(self, seed, grid, lift, monkeypatch):
+        rng = np.random.default_rng(100 + seed)
+        pot = replace(random_trig(rng), grid_size=grid)
+        # 40 shifts fill two blocks at 2001 nodes
+        lams = rng.uniform(-2000.0, 3000.0, 40)
+        assert TRANSFER_BLOCK_ENTRIES // 2048 < len(lams)
+        table = _step_table(pot)
+        if lift:
+            # a coarse grid refuses the shifts whose steps turn by half a turn
+            steps = np.empty((4, len(lams), int(grid) - 1))
+            table.entries(lams, steps)
+            lams = lams[np.all(steps[1] > 0.0, axis=1)]
+        parts = (lams, lams[:1], lams[-7:-1])
+        got = [transfer_matrix(pot, part, lift=lift) for part in parts]
+        monkeypatch.setattr(fundamental, "_step_table", lambda _: StridedTable(table))
+        want = [transfer_matrix(pot, part, lift=lift) for part in parts]
+        for g, w in zip(got, want):
+            if lift:
+                assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+            else:
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("grid", [9, 10, 2001, np.int64(10)])
+    def test_rows_are_views_of_the_padded_table(self, grid):
+        table = _step_table(replace(wavy(), grid_size=grid))
+        n = int(grid) - 1
+        width = table.width
+        assert type(width) is int and width == 1 << (n - 1).bit_length()
+        for rows, c in zip(table.padded, (table.c0, table.c1)):
+            assert rows.shape == (4, width) and c.shape == (4, n)
+            assert c.base is rows and np.shares_memory(c, rows)
+        # the identity past the n steps, whatever lam
+        assert np.array_equal(table.padded[0][:, n:],
+                              np.tile([[1.0], [0.0], [0.0], [1.0]], width - n))
+        assert not table.padded[1][:, n:].any()
+        # the table's other arrays are the nodes, the potential there and c2
+        assert {name for name, value in vars(table).items()
+                if isinstance(value, np.ndarray)} == {"ts", "a", "c0", "c1", "c2"}
+        assert table.ts.shape == table.a.shape == (n + 1,) and table.c2.shape == (4,)
+
+
 def longdouble_cumulative(mats):
     """Node products from an (n, 2, 2) stack, sequentially in np.longdouble
     arithmetic; oracle for the rounding of the float64 products."""

@@ -287,6 +287,17 @@ class TestClosedDispatch:
     def test_uncovered_pairings(self, pot, bc):
         assert gamma_closed(pot, bc) is None
 
+    @pytest.mark.parametrize("bc,rho", [(BoundaryKind.PERIODIC, 11.0),
+                                        (BoundaryKind.DIRICHLET, 12.912377)])
+    def test_checks_the_potential_given(self, bc, rho):
+        # on the pair that a kernel of the potential shares; the public
+        # closed forms check a potential of their own
+        pot = constant(rho, 1.0)
+        pair = build_kernel(pot, bc).fs
+        closed = gamma_periodic_closed if bc is BoundaryKind.PERIODIC else gamma_dirichlet_closed
+        assert gamma_closed(pot, bc) == closed(rho)
+        assert pot.cache == {"pair": pair}
+
     def test_to_dict(self):
         res = gamma_periodic_closed(2.5 * math.pi)
         assert res.to_dict() == {"value": res.value, "argmin_t": 0.0,

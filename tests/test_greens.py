@@ -16,7 +16,8 @@ from greensign.errors import (IntegratorFailure, OutOfRange, ResonantPotential,
 from greensign.fundamental import ROOT_HALVINGS, FundamentalSolutions
 from greensign.gamma import pointwise_ratio
 from greensign.greens import (DirichletConstantKernel, NumericKernel,
-                              PeriodicConstantKernel, build_kernel, require_kernel)
+                              PeriodicConstantKernel, _times, build_kernel,
+                              require_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import default_max_len, scan_kernel_roots
 from closed_oracle import (closed_roots_many, dirichlet_green, periodic_green,
@@ -918,7 +919,19 @@ class TestSingleEvaluationPath:
                             lambda x: sizes.append(np.size(x)) or pair(x))
         k(np.zeros((37, 1)), np.zeros((37, 8)))
         k.grid_eval(np.zeros(5), np.zeros(7))
-        assert sizes == [37, 37 * 8, 5, 7]
+        # one call per kernel call, on the points of both operands
+        assert sizes == [37 + 37 * 8, 5 + 7]
+
+    @pytest.mark.parametrize("k", single_path_kernels())
+    def test_one_pair_call_matches_one_per_operand(self, k):
+        x = awkward_points()
+        for t, s in ((x[:37, None], x[:37 * 8].reshape(37, 8)), (x, x[::-1]),
+                     (x[3], x[:40]), (np.float64(x[5]), x[6])):
+            (u1t, u2t), (u1s, u2s) = pt, ps = k._pair(t), k._pair(s)
+            (c1t, c2t), (c1s, c2s) = _times(k._C, pt), _times(k._C, ps)
+            want = np.where(s <= t, u1s * c1t + u2s * c2t, u1t * c1s + u2t * c2s)
+            got = k(t, s)
+            assert np.array_equal(np.asarray(got).view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("k", single_path_kernels())
     def test_grid_eval_matches_outer_formula(self, k):
