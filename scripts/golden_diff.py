@@ -22,14 +22,14 @@ apart from the values it is measured on.  A changed exit code is printed as such
 output differs, 0 otherwise.
 """
 import json
-import os
 import pathlib
 import re
-import subprocess
 import sys
 import tempfile
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(SCRIPTS))
+from trees import in_tree  # noqa: E402
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 INTEGER = re.compile(r"[-+]?\d+")
 WORD = re.compile(r"[A-Za-z_]\w*")
@@ -38,9 +38,9 @@ WORD = re.compile(r"[A-Za-z_]\w*")
 NAME = re.compile(r"([A-Za-z_]\w*)\W{0,4}$")
 
 
-def dump() -> None:
-    """Print as JSON [label, exit code, output] of every golden call, run on
-    the greensign that is importable here."""
+def dump() -> list:
+    """[label, exit code, output] of every golden call, run on the greensign
+    that is importable here."""
     import golden
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -53,16 +53,7 @@ def dump() -> None:
         for argv in golden.calls(*files):
             code, data = golden.run(argv, workdir)
             out.append([" ".join(files.get(a, a) for a in argv), code, data.decode()])
-    sys.stdout.write(json.dumps(out))
-
-
-def outputs(tree: pathlib.Path) -> list:
-    """The dump of the golden calls on the greensign under tree/src."""
-    code = f"import sys; sys.path.insert(0, {str(SCRIPTS)!r}); import golden_diff; golden_diff.dump()"
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, check=True,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
-    return json.loads(proc.stdout)
+    return out
 
 
 def compare(old: str, new: str) -> str:
@@ -139,7 +130,8 @@ def main(argv: list) -> int:
     if len(argv) != 1:
         print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    here, there = outputs(SCRIPTS.parent), outputs(pathlib.Path(argv[0]).resolve())
+    here, there = (in_tree(tree, "golden_diff", "dump")
+                   for tree in (SCRIPTS.parent, pathlib.Path(argv[0]).resolve()))
     moved = 0
     for (label, code, new), (_, old_code, old) in zip(here, there):
         if (code, new) == (old_code, old):

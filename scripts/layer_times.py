@@ -8,12 +8,16 @@ Each layer is one library call, timed alone in CPU time
 printed in milliseconds.  The layers are transfer_matrix at 1, 2 and 6
 shifts, plain and lifted, a FundamentalSolutions build, a 201 x 201
 grid_eval, max_kernel_value, gamma_quadrature with the principal
-eigenfunction weight at t-grid 41, and solve_linear on 101 nodes.  Each
-runs under periodic conditions on two potentials sampled on 2001 nodes:
-"wavy", a(t) = 60 + 10 sin(2 pi t), and "trig", one seeded draw of the
-kind the numeric-report benchmark workload draws (mean in [45, 80], three
-modes of amplitude at most 2.5).  A call that reads a kernel gets a fresh
-one, built outside the timing, as each CLI job builds its own.
+eigenfunction weight at t-grid 41, solve_linear on 101 nodes, the
+subinterval search (find_subinterval), and build_report at t-grid 41 and
+cone grid 201 for f = 1 + x/(1+x).  Each runs under periodic conditions on
+two potentials sampled on 2001 nodes: "wavy", a(t) = 60 + 10 sin(2 pi t),
+and "trig", one seeded draw of the kind the numeric-report benchmark
+workload draws (mean in [45, 80], three modes of amplitude at most 2.5).
+A call that reads a kernel gets a fresh one, built outside the timing, as
+each CLI job builds its own; build_report, which builds its kernel and its
+weight itself, gets a fresh copy of the potential, with nothing cached on
+it.
 
 Given OTHER_TREE, a checkout root with its own src/, each of ROUNDS rounds
 runs the layers once in a subprocess on this tree and once on that one,
@@ -21,15 +25,15 @@ the order alternating from round to round, and it prints per layer the
 median of each tree's times, the median over rounds of this tree's time
 over the other's, and the rounds in which this tree was faster.
 """
-import json
-import os
+import dataclasses
 import pathlib
 import statistics
-import subprocess
 import sys
 import time
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(SCRIPTS))
+from trees import in_tree  # noqa: E402
 #: timed calls of each layer per process
 REPEATS = 51
 #: subprocesses per tree when two trees are compared
@@ -57,7 +61,7 @@ def layers(pot) -> list:
     """(name, make) for each layer on pot: make() returns the call to time."""
     import numpy as np
 
-    from greensign.cone import max_kernel_value
+    from greensign.cone import build_report, find_subinterval, max_kernel_value
     from greensign.fundamental import FundamentalSolutions, transfer_matrix
     from greensign.gamma import gamma_quadrature
     from greensign.greens import build_kernel
@@ -73,6 +77,9 @@ def layers(pot) -> list:
     def sigma(t):
         return 1.0 + 0.5 * np.cos(2 * np.pi * t)
 
+    def f(t, x):
+        return 1.0 + x / (1.0 + x)
+
     out = [(f"transfer_matrix {k} {'lifted' if lift else 'plain'}",
             lambda k=k, lift=lift: lambda: transfer_matrix(pot, lams[:k], lift=lift))
            for k in (1, 2, 6) for lift in (False, True)]
@@ -85,6 +92,9 @@ def layers(pot) -> list:
          lambda: lambda k=build_kernel(pot, bc): gamma_quadrature(k, weight, 41)),
         ("solve_linear 101 nodes",
          lambda: lambda k=build_kernel(pot, bc): solve_linear(k, sigma, 101)),
+        ("find_subinterval", lambda: lambda k=build_kernel(pot, bc): find_subinterval(k)),
+        ("build_report t-grid 41",
+         lambda: lambda p=dataclasses.replace(pot): build_report(p, bc, f, 201, 41)),
     ]
 
 
@@ -104,16 +114,6 @@ def measure(repeats: int = REPEATS) -> dict:
     return out
 
 
-def run_tree(tree: pathlib.Path, repeats: int) -> dict:
-    """measure() in a subprocess on the greensign under tree/src."""
-    code = (f"import sys, json; sys.path.insert(0, {str(SCRIPTS)!r}); import layer_times; "
-            f"print(json.dumps(layer_times.measure({repeats})))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, check=True,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
-    return json.loads(proc.stdout)
-
-
 def main(argv: list, rounds: int = ROUNDS, repeats: int = REPEATS) -> int:
     if len(argv) > 1:
         print("usage: " + __doc__.strip().splitlines()[2].strip(), file=sys.stderr)
@@ -126,7 +126,8 @@ def main(argv: list, rounds: int = ROUNDS, repeats: int = REPEATS) -> int:
     here, there = [], []
     for r in range(rounds):
         for tree in trees[::1 if r % 2 == 0 else -1]:
-            (here if tree is trees[0] else there).append(run_tree(tree, repeats))
+            times = in_tree(tree, "layer_times", "measure", repeats)
+            (here if tree is trees[0] else there).append(times)
     print(f"{'layer':44s} {'this ms':>9s} {'other ms':>9s} {'ratio':>6s}  won")
     for name in here[0]:
         a, b = [x[name] for x in here], [x[name] for x in there]

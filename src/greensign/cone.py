@@ -207,12 +207,13 @@ def _h3_rule(ss, w, c, d):
     return filled & ~bad.any(axis=-1), np.min(w, axis=-1), min_sub, witness
 
 
-def find_subinterval(kernel, grid: int = GRID,
-                     with_trace: bool = False):
-    """Widest window [c, d] that passes H3 (`_h3_rule`) on grid s-samples,
-    or None when none of width >= T/64 does.  The candidates are the aligned
-    runs of 64, 32, ..., 1 cells of a 64-cell partition of [0, T], all of
-    one width judged at once; ties go to the window with the larger eta.
+def find_subinterval(kernel, grid: int = GRID):
+    """(verdict, trace): the H3Verdict of the widest window [c, d] that
+    passes H3 (`_h3_rule`) on grid s-samples, or None when none of width
+    >= T/64 does, and every window judged, in order.  The candidates are the
+    aligned runs of 64, 32, ..., 1 cells of a 64-cell partition of [0, T],
+    all of one width judged at once; ties go to the window with the larger
+    eta.  The verdict's minima are those its window was judged by.
     """
     T = float(kernel.T)
     ss = _samples(0.0, T, grid)
@@ -223,21 +224,21 @@ def find_subinterval(kernel, grid: int = GRID,
     while width >= MIN_WIDTH_CELLS:
         starts = np.arange(N_CELLS - width + 1)
         cs, ds = T * starts / N_CELLS, T * (starts + width) / N_CELLS
-        passed, _, eta_hat, _ = _h3_rule(ss, prefix[starts + width] - prefix[starts],
-                                         cs, ds)
+        passed, min_all, eta_hat, _ = _h3_rule(ss, prefix[starts + width] - prefix[starts],
+                                               cs, ds)
         trace += [{"c": float(c), "d": float(d), "valid": bool(ok), "eta_hat": float(e)}
                   for c, d, ok, e in zip(cs, ds, passed, eta_hat)]
         if passed.any():
             k = int(np.argmax(np.where(passed, eta_hat, -np.inf)))
-            sub = Subinterval(float(cs[k]), float(ds[k]))
-            return (sub, trace) if with_trace else sub
+            return H3Verdict(True, Subinterval(float(cs[k]), float(ds[k])),
+                             float(min_all[k]), float(eta_hat[k])), trace
         width //= 2
-    return (None, trace) if with_trace else None
+    return None, trace
 
 
 def check_H3(kernel, subinterval: Subinterval, grid: int = GRID) -> H3Verdict:
-    """H3 (`_h3_rule`) for one window, on grid s-samples of [0, T].
-    Raises ValueError where the window leaves [0, T]."""
+    """H3 (`_h3_rule`) for a window the caller chooses, on grid s-samples
+    of [0, T].  Raises ValueError where the window leaves [0, T]."""
     c, d = subinterval.c, subinterval.d
     ss = _samples(0.0, kernel.T, grid)
     passed, min_all, min_sub, witness = _h3_rule(ss, _t_integrals(kernel, ss, c, d), c, d)
@@ -353,8 +354,8 @@ def build_report(potential, bc: BoundaryKind, f, grid: int = GRID,
     weight (its closed form where gamma_closed has one), the sandwich checks
     for f against that weight and, where the coefficient itself is an
     admissible weight, against the coefficient, the subinterval search with
-    its trace, the positivity certificate on the found subinterval, and the
-    cone constants.  Failures of individual
+    its trace and the H3 verdict it decided, and the cone constants on the
+    window it found.  Failures of individual
     stages are recorded as notes instead of aborting the report.  Raises
     ValueError where gamma_t_grid is below 1.
     """
@@ -379,16 +380,14 @@ def build_report(potential, bc: BoundaryKind, f, grid: int = GRID,
         except (InvalidWeight, NonpositiveWeightedIntegral) as exc:
             report.notes.append(f"coefficient-weighted variant skipped: {exc}")
 
-    sub, trace = find_subinterval(kernel, grid, with_trace=True)
-    report.subinterval_trace = trace
-    if sub is None:
+    report.h3, report.subinterval_trace = find_subinterval(kernel, grid)
+    if report.h3 is None:
         report.notes.append(
             "no subinterval of width >= T/64 keeps the t-integral of G "
             "nonnegative everywhere and positive inside")
         return report
-    report.h3 = check_H3(kernel, sub, grid)
     try:
-        report.cone = compute_cone_constants(kernel, sub, grid)
+        report.cone = compute_cone_constants(kernel, report.h3.subinterval, grid)
     except NonpositiveEta as exc:
         report.notes.append(f"cone constants unavailable: {exc}")
     return report

@@ -141,23 +141,19 @@ def _row_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     at = np.empty(len(flat) + 3 * n, dtype=np.intp)
     at[start] = len(x) - 2
     at[start + k + 2] = len(x) - 1
-    at[start + before + 1] = len(flat) + rows
+    # t stands at mid[i] in row i
+    mid = start + before + 1
+    at[mid] = len(flat) + rows
     at[np.arange(len(flat)) + 3 * root_row + 1 + past] = np.arange(len(flat))
     S, left = S.take(at, axis=1), left.take(at)
-    # piece j runs from point j to j + 1: row i has before[i] + 1 pieces
-    # on its side s <= t, k[i] - before[i] + 1 past t, then the one from
-    # its T to the next row's 0, which reads 0 and weighs nothing
+    # piece j runs from point j to j + 1, on row i's side s <= t below
+    # mid[i] and past t from there; the one from row i's T to the next
+    # row's 0 reads 0 and adds nothing
     dW = S[:, 1:] - S[:, :-1]
     dW += total[:, None] * (left[:-1] > left[1:])
-    pieces = np.ones((n, 3), dtype=np.intp)
-    pieces[:, 0] = before + 1
-    pieces[:, 1] = k - before + 1
-    coefficients = np.zeros((2, n, 3))
-    coefficients[:, :, 0] = sides[:, :n]
-    coefficients[:, :, 1] = sides[:, n:]
-    alpha, beta = np.repeat(coefficients.reshape(2, -1), pieces.ravel(), axis=1)[:, :-1]
-    piece = alpha * dW[0] + beta * dW[1]
     row = rows.repeat(k + 3)[:-1]
+    alpha, beta = sides.take(row + n * (np.arange(len(row)) >= mid[row]), axis=1)
+    piece = alpha * dW[0] + beta * dW[1]
     return (np.bincount(row, np.maximum(piece, 0.0), minlength=n),
             -np.bincount(row, np.minimum(piece, 0.0), minlength=n))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import greensign.cone as cone_module
+import greensign.gamma as gamma_module
 from greensign.cone import (H3_TOL, N_CELLS, ZOOM_ROUNDS, ConeConstants,
-                            Subinterval, _h3_rule, _t_integrals, _t_prefix,
+                            H3Verdict, Subinterval, _h3_rule, _t_integrals, _t_prefix,
                             build_report, check_H2, check_H3,
                             compute_cone_constants, cone_membership,
                             find_subinterval, max_kernel_value)
@@ -100,6 +102,12 @@ def find_subinterval_per_candidate(kernel, grid=201, prefix=None):
     return None, trace
 
 
+def search_window(kernel, grid=201):
+    """The window find_subinterval picks, or None."""
+    h3, _ = find_subinterval(kernel, grid)
+    return None if h3 is None else h3.subinterval
+
+
 class CountingKernel:
     """A kernel that records the broadcast shape of every evaluation."""
 
@@ -171,7 +179,7 @@ def assert_matches_panels(kernel, grid=201):
     got = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
     sub, _ = find_subinterval_per_candidate(kernel, grid, want)
-    assert find_subinterval(kernel, grid) == sub
+    assert search_window(kernel, grid) == sub
     for window in ([sub] if sub else []) + [Subinterval(0.0, T)]:
         c, d = window.c, window.d
         w = t_integrals(kernel, ss, c, d)
@@ -273,7 +281,7 @@ class TestSubinterval:
 class TestPeriodicConstants:
     # eta = 1/rho^2, max G = sqrt(2)/(2 rho) at |t-s| = T/2, sigma = eta/max
     def test_full_interval_found(self):
-        sub = find_subinterval(PeriodicConstantKernel(RHO_P))
+        sub = search_window(PeriodicConstantKernel(RHO_P))
         assert sub == Subinterval(0.0, 1.0)
 
     def test_closed_values(self):
@@ -297,7 +305,7 @@ class TestPeriodicConstants:
 
 class TestDirichletConstants:
     def test_interior_window(self):
-        sub = find_subinterval(DirichletConstantKernel(RHO_D))
+        sub = search_window(DirichletConstantKernel(RHO_D))
         assert sub == Subinterval(0.25, 0.75)
 
     def test_h3_on_window(self):
@@ -434,26 +442,25 @@ class TestFindSubinterval:
         grid = np.linspace(0.0, 1.0, 11)
         k = build_kernel(sampled(grid, np.full(11, -1.0)),
                          BoundaryKind.DIRICHLET)
-        assert find_subinterval(k) is None
+        h3, _ = find_subinterval(k)
+        assert h3 is None
 
     def test_trace_records_candidates(self):
-        sub, trace = find_subinterval(DirichletConstantKernel(RHO_D),
-                                      with_trace=True)
-        assert sub == Subinterval(0.25, 0.75)
+        h3, trace = find_subinterval(DirichletConstantKernel(RHO_D))
+        assert h3.subinterval == Subinterval(0.25, 0.75)
         assert len(trace) > 1
         assert {"c", "d", "valid", "eta_hat"} <= set(trace[0])
         assert any(e["valid"] for e in trace)
         assert not trace[0]["valid"]  # the full interval is rejected first
 
     def test_endpoints_are_plain_floats(self):
-        sub = find_subinterval(PeriodicConstantKernel(RHO_P))
+        sub = search_window(PeriodicConstantKernel(RHO_P))
         assert type(sub.c) is float and type(sub.d) is float
 
     def test_windows_without_samples_are_invalid(self):
         # on two s-samples, the ends, most windows hold none
-        sub, trace = find_subinterval(DirichletConstantKernel(7.5), grid=2,
-                                      with_trace=True)
-        assert sub is None
+        h3, trace = find_subinterval(DirichletConstantKernel(7.5), grid=2)
+        assert h3 is None
         empty = [e for e in trace if 0.0 < e["c"] and e["d"] < 1.0]
         assert empty
         assert all(not e["valid"] and math.isnan(e["eta_hat"]) for e in empty)
@@ -466,22 +473,20 @@ class TestFindSubinterval:
     ])
     def test_matches_the_per_candidate_loop(self, kernel, grid):
         want_sub, want = find_subinterval_per_candidate(kernel, grid)
-        sub, trace = find_subinterval(kernel, grid, with_trace=True)
-        assert sub == want_sub
+        h3, trace = find_subinterval(kernel, grid)
+        assert (None if h3 is None else h3.subinterval) == want_sub
         assert len(trace) == len(want)
         for got, exp in zip(trace, want):
             assert repr(got) == repr(exp)   # types too, and nan where nan
 
     def test_mixed1_searches_every_candidate(self):
-        sub, trace = find_subinterval(NumericKernel(WAVY, BoundaryKind.MIXED1),
-                                      with_trace=True)
-        assert sub is None
+        h3, trace = find_subinterval(NumericKernel(WAVY, BoundaryKind.MIXED1))
+        assert h3 is None
         assert len(trace) == sum(N_CELLS - w + 1 for w in (64, 32, 16, 8, 4, 2, 1))
 
     def test_periodic_stops_at_widest(self):
-        sub, trace = find_subinterval(PeriodicConstantKernel(RHO_P),
-                                      with_trace=True)
-        assert sub.width == 1.0
+        h3, trace = find_subinterval(PeriodicConstantKernel(RHO_P))
+        assert h3.subinterval.width == 1.0
         assert len(trace) == 1
 
 
@@ -626,3 +631,67 @@ class TestBuildReport:
         assert not rep.all_passed
         assert not rep.h2.passed
         assert rep.h3.passed  # geometry is fine, only the sandwich fails
+
+
+#: (potential, condition) of the hypothesis reports whose search finds a
+#: window: wavy as `check` reads it (also on `--grid 251`), and constants
+REPORT_CASES = [
+    pytest.param(WAVY, BoundaryKind.PERIODIC, id="wavy-periodic"),
+    pytest.param(WAVY, BoundaryKind.DIRICHLET, id="wavy-dirichlet"),
+    pytest.param(WAVY, BoundaryKind.NEUMANN, id="wavy-neumann"),
+    pytest.param(dataclasses.replace(WAVY, grid_size=251), BoundaryKind.DIRICHLET,
+                 id="wavy-dirichlet-grid251"),
+    pytest.param(constant(RHO_D), BoundaryKind.DIRICHLET, id="sqrt60-dirichlet"),
+    pytest.param(constant(RHO_D), BoundaryKind.PERIODIC, id="sqrt60-periodic"),
+    pytest.param(constant(11.0), BoundaryKind.PERIODIC, id="rho11-periodic"),
+]
+
+
+class TestReportH3:
+    """The report's H3 is the verdict the subinterval search decided."""
+
+    @pytest.mark.parametrize("potential, bc", REPORT_CASES)
+    def test_is_the_rule_on_the_search_table(self, potential, bc):
+        h3 = build_report(potential, bc, parabola, gamma_t_grid=41).h3
+        kernel = build_kernel(potential, bc)
+        T = kernel.T
+        ss = np.linspace(0.0, T, 201)
+        prefix = _t_prefix(kernel, np.linspace(0.0, T, N_CELLS + 1), ss)[0]
+        c, d = h3.subinterval.c, h3.subinterval.d
+        w = prefix[round(d / T * N_CELLS)] - prefix[round(c / T * N_CELLS)]
+        passed, min_all, min_sub, witness = _h3_rule(ss, w, c, d)
+        assert passed and math.isnan(witness)
+        assert repr(h3) == repr(H3Verdict(True, Subinterval(c, d), float(min_all),
+                                          float(min_sub)))
+        # the window checked alone, off a table of its own, agrees to rounding
+        v = check_H3(kernel, h3.subinterval)
+        scale = float(np.max(np.abs(w)))
+        assert v.passed and v.witness_s is None
+        assert abs(v.min_over_all - h3.min_over_all) <= 1e-12 * scale
+        assert abs(v.min_over_sub - h3.min_over_sub) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("potential, bc, reads", [
+        pytest.param(WAVY, BoundaryKind.PERIODIC, 4, id="wavy-periodic"),
+        pytest.param(WAVY, BoundaryKind.DIRICHLET, 3, id="wavy-dirichlet"),
+        pytest.param(WAVY, BoundaryKind.NEUMANN, 4, id="wavy-neumann"),
+        pytest.param(constant(RHO_D), BoundaryKind.PERIODIC, 3, id="sqrt60-periodic"),
+        pytest.param(constant(RHO_D), BoundaryKind.DIRICHLET, 2, id="sqrt60-dirichlet"),
+        pytest.param(WAVY, BoundaryKind.MIXED1, 2, id="wavy-mixed1-no-window"),
+    ])
+    def test_reads_per_report(self, potential, bc, reads, monkeypatch):
+        # one read_both each for gamma_quadrature (unless in closed form),
+        # gamma_star (where the condition keeps constants), the search and,
+        # where it found a window, the cone constants; none for check_H3
+        calls = []
+        for module in (cone_module, gamma_module):
+            def counted(*args, read=module.read_both):
+                calls.append(args)
+                return read(*args)
+            monkeypatch.setattr(module, "read_both", counted)
+
+        def refused(*args):
+            raise AssertionError("build_report called check_H3")
+        monkeypatch.setattr(cone_module, "check_H3", refused)
+        rep = build_report(potential, bc, parabola, gamma_t_grid=41)
+        assert len(calls) == reads
+        assert (rep.h3 is None) == (bc is BoundaryKind.MIXED1)
