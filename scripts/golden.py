@@ -210,7 +210,10 @@ def run(argv: list, workdir: pathlib.Path) -> tuple:
     return code, data
 
 
-def main() -> int:
+def outputs():
+    """(label, exit code, bytes written) of every call, in order, with the
+    potentials written to a temporary directory; the label is the call with
+    each sample file named by its potential."""
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
         files = {}
@@ -218,10 +221,12 @@ def main() -> int:
             files[str(workdir / f"{name}.csv")] = name
             write_samples(workdir / f"{name}.csv", a)
         for argv in calls(*files):
-            code, data = run(argv, workdir)
-            label = " ".join(files.get(a, a) for a in argv)
-            print(f"{hashlib.sha256(data).hexdigest()}  exit={code}  {label}",
-                  flush=True)
+            yield (" ".join(files.get(a, a) for a in argv), *run(argv, workdir))
+
+
+def main() -> int:
+    for label, code, data in outputs():
+        print(f"{hashlib.sha256(data).hexdigest()}  exit={code}  {label}", flush=True)
     return 0
 
 

@@ -25,7 +25,6 @@ import json
 import pathlib
 import re
 import sys
-import tempfile
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(SCRIPTS))
@@ -43,17 +42,7 @@ def dump() -> list:
     that is importable here."""
     import golden
 
-    with tempfile.TemporaryDirectory() as tmp:
-        workdir = pathlib.Path(tmp)
-        files = {}
-        for name, a in golden.POTENTIALS.items():
-            files[str(workdir / f"{name}.csv")] = name
-            golden.write_samples(workdir / f"{name}.csv", a)
-        out = []
-        for argv in golden.calls(*files):
-            code, data = golden.run(argv, workdir)
-            out.append([" ".join(files.get(a, a) for a in argv), code, data.decode()])
-    return out
+    return [[label, code, data.decode()] for label, code, data in golden.outputs()]
 
 
 def compare(old: str, new: str) -> str:

@@ -10,8 +10,10 @@ shifts, plain and lifted, a FundamentalSolutions build, a 201 x 201
 grid_eval, max_kernel_value, gamma_quadrature with the principal
 eigenfunction weight at t-grid 41, solve_linear on 101 nodes, the
 subinterval search (find_subinterval), and build_report at t-grid 41 and
-cone grid 201 for f = 1 + x/(1+x).  Each runs under periodic conditions on
-two potentials sampled on 2001 nodes: "wavy", a(t) = 60 + 10 sin(2 pi t),
+cone grid 201 for f = 1 + x/(1+x).  Each runs under periodic conditions,
+and gamma_quadrature also under Dirichlet ones, whose separated kernel
+sums its slices on a path of its own (gamma._fixed_parts), on two
+potentials sampled on 2001 nodes: "wavy", a(t) = 60 + 10 sin(2 pi t),
 and "trig", one seeded draw of the kind the numeric-report benchmark
 workload draws (mean in [45, 80], three modes of amplitude at most 2.5).
 A call that reads a kernel gets a fresh one, built outside the timing, as
@@ -69,9 +71,10 @@ def layers(pot) -> list:
     from greensign.solver import solve_linear
     from greensign.spectral import principal_eigenfunction
 
-    bc = BoundaryKind.PERIODIC
+    bc, dirichlet = BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET
     lams = np.random.default_rng(SEED).uniform(-50.0, 300.0, 6)
     weight = principal_eigenfunction(pot, bc)
+    sine = principal_eigenfunction(pot, dirichlet)
     ss = np.linspace(0.0, 1.0, 201)
 
     def sigma(t):
@@ -90,6 +93,8 @@ def layers(pot) -> list:
         ("max_kernel_value", lambda: lambda k=build_kernel(pot, bc): max_kernel_value(k)),
         ("gamma_quadrature t-grid 41",
          lambda: lambda k=build_kernel(pot, bc): gamma_quadrature(k, weight, 41)),
+        ("gamma_quadrature t-grid 41 dirichlet",
+         lambda: lambda k=build_kernel(pot, dirichlet): gamma_quadrature(k, sine, 41)),
         ("solve_linear 101 nodes",
          lambda: lambda k=build_kernel(pot, bc): solve_linear(k, sigma, 101)),
         ("find_subinterval", lambda: lambda k=build_kernel(pot, bc): find_subinterval(k)),

@@ -336,18 +336,21 @@ FIGURE_HELP = ("1: periodic gamma(rho) sweep; 2: clamped gamma(t) at rho=10.8; "
                "5: sign-changing example profile")
 
 
+def _sweep(rhos, closed, bc, weight=None, t_grid=T_GRID_SIZE) -> list:
+    """Rows (rho, closed(rho), gamma_quadrature) of the figures that sweep
+    rho, on the exact kernel of a = rho^2 under bc at every rho of rhos."""
+    return [(rho, closed(rho).value,
+             gamma_quadrature(build_kernel(constant(rho), bc), weight, t_grid).value)
+            for rho in rhos.tolist()]
+
+
 def _cmd_figure(args) -> int:
     n = args.number
     out = args.output or f"figure{n}.csv"
     header = ("rho", "gamma_closed", "gamma_quadrature")
     if n == 1:
-        rhos = math.pi * np.linspace(1.02, 6.98, 300)
-        rows = []
-        for rho in rhos:
-            closed = gamma_periodic_closed(rho)
-            quad = gamma_quadrature(build_kernel(constant(rho), BoundaryKind.PERIODIC))
-            rows.append((rho, closed.value, quad.value))
-        rows = np.array(rows).tolist()
+        rows = _sweep(math.pi * np.linspace(1.02, 6.98, 300), gamma_periodic_closed,
+                      BoundaryKind.PERIODIC)
     elif n == 2:
         header = ("t", "gamma_closed", "gamma_quadrature")
         rho = 10.8
@@ -358,15 +361,10 @@ def _cmd_figure(args) -> int:
         rows = [(t, gamma_dirichlet_t_closed(t, rho), quad)
                 for t, quad in zip(ts.tolist(), quads)]
     elif n == 3:
-        rows = []
         # the principal clamped eigenfunction is sin(pi t) for every rho
         weight = principal_eigenfunction(constant(2.0), BoundaryKind.DIRICHLET)
-        for rho in math.pi * np.linspace(1.02, 5.98, 200):
-            closed = gamma_dirichlet_closed(float(rho))
-            kernel = build_kernel(constant(float(rho)), BoundaryKind.DIRICHLET)
-            quad = gamma_quadrature(kernel, weight, t_grid_size=101)
-            rows.append((rho, closed.value, quad.value))
-        rows = np.array(rows).tolist()
+        rows = _sweep(math.pi * np.linspace(1.02, 5.98, 200), gamma_dirichlet_closed,
+                      BoundaryKind.DIRICHLET, weight, 101)
     elif n in (4, 5):
         kernel = build_kernel(constant(math.sqrt(60.0)), BoundaryKind.DIRICHLET)
         rhs = (lambda s: s * (1.0 - s)) if n == 4 else (lambda s: s)

@@ -26,7 +26,7 @@ from .gamma import (T_GRID_SIZE, GammaResult, gamma_closed, gamma_quadrature,
                     gamma_star)
 from .greens import build_kernel, separable_read
 from .potentials import BoundaryKind
-from .quadrature import read_both, require_no_cancellation
+from .quadrature import read_both, require_no_cancellation, span
 from .spectral import principal_eigenfunction
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -111,15 +111,15 @@ def _t_prefix(kernel, xs, ss):
     """(P, B): P[i, j] = integral over t in [0, xs[i]] of G(t, ss[j]), and B
     the bulk of its terms, for quadrature.require_no_cancellation.  G is
     symmetric, so P is the separable read at s of U(min(x, s)) and, past s,
-    U(x) - U(s), with U(x) the integral of the pair over [0, x], read at
-    every x and s from the nearer end (quadrature.read_both, weight one).
+    U(x) - U(s), with U(x) the integral of the pair over [0, x]: the span
+    from 0 of read_both at every x and s, weight one (see quadrature).
     At an s the condition pins the pair is zero, and so is the column of
     P."""
     xs = np.asarray(xs, dtype=float)
     ss = np.asarray(ss, dtype=float)
     x = np.concatenate([xs, ss])
     S, left, total = read_both(kernel, None, x)
-    U = S + np.where(left, 0.0, total[:, None])
+    U = span(0.0, True, S, left, total[:, None])
     Ux, Us = U[:, :len(xs), None], U[:, None, len(xs):]
     past = ss < xs[:, None]
     parts = np.empty((4, len(xs), len(ss)))

@@ -64,7 +64,7 @@ from .errors import (NonpositiveWeightedIntegral, OutOfRange,
                      QuadratureFailure, InvalidWeight, UnsupportedBoundaryKind)
 from .greens import require_kernel
 from .potentials import BoundaryKind, ConstantPotential, Potential, constant
-from .quadrature import exact_weight, read_both
+from .quadrature import exact_weight, read_both, span
 
 T_GRID_SIZE = 1001
 PI_LO = 1.2246467991473532e-16   # pi - math.pi: rho - pi is (rho - math.pi) - PI_LO
@@ -111,10 +111,10 @@ def _slice_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     is read once per point from the nearer end (quadrature.read_both): at
     each zero, at each t, and at 0 and T, where it is exactly 0 from its
     own end.  The integral of a piece between two points is alpha dW1 +
-    beta dW2, with (alpha, beta) of its side of t and dW the difference of
-    W across it, plus the whole integral for the one piece that spans the
-    middle of [0, T].  A piece counts as positive or negative by the sign
-    of its own weighted integral (zero counts as positive).
+    beta dW2, with (alpha, beta) of its side of t and dW the integral of
+    p w between them, decoded from their reads by quadrature.span.  A piece
+    counts as positive or negative by the sign of its own weighted integral
+    (zero counts as positive).
     """
     if kernel._fixed_zeros is None:
         return _row_parts(kernel, ts, roots, weight)
@@ -149,8 +149,7 @@ def _row_parts(kernel, ts, roots, weight) -> tuple[np.ndarray, np.ndarray]:
     # piece j runs from point j to j + 1, on row i's side s <= t below
     # mid[i] and past t from there; the one from row i's T to the next
     # row's 0 reads 0 and adds nothing
-    dW = S[:, 1:] - S[:, :-1]
-    dW += total[:, None] * (left[:-1] > left[1:])
+    dW = span(S[:, :-1], left[:-1], S[:, 1:], left[1:], total[:, None])
     row = rows.repeat(k + 3)[:-1]
     alpha, beta = sides.take(row + n * (np.arange(len(row)) >= mid[row]), axis=1)
     piece = alpha * dW[0] + beta * dW[1]
@@ -182,9 +181,8 @@ def _fixed_parts(kernel, ts, factor, weight) -> tuple[np.ndarray, np.ndarray]:
     S, left, total = read_both(kernel, weight, x)
     # the piece from each fixed point to the next: those of u_c, one that
     # no slice holds whole, then those of phi_R
-    dW = S[:, 1:f] - S[:, :f - 1]
-    dW += total[:, None] * (left[:f - 1] > left[1:f])
-    phi_w, u_w = kernel._separated(dW)
+    phi_w, u_w = kernel._separated(
+        span(S[:, :f - 1], left[:f - 1], S[:, 1:f], left[1:f], total[:, None]))
     # at each fixed point the positive and negative sums of the pieces a
     # slice holds with it, of u_c below it from 0 and of phi_R past it to
     # T (summed from T backwards), then W there and its side
@@ -203,17 +201,11 @@ def _fixed_parts(kernel, ts, factor, weight) -> tuple[np.ndarray, np.ndarray]:
     held[1] += m + 1
     # the table there, shape (5, 2, len(ts)): row of table, point, t
     ends = table.take(held, axis=1)
-    # the partial pieces, from that of u_c to t and from t to that of phi_R
+    # the partial pieces, of u_c from its point to t and of phi_R past t
     St, left_t = S[:, f:], left[f:]
-    part = np.empty((2, 2, len(ts)))
-    np.subtract(St, ends[2:4, 0], out=part[:, 0])
-    np.subtract(ends[2:4, 1], St, out=part[:, 1])
-    across = np.empty((2, len(ts)))
-    np.greater(ends[4, 0], left_t, out=across[0])
-    np.greater(left_t, ends[4, 1], out=across[1])
-    part += total[:, None, None] * across
-    phi_w, u_w = kernel._separated(part)
-    part = factor * (u_w[0], phi_w[1])
+    u_w = kernel._separated(span(ends[2:4, 0], ends[4, 0], St, left_t, total[:, None]))[1]
+    phi_w = kernel._separated(span(St, left_t, ends[2:4, 1], ends[4, 1], total[:, None]))[0]
+    part = factor * (u_w, phi_w)
     sums = ends[:2]
     pos, neg = (np.where(factor >= 0.0, sums, sums[::-1]) * factor).sum(axis=1)
     pos += np.maximum(part, 0.0).sum(axis=0)

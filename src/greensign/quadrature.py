@@ -7,7 +7,8 @@ of G(t, .), and a numeric kernel's pair kinks at its grid nodes.
 The sign-ratio constant and the t-integrals of the cone read the
 integrals of p w, with p the kernel's fundamental pair and w a weight,
 through one entry, read_both: at each point from the nearer end, since
-read from 0 the sums next to T lose digits.  Where the pair is exact (a
+read from 0 the sums next to T lose digits; span decodes two such reads
+into the integral between them.  Where the pair is exact (a
 constant potential's ConstantPair) and so is the weight (one, a
 constant coefficient, or an eigenfunction on an exact pair;
 exact_weight), the integrals are elementary, and read_both takes them in
@@ -205,6 +206,13 @@ def read_both(kernel, weight, x):
     sums = slice_sums(kernel, np.concatenate([getattr(weight, "breakpoints", ()), x]))
     g = 1.0 if weight is None else weight(sums.xs)
     return sums.both(g, x)
+
+
+def span(S_a, left_a, S_b, left_b, total):
+    """The integral of p w from a to b, a at or before b, of read_both's
+    reads (S, left) there and its total: S_b - S_a, plus the total where a
+    is read from 0 and b from T (T then 0, a join of two rows, reads 0)."""
+    return S_b - S_a + total * (left_a > left_b)
 
 
 def scan_kernel_roots(kernel, t: float) -> np.ndarray:

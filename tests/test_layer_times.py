@@ -7,7 +7,8 @@ LAYERS = ["transfer_matrix 1 plain", "transfer_matrix 1 lifted",
           "transfer_matrix 2 plain", "transfer_matrix 2 lifted",
           "transfer_matrix 6 plain", "transfer_matrix 6 lifted",
           "FundamentalSolutions", "grid_eval 201x201", "max_kernel_value",
-          "gamma_quadrature t-grid 41", "solve_linear 101 nodes",
+          "gamma_quadrature t-grid 41", "gamma_quadrature t-grid 41 dirichlet",
+          "solve_linear 101 nodes",
           "find_subinterval", "build_report t-grid 41"]
 
 

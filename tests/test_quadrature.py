@@ -10,7 +10,7 @@ from greensign.greens import NumericKernel, PeriodicConstantKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import (SLICE_CELLS_PER_PANEL, SLICE_ORDER, CellSums,
                                   build_edges, default_max_len, exact_weight,
-                                  gauss_nodes, one_length, read_both)
+                                  gauss_nodes, one_length, read_both, slice_sums, span)
 from greensign.spectral import principal_eigenfunction
 from slice_oracle import MAX_SHARED_BREAKS, panel_plan, slice_panels
 
@@ -338,3 +338,57 @@ class TestClosedRead:
                             SLICE_ORDER)
             for got, want in zip(read_both(kernel, weight, x), sums.both(weight(sums.xs), x)):
                 assert np.array_equal(got, want)
+
+
+def span_kernels():
+    """(kernel, weight) of the span tests: the numeric wavy kernel under
+    Dirichlet conditions with its eigenfunction weight, and the exact kernel
+    of rho = 17.3 with the weight one and sin(pi s)."""
+    grid = np.linspace(0.0, 1.0, 2001)
+    wavy = sampled(grid, 60 + 10 * np.sin(2 * np.pi * grid))
+    exact = build_kernel(constant(17.3), BoundaryKind.DIRICHLET)
+    return [(build_kernel(wavy, BoundaryKind.DIRICHLET),
+             principal_eigenfunction(wavy, BoundaryKind.DIRICHLET)),
+            (exact, None), (exact, closed_read_weight("sine", constant(17.3), None))]
+
+
+class TestSpan:
+    """span decodes two reads of read_both, each from its nearer end, into
+    the integral between them."""
+
+    #: pairs a <= b left of T / 2, right of it, and across it, in units of T
+    PAIRS = [(0.0, 0.1), (0.13, 0.37), (0.2, 0.5), (0.5, 0.5),
+             (0.55, 0.8), (0.62, 0.97), (0.7, 1.0),
+             (0.0, 1.0), (0.3, 0.8), (0.45, 0.55), (0.5, 0.5000001)]
+
+    @pytest.mark.parametrize("kernel, weight", span_kernels(), ids=["wavy", "one", "sine"])
+    def test_span_matches_one_sum_from_0(self, kernel, weight):
+        """span of the reads at a and b, and span from 0 to every point,
+        agree with the from-0 differences of one cumulative sum over the
+        cells of the same table, to CLOSED_READ_TOL of max |W| per
+        solution."""
+        T = kernel.T
+        a, b = T * np.array(self.PAIRS).T
+        x = np.concatenate([a, b])
+        S, left, total = read_both(kernel, weight, x)
+        assert left.any() and not left.all()
+        sums = slice_sums(kernel, x)
+        cells = sums._cells(1.0 if weight is None else weight(sums.xs))
+        W = np.concatenate([np.zeros((2, 1)), cells.cumsum(axis=1)], axis=1)[:, sums.index(x)]
+        scale = np.max(np.abs(W), axis=1)[:, None]
+        n = len(a)
+        got = span(S[:, :n], left[:n], S[:, n:], left[n:], total[:, None])
+        want = W[:, n:] - W[:, :n]
+        assert np.all(np.abs(got - want) <= CLOSED_READ_TOL * scale), np.abs(got - want) / scale
+        from0 = span(0.0, True, S, left, total[:, None])
+        assert np.all(np.abs(from0 - W) <= CLOSED_READ_TOL * scale), np.abs(from0 - W) / scale
+
+    @pytest.mark.parametrize("kernel, weight", span_kernels(), ids=["wavy", "one", "sine"])
+    def test_empty_spans_are_zero(self, kernel, weight):
+        """a = b gives exactly 0, and so does the join of two rows of
+        gamma's row layout, from T to the next row's 0."""
+        T = kernel.T
+        x = T * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        S, left, total = read_both(kernel, weight, x)
+        assert np.array_equal(span(S, left, S, left, total[:, None]), np.zeros_like(S))
+        assert np.array_equal(span(S[:, -1], left[-1], S[:, 0], left[0], total), [0.0, 0.0])
