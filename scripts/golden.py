@@ -72,6 +72,11 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
                 "--f", "t*(1-t) + 5*x", "--format", "json"])
     out.append(["solve", "--bc", "periodic", "--rho", "7.5",
                 "--f", "1 + 41*x", "--format", "json"])
+    # a weakly nonlinear f, on which the shifted start of an exact kernel is
+    # one chord step and not the answer, and whose positive solution the
+    # hypothesis report also certifies
+    out.append(["solve", "--bc", "dirichlet", "--rho", "sqrt(60)",
+                "--f", "sin(pi*t)*(1+0.1*sin(x))", "--format", "json"])
     # a narrow antiperiodic gap, which decides the periodic sign class
     for bc in ("periodic", "antiperiodic"):
         out.append(["eigen", "--bc", bc, "--samples", repro_a, "--count", "6"])

@@ -8,14 +8,18 @@ Each layer is one library call, timed alone in CPU time
 printed in milliseconds.  The layers are transfer_matrix at 1, 2 and 6
 shifts, plain and lifted, a FundamentalSolutions build, a 201 x 201
 grid_eval, max_kernel_value, gamma_quadrature with the principal
-eigenfunction weight at t-grid 41, solve_linear on 101 nodes, the
-subinterval search (find_subinterval), and build_report at t-grid 41 and
-cone grid 201 for f = 1 + x/(1+x).  Each runs under periodic conditions,
-and gamma_quadrature also under Dirichlet ones, whose separated kernel
-sums its slices on a path of its own (gamma._fixed_parts), on two
-potentials sampled on 2001 nodes: "wavy", a(t) = 60 + 10 sin(2 pi t),
+eigenfunction weight at t-grid 41, solve_linear on 101 nodes,
+solve_nonlinear on 2001 nodes for f = 1 + 50x, the subinterval search
+(find_subinterval), and build_report at t-grid 41 and cone grid 201 for
+f = 1 + x/(1+x).  Each runs under periodic conditions, and
+gamma_quadrature also under Dirichlet ones, whose separated kernel sums
+its slices on a path of its own (gamma._fixed_parts), on three
+potentials: two sampled on 2001 nodes, "wavy", a(t) = 60 + 10 sin(2 pi t),
 and "trig", one seeded draw of the kind the numeric-report benchmark
-workload draws (mean in [45, 80], three modes of amplitude at most 2.5).
+workload draws (mean in [45, 80], three modes of amplitude at most 2.5),
+and "rho", the constant a = 60 of the paper's clamped example, whose
+kernels are exact: on it solve_nonlinear starts from the solve on the
+kernel of a - 50, on the sampled ones from the first image.
 A call that reads a kernel gets a fresh one, built outside the timing, as
 each CLI job builds its own; build_report, which builds its kernel and its
 weight itself, gets a fresh copy of the potential, with nothing cached on
@@ -44,10 +48,12 @@ SEED = 7
 
 
 def potentials() -> dict:
-    """The two seeded potentials the layers run on."""
+    """The three potentials the layers run on."""
+    import math
+
     import numpy as np
 
-    from greensign.potentials import sampled
+    from greensign.potentials import constant, sampled
 
     ts = np.linspace(0.0, 1.0, 2001)
     rng = np.random.default_rng(SEED)
@@ -56,7 +62,7 @@ def potentials() -> dict:
     trig = mean + np.sum(alpha[:, None] * np.cos(2 * np.pi * k * ts)
                          + beta[:, None] * np.sin(2 * np.pi * k * ts), axis=0)
     return {"wavy": sampled(ts, 60.0 + 10.0 * np.sin(2 * np.pi * ts)),
-            "trig": sampled(ts, trig)}
+            "trig": sampled(ts, trig), "rho": constant(math.sqrt(60.0))}
 
 
 def layers(pot) -> list:
@@ -68,7 +74,7 @@ def layers(pot) -> list:
     from greensign.gamma import gamma_quadrature
     from greensign.greens import build_kernel
     from greensign.potentials import BoundaryKind
-    from greensign.solver import solve_linear
+    from greensign.solver import solve_linear, solve_nonlinear
     from greensign.spectral import principal_eigenfunction
 
     bc, dirichlet = BoundaryKind.PERIODIC, BoundaryKind.DIRICHLET
@@ -82,6 +88,9 @@ def layers(pot) -> list:
 
     def f(t, x):
         return 1.0 + x / (1.0 + x)
+
+    def affine(t, x):
+        return 1.0 + 50.0 * x
 
     out = [(f"transfer_matrix {k} {'lifted' if lift else 'plain'}",
             lambda k=k, lift=lift: lambda: transfer_matrix(pot, lams[:k], lift=lift))
@@ -97,6 +106,8 @@ def layers(pot) -> list:
          lambda: lambda k=build_kernel(pot, dirichlet): gamma_quadrature(k, sine, 41)),
         ("solve_linear 101 nodes",
          lambda: lambda k=build_kernel(pot, bc): solve_linear(k, sigma, 101)),
+        ("solve_nonlinear 2001 nodes",
+         lambda: lambda k=build_kernel(pot, bc): solve_nonlinear(k, affine, 2001)),
         ("find_subinterval", lambda: lambda k=build_kernel(pot, bc): find_subinterval(k)),
         ("build_report t-grid 41",
          lambda: lambda p=dataclasses.replace(pot): build_report(p, bc, f, 201, 41)),

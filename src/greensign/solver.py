@@ -23,11 +23,16 @@ cell's two edges u is the Lidstone cubic through u and h^2 u'' there, with
 u'' = f(t, u) - a(t) u from the equation, by one reference matrix for
 every cell of every layout (_end_data).  So a fixed point of the iteration
 is one of the reported operator, and an x-independent f reproduces the
-linear solve exactly.  Its fine check takes more points on the same
-cells, and u there from the quintic Hermite interpolant of u, h u' and
-h^2 u'' at the edges: a finer rule alone would integrate the cubic
-exactly and so could not fault it.  u' is the same read with the pair's
-slopes p' (eval_slope) in place of p, since its terms in g cancel.
+linear solve exactly.  On an exact kernel of a = rho^2 the iteration
+starts one quasi-linearization (chord) step past the first image g0: from
+the solve of u'' + (rho^2 - c) u = f(t, 0) on the exact kernel of
+rho^2 - c, c the secant slope of f along g0 (_shifted_start; Kantorovich
+& Akilov 1982), which for f = p(t) + c x is the fixed point.  Its fine
+check takes more points on the same cells, and u there from the quintic
+Hermite interpolant of u, h u' and h^2 u'' at the edges: a finer rule
+alone would integrate the cubic exactly and so could not fault it.  u' is
+the same read with the pair's slopes p' (eval_slope) in place of p, since
+its terms in g cancel.
 
 Where the pair grows fast (a strongly negative potential) the terms of the
 sum cancel, as the products in a pointwise G do; a sum whose terms exceed
@@ -44,8 +49,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .cone import cone_membership
-from .errors import EvaluationFailure, QuadratureFailure
-from .greens import separable_read
+from .errors import EvaluationFailure, QuadratureFailure, ResonantPotential
+from .fundamental import ConstantPair
+from .greens import Kernel, separable_read
 from .potentials import BoundaryKind
 from .quadrature import (CellSums, default_max_len, gauss_nodes,
                          require_no_cancellation)
@@ -271,23 +277,57 @@ def solve_linear(kernel, sigma, grid) -> SolutionProfile:
                            **_checks(ts, us, kernel.potential, sigma(ts), kernel.bc))
 
 
+def _shifted_start(kernel, ts, quad: _Cumulative, f, g0: np.ndarray,
+                   f0: np.ndarray) -> np.ndarray:
+    """Where solve_nonlinear's steps start: g0, the image of the zero
+    function on the table quad, but on an exact kernel of a = rho**2 one
+    chord step past it, u'' + (rho**2 - c) u = f(t, 0) solved on the exact
+    kernel of rho**2 - c under the same condition, on quad's own cells.  c
+    is the secant slope of f along g0 over the edges, <g0, f(t, g0) -
+    f0> / <g0, g0> with f0 = f(t, 0) there, so for f = p(t) + c x the start
+    is the fixed point, to quadrature.  g0 stands on a numeric kernel, where
+    c is 0 or not finite, where rho**2 - c <= 0 (the exact pair has no
+    imaginary rho), and where the shifted kernel is resonant, its read
+    fails or is not finite."""
+    if kernel.form != "closed":
+        return g0
+    with np.errstate(all="ignore"):
+        c = float(np.dot(g0, np.asarray(f(quad.edges, g0), dtype=float) - f0)
+                  / np.dot(g0, g0))
+    shifted = kernel.fs.rho**2 - c
+    if not (math.isfinite(c) and c and shifted > 0.0):
+        return g0
+    try:
+        pair = ConstantPair(math.sqrt(shifted), kernel.T)
+        shifted_quad = _Cumulative(Kernel(kernel.potential, kernel.bc, pair), ts,
+                                   every_edge=True)
+        # an exact pair adds only 0 and T to the edges, under the same cap
+        assert np.array_equal(shifted_quad.edges, quad.edges)
+        start = shifted_quad.apply(f(quad.xs, np.zeros_like(quad.xs)))
+    except (ResonantPotential, QuadratureFailure):
+        return g0
+    return start if np.all(np.isfinite(start)) else g0
+
+
 def solve_nonlinear(kernel, f, grid, damping: float = DAMPING,
                     max_iter: int = MAX_ITER, tol: float = TOL) -> SolutionProfile:
     """Fixed-point iteration for u = integral of G(t, s) f(s, u(s)) ds.
 
-    Starts from the image of the zero function and takes Anderson-mixed
-    steps (type II, Walker & Ni 2011): with g the image map, residuals
-    r_k = g(u_k) - u_k and the differences dU, dR of the last
-    ANDERSON_DEPTH iterates and residuals,
+    Starts from the image g0 of the zero function, or on an exact kernel
+    from the solve on the kernel of the shifted potential rho**2 - c
+    (_shifted_start, which keeps g0 where that kernel is resonant or not
+    real), and takes Anderson-mixed steps (type II, Walker & Ni 2011):
+    with g the image map, residuals r_k = g(u_k) - u_k and the differences
+    dU, dR of the last ANDERSON_DEPTH iterates and residuals,
 
         u_{k+1} = u_k + damping r_k - (dU + damping dR) gamma,
         gamma = argmin |r_k - dR gamma|,
 
     so damping is the weight of each step, and the first step, with no
-    history, is the damped Picard step.  Stops when successive iterates
-    agree to tol, or after max_iter steps.  A problem the iteration
-    cannot solve is reported through converged=False rather than raised.
-    On convergence the fixed-point residual is re-measured with a finer,
+    history, is the damped Picard step; from the shifted start, for an
+    affine f, it meets tol.  Stops when successive iterates agree to tol,
+    or after max_iter steps.  A problem the iteration cannot solve is
+    reported through converged=False rather than raised.  On convergence the fixed-point residual is re-measured with a finer,
     independent quadrature, and converged stays True only if it is
     within 10 tol.
     """
@@ -307,19 +347,21 @@ def solve_nonlinear(kernel, f, grid, damping: float = DAMPING,
             raise EvaluationFailure("f returned a non-finite value")
         return out
 
-    def image(us: np.ndarray) -> np.ndarray:
-        # u'' from the equation u'' + a u = f(t, u)
-        ux = _cell_values(CELL_ORDER, h, {0: us, 2: fx(edges, us) - a * us})
+    def image(us: np.ndarray, fe: np.ndarray) -> np.ndarray:
+        # fe is f(t, u) at the edges; u'' from the equation u'' + a u = f(t, u)
+        ux = _cell_values(CELL_ORDER, h, {0: us, 2: fe - a * us})
         sums[:] = [quad.sums(fx(quad.xs, ux))]
         return quad.values(sums[0])
 
-    us = image(np.zeros_like(edges))
+    zero = np.zeros_like(edges)
+    f0 = fx(edges, zero)
+    us = _shifted_start(kernel, ts, quad, f, image(zero, f0), f0)
     iterations = 0
     converged = False
     d_us, d_rs = [], []          # the last ANDERSON_DEPTH differences
     prev = None
     for _ in range(max_iter):
-        r = image(us) - us
+        r = image(us, fx(edges, us)) - us
         if prev is not None:
             d_us.append(us - prev[0])
             d_rs.append(r - prev[1])

@@ -8,7 +8,7 @@ LAYERS = ["transfer_matrix 1 plain", "transfer_matrix 1 lifted",
           "transfer_matrix 6 plain", "transfer_matrix 6 lifted",
           "FundamentalSolutions", "grid_eval 201x201", "max_kernel_value",
           "gamma_quadrature t-grid 41", "gamma_quadrature t-grid 41 dirichlet",
-          "solve_linear 101 nodes",
+          "solve_linear 101 nodes", "solve_nonlinear 2001 nodes",
           "find_subinterval", "build_report t-grid 41"]
 
 
@@ -25,7 +25,7 @@ def test_one_round_against_its_own_tree(capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["layer", "this", "ms", "other", "ms", "ratio", "won"]
     assert [row.rsplit(None, 4)[0] for row in rows] == [
-        f"{layer} [{pot}]" for pot in ("wavy", "trig") for layer in LAYERS]
+        f"{layer} [{pot}]" for pot in ("wavy", "trig", "rho") for layer in LAYERS]
     for row in rows:
         this, other, ratio, won = row.rsplit(None, 4)[1:]
         assert float(this) > 0.0 and float(other) > 0.0 and float(ratio) > 0.0

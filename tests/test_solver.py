@@ -13,7 +13,8 @@ from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.fundamental import ConstantPair
 from greensign.quadrature import default_max_len, gauss_nodes
 from slice_oracle import GAUSS_ORDER, Cumulative, shared_breaks, slice_panels
-from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, Positivity,
+from greensign import solver
+from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, TOL, Positivity,
                               _cell_values, _classify_positivity, _Cumulative,
                               solve_linear, solve_nonlinear, verify_solution)
 
@@ -591,6 +592,66 @@ class TestNonlinear:
         with pytest.raises(ValueError):
             solve_nonlinear(PeriodicConstantKernel(RHO_P), lambda s, x: 0.0 * s, 101,
                             max_iter=0)
+
+
+def _wavy_kernel():
+    grid = np.linspace(0.0, 1.0, 2001)
+    return build_kernel(sampled(grid, 60.0 + 10.0 * np.sin(2 * math.pi * grid)),
+                        BoundaryKind.PERIODIC)
+
+
+class TestNewtonStart:
+    """On an exact kernel the steps start from the solve on the kernel of
+    rho^2 - c, c the secant slope of f along the first image."""
+
+    @staticmethod
+    def from_g0(monkeypatch, kernel, f, n):
+        """The same solve with the shifted start patched out."""
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_shifted_start", lambda kernel, ts, quad, f, g0, f0: g0)
+            return solve_nonlinear(kernel, f, n)
+
+    @pytest.mark.parametrize("kind,rho,text,c,sigma", [
+        (DirichletConstantKernel, RHO_D, "t*(1-t) + 5*x", 5.0, lambda s: s * (1.0 - s)),
+        (PeriodicConstantKernel, 7.5, "1 + 41*x", 41.0, const_sigma(1.0)),
+        (DirichletConstantKernel, RHO_D, "1+50*x", 50.0, const_sigma(1.0))],
+        ids=["dirichlet-contraction", "periodic-41", "dirichlet-50"])
+    def test_affine_golden_solves_in_one_step(self, kind, rho, text, c, sigma):
+        p = solve_nonlinear(kind(rho), Expression(text, variables=("t", "x")), 2001)
+        ref = solve_linear(kind(math.sqrt(rho**2 - c)), sigma, 2001)
+        assert p.converged and p.iterations == 1
+        scale = float(np.max(np.abs(ref.values)))
+        assert np.max(np.abs(p.values - ref.values)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("make,text,n", [
+        # x-independent: the slope is 0
+        (lambda: DirichletConstantKernel(RHO_D), "t*(1-t)", 2001),
+        # resonant shifts: rho^2 - c = 4 pi^2, whose kernel raises
+        # ResonantPotential, and rho^2 - c = 0, which no exact pair takes
+        (lambda: PeriodicConstantKernel(7.5), "cos(2*pi*t) + (7.5^2 - 4*pi^2)*x", 101),
+        (lambda: PeriodicConstantKernel(RHO_P), "1 + (1.5*pi)^2*x", 101),
+        # rho^2 - c = -10: the exact pair has no imaginary rho
+        (lambda: DirichletConstantKernel(RHO_D), "1 + 70*x", 2001),
+        (_wavy_kernel, "1 + x/(1+x)", 101)],
+        ids=["x-independent", "resonant-cos", "resonant-constant", "nonpositive-shift",
+             "numeric"])
+    def test_fallbacks_are_todays_solve(self, monkeypatch, make, text, n):
+        f = Expression(text, variables=("t", "x"))
+        p, q = solve_nonlinear(make(), f, n), self.from_g0(monkeypatch, make(), f, n)
+        assert p.values.tobytes() == q.values.tobytes()
+        assert p.iterations == q.iterations
+        assert p.fixed_point_residual == q.fixed_point_residual
+
+    @pytest.mark.parametrize("f", [
+        lambda s, x: np.exp(x), lambda s, x: 1.0 + 5.0 * x / (1.0 + np.abs(x)),
+        lambda s, x: 1.0 + 30.0 * x - 50.0 * x**3, lambda s, x: (2.0 + np.sin(x)) / 3.0],
+        ids=["exp", "saturating", "cubic", "bounded-sine"])
+    @pytest.mark.parametrize("kind", [DirichletConstantKernel, PeriodicConstantKernel])
+    def test_nonlinear_f_keeps_the_verdict(self, monkeypatch, kind, f):
+        p, q = solve_nonlinear(kind(RHO_D), f, 401), self.from_g0(monkeypatch, kind(RHO_D), f, 401)
+        assert p.converged is q.converged
+        if q.converged:
+            assert np.max(np.abs(p.values - q.values)) <= 10.0 * TOL
 
 
 class TestVerification:
