@@ -195,6 +195,11 @@ def calls(wavy: str, repro_a: str, half_period: str) -> list:
     # a separated exact kernel off the unit interval, whose minimum is the
     # limit slice at its pinned end T = 2, in full
     out.append(["gamma", "--bc", "mixed1", "--rho", "9", "--T", "2", "--format", "json"])
+    # fixed-point solves on the RK4 pair, whose cells break at its grid
+    # nodes as well as at the output nodes, with their steps and fine check
+    for bc in ("periodic", "dirichlet"):
+        out.append(["solve", "--bc", bc, "--samples", wavy, "--f", WAVY_F,
+                    "--format", "json"])
     return out
 
 

@@ -15,18 +15,20 @@ exact_weight), the integrals are elementary, and read_both takes them in
 closed form (ConstantPair.both).  Every other pair or weight reads
 one table, CellSums, built by one recipe, slice_sums.
 
-CellSums is one cumulative quadrature of p g over [0, T] on the cells of
-cell_edges: no cell straddles a numeric kernel's grid node (its pair is
-one cubic per grid cell) or a point the caller reads at, so a low-order
-rule per cell is exact for a piecewise-polynomial g aligned to those
-points (read_both adds a weight's own kinks to them), and a read is an
-index into the sums.  Its one read, both, takes each point from the
-nearer end.  The solver keeps its own table and sums the cells from 0
-itself, with its own rule order and length cap (see solver).  The pair
-gives its values at the Gauss nodes through its cell_pair (see
-fundamental): a numeric pair re-expands the cubics of each grid cell on
-every cell inside it; an exact one uses angle addition on cells of one
-length (one_length) and reads the others point by point.
+CellSums is one cumulative quadrature of p g over [0, T], built from the
+pair it is given on the cells between the edges it is given.  One rule
+lays the edges out, cell_edges: no cell straddles a numeric kernel's grid
+node (its pair is one cubic per grid cell) or a point the caller reads
+at, so a low-order rule per cell is exact for a piecewise-polynomial g
+aligned to those points (read_both adds a weight's own kinks to them),
+and a read is an index into the sums.  Its one read, both, takes each
+point from the nearer end.  slice_sums lays out read_both's cells; the
+solver lays out its own once per solve, with its own length cap, builds
+every table of the solve on them, and sums the cells from 0 itself (see
+solver).  The pair gives its values at the Gauss nodes through its
+cell_pair (see fundamental): a numeric pair re-expands the cubics of each
+grid cell on every cell inside it; an exact one uses angle addition on
+cells of one length (one_length) and reads the others point by point.
 
 The zeros of the slices G(t, .) that gamma reads come from the kernel
 (Kernel._fixed_zeros on a separated condition, _search_rows on a paired
@@ -107,23 +109,24 @@ def cell_edges(kernel, points, max_len: float) -> np.ndarray:
 
 class CellSums:
     """One cumulative Gauss quadrature of p g over [0, T], with p = (u1, u2)
-    the kernel's pair, for any g sampled at the nodes xs (or broadcast to
-    them).  Built once: the order-point Gauss nodes xs of the cells of
-    cell_edges(kernel, points, max_len), and q, the pair there times the
-    half-width of each cell and the rule's weights, shape (2, cells,
-    order).  Every point is an edge, so a read is an index into the sums.
-    The pair's values at the nodes come from its cell_pair (see
-    fundamental).  The nodes are interior, so no pinned end is among them.
+    a kernel's pair, for any g sampled at the nodes xs (or broadcast to
+    them).  Built once on the cells it is given, between consecutive edges
+    from 0 to T (laid out by cell_edges): the order-point Gauss nodes xs of
+    every cell, and q, the pair there times the half-width of each cell and
+    the rule's weights, shape (2, cells, order).  Every point read is an
+    edge, so a read is an index into the sums.  The pair's values at the
+    nodes come from its cell_pair (see fundamental).  The nodes are
+    interior, so no pinned end is among them.
     """
 
-    def __init__(self, kernel, points, max_len: float, order: int):
-        self.T = kernel.T
-        self.edges = e = cell_edges(kernel, points, max_len)
+    def __init__(self, pair, edges: np.ndarray, order: int):
+        self.edges = e = edges
+        self.T = e[-1]
         nodes, gw = gauss_nodes(order)
         half = 0.5 * (e[1:] - e[:-1])
         xs = (0.5 * (e[:-1] + e[1:]))[:, None] + half[:, None] * nodes
         self.xs = xs.ravel()
-        self.q = kernel.fs.cell_pair(e, xs)
+        self.q = pair.cell_pair(e, xs)
         self.q *= half[:, None] * gw
 
     def index(self, x) -> np.ndarray:
@@ -172,9 +175,10 @@ def default_max_len(potential) -> float:
 
 def slice_sums(kernel, points) -> CellSums:
     """The CellSums edged at points that read_both reads where no closed
-    form serves."""
-    return CellSums(kernel, points, default_max_len(kernel.potential) / SLICE_CELLS_PER_PANEL,
-                    SLICE_ORDER)
+    form serves, on cells of cell_edges at SLICE_CELLS_PER_PANEL per
+    default_max_len."""
+    max_len = default_max_len(kernel.potential) / SLICE_CELLS_PER_PANEL
+    return CellSums(kernel.fs, cell_edges(kernel, points, max_len), SLICE_ORDER)
 
 
 def exact_weight(weight):

@@ -14,7 +14,10 @@ reading P(T) - P(t) from T instead leaves the Cauchy form by up to 22
 roundings of max |u|.  Its cells lie between consecutive output nodes
 and the nodes of a numeric kernel's grid, capped in length, so no cell
 straddles the diagonal kink or a kink of the sampled pair, no slice is
-split at its zeros, and every output node is an edge.
+split at its zeros, and every output node is an edge.  A solve lays these
+cells out once (_as_grid, by quadrature.cell_edges), and every table of
+the solve is built on its edges: the shifted start's, on the pair of the
+shifted kernel, and the fine check's, with more points per cell.
 
 The nonlinear problem u = integral of G(t, s) f(s, u(s)) ds runs an
 Anderson-accelerated fixed-point iteration through the same sum, on u at
@@ -28,7 +31,8 @@ starts one quasi-linearization (chord) step past the first image g0: from
 the solve of u'' + (rho^2 - c) u = f(t, 0) on the exact kernel of
 rho^2 - c, c the secant slope of f along g0 (_shifted_start; Kantorovich
 & Akilov 1982), which for f = p(t) + c x is the fixed point.  Its fine
-check takes more points on the same cells, and u there from the quintic
+check takes more points on the same cells, read at the edges through the
+solve's own coefficients, and u there from the quintic
 Hermite interpolant of u, h u' and h^2 u'' at the edges: a finer rule
 alone would integrate the cubic exactly and so could not fault it.  u' is
 the same read with the pair's slopes p' (eval_slope) in place of p, since
@@ -53,7 +57,7 @@ from .errors import EvaluationFailure, QuadratureFailure, ResonantPotential
 from .fundamental import ConstantPair
 from .greens import Kernel, separable_read
 from .potentials import BoundaryKind
-from .quadrature import (CellSums, default_max_len, gauss_nodes,
+from .quadrature import (CellSums, cell_edges, default_max_len, gauss_nodes,
                          require_no_cancellation)
 
 POSITIVITY_TOL = 1e-9
@@ -118,32 +122,36 @@ class VerificationRecord:
     cone_ok: bool | None = None
 
 
-def _as_grid(kernel, grid) -> np.ndarray:
+def _as_grid(kernel, grid) -> tuple[np.ndarray, np.ndarray]:
+    """The output nodes ts of grid, a node count or the nodes, and the
+    edges of the solve's cells, laid out once (cell_edges)."""
     if np.ndim(grid) == 0:
         n = int(grid)
         if n < 5:
             raise ValueError(f"grid needs at least 5 nodes, got {n}")
-        return np.linspace(0.0, kernel.T, n)
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or len(ts) < 5 or np.any(np.diff(ts) <= 0):
-        raise ValueError("grid must be a strictly increasing 1-d array")
-    if ts[0] < -1e-12 or ts[-1] > kernel.T + 1e-12:
-        raise ValueError(f"grid leaves the interval [0, {kernel.T}]")
-    return ts
+        ts = np.linspace(0.0, kernel.T, n)
+    else:
+        ts = np.asarray(grid, dtype=float)
+        if ts.ndim != 1 or len(ts) < 5 or np.any(np.diff(ts) <= 0):
+            raise ValueError("grid must be a strictly increasing 1-d array")
+        if ts[0] < -1e-12 or ts[-1] > kernel.T + 1e-12:
+            raise ValueError(f"grid leaves the interval [0, {kernel.T}]")
+    return ts, cell_edges(kernel, ts, default_max_len(kernel.potential))
 
 
 class _Cumulative(CellSums):
     """The integrals of G(t, s) g(s) ds, for any g sampled at the Gauss
     nodes xs, read off the table's sums from 0 (see the module docstring)
-    at the points: the output nodes ts or, with every_edge, every edge."""
+    at the points edges[cols], on the cells of the edges that the solve
+    laid out once (_as_grid): the linear solve reads at its output nodes,
+    the fixed-point solve and its shifted start at every edge.  The fine
+    check's table only sums its cells, which the solve's table reads."""
 
-    def __init__(self, kernel, ts: np.ndarray, order: int = CELL_ORDER,
-                 every_edge: bool = False):
-        ts = np.clip(ts, 0.0, kernel.T)
-        super().__init__(kernel, ts, default_max_len(kernel.potential), order)
-        self.at = self.index(ts)
-        self.points = self.edges if every_edge else ts
-        self._cols = slice(None) if every_edge else self.at
+    def __init__(self, kernel, edges: np.ndarray, cols=slice(None),
+                 order: int = CELL_ORDER):
+        super().__init__(kernel.fs, edges, order)
+        self.points = edges[cols]
+        self._cols = cols
         self.kernel = kernel
 
     @cached_property
@@ -270,19 +278,21 @@ def _checks(ts: np.ndarray, us: np.ndarray, potential, rhs_vals,
 
 def solve_linear(kernel, sigma, grid) -> SolutionProfile:
     """u(t) = integral of G(t, s) sigma(s) ds at every grid node."""
-    ts = _as_grid(kernel, grid)
-    quad = _Cumulative(kernel, ts)
+    ts, edges = _as_grid(kernel, grid)
+    quad = _Cumulative(kernel, edges, edges.searchsorted(np.clip(ts, 0.0, kernel.T)))
     us = quad.apply(sigma(quad.xs))
     return SolutionProfile(grid=ts, values=us, bc=kernel.bc,
                            **_checks(ts, us, kernel.potential, sigma(ts), kernel.bc))
 
 
-def _shifted_start(kernel, ts, quad: _Cumulative, f, g0: np.ndarray,
+def _shifted_start(kernel, quad: _Cumulative, f, g0: np.ndarray,
                    f0: np.ndarray) -> np.ndarray:
     """Where solve_nonlinear's steps start: g0, the image of the zero
     function on the table quad, but on an exact kernel of a = rho**2 one
     chord step past it, u'' + (rho**2 - c) u = f(t, 0) solved on the exact
-    kernel of rho**2 - c under the same condition, on quad's own cells.  c
+    kernel of rho**2 - c under the same condition, on quad's own cells
+    (those cell_edges would lay out for it: an exact pair adds only 0 and
+    T, and the length cap is the potential's).  c
     is the secant slope of f along g0 over the edges, <g0, f(t, g0) -
     f0> / <g0, g0> with f0 = f(t, 0) there, so for f = p(t) + c x the start
     is the fixed point, to quadrature.  g0 stands on a numeric kernel, where
@@ -299,10 +309,7 @@ def _shifted_start(kernel, ts, quad: _Cumulative, f, g0: np.ndarray,
         return g0
     try:
         pair = ConstantPair(math.sqrt(shifted), kernel.T)
-        shifted_quad = _Cumulative(Kernel(kernel.potential, kernel.bc, pair), ts,
-                                   every_edge=True)
-        # an exact pair adds only 0 and T to the edges, under the same cap
-        assert np.array_equal(shifted_quad.edges, quad.edges)
+        shifted_quad = _Cumulative(Kernel(kernel.potential, kernel.bc, pair), quad.edges)
         start = shifted_quad.apply(f(quad.xs, np.zeros_like(quad.xs)))
     except (ResonantPotential, QuadratureFailure):
         return g0
@@ -335,9 +342,9 @@ def solve_nonlinear(kernel, f, grid, damping: float = DAMPING,
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    ts = _as_grid(kernel, grid)
-    quad = _Cumulative(kernel, ts, every_edge=True)
-    edges, h = quad.edges, np.diff(quad.edges)
+    ts, edges = _as_grid(kernel, grid)
+    quad = _Cumulative(kernel, edges)
+    h = np.diff(edges)
     a = np.asarray(kernel.potential(edges), dtype=float)
     sums = []                    # those of the last image, for the fine check
 
@@ -355,7 +362,7 @@ def solve_nonlinear(kernel, f, grid, damping: float = DAMPING,
 
     zero = np.zeros_like(edges)
     f0 = fx(edges, zero)
-    us = _shifted_start(kernel, ts, quad, f, image(zero, f0), f0)
+    us = _shifted_start(kernel, quad, f, image(zero, f0), f0)
     iterations = 0
     converged = False
     d_us, d_rs = [], []          # the last ANDERSON_DEPTH differences
@@ -383,15 +390,14 @@ def solve_nonlinear(kernel, f, grid, damping: float = DAMPING,
 
     fp_resid = None
     if converged:
-        fine = _Cumulative(kernel, ts, FINE_CELL_ORDER, every_edge=True)
-        fine.coefficients = quad.coefficients    # the same cells and read points
+        fine = _Cumulative(kernel, edges, order=FINE_CELL_ORDER)
         ux = _cell_values(FINE_CELL_ORDER, h, {0: us, 1: quad.slopes(sums[0]),
                                                2: fx(edges, us) - a * us})
-        fp_resid = float(np.max(np.abs(fine.apply(f(fine.xs, ux)) - us)))
+        fp_resid = float(np.max(np.abs(quad.values(fine.sums(fx(fine.xs, ux))) - us)))
         if fp_resid > 10.0 * tol:
             converged = False
 
-    us = us[quad.at]
+    us = us[quad.index(ts)]
     return SolutionProfile(grid=ts, values=us, bc=kernel.bc,
                            iterations=iterations, converged=converged,
                            fixed_point_residual=fp_resid,

@@ -882,7 +882,7 @@ class TestJsonWriter:
             assert len(emitted) == 1
             assert out == oracle_text(emitted[0]) + "\n"
             n_json += 1
-        assert n_json == 45
+        assert n_json == 47
 
 
 def load_golden_diff():
@@ -959,7 +959,7 @@ def test_golden_diff_lists_json_moves_by_key():
 def test_golden_diff_of_a_tree_with_itself(capsys):
     golden_diff = load_golden_diff()
     assert golden_diff.main([str(GOLDEN.parents[1])]) == 0
-    assert capsys.readouterr().out == "0 of 87 outputs differ\n"
+    assert capsys.readouterr().out == "0 of 89 outputs differ\n"
 
 
 def test_console_script_runs():

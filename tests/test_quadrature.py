@@ -9,7 +9,7 @@ from greensign.fundamental import ConstantPair
 from greensign.greens import NumericKernel, PeriodicConstantKernel, build_kernel
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.quadrature import (SLICE_CELLS_PER_PANEL, SLICE_ORDER, CellSums,
-                                  build_edges, default_max_len, exact_weight,
+                                  build_edges, cell_edges, default_max_len, exact_weight,
                                   gauss_nodes, one_length, read_both, slice_sums, span)
 from greensign.spectral import principal_eigenfunction
 from slice_oracle import MAX_SHARED_BREAKS, panel_plan, slice_panels
@@ -167,7 +167,8 @@ def test_every_read_point_is_an_edge(kernel):
         [0.0, T, np.nextafter(0.0, 1.0), np.nextafter(T, 0.0),
          -0.3, T + 0.2, -1e-13, T + 1e-13]])               # clipped to 0 and T
     rng.shuffle(x)
-    sums = CellSums(kernel, x, default_max_len(kernel.potential) / 16, 4)
+    sums = CellSums(kernel.fs, cell_edges(kernel, x, default_max_len(kernel.potential) / 16),
+                    4)
     assert np.all(np.diff(sums.edges) > 0.0)
     assert np.array_equal(sums.edges[sums.index(x)], np.clip(x, 0.0, T))
     S, left, total = sums.both(np.cos(sums.xs), [0.0, T])
@@ -205,7 +206,7 @@ class TestCellPair:
         seen = []
         eval_pair = k.fs.eval_pair
         monkeypatch.setattr(k.fs, "eval_pair", lambda x: seen.append(x.size) or eval_pair(x))
-        sums = CellSums(k, ts, default_max_len(k.potential), 8)
+        sums = CellSums(k.fs, cell_edges(k, ts, default_max_len(k.potential)), 8)
         monkeypatch.undo()
         # every grid node is an edge, so a cell between two is a grid cell
         on_grid = np.isin(sums.edges, k.fs.ts)
@@ -222,7 +223,8 @@ class TestCellPair:
         # sets how closely they agree
         k = build_kernel(constant(rho, T), BoundaryKind.DIRICHLET)
         for n in (5, 101, 2001):
-            sums = CellSums(k, np.linspace(0.0, T, n), default_max_len(k.potential), 8)
+            edges = cell_edges(k, np.linspace(0.0, T, n), default_max_len(k.potential))
+            sums = CellSums(k.fs, edges, 8)
             assert one_length(sums.edges)
             assert_within_ulps(sums.q, per_point_q(k, sums), 4 * max(1.0, rho * T))
 
@@ -272,8 +274,8 @@ def assert_closed_read_matches_table(kernel, weight, x):
     solution to CLOSED_READ_TOL of max |W|."""
     assert kernel.form == "closed" and exact_weight(weight) is not None
     S, left, total = read_both(kernel, weight, x)
-    sums = CellSums(kernel, x, default_max_len(kernel.potential) / SLICE_CELLS_PER_PANEL,
-                    SLICE_ORDER)
+    sums = CellSums(kernel.fs, cell_edges(
+        kernel, x, default_max_len(kernel.potential) / SLICE_CELLS_PER_PANEL), SLICE_ORDER)
     want, want_left, want_total = sums.both(1.0 if weight is None else weight(sums.xs), x)
     assert np.array_equal(left, want_left)
     W = np.concatenate([want + np.where(want_left, 0.0, want_total[:, None]),
@@ -334,8 +336,8 @@ class TestClosedRead:
                                (NumericKernel(pot, BoundaryKind.DIRICHLET),
                                 principal_eigenfunction(pot, BoundaryKind.DIRICHLET))):
             x = np.linspace(0.0, 1.0, 11)
-            sums = CellSums(kernel, x, default_max_len(pot) / SLICE_CELLS_PER_PANEL,
-                            SLICE_ORDER)
+            sums = CellSums(kernel.fs, cell_edges(
+                kernel, x, default_max_len(pot) / SLICE_CELLS_PER_PANEL), SLICE_ORDER)
             for got, want in zip(read_both(kernel, weight, x), sums.both(weight(sums.xs), x)):
                 assert np.array_equal(got, want)
 

@@ -11,7 +11,7 @@ from greensign.greens import (DirichletConstantKernel, NumericKernel,
                               PeriodicConstantKernel, build_kernel)
 from greensign.potentials import KERNEL_KINDS, BoundaryKind, constant, sampled
 from greensign.fundamental import ConstantPair
-from greensign.quadrature import default_max_len, gauss_nodes
+from greensign.quadrature import cell_edges, default_max_len, gauss_nodes
 from slice_oracle import GAUSS_ORDER, Cumulative, shared_breaks, slice_panels
 from greensign import solver
 from greensign.solver import (CELL_ORDER, FINE_CELL_ORDER, TOL, Positivity,
@@ -307,9 +307,11 @@ class TestCellSumsRead:
         # uneven output nodes, the end nodes outside [0, T] by outside
         ts = np.linspace(0.0, 1.0, 57) ** 1.3
         ts[0], ts[-1] = -outside, 1.0 + outside
-        got, want = _Cumulative(k, ts, order), Cumulative(k, ts, order)
+        edges = cell_edges(k, ts, default_max_len(k.potential))
+        at = edges.searchsorted(np.clip(ts, 0.0, 1.0))
+        got, want = _Cumulative(k, edges, at, order), Cumulative(k, ts, order)
         assert np.array_equal(got.xs, want.xs)
-        assert np.array_equal(got.at, want.at)
+        assert np.array_equal(at, want.at)
         g = wavy_rhs(got.xs) + np.sin(9.0 * got.xs)
         for x in (g, 1.5):
             assert np.array_equal(got.sums(x), want.sums(x))
@@ -374,7 +376,7 @@ class TestCancellationGuard:
         # every cell sum is finite (the largest 2.9e307), so it is the sum
         # from 0 that overflows; it refuses without a RuntimeWarning
         kernel = self.kernel(-50.0)
-        quad = _Cumulative(kernel, np.linspace(0.0, 1.0, 2001))
+        quad = _Cumulative(kernel, solver._as_grid(kernel, 2001)[1])
         assert np.all(np.isfinite(quad._cells(1e308)))
         with pytest.raises(QuadratureFailure, match="non-finite integrand in the solve"):
             solve_linear(kernel, const_sigma(1e308), 2001)
@@ -580,6 +582,16 @@ class TestNonlinear:
         with pytest.raises(EvaluationFailure):
             solve_nonlinear(k, bad, 101)
 
+    def test_non_finite_f_in_the_fine_check_raises(self):
+        # f is infinite only at one Gauss node of the fine check's rule on
+        # the first cell, [0, 0.01], which no step reads
+        ts = np.linspace(0.0, 1.0, 101)
+        mid, half = 0.5 * (ts[0] + ts[1]), 0.5 * (ts[1] - ts[0])
+        node = mid + half * gauss_nodes(FINE_CELL_ORDER)[0][3]
+        bad = lambda s, x: np.where(s == node, np.inf, 1.0)
+        with pytest.raises(EvaluationFailure):
+            solve_nonlinear(DirichletConstantKernel(RHO_D), bad, 101)
+
     def test_damping_validation(self):
         k = PeriodicConstantKernel(RHO_P)
         with pytest.raises(ValueError):
@@ -600,6 +612,37 @@ def _wavy_kernel():
                         BoundaryKind.PERIODIC)
 
 
+class TestOneLayout:
+    """Each solve lays its cells out once; its tables, the shifted start's
+    and the fine check's among them, are all built on those edges."""
+
+    @staticmethod
+    def layouts(monkeypatch, solve):
+        """solve()'s profile and the number of cell_edges calls it made."""
+        calls = []
+        cell_edges = solver.cell_edges
+        monkeypatch.setattr(solver, "cell_edges",
+                            lambda *args: calls.append(args) or cell_edges(*args))
+        return solve(), len(calls)
+
+    @pytest.mark.parametrize("make", [lambda: DirichletConstantKernel(RHO_D), _wavy_kernel],
+                             ids=["exact", "numeric"])
+    def test_linear(self, monkeypatch, make):
+        kernel = make()
+        _, n = self.layouts(monkeypatch, lambda: solve_linear(kernel, const_sigma(1.0), 101))
+        assert n == 1
+
+    @pytest.mark.parametrize("make,text", [
+        # the shifted start and the fine check each take a table
+        (lambda: DirichletConstantKernel(RHO_D), "1 + 50*x"),
+        (_wavy_kernel, "1 + x/(1+x)")], ids=["exact-shifted", "numeric"])
+    def test_converged_nonlinear(self, monkeypatch, make, text):
+        kernel, f = make(), Expression(text, variables=("t", "x"))
+        profile, n = self.layouts(monkeypatch, lambda: solve_nonlinear(kernel, f, 2001))
+        assert n == 1
+        assert profile.converged and profile.fixed_point_residual is not None
+
+
 class TestNewtonStart:
     """On an exact kernel the steps start from the solve on the kernel of
     rho^2 - c, c the secant slope of f along the first image."""
@@ -608,7 +651,7 @@ class TestNewtonStart:
     def from_g0(monkeypatch, kernel, f, n):
         """The same solve with the shifted start patched out."""
         with monkeypatch.context() as m:
-            m.setattr(solver, "_shifted_start", lambda kernel, ts, quad, f, g0, f0: g0)
+            m.setattr(solver, "_shifted_start", lambda kernel, quad, f, g0, f0: g0)
             return solve_nonlinear(kernel, f, n)
 
     @pytest.mark.parametrize("kind,rho,text,c,sigma", [
